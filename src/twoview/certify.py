@@ -21,18 +21,22 @@ from .diffgeo import (
     integrability_report,
 )
 from .errors import ZeroMass
-from .geometry import PointCloud, ProjectionSpec
+from .geometry import PointCloud, ProjectionSpec, _cross_norm
 from .moments import moment_map
 
 
 @dataclass(frozen=True)
 class TransversalityCheck:
-    """Smallest singular value of the stacked moment differentials, plus
-    the |n1 x n2| reduction valid for centroid moment maps."""
+    """Smallest singular value of the stacked moment differentials, which
+    decides `transversal`, plus |n1 x n2| for reference."""
 
     sigma_min: float
     cross_norm: float
     transversal: bool
+
+    def to_dict(self) -> dict:
+        return {"sigma_min": self.sigma_min, "cross_norm": self.cross_norm,
+                "pass": self.transversal}
 
 
 @dataclass(frozen=True)
@@ -45,11 +49,7 @@ class Certificate:
 
     def to_dict(self) -> dict:
         return {
-            "transversality": {
-                "sigma_min": self.transversality.sigma_min,
-                "cross_norm": self.transversality.cross_norm,
-                "pass": self.transversality.transversal,
-            },
+            "transversality": self.transversality.to_dict(),
             "integrability": {
                 "max_hantjies_norm": self.integrability.max_hantjies_norm,
                 "max_frobenius_residual":
@@ -86,16 +86,18 @@ def check_transversality(spec1: ProjectionSpec, spec2: ProjectionSpec,
     Translating the object by t moves the moment pair by
     (t.u1, t.w1, t.u2, t.w2); the 4x3 matrix of those covectors has full
     rank iff the viewing directions are non-coaxial, and its smallest
-    singular value is the reported margin.  For centroid moment maps the
-    condition reduces to |n1 x n2| > tol; both numbers are returned.
+    singular value is the reported margin, transversal when > tol.  That
+    margin is sqrt(1 - |n1 . n2|), not |n1 x n2|: the two vanish together
+    but differ elsewhere (0.366 vs 0.5 at 30 degrees).  |n1 x n2| is
+    returned alongside it.
     """
     if cloud.total_mass <= 0:
         raise ZeroMass("certificate requires a positive-mass cloud")
     D = np.vstack([spec1.u, spec1.w, spec2.u, spec2.w])
     svals = np.linalg.svd(D, compute_uv=False)
     sigma_min = float(svals[-1])
-    cross = float(np.linalg.norm(np.cross(spec1.n, spec2.n)))
-    return TransversalityCheck(sigma_min, cross, sigma_min > tol)
+    return TransversalityCheck(sigma_min, _cross_norm(spec1, spec2),
+                               sigma_min > tol)
 
 
 def certificate(spec1: ProjectionSpec, spec2: ProjectionSpec,

@@ -32,14 +32,15 @@ from .diffgeo import (
     hantjies_tensor,
     integrability_report,
 )
-from .errors import (
-    GeometricError,
-    InputError,
-    NonTransverse,
-    NumericalError,
-    TwoViewError,
+from .errors import GeometricError, InputError, NumericalError, TwoViewError
+from .geometry import (
+    Sinogram,
+    VoxelGrid,
+    pixel_center_coords,
+    project_points,
+    project_voxels,
+    _cross_norm,
 )
-from .geometry import project_points, project_voxels
 from .recon import (
     ConstraintRow,
     build_radon_system,
@@ -81,9 +82,7 @@ def cmd_project(args) -> int:
     spec1 = ser.load_spec(args.spec1)
     spec2 = ser.load_spec(args.spec2)
     if args.check_transversal:
-        cn = float(np.linalg.norm(np.cross(spec1.n, spec2.n)))
-        if cn <= args.tol:
-            raise NonTransverse(f"|n1 x n2| = {cn} <= tol = {args.tol}")
+        _cross_norm(spec1, spec2, args.tol)
     if args.mode == "points":
         cloud = ser.load_cloud(args.input)
         ser.save_image(project_points(cloud, spec1), out / "image1.json")
@@ -114,11 +113,8 @@ def cmd_reconstruct_points(args) -> int:
         r2 = project_points(cloud, spec2).positions - img2.positions
         reproj = float(max(np.abs(r1).max(), np.abs(r2).max()))
         trans = check_transversality(spec1, spec2, cloud, args.tol)
-        unique = bool(trans.transversal)
-        cert = {"transversality": {"sigma_min": trans.sigma_min,
-                                   "cross_norm": trans.cross_norm,
-                                   "pass": trans.transversal},
-                "unique": unique}
+        cert = {"transversality": trans.to_dict(),
+                "unique": bool(trans.transversal)}
     else:
         cert = {"transversality": None, "unique": False}
     ser.dump_json({"tool": TOOL, **cert}, out / "certificate.json")
@@ -132,22 +128,24 @@ def cmd_reconstruct_voxels(args) -> int:
     out = _outdir(args)
     spec1 = ser.load_spec(args.spec1)
     spec2 = ser.load_spec(args.spec2)
-    cn = float(np.linalg.norm(np.cross(spec1.n, spec2.n)))
-    if cn <= args.tol:
-        raise NonTransverse(f"|n1 x n2| = {cn} <= tol = {args.tol}")
-    dims = tuple(int(d) for d in args.grid_dims.split(","))
+    _cross_norm(spec1, spec2, args.tol)
+    try:
+        dims = tuple(int(d) for d in args.grid_dims.split(","))
+    except ValueError:
+        dims = ()
+    if len(dims) != 3 or min(dims) < 1:
+        raise InputError(
+            f"--grid-dims must be three positive ints, got {args.grid_dims!r}")
     origin = -args.spacing * (np.asarray(dims) - 1) / 2.0
     sinos = []
     for path, spec in ((args.sino1, spec1), (args.sino2, spec2)):
         vals = ser._read_rows(path)
-        from .geometry import Sinogram, VoxelGrid, pixel_center_coords
         ref = VoxelGrid(dims, args.spacing, origin, np.zeros(dims))
         origin2d = pixel_center_coords(ref, spec, vals.shape)[0, 0]
         sinos.append(Sinogram(vals, args.spacing, origin2d))
     system = build_radon_system([spec1, spec2], dims, args.spacing, sinos,
                                 origin=origin)
     values = solve_radon(system, tol=args.solver_tol)
-    from .geometry import VoxelGrid
     ser.save_voxels(VoxelGrid(dims, args.spacing, origin,
                               np.maximum(values, 0.0)), out / "recovered.json")
     ser.dump_json({"tool": TOOL, "rank": system.rank,

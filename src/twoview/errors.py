@@ -32,10 +32,6 @@ class InvalidInvolution(GeometricError):
     """Matrix is not an orthogonal involution."""
 
 
-class UnsupportedOrientation(GeometricError):
-    """Non-axis-aligned frame where only axis-aligned is supported."""
-
-
 # -- moments ----------------------------------------------------------------
 
 class ZeroMass(GeometricError):

@@ -12,16 +12,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
 
-from .errors import (
-    DimMismatch,
-    InvalidFrame,
-    InvalidInvolution,
-    UnsupportedOrientation,
-)
+from .errors import DimMismatch, InvalidFrame, InvalidInvolution, NonTransverse
 
 _ORTHO_TOL = 1e-12
 _DET_TOL = 1e-9
+_MARCH_BLOCK = 1 << 16  # (t, pixel) samples per ray-march block
 
 
 def _as_vec3(x) -> np.ndarray:
@@ -79,6 +76,8 @@ class Projected2D:
         if pos.shape[0] != w.shape[0]:
             raise DimMismatch(
                 f"{pos.shape[0]} positions vs {w.shape[0]} weights")
+        if not (np.all(np.isfinite(pos)) and np.all(np.isfinite(w))):
+            raise DimMismatch("image positions and weights must be finite")
         object.__setattr__(self, "positions", pos)
         object.__setattr__(self, "weights", w)
 
@@ -212,6 +211,8 @@ class Sinogram:
         vals = np.asarray(self.values, dtype=float)
         if vals.ndim != 2:
             raise DimMismatch("sinogram values must be 2-D")
+        if not np.all(np.isfinite(vals)):
+            raise DimMismatch("sinogram values must be finite")
         object.__setattr__(self, "values", vals)
         object.__setattr__(self, "spacing", float(self.spacing))
         object.__setattr__(
@@ -263,72 +264,102 @@ def pixel_center_coords(grid: VoxelGrid, spec: ProjectionSpec,
     return np.stack([gu, gw], axis=-1)
 
 
-def project_voxels(grid: VoxelGrid, spec: ProjectionSpec, image_dims,
-                   ray_march: bool = True) -> Sinogram:
-    """Line-integral projection of a voxel density.
+def projection_operator(grid: VoxelGrid, spec: ProjectionSpec,
+                        image_dims) -> sp.csr_matrix:
+    """Sparse line-integral operator from voxel values to sinogram pixels.
 
-    Axis-aligned frames are summed exactly (entry = spacing * column sum);
-    any other frame falls back to fixed-step ray marching with trilinear
-    interpolation, step = spacing / 2, unless `ray_march` is False.
+    Row iu * nw + iw is the pixel (iu, iw) of the `pixel_center_coords`
+    lattice; column j is voxel j of `grid.values.ravel()`.  An axis-aligned
+    frame gets one exact entry per voxel, the spacing (the length of the
+    ray through the voxel center).  Any other frame is ray marched with
+    step = spacing / 2 over a t-range covering the grid's bounding sphere:
+    each sample adds step times its trilinear weights to the (up to) eight
+    surrounding voxels, with zero density outside the grid.
 
-    Raises UnsupportedOrientation for non-axis-aligned frames when ray
-    marching is disabled.
+    Raises DimMismatch when an axis-aligned image is smaller than the grid
+    cross-section.
     """
     nu, nw = int(image_dims[0]), int(image_dims[1])
     coords = pixel_center_coords(grid, spec, (nu, nw))
     origin2d = coords[0, 0]
-    align = _axis_alignment(spec)
-    if align is not None:
-        image = np.zeros((nu, nw))
-        centers = grid.centers()
-        pu = centers @ spec.u
-        pw = centers @ spec.w
-        iu = np.rint((pu - origin2d[0]) / grid.spacing).astype(int)
-        iw = np.rint((pw - origin2d[1]) / grid.spacing).astype(int)
-        if np.any(iu < 0) or np.any(iu >= nu) or np.any(iw < 0) or np.any(iw >= nw):
+    h, nvox = grid.spacing, grid.values.size
+    shape = (nu * nw, nvox)
+    if _axis_alignment(spec) is not None:
+        centers = grid.centers().reshape(-1, 3)
+        iu = np.rint((centers @ spec.u - origin2d[0]) / h).astype(int)
+        iw = np.rint((centers @ spec.w - origin2d[1]) / h).astype(int)
+        if (np.any(iu < 0) or np.any(iu >= nu)
+                or np.any(iw < 0) or np.any(iw >= nw)):
             raise DimMismatch(
                 f"image dims {(nu, nw)} smaller than grid cross-section")
-        np.add.at(image, (iu.ravel(), iw.ravel()),
-                  grid.spacing * grid.values.ravel())
-        return Sinogram(image, grid.spacing, origin2d)
-    if not ray_march:
-        raise UnsupportedOrientation(
-            "frame is not axis-aligned and ray marching is disabled")
-    image = np.zeros((nu, nw))
-    step = grid.spacing / 2.0
-    half_diag = 0.5 * grid.spacing * float(np.linalg.norm(grid.dims))
-    c = grid.center
-    t0 = float(c @ spec.n) - half_diag - grid.spacing
-    t1 = float(c @ spec.n) + half_diag + grid.spacing
-    ts = np.arange(t0, t1 + step, step)
+        entries = (np.full(nvox, h), (iu * nw + iw, np.arange(nvox)))
+        return sp.coo_matrix(entries, shape=shape).tocsr()
+    step = h / 2.0
+    half_diag = 0.5 * h * float(np.linalg.norm(grid.dims))
+    tc = float(grid.center @ spec.n)
+    ts = np.arange(tc - half_diag - h, tc + half_diag + h + step, step)
+    dims = np.asarray(grid.dims)
+    strides = np.array([dims[1] * dims[2], dims[2], 1])
     flat = coords.reshape(-1, 2)
     bases = flat[:, 0:1] * spec.u + flat[:, 1:2] * spec.w  # (P, 3)
-    for k, t in enumerate(ts):
-        pts = bases + t * spec.n
-        image.ravel()[:] += step * _trilinear_density(grid, pts)
-    return Sinogram(image, grid.spacing, origin2d)
+    data, rows, cols = [], [], []
+    # Blocks of whole t-slices bound the (t, corner, pixel) scratch arrays
+    # and keep the entries in (t, corner, pixel) order, so duplicates are
+    # summed in the same order for every block size.
+    nblocks = -(-ts.size * len(bases) // _MARCH_BLOCK)
+    for tb in np.array_split(ts, nblocks):
+        f = (bases + tb[:, None, None] * spec.n - grid.origin) / h
+        i0 = np.floor(f).astype(int)
+        frac = f - i0
+        base = i0 @ strides
+        wgt = np.zeros((tb.size, 8, len(bases)))
+        col = np.empty(wgt.shape, dtype=base.dtype)
+        for k, corner in enumerate(np.ndindex(2, 2, 2)):
+            idx = i0 + corner
+            inside = np.all((idx >= 0) & (idx < dims), axis=-1)
+            wa, wb, wc = (frac[..., a] if d else 1.0 - frac[..., a]
+                          for a, d in enumerate(corner))
+            wgt[:, k][inside] = (wa * wb * wc)[inside]
+            col[:, k] = base + strides @ corner
+        sel = wgt > 0
+        data.append(step * wgt[sel])
+        rows.append(np.nonzero(sel)[2])
+        cols.append(col[sel])
+    return sp.coo_matrix(
+        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
+        shape=shape).tocsr()
 
 
-def _trilinear_density(grid: VoxelGrid, pts: np.ndarray) -> np.ndarray:
-    """Trilinear sample of the density at world points; zero outside."""
-    f = (pts - grid.origin) / grid.spacing
-    dims = np.asarray(grid.dims)
-    i0 = np.floor(f).astype(int)
-    frac = f - i0
-    out = np.zeros(pts.shape[0])
-    for dx in (0, 1):
-        for dy in (0, 1):
-            for dz in (0, 1):
-                idx = i0 + np.array([dx, dy, dz])
-                inside = np.all((idx >= 0) & (idx < dims), axis=1)
-                if not np.any(inside):
-                    continue
-                wgt = np.ones(pts.shape[0])
-                for a, d in enumerate((dx, dy, dz)):
-                    wgt *= frac[:, a] if d else (1.0 - frac[:, a])
-                ii = idx[inside]
-                out[inside] += wgt[inside] * grid.values[ii[:, 0], ii[:, 1], ii[:, 2]]
-    return out
+def project_voxels(grid: VoxelGrid, spec: ProjectionSpec,
+                   image_dims) -> Sinogram:
+    """Line-integral projection of a voxel density.
+
+    The image is `projection_operator(grid, spec, image_dims)` applied to
+    the voxel values, the same operator whose rows `build_radon_system`
+    stacks: exact column sums (entry = spacing * column sum) for
+    axis-aligned frames, trilinear ray marching with step = spacing / 2
+    for any other frame.
+
+    Raises DimMismatch when an axis-aligned image is smaller than the grid
+    cross-section.
+    """
+    nu, nw = int(image_dims[0]), int(image_dims[1])
+    op = projection_operator(grid, spec, (nu, nw))
+    origin2d = pixel_center_coords(grid, spec, (nu, nw))[0, 0]
+    return Sinogram((op @ grid.values.ravel()).reshape(nu, nw), grid.spacing,
+                    origin2d)
+
+
+def _cross_norm(spec1: ProjectionSpec, spec2: ProjectionSpec,
+               tol: float | None = None) -> float:
+    """|n1 x n2|, the sine of the angle between two viewing directions.
+
+    Raises NonTransverse when tol is given and |n1 x n2| <= tol.
+    """
+    cn = float(np.linalg.norm(np.cross(spec1.n, spec2.n)))
+    if tol is not None and cn <= tol:
+        raise NonTransverse(f"|n1 x n2| = {cn} <= tol = {tol}")
+    return cn
 
 
 def apply_involution(spec: ProjectionSpec, inv: Involution) -> ProjectionSpec:

@@ -20,7 +20,6 @@ from .errors import (
     DimMismatch,
     Inconsistent,
     LengthMismatch,
-    NonTransverse,
     NotConverged,
 )
 from .geometry import (
@@ -31,8 +30,8 @@ from .geometry import (
     VoxelGrid,
     pixel_center_coords,
     project_points,
-    _axis_alignment,
-    _trilinear_density,
+    projection_operator,
+    _cross_norm,
 )
 
 _RANK_TOL = 1e-10  # relative pivot/singular-value threshold
@@ -107,11 +106,8 @@ def triangulate(obs1, obs2, spec1: ProjectionSpec, spec2: ProjectionSpec,
     """
     o1 = np.asarray(obs1, dtype=float).reshape(2)
     o2 = np.asarray(obs2, dtype=float).reshape(2)
+    _cross_norm(spec1, spec2, tol)
     n1, n2 = spec1.n, spec2.n
-    cross = np.cross(n1, n2)
-    cn = float(np.linalg.norm(cross))
-    if cn <= tol:
-        raise NonTransverse(f"|n1 x n2| = {cn} <= tol = {tol}")
     b1 = o1[0] * spec1.u + o1[1] * spec1.w
     b2 = o2[0] * spec2.u + o2[1] * spec2.w
     # closest points: b1 + t1 n1 and b2 + t2 n2
@@ -135,9 +131,7 @@ def reconstruct_cloud(img1: Projected2D, img2: Projected2D,
     """
     if len(img1) != len(img2):
         raise LengthMismatch(f"{len(img1)} vs {len(img2)} observations")
-    cn = float(np.linalg.norm(np.cross(spec1.n, spec2.n)))
-    if cn <= tol:
-        raise NonTransverse(f"|n1 x n2| = {cn} <= tol = {tol}")
+    _cross_norm(spec1, spec2, tol)
     pts = np.empty((len(img1), 3))
     for i in range(len(img1)):
         pts[i] = triangulate(img1.positions[i], img2.positions[i],
@@ -174,9 +168,21 @@ def solve_direction(constraints, dim: int) -> DirectionSolution:
     if A.shape[1] != dim:
         raise DimMismatch(f"omega length {A.shape[1]} != dim {dim}")
     b = np.array([r.rhs for r in rows])
+    return _direction_core(A, b)
+
+
+def _direction_core(A: np.ndarray, b: np.ndarray) -> DirectionSolution:
+    """Unit direction solving A v = b modulo scaling, with its nullity.
+
+    The rank is the number of singular values above _RANK_TOL times the
+    largest.  Raises AmbiguousDirection when nullity > 1 and Inconsistent
+    when no nonzero solution exists.  The residual is |A v| for a
+    homogeneous system and |A x - b| at the least-squares solution x
+    (before normalization) otherwise.
+    """
     svals = np.linalg.svd(A, compute_uv=False)
     rank = int(np.sum(svals > _RANK_TOL * svals[0])) if svals[0] > 0 else 0
-    nullity = dim - rank
+    nullity = A.shape[1] - rank
     if nullity > 1:
         raise AmbiguousDirection(
             f"solution space has dimension {nullity}", nullity=nullity)
@@ -229,11 +235,12 @@ def build_radon_system(specs, grid_dims, spacing, sinograms,
                        origin=None) -> RadonSystem:
     """Assemble the linear system tying voxel densities to sinogram rays.
 
-    One row per sinogram pixel, one column per voxel; axis-aligned frames
-    get exact intersection lengths, any other frame is discretized with
-    the same ray-marching rule as the forward projector.  The rank is
-    computed by elimination and `determined` records whether it equals the
-    voxel count.
+    One row per sinogram pixel, one column per voxel: each view's block is
+    `projection_operator`, the operator `project_voxels` applies, so
+    A x stacks the views' forward projections of x (exact intersection
+    lengths for axis-aligned frames, trilinear ray marching otherwise).
+    The rank is computed by elimination and `determined` records whether
+    it equals the voxel count.
     """
     specs = list(specs)
     sinos = list(sinograms)
@@ -245,74 +252,15 @@ def build_radon_system(specs, grid_dims, spacing, sinograms,
         origin = -spacing * (np.asarray(dims) - 1) / 2.0
     grid = VoxelGrid(dims, spacing, origin, np.zeros(dims))
     blocks = []
-    rhs = []
     for spec, sino in zip(specs, sinos):
-        nu, nw = sino.values.shape
-        coords = pixel_center_coords(grid, spec, (nu, nw))
-        origin2d = coords[0, 0]
+        origin2d = pixel_center_coords(grid, spec, sino.values.shape)[0, 0]
         if np.max(np.abs(origin2d - sino.origin2d)) > 1e-9 * max(1.0, spacing):
             raise DimMismatch("sinogram pixel lattice does not match the grid")
-        align = _axis_alignment(spec)
-        if align is not None:
-            centers = grid.centers().reshape(-1, 3)
-            iu = np.rint((centers @ spec.u - origin2d[0]) / spacing).astype(int)
-            iw = np.rint((centers @ spec.w - origin2d[1]) / spacing).astype(int)
-            if np.any(iu < 0) or np.any(iu >= nu) or np.any(iw < 0) or np.any(iw >= nw):
-                raise DimMismatch("sinogram smaller than the grid cross-section")
-            rows_idx = iu * nw + iw
-            A = sp.coo_matrix(
-                (np.full(nvox, spacing), (rows_idx, np.arange(nvox))),
-                shape=(nu * nw, nvox))
-            blocks.append(A.tocsr())
-        else:
-            blocks.append(_ray_marched_block(grid, spec, coords))
-        rhs.append(sino.values.ravel())
+        blocks.append(projection_operator(grid, spec, sino.values.shape))
     A = sp.vstack(blocks, format="csr")
-    b = np.concatenate(rhs)
+    b = np.concatenate([sino.values.ravel() for sino in sinos])
     rank = elimination_rank(A.toarray())
     return RadonSystem(A, b, rank, rank == nvox, dims, float(spacing))
-
-
-def _ray_marched_block(grid: VoxelGrid, spec: ProjectionSpec,
-                       coords: np.ndarray) -> sp.csr_matrix:
-    """Discretized path-length entries via trilinear sample weights."""
-    nu, nw, _ = coords.shape
-    step = grid.spacing / 2.0
-    half_diag = 0.5 * grid.spacing * float(np.linalg.norm(grid.dims))
-    c = grid.center
-    t0 = float(c @ spec.n) - half_diag - grid.spacing
-    t1 = float(c @ spec.n) + half_diag + grid.spacing
-    ts = np.arange(t0, t1 + step, step)
-    dims = np.asarray(grid.dims)
-    strides = np.array([dims[1] * dims[2], dims[2], 1])
-    data, ri, ci = [], [], []
-    flat = coords.reshape(-1, 2)
-    bases = flat[:, 0:1] * spec.u + flat[:, 1:2] * spec.w
-    for t in ts:
-        pts = bases + t * spec.n
-        f = (pts - grid.origin) / grid.spacing
-        i0 = np.floor(f).astype(int)
-        frac = f - i0
-        for dx in (0, 1):
-            for dy in (0, 1):
-                for dz in (0, 1):
-                    idx = i0 + np.array([dx, dy, dz])
-                    inside = np.all((idx >= 0) & (idx < dims), axis=1)
-                    if not np.any(inside):
-                        continue
-                    wgt = np.ones(pts.shape[0])
-                    for a, d in enumerate((dx, dy, dz)):
-                        wgt *= frac[:, a] if d else (1.0 - frac[:, a])
-                    sel = inside & (wgt > 0)
-                    if not np.any(sel):
-                        continue
-                    data.append(step * wgt[sel])
-                    ri.append(np.nonzero(sel)[0])
-                    ci.append(idx[sel] @ strides)
-    A = sp.coo_matrix(
-        (np.concatenate(data), (np.concatenate(ri), np.concatenate(ci))),
-        shape=(nu * nw, int(np.prod(dims))))
-    return A.tocsr()
 
 
 def solve_radon(system: RadonSystem, max_iter: int | None = None,
@@ -369,11 +317,11 @@ def solve_radon(system: RadonSystem, max_iter: int | None = None,
 
 
 def amplification_factor(spec1: ProjectionSpec, spec2: ProjectionSpec) -> float:
-    """Geometric noise amplification 1 / |n1 x n2| of a triangulation pair."""
-    cn = float(np.linalg.norm(np.cross(spec1.n, spec2.n)))
-    if cn == 0.0:
-        raise NonTransverse("coaxial frames have unbounded amplification")
-    return 1.0 / cn
+    """Geometric noise amplification 1 / |n1 x n2| of a triangulation pair.
+
+    Raises NonTransverse for coaxial frames (|n1 x n2| = 0).
+    """
+    return 1.0 / _cross_norm(spec1, spec2, 0.0)
 
 
 def noise_study(cloud: PointCloud, spec1: ProjectionSpec,

@@ -47,40 +47,42 @@ def dump_json(obj, path) -> None:
 # -- point clouds and images ------------------------------------------------
 
 
-def save_cloud(cloud: PointCloud, path) -> None:
+def _save_points(points, path) -> None:
+    """Write a PointCloud or Projected2D as {"points": [{"p", "w"}, ...]}."""
     dump_json({"points": [{"p": list(p), "w": w} for p, w in
-                          zip(cloud.positions.tolist(),
-                              cloud.weights.tolist())]}, path)
+                          zip(points.positions.tolist(),
+                              points.weights.tolist())]}, path)
+
+
+def _load_points(path, dim: int):
+    """Read a PointCloud (dim 3) or Projected2D (dim 2)."""
+    cls, kind = (PointCloud, "point cloud") if dim == 3 else \
+        (Projected2D, "image")
+    data = _load_json(path)
+    try:
+        pts = data["points"]
+        pos = [pt["p"] for pt in pts]
+        w = [pt["w"] for pt in pts]
+        return cls(np.asarray(pos, dtype=float).reshape(-1, dim),
+                   np.asarray(w, dtype=float))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise InputError(f"malformed {kind} in {path}: {exc}") from exc
+
+
+def save_cloud(cloud: PointCloud, path) -> None:
+    _save_points(cloud, path)
 
 
 def load_cloud(path) -> PointCloud:
-    data = _load_json(path)
-    try:
-        pts = data["points"]
-        pos = [pt["p"] for pt in pts]
-        w = [pt["w"] for pt in pts]
-        return PointCloud(np.asarray(pos, dtype=float).reshape(-1, 3),
-                          np.asarray(w, dtype=float))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InputError(f"malformed point cloud in {path}: {exc}") from exc
+    return _load_points(path, 3)
 
 
 def save_image(img: Projected2D, path) -> None:
-    dump_json({"points": [{"p": list(p), "w": w} for p, w in
-                          zip(img.positions.tolist(),
-                              img.weights.tolist())]}, path)
+    _save_points(img, path)
 
 
 def load_image(path) -> Projected2D:
-    data = _load_json(path)
-    try:
-        pts = data["points"]
-        pos = [pt["p"] for pt in pts]
-        w = [pt["w"] for pt in pts]
-        return Projected2D(np.asarray(pos, dtype=float).reshape(-1, 2),
-                           np.asarray(w, dtype=float))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InputError(f"malformed image in {path}: {exc}") from exc
+    return _load_points(path, 2)
 
 
 def save_spec(spec: ProjectionSpec, path) -> None:

@@ -14,10 +14,15 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .errors import AmbiguousDirection, DegenerateCloud, DimMismatch
+from .errors import (
+    AmbiguousDirection,
+    DegenerateCloud,
+    DimMismatch,
+    Inconsistent,
+)
 from .geometry import PointCloud, ProjectionSpec
 from .moments import centroid3d, moment_map, second_moment
-from .recon import ConstraintRow, DirectionSolution, _canonical_sign, solve_direction
+from .recon import DirectionSolution, _canonical_sign, _direction_core
 
 CONTINUOUS = "continuous"
 
@@ -148,9 +153,13 @@ def solve_direction_equivariant(constraints, axis, order: int,
 
     Each constraint row is averaged over the group (covectors pull back
     through the rotations) and the solve runs inside the fixed subspace,
-    so a one-dimensional fixed space yields the axis up to sign.  Raises
-    AmbiguousDirection, carrying the fixed-subspace dimension, when the
-    reduced solution space is not one-dimensional.
+    so a one-dimensional fixed space yields the axis up to sign.  For any
+    order >= 2 that subspace is the axis (f = 1) in dim 3 and the axis
+    plus the fourth coordinate (f = 2) in dim 4.  The reduced rows go
+    through `solve_direction`'s SVD core, so the residual is |A x - b| at
+    the least-squares solution.  Raises AmbiguousDirection, carrying the
+    fixed-subspace dimension, when the reduced solution space is not
+    one-dimensional, with nullity 0 when it holds only the zero vector.
     """
     rows = list(constraints)
     if not rows:
@@ -177,50 +186,16 @@ def solve_direction_equivariant(constraints, axis, order: int,
         raise AmbiguousDirection(
             f"all constraints vanish on the {f}-dimensional fixed subspace",
             nullity=f, fixed_subspace_dim=f)
-    if f == 1:
-        # constraints survive on a line: homogeneous ones force v = 0
-        A = np.array([o for o, _ in reduced])
-        b = np.array([rhs for _, rhs in reduced])
-        if homogeneous:
-            raise AmbiguousDirection(
-                "nontrivial constraints on a one-dimensional fixed subspace "
-                "leave no direction", nullity=0, fixed_subspace_dim=1)
-        z, *_ = np.linalg.lstsq(A, b, rcond=None)
-        v = B @ z
-        v = _canonical_sign(v / np.linalg.norm(v))
-        return DirectionSolution(v, 0, float(np.linalg.norm(A @ z - b)))
+    A = np.array([o for o, _ in reduced])
+    b = np.array([rhs for _, rhs in reduced])
     try:
-        if f in (3, 4):
-            sol = solve_direction(
-                [ConstraintRow(o, rhs) for o, rhs in reduced], dim=f)
-        else:
-            sol = _solve_reduced(reduced, f)
+        sol = _direction_core(A, b)
     except AmbiguousDirection as exc:
         raise AmbiguousDirection(str(exc), nullity=exc.nullity,
+                                 fixed_subspace_dim=f) from exc
+    except Inconsistent as exc:
+        raise AmbiguousDirection(str(exc), nullity=0,
                                  fixed_subspace_dim=f) from exc
     v = B @ sol.v
     v = _canonical_sign(v / np.linalg.norm(v))
     return DirectionSolution(v, sol.nullity, sol.residual)
-
-
-def _solve_reduced(reduced, f: int) -> DirectionSolution:
-    """solve_direction semantics for a fixed-subspace dimension f not in
-    {3, 4} (f = 2 happens for order-2 groups)."""
-    A = np.array([o for o, _ in reduced])
-    b = np.array([rhs for _, rhs in reduced])
-    svals = np.linalg.svd(A, compute_uv=False)
-    rank = int(np.sum(svals > 1e-10 * svals[0])) if svals[0] > 0 else 0
-    nullity = f - rank
-    if nullity > 1:
-        raise AmbiguousDirection(
-            f"solution space has dimension {nullity}", nullity=nullity)
-    if np.all(b == 0.0):
-        if nullity == 0:
-            raise AmbiguousDirection(
-                "homogeneous reduced system is full rank", nullity=0)
-        _, _, vt = np.linalg.svd(A)
-        z = vt[-1]
-        return DirectionSolution(z, nullity, float(np.linalg.norm(A @ z)))
-    z, *_ = np.linalg.lstsq(A, b, rcond=None)
-    z = z / np.linalg.norm(z)
-    return DirectionSolution(z, nullity, float(np.linalg.norm(A @ z - b)))

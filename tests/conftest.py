@@ -19,6 +19,12 @@ def random_spec(rng) -> ProjectionSpec:
     return ProjectionSpec(q[:, 0], q[:, 1], q[:, 2])
 
 
+def tilted_spec(theta):
+    """XY-plane frame rotated about e1 by theta (normal tilts by theta)."""
+    c, s = np.cos(theta), np.sin(theta)
+    return ProjectionSpec([1, 0, 0], [0, c, s], [0, -s, c])
+
+
 def random_noncoaxial_pair(rng, min_cross=0.05):
     while True:
         s1, s2 = random_spec(rng), random_spec(rng)

@@ -8,19 +8,18 @@ from twoview.certify import (
 )
 from twoview.diffgeo import ConnectionField, GridHeader, VectorFieldGrid
 from twoview.errors import ZeroMass
-from twoview.geometry import PointCloud, ProjectionSpec, coordinate_spec
+from twoview.geometry import PointCloud, coordinate_spec
 from twoview.moments import centroid3d
 from twoview.recon import triangulate
-from conftest import random_cloud, random_noncoaxial_pair, random_spec
+from conftest import (
+    random_cloud,
+    random_noncoaxial_pair,
+    random_spec,
+    tilted_spec,
+)
 
 XY = coordinate_spec(2)
 YZ = coordinate_spec(0)
-
-
-def tilted_spec(theta):
-    """XY-plane frame rotated about e1 by theta (normal tilts by theta)."""
-    c, s = np.cos(theta), np.sin(theta)
-    return ProjectionSpec([1, 0, 0], [0, c, s], [0, -s, c])
 
 
 class TestCheckTransversality:
@@ -54,6 +53,15 @@ class TestCheckTransversality:
             chk = check_transversality(s1, s2, cloud)
             assert chk.sigma_min ** 2 == pytest.approx(
                 1 - abs(s1.n @ s2.n), abs=1e-10)
+
+    def test_sigma_min_closed_form(self, rng):
+        # the margin is sqrt(1 - |n1 . n2|), not |n1 x n2|
+        cloud = random_cloud(rng, 5)
+        for _ in range(20):
+            s1, s2 = random_spec(rng), random_spec(rng)
+            chk = check_transversality(s1, s2, cloud)
+            assert chk.sigma_min == pytest.approx(
+                np.sqrt(1 - abs(s1.n @ s2.n)), abs=1e-12)
 
     def test_monotone_in_angle(self):
         cloud = PointCloud([[0, 0, 0]], [1.0])

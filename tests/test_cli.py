@@ -115,6 +115,44 @@ class TestReconstruct:
         assert code == 3
 
 
+class TestBoundaryValidation:
+    """Bad input exits 2 with exactly one JSON error line on stderr."""
+
+    def error(self, capsys):
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        return json.loads(lines[0])
+
+    def test_nan_sinogram(self, tmp_path, capsys):
+        (tmp_path / "s1.csv").write_text("1.0,nan\n2.0,3.0\n")
+        (tmp_path / "s2.csv").write_text("1.0,2.0\n2.0,3.0\n")
+        code = run("reconstruct", "voxels", "--sino1", tmp_path / "s1.csv",
+                   "--sino2", tmp_path / "s2.csv", "--grid-dims", "2,2,2",
+                   "--spec1", SPEC_XY, "--spec2", SPEC_YZ,
+                   "--out", tmp_path / "out")
+        assert code == 2
+        assert self.error(capsys)["error"] == "DimMismatch"
+
+    def test_nan_image(self, tmp_path, capsys):
+        (tmp_path / "img.json").write_text(
+            '{"points": [{"p": [NaN, 0.0], "w": 1.0}]}')
+        code = run("reconstruct", "points", "--image1", tmp_path / "img.json",
+                   "--image2", tmp_path / "img.json", "--spec1", SPEC_XY,
+                   "--spec2", SPEC_YZ, "--out", tmp_path / "out")
+        assert code == 2
+        assert self.error(capsys)["error"] == "DimMismatch"
+
+    @pytest.mark.parametrize("dims", ["a,b", "1,2", "2,0,2", "2,2,2,2", ""])
+    def test_bad_grid_dims(self, dims, tmp_path, capsys):
+        (tmp_path / "s.csv").write_text("1.0,2.0\n2.0,3.0\n")
+        code = run("reconstruct", "voxels", "--sino1", tmp_path / "s.csv",
+                   "--sino2", tmp_path / "s.csv", "--grid-dims", dims,
+                   "--spec1", SPEC_XY, "--spec2", SPEC_YZ,
+                   "--out", tmp_path / "out")
+        assert code == 2
+        assert self.error(capsys)["error"] == "InputError"
+
+
 class TestCertify:
     def args(self, out, fx, fy):
         return ("certify", "--input", CLOUD, "--spec1", SPEC_XY,

@@ -1,24 +1,23 @@
 import numpy as np
 import pytest
 
-from twoview.errors import (
-    DimMismatch,
-    InvalidFrame,
-    InvalidInvolution,
-    UnsupportedOrientation,
-)
+from twoview.errors import DimMismatch, InvalidFrame, InvalidInvolution
 from twoview.geometry import (
     Involution,
     PointCloud,
+    Projected2D,
     ProjectionSpec,
+    Sinogram,
     VoxelGrid,
     apply_involution,
     backproject,
     coordinate_spec,
     project_points,
     project_voxels,
+    projection_operator,
 )
-from conftest import random_cloud, random_spec
+from twoview import geometry
+from conftest import random_cloud, random_spec, tilted_spec
 
 E = np.eye(3)
 XY = coordinate_spec(2)  # u=e1, w=e2, n=e3
@@ -127,12 +126,53 @@ class TestProjectVoxels:
         marched = project_voxels(grid, tilted, (n, n)).values
         assert np.max(np.abs(marched - exact)) < 0.05 * exact.max()
 
-    def test_ray_march_disabled(self):
-        grid = VoxelGrid((2, 2, 2), 1.0, (0, 0, 0), np.ones((2, 2, 2)))
-        c, s = np.cos(0.3), np.sin(0.3)
-        tilted = ProjectionSpec([1, 0, 0], [0, c, s], [0, -s, c])
-        with pytest.raises(UnsupportedOrientation):
-            project_voxels(grid, tilted, (4, 4), ray_march=False)
+    @pytest.mark.parametrize("deg", [10, 30, 45])
+    def test_tilted_mass_conservation(self, deg):
+        # the trilinear interpolant integrates to sum(vals) h^3 exactly, so
+        # only the step = h/2 ray-march discretization error remains
+        n, h = 10, 0.25
+        grid_pts = np.stack(np.meshgrid(*[np.arange(n)] * 3, indexing="ij"),
+                            axis=-1)
+        blob = np.exp(-np.sum((grid_pts - (n - 1) / 2) ** 2, axis=-1) / 8.0)
+        grid = VoxelGrid((n, n, n), h, (0, 0, 0), blob)
+        spec = tilted_spec(np.radians(deg))
+        sino = project_voxels(grid, spec, (2 * n, 2 * n))
+        lhs = sino.values.sum() * h * h
+        rhs = blob.sum() * h ** 3
+        assert abs(lhs - rhs) <= 1e-3 * rhs
+
+
+class TestProjectionOperator:
+    def test_ray_march_block_size_does_not_change_entries(self, rng,
+                                                          monkeypatch):
+        grid = VoxelGrid((5, 6, 4), 0.5, (0.1, -0.3, 0.2),
+                         rng.uniform(0, 1, (5, 6, 4)))
+        spec = tilted_spec(np.radians(30))
+        whole = projection_operator(grid, spec, (9, 9))
+        monkeypatch.setattr(geometry, "_MARCH_BLOCK", 100)
+        blocked = projection_operator(grid, spec, (9, 9))
+        for attr in ("indptr", "indices", "data"):
+            np.testing.assert_array_equal(getattr(blocked, attr),
+                                          getattr(whole, attr))
+
+    def test_axis_aligned_rows_are_spacing_per_voxel(self):
+        grid = VoxelGrid((3, 4, 5), 0.3, (0, 0, 0), np.zeros((3, 4, 5)))
+        op = projection_operator(grid, YZ, (6, 7))
+        assert op.shape == (42, 60)
+        np.testing.assert_array_equal(op.getnnz(axis=0), 1)
+        np.testing.assert_array_equal(op.data, 0.3)
+
+
+class TestNonFiniteRejected:
+    @pytest.mark.parametrize("make", [
+        lambda: Sinogram([[1.0, np.nan]], 1.0),
+        lambda: Sinogram([[np.inf, 0.0]], 1.0),
+        lambda: Projected2D([[np.nan, 0.0]], [1.0]),
+        lambda: Projected2D([[0.0, 0.0]], [np.inf]),
+    ])
+    def test_dim_mismatch(self, make):
+        with pytest.raises(DimMismatch):
+            make()
 
 
 class TestInvolution:

@@ -3,6 +3,7 @@ import pytest
 
 from twoview.errors import (
     AmbiguousDirection,
+    DimMismatch,
     Inconsistent,
     LengthMismatch,
     NonTransverse,
@@ -13,6 +14,7 @@ from twoview.geometry import (
     Sinogram,
     VoxelGrid,
     coordinate_spec,
+    pixel_center_coords,
     project_points,
     project_voxels,
 )
@@ -27,7 +29,7 @@ from twoview.recon import (
     solve_radon,
     triangulate,
 )
-from conftest import random_cloud, random_noncoaxial_pair
+from conftest import random_cloud, random_noncoaxial_pair, tilted_spec
 
 XY = coordinate_spec(2)
 YZ = coordinate_spec(0)
@@ -231,6 +233,29 @@ class TestRadonSystem:
                                     origin=grid.origin)
         np.testing.assert_allclose(system.rows @ vals.ravel(), system.rhs,
                                    atol=1e-12)
+
+    @pytest.mark.parametrize("deg", [None, 10, 30, 45])
+    def test_rows_apply_the_forward_projector(self, deg, rng):
+        # A x stacks project_voxels of any x, not only of the sinograms' truth
+        specs = [XY, YZ if deg is None else tilted_spec(np.radians(deg))]
+        dims, h, origin = (4, 5, 3), 0.5, (-0.75, -1.0, -0.5)
+        truth = VoxelGrid(dims, h, origin, rng.uniform(0, 1, dims))
+        system = build_radon_system(specs, dims, h,
+                                    make_sinos(truth, specs, (7, 7)),
+                                    origin=origin)
+        probe = VoxelGrid(dims, h, origin, rng.uniform(0, 1, dims))
+        expected = np.concatenate([project_voxels(probe, s, (7, 7)).values
+                                   .ravel() for s in specs])
+        np.testing.assert_allclose(system.rows @ probe.values.ravel(),
+                                   expected, rtol=0, atol=1e-12)
+
+    def test_sinogram_smaller_than_grid(self):
+        grid = VoxelGrid((4, 4, 4), 1.0, (0, 0, 0), np.ones((4, 4, 4)))
+        origin2d = pixel_center_coords(grid, XY, (2, 2))[0, 0]
+        sino = Sinogram(np.zeros((2, 2)), 1.0, origin2d)
+        with pytest.raises(DimMismatch):
+            build_radon_system([XY], (4, 4, 4), 1.0, [sino],
+                               origin=grid.origin)
 
 
 class TestEliminationRank:

@@ -208,6 +208,18 @@ class TestSolveDirectionEquivariant:
                                    atol=1e-12)
         assert sol.nullity == 1
 
+    def test_dim4_inhomogeneous_residual_at_least_squares_solution(self):
+        # fixed subspace span(e3, e4): x3 = 1 and x3 = 3 meet at x3 = 2,
+        # x4 = 2 holds exactly, so |A x - b| = sqrt(1 + 1)
+        rows = [ConstraintRow([0.0, 0.0, 1.0, 0.0], 1.0),
+                ConstraintRow([0.0, 0.0, 1.0, 0.0], 3.0),
+                ConstraintRow([0.0, 0.0, 0.0, 1.0], 2.0)]
+        sol = solve_direction_equivariant(rows, [0, 0, 1], 4, dim=4)
+        assert sol.nullity == 0
+        assert sol.residual == pytest.approx(np.sqrt(2.0), abs=1e-12)
+        np.testing.assert_allclose(sol.v, np.array([0, 0, 1.0, 1.0])
+                                   / np.sqrt(2), atol=1e-12)
+
     def test_averaging_kills_nonfixed_components(self, rng):
         # rows differing by a component in the rotating plane solve alike
         base = np.array([0.3, -0.7, 1.9])
