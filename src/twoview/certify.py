@@ -79,7 +79,6 @@ class TrivializationCoords:
 
 
 def check_transversality(spec1: ProjectionSpec, spec2: ProjectionSpec,
-                         cloud: PointCloud,
                          tol: float = 1e-9) -> TransversalityCheck:
     """Joint rank of the two moment-map differentials under translations.
 
@@ -89,10 +88,8 @@ def check_transversality(spec1: ProjectionSpec, spec2: ProjectionSpec,
     singular value is the reported margin, transversal when > tol.  That
     margin is sqrt(1 - |n1 . n2|), not |n1 x n2|: the two vanish together
     but differ elsewhere (0.366 vs 0.5 at 30 degrees).  |n1 x n2| is
-    returned alongside it.
+    returned alongside it.  The margin depends on the frames alone.
     """
-    if cloud.total_mass <= 0:
-        raise ZeroMass("certificate requires a positive-mass cloud")
     D = np.vstack([spec1.u, spec1.w, spec2.u, spec2.w])
     svals = np.linalg.svd(D, compute_uv=False)
     sigma_min = float(svals[-1])
@@ -104,8 +101,13 @@ def certificate(spec1: ProjectionSpec, spec2: ProjectionSpec,
                 cloud: PointCloud, X: VectorFieldGrid, Y: VectorFieldGrid,
                 conn: ConnectionField, tol_transversal: float = 1e-9,
                 tol_integrability: float | None = None) -> Certificate:
-    """Conjunction of transversality and integrability into a verdict."""
-    trans = check_transversality(spec1, spec2, cloud, tol_transversal)
+    """Conjunction of transversality and integrability into a verdict.
+
+    Raises ZeroMass when the cloud has no positive mass.
+    """
+    if cloud.total_mass <= 0:
+        raise ZeroMass("certificate requires a positive-mass cloud")
+    trans = check_transversality(spec1, spec2, tol_transversal)
     integ = integrability_report(X, Y, conn, tol_integrability)
     return Certificate(
         transversality=trans,

@@ -7,7 +7,8 @@ toric {detect|solve}, noise-study.
 Exit codes: 0 success, 2 input/parse error, 3 geometric precondition
 failure, 4 numerical non-convergence.  Errors are emitted as one JSON
 object on stderr.  Every command is deterministic given (inputs, seed)
-and each run writes a `run.json` echoing the tool version and config.
+and each successful run writes a `run.json` echoing the tool version and
+config.
 """
 
 from __future__ import annotations
@@ -61,12 +62,6 @@ def _setup_logging():
                                "debug": logging.DEBUG}.get(level, logging.ERROR))
 
 
-def _outdir(args) -> Path:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
 def _echo_run(out: Path, args) -> None:
     cfg = {k: v for k, v in vars(args).items()
            if k != "func" and not callable(v)}
@@ -77,8 +72,7 @@ def _echo_run(out: Path, args) -> None:
 # -- commands ---------------------------------------------------------------
 
 
-def cmd_project(args) -> int:
-    out = _outdir(args)
+def cmd_project(args, out: Path) -> None:
     spec1 = ser.load_spec(args.spec1)
     spec2 = ser.load_spec(args.spec2)
     if args.check_transversal:
@@ -95,12 +89,9 @@ def cmd_project(args) -> int:
             ser.save_sinogram_csv(sino, out / f"sino{i}.csv")
             if args.format == "pgm":
                 ser.save_sinogram_pgm(sino, out / f"sino{i}.pgm")
-    _echo_run(out, args)
-    return 0
 
 
-def cmd_reconstruct_points(args) -> int:
-    out = _outdir(args)
+def cmd_reconstruct_points(args, out: Path) -> None:
     spec1 = ser.load_spec(args.spec1)
     spec2 = ser.load_spec(args.spec2)
     img1 = ser.load_image(args.image1)
@@ -112,7 +103,7 @@ def cmd_reconstruct_points(args) -> int:
         r1 = project_points(cloud, spec1).positions - img1.positions
         r2 = project_points(cloud, spec2).positions - img2.positions
         reproj = float(max(np.abs(r1).max(), np.abs(r2).max()))
-        trans = check_transversality(spec1, spec2, cloud, args.tol)
+        trans = check_transversality(spec1, spec2, args.tol)
         cert = {"transversality": trans.to_dict(),
                 "unique": bool(trans.transversal)}
     else:
@@ -120,12 +111,9 @@ def cmd_reconstruct_points(args) -> int:
     ser.dump_json({"tool": TOOL, **cert}, out / "certificate.json")
     ser.dump_json({"tool": TOOL, "points": len(cloud),
                    "max_reprojection_error": reproj}, out / "summary.json")
-    _echo_run(out, args)
-    return 0
 
 
-def cmd_reconstruct_voxels(args) -> int:
-    out = _outdir(args)
+def cmd_reconstruct_voxels(args, out: Path) -> None:
     spec1 = ser.load_spec(args.spec1)
     spec2 = ser.load_spec(args.spec2)
     _cross_norm(spec1, spec2, args.tol)
@@ -153,12 +141,9 @@ def cmd_reconstruct_voxels(args) -> int:
                    "determined": system.determined}, out / "system.json")
     if args.matrix_market:
         scipy.io.mmwrite(str(out / "system.mtx"), system.rows)
-    _echo_run(out, args)
-    return 0
 
 
-def cmd_certify(args) -> int:
-    out = _outdir(args)
+def cmd_certify(args, out: Path) -> None:
     spec1 = ser.load_spec(args.spec1)
     spec2 = ser.load_spec(args.spec2)
     cloud = ser.load_cloud(args.input)
@@ -169,12 +154,9 @@ def cmd_certify(args) -> int:
                        tol_transversal=args.tol,
                        tol_integrability=args.tol_int)
     ser.dump_json({"tool": TOOL, **cert.to_dict()}, out / "certificate.json")
-    _echo_run(out, args)
-    return 0
 
 
-def cmd_diagnose(args) -> int:
-    out = _outdir(args)
+def cmd_diagnose(args, out: Path) -> None:
     report: dict = {"tool": TOOL, "check": args.check}
     if args.check == "algebra":
         magma = ser.load_magma(args.table)
@@ -221,12 +203,9 @@ def cmd_diagnose(args) -> int:
             _, jmax = jacobiator(X, Y, Z, twist)
             report.update({"max_jacobiator_norm": jmax})
     ser.dump_json(report, out / "report.json")
-    _echo_run(out, args)
-    return 0
 
 
-def cmd_toric_detect(args) -> int:
-    out = _outdir(args)
+def cmd_toric_detect(args, out: Path) -> None:
     cloud = ser.load_cloud(args.input)
     orders = [int(k) for k in args.orders.split(",")]
     rep = detect_axis(cloud, orders, tol=args.tol)
@@ -235,12 +214,9 @@ def cmd_toric_detect(args) -> int:
                    "invariance_residual": rep.invariance_residual,
                    "fixed_subspace_dim": rep.fixed_subspace_dim,
                    "continuous": rep.continuous}, out / "toric.json")
-    _echo_run(out, args)
-    return 0
 
 
-def cmd_toric_solve(args) -> int:
-    out = _outdir(args)
+def cmd_toric_solve(args, out: Path) -> None:
     data = ser._load_json(args.constraints)
     try:
         rows = [ConstraintRow(r["omega"], r.get("rhs", 0.0))
@@ -252,12 +228,9 @@ def cmd_toric_solve(args) -> int:
     sol = solve_direction_equivariant(rows, axis, args.order, dim)
     ser.dump_json({"tool": TOOL, "v": sol.v.tolist(), "nullity": sol.nullity,
                    "residual": sol.residual}, out / "direction.json")
-    _echo_run(out, args)
-    return 0
 
 
-def cmd_noise_study(args) -> int:
-    out = _outdir(args)
+def cmd_noise_study(args, out: Path) -> None:
     cloud = ser.load_cloud(args.input)
     spec1 = ser.load_spec(args.spec1)
     spec2 = ser.load_spec(args.spec2)
@@ -271,8 +244,6 @@ def cmd_noise_study(args) -> int:
                               (rep.sigma, rep.rmse_mean, rep.rmse_std,
                                rep.predicted_bound, rep.slope)))
     (out / "noise.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
-    _echo_run(out, args)
-    return 0
 
 
 # -- argument parsing -------------------------------------------------------
@@ -374,8 +345,10 @@ def main(argv=None) -> int:
     _setup_logging()
     parser = build_parser()
     args = parser.parse_args(argv)
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     try:
-        return args.func(args)
+        args.func(args, out)
     except InputError as exc:
         return _fail(exc, 2)
     except GeometricError as exc:
@@ -384,6 +357,8 @@ def main(argv=None) -> int:
         return _fail(exc, 4)
     except TwoViewError as exc:  # anything uncategorized
         return _fail(exc, 2)
+    _echo_run(out, args)
+    return 0
 
 
 if __name__ == "__main__":

@@ -1,6 +1,7 @@
 """Reconstruction solvers.
 
-Two-view point recovery intersects back-projection rays; the direction
+Two-view point recovery intersects back-projection rays, which for fixed
+frames is one 3x4 linear map from the stacked observations; the direction
 solver extracts the one-dimensional solution of a homogeneous constraint
 system; the discrete tomographic path assembles one linear equation per
 observed ray and inverts it with a conjugate-direction least-squares
@@ -94,31 +95,41 @@ class NoiseReport:
 # two-view point recovery
 
 
+def _triangulation_map(spec1: ProjectionSpec, spec2: ProjectionSpec,
+                       tol: float) -> np.ndarray:
+    """The 3x4 matrix M with midpoint(o1, o2) = M @ (o1, o2).
+
+    Observation o_i lies on the ray b_i + t n_i with b_i = [u_i w_i] o_i.
+    The closest-point parameters t1, t2 are linear in d = b2 - b1, so the
+    midpoint of the common perpendicular is 1/2 (b1 + b2) + K d with
+    K = (n1 (n1 - c n2)^T + n2 (c n1 - n2)^T) / (2 |n1 x n2|^2), c = n1.n2.
+    Raises NonTransverse when |n1 x n2| <= tol.
+    """
+    s = _cross_norm(spec1, spec2, tol)
+    n1, n2 = spec1.n, spec2.n
+    c = float(n1 @ n2)
+    K = (np.outer(n1, n1 - c * n2) + np.outer(n2, c * n1 - n2)) / (2 * s * s)
+    half = 0.5 * np.eye(3)
+    B1 = np.column_stack([spec1.u, spec1.w])
+    B2 = np.column_stack([spec2.u, spec2.w])
+    return np.hstack([(half - K) @ B1, (half + K) @ B2])
+
+
 def triangulate(obs1, obs2, spec1: ProjectionSpec, spec2: ProjectionSpec,
                 tol: float = 1e-9) -> np.ndarray:
     """Least-squares intersection of two back-projection rays.
 
     Returns the midpoint of the common perpendicular segment, which is the
-    exact intersection whenever the rays meet.
+    exact intersection whenever the rays meet.  For fixed frames this is
+    one 3x4 linear map applied to (obs1, obs2); `reconstruct_cloud` applies
+    the same map to every point at once.
 
     Raises NonTransverse when the viewing directions are coaxial within
     tol (|n1 x n2| <= tol).
     """
     o1 = np.asarray(obs1, dtype=float).reshape(2)
     o2 = np.asarray(obs2, dtype=float).reshape(2)
-    _cross_norm(spec1, spec2, tol)
-    n1, n2 = spec1.n, spec2.n
-    b1 = o1[0] * spec1.u + o1[1] * spec1.w
-    b2 = o2[0] * spec2.u + o2[1] * spec2.w
-    # closest points: b1 + t1 n1 and b2 + t2 n2
-    d = b2 - b1
-    c = float(n1 @ n2)
-    denom = 1.0 - c * c
-    t1 = float(d @ n1 - c * (d @ n2)) / denom
-    t2 = float(c * (d @ n1) - d @ n2) / denom
-    p1 = b1 + t1 * n1
-    p2 = b2 + t2 * n2
-    return 0.5 * (p1 + p2)
+    return _triangulation_map(spec1, spec2, tol) @ np.concatenate([o1, o2])
 
 
 def reconstruct_cloud(img1: Projected2D, img2: Projected2D,
@@ -126,17 +137,16 @@ def reconstruct_cloud(img1: Projected2D, img2: Projected2D,
                       tol: float = 1e-9) -> PointCloud:
     """Index-wise triangulation of two corresponding images.
 
+    Every point goes through the same 3x4 triangulation map as
+    `triangulate`, applied to all stacked observations in one product.
     Weights are taken from the first image.  Raises LengthMismatch when
     the images disagree in length and NonTransverse for coaxial frames.
     """
     if len(img1) != len(img2):
         raise LengthMismatch(f"{len(img1)} vs {len(img2)} observations")
-    _cross_norm(spec1, spec2, tol)
-    pts = np.empty((len(img1), 3))
-    for i in range(len(img1)):
-        pts[i] = triangulate(img1.positions[i], img2.positions[i],
-                             spec1, spec2, tol)
-    return PointCloud(pts, img1.weights.copy())
+    M = _triangulation_map(spec1, spec2, tol)
+    obs = np.hstack([img1.positions, img2.positions])
+    return PointCloud(obs @ M.T, img1.weights.copy())
 
 
 # ---------------------------------------------------------------------------

@@ -24,54 +24,52 @@ YZ = coordinate_spec(0)
 
 class TestCheckTransversality:
     def test_orthogonal_planes(self):
-        cloud = PointCloud([[0, 0, 0]], [1.0])
-        chk = check_transversality(XY, YZ, cloud)
+        chk = check_transversality(XY, YZ)
         assert chk.transversal
         assert chk.sigma_min == pytest.approx(1.0, abs=1e-12)
         assert chk.cross_norm == pytest.approx(1.0, abs=1e-12)
 
     def test_coaxial(self):
-        cloud = PointCloud([[0, 0, 0]], [1.0])
-        chk = check_transversality(XY, XY, cloud)
+        chk = check_transversality(XY, XY)
         assert not chk.transversal
         assert chk.sigma_min == pytest.approx(0.0, abs=1e-12)
         assert chk.cross_norm == pytest.approx(0.0, abs=1e-12)
 
     def test_thirty_degrees(self):
-        cloud = PointCloud([[1, 2, 3]], [2.0])
         theta = np.pi / 6
-        chk = check_transversality(XY, tilted_spec(theta), cloud)
+        chk = check_transversality(XY, tilted_spec(theta))
         assert chk.cross_norm == pytest.approx(np.sin(theta), abs=1e-12)
         assert chk.sigma_min == pytest.approx(
             np.sqrt(1 - np.cos(theta)), abs=1e-12)
 
     def test_sigma_cross_relation(self, rng):
         # sigma_min^2 == 1 - |n1 . n2| for any pair of orthonormal frames
-        cloud = random_cloud(rng, 5)
         for _ in range(20):
             s1, s2 = random_spec(rng), random_spec(rng)
-            chk = check_transversality(s1, s2, cloud)
+            chk = check_transversality(s1, s2)
             assert chk.sigma_min ** 2 == pytest.approx(
                 1 - abs(s1.n @ s2.n), abs=1e-10)
 
     def test_sigma_min_closed_form(self, rng):
         # the margin is sqrt(1 - |n1 . n2|), not |n1 x n2|
-        cloud = random_cloud(rng, 5)
         for _ in range(20):
             s1, s2 = random_spec(rng), random_spec(rng)
-            chk = check_transversality(s1, s2, cloud)
+            chk = check_transversality(s1, s2)
             assert chk.sigma_min == pytest.approx(
                 np.sqrt(1 - abs(s1.n @ s2.n)), abs=1e-12)
 
     def test_monotone_in_angle(self):
-        cloud = PointCloud([[0, 0, 0]], [1.0])
-        sigmas = [check_transversality(XY, tilted_spec(t), cloud).sigma_min
+        sigmas = [check_transversality(XY, tilted_spec(t)).sigma_min
                   for t in np.linspace(0.05, np.pi / 2, 12)]
         assert all(b > a for a, b in zip(sigmas, sigmas[1:]))
 
     def test_zero_mass(self):
+        # the margin needs no cloud; the mass check lives in certificate()
+        header = GridHeader((5, 5, 5), 0.01, (-0.02, -0.02, -0.02))
+        X, Y = integrable_fields(header)
         with pytest.raises(ZeroMass):
-            check_transversality(XY, YZ, PointCloud([[1, 1, 1]], [0.0]))
+            certificate(XY, YZ, PointCloud([[1, 1, 1]], [0.0]), X, Y,
+                        ConnectionField.flat(header))
 
 
 def integrable_fields(header):

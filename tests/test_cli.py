@@ -6,7 +6,13 @@ import pytest
 from twoview import serialization as ser
 from twoview.cli import main
 from twoview.data import fixture_path
-from twoview.geometry import PointCloud, VoxelGrid, coordinate_spec
+from twoview.geometry import (
+    PointCloud,
+    ProjectionSpec,
+    VoxelGrid,
+    coordinate_spec,
+    project_points,
+)
 
 CLOUD = str(fixture_path("sample_cloud.json"))
 SPEC_XY = str(fixture_path("spec_xy.json"))
@@ -113,6 +119,61 @@ class TestReconstruct:
                    "--spec1", SPEC_XY, "--spec2", SPEC_XY,
                    "--out", tmp_path / "out")
         assert code == 3
+
+
+    def test_points_zero_weights(self, tmp_path):
+        # the transversality margin needs no mass, so massless images
+        # reconstruct and certify like any other
+        img = tmp_path / "img.json"
+        img.write_text('{"points": [{"p": [1.0, 2.0], "w": 0.0}]}')
+        rec = tmp_path / "rec"
+        assert run("reconstruct", "points", "--image1", img, "--image2", img,
+                   "--spec1", SPEC_XY, "--spec2", SPEC_YZ, "--out", rec) == 0
+        for name in ("reconstructed.json", "certificate.json",
+                     "summary.json", "run.json"):
+            assert (rec / name).exists()
+        assert json.loads((rec / "certificate.json").read_text())["unique"]
+        np.testing.assert_array_equal(
+            ser.load_cloud(rec / "reconstructed.json").positions, [[1, 1.5, 2]])
+
+
+def near_coaxial_inputs(tmp_path, theta=5e-9):
+    """XY and a frame tilted by theta about e1: |n1 x n2| = sin(theta) is
+    above the default tol 1e-9, but 1 - (n1 . n2)^2 rounds to 0."""
+    c, s = np.cos(theta), np.sin(theta)
+    ser.save_spec(ProjectionSpec([1, 0, 0], [0, c, s], [0, -s, c]),
+                  tmp_path / "tilt.json")
+    cloud = ser.load_cloud(CLOUD)
+    for name, spec in (("image1", coordinate_spec(2)),
+                       ("image2", ser.load_spec(tmp_path / "tilt.json"))):
+        ser.save_image(project_points(cloud, spec), tmp_path / f"{name}.json")
+    return tmp_path / "tilt.json"
+
+
+class TestNearCoaxial:
+    """Transverse by the tolerance yet almost coaxial: exit 0, finite."""
+
+    def test_reconstruct_points(self, tmp_path, capsys):
+        tilt = near_coaxial_inputs(tmp_path)
+        rec = tmp_path / "rec"
+        assert run("reconstruct", "points", "--image1",
+                   tmp_path / "image1.json", "--image2",
+                   tmp_path / "image2.json", "--spec1", SPEC_XY,
+                   "--spec2", tilt, "--out", rec) == 0
+        assert capsys.readouterr().err == ""
+        got = ser.load_cloud(rec / "reconstructed.json")
+        assert np.all(np.isfinite(got.positions))
+
+    def test_noise_study(self, tmp_path, capsys):
+        tilt = near_coaxial_inputs(tmp_path)
+        out = tmp_path / "out"
+        assert run("noise-study", "--input", CLOUD, "--spec1", SPEC_XY,
+                   "--spec2", tilt, "--sigmas", "0.0,0.01", "--trials", "3",
+                   "--out", out) == 0
+        assert capsys.readouterr().err == ""
+        rows = (out / "noise.csv").read_text().strip().splitlines()[2:]
+        vals = [float(x) for row in rows for x in row.split(",")]
+        assert len(vals) == 10 and np.all(np.isfinite(vals))
 
 
 class TestBoundaryValidation:
@@ -293,6 +354,16 @@ class TestNoiseStudy:
 
 
 class TestTopLevel:
+    def test_run_json_only_on_success(self, tmp_path):
+        ok, bad = tmp_path / "ok", tmp_path / "bad"
+        assert run("project", "--input", CLOUD, "--spec1", SPEC_XY,
+                   "--spec2", SPEC_YZ, "--out", ok) == 0
+        assert run("project", "--input", CLOUD, "--spec1", SPEC_XY,
+                   "--spec2", SPEC_XY, "--check-transversal",
+                   "--out", bad) == 3
+        assert (ok / "run.json").exists()
+        assert bad.is_dir() and not (bad / "run.json").exists()
+
     def test_version(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["--version"])

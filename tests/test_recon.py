@@ -62,6 +62,17 @@ class TestTriangulate:
             b2 = o2[0] * s2.u + o2[1] * s2.w
             np.testing.assert_allclose(
                 got, closest_point_oracle(b1, s1.n, b2, s2.n), atol=1e-10)
+            # the whole-cloud map agrees row by row on stacked observations
+            obs = np.vstack([np.concatenate([o1, o2]),
+                             rng.standard_normal((8, 4))])
+            w = np.ones(len(obs))
+            rec = reconstruct_cloud(Projected2D(obs[:, :2], w),
+                                    Projected2D(obs[:, 2:], w), s1, s2)
+            for p, o in zip(rec.positions, obs):
+                b1 = o[0] * s1.u + o[1] * s1.w
+                b2 = o[2] * s2.u + o[3] * s2.w
+                np.testing.assert_allclose(
+                    p, closest_point_oracle(b1, s1.n, b2, s2.n), atol=1e-10)
 
 
 class TestReconstructCloud:
@@ -71,6 +82,13 @@ class TestReconstructCloud:
                                 project_points(cloud, YZ), XY, YZ)
         np.testing.assert_allclose(rec.positions, cloud.positions, atol=1e-10)
         np.testing.assert_array_equal(rec.weights, cloud.weights)
+
+    def test_round_trip_orthogonal_planes_bitwise(self, rng):
+        # on coordinate frames the map is [[1,0,0,0],[0,.5,.5,0],[0,0,0,1]]
+        cloud = random_cloud(rng, 200, scale=10.0)
+        rec = reconstruct_cloud(project_points(cloud, XY),
+                                project_points(cloud, YZ), XY, YZ)
+        np.testing.assert_array_equal(rec.positions, cloud.positions)
 
     def test_empty_inputs(self):
         empty = Projected2D(np.zeros((0, 2)), np.zeros(0))
