@@ -137,6 +137,7 @@ def cmd_reconstruct_voxels(args, out: Path) -> None:
     ser.save_voxels(VoxelGrid(dims, args.spacing, origin,
                               np.maximum(values, 0.0)), out / "recovered.json")
     ser.dump_json({"tool": TOOL, "rank": system.rank,
+                   "rank_method": system.rank_method,
                    "voxels": int(np.prod(dims)),
                    "determined": system.determined}, out / "system.json")
     if args.matrix_market:

@@ -66,6 +66,10 @@ class DimMismatch(InputError):
     """Array dimensions are inconsistent."""
 
 
+class SystemTooLarge(InputError):
+    """A dense copy of the linear system would exceed the memory limit."""
+
+
 class NotConverged(NumericalError):
     """Iterative solver hit max_iter; carries the best iterate."""
 

@@ -5,7 +5,12 @@ frames is one 3x4 linear map from the stacked observations; the direction
 solver extracts the one-dimensional solution of a homogeneous constraint
 system; the discrete tomographic path assembles one linear equation per
 observed ray and inverts it with a conjugate-direction least-squares
-iteration; the noise study measures how planar noise amplifies through
+iteration and reports its rank exactly: two views whose operators put
+each voxel on exactly one pixel per view with one common weight (any two
+axis-aligned views) form the incidence matrix of a bipartite pixel
+graph, whose rank is #pixels - #connected components; every other system
+is densified once, under a memory limit, and ranked by its singular
+values.  The noise study measures how planar noise amplifies through
 triangulation against the 1/|n1 x n2| geometric bound.
 """
 
@@ -22,6 +27,8 @@ from .errors import (
     Inconsistent,
     LengthMismatch,
     NotConverged,
+    NumericalError,
+    SystemTooLarge,
 )
 from .geometry import (
     PointCloud,
@@ -36,6 +43,13 @@ from .geometry import (
 )
 
 _RANK_TOL = 1e-10  # relative pivot/singular-value threshold
+_DENSE_RANK_BYTES = 2**28  # largest float64 matrix the SVD rank densifies
+# Graph ranks of systems with at most this many matrix entries are also
+# checked against `elimination_rank`, which costs at most a few ms there.
+# The check also keeps the `elimination_rank` call under
+# `build_radon_system` that bench/spans.py times as `recon.radon_rank_s`
+# and that bench/test_bench.py asserts on a 4^3 grid.
+_ORACLE_CHECK_ENTRIES = 2**14
 
 
 @dataclass(frozen=True)
@@ -69,7 +83,8 @@ class RadonSystem:
     """Sparse ray/voxel incidence system A x = b.
 
     rows[r, voxel] is the intersection length of ray r with that voxel;
-    b stacks the observed sinogram values.
+    b stacks the observed sinogram values.  rank_method names how the rank
+    was computed: "graph" (pixel-graph components) or "svd".
     """
 
     rows: sp.csr_matrix
@@ -78,6 +93,7 @@ class RadonSystem:
     determined: bool
     grid_dims: tuple
     spacing: float
+    rank_method: str
 
 
 @dataclass(frozen=True)
@@ -190,9 +206,7 @@ def _direction_core(A: np.ndarray, b: np.ndarray) -> DirectionSolution:
     homogeneous system and |A x - b| at the least-squares solution x
     (before normalization) otherwise.
     """
-    svals = np.linalg.svd(A, compute_uv=False)
-    rank = int(np.sum(svals > _RANK_TOL * svals[0])) if svals[0] > 0 else 0
-    nullity = A.shape[1] - rank
+    nullity = A.shape[1] - _svd_rank(A)
     if nullity > 1:
         raise AmbiguousDirection(
             f"solution space has dimension {nullity}", nullity=nullity)
@@ -215,11 +229,21 @@ def _direction_core(A: np.ndarray, b: np.ndarray) -> DirectionSolution:
 # discrete tomographic system
 
 
+def _svd_rank(A: np.ndarray) -> int:
+    """Number of singular values of A above _RANK_TOL times the largest."""
+    svals = np.linalg.svd(A, compute_uv=False)
+    return int(np.sum(svals > _RANK_TOL * svals[0])) if svals[0] > 0 else 0
+
+
 def elimination_rank(A: np.ndarray, tol: float = _RANK_TOL) -> int:
     """Rank by Gaussian elimination with partial pivoting.
 
     A pivot counts when its magnitude exceeds tol times the largest pivot
     seen so far (the first pivot is the largest entry of the matrix).
+    This is the reference oracle for the Radon rank: tests compare
+    `build_radon_system`'s graph and SVD ranks against it, and
+    `_radon_rank` cross-checks the graph rank of small systems with it.
+    Its Python loop over columns is too slow for anything larger.
     """
     M = np.array(A, dtype=float)
     nrows, ncols = M.shape
@@ -241,6 +265,63 @@ def elimination_rank(A: np.ndarray, tol: float = _RANK_TOL) -> int:
     return rank
 
 
+def _pixel_graph_edges(blocks):
+    """Per-voxel (pixel in view 1, pixel in view 2), or None.
+
+    Two blocks form a pixel graph when every column holds exactly one
+    stored entry in each block and all entries share one nonzero value;
+    stored zeros or duplicates fail the test and fall back to the SVD.
+    """
+    if len(blocks) != 2:
+        return None
+    ends, values = [], []
+    for block in blocks:
+        c = block.tocsc()
+        if np.any(np.diff(c.indptr) != 1):
+            return None
+        ends.append(c.indices)
+        values.append(c.data)
+    data = np.concatenate(values)
+    if data.size == 0 or data[0] == 0 or np.any(data != data[0]):
+        return None
+    return ends
+
+
+def _radon_rank(blocks) -> tuple[int, str]:
+    """Rank of the vertically stacked view blocks, and how it was found.
+
+    "graph": for two blocks that form a pixel graph (`_pixel_graph_edges`)
+    the stacked matrix is a multiple of the unsigned incidence matrix of
+    a bipartite graph with one vertex per pixel and one edge per voxel,
+    so its rank is #pixels - #connected components (zero rows are
+    isolated vertices and add nothing).  "svd": any other system is
+    densified once and ranked by `_svd_rank`; raises SystemTooLarge when
+    the dense matrix would exceed _DENSE_RANK_BYTES.
+    """
+    rows = sum(b.shape[0] for b in blocks)
+    cols = blocks[0].shape[1]
+    edges = _pixel_graph_edges(blocks)
+    if edges is not None:
+        from scipy.sparse import csgraph  # ~40 ms; only this path needs it
+        n1 = blocks[0].shape[0]
+        graph = sp.coo_matrix(
+            (np.ones(cols), (edges[0], n1 + edges[1])), shape=(rows, rows))
+        ncomp, _ = csgraph.connected_components(graph, directed=False)
+        rank = rows - ncomp
+        if rows * cols <= _ORACLE_CHECK_ENTRIES:
+            check = elimination_rank(sp.vstack(blocks).toarray())
+            if check != rank:
+                raise NumericalError(
+                    f"graph rank {rank} != elimination rank {check}")
+        return rank, "graph"
+    nbytes = rows * cols * 8
+    if nbytes > _DENSE_RANK_BYTES:
+        raise SystemTooLarge(
+            f"dense {rows}x{cols} Radon matrix needs {nbytes} bytes for its "
+            f"SVD rank, above the {_DENSE_RANK_BYTES}-byte limit")
+    return _svd_rank(sp.vstack(blocks).toarray()), "svd"
+
+
 def build_radon_system(specs, grid_dims, spacing, sinograms,
                        origin=None) -> RadonSystem:
     """Assemble the linear system tying voxel densities to sinogram rays.
@@ -249,8 +330,13 @@ def build_radon_system(specs, grid_dims, spacing, sinograms,
     `projection_operator`, the operator `project_voxels` applies, so
     A x stacks the views' forward projections of x (exact intersection
     lengths for axis-aligned frames, trilinear ray marching otherwise).
-    The rank is computed by elimination and `determined` records whether
-    it equals the voxel count.
+    The rank is exact for two axis-aligned views, where it comes from the
+    connected components of the pixel graph the voxels link
+    (rank_method "graph", no dense matrix); any other set of views is
+    densified once and ranked by its singular values (rank_method "svd"),
+    and raises SystemTooLarge when that dense matrix would exceed
+    _DENSE_RANK_BYTES.  `determined` records whether the rank equals the
+    voxel count.
     """
     specs = list(specs)
     sinos = list(sinograms)
@@ -269,8 +355,8 @@ def build_radon_system(specs, grid_dims, spacing, sinograms,
         blocks.append(projection_operator(grid, spec, sino.values.shape))
     A = sp.vstack(blocks, format="csr")
     b = np.concatenate([sino.values.ravel() for sino in sinos])
-    rank = elimination_rank(A.toarray())
-    return RadonSystem(A, b, rank, rank == nvox, dims, float(spacing))
+    rank, method = _radon_rank(blocks)
+    return RadonSystem(A, b, rank, rank == nvox, dims, float(spacing), method)
 
 
 def solve_radon(system: RadonSystem, max_iter: int | None = None,

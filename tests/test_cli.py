@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from twoview import recon
 from twoview import serialization as ser
 from twoview.cli import main
 from twoview.data import fixture_path
@@ -13,8 +14,10 @@ from twoview.geometry import (
     coordinate_spec,
     project_points,
 )
+from conftest import tilted_spec
 
 CLOUD = str(fixture_path("sample_cloud.json"))
+TILT_30 = tilted_spec(np.pi / 6)
 SPEC_XY = str(fixture_path("spec_xy.json"))
 SPEC_YZ = str(fixture_path("spec_yz.json"))
 
@@ -112,6 +115,25 @@ class TestReconstruct:
         np.testing.assert_allclose(got.values, vals, atol=1e-8)
         assert (rec / "system.mtx").exists()
 
+    @pytest.mark.parametrize("tilted, method", [(False, "graph"),
+                                                (True, "svd")])
+    def test_voxels_rank_method(self, tilted, method, tmp_path):
+        ser.save_spec(TILT_30 if tilted else coordinate_spec(0),
+                      tmp_path / "spec2.json")
+        (tmp_path / "s.csv").write_text("1.0,0.5,0.0\n" * 3)
+        outs = []
+        for name in ("a", "b"):
+            assert run("reconstruct", "voxels", "--sino1", tmp_path / "s.csv",
+                       "--sino2", tmp_path / "s.csv", "--grid-dims", "3,3,3",
+                       "--spec1", SPEC_XY, "--spec2", tmp_path / "spec2.json",
+                       "--out", tmp_path / name) == 0
+            outs.append((tmp_path / name / "system.json").read_bytes())
+        assert outs[0] == outs[1]
+        system = json.loads(outs[0])
+        assert set(system) == {"tool", "rank", "rank_method", "voxels",
+                               "determined"}
+        assert system["rank_method"] == method
+
     def test_voxels_coaxial(self, tmp_path, capsys):
         (tmp_path / "s.csv").write_text("1.0\n")
         code = run("reconstruct", "voxels", "--sino1", tmp_path / "s.csv",
@@ -202,6 +224,20 @@ class TestBoundaryValidation:
                    "--spec2", SPEC_YZ, "--out", tmp_path / "out")
         assert code == 2
         assert self.error(capsys)["error"] == "DimMismatch"
+
+    def test_dense_rank_over_limit(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(recon, "_DENSE_RANK_BYTES", 2**10)
+        ser.save_spec(TILT_30, tmp_path / "tilt.json")
+        (tmp_path / "s.csv").write_text("1.0,2.0,3.0,4.0\n" * 4)
+        code = run("reconstruct", "voxels", "--sino1", tmp_path / "s.csv",
+                   "--sino2", tmp_path / "s.csv", "--grid-dims", "4,4,4",
+                   "--spec1", SPEC_XY, "--spec2", tmp_path / "tilt.json",
+                   "--out", tmp_path / "out")
+        assert code == 2
+        err = self.error(capsys)
+        assert err["error"] == "SystemTooLarge"
+        assert "16384 bytes" in err["message"]  # 32 rows x 64 voxels x 8
+        assert not (tmp_path / "out" / "system.json").exists()
 
     @pytest.mark.parametrize("dims", ["a,b", "1,2", "2,0,2", "2,2,2,2", ""])
     def test_bad_grid_dims(self, dims, tmp_path, capsys):

@@ -1,12 +1,18 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
+from twoview import recon
 from twoview.errors import (
     AmbiguousDirection,
     DimMismatch,
     Inconsistent,
     LengthMismatch,
     NonTransverse,
+    NumericalError,
+    SystemTooLarge,
 )
 from twoview.geometry import (
     PointCloud,
@@ -33,6 +39,7 @@ from conftest import random_cloud, random_noncoaxial_pair, tilted_spec
 
 XY = coordinate_spec(2)
 YZ = coordinate_spec(0)
+ZX = coordinate_spec(1)
 
 
 def closest_point_oracle(b1, n1, b2, n2):
@@ -274,6 +281,84 @@ class TestRadonSystem:
         with pytest.raises(DimMismatch):
             build_radon_system([XY], (4, 4, 4), 1.0, [sino],
                                origin=grid.origin)
+
+
+def zero_sino_system(specs, dims, margin=0, h=1.0):
+    """Radon system of zero sinograms; each image is the view's grid
+    cross-section grown by `margin` pixels per axis (even margins keep
+    the pixel lattice on the voxel centers)."""
+    origin = -h * (np.asarray(dims) - 1) / 2.0
+    grid = VoxelGrid(dims, h, origin, np.zeros(dims))
+    sinos = []
+    for spec in specs:
+        shape = tuple(int(np.abs(a) @ dims) + margin for a in (spec.u, spec.w))
+        origin2d = pixel_center_coords(grid, spec, shape)[0, 0]
+        sinos.append(Sinogram(np.zeros(shape), h, origin2d))
+    return build_radon_system(specs, dims, h, sinos, origin=origin)
+
+
+class TestRadonRank:
+    @pytest.mark.parametrize("margin", [0, 2])
+    @pytest.mark.parametrize("dims", [(8, 8, 8), (6, 7, 5), (4, 6, 3)])
+    @pytest.mark.parametrize("pair", [(XY, YZ), (XY, ZX), (YZ, ZX)],
+                             ids=["XY-YZ", "XY-ZX", "YZ-ZX"])
+    def test_axis_pairs_use_the_graph(self, pair, dims, margin):
+        system = zero_sino_system(pair, dims, margin)
+        A = system.rows.toarray()
+        assert system.rank_method == "graph"
+        assert system.rank == elimination_rank(A) == np.linalg.matrix_rank(A)
+        # a larger image leaves pixels no voxel projects to
+        assert np.any(~A.any(axis=1)) == (margin > 0)
+
+    def test_three_axis_views_use_svd(self):
+        # the two-view pixel-graph count would give 74 here
+        system = zero_sino_system([XY, YZ, ZX], (5, 5, 5))
+        assert system.rank_method == "svd"
+        assert system.rank == 61
+        assert system.rank == np.linalg.matrix_rank(system.rows.toarray())
+
+    def test_tilted_pair_uses_svd(self):
+        specs = [tilted_spec(np.radians(10)), tilted_spec(np.radians(30))]
+        system = zero_sino_system(specs, (6, 6, 6), margin=4)
+        assert system.rank_method == "svd"
+        assert system.rank == np.linalg.matrix_rank(system.rows.toarray())
+
+    def test_unequal_weights_leave_the_graph(self):
+        # a 4-cycle of pixels: its incidence matrix has rank 3, but one
+        # voxel weighted 2 makes the four columns independent
+        b2 = sp.csr_matrix([[1.0, 0, 1, 0], [0, 1, 0, 1]])
+        equal = sp.csr_matrix([[1.0, 1, 0, 0], [0, 0, 1, 1]])
+        weighted = sp.csr_matrix([[1.0, 1, 0, 0], [0, 0, 1, 2]])
+        assert recon._radon_rank([equal, b2]) == (3, "graph")
+        assert recon._radon_rank([weighted, b2]) == (4, "svd")
+
+    def test_graph_rank_disagreeing_with_elimination_raises(self, monkeypatch):
+        monkeypatch.setattr(recon, "elimination_rank", lambda A: -1)
+        with pytest.raises(NumericalError):
+            zero_sino_system([XY, YZ], (2, 2, 2))
+
+    def test_64_cube_axis_pair_stays_sparse(self):
+        # the dense matrix alone would take 8192 * 262144 * 8 B = 17 GB
+        n = 64
+        tracemalloc.start()
+        try:
+            system = zero_sino_system([XY, YZ], (n, n, n))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert system.rank_method == "graph"
+        assert system.rank == 2 * n * n - n
+        assert peak < 64 * 2**20
+
+    def test_dense_limit_raises_system_too_large(self, monkeypatch):
+        specs = [XY, tilted_spec(np.radians(30))]
+        monkeypatch.setattr(recon, "_DENSE_RANK_BYTES", 2**10)
+        # (36 + 42) rows x 64 voxels x 8 bytes
+        with pytest.raises(SystemTooLarge, match="39936 bytes"):
+            zero_sino_system(specs, (4, 4, 4), margin=2)
+        # the graph path builds no dense matrix, so the limit does not apply
+        monkeypatch.setattr(recon, "_DENSE_RANK_BYTES", 0)
+        assert zero_sino_system([XY, YZ], (4, 4, 4)).rank == 28
 
 
 class TestEliminationRank:
