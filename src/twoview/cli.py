@@ -21,7 +21,6 @@ import sys
 from pathlib import Path
 
 import numpy as np
-import scipy.io
 
 from . import __version__
 from . import serialization as ser
@@ -141,6 +140,8 @@ def cmd_reconstruct_voxels(args, out: Path) -> None:
                    "voxels": int(np.prod(dims)),
                    "determined": system.determined}, out / "system.json")
     if args.matrix_market:
+        import scipy.io
+
         scipy.io.mmwrite(str(out / "system.mtx"), system.rows)
 
 

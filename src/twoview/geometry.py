@@ -10,11 +10,14 @@ observation, i.e. the ray of all points producing that observation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import DimMismatch, InvalidFrame, InvalidInvolution, NonTransverse
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 _ORTHO_TOL = 1e-12
 _DET_TOL = 1e-9
@@ -271,29 +274,45 @@ def projection_operator(grid: VoxelGrid, spec: ProjectionSpec,
     Row iu * nw + iw is the pixel (iu, iw) of the `pixel_center_coords`
     lattice; column j is voxel j of `grid.values.ravel()`.  An axis-aligned
     frame gets one exact entry per voxel, the spacing (the length of the
-    ray through the voxel center).  Any other frame is ray marched with
-    step = spacing / 2 over a t-range covering the grid's bounding sphere:
-    each sample adds step times its trilinear weights to the (up to) eight
-    surrounding voxels, with zero density outside the grid.
+    ray through the voxel center), in the pixel containing the voxel
+    center.  Pixels are half-open, [c - h/2, c + h/2) about their center c
+    along each image axis: when an image side exceeds the grid's
+    cross-section by an odd number of pixels the voxel centers fall on
+    pixel edges and each goes to the pixel above it, so every voxel row
+    owns one pixel.  Any other frame is ray marched with step = spacing / 2
+    over a t-range covering the grid's bounding sphere: each sample adds
+    step times its trilinear weights to the (up to) eight surrounding
+    voxels, with zero density outside the grid.
 
     Raises DimMismatch when an axis-aligned image is smaller than the grid
     cross-section.
     """
+    import scipy.sparse as sp
+
     nu, nw = int(image_dims[0]), int(image_dims[1])
-    coords = pixel_center_coords(grid, spec, (nu, nw))
-    origin2d = coords[0, 0]
     h, nvox = grid.spacing, grid.values.size
     shape = (nu * nw, nvox)
-    if _axis_alignment(spec) is not None:
-        centers = grid.centers().reshape(-1, 3)
-        iu = np.rint((centers @ spec.u - origin2d[0]) / h).astype(int)
-        iw = np.rint((centers @ spec.w - origin2d[1]) / h).astype(int)
+    align = _axis_alignment(spec)
+    if align is not None:
+        # Both lattices are centered on the grid center, so voxel i of a
+        # grid axis with n voxels sits at pixel coordinate
+        # x = (m - 1) / 2 + sign * (i - (n - 1) / 2) on an image side of m
+        # pixels: 2x is an exact integer, and k = floor(x + 1/2)
+        # = (2x + 1) // 2.
+        voxel = np.indices(grid.dims).reshape(3, -1)
+
+        def pixel(axis, sign, m):
+            return (int(sign) * (2 * voxel[axis] - grid.dims[axis] + 1)
+                    + m) // 2
+
+        iu, iw = pixel(*align[0:2], nu), pixel(*align[2:4], nw)
         if (np.any(iu < 0) or np.any(iu >= nu)
                 or np.any(iw < 0) or np.any(iw >= nw)):
             raise DimMismatch(
                 f"image dims {(nu, nw)} smaller than grid cross-section")
         entries = (np.full(nvox, h), (iu * nw + iw, np.arange(nvox)))
         return sp.coo_matrix(entries, shape=shape).tocsr()
+    coords = pixel_center_coords(grid, spec, (nu, nw))
     step = h / 2.0
     half_diag = 0.5 * h * float(np.linalg.norm(grid.dims))
     tc = float(grid.center @ spec.n)

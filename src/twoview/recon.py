@@ -17,9 +17,9 @@ triangulation against the 1/|n1 x n2| geometric bound.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import (
     AmbiguousDirection,
@@ -41,6 +41,9 @@ from .geometry import (
     projection_operator,
     _cross_norm,
 )
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 _RANK_TOL = 1e-10  # relative pivot/singular-value threshold
 _DENSE_RANK_BYTES = 2**28  # largest float64 matrix the SVD rank densifies
@@ -298,6 +301,8 @@ def _radon_rank(blocks) -> tuple[int, str]:
     densified once and ranked by `_svd_rank`; raises SystemTooLarge when
     the dense matrix would exceed _DENSE_RANK_BYTES.
     """
+    import scipy.sparse as sp
+
     rows = sum(b.shape[0] for b in blocks)
     cols = blocks[0].shape[1]
     edges = _pixel_graph_edges(blocks)
@@ -338,6 +343,8 @@ def build_radon_system(specs, grid_dims, spacing, sinograms,
     _DENSE_RANK_BYTES.  `determined` records whether the rank equals the
     voxel count.
     """
+    import scipy.sparse as sp
+
     specs = list(specs)
     sinos = list(sinograms)
     if len(specs) != len(sinos):

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from .errors import (
     AmbiguousDirection,
@@ -25,6 +24,7 @@ from .moments import centroid3d, moment_map, second_moment
 from .recon import DirectionSolution, _canonical_sign, _direction_core
 
 CONTINUOUS = "continuous"
+_DIAMETER_BLOCK = 2**18  # pairwise distances per `_diameter` block
 
 
 @dataclass(frozen=True)
@@ -44,10 +44,25 @@ def rotation_about(axis, angle: float) -> np.ndarray:
     return np.eye(3) + np.sin(angle) * K + (1 - np.cos(angle)) * (K @ K)
 
 
-def _matching_residual(points: np.ndarray, rotated: np.ndarray) -> float:
-    """One-sided nearest-neighbour displacement, max over rotated points."""
-    d = cdist(rotated, points)
-    return float(d.min(axis=1).max())
+def _matching_residual(tree, rotated: np.ndarray) -> float:
+    """One-sided nearest-neighbour displacement, max over rotated points.
+
+    `tree` is a `scipy.spatial.cKDTree` of the unrotated points; its exact
+    (eps = 0) Euclidean query returns the same distances as
+    `cdist(rotated, points).min(axis=1)`, without the N x N matrix.
+    """
+    dist, _ = tree.query(rotated)
+    return float(dist.max())
+
+
+def _diameter(pts: np.ndarray) -> float:
+    """Largest pairwise distance, from row blocks of at most
+    _DIAMETER_BLOCK distances each, so memory stays linear in len(pts)."""
+    from scipy.spatial.distance import cdist
+
+    step = max(1, _DIAMETER_BLOCK // len(pts))
+    return max(float(np.max(cdist(pts[i:i + step], pts)))
+               for i in range(0, len(pts), step))
 
 
 def detect_axis(cloud: PointCloud, orders, tol: float = 1e-8) -> ToricReport:
@@ -60,6 +75,8 @@ def detect_axis(cloud: PointCloud, orders, tol: float = 1e-8) -> ToricReport:
     finest symmetry); otherwise the overall minimum residual is reported.
     A repeated eigenvalue pair flags a continuous symmetry.
     """
+    from scipy.spatial import cKDTree
+
     orders = [int(k) for k in orders]
     if any(k < 2 for k in orders):
         raise DimMismatch("symmetry orders must be >= 2")
@@ -74,7 +91,7 @@ def detect_axis(cloud: PointCloud, orders, tol: float = 1e-8) -> ToricReport:
     if span < 2:
         raise DegenerateCloud("points are collinear")
     scale = max(float(evals[-1]), 1e-300)
-    diam = float(np.max(cdist(pts, pts)))
+    diam = _diameter(pts)
     match_tol = max(tol, tol * diam)
     # a repeated eigenvalue pair means the second moment cannot distinguish
     # rotations about the lone eigenvector: flag a (potential) continuous
@@ -85,13 +102,14 @@ def detect_axis(cloud: PointCloud, orders, tol: float = 1e-8) -> ToricReport:
     pair = int(np.argmin(gaps))
     lone = order_s[2] if pair == 0 else order_s[0]
     cont_axis = _canonical_sign(evecs[:, lone])
+    tree = cKDTree(centered)
     candidates = []
     for ci in range(3):
         axis = _canonical_sign(evecs[:, ci])
         for k in orders:
             R = rotation_about(axis, 2 * np.pi / k)
             rotated = centered @ R.T
-            res = _matching_residual(centered, rotated)
+            res = _matching_residual(tree, rotated)
             candidates.append((res, k, tuple(axis)))
     passing = [c_ for c_ in candidates if c_[0] <= match_tol]
     if passing:

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import twoview
 from twoview import recon
 from twoview import serialization as ser
 from twoview.cli import main
@@ -405,3 +410,81 @@ class TestTopLevel:
             main(["--version"])
         assert exc.value.code == 0
         assert capsys.readouterr().out.startswith("twoview ")
+
+
+# Runs `python -m twoview.cli ARGS` in-process through runpy and, at exit,
+# prints the sorted scipy modules it loaded as the last stdout line.
+_LIST_SCIPY = """
+import atexit, json, runpy, sys
+atexit.register(lambda: print(json.dumps(sorted(
+    m for m in sys.modules if m.split(".")[0] == "scipy"))))
+sys.argv = ["twoview"] + sys.argv[1:]
+runpy.run_module("twoview.cli", run_name="__main__", alter_sys=True)
+"""
+
+
+def scipy_modules(*argv, code=_LIST_SCIPY):
+    """The scipy modules a fresh interpreter loads to run `code`."""
+    src = str(Path(twoview.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", code, *map(str, argv)],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return set(json.loads(proc.stdout.splitlines()[-1]))
+
+
+class TestImportGraph:
+    """Each op imports only the scipy it runs; `src/twoview` has no
+    module-level scipy import."""
+
+    def test_import_cli_loads_no_scipy(self):
+        code = ("import json, sys, twoview.cli; print(json.dumps("
+                "[m for m in sys.modules if m.split('.')[0] == 'scipy']))")
+        assert scipy_modules(code=code) == set()
+
+    def test_version_loads_no_scipy(self):
+        assert scipy_modules("--version") == set()
+
+    def test_point_and_diagnostic_ops_load_no_scipy(self, tmp_path):
+        proj = tmp_path / "proj"
+        assert scipy_modules("project", "--input", CLOUD, "--spec1", SPEC_XY,
+                             "--spec2", SPEC_YZ, "--out", proj) == set()
+        assert scipy_modules("reconstruct", "points",
+                             "--image1", proj / "image1.json",
+                             "--image2", proj / "image2.json",
+                             "--spec1", SPEC_XY, "--spec2", SPEC_YZ,
+                             "--out", tmp_path / "rec") == set()
+        assert scipy_modules("diagnose", "frobenius",
+                             "--field-x", fixture_path("field_contact_x.json"),
+                             "--field-y", fixture_path("field_contact_y.json"),
+                             "--out", tmp_path / "diag") == set()
+        (tmp_path / "cons.json").write_text(json.dumps(
+            {"rows": [{"omega": [1, 0, 0]}, {"omega": [0, 1, 0]}], "dim": 3}))
+        assert scipy_modules("toric", "solve",
+                             "--constraints", tmp_path / "cons.json",
+                             "--axis", "0,0,1", "--order", "4",
+                             "--out", tmp_path / "solve") == set()
+
+    @pytest.mark.parametrize("matrix_market", [False, True])
+    def test_reconstruct_voxels_loads_sparse_only(self, matrix_market,
+                                                  tmp_path):
+        (tmp_path / "s.csv").write_text("1.0,0.5,0.0\n" * 3)
+        argv = ["reconstruct", "voxels", "--sino1", tmp_path / "s.csv",
+                "--sino2", tmp_path / "s.csv", "--grid-dims", "3,3,3",
+                "--spec1", SPEC_XY, "--spec2", SPEC_YZ,
+                "--out", tmp_path / "out"]
+        if matrix_market:
+            argv.append("--matrix-market")
+        mods = scipy_modules(*argv)
+        assert "scipy.sparse" in mods
+        assert "scipy.spatial" not in mods
+        assert ("scipy.io" in mods) == matrix_market
+
+    def test_toric_detect_loads_spatial(self, tmp_path):
+        ang = 2 * np.pi * np.arange(6) / 6
+        pts = np.column_stack([np.cos(ang), np.sin(ang), np.zeros(6)])
+        ser.save_cloud(PointCloud(pts, np.ones(6)), tmp_path / "hex.json")
+        assert "scipy.spatial" in scipy_modules(
+            "toric", "detect", "--input", tmp_path / "hex.json",
+            "--orders", "2,3,4,6", "--out", tmp_path / "out")

@@ -12,6 +12,7 @@ from twoview.geometry import (
     apply_involution,
     backproject,
     coordinate_spec,
+    pixel_center_coords,
     project_points,
     project_voxels,
     projection_operator,
@@ -161,6 +162,28 @@ class TestProjectionOperator:
         assert op.shape == (42, 60)
         np.testing.assert_array_equal(op.getnnz(axis=0), 1)
         np.testing.assert_array_equal(op.data, 0.3)
+
+    @pytest.mark.parametrize("excess", [(0, 0), (2, 4), (1, 1), (3, 2)])
+    @pytest.mark.parametrize(
+        "spec", [XY, YZ, ProjectionSpec(-E[1], E[0], E[2])],
+        ids=["XY", "YZ", "-YX"])
+    def test_axis_aligned_pixels_are_half_open(self, spec, excess):
+        # a voxel center on a pixel edge (odd excess) goes to the pixel
+        # above it, half a spacing up, so no pixel gets two voxel rows
+        h, dims = 0.3, (4, 5, 3)
+        grid = VoxelGrid(dims, h, (0.7, -1.1, 2.0), np.zeros(dims))
+        shape = tuple(int(np.abs(a) @ dims) + e
+                      for a, e in zip((spec.u, spec.w), excess))
+        op = projection_operator(grid, spec, shape)
+        pixel = op.tocsc().indices  # the one pixel of each voxel
+        centers = pixel_center_coords(grid, spec, shape).reshape(-1, 2)
+        proj = grid.centers().reshape(-1, 3) @ np.column_stack([spec.u,
+                                                                spec.w])
+        offset = (proj - centers[pixel]) / h
+        np.testing.assert_allclose(offset + 0.5 * (np.array(excess) % 2),
+                                   0.0, atol=1e-12)
+        depth = int(np.abs(spec.n) @ dims)
+        assert set(op.getnnz(axis=1)) <= {0, depth}
 
 
 class TestNonFiniteRejected:

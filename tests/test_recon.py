@@ -285,13 +285,16 @@ class TestRadonSystem:
 
 def zero_sino_system(specs, dims, margin=0, h=1.0):
     """Radon system of zero sinograms; each image is the view's grid
-    cross-section grown by `margin` pixels per axis (even margins keep
-    the pixel lattice on the voxel centers)."""
+    cross-section grown by `margin` pixels per axis, or by (mu, mw) pixels
+    along (u, w) (even margins keep the pixel lattice on the voxel
+    centers, odd ones put pixel edges there)."""
     origin = -h * (np.asarray(dims) - 1) / 2.0
     grid = VoxelGrid(dims, h, origin, np.zeros(dims))
+    margins = np.broadcast_to(margin, 2)
     sinos = []
     for spec in specs:
-        shape = tuple(int(np.abs(a) @ dims) + margin for a in (spec.u, spec.w))
+        shape = tuple(int(np.abs(a) @ dims) + int(m)
+                      for a, m in zip((spec.u, spec.w), margins))
         origin2d = pixel_center_coords(grid, spec, shape)[0, 0]
         sinos.append(Sinogram(np.zeros(shape), h, origin2d))
     return build_radon_system(specs, dims, h, sinos, origin=origin)
@@ -309,6 +312,16 @@ class TestRadonRank:
         assert system.rank == elimination_rank(A) == np.linalg.matrix_rank(A)
         # a larger image leaves pixels no voxel projects to
         assert np.any(~A.any(axis=1)) == (margin > 0)
+
+    @pytest.mark.parametrize("margin", [1, (2, 3)], ids=["9x9", "10x11"])
+    def test_odd_image_excess_keeps_one_pixel_per_voxel_row(self, margin):
+        # voxel centers on pixel edges; rounding them half to even sent
+        # two voxel rows to one pixel (rank 45 at 9x9, 60 at 10x11)
+        system = zero_sino_system([XY, YZ], (8, 8, 8), margin)
+        A = system.rows.toarray()
+        assert system.rank_method == "graph"
+        assert system.rank == elimination_rank(A) == 120
+        assert set(np.count_nonzero(A, axis=1)) == {0, 8}
 
     def test_three_axis_views_use_svd(self):
         # the two-view pixel-graph count would give 74 here

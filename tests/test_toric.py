@@ -1,6 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
+from scipy.spatial.distance import cdist
 
+from twoview import toric
 from twoview.errors import AmbiguousDirection, DegenerateCloud, DimMismatch
 from twoview.geometry import PointCloud, coordinate_spec
 from twoview.moments import moment_map, second_moment
@@ -117,6 +122,42 @@ class TestDetectAxis:
     def test_bad_order(self):
         with pytest.raises(DimMismatch):
             detect_axis(hexagon_cloud(), orders=[1])
+
+
+class TestNearestNeighbourMatching:
+    @pytest.mark.parametrize("which", ["hexagon", "random"])
+    def test_residual_equals_dense_cdist(self, which, rng):
+        if which == "hexagon":
+            pts = hexagon_cloud().positions
+        else:
+            pts = random_cloud(rng, 300).positions @ random_rotation(rng).T
+        pts = pts - pts.mean(axis=0)
+        tree = cKDTree(pts)
+        for axis in (np.array([0.0, 0.0, 1.0]), rng.standard_normal(3)):
+            for k in (2, 3, 4, 6):
+                rotated = pts @ rotation_about(axis, 2 * np.pi / k).T
+                assert toric._matching_residual(tree, rotated) == \
+                    cdist(rotated, pts).min(axis=1).max()
+
+    @pytest.mark.parametrize("block", [1, 7, 2**18])
+    def test_blocked_diameter_equals_dense(self, block, rng, monkeypatch):
+        monkeypatch.setattr(toric, "_DIAMETER_BLOCK", block)
+        pts = random_cloud(rng, 300).positions
+        assert toric._diameter(pts) == cdist(pts, pts).max()
+        hexagon = hexagon_cloud().positions
+        assert toric._diameter(hexagon) == cdist(hexagon, hexagon).max()
+
+    def test_20k_points_stay_linear_in_memory(self, rng):
+        # the N x N distance matrix alone would take 20000^2 * 8 B = 3.2 GB
+        cloud = random_cloud(rng, 20000)
+        tracemalloc.start()
+        try:
+            rep = detect_axis(cloud, orders=[2, 3])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.invariance_residual > 0.0
+        assert peak < 64 * 2**20
 
 
 class TestInvariantMomentCheck:
