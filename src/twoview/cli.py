@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import os
 import sys
 from pathlib import Path
@@ -29,7 +30,6 @@ from .certify import certificate, check_transversality
 from .diffgeo import (
     curvature,
     frobenius_residual,
-    hantjies_tensor,
     integrability_report,
 )
 from .errors import GeometricError, InputError, NumericalError, TwoViewError
@@ -66,6 +66,18 @@ def _echo_run(out: Path, args) -> None:
            if k != "func" and not callable(v)}
     ser.dump_json({"tool": TOOL, "config": {k: str(v) for k, v in cfg.items()}},
                   out / "run.json")
+
+
+def _parse_list(text: str, kind, n=None, *, option: str) -> list:
+    """Comma-separated finite values of type `kind`, n of them if n given."""
+    try:
+        vals = [kind(x) for x in text.split(",")]
+    except ValueError:
+        vals = [math.nan]
+    if not all(map(math.isfinite, vals)) or n not in (None, len(vals)):
+        raise InputError(f"{option} must be {n or 'comma-separated'} finite "
+                         f"{kind.__name__}s, got {text!r}")
+    return vals
 
 
 # -- commands ---------------------------------------------------------------
@@ -116,13 +128,9 @@ def cmd_reconstruct_voxels(args, out: Path) -> None:
     spec1 = ser.load_spec(args.spec1)
     spec2 = ser.load_spec(args.spec2)
     _cross_norm(spec1, spec2, args.tol)
-    try:
-        dims = tuple(int(d) for d in args.grid_dims.split(","))
-    except ValueError:
-        dims = ()
-    if len(dims) != 3 or min(dims) < 1:
-        raise InputError(
-            f"--grid-dims must be three positive ints, got {args.grid_dims!r}")
+    dims = tuple(_parse_list(args.grid_dims, int, 3, option="--grid-dims"))
+    if min(dims) < 1:
+        raise InputError(f"--grid-dims must be positive, got {dims}")
     origin = -args.spacing * (np.asarray(dims) - 1) / 2.0
     sinos = []
     for path, spec in ((args.sino1, spec1), (args.sino2, spec2)):
@@ -209,7 +217,7 @@ def cmd_diagnose(args, out: Path) -> None:
 
 def cmd_toric_detect(args, out: Path) -> None:
     cloud = ser.load_cloud(args.input)
-    orders = [int(k) for k in args.orders.split(",")]
+    orders = _parse_list(args.orders, int, option="--orders")
     rep = detect_axis(cloud, orders, tol=args.tol)
     ser.dump_json({"tool": TOOL, "axis": rep.axis.tolist(),
                    "order": rep.order,
@@ -226,7 +234,9 @@ def cmd_toric_solve(args, out: Path) -> None:
         dim = int(data.get("dim", 3))
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed constraints: {exc}") from exc
-    axis = [float(x) for x in args.axis.split(",")]
+    axis = _parse_list(args.axis, float, 3, option="--axis")
+    if not any(axis):
+        raise InputError("--axis must not be the zero vector")
     sol = solve_direction_equivariant(rows, axis, args.order, dim)
     ser.dump_json({"tool": TOOL, "v": sol.v.tolist(), "nullity": sol.nullity,
                    "residual": sol.residual}, out / "direction.json")
@@ -236,12 +246,12 @@ def cmd_noise_study(args, out: Path) -> None:
     cloud = ser.load_cloud(args.input)
     spec1 = ser.load_spec(args.spec1)
     spec2 = ser.load_spec(args.spec2)
-    sigmas = [float(s) for s in args.sigmas.split(",")]
+    sigmas = _parse_list(args.sigmas, float, option="--sigmas")
     lines = [f"# {TOOL} seed={args.seed} trials={args.trials}",
              "sigma,rmse_mean,rmse_std,predicted_bound,slope"]
     for sigma in sigmas:
         rep = noise_study(cloud, spec1, spec2, sigma, args.trials,
-                          seed=args.seed)
+                          seed=args.seed, tol=args.tol)
         lines.append(",".join(repr(float(x)) for x in
                               (rep.sigma, rep.rmse_mean, rep.rmse_std,
                                rep.predicted_bound, rep.slope)))

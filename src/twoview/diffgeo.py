@@ -4,8 +4,8 @@ Vector fields and Christoffel symbols are sampled per node; derivatives
 use second-order central differences in the interior and one-sided
 second-order stencils at the boundary, so report maxima are taken over
 interior nodes only.  The integrability obstruction is exposed twice: as
-the literal antisymmetrized covariant-derivative formula (the torsion of
-the supplied connection contracted with the field pair) and as the
+the Hantjies tensor, in the closed form Gamma(X, Y) - Gamma(Y, X) of the
+literal formula (which the tests keep as its oracle), and as the
 Frobenius residual, the component of the Lie bracket sticking out of the
 spanned distribution.  The uniqueness certificate consumes both.
 """
@@ -22,6 +22,9 @@ from .errors import (
     HeaderMismatch,
     PathOutsideGrid,
 )
+from .geometry import _trilinear_weights
+
+_STEPS_PER_SPACING = 4  # RK4 steps per node spacing of path length
 
 
 @dataclass(frozen=True)
@@ -119,12 +122,6 @@ class ConnectionField:
             raise HeaderMismatch("non-finite Christoffel samples")
         object.__setattr__(self, "gamma", g)
 
-    @property
-    def symmetric_flag(self) -> bool:
-        """True when Gamma^k_ij = Gamma^k_ji at every node (torsion-free)."""
-        return bool(np.max(np.abs(
-            self.gamma - np.swapaxes(self.gamma, -1, -2))) <= 1e-12)
-
     @classmethod
     def flat(cls, header: GridHeader) -> "ConnectionField":
         return cls(header, np.zeros(header.dims + (3, 3, 3)))
@@ -179,9 +176,14 @@ def covariant_derivative(X: VectorFieldGrid, Y: VectorFieldGrid,
     header = _require_same_header(X, Y, conn)
     dY = partials(Y)  # (..., i, k)
     directional = np.einsum("...i,...ik->...k", X.samples, dY)
-    christoffel = np.einsum("...kij,...i,...j->...k",
-                            conn.gamma, X.samples, Y.samples)
-    return VectorFieldGrid(header, directional + christoffel)
+    return VectorFieldGrid(header, directional + _christoffel(conn, X, Y))
+
+
+def _christoffel(conn: ConnectionField, X: VectorFieldGrid,
+                 Y: VectorFieldGrid) -> np.ndarray:
+    """Gamma(X, Y)^k = Gamma^k_ij X^i Y^j, node-wise."""
+    return np.einsum("...kij,...i,...j->...k",
+                     conn.gamma, X.samples, Y.samples)
 
 
 def lie_bracket(X: VectorFieldGrid, Y: VectorFieldGrid) -> VectorFieldGrid:
@@ -198,15 +200,13 @@ def hantjies_tensor(X: VectorFieldGrid, Y: VectorFieldGrid,
                     conn: ConnectionField) -> Tensor2FieldGrid:
     """Antisymmetrized covariant derivative minus the bracket.
 
-    Node-wise nabla_X Y - nabla_Y X - [X, Y]; the derivative stencils
-    cancel exactly, leaving the torsion of the connection contracted with
-    (X, Y), so a symmetric Gamma gives identically zero.
+    nabla_X Y - nabla_Y X - [X, Y] in closed form: the stencils cancel,
+    leaving the torsion contraction Gamma(X, Y) - Gamma(Y, X), exactly zero
+    for X = Y or a symmetric Gamma.  The tests keep the literal formula.
     """
     header = _require_same_header(X, Y, conn)
-    a = covariant_derivative(X, Y, conn).samples
-    b = covariant_derivative(Y, X, conn).samples
-    c = lie_bracket(X, Y).samples
-    return Tensor2FieldGrid(header, a - b - c)
+    return Tensor2FieldGrid(
+        header, _christoffel(conn, X, Y) - _christoffel(conn, Y, X))
 
 
 def frobenius_residual(X: VectorFieldGrid, Y: VectorFieldGrid,
@@ -303,63 +303,46 @@ def duality_residual(conn1: ConnectionField, conn2: ConnectionField,
 # parallel transport
 
 
-def _trilinear_gamma(conn: ConnectionField, p: np.ndarray) -> np.ndarray:
-    """Trilinearly interpolated Christoffel array at world point p."""
-    h = conn.header
-    f = (p - h.origin) / h.spacing
-    dims = np.asarray(h.dims)
-    if np.any(f < -1e-9) or np.any(f > dims - 1 + 1e-9):
-        raise PathOutsideGrid(f"point {p} outside grid")
-    f = np.clip(f, 0.0, dims - 1)
-    i0 = np.minimum(np.floor(f).astype(int), dims - 2)
-    t = f - i0
-    out = np.zeros((3, 3, 3))
-    for dx in (0, 1):
-        for dy in (0, 1):
-            for dz in (0, 1):
-                wgt = ((t[0] if dx else 1 - t[0])
-                       * (t[1] if dy else 1 - t[1])
-                       * (t[2] if dz else 1 - t[2]))
-                if wgt == 0.0:
-                    continue
-                out += wgt * conn.gamma[i0[0] + dx, i0[1] + dy, i0[2] + dz]
-    return out
-
-
-def parallel_transport(conn: ConnectionField, path, v0,
-                       steps_per_spacing: int = 4) -> np.ndarray:
+def parallel_transport(conn: ConnectionField, path, v0) -> np.ndarray:
     """Transport v0 along a polyline with the classical 4th-order stepper.
 
     Integrates v' = -Gamma(gamma(t))(gamma'(t), v) with Gamma trilinearly
-    interpolated; the step length never exceeds spacing / steps_per_spacing.
+    interpolated.  A segment of length L takes n = max(1, ceil(L / (spacing
+    / 4))) steps; Gamma(gamma', .) is gathered at its 2n + 1 stage points,
+    the first one more than 1e-9 spacings off the grid raising PathOutsideGrid.
     """
     pts = np.asarray(path, dtype=float).reshape(-1, 3)
     if pts.shape[0] < 2:
         raise GridTooSmall("path needs at least 2 points")
     v = np.asarray(v0, dtype=float).reshape(3).copy()
-    hmax = conn.header.spacing / steps_per_spacing
-
-    def rhs(p, vel, vv):
-        g = _trilinear_gamma(conn, p)
-        return -np.einsum("kij,i,j->k", g, vel, vv)
-
+    h, dims = conn.header, np.asarray(conn.header.dims)
+    hmax = h.spacing / _STEPS_PER_SPACING
     for a, b in zip(pts[:-1], pts[1:]):
-        seg = b - a
+        seg = b - a  # gamma'(t) for t in [0, 1]
         seg_len = float(np.linalg.norm(seg))
         if seg_len == 0.0:
             continue
         nsteps = max(1, int(np.ceil(seg_len / hmax)))
         dt = 1.0 / nsteps
-        vel = seg  # gamma'(t) for t in [0, 1]
-        for s in range(nsteps):
-            t = s * dt
-            p1 = a + t * seg
-            p2 = a + (t + 0.5 * dt) * seg
-            p3 = a + (t + dt) * seg
-            k1 = rhs(p1, vel, v)
-            k2 = rhs(p2, vel, v + 0.5 * dt * k1)
-            k3 = rhs(p2, vel, v + 0.5 * dt * k2)
-            k4 = rhs(p3, vel, v + dt * k3)
+        p = a + np.arange(2 * nsteps + 1)[:, None] * (0.5 * dt) * seg
+        f = (p - h.origin) / h.spacing
+        outside = np.any((f < -1e-9) | (f > dims - 1 + 1e-9), axis=-1)
+        if np.any(outside):
+            raise PathOutsideGrid(
+                f"point {p[np.argmax(outside)]} outside grid")
+        f = np.clip(f, 0.0, dims - 1)
+        i0 = np.minimum(np.floor(f).astype(int), dims - 2)
+        wgt = _trilinear_weights(f - i0)
+        idx = i0[:, None, :] + np.array(list(np.ndindex(2, 2, 2)))
+        g = conn.gamma[idx[..., 0], idx[..., 1], idx[..., 2]]  # (m, 8, ...)
+        # corner by corner, so Gamma sums in the same order at every point
+        gamma = sum(wgt[:, k, None, None, None] * g[:, k] for k in range(8))
+        A = -np.einsum("mkij,i->mkj", gamma, seg)  # v' = A[m] v at p[m]
+        for s in range(0, 2 * nsteps, 2):
+            k1 = A[s] @ v
+            k2 = A[s + 1] @ (v + 0.5 * dt * k1)
+            k3 = A[s + 1] @ (v + 0.5 * dt * k2)
+            k4 = A[s + 2] @ (v + dt * k3)
             v = v + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
     return v
 

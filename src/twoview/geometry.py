@@ -27,8 +27,17 @@ _MARCH_BLOCK = 1 << 16  # (t, pixel) samples per ray-march block
 def _as_vec3(x) -> np.ndarray:
     v = np.asarray(x, dtype=float).reshape(3)
     if not np.all(np.isfinite(v)):
-        raise InvalidFrame(f"non-finite 3-vector: {x!r}")
+        raise DimMismatch(f"non-finite 3-vector: {x!r}")
     return v
+
+
+def _trilinear_weights(frac: np.ndarray) -> np.ndarray:
+    """Weights (..., 8) of the corners `np.ndindex(2, 2, 2)` of a cell at
+    offset `frac` (..., 3) in it: wa * wb * wc, w = 1 - frac or frac."""
+    f = np.stack([1.0 - frac, frac], axis=-2)  # (..., corner offset, axis)
+    w = (f[..., :, None, None, 0] * f[..., None, :, None, 1]
+         * f[..., None, None, :, 2])
+    return w.reshape(frac.shape[:-1] + (8,))
 
 
 @dataclass(frozen=True)
@@ -331,14 +340,11 @@ def projection_operator(grid: VoxelGrid, spec: ProjectionSpec,
         i0 = np.floor(f).astype(int)
         frac = f - i0
         base = i0 @ strides
-        wgt = np.zeros((tb.size, 8, len(bases)))
+        wgt = np.moveaxis(_trilinear_weights(frac), -1, 1)  # (t, 8, pixel)
         col = np.empty(wgt.shape, dtype=base.dtype)
         for k, corner in enumerate(np.ndindex(2, 2, 2)):
             idx = i0 + corner
-            inside = np.all((idx >= 0) & (idx < dims), axis=-1)
-            wa, wb, wc = (frac[..., a] if d else 1.0 - frac[..., a]
-                          for a, d in enumerate(corner))
-            wgt[:, k][inside] = (wa * wb * wc)[inside]
+            wgt[:, k][np.any((idx < 0) | (idx >= dims), axis=-1)] = 0.0
             col[:, k] = base + strides @ corner
         sel = wgt > 0
         data.append(step * wgt[sel])

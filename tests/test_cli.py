@@ -254,6 +254,33 @@ class TestBoundaryValidation:
         assert code == 2
         assert self.error(capsys)["error"] == "InputError"
 
+    @pytest.mark.parametrize("argv", [
+        ("toric", "detect", "--input", CLOUD, "--orders", "a"),
+        ("noise-study", "--input", CLOUD, "--spec1", SPEC_XY,
+         "--spec2", SPEC_YZ, "--sigmas", "x"),
+        ("toric", "solve", "--order", "4", "--axis", "a,b"),
+        ("toric", "solve", "--order", "4", "--axis", "0,0"),
+        ("toric", "solve", "--order", "4", "--axis", "0,0,0"),
+    ])
+    def test_bad_comma_list(self, argv, tmp_path, capsys):
+        (tmp_path / "cons.json").write_text(
+            '{"rows": [{"omega": [1, 0, 0]}], "dim": 3}')
+        if argv[1] == "solve":
+            argv += ("--constraints", tmp_path / "cons.json")
+        out = tmp_path / "out"
+        assert run(*argv, "--out", out) == 2
+        assert self.error(capsys)["error"] == "InputError"
+        assert not (out / "run.json").exists()
+
+    def test_nan_spec(self, tmp_path, capsys):
+        (tmp_path / "spec.json").write_text(
+            '{"u": [NaN, 0, 0], "w": [0, 1, 0], "n": [0, 0, 1]}')
+        code = run("project", "--input", CLOUD, "--spec1", SPEC_XY,
+                   "--spec2", tmp_path / "spec.json",
+                   "--out", tmp_path / "out")
+        assert code == 2
+        assert self.error(capsys)["error"] == "DimMismatch"
+
 
 class TestCertify:
     def args(self, out, fx, fy):
@@ -392,6 +419,14 @@ class TestNoiseStudy:
         assert rows[0][1] == 0.0  # zero noise, zero error
         assert rows[2][1] > rows[1][1] > 0.0
         assert (a / "noise.csv").read_bytes() == (b / "noise.csv").read_bytes()
+
+    def test_tol_is_the_transversality_margin(self, tmp_path, capsys):
+        # |n1 x n2| = 1 for XY/YZ, so a margin of 2 rejects the pair
+        code = run("noise-study", "--input", CLOUD, "--spec1", SPEC_XY,
+                   "--spec2", SPEC_YZ, "--sigmas", "0.01", "--trials", "2",
+                   "--tol", "2", "--out", tmp_path / "out")
+        assert code == 3
+        assert json.loads(capsys.readouterr().err)["error"] == "NonTransverse"
 
 
 class TestTopLevel:

@@ -24,6 +24,8 @@ from twoview.diffgeo import (
     lie_bracket,
     parallel_transport,
 )
+from twoview.data import fixture_path
+from twoview.serialization import load_connection, load_vector_field
 from conftest import sphere_connection
 
 
@@ -172,6 +174,45 @@ class TestHantjiesTensor:
         np.testing.assert_allclose(hantjies_tensor(X, Y, conn).values,
                                    -hantjies_tensor(Y, X, conn).values,
                                    atol=1e-12)
+
+
+def literal_hantjies(X, Y, conn):
+    """nabla_X Y - nabla_Y X - [X, Y] through the derivative stencils."""
+    return (covariant_derivative(X, Y, conn).samples
+            - covariant_derivative(Y, X, conn).samples
+            - lie_bracket(X, Y).samples)
+
+
+class TestHantjiesClosedForm:
+    """`hantjies_tensor` against the literal formula it closes."""
+
+    def check(self, X, Y, conn):
+        lit = literal_hantjies(X, Y, conn)
+        np.testing.assert_allclose(hantjies_tensor(X, Y, conn).values, lit,
+                                   rtol=0, atol=1e-12 * np.abs(lit).max())
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random(self, seed):
+        rng = np.random.default_rng(seed)
+        header = small_header(n=7)
+        conn = ConnectionField(header,
+                               rng.standard_normal(header.dims + (3, 3, 3)))
+        X = VectorFieldGrid(header, rng.standard_normal(header.dims + (3,)))
+        Y = VectorFieldGrid(header, rng.standard_normal(header.dims + (3,)))
+        self.check(X, Y, conn)
+
+    @pytest.mark.parametrize("fx, fy", [("coord_x", "coord_y"),
+                                        ("contact_x", "contact_y"),
+                                        ("coord_x", "contact_y"),
+                                        ("contact_y", "coord_x")])
+    def test_bundled_fixtures(self, fx, fy):
+        X = load_vector_field(fixture_path(f"field_{fx}.json"))
+        Y = load_vector_field(fixture_path(f"field_{fy}.json"))
+        conn = load_connection(fixture_path("conn_flat.json"))
+        self.check(X, Y, conn)
+        rng = np.random.default_rng(9)
+        self.check(X, Y, ConnectionField(
+            conn.header, rng.standard_normal(conn.header.dims + (3, 3, 3))))
 
 
 class TestFrobeniusResidual:
@@ -425,6 +466,91 @@ class TestParallelTransport:
         n1 = np.sqrt(v1 @ g @ v1)
         path_len = 2 * np.pi * np.sin(theta0)
         assert abs(n1 - n0) <= 1e-6 * path_len
+
+
+def taylor4(M):
+    """I + M + M^2/2 + M^3/6 + M^4/24, one RK4 step of v' = (M / dt) v."""
+    out, term = np.eye(3), np.eye(3)
+    for k in range(1, 5):
+        term = term @ M / k
+        out = out + term
+    return out
+
+
+def reference_transport(conn, path, v0):
+    """Point-by-point trilinear Gamma and RK4, one stage at a time."""
+    h = conn.header
+    dims = np.asarray(h.dims)
+
+    def gamma_at(p):
+        f = np.clip((p - h.origin) / h.spacing, 0.0, dims - 1)
+        i0 = np.minimum(np.floor(f).astype(int), dims - 2)
+        t = f - i0
+        out = np.zeros((3, 3, 3))
+        for corner in np.ndindex(2, 2, 2):
+            w = np.prod([t[a] if d else 1 - t[a]
+                         for a, d in enumerate(corner)])
+            out += w * conn.gamma[tuple(i0 + corner)]
+        return out
+
+    pts = np.asarray(path, dtype=float)
+    v = np.asarray(v0, dtype=float)
+    for a, b in zip(pts[:-1], pts[1:]):
+        seg = b - a
+        n = max(1, int(np.ceil(np.linalg.norm(seg) / (h.spacing / 4))))
+        dt = 1.0 / n
+        for s in range(n):
+            def rhs(t, vv):
+                return -np.einsum("kij,i,j->k", gamma_at(a + t * seg), seg, vv)
+            k1 = rhs(s * dt, v)
+            k2 = rhs((s + 0.5) * dt, v + 0.5 * dt * k1)
+            k3 = rhs((s + 0.5) * dt, v + 0.5 * dt * k2)
+            k4 = rhs((s + 1) * dt, v + dt * k3)
+            v = v + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+    return v
+
+
+class TestTransportPropagator:
+    @pytest.mark.parametrize("seed", range(3))
+    def test_matches_pointwise_reference(self, seed):
+        rng = np.random.default_rng(seed)
+        header = GridHeader((7, 8, 9), 0.1, (-0.3, -0.35, -0.4))
+        conn = ConnectionField(header,
+                               rng.standard_normal(header.dims + (3, 3, 3)))
+        lo = header.origin
+        hi = lo + header.spacing * (np.asarray(header.dims) - 1)
+        path = lo + rng.uniform(0, 1, (5, 3)) * (hi - lo)
+        path[2] = hi  # a corner node of the grid
+        v0 = rng.standard_normal(3)
+        np.testing.assert_allclose(parallel_transport(conn, path, v0),
+                                   reference_transport(conn, path, v0),
+                                   rtol=0, atol=1e-12)
+
+    def test_constant_gamma_is_taylor_power(self):
+        # with Gamma constant, each RK4 step multiplies v by T4(-dt A),
+        # A = Gamma(seg, .), so a segment of n steps is T4(-A / n)^n
+        rng = np.random.default_rng(11)
+        header = small_header()
+        gamma = rng.standard_normal((3, 3, 3))
+        conn = ConnectionField(
+            header, np.broadcast_to(gamma, header.dims + (3, 3, 3)))
+        path = np.array([(-0.25, -0.2, 0.1), (0.27, 0.05, -0.2),
+                         (0.1, 0.1, 0.1)])
+        v0 = np.array([0.3, -1.0, 0.7])
+        expected = v0
+        for a, b in zip(path[:-1], path[1:]):
+            seg = b - a
+            n = max(1, int(np.ceil(np.linalg.norm(seg) / (0.1 / 4))))
+            A = np.einsum("kij,i->kj", gamma, seg)
+            expected = np.linalg.matrix_power(taylor4(-A / n), n) @ expected
+        np.testing.assert_allclose(parallel_transport(conn, path, v0),
+                                   expected, rtol=0, atol=1e-12)
+
+    def test_outside_grid_names_first_point(self):
+        conn = ConnectionField.flat(small_header())  # x, y, z in [-0.3, 0.3]
+        with pytest.raises(PathOutsideGrid, match=r"0\.3125"):
+            parallel_transport(conn, [(0, 0, 0), (0.2, 0, 0), (0.2, 0.5, 0)],
+                               (1, 0, 0))
 
 
 class TestIntegrabilityReport:
