@@ -5,13 +5,14 @@ frames is one 3x4 linear map from the stacked observations; the direction
 solver extracts the one-dimensional solution of a homogeneous constraint
 system; the discrete tomographic path assembles one linear equation per
 observed ray and inverts it with a conjugate-direction least-squares
-iteration and reports its rank exactly: two views whose operators put
-each voxel on exactly one pixel per view with one common weight (any two
-axis-aligned views) form the incidence matrix of a bipartite pixel
-graph, whose rank is #pixels - #connected components; every other system
-is densified once, under a memory limit, and ranked by its singular
-values.  The noise study measures how planar noise amplifies through
-triangulation against the 1/|n1 x n2| geometric bound.
+iteration and reports its rank exactly, one connected component of its
+row/column sparsity graph at a time: two views whose operators put each
+voxel on exactly one pixel per view with one common weight (any two
+axis-aligned views) make each component the incidence matrix of a
+connected bipartite pixel graph, of rank #pixels - 1; every other
+component is densified alone, under a memory limit, and ranked by its
+singular values.  The noise study measures how planar noise amplifies
+through triangulation against the 1/|n1 x n2| geometric bound.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ if TYPE_CHECKING:
     import scipy.sparse as sp
 
 _RANK_TOL = 1e-10  # relative pivot/singular-value threshold
-_DENSE_RANK_BYTES = 2**28  # largest float64 matrix the SVD rank densifies
+_DENSE_RANK_BYTES = 2**28  # largest float64 component the SVD rank densifies
 # Graph ranks of systems with at most this many matrix entries are also
 # checked against `elimination_rank`, which costs at most a few ms there.
 # The check also keeps the `elimination_rank` call under
@@ -86,8 +87,11 @@ class RadonSystem:
     """Sparse ray/voxel incidence system A x = b.
 
     rows[r, voxel] is the intersection length of ray r with that voxel;
-    b stacks the observed sinogram values.  rank_method names how the rank
-    was computed: "graph" (pixel-graph components) or "svd".
+    b stacks the observed sinogram values.  rank is the sum of the ranks of
+    the connected components of A's row/column sparsity graph, and
+    rank_method names how those were found: "graph" (#rows - 1 per
+    pixel-graph component, no dense matrix) or "svd" (a dense SVD per
+    component, thresholded against the largest singular value of A).
     """
 
     rows: sp.csr_matrix
@@ -232,10 +236,15 @@ def _direction_core(A: np.ndarray, b: np.ndarray) -> DirectionSolution:
 # discrete tomographic system
 
 
+def _rank_above(svals: np.ndarray, smax: float) -> int:
+    """Number of singular values in svals above _RANK_TOL times smax."""
+    return int(np.sum(svals > _RANK_TOL * smax)) if smax > 0 else 0
+
+
 def _svd_rank(A: np.ndarray) -> int:
     """Number of singular values of A above _RANK_TOL times the largest."""
     svals = np.linalg.svd(A, compute_uv=False)
-    return int(np.sum(svals > _RANK_TOL * svals[0])) if svals[0] > 0 else 0
+    return _rank_above(svals, svals[0])
 
 
 def elimination_rank(A: np.ndarray, tol: float = _RANK_TOL) -> int:
@@ -268,63 +277,87 @@ def elimination_rank(A: np.ndarray, tol: float = _RANK_TOL) -> int:
     return rank
 
 
-def _pixel_graph_edges(blocks):
-    """Per-voxel (pixel in view 1, pixel in view 2), or None.
+def _is_pixel_graph(blocks) -> bool:
+    """Whether two blocks form a pixel graph.
 
-    Two blocks form a pixel graph when every column holds exactly one
-    stored entry in each block and all entries share one nonzero value;
-    stored zeros or duplicates fail the test and fall back to the SVD.
+    They do when every column holds exactly one stored entry in each block
+    and all entries share one nonzero value; stored zeros or duplicates
+    fail the test and fall back to the SVD.
     """
     if len(blocks) != 2:
-        return None
-    ends, values = [], []
+        return False
+    values = []
     for block in blocks:
-        c = block.tocsc()
-        if np.any(np.diff(c.indptr) != 1):
-            return None
-        ends.append(c.indices)
+        c = block.tocsr()
+        if np.any(np.bincount(c.indices, minlength=c.shape[1]) != 1):
+            return False
         values.append(c.data)
     data = np.concatenate(values)
-    if data.size == 0 or data[0] == 0 or np.any(data != data[0]):
-        return None
-    return ends
+    return bool(data.size and data[0] != 0 and np.all(data == data[0]))
 
 
 def _radon_rank(blocks) -> tuple[int, str]:
     """Rank of the vertically stacked view blocks, and how it was found.
 
-    "graph": for two blocks that form a pixel graph (`_pixel_graph_edges`)
-    the stacked matrix is a multiple of the unsigned incidence matrix of
-    a bipartite graph with one vertex per pixel and one edge per voxel,
-    so its rank is #pixels - #connected components (zero rows are
-    isolated vertices and add nothing).  "svd": any other system is
-    densified once and ranked by `_svd_rank`; raises SystemTooLarge when
-    the dense matrix would exceed _DENSE_RANK_BYTES.
+    The rank of a sparse matrix is the sum of the ranks of the connected
+    components of its bipartite row/column sparsity graph (the coarse
+    block-triangular form of Pothen & Fan), so one components pass splits
+    the stacked matrix into independent blocks and only components with at
+    least one row and one column are ranked.  "graph": for two blocks
+    that form a pixel graph (`_is_pixel_graph`) each component is a
+    multiple of the unsigned incidence matrix of a connected bipartite
+    graph with one vertex per pixel and one edge per voxel, so it
+    contributes #rows - 1 and nothing is densified.  "svd": every other
+    component is densified alone and its singular values are counted
+    above _RANK_TOL times the largest singular value over all components,
+    which are the singular values of the whole matrix; raises
+    SystemTooLarge when the largest component's dense matrix would exceed
+    _DENSE_RANK_BYTES.
     """
     import scipy.sparse as sp
+    from scipy.sparse import csgraph  # ~0.1 s: it loads scipy.sparse.linalg
 
-    rows = sum(b.shape[0] for b in blocks)
-    cols = blocks[0].shape[1]
-    edges = _pixel_graph_edges(blocks)
-    if edges is not None:
-        from scipy.sparse import csgraph  # ~40 ms; only this path needs it
-        n1 = blocks[0].shape[0]
-        graph = sp.coo_matrix(
-            (np.ones(cols), (edges[0], n1 + edges[1])), shape=(rows, rows))
-        ncomp, _ = csgraph.connected_components(graph, directed=False)
-        rank = rows - ncomp
+    A = sp.vstack(blocks, format="csr")
+    rows, cols = A.shape
+    # vertex r < rows is row r, vertex rows + j is column j; one edge per
+    # stored entry, stored once (the search below is undirected)
+    n = rows + cols
+    indptr = np.concatenate(
+        [A.indptr, np.full(cols, A.indptr[-1], dtype=A.indptr.dtype)])
+    graph = sp.csr_matrix((np.ones(A.nnz), A.indices + rows, indptr),
+                          shape=(n, n))
+    ncomp, labels = csgraph.connected_components(graph, directed=False)
+    row_label, col_label = labels[:rows], labels[rows:]
+    comp_rows = np.bincount(row_label, minlength=ncomp)
+    comp_cols = np.bincount(col_label, minlength=ncomp)
+    sizes = comp_rows * comp_cols  # 0 unless it has a row and a column
+    if _is_pixel_graph(blocks):
+        rank = int(np.sum(comp_rows[sizes > 0] - 1))
         if rows * cols <= _ORACLE_CHECK_ENTRIES:
-            check = elimination_rank(sp.vstack(blocks).toarray())
+            check = elimination_rank(A.toarray())
             if check != rank:
                 raise NumericalError(
                     f"graph rank {rank} != elimination rank {check}")
         return rank, "graph"
-    nbytes = rows * cols * 8
+    big = int(np.argmax(sizes))
+    nbytes = int(sizes[big]) * 8
     if nbytes > _DENSE_RANK_BYTES:
         raise SystemTooLarge(
-            f"dense {rows}x{cols} Radon matrix needs {nbytes} bytes for its "
-            f"SVD rank, above the {_DENSE_RANK_BYTES}-byte limit")
-    return _svd_rank(sp.vstack(blocks).toarray()), "svd"
+            f"dense {comp_rows[big]}x{comp_cols[big]} component of the "
+            f"{rows}x{cols} Radon matrix needs {nbytes} bytes for its SVD "
+            f"rank, above the {_DENSE_RANK_BYTES}-byte limit")
+    # order rows and columns by component: the permuted matrix is block
+    # diagonal, with component k in rows rstart[k]: rstart[k + 1] and
+    # columns cstart[k]: cstart[k + 1]
+    P = A[np.argsort(row_label, kind="stable")][
+        :, np.argsort(col_label, kind="stable")]
+    rstart = np.concatenate([[0], np.cumsum(comp_rows)])
+    cstart = np.concatenate([[0], np.cumsum(comp_cols)])
+    svals = np.concatenate([np.zeros(0)] + [
+        np.linalg.svd(P[rstart[k]:rstart[k + 1],
+                        cstart[k]:cstart[k + 1]].toarray(), compute_uv=False)
+        for k in np.flatnonzero(sizes)])
+    return _rank_above(svals, svals.max(initial=0.0)), "svd"
 
 
 def build_radon_system(specs, grid_dims, spacing, sinograms,
@@ -335,13 +368,14 @@ def build_radon_system(specs, grid_dims, spacing, sinograms,
     `projection_operator`, the operator `project_voxels` applies, so
     A x stacks the views' forward projections of x (exact intersection
     lengths for axis-aligned frames, trilinear ray marching otherwise).
-    The rank is exact for two axis-aligned views, where it comes from the
-    connected components of the pixel graph the voxels link
-    (rank_method "graph", no dense matrix); any other set of views is
-    densified once and ranked by its singular values (rank_method "svd"),
-    and raises SystemTooLarge when that dense matrix would exceed
-    _DENSE_RANK_BYTES.  `determined` records whether the rank equals the
-    voxel count.
+    The rank is found one connected component of A's row/column sparsity
+    graph at a time (`_radon_rank`): for two axis-aligned views each
+    component is a pixel graph of rank #rows - 1 (rank_method "graph", no
+    dense matrix); for any other set of views each component is densified
+    alone and ranked by its singular values (rank_method "svd"), and
+    SystemTooLarge is raised when the largest component's dense matrix
+    would exceed _DENSE_RANK_BYTES.  `determined` records whether the
+    rank equals the voxel count.
     """
     import scipy.sparse as sp
 

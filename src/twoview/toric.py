@@ -37,9 +37,16 @@ class ToricReport:
 
 
 def rotation_about(axis, angle: float) -> np.ndarray:
-    """Rodrigues rotation matrix about a unit axis."""
+    """Rodrigues rotation matrix about the direction of `axis`.
+
+    Raises DimMismatch when the axis is zero or not finite.
+    """
     a = np.asarray(axis, dtype=float).reshape(3)
-    a = a / np.linalg.norm(a)
+    norm = np.linalg.norm(a)
+    if not (np.isfinite(norm) and norm > 0):
+        raise DimMismatch(
+            f"rotation axis must be finite and nonzero, got {a.tolist()}")
+    a = a / norm
     K = np.array([[0, -a[2], a[1]], [a[2], 0, -a[0]], [-a[1], a[0], 0]])
     return np.eye(3) + np.sin(angle) * K + (1 - np.cos(angle)) * (K @ K)
 

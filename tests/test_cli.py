@@ -18,6 +18,7 @@ from twoview.geometry import (
     VoxelGrid,
     coordinate_spec,
     project_points,
+    projection_operator,
 )
 from conftest import tilted_spec
 
@@ -139,6 +140,31 @@ class TestReconstruct:
                                "determined"}
         assert system["rank_method"] == method
 
+    def test_voxels_32_cube_tilt_ranks_each_x_slice(self, tmp_path):
+        # the whole 3200 x 32768 matrix would need 839 MB dense, over the
+        # limit; each x-slice is its own component
+        n = 32
+        dims = (n, n, n)
+        origin = -(np.asarray(dims) - 1) / 2.0
+        vals = np.random.default_rng(7).uniform(0.0, 1.0, dims)
+        ser.save_voxels(VoxelGrid(dims, 1.0, origin, vals),
+                        tmp_path / "grid.json")
+        ser.save_spec(TILT_30, tmp_path / "tilt.json")
+        specs = ("--spec1", SPEC_XY, "--spec2", tmp_path / "tilt.json")
+        proj, rec = tmp_path / "proj", tmp_path / "rec"
+        assert run("project", "--mode", "voxels", "--input",
+                   tmp_path / "grid.json", *specs, "--image-dims", "40",
+                   "--out", proj) == 0
+        assert run("reconstruct", "voxels", "--sino1", proj / "sino1.csv",
+                   "--sino2", proj / "sino2.csv", "--grid-dims", "32,32,32",
+                   *specs, "--out", rec) == 0
+        system = json.loads((rec / "system.json").read_text())
+        slice_grid = VoxelGrid((1, n, n), 1.0, origin, np.zeros((1, n, n)))
+        A = np.vstack([projection_operator(slice_grid, spec, (1, 40))
+                       .toarray() for spec in (coordinate_spec(2), TILT_30)])
+        assert system["rank_method"] == "svd"
+        assert system["rank"] == n * np.linalg.matrix_rank(A)
+
     def test_voxels_coaxial(self, tmp_path, capsys):
         (tmp_path / "s.csv").write_text("1.0\n")
         code = run("reconstruct", "voxels", "--sino1", tmp_path / "s.csv",
@@ -231,7 +257,7 @@ class TestBoundaryValidation:
         assert self.error(capsys)["error"] == "DimMismatch"
 
     def test_dense_rank_over_limit(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr(recon, "_DENSE_RANK_BYTES", 2**10)
+        monkeypatch.setattr(recon, "_DENSE_RANK_BYTES", 2**9)
         ser.save_spec(TILT_30, tmp_path / "tilt.json")
         (tmp_path / "s.csv").write_text("1.0,2.0,3.0,4.0\n" * 4)
         code = run("reconstruct", "voxels", "--sino1", tmp_path / "s.csv",
@@ -241,7 +267,9 @@ class TestBoundaryValidation:
         assert code == 2
         err = self.error(capsys)
         assert err["error"] == "SystemTooLarge"
-        assert "16384 bytes" in err["message"]  # 32 rows x 64 voxels x 8
+        # the largest component, one x-slice: (4 + 4) rows x 16 voxels x 8
+        assert "dense 8x16 component" in err["message"]
+        assert "needs 1024 bytes" in err["message"]
         assert not (tmp_path / "out" / "system.json").exists()
 
     @pytest.mark.parametrize("dims", ["a,b", "1,2", "2,0,2", "2,2,2,2", ""])

@@ -17,6 +17,7 @@ from twoview.errors import (
 from twoview.geometry import (
     PointCloud,
     Projected2D,
+    ProjectionSpec,
     Sinogram,
     VoxelGrid,
     coordinate_spec,
@@ -40,6 +41,17 @@ from conftest import random_cloud, random_noncoaxial_pair, tilted_spec
 XY = coordinate_spec(2)
 YZ = coordinate_spec(0)
 ZX = coordinate_spec(1)
+
+
+def rotated_about_z(spec, theta):
+    """`spec` with all three frame vectors turned by theta about e3."""
+    c, s = np.cos(theta), np.sin(theta)
+    R = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+    return ProjectionSpec(R @ spec.u, R @ spec.w, R @ spec.n)
+
+
+# 30 degrees about x, then 17 degrees about z: no x-slice structure left
+GENERAL = rotated_about_z(tilted_spec(np.radians(30)), np.radians(17))
 
 
 def closest_point_oracle(b1, n1, b2, n2):
@@ -326,9 +338,30 @@ class TestRadonRank:
     def test_three_axis_views_use_svd(self):
         # the two-view pixel-graph count would give 74 here
         system = zero_sino_system([XY, YZ, ZX], (5, 5, 5))
+        A = system.rows.toarray()
         assert system.rank_method == "svd"
         assert system.rank == 61
-        assert system.rank == np.linalg.matrix_rank(system.rows.toarray())
+        assert system.rank == recon._svd_rank(A) == np.linalg.matrix_rank(A)
+
+    # an even image excess keeps the pixel lattice on the voxel centers, so
+    # each x-slice is its own component; an odd one along u couples them
+    @pytest.mark.parametrize("margin", [(6, 1), (1, 2), 3],
+                             ids=["even-u", "odd-u", "odd"])
+    @pytest.mark.parametrize("dims", [(6, 7, 5), (14, 14, 14)])
+    @pytest.mark.parametrize("deg", [10, 30, 45])
+    def test_component_rank_matches_dense_oracles(self, deg, dims, margin):
+        system = zero_sino_system([XY, tilted_spec(np.radians(deg))], dims,
+                                  margin)
+        A = system.rows.toarray()
+        assert system.rank_method == "svd"
+        assert system.rank == recon._svd_rank(A) == np.linalg.matrix_rank(A)
+
+    @pytest.mark.parametrize("dims", [(6, 7, 5), (14, 14, 14)])
+    def test_general_rotation_matches_dense_oracles(self, dims):
+        system = zero_sino_system([XY, GENERAL], dims, margin=2)
+        A = system.rows.toarray()
+        assert system.rank_method == "svd"
+        assert system.rank == recon._svd_rank(A) == np.linalg.matrix_rank(A)
 
     def test_tilted_pair_uses_svd(self):
         specs = [tilted_spec(np.radians(10)), tilted_spec(np.radians(30))]
@@ -342,8 +375,12 @@ class TestRadonRank:
         b2 = sp.csr_matrix([[1.0, 0, 1, 0], [0, 1, 0, 1]])
         equal = sp.csr_matrix([[1.0, 1, 0, 0], [0, 0, 1, 1]])
         weighted = sp.csr_matrix([[1.0, 1, 0, 0], [0, 0, 1, 2]])
-        assert recon._radon_rank([equal, b2]) == (3, "graph")
-        assert recon._radon_rank([weighted, b2]) == (4, "svd")
+        for blocks, expected in (([equal, b2], (3, "graph")),
+                                 ([weighted, b2], (4, "svd"))):
+            A = sp.vstack(blocks).toarray()
+            assert recon._radon_rank(blocks) == expected
+            assert expected[0] == recon._svd_rank(A)
+            assert expected[0] == np.linalg.matrix_rank(A)
 
     def test_graph_rank_disagreeing_with_elimination_raises(self, monkeypatch):
         monkeypatch.setattr(recon, "elimination_rank", lambda A: -1)
@@ -366,12 +403,23 @@ class TestRadonRank:
     def test_dense_limit_raises_system_too_large(self, monkeypatch):
         specs = [XY, tilted_spec(np.radians(30))]
         monkeypatch.setattr(recon, "_DENSE_RANK_BYTES", 2**10)
-        # (36 + 42) rows x 64 voxels x 8 bytes
-        with pytest.raises(SystemTooLarge, match="39936 bytes"):
+        # the largest component, one x-slice: (4 + 7) rows x 16 voxels x 8
+        with pytest.raises(SystemTooLarge,
+                           match="dense 11x16 component .* needs 1408 bytes"):
             zero_sino_system(specs, (4, 4, 4), margin=2)
         # the graph path builds no dense matrix, so the limit does not apply
         monkeypatch.setattr(recon, "_DENSE_RANK_BYTES", 0)
         assert zero_sino_system([XY, YZ], (4, 4, 4)).rank == 28
+
+
+    def test_limit_applies_to_the_largest_component(self, monkeypatch):
+        # the whole (36 + 42) x 64 matrix would need 39936 bytes dense
+        specs = [XY, tilted_spec(np.radians(30))]
+        monkeypatch.setattr(recon, "_DENSE_RANK_BYTES", 1408)
+        system = zero_sino_system(specs, (4, 4, 4), margin=2)
+        A = system.rows.toarray()
+        assert A.nbytes == 39936
+        assert system.rank == recon._svd_rank(A) == np.linalg.matrix_rank(A)
 
 
 class TestEliminationRank:

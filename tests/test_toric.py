@@ -62,6 +62,13 @@ class TestRotationAbout:
         a /= np.linalg.norm(a)
         np.testing.assert_allclose(rotation_about(a, 2.1) @ a, a, atol=1e-12)
 
+    @pytest.mark.parametrize("axis", [[0, 0, 0], [np.nan, 0, 1],
+                                      [np.inf, 0, 0]],
+                             ids=["zero", "nan", "inf"])
+    def test_zero_or_non_finite_axis(self, axis):
+        with pytest.raises(DimMismatch, match="finite and nonzero"):
+            rotation_about(axis, 1.0)
+
 
 class TestDetectAxis:
     def test_hexagon(self):
@@ -211,6 +218,10 @@ class TestGroupAverage:
         with pytest.raises(DimMismatch):
             group_average([0, 0, 1], 2, dim=5)
 
+    def test_zero_axis(self):
+        with pytest.raises(DimMismatch, match="finite and nonzero"):
+            group_average([0, 0, 0], 3)
+
 
 class TestSolveDirectionEquivariant:
     def test_matches_plain_solver_on_symmetric_system(self):
@@ -220,6 +231,11 @@ class TestSolveDirectionEquivariant:
         np.testing.assert_allclose(np.abs(equi.v), np.abs(plain.v),
                                    atol=1e-12)
         assert equi.nullity == 1
+
+    def test_zero_axis(self):
+        with pytest.raises(DimMismatch, match="finite and nonzero"):
+            solve_direction_equivariant([ConstraintRow([1, 0, 0])],
+                                        [0, 0, 0], 4)
 
     def test_inhomogeneous_on_fixed_line(self):
         rows = [ConstraintRow([0, 0, 1.0], 2.0)]
