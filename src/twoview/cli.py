@@ -135,6 +135,8 @@ def cmd_reconstruct_voxels(args, out: Path) -> None:
     sinos = []
     for path, spec in ((args.sino1, spec1), (args.sino2, spec2)):
         vals = ser._read_rows(path)
+        if vals.size == 0:
+            raise InputError(f"empty sinogram in {path}")
         ref = VoxelGrid(dims, args.spacing, origin, np.zeros(dims))
         origin2d = pixel_center_coords(ref, spec, vals.shape)[0, 0]
         sinos.append(Sinogram(vals, args.spacing, origin2d))
@@ -166,7 +168,35 @@ def cmd_certify(args, out: Path) -> None:
     ser.dump_json({"tool": TOOL, **cert.to_dict()}, out / "certificate.json")
 
 
+# the options each `diagnose` check reads (--twist is optional)
+_DIAGNOSE_NEEDS = {
+    "algebra": ("table",),
+    "frobenius": ("field_x", "field_y"),
+    "hantjies": ("field_x", "field_y", "connection"),
+    "curvature": ("field_x", "field_y", "field_z", "connection"),
+    "jacobiator": ("field_x", "field_y", "field_z"),
+}
+
+
+def _load_twist(path) -> TwistMap:
+    """The --twist coefficients c^k_ij from a JSON file; zero when absent."""
+    if path is None:
+        return TwistMap.zero()
+    try:
+        coeffs = np.asarray(ser._load_json(path), dtype=float)
+    except (TypeError, ValueError):
+        coeffs = np.array(math.nan)
+    if coeffs.shape != (3, 3, 3) or not np.all(np.isfinite(coeffs)):
+        raise InputError(f"--twist must hold a finite 3x3x3 array: {path}")
+    return TwistMap(coeffs)
+
+
 def cmd_diagnose(args, out: Path) -> None:
+    missing = [f"--{name.replace('_', '-')}"
+               for name in _DIAGNOSE_NEEDS[args.check]
+               if getattr(args, name) is None]
+    if missing:
+        raise InputError(f"diagnose {args.check} needs {', '.join(missing)}")
     report: dict = {"tool": TOOL, "check": args.check}
     if args.check == "algebra":
         magma = ser.load_magma(args.table)
@@ -207,10 +237,7 @@ def cmd_diagnose(args, out: Path) -> None:
                 np.linalg.norm(F.samples, axis=-1).max())})
         elif args.check == "jacobiator":
             Z = ser.load_vector_field(args.field_z)
-            twist = TwistMap(np.asarray(
-                json.loads(Path(args.twist).read_text())
-                if args.twist else np.zeros((3, 3, 3))))
-            _, jmax = jacobiator(X, Y, Z, twist)
+            _, jmax = jacobiator(X, Y, Z, _load_twist(args.twist))
             report.update({"max_jacobiator_norm": jmax})
     ser.dump_json(report, out / "report.json")
 

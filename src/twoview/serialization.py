@@ -9,7 +9,9 @@ byte-identical files.
 from __future__ import annotations
 
 import csv
+import io
 import json
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -28,14 +30,24 @@ from .algebra import UNDEFINED, FiniteMagma
 UNDEFINED_MARK = "·"  # middle dot in table CSVs
 
 
-def _load_json(path) -> dict:
+@contextmanager
+def _reading(path, what: str):
+    """Raise every failure to read or parse `path` as an InputError."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+        yield
     except FileNotFoundError as exc:
         raise InputError(f"no such file: {path}") from exc
-    except json.JSONDecodeError as exc:
-        raise InputError(f"invalid JSON in {path}: {exc}") from exc
+    except OSError as exc:
+        raise InputError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path} is not UTF-8 text: {exc}") from exc
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError included
+        raise InputError(f"malformed {what} in {path}: {exc}") from exc
+
+
+def _load_json(path) -> dict:
+    with _reading(path, "JSON"), open(path, "r", encoding="utf-8") as fh:
+        return json.load(fh)
 
 
 def dump_json(obj, path) -> None:
@@ -48,10 +60,20 @@ def dump_json(obj, path) -> None:
 
 
 def _save_points(points, path) -> None:
-    """Write a PointCloud or Projected2D as {"points": [{"p", "w"}, ...]}."""
-    dump_json({"points": [{"p": list(p), "w": w} for p, w in
-                          zip(points.positions.tolist(),
-                              points.weights.tolist())]}, path)
+    """Write a PointCloud or Projected2D as {"points": [{"p", "w"}, ...]}.
+
+    The bytes are those `dump_json` writes for that dict, from one template
+    per point.  Both classes reject non-finite values, so `repr` is JSON's
+    float encoding.
+    """
+    rows = np.column_stack([points.positions, points.weights]).tolist()
+    point = ('    {\n      "p": [\n'
+             + ",\n".join(["        %r"] * points.positions.shape[1])
+             + '\n      ],\n      "w": %r\n    }')
+    body = ",\n".join([point % tuple(row) for row in rows])
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write('{\n  "points": [\n' + body + '\n  ]\n}\n' if rows
+                 else '{\n  "points": []\n}\n')
 
 
 def _load_points(path, dim: int):
@@ -106,21 +128,23 @@ def _csv_path(path) -> Path:
 
 
 def _write_rows(path, array2d) -> None:
+    """One line of `repr` floats per row, comma-separated, ending in \\r\\n."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
         for row in np.asarray(array2d, dtype=float):
-            writer.writerow([repr(float(x)) for x in row])
+            fh.write(",".join(map(repr, row.tolist())) + "\r\n")
 
 
 def _read_rows(path) -> np.ndarray:
-    try:
+    """The float rows of a CSV file; blank lines are skipped and a file with
+    no rows gives an empty 1-D array."""
+    with _reading(path, "CSV"):
         with open(path, "r", newline="", encoding="utf-8") as fh:
-            return np.array([[float(x) for x in row]
-                             for row in csv.reader(fh) if row], dtype=float)
-    except FileNotFoundError as exc:
-        raise InputError(f"no such file: {path}") from exc
-    except ValueError as exc:
-        raise InputError(f"malformed CSV in {path}: {exc}") from exc
+            text = fh.read()
+        if not text.strip("\r\n"):  # np.loadtxt warns when it finds no rows
+            return np.array([], dtype=float)
+        return np.loadtxt(io.StringIO(text, newline=""), dtype=float,
+                          delimiter=",", ndmin=2, comments=None,
+                          quotechar='"')
 
 
 def save_voxels(grid: VoxelGrid, path) -> None:
@@ -210,13 +234,9 @@ def save_magma(m: FiniteMagma, path) -> None:
 
 
 def load_magma(path) -> FiniteMagma:
-    try:
+    with _reading(path, "table"):
         with open(path, "r", newline="", encoding="utf-8") as fh:
             rows = [[UNDEFINED if cell.strip() in (UNDEFINED_MARK, ".")
                      else int(cell) for cell in row]
                     for row in csv.reader(fh) if row]
         return FiniteMagma(np.asarray(rows, dtype=int))
-    except FileNotFoundError as exc:
-        raise InputError(f"no such file: {path}") from exc
-    except ValueError as exc:
-        raise InputError(f"malformed table in {path}: {exc}") from exc

@@ -300,6 +300,35 @@ class TestBoundaryValidation:
         assert self.error(capsys)["error"] == "InputError"
         assert not (out / "run.json").exists()
 
+    def test_input_is_a_directory(self, tmp_path, capsys):
+        code = run("project", "--input", tmp_path, "--spec1", SPEC_XY,
+                   "--spec2", SPEC_YZ, "--out", tmp_path / "out")
+        assert code == 2
+        err = self.error(capsys)
+        assert err["error"] == "InputError"
+        assert "cannot read" in err["message"]
+
+    def test_json_not_utf8(self, tmp_path, capsys):
+        (tmp_path / "cloud.json").write_bytes(b"\xff\xfe{\x00}\x00")
+        code = run("project", "--input", tmp_path / "cloud.json",
+                   "--spec1", SPEC_XY, "--spec2", SPEC_YZ,
+                   "--out", tmp_path / "out")
+        assert code == 2
+        assert "not UTF-8" in self.error(capsys)["message"]
+
+    @pytest.mark.parametrize("text", ["", "\r\n\r\n"])
+    def test_empty_sinogram(self, text, tmp_path, capsys):
+        (tmp_path / "empty.csv").write_text(text)
+        (tmp_path / "s.csv").write_text("1.0,2.0\n2.0,3.0\n")
+        code = run("reconstruct", "voxels", "--sino1", tmp_path / "empty.csv",
+                   "--sino2", tmp_path / "s.csv", "--grid-dims", "2,2,2",
+                   "--spec1", SPEC_XY, "--spec2", SPEC_YZ,
+                   "--out", tmp_path / "out")
+        assert code == 2
+        err = self.error(capsys)
+        assert err["error"] == "InputError"
+        assert "empty sinogram" in err["message"]
+
     def test_nan_spec(self, tmp_path, capsys):
         (tmp_path / "spec.json").write_text(
             '{"u": [NaN, 0, 0], "w": [0, 1, 0], "n": [0, 0, 1]}')
@@ -398,6 +427,84 @@ class TestDiagnose:
         assert rep["associative"] is False
         assert rep["moufang"] is False
         assert rep["associative_witness"] is not None
+
+
+class TestDiagnoseErrors:
+    """A missing or malformed diagnose input exits 2 with one JSON line."""
+
+    FX = ("--field-x", fixture_path("field_coord_x.json"))
+    FY = ("--field-y", fixture_path("field_coord_y.json"))
+    FZ = ("--field-z", fixture_path("field_contact_x.json"))
+    CONN = ("--connection", fixture_path("conn_flat.json"))
+
+    error = TestBoundaryValidation.error
+
+    @pytest.mark.parametrize("check, needs", [
+        ("algebra", ["--table"]),
+        ("frobenius", ["--field-x", "--field-y"]),
+        ("hantjies", ["--field-x", "--field-y", "--connection"]),
+        ("curvature", ["--field-x", "--field-y", "--field-z",
+                       "--connection"]),
+        ("jacobiator", ["--field-x", "--field-y", "--field-z"]),
+    ])
+    def test_each_missing_option_is_named(self, check, needs, tmp_path,
+                                          capsys):
+        given = {"--table": fixture_path("z4_table.csv"),
+                 **dict([self.FX, self.FY, self.FZ, self.CONN])}
+        for absent in needs:
+            argv = [a for opt in needs if opt != absent
+                    for a in (opt, given[opt])]
+            out = tmp_path / absent
+            assert run("diagnose", check, *argv, "--out", out) == 2
+            err = self.error(capsys)
+            assert err["error"] == "InputError"
+            assert absent in err["message"]
+            assert not (out / "run.json").exists()
+
+    def test_twist_missing_file(self, tmp_path, capsys):
+        code = run("diagnose", "jacobiator", *self.FX, *self.FY, *self.FZ,
+                   "--twist", tmp_path / "absent.json",
+                   "--out", tmp_path / "out")
+        assert code == 2
+        assert "no such file" in self.error(capsys)["message"]
+
+    @pytest.mark.parametrize("twist", [
+        "[[1, 2], [3, 4]]", '{"c": 1}', '[[[0, 1, 0]], [[1]]]', "7",
+        "[" + ",".join(["[[0, 0, 0], [0, 0, 0], [0, 0, NaN]]"] * 3) + "]",
+    ])
+    def test_twist_wrong_shape(self, twist, tmp_path, capsys):
+        (tmp_path / "twist.json").write_text(twist)
+        code = run("diagnose", "jacobiator", *self.FX, *self.FY, *self.FZ,
+                   "--twist", tmp_path / "twist.json",
+                   "--out", tmp_path / "out")
+        assert code == 2
+        err = self.error(capsys)
+        assert err["error"] == "InputError"
+        assert "--twist" in err["message"]
+
+    def test_twist_file_is_read(self, tmp_path):
+        from twoview.algebra import TwistMap
+        from twoview.diffgeo import GridHeader, VectorFieldGrid
+        A = np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 2.0]])
+        (tmp_path / "twist.json").write_text(
+            json.dumps(TwistMap.from_cross_product(A).coeffs.tolist()))
+        header = GridHeader((7, 7, 7), 0.1, (0, 0, 0))
+        e = np.eye(3)
+        for name, v in zip("xyz", e):
+            ser.save_vector_field(VectorFieldGrid.constant(header, v),
+                                  tmp_path / f"{name}.json")
+        out = tmp_path / "out"
+        assert run("diagnose", "jacobiator", "--field-x", tmp_path / "x.json",
+                   "--field-y", tmp_path / "y.json",
+                   "--field-z", tmp_path / "z.json",
+                   "--twist", tmp_path / "twist.json", "--out", out) == 0
+        expected = sum(A @ np.cross(u, A @ np.cross(v, w))
+                       for u, v, w in ((e[0], e[1], e[2]), (e[1], e[2], e[0]),
+                                       (e[2], e[0], e[1])))
+        rep = json.loads((out / "report.json").read_text())
+        assert rep["max_jacobiator_norm"] == pytest.approx(
+            np.linalg.norm(expected), abs=1e-12)
+        assert rep["max_jacobiator_norm"] > 0.1
 
 
 class TestToric:

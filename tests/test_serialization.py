@@ -1,3 +1,8 @@
+import csv
+import io
+import json
+import warnings
+
 import numpy as np
 import pytest
 
@@ -5,7 +10,13 @@ from twoview import serialization as ser
 from twoview.algebra import UNDEFINED, FiniteMagma
 from twoview.diffgeo import ConnectionField, GridHeader, VectorFieldGrid
 from twoview.errors import InputError
-from twoview.geometry import PointCloud, Sinogram, VoxelGrid, coordinate_spec
+from twoview.geometry import (
+    PointCloud,
+    Projected2D,
+    Sinogram,
+    VoxelGrid,
+    coordinate_spec,
+)
 from conftest import random_cloud, random_spec
 
 
@@ -48,6 +59,175 @@ class TestCloudAndSpec:
         ser.save_cloud(cloud, a)
         ser.save_cloud(cloud, b)
         assert a.read_bytes() == b.read_bytes()
+
+
+# values whose JSON and repr spellings are easy to get wrong
+AWKWARD = [-0.0, 0.0, 5e-324, 1e16, 1e-5, 1.0, -2.0, 3.0, 1e22, 0.1,
+           2.5e-308, 1.7976931348623157e308, 123456789.0, 1e15, 1e-4]
+
+
+def json_points_oracle(points) -> bytes:
+    """What `json.dump(indent=2, sort_keys=True)` + newline writes."""
+    doc = {"points": [{"p": list(p), "w": w} for p, w in
+                      zip(points.positions.tolist(), points.weights.tolist())]}
+    return (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode()
+
+
+def csv_rows_oracle(array2d) -> bytes:
+    """What `csv.writer` writes for rows of `repr(float(x))` cells."""
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    for row in np.asarray(array2d, dtype=float):
+        writer.writerow([repr(float(x)) for x in row])
+    return buf.getvalue().encode()
+
+
+def float_rows_reference(text: str) -> np.ndarray:
+    """One `float()` per cell of each non-empty `csv.reader` row."""
+    return np.array([[float(x) for x in row]
+                     for row in csv.reader(io.StringIO(text, newline=""))
+                     if row], dtype=float)
+
+
+def awkward_points(rng, cls):
+    vals = np.array(AWKWARD)
+    dim = 3 if cls is PointCloud else 2
+    pos = np.concatenate([vals, -vals, rng.permutation(vals)])
+    return cls(pos[:dim * len(vals)].reshape(-1, dim), np.abs(vals))
+
+
+class TestGoldenBytes:
+    @pytest.mark.parametrize("make", [
+        lambda rng: random_cloud(rng, 40),
+        lambda rng: Projected2D(rng.standard_normal((40, 2)),
+                                rng.uniform(0.5, 2.0, 40)),
+        lambda rng: PointCloud(np.zeros((0, 3)), np.zeros(0)),
+        lambda rng: Projected2D(np.zeros((0, 2)), np.zeros(0)),
+        lambda rng: PointCloud([[1.0, -0.0, 5e-324]], [1e16]),
+        lambda rng: Projected2D([[1e-5, 2.0]], [0.0]),
+        lambda rng: awkward_points(rng, PointCloud),
+        lambda rng: awkward_points(rng, Projected2D),
+        lambda rng: PointCloud(rng.integers(-5, 5, (9, 3)).astype(float),
+                               rng.integers(0, 5, 9).astype(float)),
+    ], ids=["cloud", "image", "empty-cloud", "empty-image", "one-point",
+            "one-pixel", "awkward-cloud", "awkward-image", "integral"])
+    def test_points_writer_matches_json_dump(self, make, rng, tmp_path):
+        points = make(rng)
+        path = tmp_path / "p.json"
+        ser._save_points(points, path)
+        assert path.read_bytes() == json_points_oracle(points)
+        back = ser._load_points(path, points.positions.shape[1])
+        np.testing.assert_array_equal(back.positions.view(np.int64),
+                                      points.positions.view(np.int64))
+        np.testing.assert_array_equal(back.weights.view(np.int64),
+                                      points.weights.view(np.int64))
+
+    @pytest.mark.parametrize("make", [
+        lambda rng: rng.standard_normal((7, 5)),
+        lambda rng: rng.standard_normal((1, 9)) * 1e300,
+        lambda rng: rng.uniform(0, 1, (6, 1)),
+        lambda rng: np.array(AWKWARD).reshape(3, 5),
+        lambda rng: -np.array(AWKWARD).reshape(5, 3),
+        lambda rng: np.zeros((0, 4)),
+        lambda rng: np.zeros((3, 0)),
+    ], ids=["random", "huge", "one-column", "awkward", "negated", "no-rows",
+            "no-columns"])
+    def test_row_writer_matches_csv_writer(self, make, rng, tmp_path):
+        array = make(rng)
+        path = tmp_path / "rows.csv"
+        ser._write_rows(path, array)
+        assert path.read_bytes() == csv_rows_oracle(array)
+
+    def test_row_writer_ends_lines_in_crlf(self, tmp_path):
+        path = tmp_path / "rows.csv"
+        ser._write_rows(path, [[1.0, -0.0], [5e-324, 1e16]])
+        assert path.read_bytes() == b"1.0,-0.0\r\n5e-324,1e+16\r\n"
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_row_reader_is_bitwise_float(self, seed, tmp_path):
+        rng = np.random.default_rng(seed)
+        mant = rng.standard_normal((12, 30))
+        array = mant * 10.0 ** rng.integers(-320, 300, mant.shape)
+        array[0, :len(AWKWARD)] = AWKWARD
+        array[1, :len(AWKWARD)] = np.negative(AWKWARD)
+        path = tmp_path / "rows.csv"
+        ser._write_rows(path, array)
+        got = ser._read_rows(path)
+        ref = float_rows_reference(path.read_text(encoding="utf-8"))
+        np.testing.assert_array_equal(got.view(np.int64), ref.view(np.int64))
+        np.testing.assert_array_equal(got.view(np.int64),
+                                      array.view(np.int64))
+
+
+class TestRowReaderEdges:
+    def read(self, tmp_path, text):
+        path = tmp_path / "rows.csv"
+        path.write_bytes(text.encode())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            return ser._read_rows(path)
+
+    @pytest.mark.parametrize("text", ["", "\n", "\r\n\r\n", "\n\n\n", "\r"])
+    def test_no_rows_is_empty_1d_without_warning(self, text, tmp_path):
+        got = self.read(tmp_path, text)
+        ref = float_rows_reference(text)
+        assert got.shape == ref.shape == (0,)
+        assert got.dtype == np.float64
+
+    @pytest.mark.parametrize("text", [
+        "1.0,2.0\n\n3.0,4.0\n",
+        "1.0,2.0\r\n3.0,4.0\r\n",
+        "\n1.0,2.0\r\n\r\n3.0,4.0",
+        '"1.5",2.0\n3.0,"-0.0"\n',
+        " 1.0 , 2.0 \n3.0,4.0\n",
+        "5.0\n6.0\n",
+        "1.0,2.0,3.0",
+        "inf,-Infinity\n",
+    ])
+    def test_parses_like_float(self, text, tmp_path):
+        got = self.read(tmp_path, text)
+        ref = float_rows_reference(text)
+        assert got.shape == ref.shape
+        np.testing.assert_array_equal(got.view(np.int64), ref.view(np.int64))
+
+    @pytest.mark.parametrize("text", [
+        "1.0,2.0\n3.0\n", "1.0\n2.0,3.0\n", "1.0,#\n", "#,1.0\n",
+        "1.0,2.0,\n", "1.0,,2.0\n", "  \n", "1.0,2.0\n  \n3.0,4.0\n",
+        '""\n', '"1,5",2.0\n', "0x1,2.0\n", "1.5 2.0\n",
+    ])
+    def test_malformed_raises_input_error(self, text, tmp_path):
+        with pytest.raises(InputError, match="malformed CSV"):
+            self.read(tmp_path, text)
+
+
+class TestUnreadableFiles:
+    """Directories and non-UTF-8 bytes are input errors, not tracebacks."""
+
+    @pytest.mark.parametrize("load", [ser._load_json, ser._read_rows,
+                                      ser.load_magma])
+    def test_directory(self, load, tmp_path):
+        with pytest.raises(InputError, match="cannot read"):
+            load(tmp_path)
+
+    @pytest.mark.parametrize("load", [ser._load_json, ser._read_rows,
+                                      ser.load_magma])
+    def test_not_utf8(self, load, tmp_path):
+        path = tmp_path / "utf16.txt"
+        path.write_bytes(b"\xff\xfe{\x00}\x00")
+        with pytest.raises(InputError, match="not UTF-8"):
+            load(path)
+
+    def test_json_nested_too_deep(self, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000 + "]" * 100_000)
+        with pytest.raises(InputError, match="malformed JSON"):
+            ser._load_json(path)
+
+    @pytest.mark.parametrize("load", [ser._load_json, ser._read_rows,
+                                      ser.load_magma])
+    def test_missing(self, load, tmp_path):
+        with pytest.raises(InputError, match="no such file"):
+            load(tmp_path / "absent")
 
 
 class TestGrids:
