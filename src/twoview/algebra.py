@@ -122,12 +122,20 @@ def check_moufang(m: FiniteMagma, strict: bool = False) -> Verdict:
 
 @dataclass(frozen=True)
 class TwistMap:
-    """Bilinear antisymmetric map H^k(a, b) = c^k_ij a^i b^j on R^3."""
+    """Bilinear antisymmetric map H^k(a, b) = c^k_ij a^i b^j on R^3.
+
+    Raises DimMismatch unless coeffs is a finite 3x3x3 array, indexed
+    [k, i, j], antisymmetric in (i, j).
+    """
 
     coeffs: np.ndarray
 
     def __post_init__(self):
-        c = np.asarray(self.coeffs, dtype=float).reshape(3, 3, 3)
+        c = np.asarray(self.coeffs, dtype=float)
+        if c.shape != (3, 3, 3) or not np.all(np.isfinite(c)):
+            raise DimMismatch(
+                f"twist coefficients must be a finite 3x3x3 array, "
+                f"got shape {c.shape}")
         if np.max(np.abs(c + np.swapaxes(c, 1, 2))) > 0.0:
             raise DimMismatch("twist coefficients must be antisymmetric in (i, j)")
         object.__setattr__(self, "coeffs", c)

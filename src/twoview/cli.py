@@ -151,8 +151,12 @@ def cmd_reconstruct_voxels(args, out: Path) -> None:
                    "determined": system.determined}, out / "system.json")
     if args.matrix_market:
         import scipy.io
+        import scipy.sparse as sp
 
-        scipy.io.mmwrite(str(out / "system.mtx"), system.rows)
+        A = system.rows
+        scipy.io.mmwrite(str(out / "system.mtx"),
+                         sp.csr_matrix((A.data, A.indices, A.indptr),
+                                       shape=A.shape))
 
 
 def cmd_certify(args, out: Path) -> None:

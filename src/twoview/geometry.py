@@ -10,14 +10,11 @@ observation, i.e. the ray of all points producing that observation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from functools import cached_property
 
 import numpy as np
 
 from .errors import DimMismatch, InvalidFrame, InvalidInvolution, NonTransverse
-
-if TYPE_CHECKING:
-    import scipy.sparse as sp
 
 _ORTHO_TOL = 1e-12
 _DET_TOL = 1e-9
@@ -231,6 +228,90 @@ class Sinogram:
             self, "origin2d", np.asarray(self.origin2d, dtype=float).reshape(2))
 
 
+@dataclass(frozen=True, eq=False)
+class CSR:
+    """Sparse matrix in compressed sparse row form.
+
+    Row i holds the entries data[k] in columns indices[k] for k in
+    indptr[i]: indptr[i + 1].  The attribute names are scipy.sparse's, so
+    `scipy.sparse.csr_matrix((A.data, A.indices, A.indptr), shape=A.shape)`
+    wraps the same arrays.  `from_entries` and `vstack` of its results give
+    the canonical form: column indices strictly increasing within each row.
+    """
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
+    shape: tuple
+
+    @classmethod
+    def from_entries(cls, data, rows, cols, shape) -> "CSR":
+        """Canonical CSR matrix of the entries data[k] at (rows[k], cols[k]).
+
+        One stable `np.lexsort` groups the duplicates of each (row, col),
+        and one `np.bincount` sums each group from zero in the entries'
+        given order.
+        """
+        order = np.lexsort((cols, rows))
+        r, c = rows[order], cols[order]
+        first = np.ones(r.size, dtype=bool)
+        first[1:] = (r[1:] != r[:-1]) | (c[1:] != c[:-1])
+        summed = np.bincount(np.cumsum(first) - 1, weights=data[order])
+        indptr = np.zeros(shape[0] + 1, dtype=np.intp)
+        np.cumsum(np.bincount(r[first], minlength=shape[0]), out=indptr[1:])
+        return cls(indptr, c[first], summed, tuple(shape))
+
+    @classmethod
+    def vstack(cls, blocks) -> "CSR":
+        """The blocks stacked vertically, by concatenating their arrays.
+
+        Reads only indptr, indices, data and shape of each block, so
+        scipy CSR matrices stack too.  Raises DimMismatch when the blocks
+        differ in column count.
+        """
+        ncols = {b.shape[1] for b in blocks}
+        if len(ncols) != 1:
+            raise DimMismatch(
+                f"blocks must share one column count, got {sorted(ncols)}")
+        offsets = np.cumsum([0] + [b.indptr[-1] for b in blocks])
+        indptr = np.concatenate([np.zeros(1, dtype=np.intp)] + [
+            b.indptr[1:] + off for b, off in zip(blocks, offsets)])
+        return cls(indptr, np.concatenate([b.indices for b in blocks]),
+                   np.concatenate([b.data for b in blocks]),
+                   (sum(b.shape[0] for b in blocks), ncols.pop()))
+
+    @property
+    def nnz(self) -> int:
+        return int(self.indptr[-1])
+
+    @cached_property
+    def row(self) -> np.ndarray:
+        """The row of each stored entry."""
+        return np.repeat(np.arange(self.shape[0]), np.diff(self.indptr))
+
+    def __matmul__(self, x) -> np.ndarray:
+        """A @ x for a vector x, each row summed over its entries in order."""
+        x = np.asarray(x, dtype=float)
+        if x.shape != (self.shape[1],):
+            raise DimMismatch(f"vector shape {x.shape} != ({self.shape[1]},)")
+        return np.bincount(self.row, weights=self.data * x[self.indices],
+                           minlength=self.shape[0])
+
+    def rmatvec(self, y) -> np.ndarray:
+        """A^T @ y, each column summed over its entries in row order."""
+        y = np.asarray(y, dtype=float)
+        if y.shape != (self.shape[0],):
+            raise DimMismatch(f"vector shape {y.shape} != ({self.shape[0]},)")
+        return np.bincount(self.indices, weights=self.data * y[self.row],
+                           minlength=self.shape[1])
+
+    def toarray(self) -> np.ndarray:
+        """The dense matrix, duplicate entries summed."""
+        out = np.zeros(self.shape)
+        np.add.at(out, (self.row, self.indices), self.data)
+        return out
+
+
 # ---------------------------------------------------------------------------
 # operations
 
@@ -277,7 +358,7 @@ def pixel_center_coords(grid: VoxelGrid, spec: ProjectionSpec,
 
 
 def projection_operator(grid: VoxelGrid, spec: ProjectionSpec,
-                        image_dims) -> sp.csr_matrix:
+                        image_dims) -> CSR:
     """Sparse line-integral operator from voxel values to sinogram pixels.
 
     Row iu * nw + iw is the pixel (iu, iw) of the `pixel_center_coords`
@@ -291,13 +372,13 @@ def projection_operator(grid: VoxelGrid, spec: ProjectionSpec,
     owns one pixel.  Any other frame is ray marched with step = spacing / 2
     over a t-range covering the grid's bounding sphere: each sample adds
     step times its trilinear weights to the (up to) eight surrounding
-    voxels, with zero density outside the grid.
+    voxels, with zero density outside the grid; the samples of one
+    (pixel, voxel) pair are summed in (t, corner, pixel) order.  The result
+    is a canonical `CSR` matrix.
 
     Raises DimMismatch when an axis-aligned image is smaller than the grid
     cross-section.
     """
-    import scipy.sparse as sp
-
     nu, nw = int(image_dims[0]), int(image_dims[1])
     h, nvox = grid.spacing, grid.values.size
     shape = (nu * nw, nvox)
@@ -319,8 +400,8 @@ def projection_operator(grid: VoxelGrid, spec: ProjectionSpec,
                 or np.any(iw < 0) or np.any(iw >= nw)):
             raise DimMismatch(
                 f"image dims {(nu, nw)} smaller than grid cross-section")
-        entries = (np.full(nvox, h), (iu * nw + iw, np.arange(nvox)))
-        return sp.coo_matrix(entries, shape=shape).tocsr()
+        return CSR.from_entries(np.full(nvox, h), iu * nw + iw,
+                                np.arange(nvox), shape)
     coords = pixel_center_coords(grid, spec, (nu, nw))
     step = h / 2.0
     half_diag = 0.5 * h * float(np.linalg.norm(grid.dims))
@@ -350,9 +431,8 @@ def projection_operator(grid: VoxelGrid, spec: ProjectionSpec,
         data.append(step * wgt[sel])
         rows.append(np.nonzero(sel)[2])
         cols.append(col[sel])
-    return sp.coo_matrix(
-        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
-        shape=shape).tocsr()
+    return CSR.from_entries(np.concatenate(data), np.concatenate(rows),
+                            np.concatenate(cols), shape)
 
 
 def project_voxels(grid: VoxelGrid, spec: ProjectionSpec,
@@ -379,8 +459,12 @@ def _cross_norm(spec1: ProjectionSpec, spec2: ProjectionSpec,
                tol: float | None = None) -> float:
     """|n1 x n2|, the sine of the angle between two viewing directions.
 
-    Raises NonTransverse when tol is given and |n1 x n2| <= tol.
+    Raises NonTransverse when tol is given and |n1 x n2| <= tol, and
+    DimMismatch when tol is NaN or negative, which would pass coaxial
+    frames.
     """
+    if tol is not None and not tol >= 0:
+        raise DimMismatch(f"tol must be >= 0, got {tol}")
     cn = float(np.linalg.norm(np.cross(spec1.n, spec2.n)))
     if tol is not None and cn <= tol:
         raise NonTransverse(f"|n1 x n2| = {cn} <= tol = {tol}")

@@ -18,7 +18,6 @@ through triangulation against the 1/|n1 x n2| geometric bound.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -32,6 +31,7 @@ from .errors import (
     SystemTooLarge,
 )
 from .geometry import (
+    CSR,
     PointCloud,
     Projected2D,
     ProjectionSpec,
@@ -42,9 +42,6 @@ from .geometry import (
     projection_operator,
     _cross_norm,
 )
-
-if TYPE_CHECKING:
-    import scipy.sparse as sp
 
 _RANK_TOL = 1e-10  # relative pivot/singular-value threshold
 _DENSE_RANK_BYTES = 2**28  # largest float64 component the SVD rank densifies
@@ -86,15 +83,17 @@ class DirectionSolution:
 class RadonSystem:
     """Sparse ray/voxel incidence system A x = b.
 
-    rows[r, voxel] is the intersection length of ray r with that voxel;
-    b stacks the observed sinogram values.  rank is the sum of the ranks of
-    the connected components of A's row/column sparsity graph, and
-    rank_method names how those were found: "graph" (#rows - 1 per
-    pixel-graph component, no dense matrix) or "svd" (a dense SVD per
-    component, thresholded against the largest singular value of A).
+    rows is A, a canonical `CSR` matrix: rows[r, voxel] is the
+    intersection length of ray r with that voxel (`rows @ x` is A x and
+    `rows.rmatvec(y)` is A^T y); b stacks the observed sinogram values.
+    rank is the sum of the ranks of the connected components of A's
+    row/column sparsity graph, and rank_method names how those were
+    found: "graph" (#rows - 1 per pixel-graph component, no dense matrix)
+    or "svd" (a dense SVD per component, thresholded against the largest
+    singular value of A).
     """
 
-    rows: sp.csr_matrix
+    rows: CSR
     rhs: np.ndarray
     rank: int
     determined: bool
@@ -278,7 +277,7 @@ def elimination_rank(A: np.ndarray, tol: float = _RANK_TOL) -> int:
 
 
 def _is_pixel_graph(blocks) -> bool:
-    """Whether two blocks form a pixel graph.
+    """Whether two CSR blocks form a pixel graph.
 
     They do when every column holds exactly one stored entry in each block
     and all entries share one nonzero value; stored zeros or duplicates
@@ -286,47 +285,80 @@ def _is_pixel_graph(blocks) -> bool:
     """
     if len(blocks) != 2:
         return False
-    values = []
     for block in blocks:
-        c = block.tocsr()
-        if np.any(np.bincount(c.indices, minlength=c.shape[1]) != 1):
+        if np.any(np.bincount(block.indices, minlength=block.shape[1]) != 1):
             return False
-        values.append(c.data)
-    data = np.concatenate(values)
+    data = np.concatenate([block.data for block in blocks])
     return bool(data.size and data[0] != 0 and np.all(data == data[0]))
+
+
+def _components(n: int, u: np.ndarray,
+                v: np.ndarray) -> tuple[int, np.ndarray]:
+    """Connected components of the undirected graph on vertices 0..n-1 with
+    edges (u[k], v[k]): their number and each vertex's component, numbered
+    in order of the components' smallest vertices.
+
+    Min-label hooking with pointer jumping (after Shiloach & Vishkin,
+    *J. Algorithms* 1982).  parent[x] is a vertex of x's component no
+    larger than x, so the pointers form a forest whose roots are the
+    smallest vertices of their trees.  Each round drops the edges inside
+    one tree, hooks every root that an edge joins to a smaller root under
+    the smallest such root, jumps pointers until every vertex points at
+    its root, and replaces each edge by the roots of its ends.  Each round
+    removes a root; the last leaves one root, the smallest vertex, per
+    component.
+    """
+    parent = np.arange(n)
+    while True:
+        join = u != v
+        if not join.any():
+            break
+        u, v = u[join], v[join]
+        np.minimum.at(parent, np.maximum(u, v), np.minimum(u, v))
+        while True:
+            hop = parent[parent]
+            if np.array_equal(hop, parent):
+                break
+            parent = hop
+        u, v = parent[u], parent[v]
+    root = parent == np.arange(n)
+    return int(root.sum()), (np.cumsum(root) - 1)[parent]
+
+
+def _positions(label: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Index of each item among the items with its label, in item order."""
+    order = np.argsort(label, kind="stable")
+    pos = np.empty(label.size, dtype=np.intp)
+    pos[order] = np.arange(label.size) - np.repeat(np.cumsum(counts) - counts,
+                                                   counts)
+    return pos
 
 
 def _radon_rank(blocks) -> tuple[int, str]:
     """Rank of the vertically stacked view blocks, and how it was found.
 
-    The rank of a sparse matrix is the sum of the ranks of the connected
-    components of its bipartite row/column sparsity graph (the coarse
-    block-triangular form of Pothen & Fan), so one components pass splits
-    the stacked matrix into independent blocks and only components with at
-    least one row and one column are ranked.  "graph": for two blocks
-    that form a pixel graph (`_is_pixel_graph`) each component is a
-    multiple of the unsigned incidence matrix of a connected bipartite
-    graph with one vertex per pixel and one edge per voxel, so it
-    contributes #rows - 1 and nothing is densified.  "svd": every other
-    component is densified alone and its singular values are counted
-    above _RANK_TOL times the largest singular value over all components,
-    which are the singular values of the whole matrix; raises
-    SystemTooLarge when the largest component's dense matrix would exceed
-    _DENSE_RANK_BYTES.
+    The blocks are CSR matrices with one column count; only their indptr,
+    indices, data and shape are read.  The rank of a sparse matrix is the
+    sum of the ranks of the connected components of its bipartite
+    row/column sparsity graph (the coarse block-triangular form of Pothen
+    & Fan), so one components pass (`_components`) splits the stacked
+    matrix into independent blocks and only components with at least one
+    row and one column are ranked.  "graph": for two blocks that form a
+    pixel graph (`_is_pixel_graph`) each component is a multiple of the
+    unsigned incidence matrix of a connected bipartite graph with one
+    vertex per pixel and one edge per voxel, so it contributes #rows - 1
+    and nothing is densified.  "svd": every other component is densified
+    alone from its own entries, rows and columns in ascending order, and
+    its singular values are counted above _RANK_TOL times the largest
+    singular value over all components, which are the singular values of
+    the whole matrix; raises SystemTooLarge when the largest component's
+    dense matrix would exceed _DENSE_RANK_BYTES.
     """
-    import scipy.sparse as sp
-    from scipy.sparse import csgraph  # ~0.1 s: it loads scipy.sparse.linalg
-
-    A = sp.vstack(blocks, format="csr")
+    A = CSR.vstack(blocks)
     rows, cols = A.shape
     # vertex r < rows is row r, vertex rows + j is column j; one edge per
-    # stored entry, stored once (the search below is undirected)
-    n = rows + cols
-    indptr = np.concatenate(
-        [A.indptr, np.full(cols, A.indptr[-1], dtype=A.indptr.dtype)])
-    graph = sp.csr_matrix((np.ones(A.nnz), A.indices + rows, indptr),
-                          shape=(n, n))
-    ncomp, labels = csgraph.connected_components(graph, directed=False)
+    # stored entry
+    ncomp, labels = _components(rows + cols, A.row, rows + A.indices)
     row_label, col_label = labels[:rows], labels[rows:]
     comp_rows = np.bincount(row_label, minlength=ncomp)
     comp_cols = np.bincount(col_label, minlength=ncomp)
@@ -346,17 +378,22 @@ def _radon_rank(blocks) -> tuple[int, str]:
             f"dense {comp_rows[big]}x{comp_cols[big]} component of the "
             f"{rows}x{cols} Radon matrix needs {nbytes} bytes for its SVD "
             f"rank, above the {_DENSE_RANK_BYTES}-byte limit")
-    # order rows and columns by component: the permuted matrix is block
-    # diagonal, with component k in rows rstart[k]: rstart[k + 1] and
-    # columns cstart[k]: cstart[k + 1]
-    P = A[np.argsort(row_label, kind="stable")][
-        :, np.argsort(col_label, kind="stable")]
-    rstart = np.concatenate([[0], np.cumsum(comp_rows)])
-    cstart = np.concatenate([[0], np.cumsum(comp_cols)])
-    svals = np.concatenate([np.zeros(0)] + [
-        np.linalg.svd(P[rstart[k]:rstart[k + 1],
-                        cstart[k]:cstart[k + 1]].toarray(), compute_uv=False)
-        for k in np.flatnonzero(sizes)])
+    # entry e of component k sits at (local_row[e], local_col[e]) of its
+    # dense block; the entries of component k are by_comp[start[k]:
+    # start[k + 1]]
+    entry_label = row_label[A.row]
+    by_comp = np.argsort(entry_label, kind="stable")
+    start = np.concatenate(
+        [[0], np.cumsum(np.bincount(entry_label, minlength=ncomp))])
+    local_row = _positions(row_label, comp_rows)[A.row]
+    local_col = _positions(col_label, comp_cols)[A.indices]
+    svals = [np.zeros(0)]
+    for k in np.flatnonzero(sizes):
+        e = by_comp[start[k]:start[k + 1]]
+        block = np.zeros((comp_rows[k], comp_cols[k]))
+        np.add.at(block, (local_row[e], local_col[e]), A.data[e])
+        svals.append(np.linalg.svd(block, compute_uv=False))
+    svals = np.concatenate(svals)
     return _rank_above(svals, svals.max(initial=0.0)), "svd"
 
 
@@ -375,10 +412,9 @@ def build_radon_system(specs, grid_dims, spacing, sinograms,
     alone and ranked by its singular values (rank_method "svd"), and
     SystemTooLarge is raised when the largest component's dense matrix
     would exceed _DENSE_RANK_BYTES.  `determined` records whether the
-    rank equals the voxel count.
+    rank equals the voxel count.  The system's rows are the blocks stacked
+    by `CSR.vstack`.
     """
-    import scipy.sparse as sp
-
     specs = list(specs)
     sinos = list(sinograms)
     if len(specs) != len(sinos):
@@ -394,9 +430,11 @@ def build_radon_system(specs, grid_dims, spacing, sinograms,
         if np.max(np.abs(origin2d - sino.origin2d)) > 1e-9 * max(1.0, spacing):
             raise DimMismatch("sinogram pixel lattice does not match the grid")
         blocks.append(projection_operator(grid, spec, sino.values.shape))
-    A = sp.vstack(blocks, format="csr")
-    b = np.concatenate([sino.values.ravel() for sino in sinos])
+    # the rank first, so that its stacked copy of the blocks is freed
+    # before the system's own is built (8 MB less peak at 64^3)
     rank, method = _radon_rank(blocks)
+    A = CSR.vstack(blocks)
+    b = np.concatenate([sino.values.ravel() for sino in sinos])
     return RadonSystem(A, b, rank, rank == nvox, dims, float(spacing), method)
 
 
@@ -408,10 +446,11 @@ def solve_radon(system: RadonSystem, max_iter: int | None = None,
     converged solution is the minimum-norm one; for determined systems it
     is the unique exact solution.  Raises NotConverged (carrying the best
     iterate) when neither the residual target nor least-squares
-    stationarity is reached within max_iter.
+    stationarity is reached within max_iter, and DimMismatch unless tol is
+    finite and > 0.
     """
-    if tol <= 0:
-        raise DimMismatch(f"tol must be > 0, got {tol}")
+    if not (np.isfinite(tol) and tol > 0):
+        raise DimMismatch(f"tol must be finite and > 0, got {tol}")
     A, b = system.rows, system.rhs
     nvox = A.shape[1]
     if max_iter is None:
@@ -421,7 +460,7 @@ def solve_radon(system: RadonSystem, max_iter: int | None = None,
     if bnorm == 0.0:
         return x.reshape(system.grid_dims)
     r = b - A @ x
-    s = A.T @ r
+    s = A.rmatvec(r)
     p = s.copy()
     gamma = float(s @ s)
     snorm0 = np.sqrt(gamma)
@@ -437,7 +476,7 @@ def solve_radon(system: RadonSystem, max_iter: int | None = None,
         alpha = gamma / qq
         x += alpha * p
         r -= alpha * q
-        s = A.T @ r
+        s = A.rmatvec(r)
         gamma_new = float(s @ s)
         p = s + (gamma_new / gamma) * p
         gamma = gamma_new

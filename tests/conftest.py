@@ -25,6 +25,13 @@ def tilted_spec(theta):
     return ProjectionSpec([1, 0, 0], [0, c, s], [0, -s, c])
 
 
+def rotated_about_z(spec, theta):
+    """`spec` with all three frame vectors turned by theta about e3."""
+    c, s = np.cos(theta), np.sin(theta)
+    R = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+    return ProjectionSpec(R @ spec.u, R @ spec.w, R @ spec.n)
+
+
 def random_noncoaxial_pair(rng, min_cross=0.05):
     while True:
         s1, s2 = random_spec(rng), random_spec(rng)

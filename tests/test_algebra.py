@@ -169,6 +169,13 @@ class TestTwistMap:
         with pytest.raises(DimMismatch):
             TwistMap(c)
 
+    @pytest.mark.parametrize("coeffs", [
+        np.full((3, 3, 3), np.nan), np.zeros((2, 2)), np.zeros(27),
+    ], ids=["nan", "2x2", "flat"])
+    def test_rejects_non_finite_or_misshaped_coeffs(self, coeffs):
+        with pytest.raises(DimMismatch):
+            TwistMap(coeffs)
+
     def test_zero_twist(self):
         a = np.array([1.0, 2.0, 3.0])
         np.testing.assert_array_equal(TwistMap.zero()(a, a), [0, 0, 0])

@@ -272,6 +272,34 @@ class TestBoundaryValidation:
         assert "needs 1024 bytes" in err["message"]
         assert not (tmp_path / "out" / "system.json").exists()
 
+    @pytest.mark.parametrize("tol", ["nan", "inf", "0"])
+    def test_bad_solver_tol(self, tol, tmp_path, capsys):
+        # nan once ran 10 * nvox CGLS iterations; inf returned all zeros
+        (tmp_path / "s.csv").write_text("1.0,2.0\n2.0,3.0\n")
+        code = run("reconstruct", "voxels", "--sino1", tmp_path / "s.csv",
+                   "--sino2", tmp_path / "s.csv", "--grid-dims", "2,2,2",
+                   "--spec1", SPEC_XY, "--spec2", SPEC_YZ,
+                   "--solver-tol", tol, "--out", tmp_path / "out")
+        assert code == 2
+        assert self.error(capsys)["error"] == "DimMismatch"
+        assert not (tmp_path / "out" / "system.json").exists()
+
+    @pytest.mark.parametrize("tol", ["nan", "-1"])
+    def test_bad_transversality_tol_on_coaxial_frames(self, tol, tmp_path,
+                                                      capsys):
+        proj = tmp_path / "proj"
+        assert run("project", "--input", CLOUD, "--spec1", SPEC_XY,
+                   "--spec2", SPEC_YZ, "--out", proj) == 0
+        capsys.readouterr()
+        for argv in (("project", "--input", CLOUD, "--check-transversal"),
+                     ("reconstruct", "points",
+                      "--image1", proj / "image1.json",
+                      "--image2", proj / "image2.json")):
+            code = run(*argv, "--spec1", SPEC_XY, "--spec2", SPEC_XY,
+                       f"--tol={tol}", "--out", tmp_path / "out")
+            assert code == 2
+            assert self.error(capsys)["error"] == "DimMismatch"
+
     @pytest.mark.parametrize("dims", ["a,b", "1,2", "2,0,2", "2,2,2,2", ""])
     def test_bad_grid_dims(self, dims, tmp_path, capsys):
         (tmp_path / "s.csv").write_text("1.0,2.0\n2.0,3.0\n")
@@ -637,19 +665,27 @@ class TestImportGraph:
                              "--out", tmp_path / "solve") == set()
 
     @pytest.mark.parametrize("matrix_market", [False, True])
-    def test_reconstruct_voxels_loads_sparse_only(self, matrix_market,
-                                                  tmp_path):
-        (tmp_path / "s.csv").write_text("1.0,0.5,0.0\n" * 3)
-        argv = ["reconstruct", "voxels", "--sino1", tmp_path / "s.csv",
-                "--sino2", tmp_path / "s.csv", "--grid-dims", "3,3,3",
-                "--spec1", SPEC_XY, "--spec2", SPEC_YZ,
-                "--out", tmp_path / "out"]
+    def test_voxel_ops_load_scipy_io_only_for_matrix_market(self,
+                                                            matrix_market,
+                                                            tmp_path):
+        dims = (3, 3, 3)
+        ser.save_voxels(VoxelGrid(dims, 1.0, (0, 0, 0), np.ones(dims)),
+                        tmp_path / "grid.json")
+        specs = ("--spec1", SPEC_XY, "--spec2", SPEC_YZ)
+        proj = tmp_path / "proj"
+        assert scipy_modules("project", "--mode", "voxels",
+                             "--input", tmp_path / "grid.json", *specs,
+                             "--out", proj) == set()
+        argv = ["reconstruct", "voxels", "--sino1", proj / "sino1.csv",
+                "--sino2", proj / "sino2.csv", "--grid-dims", "3,3,3",
+                *specs, "--out", tmp_path / "out"]
         if matrix_market:
             argv.append("--matrix-market")
         mods = scipy_modules(*argv)
-        assert "scipy.sparse" in mods
-        assert "scipy.spatial" not in mods
         assert ("scipy.io" in mods) == matrix_market
+        assert "scipy.spatial" not in mods
+        if not matrix_market:
+            assert mods == set()
 
     def test_toric_detect_loads_spatial(self, tmp_path):
         ang = 2 * np.pi * np.arange(6) / 6

@@ -1,14 +1,22 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
-from twoview.errors import DimMismatch, InvalidFrame, InvalidInvolution
+from twoview.errors import (
+    DimMismatch,
+    InvalidFrame,
+    InvalidInvolution,
+    NonTransverse,
+)
 from twoview.geometry import (
+    CSR,
     Involution,
     PointCloud,
     Projected2D,
     ProjectionSpec,
     Sinogram,
     VoxelGrid,
+    _cross_norm,
     apply_involution,
     backproject,
     coordinate_spec,
@@ -18,7 +26,7 @@ from twoview.geometry import (
     projection_operator,
 )
 from twoview import geometry
-from conftest import random_cloud, random_spec, tilted_spec
+from conftest import random_cloud, random_spec, rotated_about_z, tilted_spec
 
 E = np.eye(3)
 XY = coordinate_spec(2)  # u=e1, w=e2, n=e3
@@ -160,7 +168,8 @@ class TestProjectionOperator:
         grid = VoxelGrid((3, 4, 5), 0.3, (0, 0, 0), np.zeros((3, 4, 5)))
         op = projection_operator(grid, YZ, (6, 7))
         assert op.shape == (42, 60)
-        np.testing.assert_array_equal(op.getnnz(axis=0), 1)
+        np.testing.assert_array_equal(
+            np.bincount(op.indices, minlength=op.shape[1]), 1)
         np.testing.assert_array_equal(op.data, 0.3)
 
     @pytest.mark.parametrize("excess", [(0, 0), (2, 4), (1, 1), (3, 2)])
@@ -175,7 +184,8 @@ class TestProjectionOperator:
         shape = tuple(int(np.abs(a) @ dims) + e
                       for a, e in zip((spec.u, spec.w), excess))
         op = projection_operator(grid, spec, shape)
-        pixel = op.tocsc().indices  # the one pixel of each voxel
+        # the one pixel of each voxel
+        pixel = op.row[np.argsort(op.indices, kind="stable")]
         centers = pixel_center_coords(grid, spec, shape).reshape(-1, 2)
         proj = grid.centers().reshape(-1, 3) @ np.column_stack([spec.u,
                                                                 spec.w])
@@ -183,7 +193,100 @@ class TestProjectionOperator:
         np.testing.assert_allclose(offset + 0.5 * (np.array(excess) % 2),
                                    0.0, atol=1e-12)
         depth = int(np.abs(spec.n) @ dims)
-        assert set(op.getnnz(axis=1)) <= {0, depth}
+        assert set(np.bincount(op.row, minlength=op.shape[0])) <= {0, depth}
+
+
+def operator_and_scipy(monkeypatch, grid, spec, image_dims):
+    """projection_operator's result and the scipy CSR matrix that
+    `coo_matrix(...).tocsr()` builds from the same entries, with the
+    number of entries summed into each stored value."""
+    seen = []
+    build = CSR.from_entries.__func__
+
+    def spy(cls, data, rows, cols, shape):
+        seen.append((data, rows, cols, shape))
+        return build(cls, data, rows, cols, shape)
+
+    monkeypatch.setattr(CSR, "from_entries", classmethod(spy))
+    op = projection_operator(grid, spec, image_dims)
+    (data, rows, cols, shape), = seen
+    ref = sp.coo_matrix((data, (rows, cols)), shape=shape).tocsr()
+    _, dup = np.unique(rows * shape[1] + cols, return_counts=True)
+    return op, ref, dup
+
+
+class TestCSR:
+    """The CSR operator against scipy.sparse as the oracle."""
+
+    SPECS = {"axis": YZ, "tilt10": tilted_spec(np.radians(10)),
+             "tilt30": tilted_spec(np.radians(30)),
+             "tilt45": tilted_spec(np.radians(45)),
+             "general": rotated_about_z(tilted_spec(np.radians(30)),
+                                        np.radians(17))}
+
+    @pytest.fixture(params=list(SPECS))
+    def case(self, request, rng, monkeypatch):
+        dims = (5, 6, 4)
+        grid = VoxelGrid(dims, 0.5, (0.1, -0.3, 0.2), rng.uniform(0, 1, dims))
+        return operator_and_scipy(monkeypatch, grid, self.SPECS[request.param],
+                                  (9, 8))
+
+    def test_structure_and_data_match_scipy(self, case):
+        op, ref, dup = case
+        assert op.shape == ref.shape and op.nnz == ref.nnz
+        np.testing.assert_array_equal(op.indptr, ref.indptr)
+        np.testing.assert_array_equal(op.indices, ref.indices)
+        # scipy sorts each row unstably before summing duplicates, so sums
+        # of three or more entries may differ in the last digits
+        np.testing.assert_array_max_ulp(op.data, ref.data, maxulp=4)
+        np.testing.assert_array_equal(op.data[dup <= 2], ref.data[dup <= 2])
+
+    def test_products_are_bitwise_scipy(self, case, rng):
+        op, _, _ = case
+        same = sp.csr_matrix((op.data, op.indices, op.indptr), shape=op.shape)
+        x = rng.standard_normal(op.shape[1])
+        y = rng.standard_normal(op.shape[0])
+        np.testing.assert_array_equal(op @ x, same @ x)
+        np.testing.assert_array_equal(op.rmatvec(y), same.T @ y)
+        np.testing.assert_array_equal(op.toarray(), same.toarray())
+
+    def test_vstack_matches_scipy(self, rng):
+        grid = VoxelGrid((4, 3, 5), 1.0, (0, 0, 0), np.zeros((4, 3, 5)))
+        blocks = [projection_operator(grid, spec, (7, 7))
+                  for spec in (YZ, tilted_spec(np.radians(30)))]
+        A = CSR.vstack(blocks)
+        ref = sp.vstack([sp.csr_matrix((b.data, b.indices, b.indptr),
+                                       shape=b.shape) for b in blocks],
+                        format="csr")
+        assert A.shape == ref.shape
+        for attr in ("indptr", "indices", "data"):
+            np.testing.assert_array_equal(getattr(A, attr), getattr(ref, attr))
+
+    def test_vstack_rejects_column_mismatch(self):
+        with pytest.raises(DimMismatch):
+            CSR.vstack([sp.csr_matrix(np.ones((2, 3))),
+                        sp.csr_matrix(np.ones((2, 4)))])
+
+    def test_product_rejects_wrong_length(self):
+        op = CSR.from_entries(np.ones(2), np.array([0, 1]), np.array([1, 0]),
+                              (2, 3))
+        with pytest.raises(DimMismatch):
+            op @ np.ones(2)
+        with pytest.raises(DimMismatch):
+            op.rmatvec(np.ones(3))
+
+
+class TestCrossNorm:
+    @pytest.mark.parametrize("tol", [np.nan, -1e-9])
+    @pytest.mark.parametrize("spec2", [XY, YZ], ids=["coaxial", "transverse"])
+    def test_nan_or_negative_tol_raises(self, tol, spec2):
+        with pytest.raises(DimMismatch):
+            _cross_norm(XY, spec2, tol)
+
+    def test_zero_tol_rejects_only_coaxial(self):
+        assert _cross_norm(XY, YZ, 0.0) == 1.0
+        with pytest.raises(NonTransverse):
+            _cross_norm(XY, XY, 0.0)
 
 
 class TestNonFiniteRejected:

@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.sparse import csgraph
 
 from twoview import recon
 from twoview.errors import (
@@ -17,7 +18,6 @@ from twoview.errors import (
 from twoview.geometry import (
     PointCloud,
     Projected2D,
-    ProjectionSpec,
     Sinogram,
     VoxelGrid,
     coordinate_spec,
@@ -36,18 +36,16 @@ from twoview.recon import (
     solve_radon,
     triangulate,
 )
-from conftest import random_cloud, random_noncoaxial_pair, tilted_spec
+from conftest import (
+    random_cloud,
+    random_noncoaxial_pair,
+    rotated_about_z,
+    tilted_spec,
+)
 
 XY = coordinate_spec(2)
 YZ = coordinate_spec(0)
 ZX = coordinate_spec(1)
-
-
-def rotated_about_z(spec, theta):
-    """`spec` with all three frame vectors turned by theta about e3."""
-    c, s = np.cos(theta), np.sin(theta)
-    R = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
-    return ProjectionSpec(R @ spec.u, R @ spec.w, R @ spec.n)
 
 
 # 30 degrees about x, then 17 degrees about z: no x-slice structure left
@@ -70,6 +68,13 @@ class TestTriangulate:
     def test_coaxial_raises(self):
         with pytest.raises(NonTransverse):
             triangulate([0, 0], [1, 1], XY, XY)
+
+    @pytest.mark.parametrize("tol", [np.nan, -1e-3])
+    @pytest.mark.parametrize("spec2", [XY, YZ], ids=["coaxial", "transverse"])
+    def test_nan_or_negative_tol_raises(self, tol, spec2):
+        # either tol would otherwise let coaxial frames through
+        with pytest.raises(DimMismatch):
+            triangulate([0, 0], [1, 1], XY, spec2, tol)
 
     def test_skew_midpoint_oracle(self, rng):
         for _ in range(30):
@@ -286,6 +291,15 @@ class TestRadonSystem:
         np.testing.assert_allclose(system.rows @ probe.values.ravel(),
                                    expected, rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize("tol", [np.nan, np.inf, 0.0, -1.0])
+    def test_solver_tol_must_be_finite_and_positive(self, tol):
+        grid = VoxelGrid((2, 2, 2), 1.0, (0, 0, 0), np.ones((2, 2, 2)))
+        system = build_radon_system([XY, YZ], (2, 2, 2), 1.0,
+                                    make_sinos(grid, [XY, YZ], (2, 2)),
+                                    origin=grid.origin)
+        with pytest.raises(DimMismatch):
+            solve_radon(system, tol=tol)
+
     def test_sinogram_smaller_than_grid(self):
         grid = VoxelGrid((4, 4, 4), 1.0, (0, 0, 0), np.ones((4, 4, 4)))
         origin2d = pixel_center_coords(grid, XY, (2, 2))[0, 0]
@@ -420,6 +434,49 @@ class TestRadonRank:
         A = system.rows.toarray()
         assert A.nbytes == 39936
         assert system.rank == recon._svd_rank(A) == np.linalg.matrix_rank(A)
+
+
+def csgraph_components(n, u, v):
+    graph = sp.coo_matrix((np.ones(len(u)), (u, v)), shape=(n, n))
+    return csgraph.connected_components(graph, directed=False)
+
+
+class TestComponents:
+    """`recon._components` against scipy's connected components."""
+
+    def assert_matches_csgraph(self, n, u, v):
+        ncomp, labels = recon._components(n, np.asarray(u), np.asarray(v))
+        expected, oracle = csgraph_components(n, u, v)
+        assert ncomp == expected
+        np.testing.assert_array_equal(labels, oracle)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_random_bipartite_graphs(self, seed):
+        # sparse enough that isolated rows and columns are common
+        rng = np.random.default_rng(seed)
+        rows, cols = rng.integers(1, 80, 2)
+        nnz = rng.integers(0, rows + cols)
+        u = rng.integers(0, rows, nnz)
+        v = rows + rng.integers(0, cols, nnz)
+        self.assert_matches_csgraph(rows + cols, u, v)
+
+    def test_shuffled_long_path(self, rng):
+        n = 10**5
+        order = rng.permutation(n)
+        self.assert_matches_csgraph(n, order[:-1], order[1:])
+
+    def test_no_edges(self):
+        self.assert_matches_csgraph(5, np.zeros(0, int), np.zeros(0, int))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_rank_with_isolated_rows_and_columns(self, seed):
+        # weighted entries take the SVD path, which densifies components
+        rng = np.random.default_rng(seed)
+        dense = rng.uniform(0.5, 2, (30, 40)) * (rng.random((30, 40)) < 0.04)
+        dense[:, :3] = dense[:2] = 0.0
+        blocks = [sp.csr_matrix(dense[:12]), sp.csr_matrix(dense[12:])]
+        assert recon._radon_rank(blocks) == (
+            np.linalg.matrix_rank(dense), "svd")
 
 
 class TestEliminationRank:
