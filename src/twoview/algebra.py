@@ -3,14 +3,16 @@ possibly-partial composition tables, and the twisted-bracket Jacobiator.
 
 Partial tables model category-like partial composition: an entry may be
 undefined, and an identity is only checked on triples whose every needed
-product is defined.  Witnesses are the lexicographically smallest
-violating triples, so verdicts are deterministic.
+product is defined.  The scans pad the table with one row and one column
+of UNDEFINED; since UNDEFINED == -1 indexes that padding, any product
+with an undefined factor is undefined, with no branch.  Witnesses are the
+lexicographically smallest violating triples, so verdicts are
+deterministic.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 
 import numpy as np
 
@@ -62,58 +64,52 @@ class Verdict:
     witness: tuple | None = None
 
 
+def _first_violation(n: int, bad) -> Verdict:
+    """First a whose (n, n) mask bad(a) over (b, c) has a hit; argmax of
+    the row-major mask gives the smallest (b, c) for that a."""
+    for a in range(n):
+        mask = bad(a)
+        k = int(np.argmax(mask))
+        if mask.flat[k]:
+            return Verdict(False, (a, *divmod(k, n)))
+    return Verdict(True)
+
+
 def check_associative(m: FiniteMagma) -> Verdict:
     """Exhaustive (a*b)*c = a*(b*c) scan over fully-defined triples.
 
     Returns the lexicographically first violating triple as witness.
     """
-    t = m.table
     n = m.order
-    for a, b, c in product(range(n), repeat=3):
-        ab = t[a, b]
-        bc = t[b, c]
-        if ab == UNDEFINED or bc == UNDEFINED:
-            continue
-        left = t[ab, c]
-        right = t[a, bc]
-        if left == UNDEFINED or right == UNDEFINED:
-            continue
-        if left != right:
-            return Verdict(False, (a, b, c))
-    return Verdict(True)
+    t = np.pad(m.table, (0, 1), constant_values=UNDEFINED)
+
+    def bad(a):
+        left, right = t[t[a, :n], :n], t[a, m.table]
+        return (left != right) & (left != UNDEFINED) & (right != UNDEFINED)
+
+    return _first_violation(n, bad)
 
 
 def check_moufang(m: FiniteMagma, strict: bool = False) -> Verdict:
     """Exhaustive (a*b)*(c*a) = (a*(b*c))*a scan.
 
     The right-hand side is left-associated; with strict=True the other
-    parenthesization a*((b*c)*a) must agree as well.  Triples with any
-    undefined intermediate product are skipped.
+    parenthesization a*((b*c)*a) must agree as well wherever it is
+    defined.  Triples with any undefined intermediate product are skipped.
     """
-    t = m.table
     n = m.order
-    for a, b, c in product(range(n), repeat=3):
-        ab = t[a, b]
-        ca = t[c, a]
-        bc = t[b, c]
-        if ab == UNDEFINED or ca == UNDEFINED or bc == UNDEFINED:
-            continue
-        lhs = t[ab, ca]
-        a_bc = t[a, bc]
-        if lhs == UNDEFINED or a_bc == UNDEFINED:
-            continue
-        rhs = t[a_bc, a]
-        if rhs == UNDEFINED:
-            continue
-        if lhs != rhs:
-            return Verdict(False, (a, b, c))
+    t = np.pad(m.table, (0, 1), constant_values=UNDEFINED)
+
+    def bad(a):
+        lhs = t[t[a, :n, None], t[None, :n, a]]
+        rhs = t[t[a, m.table], a]
+        hit = lhs != rhs
         if strict:
-            bc_a = t[bc, a]
-            if bc_a != UNDEFINED:
-                rhs2 = t[a, bc_a]
-                if rhs2 != UNDEFINED and lhs != rhs2:
-                    return Verdict(False, (a, b, c))
-    return Verdict(True)
+            rhs2 = t[a, t[m.table, a]]
+            hit |= (lhs != rhs2) & (rhs2 != UNDEFINED)
+        return hit & (lhs != UNDEFINED) & (rhs != UNDEFINED)
+
+    return _first_violation(n, bad)
 
 
 # ---------------------------------------------------------------------------

@@ -94,7 +94,9 @@ def cmd_project(args, out: Path) -> None:
         ser.save_image(project_points(cloud, spec2), out / "image2.json")
     else:
         grid = ser.load_voxels(args.input)
-        dims = args.image_dims or max(grid.dims)
+        dims = args.image_dims
+        if dims is None:
+            dims = max(grid.dims)
         for i, spec in enumerate((spec1, spec2), start=1):
             sino = project_voxels(grid, spec, (dims, dims))
             ser.save_sinogram_csv(sino, out / f"sino{i}.csv")

@@ -22,7 +22,7 @@ from .errors import (
     HeaderMismatch,
     PathOutsideGrid,
 )
-from .geometry import _trilinear_weights
+from .geometry import _require_tol, _trilinear_weights
 
 _STEPS_PER_SPACING = 4  # RK4 steps per node spacing of path length
 
@@ -359,10 +359,15 @@ def default_tolerance(spacing: float) -> float:
 def integrability_report(X: VectorFieldGrid, Y: VectorFieldGrid,
                          conn: ConnectionField,
                          tol: float | None = None) -> IntegrabilityReport:
-    """Aggregate obstruction maxima over interior nodes into a verdict."""
+    """Aggregate obstruction maxima over interior nodes into a verdict.
+
+    Raises DimMismatch when tol is given and is NaN or negative.
+    """
     header = _require_same_header(X, Y, conn)
     if tol is None:
         tol = default_tolerance(header.spacing)
+    else:
+        _require_tol(tol)
     hmax = hantjies_tensor(X, Y, conn).max_interior_norm()
     _, fmax = frobenius_residual(X, Y)
     inner = int(interior_mask(header.dims).sum())

@@ -376,10 +376,12 @@ def projection_operator(grid: VoxelGrid, spec: ProjectionSpec,
     (pixel, voxel) pair are summed in (t, corner, pixel) order.  The result
     is a canonical `CSR` matrix.
 
-    Raises DimMismatch when an axis-aligned image is smaller than the grid
-    cross-section.
+    Raises DimMismatch unless both image dims are >= 1, and when an
+    axis-aligned image is smaller than the grid cross-section.
     """
     nu, nw = int(image_dims[0]), int(image_dims[1])
+    if nu < 1 or nw < 1:
+        raise DimMismatch(f"image dims must be >= 1, got {(nu, nw)}")
     h, nvox = grid.spacing, grid.values.size
     shape = (nu * nw, nvox)
     align = _axis_alignment(spec)
@@ -445,14 +447,21 @@ def project_voxels(grid: VoxelGrid, spec: ProjectionSpec,
     axis-aligned frames, trilinear ray marching with step = spacing / 2
     for any other frame.
 
-    Raises DimMismatch when an axis-aligned image is smaller than the grid
-    cross-section.
+    Raises DimMismatch unless both image dims are >= 1, and when an
+    axis-aligned image is smaller than the grid cross-section.
     """
     nu, nw = int(image_dims[0]), int(image_dims[1])
     op = projection_operator(grid, spec, (nu, nw))
     origin2d = pixel_center_coords(grid, spec, (nu, nw))[0, 0]
     return Sinogram((op @ grid.values.ravel()).reshape(nu, nw), grid.spacing,
                     origin2d)
+
+
+def _require_tol(tol: float) -> None:
+    """Raise DimMismatch unless tol >= 0: a NaN or negative tolerance
+    makes every `<= tol` or `> tol` verdict meaningless."""
+    if not tol >= 0:
+        raise DimMismatch(f"tol must be >= 0, got {tol}")
 
 
 def _cross_norm(spec1: ProjectionSpec, spec2: ProjectionSpec,
@@ -463,8 +472,8 @@ def _cross_norm(spec1: ProjectionSpec, spec2: ProjectionSpec,
     DimMismatch when tol is NaN or negative, which would pass coaxial
     frames.
     """
-    if tol is not None and not tol >= 0:
-        raise DimMismatch(f"tol must be >= 0, got {tol}")
+    if tol is not None:
+        _require_tol(tol)
     cn = float(np.linalg.norm(np.cross(spec1.n, spec2.n)))
     if tol is not None and cn <= tol:
         raise NonTransverse(f"|n1 x n2| = {cn} <= tol = {tol}")

@@ -19,7 +19,7 @@ from .errors import (
     DimMismatch,
     Inconsistent,
 )
-from .geometry import PointCloud, ProjectionSpec
+from .geometry import PointCloud, ProjectionSpec, _require_tol
 from .moments import centroid3d, moment_map, second_moment
 from .recon import DirectionSolution, _canonical_sign, _direction_core
 
@@ -80,13 +80,15 @@ def detect_axis(cloud: PointCloud, orders, tol: float = 1e-8) -> ToricReport:
     2 pi / k and nearest-neighbour matching against the original.  Among
     candidates whose residual passes tol the highest order wins (the
     finest symmetry); otherwise the overall minimum residual is reported.
-    A repeated eigenvalue pair flags a continuous symmetry.
+    A repeated eigenvalue pair flags a continuous symmetry.  Raises
+    DimMismatch when an order is below 2 or tol is NaN or negative.
     """
     from scipy.spatial import cKDTree
 
     orders = [int(k) for k in orders]
     if any(k < 2 for k in orders):
         raise DimMismatch("symmetry orders must be >= 2")
+    _require_tol(tol)
     pts = cloud.positions
     if len(cloud) < 3:
         raise DegenerateCloud("need at least 3 points")

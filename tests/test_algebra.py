@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from twoview.algebra import (
     UNDEFINED,
     FiniteMagma,
     TwistMap,
+    Verdict,
     check_associative,
     check_moufang,
     jacobiator,
@@ -32,7 +35,7 @@ def exhaustive_assoc_oracle(table):
     return None
 
 
-def exhaustive_moufang_oracle(table):
+def exhaustive_moufang_oracle(table, strict=False):
     n = len(table)
     for a in range(n):
         for b in range(n):
@@ -48,6 +51,10 @@ def exhaustive_moufang_oracle(table):
                     continue
                 if lhs != rhs:
                     return (a, b, c)
+                if strict and table[bc][a] != UNDEFINED:
+                    rhs2 = table[a][table[bc][a]]
+                    if rhs2 != UNDEFINED and lhs != rhs2:
+                        return (a, b, c)
     return None
 
 
@@ -69,6 +76,32 @@ def nonassoc_latin_square():
     """a * b = (2a + b) mod 5: a quasigroup, not associative."""
     idx = np.arange(5)
     return (2 * idx[:, None] + idx[None, :]) % 5
+
+
+def random_partial_tables(per_order=4, seed=10):
+    """Seeded random tables of orders 1-8, about 30% of entries undefined."""
+    rng = np.random.default_rng(seed)
+    tables = {}
+    for n in range(1, 9):
+        for k in range(per_order):
+            t = rng.integers(0, n, (n, n))
+            t[rng.random((n, n)) < 0.3] = UNDEFINED
+            tables[f"random{n}-{k}"] = t
+    return tables
+
+
+def cyclic80_one_entry_changed():
+    t = FiniteMagma.cyclic_group(80).table.copy()
+    t[79, 78] = 0
+    return t
+
+
+# the witness of each must equal the pure-python oracle's
+ORACLE_TABLES = {"latin5": nonassoc_latin_square(),
+                 "cyclic80-changed": cyclic80_one_entry_changed(),
+                 **random_partial_tables()}
+oracle_tables = pytest.mark.parametrize(
+    "table", ORACLE_TABLES.values(), ids=ORACLE_TABLES.keys())
 
 
 class TestFiniteMagma:
@@ -100,11 +133,12 @@ class TestAssociativity:
     def test_s3_passes(self):
         assert check_associative(FiniteMagma(s3_table())).holds
 
-    def test_latin_square_fails_with_oracle_witness(self):
-        table = nonassoc_latin_square()
+    @oracle_tables
+    def test_oracle_verdict_and_witness(self, table):
         verdict = check_associative(FiniteMagma(table))
-        assert not verdict.holds
-        assert verdict.witness == exhaustive_assoc_oracle(table.tolist())
+        witness = exhaustive_assoc_oracle(table.tolist())
+        assert verdict == Verdict(witness is None, witness)
+        assert all(type(x) is int for x in verdict.witness or ())
 
     def test_relabeling_preserves_associativity(self, rng):
         base = s3_table()
@@ -114,16 +148,23 @@ class TestAssociativity:
             relabeled = sigma[base[np.ix_(inv, inv)]]
             assert check_associative(FiniteMagma(relabeled)).holds
 
-    def test_partial_table_skips_missing(self):
-        # blank the entry that the violating triple needs: verdict flips
-        table = nonassoc_latin_square().tolist()
-        a, b, c = exhaustive_assoc_oracle(table)
-        full = FiniteMagma(np.array(table))
-        assert not check_associative(full).holds
+    PARTIAL = {"latin5": nonassoc_latin_square(),
+               **random_partial_tables(seed=11)}
+
+    @pytest.mark.parametrize("table", PARTIAL.values(), ids=PARTIAL.keys())
+    def test_partial_table_skips_missing(self, table):
+        # blank the entry that the violating triple needs: the witness moves
+        table = table.tolist()
+        first = exhaustive_assoc_oracle(table)
+        assert check_associative(FiniteMagma(table)).witness == first
+        if first is None:
+            return
+        a, b, _ = first
         table[a][b] = UNDEFINED
-        partial = FiniteMagma(np.array(table))
-        got = check_associative(partial)
-        assert got.witness == exhaustive_assoc_oracle(table)
+        got = check_associative(FiniteMagma(table))
+        witness = exhaustive_assoc_oracle(table)
+        assert got == Verdict(witness is None, witness)
+        assert witness != first
 
 
 class TestMoufang:
@@ -135,11 +176,13 @@ class TestMoufang:
     def test_s3_passes_strict(self):
         assert check_moufang(FiniteMagma(s3_table()), strict=True).holds
 
-    def test_latin_square_fails_with_oracle_witness(self):
-        table = nonassoc_latin_square()
-        verdict = check_moufang(FiniteMagma(table))
-        assert not verdict.holds
-        assert verdict.witness == exhaustive_moufang_oracle(table.tolist())
+    @pytest.mark.parametrize("strict", [False, True])
+    @oracle_tables
+    def test_oracle_verdict_and_witness(self, table, strict):
+        verdict = check_moufang(FiniteMagma(table), strict=strict)
+        witness = exhaustive_moufang_oracle(table.tolist(), strict)
+        assert verdict == Verdict(witness is None, witness)
+        assert all(type(x) is int for x in verdict.witness or ())
 
     def test_associative_implies_moufang(self, rng):
         # relabelings of groups stay associative, hence Moufang
@@ -155,6 +198,19 @@ class TestMoufang:
         m = FiniteMagma(np.full((3, 3), UNDEFINED))
         assert check_associative(m).holds
         assert check_moufang(m).holds
+
+    def test_order_200_scans_stay_quadratic_in_memory(self):
+        # an (n, n, n) int64 array alone would take 200^3 * 8 B = 64 MB
+        m = FiniteMagma.cyclic_group(200)
+        for scan in (check_associative,
+                     lambda m: check_moufang(m, strict=True)):
+            tracemalloc.start()
+            try:
+                assert scan(m).holds
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 8 * 2**20
 
 
 def grid(h=0.1, n=7):

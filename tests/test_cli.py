@@ -300,6 +300,44 @@ class TestBoundaryValidation:
             assert code == 2
             assert self.error(capsys)["error"] == "DimMismatch"
 
+    FIELDS = ("--field-x", fixture_path("field_coord_x.json"),
+              "--field-y", fixture_path("field_coord_y.json"),
+              "--connection", fixture_path("conn_flat.json"))
+    CERTIFY = ("certify", "--input", CLOUD, "--spec1", SPEC_XY,
+               "--spec2", SPEC_YZ, *FIELDS)
+    HANTJIES = ("diagnose", "hantjies", *FIELDS)
+
+    @pytest.mark.parametrize("argv", [
+        (*CERTIFY, "--tol", "nan"),
+        (*CERTIFY, "--tol-int", "nan"),
+        (*HANTJIES, "--tol-int", "nan"),
+        (*HANTJIES, "--tol-int", "-1"),
+        ("toric", "detect", "--input", CLOUD, "--orders", "2,3",
+         "--tol", "nan"),
+    ])
+    def test_bad_diagnostic_tol(self, argv, tmp_path, capsys):
+        # certify once wrote a bare NaN into certificate.json
+        out = tmp_path / "out"
+        assert run(*argv, "--out", out) == 2
+        err = self.error(capsys)
+        assert err["error"] == "DimMismatch"
+        assert "tol must be >= 0" in err["message"]
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("dims", ["-2", "0"])
+    def test_bad_image_dims(self, dims, tmp_path, capsys):
+        # -2 ended in a raw ValueError; 0 was taken as "use the default"
+        grid = VoxelGrid((3, 3, 3), 1.0, (-1, -1, -1), np.ones((3, 3, 3)))
+        ser.save_voxels(grid, tmp_path / "grid.json")
+        ser.save_spec(TILT_30, tmp_path / "tilt.json")
+        out = tmp_path / "out"
+        code = run("project", "--input", tmp_path / "grid.json",
+                   "--mode", "voxels", "--spec1", tmp_path / "tilt.json",
+                   "--spec2", SPEC_YZ, "--image-dims", dims, "--out", out)
+        assert code == 2
+        assert self.error(capsys)["error"] == "DimMismatch"
+        assert list(out.iterdir()) == []
+
     @pytest.mark.parametrize("dims", ["a,b", "1,2", "2,0,2", "2,2,2,2", ""])
     def test_bad_grid_dims(self, dims, tmp_path, capsys):
         (tmp_path / "s.csv").write_text("1.0,2.0\n2.0,3.0\n")

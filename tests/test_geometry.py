@@ -121,6 +121,14 @@ class TestProjectVoxels:
         with pytest.raises(DimMismatch):
             project_voxels(grid, XY, (2, 2))
 
+    @pytest.mark.parametrize("dims", [(0, 4), (4, -2), (-2, -2)])
+    @pytest.mark.parametrize("spec", [XY, tilted_spec(np.radians(30))],
+                             ids=["axis", "tilt30"])
+    def test_image_dims_below_one(self, spec, dims):
+        grid = VoxelGrid((4, 4, 4), 1.0, (0, 0, 0), np.ones((4, 4, 4)))
+        with pytest.raises(DimMismatch, match="image dims must be >= 1"):
+            projection_operator(grid, spec, dims)
+
     def test_ray_march_matches_exact_for_axis_aligned(self, rng):
         # tilt by a tiny angle would change values; instead compare the
         # marched estimate on a smooth blob against the exact column sums
