@@ -1,14 +1,31 @@
 """Command-line front end.
 
-Subcommands: project, reconstruct {points|voxels}, certify,
-diagnose {frobenius|hantjies|curvature|jacobiator|algebra},
-toric {detect|solve}, noise-study.
+Each subcommand accepts exactly the options it reads; [..] marks an
+optional one, and every subcommand also requires --out DIR:
 
-Exit codes: 0 success, 2 input/parse error, 3 geometric precondition
-failure, 4 numerical non-convergence.  Errors are emitted as one JSON
-object on stderr.  Every command is deterministic given (inputs, seed)
-and each successful run writes a `run.json` echoing the tool version and
-config.
+  project             --input --spec1 --spec2 [--mode] [--image-dims]
+                      [--format] [--check-transversal] [--tol]
+  reconstruct points  --image1 --image2 --spec1 --spec2 [--tol]
+  reconstruct voxels  --sino1 --sino2 --spec1 --spec2 --grid-dims
+                      [--spacing] [--solver-tol] [--matrix-market] [--tol]
+  certify             --input --spec1 --spec2 --field-x --field-y
+                      --connection [--tol] [--tol-int]
+  diagnose algebra    --table [--strict]
+  diagnose frobenius  --field-x --field-y [--profile]
+  diagnose hantjies   --field-x --field-y --connection [--tol-int]
+  diagnose curvature  --field-x --field-y --field-z --connection
+  diagnose jacobiator --field-x --field-y --field-z [--twist]
+  toric detect        --input [--orders] [--tol]
+  toric solve         --constraints --axis --order
+  noise-study         --input --spec1 --spec2 --sigmas [--trials] [--seed]
+                      [--tol]
+
+Exit codes: 0 success, 2 input error (an argparse error or an --out that
+cannot be made a directory included), 3 geometric precondition failure,
+4 numerical non-convergence.  Every failure writes one JSON object on
+stderr and no run.json.  Every command is deterministic given its inputs,
+and each successful run writes a `run.json` with the tool version and the
+value of every option the subcommand accepts.
 """
 
 from __future__ import annotations
@@ -62,8 +79,7 @@ def _setup_logging():
 
 
 def _echo_run(out: Path, args) -> None:
-    cfg = {k: v for k, v in vars(args).items()
-           if k != "func" and not callable(v)}
+    cfg = {k: v for k, v in vars(args).items() if not callable(v)}
     ser.dump_json({"tool": TOOL, "config": {k: str(v) for k, v in cfg.items()}},
                   out / "run.json")
 
@@ -174,16 +190,6 @@ def cmd_certify(args, out: Path) -> None:
     ser.dump_json({"tool": TOOL, **cert.to_dict()}, out / "certificate.json")
 
 
-# the options each `diagnose` check reads (--twist is optional)
-_DIAGNOSE_NEEDS = {
-    "algebra": ("table",),
-    "frobenius": ("field_x", "field_y"),
-    "hantjies": ("field_x", "field_y", "connection"),
-    "curvature": ("field_x", "field_y", "field_z", "connection"),
-    "jacobiator": ("field_x", "field_y", "field_z"),
-}
-
-
 def _load_twist(path) -> TwistMap:
     """The --twist coefficients c^k_ij from a JSON file; zero when absent."""
     if path is None:
@@ -197,55 +203,55 @@ def _load_twist(path) -> TwistMap:
     return TwistMap(coeffs)
 
 
-def cmd_diagnose(args, out: Path) -> None:
-    missing = [f"--{name.replace('_', '-')}"
-               for name in _DIAGNOSE_NEEDS[args.check]
-               if getattr(args, name) is None]
-    if missing:
-        raise InputError(f"diagnose {args.check} needs {', '.join(missing)}")
-    report: dict = {"tool": TOOL, "check": args.check}
-    if args.check == "algebra":
-        magma = ser.load_magma(args.table)
-        assoc = check_associative(magma)
-        mouf = check_moufang(magma, strict=args.strict)
-        report.update({
-            "order": magma.order,
-            "total": magma.is_total,
-            "associative": assoc.holds,
-            "associative_witness": assoc.witness,
-            "moufang": mouf.holds,
-            "moufang_witness": mouf.witness,
-        })
-    else:
-        X = ser.load_vector_field(args.field_x)
-        Y = ser.load_vector_field(args.field_y)
-        if args.check == "frobenius":
-            residual, rmax = frobenius_residual(X, Y)
-            report.update({"max_frobenius_residual": rmax})
-            if args.profile:
-                ser._write_rows(out / "profile.csv",
-                                residual.reshape(residual.shape[0], -1))
-        elif args.check == "hantjies":
-            conn = ser.load_connection(args.connection)
-            rep = integrability_report(X, Y, conn, args.tol_int)
-            report.update({
-                "max_hantjies_norm": rep.max_hantjies_norm,
-                "max_frobenius_residual": rep.max_frobenius_residual,
-                "integrable": rep.integrable,
-                "tolerance": rep.tolerance,
-                "interior_nodes": rep.interior_node_count,
-            })
-        elif args.check == "curvature":
-            conn = ser.load_connection(args.connection)
-            Z = ser.load_vector_field(args.field_z)
-            F = curvature(conn, X, Y, Z)
-            report.update({"max_curvature_norm": float(
-                np.linalg.norm(F.samples, axis=-1).max())})
-        elif args.check == "jacobiator":
-            Z = ser.load_vector_field(args.field_z)
-            _, jmax = jacobiator(X, Y, Z, _load_twist(args.twist))
-            report.update({"max_jacobiator_norm": jmax})
-    ser.dump_json(report, out / "report.json")
+def _report(args, out: Path, **fields) -> None:
+    ser.dump_json({"tool": TOOL, "check": args.check, **fields},
+                  out / "report.json")
+
+
+def cmd_diagnose_algebra(args, out: Path) -> None:
+    magma = ser.load_magma(args.table)
+    assoc = check_associative(magma)
+    mouf = check_moufang(magma, strict=args.strict)
+    _report(args, out, order=magma.order, total=magma.is_total,
+            associative=assoc.holds, associative_witness=assoc.witness,
+            moufang=mouf.holds, moufang_witness=mouf.witness)
+
+
+def cmd_diagnose_frobenius(args, out: Path) -> None:
+    residual, rmax = frobenius_residual(ser.load_vector_field(args.field_x),
+                                        ser.load_vector_field(args.field_y))
+    if args.profile:
+        ser._write_rows(out / "profile.csv",
+                        residual.reshape(residual.shape[0], -1))
+    _report(args, out, max_frobenius_residual=rmax)
+
+
+def cmd_diagnose_hantjies(args, out: Path) -> None:
+    X = ser.load_vector_field(args.field_x)
+    Y = ser.load_vector_field(args.field_y)
+    rep = integrability_report(X, Y, ser.load_connection(args.connection),
+                               args.tol_int)
+    _report(args, out, max_hantjies_norm=rep.max_hantjies_norm,
+            max_frobenius_residual=rep.max_frobenius_residual,
+            integrable=rep.integrable, tolerance=rep.tolerance,
+            interior_nodes=rep.interior_node_count)
+
+
+def cmd_diagnose_curvature(args, out: Path) -> None:
+    X = ser.load_vector_field(args.field_x)
+    Y = ser.load_vector_field(args.field_y)
+    conn = ser.load_connection(args.connection)
+    F = curvature(conn, X, Y, ser.load_vector_field(args.field_z))
+    _report(args, out, max_curvature_norm=float(
+        np.linalg.norm(F.samples, axis=-1).max()))
+
+
+def cmd_diagnose_jacobiator(args, out: Path) -> None:
+    X = ser.load_vector_field(args.field_x)
+    Y = ser.load_vector_field(args.field_y)
+    Z = ser.load_vector_field(args.field_z)
+    _, jmax = jacobiator(X, Y, Z, _load_twist(args.twist))
+    _report(args, out, max_jacobiator_norm=jmax)
 
 
 def cmd_toric_detect(args, out: Path) -> None:
@@ -261,12 +267,10 @@ def cmd_toric_detect(args, out: Path) -> None:
 
 def cmd_toric_solve(args, out: Path) -> None:
     data = ser._load_json(args.constraints)
-    try:
+    with ser._reading(args.constraints, "constraints"):
         rows = [ConstraintRow(r["omega"], r.get("rhs", 0.0))
                 for r in data["rows"]]
         dim = int(data.get("dim", 3))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InputError(f"malformed constraints: {exc}") from exc
     axis = _parse_list(args.axis, float, 3, option="--axis")
     if not any(axis):
         raise InputError("--axis must not be the zero vector")
@@ -294,115 +298,99 @@ def cmd_noise_study(args, out: Path) -> None:
 # -- argument parsing -------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises a parse error as an InputError, so that it leaves `main` as
+    one JSON line and exit 2 like every other input error.  Subparsers are
+    built from the same class."""
+
+    def error(self, message):
+        raise InputError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(prog="twoview", description=__doc__)
+    p = _Parser(prog="twoview", description=__doc__,
+                formatter_class=argparse.RawDescriptionHelpFormatter)
     p.add_argument("--version", action="version", version=TOOL)
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, specs=True):
-        sp.add_argument("--out", required=True)
-        sp.add_argument("--tol", type=float, default=1e-9)
-        sp.add_argument("--seed", type=int, default=0)
-        if specs:
-            sp.add_argument("--spec1", required=True)
-            sp.add_argument("--spec2", required=True)
+    def command(parent, name, func, *required, tol=False):
+        """A leaf subcommand running `func`, with --out and `required`."""
+        sp = parent.add_parser(name)
+        for opt in ("--out", *required):
+            sp.add_argument(opt, required=True)
+        if tol:
+            sp.add_argument("--tol", type=float, default=1e-9)
+        sp.set_defaults(func=func)
+        return sp
 
-    sp = sub.add_parser("project", help="project a cloud or voxel grid")
-    sp.add_argument("--input", required=True)
+    specs = ("--spec1", "--spec2")
+    fields_xy = ("--field-x", "--field-y")
+
+    sp = command(sub, "project", cmd_project, "--input", *specs, tol=True)
     sp.add_argument("--mode", choices=["points", "voxels"], default="points")
     sp.add_argument("--image-dims", type=int, default=None)
     sp.add_argument("--format", choices=["csv", "pgm"], default="csv")
     sp.add_argument("--check-transversal", action="store_true")
-    common(sp)
-    sp.set_defaults(func=cmd_project)
 
     rec = sub.add_parser("reconstruct").add_subparsers(dest="mode",
                                                        required=True)
-    sp = rec.add_parser("points")
-    sp.add_argument("--image1", required=True)
-    sp.add_argument("--image2", required=True)
-    common(sp)
-    sp.set_defaults(func=cmd_reconstruct_points)
-    sp = rec.add_parser("voxels")
-    sp.add_argument("--sino1", required=True)
-    sp.add_argument("--sino2", required=True)
+    command(rec, "points", cmd_reconstruct_points, "--image1", "--image2",
+            *specs, tol=True)
+    sp = command(rec, "voxels", cmd_reconstruct_voxels, "--sino1", "--sino2",
+                 *specs, tol=True)
     sp.add_argument("--grid-dims", required=True,
                     help="comma-separated nx,ny,nz")
     sp.add_argument("--spacing", type=float, default=1.0)
     sp.add_argument("--solver-tol", type=float, default=1e-10)
     sp.add_argument("--matrix-market", action="store_true")
-    common(sp)
-    sp.set_defaults(func=cmd_reconstruct_voxels)
 
-    sp = sub.add_parser("certify")
-    sp.add_argument("--input", required=True)
-    sp.add_argument("--field-x", required=True)
-    sp.add_argument("--field-y", required=True)
-    sp.add_argument("--connection", required=True)
+    sp = command(sub, "certify", cmd_certify, "--input", *specs, *fields_xy,
+                 "--connection", tol=True)
     sp.add_argument("--tol-int", type=float, default=None)
-    common(sp)
-    sp.set_defaults(func=cmd_certify)
 
-    sp = sub.add_parser("diagnose")
-    sp.add_argument("check", choices=["frobenius", "hantjies", "curvature",
-                                      "jacobiator", "algebra"])
-    sp.add_argument("--field-x")
-    sp.add_argument("--field-y")
-    sp.add_argument("--field-z")
-    sp.add_argument("--connection")
-    sp.add_argument("--table")
-    sp.add_argument("--twist")
+    diag = sub.add_parser("diagnose").add_subparsers(dest="check",
+                                                     required=True)
+    sp = command(diag, "algebra", cmd_diagnose_algebra, "--table")
     sp.add_argument("--strict", action="store_true")
+    sp = command(diag, "frobenius", cmd_diagnose_frobenius, *fields_xy)
     sp.add_argument("--profile", action="store_true")
+    sp = command(diag, "hantjies", cmd_diagnose_hantjies, *fields_xy,
+                 "--connection")
     sp.add_argument("--tol-int", type=float, default=None)
-    common(sp, specs=False)
-    sp.set_defaults(func=cmd_diagnose)
+    command(diag, "curvature", cmd_diagnose_curvature, *fields_xy,
+            "--field-z", "--connection")
+    sp = command(diag, "jacobiator", cmd_diagnose_jacobiator, *fields_xy,
+                 "--field-z")
+    sp.add_argument("--twist")
 
     tor = sub.add_parser("toric").add_subparsers(dest="mode", required=True)
-    sp = tor.add_parser("detect")
-    sp.add_argument("--input", required=True)
+    sp = command(tor, "detect", cmd_toric_detect, "--input", tol=True)
     sp.add_argument("--orders", default="2,3,4,5,6")
-    common(sp, specs=False)
-    sp.set_defaults(func=cmd_toric_detect)
-    sp = tor.add_parser("solve")
-    sp.add_argument("--constraints", required=True)
+    sp = command(tor, "solve", cmd_toric_solve, "--constraints")
     sp.add_argument("--axis", required=True, help="comma-separated 3-vector")
     sp.add_argument("--order", type=int, required=True)
-    common(sp, specs=False)
-    sp.set_defaults(func=cmd_toric_solve)
 
-    sp = sub.add_parser("noise-study")
-    sp.add_argument("--input", required=True)
+    sp = command(sub, "noise-study", cmd_noise_study, "--input", *specs,
+                 tol=True)
     sp.add_argument("--sigmas", required=True, help="comma-separated stds")
     sp.add_argument("--trials", type=int, default=100)
-    common(sp)
-    sp.set_defaults(func=cmd_noise_study)
+    sp.add_argument("--seed", type=int, default=0)
     return p
-
-
-def _fail(exc: Exception, code: int) -> int:
-    sys.stderr.write(json.dumps(
-        {"error": type(exc).__name__, "message": str(exc)}) + "\n")
-    return code
 
 
 def main(argv=None) -> int:
     _setup_logging()
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     try:
+        args = build_parser().parse_args(argv)
+        out = Path(args.out)
+        out.mkdir(parents=True, exist_ok=True)
         args.func(args, out)
-    except InputError as exc:
-        return _fail(exc, 2)
-    except GeometricError as exc:
-        return _fail(exc, 3)
-    except NumericalError as exc:
-        return _fail(exc, 4)
-    except TwoViewError as exc:  # anything uncategorized
-        return _fail(exc, 2)
-    _echo_run(out, args)
+        _echo_run(out, args)
+    except (TwoViewError, OSError) as exc:
+        sys.stderr.write(json.dumps(
+            {"error": type(exc).__name__, "message": str(exc)}) + "\n")
+        return (3 if isinstance(exc, GeometricError) else
+                4 if isinstance(exc, NumericalError) else 2)
     return 0
 
 

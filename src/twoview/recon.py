@@ -55,7 +55,11 @@ _ORACLE_CHECK_ENTRIES = 2**14
 
 @dataclass(frozen=True)
 class ConstraintRow:
-    """One linear constraint omega . v = rhs on the direction v."""
+    """One linear constraint omega . v = rhs on the direction v.
+
+    Raises DimMismatch unless omega has 3 or 4 finite components, not all
+    zero, and rhs is finite.
+    """
 
     omega: np.ndarray
     rhs: float = 0.0
@@ -64,10 +68,13 @@ class ConstraintRow:
         o = np.asarray(self.omega, dtype=float).reshape(-1)
         if o.shape[0] not in (3, 4):
             raise DimMismatch(f"omega must have 3 or 4 components, got {o.shape[0]}")
+        rhs = float(self.rhs)
+        if not (np.all(np.isfinite(o)) and np.isfinite(rhs)):
+            raise DimMismatch("omega and rhs must be finite")
         if np.linalg.norm(o) <= 1e-12:
             raise DimMismatch("omega is identically zero")
         object.__setattr__(self, "omega", o)
-        object.__setattr__(self, "rhs", float(self.rhs))
+        object.__setattr__(self, "rhs", rhs)
 
 
 @dataclass(frozen=True)
@@ -506,29 +513,34 @@ def noise_study(cloud: PointCloud, spec1: ProjectionSpec,
     """Monte-Carlo noise propagation through two-view reconstruction.
 
     Adds i.i.d. Gaussian noise of std sigma to both projected images,
-    reconstructs, and records the per-trial RMSE against the ground-truth
-    cloud.  Each trial's RNG stream derives solely from (seed, trial), so
-    results do not depend on execution order.  predicted_bound is the
-    geometric amplification kappa * sigma with kappa = 1 / |n1 x n2|.
+    triangulates with the 3x4 map `reconstruct_cloud` applies, and records
+    the per-trial RMSE against the ground-truth cloud.  Each trial's RNG
+    stream derives solely from (seed, trial), so results do not depend on
+    execution order.  predicted_bound is the geometric amplification
+    kappa * sigma with kappa = 1 / |n1 x n2|.  Raises DimMismatch unless
+    sigma is finite and >= 0, trials >= 1 and seed >= 0, and when the
+    noise overflows to a non-finite error.
     """
-    if sigma < 0:
-        raise DimMismatch(f"sigma must be >= 0, got {sigma}")
+    if not (np.isfinite(sigma) and sigma >= 0):
+        raise DimMismatch(f"sigma must be finite and >= 0, got {sigma}")
     if trials < 1:
         raise DimMismatch(f"trials must be >= 1, got {trials}")
+    if seed < 0:
+        raise DimMismatch(f"seed must be >= 0, got {seed}")
     kappa = amplification_factor(spec1, spec2)
-    img1 = project_points(cloud, spec1)
-    img2 = project_points(cloud, spec2)
+    M = _triangulation_map(spec1, spec2, tol)
+    p1 = project_points(cloud, spec1).positions
+    p2 = project_points(cloud, spec2).positions
     rmses = np.empty(trials)
-    for t in range(trials):
-        rng = np.random.default_rng([seed, t])
-        n1 = sigma * rng.standard_normal(img1.positions.shape)
-        n2 = sigma * rng.standard_normal(img2.positions.shape)
-        rec = reconstruct_cloud(
-            Projected2D(img1.positions + n1, img1.weights),
-            Projected2D(img2.positions + n2, img2.weights),
-            spec1, spec2, tol)
-        err = rec.positions - cloud.positions
-        rmses[t] = np.sqrt(np.mean(np.sum(err * err, axis=1)))
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        for t in range(trials):
+            rng = np.random.default_rng([seed, t])
+            n1 = sigma * rng.standard_normal(p1.shape)
+            n2 = sigma * rng.standard_normal(p2.shape)
+            err = np.hstack([p1 + n1, p2 + n2]) @ M.T - cloud.positions
+            rmses[t] = np.sqrt(np.mean(np.sum(err * err, axis=1)))
+    if not np.all(np.isfinite(rmses)):
+        raise DimMismatch(f"noise of std {sigma} overflows the reconstruction")
     rmse_mean = float(np.mean(rmses))
     rmse_std = float(np.std(rmses))
     slope = rmse_mean / sigma if sigma > 0 else 0.0

@@ -41,7 +41,9 @@ def _reading(path, what: str):
         raise InputError(f"cannot read {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise InputError(f"{path} is not UTF-8 text: {exc}") from exc
-    except (ValueError, RecursionError) as exc:  # JSONDecodeError included
+    except (KeyError, TypeError, ValueError, RecursionError) as exc:
+        # JSONDecodeError included; KeyError and TypeError are a missing
+        # field or a field of the wrong type
         raise InputError(f"malformed {what} in {path}: {exc}") from exc
 
 
@@ -81,14 +83,12 @@ def _load_points(path, dim: int):
     cls, kind = (PointCloud, "point cloud") if dim == 3 else \
         (Projected2D, "image")
     data = _load_json(path)
-    try:
+    with _reading(path, kind):
         pts = data["points"]
         pos = [pt["p"] for pt in pts]
         w = [pt["w"] for pt in pts]
         return cls(np.asarray(pos, dtype=float).reshape(-1, dim),
                    np.asarray(w, dtype=float))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InputError(f"malformed {kind} in {path}: {exc}") from exc
 
 
 def save_cloud(cloud: PointCloud, path) -> None:
@@ -114,10 +114,8 @@ def save_spec(spec: ProjectionSpec, path) -> None:
 
 def load_spec(path) -> ProjectionSpec:
     data = _load_json(path)
-    try:
+    with _reading(path, "projection spec"):
         return ProjectionSpec(data["u"], data["w"], data["n"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InputError(f"malformed projection spec in {path}: {exc}") from exc
 
 
 # -- grids ------------------------------------------------------------------
@@ -147,21 +145,31 @@ def _read_rows(path) -> np.ndarray:
                           quotechar='"')
 
 
+def _save_grid(path, kind: str, header, values: np.ndarray) -> None:
+    """JSON header (`kind`, `dims`, `spacing`, `origin`) at `path`, values
+    row-major in the sibling .csv file, one line per first-axis index."""
+    dump_json({"kind": kind, "dims": list(header.dims),
+               "spacing": header.spacing, "origin": header.origin.tolist()},
+              path)
+    _write_rows(_csv_path(path), values.reshape(header.dims[0], -1))
+
+
+def _load_grid(path, kind: str, make, tail=()):
+    """`make(dims, spacing, origin, values)` from a grid written by
+    `_save_grid`, the values shaped dims + tail."""
+    head = _load_json(path)
+    with _reading(path, kind):
+        dims = tuple(head["dims"])
+        vals = _read_rows(_csv_path(path)).reshape(dims + tail)
+        return make(dims, head["spacing"], head["origin"], vals)
+
+
 def save_voxels(grid: VoxelGrid, path) -> None:
-    """JSON header at `path`, row-major values in the sibling .csv file."""
-    dump_json({"kind": "voxel_grid", "dims": list(grid.dims),
-               "spacing": grid.spacing, "origin": grid.origin.tolist()}, path)
-    _write_rows(_csv_path(path), grid.values.reshape(grid.dims[0], -1))
+    _save_grid(path, "voxel_grid", grid, grid.values)
 
 
 def load_voxels(path) -> VoxelGrid:
-    head = _load_json(path)
-    try:
-        dims = tuple(head["dims"])
-        vals = _read_rows(_csv_path(path)).reshape(dims)
-        return VoxelGrid(dims, head["spacing"], head["origin"], vals)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InputError(f"malformed voxel grid at {path}: {exc}") from exc
+    return _load_grid(path, "voxel grid", VoxelGrid)
 
 
 def save_sinogram_csv(sino: Sinogram, path) -> None:
@@ -183,43 +191,24 @@ def save_sinogram_pgm(sino: Sinogram, path) -> None:
         fh.write(scaled.tobytes())
 
 
-def _header_dict(h: GridHeader) -> dict:
-    return {"dims": list(h.dims), "spacing": h.spacing,
-            "origin": h.origin.tolist()}
-
-
-def _header_from(data) -> GridHeader:
-    return GridHeader(tuple(data["dims"]), data["spacing"], data["origin"])
-
-
 def save_vector_field(field: VectorFieldGrid, path) -> None:
-    dump_json({"kind": "vector_field", **_header_dict(field.header)}, path)
-    _write_rows(_csv_path(path), field.samples.reshape(field.header.dims[0], -1))
+    _save_grid(path, "vector_field", field.header, field.samples)
 
 
 def load_vector_field(path) -> VectorFieldGrid:
-    head = _load_json(path)
-    try:
-        h = _header_from(head)
-        vals = _read_rows(_csv_path(path)).reshape(h.dims + (3,))
-        return VectorFieldGrid(h, vals)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InputError(f"malformed vector field at {path}: {exc}") from exc
+    return _load_grid(path, "vector field", lambda dims, spacing, origin, vals:
+                      VectorFieldGrid(GridHeader(dims, spacing, origin), vals),
+                      (3,))
 
 
 def save_connection(conn: ConnectionField, path) -> None:
-    dump_json({"kind": "connection", **_header_dict(conn.header)}, path)
-    _write_rows(_csv_path(path), conn.gamma.reshape(conn.header.dims[0], -1))
+    _save_grid(path, "connection", conn.header, conn.gamma)
 
 
 def load_connection(path) -> ConnectionField:
-    head = _load_json(path)
-    try:
-        h = _header_from(head)
-        vals = _read_rows(_csv_path(path)).reshape(h.dims + (3, 3, 3))
-        return ConnectionField(h, vals)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InputError(f"malformed connection at {path}: {exc}") from exc
+    return _load_grid(path, "connection", lambda dims, spacing, origin, vals:
+                      ConnectionField(GridHeader(dims, spacing, origin), vals),
+                      (3, 3, 3))
 
 
 # -- composition tables -----------------------------------------------------

@@ -1,16 +1,23 @@
+import argparse
+import contextlib
+import inspect
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import twoview
 from twoview import recon
 from twoview import serialization as ser
-from twoview.cli import main
+from twoview.cli import build_parser, main
 from twoview.data import fixture_path
 from twoview.geometry import (
     PointCloud,
@@ -646,6 +653,248 @@ class TestTopLevel:
             main(["--version"])
         assert exc.value.code == 0
         assert capsys.readouterr().out.startswith("twoview ")
+
+
+class TestToricSolveNonFinite:
+    error = TestBoundaryValidation.error
+
+    @pytest.mark.parametrize("row", ['{"omega": [NaN, 0, 0]}',
+                                     '{"omega": [Infinity, 0, 0]}',
+                                     '{"omega": [1, 0, 0], "rhs": NaN}'])
+    def test_rejected(self, row, tmp_path, capsys):
+        # NaN omega was once dropped (exit 0), Infinity warned and exited 0,
+        # and a NaN rhs ended in AmbiguousDirection (exit 3)
+        (tmp_path / "cons.json").write_text(
+            '{"rows": [%s, {"omega": [0, 1, 0]}], "dim": 3}' % row)
+        out = tmp_path / "out"
+        assert run("toric", "solve", "--constraints", tmp_path / "cons.json",
+                   "--axis", "0,0,1", "--order", "4", "--out", out) == 2
+        err = self.error(capsys)
+        assert err["error"] == "DimMismatch"
+        assert list(out.iterdir()) == []
+
+
+def leaf_parsers(parser=None, path=()):
+    """{subcommand words: parser} for every leaf subcommand."""
+    parser = parser or build_parser()
+    subs = [a for a in parser._actions
+            if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        return {path: parser}
+    return {leaf: sp for name, child in subs[0].choices.items()
+            for leaf, sp in leaf_parsers(child, path + (name,)).items()}
+
+
+def options(parser):
+    """The optional arguments a parser accepts, --help excluded."""
+    return [a for a in parser._actions
+            if a.option_strings and a.dest != "help"]
+
+
+class TestParser:
+    """Each subcommand accepts only the options its command reads."""
+
+    def test_every_option_is_read_by_its_command(self):
+        leaves = leaf_parsers()
+        assert len(leaves) == 12
+        assert sum(len(options(sp)) for sp in leaves.values()) == 72
+        for leaf, sp in leaves.items():
+            func = sp.get_default("func")
+            source = inspect.getsource(func)
+            for action in options(sp):
+                # main reads --out and hands the command the directory
+                if action.dest != "out":
+                    assert f"args.{action.dest}" in source, (leaf, action.dest)
+
+    def test_run_json_lists_the_accepted_options(self, tmp_path):
+        out = tmp_path / "out"
+        assert run("diagnose", "algebra", "--table",
+                   fixture_path("z4_table.csv"), "--out", out) == 0
+        config = json.loads((out / "run.json").read_text())["config"]
+        assert config == {"command": "diagnose", "check": "algebra",
+                          "out": str(out),
+                          "table": str(fixture_path("z4_table.csv")),
+                          "strict": "False"}
+
+
+class TestOneErrorBoundary:
+    """Parse errors and an unusable --out exit 2 with one JSON line, no
+    usage text and no run.json."""
+
+    def run_captured(self, *argv):
+        err, stdout = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(stdout):
+            code = run(*argv)
+        assert stdout.getvalue() == ""
+        return code, err.getvalue()
+
+    def failure(self, *argv):
+        code, err = self.run_captured(*argv)
+        assert code == 2
+        lines = err.splitlines()
+        assert len(lines) == 1, err
+        return json.loads(lines[0])
+
+    ALGEBRA = ("diagnose", "algebra", "--table", fixture_path("z4_table.csv"))
+
+    @pytest.mark.parametrize("under", ["", "sub"])
+    def test_out_is_a_file(self, under, tmp_path):
+        # a file once ended in a raw FileExistsError traceback, exit 1
+        (tmp_path / "f").write_text("x")
+        err = self.failure(*self.ALGEBRA, "--out", tmp_path / "f" / under)
+        assert err["error"] in ("FileExistsError", "NotADirectoryError")
+        assert (tmp_path / "f").read_text() == "x"
+        assert list(tmp_path.rglob("run.json")) == []
+
+    def test_missing_required_option(self, tmp_path):
+        err = self.failure("project", "--spec1", SPEC_XY, "--spec2", SPEC_YZ,
+                           "--out", tmp_path / "out")
+        assert err["error"] == "InputError"
+        assert "--input" in err["message"]
+        assert not (tmp_path / "out").exists()
+
+    def test_trials_not_an_int(self, tmp_path):
+        err = self.failure("noise-study", "--input", CLOUD, "--spec1", SPEC_XY,
+                           "--spec2", SPEC_YZ, "--sigmas", "0.1",
+                           "--trials", "abc", "--out", tmp_path / "out")
+        assert "--trials" in err["message"]
+
+    @pytest.mark.parametrize("argv", [
+        (*ALGEBRA, "--field-x", "x"),
+        (*ALGEBRA, "--seed", "1"),
+        ("diagnose", "frobenius", "--field-x", fixture_path("field_coord_x.json"),
+         "--field-y", fixture_path("field_coord_y.json"), "--tol", "1"),
+        ("toric", "solve", "--constraints", "c.json", "--axis", "0,0,1",
+         "--order", "4", "--tol", "1"),
+        ("project", "--input", CLOUD, "--spec1", SPEC_XY, "--spec2", SPEC_YZ,
+         "--seed", "3"),
+    ])
+    def test_dead_option_rejected(self, argv, tmp_path):
+        err = self.failure(*argv, "--out", tmp_path / "out")
+        assert "unrecognized arguments" in err["message"]
+
+    @pytest.mark.parametrize("argv", [(), ("diagnose",), ("diagnose", "nope"),
+                                      ("project", "--mode", "lines")])
+    def test_no_usage_text(self, argv):
+        assert self.failure(*argv)["error"] == "InputError"
+
+    def test_overflowing_sigma(self, tmp_path):
+        # once RuntimeWarning lines on stderr before the JSON line
+        err = self.failure("noise-study", "--input", CLOUD, "--spec1", SPEC_XY,
+                           "--spec2", SPEC_YZ, "--sigmas", "1e308",
+                           "--trials", "2", "--out", tmp_path / "out")
+        assert err["error"] == "DimMismatch"
+
+    def test_negative_seed(self, tmp_path):
+        # once a raw ValueError from numpy's seed sequence
+        err = self.failure("noise-study", "--input", CLOUD, "--spec1", SPEC_XY,
+                           "--spec2", SPEC_YZ, "--sigmas", "0.1",
+                           "--seed", "-1", "--out", tmp_path / "out")
+        assert err["error"] == "DimMismatch"
+
+
+@pytest.fixture(scope="module")
+def cli_inputs(tmp_path_factory):
+    """One valid value of every option, and its files."""
+    root = tmp_path_factory.mktemp("cli_inputs")
+    cloud = ser.load_cloud(CLOUD)
+    for i, spec in enumerate((coordinate_spec(2), coordinate_spec(0)), 1):
+        ser.save_image(project_points(cloud, spec), root / f"image{i}.json")
+    ser.save_voxels(VoxelGrid((3, 3, 3), 1.0, (-1, -1, -1),
+                              np.arange(27.0).reshape(3, 3, 3)),
+                    root / "grid.json")
+    (root / "sino.csv").write_text("1.0,2.0,3.0\n" * 3)
+    (root / "twist.json").write_text(json.dumps(np.zeros((3, 3, 3)).tolist()))
+    (root / "cons.json").write_text(
+        '{"rows": [{"omega": [1, 0, 0]}, {"omega": [0, 1, 0]}], "dim": 3}')
+    (root / "bad.json").write_text("{not json")
+    good = {
+        "--input": [CLOUD, root / "grid.json"], "--spec1": [SPEC_XY],
+        "--spec2": [SPEC_YZ], "--mode": ["points", "voxels"],
+        "--image-dims": ["3"], "--format": ["csv", "pgm"],
+        "--tol": ["1e-9", "2"], "--image1": [root / "image1.json"],
+        "--image2": [root / "image2.json"], "--sino1": [root / "sino.csv"],
+        "--sino2": [root / "sino.csv"], "--grid-dims": ["3,3,3"],
+        "--spacing": ["1.0"], "--solver-tol": ["1e-10"],
+        "--field-x": [fixture_path("field_coord_x.json")],
+        "--field-y": [fixture_path("field_contact_y.json")],
+        "--field-z": [fixture_path("field_contact_x.json")],
+        "--connection": [fixture_path("conn_flat.json")],
+        "--tol-int": ["1e-6"], "--table": [fixture_path("z4_table.csv")],
+        "--twist": [root / "twist.json"], "--orders": ["2,3"],
+        "--constraints": [root / "cons.json"], "--axis": ["0,0,1"],
+        "--order": ["4"], "--sigmas": ["0,0.01"], "--trials": ["3"],
+        "--seed": ["5"],
+    }
+    junk = ["", "nan", "inf", "-1", "0", "abc", "1,2", root / "bad.json",
+            root / "missing.json", root, *(v for vs in good.values()
+                                          for v in vs)]
+    return good, [str(v) for v in junk]
+
+
+@st.composite
+def cli_argv(draw, good, junk):
+    """A leaf subcommand with each of its options absent, valid or junk,
+    sometimes one option it does not accept, in any order."""
+    leaf, sp = draw(st.sampled_from(sorted(leaf_parsers().items())))
+    pairs = []
+    for action in options(sp):
+        opt = action.option_strings[0]
+        if opt == "--out":
+            continue
+        how = draw(st.sampled_from(["good", "good", "good", "omit", "junk"]))
+        if how == "omit":
+            continue
+        value = [] if action.nargs == 0 else \
+            [str(draw(st.sampled_from(good[opt])))]
+        if how == "junk":
+            value = [draw(st.sampled_from(junk))]
+        pairs.append([opt, *value])
+    if draw(st.integers(0, 4)) == 0:
+        pairs.append([draw(st.sampled_from(sorted(good) + ["--bogus"])),
+                      draw(st.sampled_from(junk))])
+    pairs = draw(st.permutations(pairs))
+    return [*leaf, *(a for pair in pairs for a in pair)]
+
+
+class TestBoundaryProperties:
+    """Any argv built from the real option names and junk values exits 0,
+    2, 3 or 4; a failure writes exactly one JSON stderr line and no
+    run.json, a success no stderr and a run.json."""
+
+    def test_exit_codes_and_error_lines(self, cli_inputs):
+        # @given sits on an inner function so that a failure is reported
+        # as one: on a failing @given test item, hypothesis's pytest plugin
+        # imports libcst to suggest a patch, and libcst's import-time
+        # DeprecationWarning, an error under this suite's filterwarnings,
+        # would abort the whole session
+        good, junk = cli_inputs
+
+        @given(data=st.data())
+        @settings(max_examples=80, deadline=None, derandomize=True,
+                  database=None)
+        def check(data):
+            argv = data.draw(cli_argv(good, junk))
+            with tempfile.TemporaryDirectory() as tmp:
+                (Path(tmp) / "file").write_text("x")
+                out = data.draw(st.sampled_from(
+                    ["out", "file", "file/sub", None]))
+                if out is not None:
+                    argv += ["--out", str(Path(tmp) / out)]
+                err = io.StringIO()
+                with contextlib.redirect_stderr(err):
+                    code = run(*argv)
+                assert code in (0, 2, 3, 4), argv
+                written = list(Path(tmp).rglob("run.json"))
+                if code == 0:
+                    assert err.getvalue() == "" and len(written) == 1, argv
+                else:
+                    lines = err.getvalue().splitlines()
+                    assert len(lines) == 1, (argv, err.getvalue())
+                    assert set(json.loads(lines[0])) == {"error", "message"}
+                    assert written == [], argv
+
+        check()
 
 
 # Runs `python -m twoview.cli ARGS` in-process through runpy and, at exit,

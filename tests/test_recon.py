@@ -209,6 +209,16 @@ class TestSolveDirection:
                                    atol=1e-10)
         assert sol.residual < 1e-10
 
+    @pytest.mark.parametrize("omega, rhs", [
+        ([np.nan, 0, 0], 0.0), ([np.inf, 0, 0], 0.0), ([1, 0, -np.inf], 0.0),
+        ([1, 0, 0], np.nan), ([1, 0, 0, 0], np.inf),
+    ])
+    def test_non_finite_row_rejected(self, omega, rhs):
+        # a NaN row once reached the SVD and raised a raw LinAlgError
+        with pytest.raises(DimMismatch, match="finite"):
+            solve_direction([ConstraintRow(omega, rhs), ConstraintRow(
+                np.eye(len(omega))[1])], dim=len(omega))
+
 
 def make_sinos(grid, specs, dims):
     return [project_voxels(grid, s, dims) for s in specs]
@@ -535,3 +545,38 @@ class TestNoiseStudy:
 
     def test_amplification(self):
         assert amplification_factor(XY, YZ) == pytest.approx(1.0)
+
+    def test_matches_reconstruct_cloud_loop(self, rng):
+        spec1, spec2 = random_noncoaxial_pair(rng)
+        cloud = random_cloud(rng, 30)
+        img1, img2 = project_points(cloud, spec1), project_points(cloud, spec2)
+        for sigma, trials, seed in ((0.0, 3, 0), (0.02, 25, 4), (1.5, 7, 11)):
+            rmses = []
+            for t in range(trials):
+                gen = np.random.default_rng([seed, t])
+                n1 = sigma * gen.standard_normal(img1.positions.shape)
+                n2 = sigma * gen.standard_normal(img2.positions.shape)
+                rec = reconstruct_cloud(
+                    Projected2D(img1.positions + n1, img1.weights),
+                    Projected2D(img2.positions + n2, img2.weights),
+                    spec1, spec2)
+                err = rec.positions - cloud.positions
+                rmses.append(np.sqrt(np.mean(np.sum(err * err, axis=1))))
+            rep = noise_study(cloud, spec1, spec2, sigma, trials, seed=seed)
+            assert rep.rmse_mean == float(np.mean(rmses))
+            assert rep.rmse_std == float(np.std(rmses))
+
+    @pytest.mark.parametrize("sigma, trials, seed", [
+        (np.inf, 2, 0), (np.nan, 2, 0), (-0.1, 2, 0), (0.1, 0, 0),
+        (0.1, 2, -1),
+    ])
+    def test_bad_arguments(self, sigma, trials, seed, rng):
+        with pytest.raises(DimMismatch):
+            noise_study(random_cloud(rng, 5), XY, YZ, sigma, trials, seed=seed)
+
+    @pytest.mark.parametrize("sigma", [1e200, 1e308])
+    def test_overflowing_noise_rejected(self, sigma, rng):
+        # 1e200 once wrote inf and nan into noise.csv; both printed
+        # RuntimeWarnings, which this suite turns into errors
+        with pytest.raises(DimMismatch, match="overflows"):
+            noise_study(random_cloud(rng, 5), XY, YZ, sigma, 2)
