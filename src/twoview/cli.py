@@ -20,12 +20,12 @@ optional one, and every subcommand also requires --out DIR:
   noise-study         --input --spec1 --spec2 --sigmas [--trials] [--seed]
                       [--tol]
 
-Exit codes: 0 success, 2 input error (an argparse error or an --out that
-cannot be made a directory included), 3 geometric precondition failure,
-4 numerical non-convergence.  Every failure writes one JSON object on
-stderr and no run.json.  Every command is deterministic given its inputs,
-and each successful run writes a `run.json` with the tool version and the
-value of every option the subcommand accepts.
+Exit codes: 0 success, 2 input error (an argparse error, an empty --out and
+an --out that cannot be made a directory included), 3 geometric
+precondition failure, 4 numerical non-convergence.  Every failure writes
+one JSON object on stderr and no run.json.  Every command is deterministic
+given its inputs, and each successful run writes a `run.json` with the
+tool version and the value of every option the subcommand accepts.
 """
 
 from __future__ import annotations
@@ -50,14 +50,7 @@ from .diffgeo import (
     integrability_report,
 )
 from .errors import GeometricError, InputError, NumericalError, TwoViewError
-from .geometry import (
-    Sinogram,
-    VoxelGrid,
-    pixel_center_coords,
-    project_points,
-    project_voxels,
-    _cross_norm,
-)
+from .geometry import VoxelGrid, project_points, project_voxels, _cross_norm
 from .recon import (
     ConstraintRow,
     build_radon_system,
@@ -150,14 +143,9 @@ def cmd_reconstruct_voxels(args, out: Path) -> None:
     if min(dims) < 1:
         raise InputError(f"--grid-dims must be positive, got {dims}")
     origin = -args.spacing * (np.asarray(dims) - 1) / 2.0
-    sinos = []
-    for path, spec in ((args.sino1, spec1), (args.sino2, spec2)):
-        vals = ser._read_rows(path)
-        if vals.size == 0:
-            raise InputError(f"empty sinogram in {path}")
-        ref = VoxelGrid(dims, args.spacing, origin, np.zeros(dims))
-        origin2d = pixel_center_coords(ref, spec, vals.shape)[0, 0]
-        sinos.append(Sinogram(vals, args.spacing, origin2d))
+    ref = VoxelGrid(dims, args.spacing, origin, np.zeros(dims))
+    sinos = [ser.load_sinogram_csv(args.sino1, ref, spec1),
+             ser.load_sinogram_csv(args.sino2, ref, spec2)]
     system = build_radon_system([spec1, spec2], dims, args.spacing, sinos,
                                 origin=origin)
     values = solve_radon(system, tol=args.solver_tol)
@@ -168,13 +156,7 @@ def cmd_reconstruct_voxels(args, out: Path) -> None:
                    "voxels": int(np.prod(dims)),
                    "determined": system.determined}, out / "system.json")
     if args.matrix_market:
-        import scipy.io
-        import scipy.sparse as sp
-
-        A = system.rows
-        scipy.io.mmwrite(str(out / "system.mtx"),
-                         sp.csr_matrix((A.data, A.indices, A.indptr),
-                                       shape=A.shape))
+        ser.save_matrix_market(system.rows, out / "system.mtx")
 
 
 def cmd_certify(args, out: Path) -> None:
@@ -382,6 +364,8 @@ def main(argv=None) -> int:
     _setup_logging()
     try:
         args = build_parser().parse_args(argv)
+        if not args.out:
+            raise InputError("--out must name a directory, got ''")
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         args.func(args, out)

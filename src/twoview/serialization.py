@@ -1,8 +1,9 @@
 """File formats: JSON for structured records, CSV for bulk arrays.
 
 Grid-shaped payloads (voxels, vector fields, Christoffel symbols) are a
-JSON header next to a row-major CSV file with the same stem.  All writers
-are deterministic: rerunning a command on the same inputs produces
+JSON header next to a row-major CSV file with the same stem; sparse
+matrices are Matrix Market coordinate text.  All writers are
+deterministic: rerunning a command on the same inputs produces
 byte-identical files.
 """
 
@@ -18,11 +19,13 @@ import numpy as np
 
 from .errors import InputError
 from .geometry import (
+    CSR,
     PointCloud,
     Projected2D,
     ProjectionSpec,
     Sinogram,
     VoxelGrid,
+    pixel_center_coords,
 )
 from .diffgeo import ConnectionField, GridHeader, VectorFieldGrid
 from .algebra import UNDEFINED, FiniteMagma
@@ -176,8 +179,17 @@ def save_sinogram_csv(sino: Sinogram, path) -> None:
     _write_rows(path, sino.values)
 
 
-def load_sinogram_csv(path, spacing: float, origin2d) -> Sinogram:
-    return Sinogram(_read_rows(path), spacing, origin2d)
+def load_sinogram_csv(path, grid: VoxelGrid, spec: ProjectionSpec) -> Sinogram:
+    """The sinogram at `path` of `grid` seen in view `spec`: the values on
+    the `pixel_center_coords` lattice of the grid, with its spacing.
+
+    Raises InputError when the file holds no rows.
+    """
+    vals = _read_rows(path)
+    if vals.size == 0:
+        raise InputError(f"empty sinogram in {path}")
+    return Sinogram(vals, grid.spacing,
+                    pixel_center_coords(grid, spec, vals.shape)[0, 0])
 
 
 def save_sinogram_pgm(sino: Sinogram, path) -> None:
@@ -209,6 +221,27 @@ def load_connection(path) -> ConnectionField:
     return _load_grid(path, "connection", lambda dims, spacing, origin, vals:
                       ConnectionField(GridHeader(dims, spacing, origin), vals),
                       (3, 3, 3))
+
+
+# -- sparse matrices --------------------------------------------------------
+
+
+def save_matrix_market(A: CSR, path) -> None:
+    """Write `A` as Matrix Market coordinate text.
+
+    The header is `%%MatrixMarket matrix coordinate real general`, a `%`
+    line and `rows cols nnz`; then one `i j v` line per stored entry, in
+    CSR order and 1-based, v the shortest round-trip `repr` of the value.
+    The body comes from one template over the flattened triples.
+    """
+    triples = [0] * (3 * A.nnz)
+    triples[0::3] = (A.row + 1).tolist()
+    triples[1::3] = (A.indices + 1).tolist()
+    triples[2::3] = np.asarray(A.data, dtype=float).tolist()
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("%%%%MatrixMarket matrix coordinate real general\n%%\n"
+                 "%d %d %d\n" % (*A.shape, A.nnz))
+        fh.write("%d %d %r\n" * A.nnz % tuple(triples))
 
 
 # -- composition tables -----------------------------------------------------

@@ -36,17 +36,22 @@ class ToricReport:
     continuous: bool
 
 
-def rotation_about(axis, angle: float) -> np.ndarray:
-    """Rodrigues rotation matrix about the direction of `axis`.
-
-    Raises DimMismatch when the axis is zero or not finite.
-    """
+def _unit_axis(axis) -> np.ndarray:
+    """`axis` scaled to unit length; DimMismatch when zero or not finite."""
     a = np.asarray(axis, dtype=float).reshape(3)
     norm = np.linalg.norm(a)
     if not (np.isfinite(norm) and norm > 0):
         raise DimMismatch(
             f"rotation axis must be finite and nonzero, got {a.tolist()}")
-    a = a / norm
+    return a / norm
+
+
+def rotation_about(axis, angle: float) -> np.ndarray:
+    """Rodrigues rotation matrix about the direction of `axis`.
+
+    Raises DimMismatch when the axis is zero or not finite.
+    """
+    a = _unit_axis(axis)
     K = np.array([[0, -a[2], a[1]], [a[2], 0, -a[0]], [-a[1], a[0], 0]])
     return np.eye(3) + np.sin(angle) * K + (1 - np.cos(angle)) * (K @ K)
 
@@ -153,18 +158,18 @@ def invariant_moment_check(cloud: PointCloud, spec: ProjectionSpec,
 
 
 def group_average(matrixlike_axis, order: int, dim: int = 3) -> np.ndarray:
-    """Averaging projector (1/k) sum of rotations about the axis.
+    """Averaging projector (1/k) sum of the k rotations about the axis.
 
-    For dim 4 the rotation acts on the first three coordinates and fixes
-    the fourth.  The result projects onto the trivial weight space.
+    For every k >= 2 this is a aᵀ for the unit axis a: each rotation is
+    a aᵀ + cos θ (I - a aᵀ) + sin θ K, and the cosines and sines of the
+    k-th roots of unity sum to zero.  For dim 4 the rotation acts on the
+    first three coordinates and fixes the fourth.  The result projects
+    onto the trivial weight space.
     """
-    k = int(order)
-    if k < 2:
+    if int(order) < 2:
         raise DimMismatch("order must be >= 2")
-    P3 = np.zeros((3, 3))
-    for m in range(k):
-        P3 += rotation_about(matrixlike_axis, 2 * np.pi * m / k)
-    P3 /= k
+    a = _unit_axis(matrixlike_axis)
+    P3 = np.outer(a, a)
     if dim == 3:
         return P3
     if dim == 4:

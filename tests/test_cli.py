@@ -11,6 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.io
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -126,7 +127,10 @@ class TestReconstruct:
         assert system["rank"] == 4
         got = ser.load_voxels(rec / "recovered.json")
         np.testing.assert_allclose(got.values, vals, atol=1e-8)
-        assert (rec / "system.mtx").exists()
+        A = scipy.io.mmread(str(rec / "system.mtx")).toarray()
+        np.testing.assert_allclose(A @ vals.ravel(), np.concatenate(
+            [np.loadtxt(proj / f"sino{i}.csv", delimiter=",").ravel()
+             for i in (1, 2)]), rtol=1e-12)
 
     @pytest.mark.parametrize("tilted, method", [(False, "graph"),
                                                 (True, "svd")])
@@ -603,6 +607,16 @@ class TestToric:
         rep = json.loads((out / "direction.json").read_text())
         np.testing.assert_allclose(np.abs(rep["v"]), [0, 0, 1], atol=1e-12)
 
+    def test_solve_huge_order(self, tmp_path):
+        # a group average summed over the rotations would not finish
+        (tmp_path / "cons.json").write_text(json.dumps(
+            {"rows": [{"omega": [1, 0, 0]}, {"omega": [0, 1, 0]}]}))
+        out = tmp_path / "out"
+        assert run("toric", "solve", "--constraints", tmp_path / "cons.json",
+                   "--axis", "0,0,1", "--order", "3000000", "--out", out) == 0
+        rep = json.loads((out / "direction.json").read_text())
+        assert rep["v"] == [0.0, 0.0, 1.0]
+
     def test_solve_malformed(self, tmp_path, capsys):
         (tmp_path / "cons.json").write_text('{"wrong": 1}')
         code = run("toric", "solve", "--constraints", tmp_path / "cons.json",
@@ -745,6 +759,14 @@ class TestOneErrorBoundary:
         assert err["error"] in ("FileExistsError", "NotADirectoryError")
         assert (tmp_path / "f").read_text() == "x"
         assert list(tmp_path.rglob("run.json")) == []
+
+    def test_empty_out(self, tmp_path, monkeypatch):
+        # Path("") would be the working directory
+        monkeypatch.chdir(tmp_path)
+        err = self.failure(*self.ALGEBRA, "--out", "")
+        assert err["error"] == "InputError"
+        assert "--out" in err["message"]
+        assert list(tmp_path.iterdir()) == []
 
     def test_missing_required_option(self, tmp_path):
         err = self.failure("project", "--spec1", SPEC_XY, "--spec2", SPEC_YZ,
@@ -920,8 +942,8 @@ def scipy_modules(*argv, code=_LIST_SCIPY):
 
 
 class TestImportGraph:
-    """Each op imports only the scipy it runs; `src/twoview` has no
-    module-level scipy import."""
+    """Each op imports only the scipy it runs, which is none but for
+    `toric detect`; `src/twoview` has no module-level scipy import."""
 
     def test_import_cli_loads_no_scipy(self):
         code = ("import json, sys, twoview.cli; print(json.dumps("
@@ -952,9 +974,7 @@ class TestImportGraph:
                              "--out", tmp_path / "solve") == set()
 
     @pytest.mark.parametrize("matrix_market", [False, True])
-    def test_voxel_ops_load_scipy_io_only_for_matrix_market(self,
-                                                            matrix_market,
-                                                            tmp_path):
+    def test_voxel_ops_load_no_scipy(self, matrix_market, tmp_path):
         dims = (3, 3, 3)
         ser.save_voxels(VoxelGrid(dims, 1.0, (0, 0, 0), np.ones(dims)),
                         tmp_path / "grid.json")
@@ -968,11 +988,8 @@ class TestImportGraph:
                 *specs, "--out", tmp_path / "out"]
         if matrix_market:
             argv.append("--matrix-market")
-        mods = scipy_modules(*argv)
-        assert ("scipy.io" in mods) == matrix_market
-        assert "scipy.spatial" not in mods
-        if not matrix_market:
-            assert mods == set()
+        assert scipy_modules(*argv) == set()
+        assert (tmp_path / "out" / "system.mtx").exists() == matrix_market
 
     def test_toric_detect_loads_spatial(self, tmp_path):
         ang = 2 * np.pi * np.arange(6) / 6

@@ -1,21 +1,28 @@
 import csv
 import io
 import json
+import tempfile
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.io
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from twoview import serialization as ser
 from twoview.algebra import UNDEFINED, FiniteMagma
 from twoview.diffgeo import ConnectionField, GridHeader, VectorFieldGrid
 from twoview.errors import InputError
 from twoview.geometry import (
+    CSR,
     PointCloud,
     Projected2D,
     Sinogram,
     VoxelGrid,
     coordinate_spec,
+    pixel_center_coords,
 )
 from conftest import random_cloud, random_spec
 
@@ -261,11 +268,17 @@ class TestGrids:
                                       conn.gamma)
 
     def test_sinogram_csv_round_trip(self, rng, tmp_path):
-        sino = Sinogram(rng.uniform(0, 9, (4, 6)), 0.5, (0.0, 0.0))
+        grid = VoxelGrid((4, 6, 3), 0.5, (0.25, -1.0, 2.0),
+                         np.zeros((4, 6, 3)))
+        spec = coordinate_spec(2)
+        origin2d = pixel_center_coords(grid, spec, (4, 6))[0, 0]
+        sino = Sinogram(rng.uniform(0, 9, (4, 6)), 0.5, origin2d)
         path = tmp_path / "sino.csv"
         ser.save_sinogram_csv(sino, path)
-        back = ser.load_sinogram_csv(path, 0.5, (0.0, 0.0))
+        back = ser.load_sinogram_csv(path, grid, spec)
         np.testing.assert_array_equal(back.values, sino.values)
+        assert back.spacing == 0.5
+        np.testing.assert_array_equal(back.origin2d, origin2d)
 
     def test_pgm_header(self, tmp_path):
         sino = Sinogram([[0.0, 1.0], [0.5, 0.25]], 1.0, (0.0, 0.0))
@@ -274,6 +287,78 @@ class TestGrids:
         raw = path.read_bytes()
         assert raw.startswith(b"P5\n2 2\n65535\n")
         assert len(raw) == len(b"P5\n2 2\n65535\n") + 4 * 2
+
+
+MM_HEADER = b"%%MatrixMarket matrix coordinate real general\n%\n"
+MM_VALUES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 1.0,
+             -2.0, 1e16, 12345678901234567.0, 1.7976931348623157e308,
+             -1.7976931348623157e308, 0.1, 9.941116742349803e-3]
+
+
+@st.composite
+def csr_matrices(draw):
+    """Canonical CSR matrices up to 6 x 6, empty rows and nnz = 0
+    included, with signed zeros, subnormals, the largest finite values
+    and integral values among the entries."""
+    rows = draw(st.integers(0, 6))
+    cols = draw(st.integers(0 if rows == 0 else 1, 6))
+    picks = [sorted(draw(st.sets(st.integers(0, cols - 1), max_size=cols)))
+             if cols else [] for _ in range(rows)]
+    indices = [j for row in picks for j in row]
+    value = st.one_of(st.sampled_from(MM_VALUES),
+                      st.floats(allow_nan=False, allow_infinity=False))
+    data = draw(st.lists(value, min_size=len(indices),
+                         max_size=len(indices)))
+    indptr = np.cumsum([0] + [len(row) for row in picks])
+    return CSR(indptr, np.asarray(indices, dtype=np.intp),
+               np.asarray(data, dtype=float), (rows, cols))
+
+
+class TestMatrixMarket:
+    def test_bytes(self, tmp_path):
+        A = CSR(np.array([0, 1, 1, 3]), np.array([1, 0, 2]),
+                np.array([0.1, -0.0, 3.0]), (3, 4))
+        ser.save_matrix_market(A, tmp_path / "a.mtx")
+        assert (tmp_path / "a.mtx").read_bytes() == (
+            MM_HEADER + b"3 4 3\n1 2 0.1\n3 1 -0.0\n3 3 3.0\n")
+
+    def test_mmread_round_trip(self):
+        # @given on an inner function, as in tests/test_cli.py
+        @given(A=csr_matrices())
+        @settings(max_examples=60, deadline=None, derandomize=True,
+                  database=None)
+        def check(A):
+            with tempfile.TemporaryDirectory() as tmp:
+                path = Path(tmp) / "a.mtx"
+                ser.save_matrix_market(A, path)
+                back = scipy.io.mmread(str(path))
+            assert back.shape == A.shape
+            np.testing.assert_array_equal(back.row, A.row)
+            np.testing.assert_array_equal(back.col, A.indices)
+            csr = back.tocsr()
+            np.testing.assert_array_equal(csr.indptr, A.indptr)
+            np.testing.assert_array_equal(csr.indices, A.indices)
+            np.testing.assert_array_equal(csr.data.view(np.int64),
+                                          A.data.view(np.int64))
+
+        check()
+
+    def test_symmetric_matrix_stays_general(self, tmp_path):
+        A = CSR.from_entries(np.array([1.0, 2.0, 2.0, 3.0]),
+                             np.array([0, 0, 1, 1]), np.array([0, 1, 0, 1]),
+                             (2, 2))
+        ser.save_matrix_market(A, tmp_path / "a.mtx")
+        assert (tmp_path / "a.mtx").read_bytes() == (
+            MM_HEADER + b"2 2 4\n1 1 1.0\n1 2 2.0\n2 1 2.0\n2 2 3.0\n")
+
+    def test_rerun_is_byte_identical(self, rng, tmp_path):
+        n = 200
+        A = CSR.from_entries(rng.standard_normal(n), rng.integers(0, 30, n),
+                             rng.integers(0, 40, n), (30, 40))
+        ser.save_matrix_market(A, tmp_path / "a.mtx")
+        ser.save_matrix_market(A, tmp_path / "b.mtx")
+        assert ((tmp_path / "a.mtx").read_bytes()
+                == (tmp_path / "b.mtx").read_bytes())
 
 
 class TestMagmaCsv:

@@ -214,6 +214,19 @@ class TestGroupAverage:
         assert P[3, 3] == 1.0
         np.testing.assert_allclose(P[:3, 3], 0, atol=1e-15)
 
+    def test_matches_rotation_sum(self, rng):
+        for k in range(2, 65):
+            a = rng.standard_normal(3)
+            mean = sum(rotation_about(a, 2 * np.pi * m / k)
+                       for m in range(k)) / k
+            np.testing.assert_allclose(group_average(a, k), mean, rtol=0,
+                                       atol=1e-13)
+
+    @pytest.mark.parametrize("order", [1, 0, -3])
+    def test_order_below_two(self, order):
+        with pytest.raises(DimMismatch, match="order"):
+            group_average([0, 0, 1], order)
+
     def test_bad_dim(self):
         with pytest.raises(DimMismatch):
             group_average([0, 0, 1], 2, dim=5)
