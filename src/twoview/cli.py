@@ -20,8 +20,13 @@ optional one, and every subcommand also requires --out DIR:
   noise-study         --input --spec1 --spec2 --sigmas [--trials] [--seed]
                       [--tol]
 
-Exit codes: 0 success, 2 input error (an argparse error, an empty --out and
-an --out that cannot be made a directory included), 3 geometric
+Diagnostic maxima are taken over interior nodes: those of `diagnose
+curvature` and `diagnose jacobiator` over nodes at depth 2, the only ones
+where their composed derivatives are second-order accurate.
+
+Exit codes: 0 success, 2 input error (an argparse error, an empty --out,
+an --out that cannot be made a directory and a grid or image whose
+float64 values would exceed 256 MiB included), 3 geometric
 precondition failure, 4 numerical non-convergence.  Every failure writes
 one JSON object on stderr and no run.json.  Every command is deterministic
 given its inputs, and each successful run writes a `run.json` with the
@@ -48,8 +53,15 @@ from .diffgeo import (
     curvature,
     frobenius_residual,
     integrability_report,
+    interior_mask,
 )
-from .errors import GeometricError, InputError, NumericalError, TwoViewError
+from .errors import (
+    GeometricError,
+    InputError,
+    NumericalError,
+    SystemTooLarge,
+    TwoViewError,
+)
 from .geometry import VoxelGrid, project_points, project_voxels, _cross_norm
 from .recon import (
     ConstraintRow,
@@ -57,6 +69,7 @@ from .recon import (
     noise_study,
     reconstruct_cloud,
     solve_radon,
+    _DENSE_RANK_BYTES,
 )
 from .toric import detect_axis, solve_direction_equivariant
 
@@ -89,6 +102,15 @@ def _parse_list(text: str, kind, n=None, *, option: str) -> list:
     return vals
 
 
+def _require_dense_size(count: int, what: str) -> None:
+    """SystemTooLarge when `count` float64 values would exceed the dense
+    memory limit, checked before any of them is allocated."""
+    if count * 8 > _DENSE_RANK_BYTES:
+        raise SystemTooLarge(
+            f"{what} of {count} values needs {count * 8} bytes, above the "
+            f"{_DENSE_RANK_BYTES}-byte limit")
+
+
 # -- commands ---------------------------------------------------------------
 
 
@@ -106,6 +128,7 @@ def cmd_project(args, out: Path) -> None:
         dims = args.image_dims
         if dims is None:
             dims = max(grid.dims)
+        _require_dense_size(dims * dims, f"a {dims}x{dims} image")
         for i, spec in enumerate((spec1, spec2), start=1):
             sino = project_voxels(grid, spec, (dims, dims))
             ser.save_sinogram_csv(sino, out / f"sino{i}.csv")
@@ -142,6 +165,7 @@ def cmd_reconstruct_voxels(args, out: Path) -> None:
     dims = tuple(_parse_list(args.grid_dims, int, 3, option="--grid-dims"))
     if min(dims) < 1:
         raise InputError(f"--grid-dims must be positive, got {dims}")
+    _require_dense_size(math.prod(dims), "a {}x{}x{} grid".format(*dims))
     origin = -args.spacing * (np.asarray(dims) - 1) / 2.0
     ref = VoxelGrid(dims, args.spacing, origin, np.zeros(dims))
     sinos = [ser.load_sinogram_csv(args.sino1, ref, spec1),
@@ -224,8 +248,10 @@ def cmd_diagnose_curvature(args, out: Path) -> None:
     Y = ser.load_vector_field(args.field_y)
     conn = ser.load_connection(args.connection)
     F = curvature(conn, X, Y, ser.load_vector_field(args.field_z))
+    # only nodes at depth 2 carry second-order-accurate values
+    norms = np.linalg.norm(F.samples, axis=-1)
     _report(args, out, max_curvature_norm=float(
-        np.linalg.norm(F.samples, axis=-1).max()))
+        norms[interior_mask(F.header.dims, depth=2)].max()))
 
 
 def cmd_diagnose_jacobiator(args, out: Path) -> None:

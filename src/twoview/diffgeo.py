@@ -3,7 +3,9 @@
 Vector fields and Christoffel symbols are sampled per node; derivatives
 use second-order central differences in the interior and one-sided
 second-order stencils at the boundary, so report maxima are taken over
-interior nodes only.  The integrability obstruction is exposed twice: as
+interior nodes only, and over nodes at depth 2 for quantities that
+compose two derivatives (curvature, the jacobiator, the duality
+residual).  The integrability obstruction is exposed twice: as
 the Hantjies tensor, in the closed form Gamma(X, Y) - Gamma(Y, X) of the
 literal formula (which the tests keep as its oracle), and as the
 Frobenius residual, the component of the Lie bracket sticking out of the

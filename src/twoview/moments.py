@@ -2,8 +2,8 @@
 
 The moment map of an object with respect to a projection frame is the
 mass-weighted centroid of its planar image; because projection is linear
-it equals the projection of the 3-D centroid, which is the linear
-constraint the direction solver consumes.
+it equals the projection of the 3-D centroid, which is how it is
+computed and the linear constraint the direction solver consumes.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ZeroMass
-from .geometry import PointCloud, Projected2D, ProjectionSpec, project_points
+from .geometry import PointCloud, Projected2D, ProjectionSpec
 
 _MASS_EPS = 0.0  # total mass must be strictly positive
 
@@ -66,10 +66,11 @@ def centroid3d(cloud: PointCloud) -> np.ndarray:
 def moment_map(cloud: PointCloud, spec: ProjectionSpec) -> MomentValue:
     """Centroid of the projection of a cloud.
 
-    Equals the projection of the 3-D centroid (projection is linear), so
-    translating the cloud by t shifts the value by (t.u, t.w) exactly.
+    Projection is linear, so this is the projected 3-D centroid (u.c,
+    w.c); translating the cloud by t shifts it by (t.u, t.w) exactly.
     """
-    return centroid2d(project_points(cloud, spec))
+    c = centroid3d(cloud)
+    return MomentValue([spec.u @ c, spec.w @ c], cloud.total_mass)
 
 
 def second_moment(cloud: PointCloud) -> SecondMoment3D:

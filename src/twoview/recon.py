@@ -2,8 +2,8 @@
 
 Two-view point recovery intersects back-projection rays, which for fixed
 frames is one 3x4 linear map from the stacked observations; the direction
-solver extracts the one-dimensional solution of a homogeneous constraint
-system; the discrete tomographic path assembles one linear equation per
+solvers (plain and `toric`'s symmetry-reduced) share one validator and one
+SVD core; the discrete tomographic path assembles one linear equation per
 observed ray and inverts it with a conjugate-direction least-squares
 iteration and reports its rank exactly, one connected component of its
 row/column sparsity graph at a time: two views whose operators put each
@@ -198,24 +198,30 @@ def solve_direction(constraints, dim: int) -> DirectionSolution:
     Raises AmbiguousDirection when nullity > 1 and Inconsistent when a
     homogeneous system admits only the trivial solution.
     """
+    return _direction_core(*_stack_constraints(constraints, dim))
+
+
+def _stack_constraints(constraints, dim: int):
+    """(A, b) from the omegas and rhs values; DimMismatch unless dim is
+    3 or 4, there is at least one row and every omega has dim entries."""
     if dim not in (3, 4):
         raise DimMismatch(f"dim must be 3 or 4, got {dim}")
     rows = list(constraints)
     if not rows:
         raise DimMismatch("need at least one constraint")
-    A = np.vstack([r.omega for r in rows])
-    if A.shape[1] != dim:
-        raise DimMismatch(f"omega length {A.shape[1]} != dim {dim}")
-    b = np.array([r.rhs for r in rows])
-    return _direction_core(A, b)
+    for r in rows:
+        if r.omega.shape[0] != dim:
+            raise DimMismatch(f"omega length {r.omega.shape[0]} != dim {dim}")
+    return np.vstack([r.omega for r in rows]), np.array([r.rhs for r in rows])
 
 
 def _direction_core(A: np.ndarray, b: np.ndarray) -> DirectionSolution:
     """Unit direction solving A v = b modulo scaling, with its nullity.
 
     The rank is the number of singular values above _RANK_TOL times the
-    largest.  Raises AmbiguousDirection when nullity > 1 and Inconsistent
-    when no nonzero solution exists.  The residual is |A v| for a
+    largest, and the least-squares solve drops the others too.  Raises
+    AmbiguousDirection when nullity > 1 and Inconsistent when no nonzero
+    solution exists.  The residual is |A v| for a
     homogeneous system and |A x - b| at the least-squares solution x
     (before normalization) otherwise.
     """
@@ -230,7 +236,7 @@ def _direction_core(A: np.ndarray, b: np.ndarray) -> DirectionSolution:
         _, _, vt = np.linalg.svd(A)
         v = _canonical_sign(vt[-1])
         return DirectionSolution(v, nullity, float(np.linalg.norm(A @ v)))
-    x, *_ = np.linalg.lstsq(A, b, rcond=None)
+    x, *_ = np.linalg.lstsq(A, b, rcond=_RANK_TOL)
     nx = np.linalg.norm(x)
     if nx <= 1e-300:
         raise Inconsistent("least-squares solution is zero; no direction")

@@ -2,9 +2,10 @@
 
 A finite cyclic (or continuous) rotation group about an axis stands in
 for the abstract symmetry group: candidate axes come from the second
-moment of the cloud, invariance is checked by rotate-and-match, and the
-equivariant solver averages constraint rows over the group, which
-projects the problem onto the fixed subspace of the action.
+moment of the cloud and invariance is checked by rotate-and-match.  The
+fixed subspace of the action has a closed-form orthonormal basis, whose
+projector is the group average; the equivariant solver restricts the
+constraint rows to it and shares the plain solver's core.
 """
 
 from __future__ import annotations
@@ -20,8 +21,13 @@ from .errors import (
     Inconsistent,
 )
 from .geometry import PointCloud, ProjectionSpec, _require_tol
-from .moments import centroid3d, moment_map, second_moment
-from .recon import DirectionSolution, _canonical_sign, _direction_core
+from .moments import centroid3d, second_moment
+from .recon import (
+    DirectionSolution,
+    _canonical_sign,
+    _direction_core,
+    _stack_constraints,
+)
 
 CONTINUOUS = "continuous"
 _DIAMETER_BLOCK = 2**18  # pairwise distances per `_diameter` block
@@ -143,90 +149,73 @@ def invariant_moment_check(cloud: PointCloud, spec: ProjectionSpec,
                            axis, order: int) -> float:
     """Max moment-map displacement over the rotation group about `axis`.
 
-    Rotations act linearly (axis through the origin), so a symmetric
-    cloud centered on the axis scores zero while off-axis mass shows up
-    as a nonzero displacement.
+    The moment map is linear in the centroid c, so rotation m moves it by
+    the projection of (R_m - I) c = sin θ a × c + (1 - cos θ) a × (a × c):
+    zero for a cloud centered on the axis (through the origin), nonzero
+    for off-axis mass.
     """
-    base = moment_map(cloud, spec).centroid
-    worst = 0.0
-    for m in range(1, int(order)):
-        R = rotation_about(axis, 2 * np.pi * m / order)
-        moved = PointCloud(cloud.positions @ R.T, cloud.weights)
-        worst = max(worst, float(np.linalg.norm(
-            moment_map(moved, spec).centroid - base)))
-    return worst
+    a = _unit_axis(axis)
+    ac = np.cross(a, centroid3d(cloud))
+    theta = 2 * np.pi * np.arange(1, int(order)) / order
+    moved = (np.outer(np.sin(theta), ac)
+             + np.outer(1 - np.cos(theta), np.cross(a, ac)))
+    shift = moved @ np.column_stack([spec.u, spec.w])
+    return float(np.linalg.norm(shift, axis=1).max(initial=0.0))
+
+
+def _fixed_basis(axis, order: int, dim: int) -> np.ndarray:
+    """Orthonormal basis (dim x f) of the fixed subspace of k >= 2
+    rotations: the unit axis a in dim 3, a ⊕ 0 and e4 in dim 4.  Raises
+    DimMismatch for an order below 2, a zero or non-finite axis, or a dim
+    other than 3 or 4."""
+    if int(order) < 2:
+        raise DimMismatch("order must be >= 2")
+    a = _unit_axis(axis)
+    if dim == 3:
+        return a[:, None]
+    if dim == 4:
+        return np.column_stack([np.append(a, 0.0), np.eye(4)[3]])
+    raise DimMismatch(f"dim must be 3 or 4, got {dim}")
 
 
 def group_average(matrixlike_axis, order: int, dim: int = 3) -> np.ndarray:
     """Averaging projector (1/k) sum of the k rotations about the axis.
 
-    For every k >= 2 this is a aᵀ for the unit axis a: each rotation is
-    a aᵀ + cos θ (I - a aᵀ) + sin θ K, and the cosines and sines of the
-    k-th roots of unity sum to zero.  For dim 4 the rotation acts on the
-    first three coordinates and fixes the fourth.  The result projects
-    onto the trivial weight space.
+    Each rotation is a aᵀ + cos θ (I - a aᵀ) + sin θ K, and the cosines
+    and sines of the k-th roots of unity sum to zero, so the average is
+    B Bᵀ for the fixed-subspace basis B of `_fixed_basis`.
     """
-    if int(order) < 2:
-        raise DimMismatch("order must be >= 2")
-    a = _unit_axis(matrixlike_axis)
-    P3 = np.outer(a, a)
-    if dim == 3:
-        return P3
-    if dim == 4:
-        P = np.eye(4)
-        P[:3, :3] = P3
-        return P
-    raise DimMismatch(f"dim must be 3 or 4, got {dim}")
+    B = _fixed_basis(matrixlike_axis, order, dim)
+    return B @ B.T
 
 
 def solve_direction_equivariant(constraints, axis, order: int,
                                 dim: int = 3) -> DirectionSolution:
     """Direction solve reduced to the fixed subspace of the rotation group.
 
-    Each constraint row is averaged over the group (covectors pull back
-    through the rotations) and the solve runs inside the fixed subspace,
-    so a one-dimensional fixed space yields the axis up to sign.  For any
-    order >= 2 that subspace is the axis (f = 1) in dim 3 and the axis
-    plus the fourth coordinate (f = 2) in dim 4.  The reduced rows go
-    through `solve_direction`'s SVD core, so the residual is |A x - b| at
-    the least-squares solution.  Raises AmbiguousDirection, carrying the
-    fixed-subspace dimension, when the reduced solution space is not
-    one-dimensional, with nullity 0 when it holds only the zero vector.
+    Every row is restricted to the fixed subspace, the axis (f = 1) in
+    dim 3 and the axis plus the fourth coordinate (f = 2) in dim 4, which
+    is what averaging it over the group does; rows vanishing there are
+    dropped and the rest go through `solve_direction`'s validator and SVD
+    core, so the residual is |A x - b| at the least-squares solution.
+    Raises AmbiguousDirection, carrying f, when the reduced solution
+    space is not one-dimensional, with nullity 0 when it holds only zero.
     """
-    rows = list(constraints)
-    if not rows:
-        raise DimMismatch("need at least one constraint")
-    P = group_average(axis, order, dim)
-    # orthonormal basis of the fixed subspace (eigenvalue-1 space of P)
-    evals, evecs = np.linalg.eigh(0.5 * (P + P.T))
-    keep = evals > 1.0 - 1e-9
-    B = evecs[:, keep]  # (dim, f)
+    A, b = _stack_constraints(constraints, dim)
+    B = _fixed_basis(axis, order, dim)
     f = B.shape[1]
-    reduced = []
-    homogeneous = True
-    for r in rows:
-        if r.omega.shape[0] != dim:
-            raise DimMismatch(f"omega length {r.omega.shape[0]} != dim {dim}")
-        red = (r.omega @ P) @ B
-        if r.rhs != 0.0:
-            homogeneous = False
-        if np.linalg.norm(red) > 1e-12:
-            reduced.append((red, r.rhs))
-    if not reduced:
-        if f == 1 and homogeneous:
+    reduced = A @ B
+    keep = np.linalg.norm(reduced, axis=1) > 1e-12
+    if not keep.any():
+        if f == 1 and not b.any():
             return DirectionSolution(_canonical_sign(B[:, 0]), 1, 0.0)
         raise AmbiguousDirection(
             f"all constraints vanish on the {f}-dimensional fixed subspace",
             nullity=f, fixed_subspace_dim=f)
-    A = np.array([o for o, _ in reduced])
-    b = np.array([rhs for _, rhs in reduced])
     try:
-        sol = _direction_core(A, b)
-    except AmbiguousDirection as exc:
-        raise AmbiguousDirection(str(exc), nullity=exc.nullity,
-                                 fixed_subspace_dim=f) from exc
-    except Inconsistent as exc:
-        raise AmbiguousDirection(str(exc), nullity=0,
+        sol = _direction_core(reduced[keep], b[keep])
+    except (AmbiguousDirection, Inconsistent) as exc:
+        raise AmbiguousDirection(str(exc), nullity=getattr(exc, "nullity", 0),
                                  fixed_subspace_dim=f) from exc
     v = B @ sol.v
     v = _canonical_sign(v / np.linalg.norm(v))

@@ -16,10 +16,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import twoview
-from twoview import recon
+from twoview import cli, recon
 from twoview import serialization as ser
 from twoview.cli import build_parser, main
 from twoview.data import fixture_path
+from twoview.diffgeo import (
+    GridHeader,
+    VectorFieldGrid,
+    curvature,
+    interior_mask,
+)
 from twoview.geometry import (
     PointCloud,
     ProjectionSpec,
@@ -28,7 +34,7 @@ from twoview.geometry import (
     project_points,
     projection_operator,
 )
-from conftest import tilted_spec
+from conftest import sphere_connection, tilted_spec
 
 CLOUD = str(fixture_path("sample_cloud.json"))
 TILT_30 = tilted_spec(np.pi / 6)
@@ -267,6 +273,41 @@ class TestBoundaryValidation:
         assert code == 2
         assert self.error(capsys)["error"] == "DimMismatch"
 
+    # each size is rejected before anything of that size is allocated;
+    # 10^7 cubed once raised numpy's "array is too big" and the others
+    # its _ArrayMemoryError
+    @pytest.mark.parametrize("argv", [
+        ("reconstruct", "voxels", "--grid-dims", "1000000,1000000,1000000"),
+        ("reconstruct", "voxels", "--grid-dims", "10000000,10000000,10000000"),
+        ("project", "--mode", "voxels", "--image-dims", "1000000"),
+    ])
+    def test_oversized_grid_or_image(self, argv, tmp_path, capsys):
+        grid = VoxelGrid((3, 3, 3), 1.0, (-1, -1, -1), np.ones((3, 3, 3)))
+        ser.save_voxels(grid, tmp_path / "grid.json")
+        (tmp_path / "s.csv").write_text("1.0,2.0\n2.0,3.0\n")
+        extra = (("--sino1", tmp_path / "s.csv", "--sino2", tmp_path / "s.csv")
+                 if argv[0] == "reconstruct" else
+                 ("--input", tmp_path / "grid.json"))
+        out = tmp_path / "out"
+        code = run(*argv, *extra, "--spec1", SPEC_XY, "--spec2", SPEC_YZ,
+                   "--out", out)
+        assert code == 2
+        err = self.error(capsys)
+        assert err["error"] == "SystemTooLarge"
+        assert "bytes, above the 268435456-byte limit" in err["message"]
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("dims, code", [(10, 0), (11, 2)])
+    def test_image_size_limit_is_inclusive(self, dims, code, tmp_path,
+                                           monkeypatch):
+        monkeypatch.setattr(cli, "_DENSE_RANK_BYTES", 800)  # 100 pixels
+        grid = VoxelGrid((3, 3, 3), 1.0, (-1, -1, -1), np.ones((3, 3, 3)))
+        ser.save_voxels(grid, tmp_path / "grid.json")
+        assert run("project", "--input", tmp_path / "grid.json",
+                   "--mode", "voxels", "--image-dims", dims,
+                   "--spec1", SPEC_XY, "--spec2", SPEC_YZ,
+                   "--out", tmp_path / "out") == code
+
     def test_dense_rank_over_limit(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(recon, "_DENSE_RANK_BYTES", 2**9)
         ser.save_spec(TILT_30, tmp_path / "tilt.json")
@@ -471,6 +512,30 @@ class TestDiagnose:
                    "--out", out) == 0
         rep = json.loads((out / "report.json").read_text())
         assert rep["max_curvature_norm"] == 0.0
+
+    def test_curvature_max_over_depth_2(self, tmp_path):
+        # round sphere in (theta, phi): nonzero curvature everywhere, and
+        # the one-sided boundary stencils give other values at the faces
+        header = GridHeader((7, 7, 5), 0.15, (0.6, 0.0, 0.0))
+        X = VectorFieldGrid.constant(header, (1, 0, 0))
+        Y = VectorFieldGrid.constant(header, (0, 1, 0))
+        Z = VectorFieldGrid.from_function(
+            header, lambda x, y, z: (x * y, 1 + x * x, 0 * z))
+        conn = sphere_connection(header)
+        for name, obj in (("x", X), ("y", Y), ("z", Z)):
+            ser.save_vector_field(obj, tmp_path / f"{name}.json")
+        ser.save_connection(conn, tmp_path / "conn.json")
+        out = tmp_path / "out"
+        assert run("diagnose", "curvature", "--field-x", tmp_path / "x.json",
+                   "--field-y", tmp_path / "y.json",
+                   "--field-z", tmp_path / "z.json",
+                   "--connection", tmp_path / "conn.json", "--out", out) == 0
+        got = json.loads((out / "report.json").read_text())
+        norms = np.linalg.norm(curvature(conn, X, Y, Z).samples, axis=-1)
+        depth2 = float(norms[interior_mask(header.dims, depth=2)].max())
+        assert got["max_curvature_norm"] == depth2
+        assert depth2 > 0.1
+        assert abs(float(norms.max()) - depth2) > 1e-3
 
     def test_jacobiator(self, tmp_path):
         out = tmp_path / "out"

@@ -219,6 +219,36 @@ class TestSolveDirection:
             solve_direction([ConstraintRow(omega, rhs), ConstraintRow(
                 np.eye(len(omega))[1])], dim=len(omega))
 
+    @pytest.mark.parametrize("lengths, dim", [((3, 4), 3), ((4, 3), 4),
+                                              ((3, 3), 4), ((4, 4), 3)])
+    def test_omega_length_mismatch(self, lengths, dim):
+        # mixed lengths once leaked numpy's ValueError from np.vstack
+        rows = [ConstraintRow(np.eye(n)[i]) for i, n in enumerate(lengths)]
+        with pytest.raises(DimMismatch, match=f"!= dim {dim}"):
+            solve_direction(rows, dim=dim)
+
+    def test_least_squares_uses_the_rank_cut(self):
+        # singular values 2, 1, 2e-15: rank 2 at the 1e-10 cut, so the
+        # solution is the minimum-norm one of the rank-2 system (0.75,
+        # 0.75, 1); inverting the 2e-15 once gave (-1, 1, 0) / sqrt(2)
+        rows = [ConstraintRow([1, 1, 0], 1.0),
+                ConstraintRow([1, 1 + 4e-15, 0], 2.0),
+                ConstraintRow([0, 0, 1], 1.0)]
+        sol = solve_direction(rows, dim=3)
+        assert sol.nullity == 1
+        np.testing.assert_allclose(sol.v, np.array([0.75, 0.75, 1.0])
+                                   / np.sqrt(2.125), atol=1e-12)
+        assert sol.residual == pytest.approx(np.sqrt(0.5), abs=1e-12)
+
+    @pytest.mark.parametrize("dim", [2, 5])
+    def test_bad_dim(self, dim):
+        with pytest.raises(DimMismatch, match="dim must be 3 or 4"):
+            solve_direction([ConstraintRow([1, 0, 0])], dim=dim)
+
+    def test_empty(self):
+        with pytest.raises(DimMismatch, match="at least one"):
+            solve_direction([], dim=3)
+
 
 def make_sinos(grid, specs, dims):
     return [project_voxels(grid, s, dims) for s in specs]

@@ -6,10 +6,20 @@ from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist
 
 from twoview import toric
-from twoview.errors import AmbiguousDirection, DegenerateCloud, DimMismatch
-from twoview.geometry import PointCloud, coordinate_spec
-from twoview.moments import moment_map, second_moment
-from twoview.recon import ConstraintRow, solve_direction
+from twoview.errors import (
+    AmbiguousDirection,
+    DegenerateCloud,
+    DimMismatch,
+    Inconsistent,
+)
+from twoview.geometry import PointCloud, coordinate_spec, project_points
+from twoview.moments import centroid2d, moment_map, second_moment
+from twoview.recon import (
+    ConstraintRow,
+    _canonical_sign,
+    _direction_core,
+    solve_direction,
+)
 from twoview.toric import (
     CONTINUOUS,
     ToricReport,
@@ -19,7 +29,7 @@ from twoview.toric import (
     rotation_about,
     solve_direction_equivariant,
 )
-from conftest import random_cloud, random_rotation
+from conftest import random_cloud, random_rotation, random_spec
 
 
 def regular_polygon(n, radius=1.0, z=0.0, phase=0.0):
@@ -174,20 +184,43 @@ class TestInvariantMomentCheck:
                                      [0, 0, 1], 6)
         assert val <= 1e-12
 
-    def test_off_axis_cloud_nonzero_with_oracle(self):
+    def test_off_axis_cloud_nonzero_with_oracle(self, rng):
         shifted = PointCloud(hexagon_cloud().positions + [1.0, 0, 0],
                              np.ones(6))
-        spec = coordinate_spec(2)
-        got = invariant_moment_check(shifted, spec, [0, 0, 1], 4)
-        base = moment_map(shifted, spec).centroid
-        worst = 0.0  # direct re-evaluation of every group element
-        for m in range(1, 4):
-            R = rotation_about([0, 0, 1], 2 * np.pi * m / 4)
-            moved = PointCloud(shifted.positions @ R.T, shifted.weights)
-            d = np.linalg.norm(moment_map(moved, spec).centroid - base)
-            worst = max(worst, float(d))
-        assert got == pytest.approx(worst, abs=1e-12)
-        assert got > 0.5
+        cases = [(shifted, coordinate_spec(2), np.array([0, 0, 1.0]), 4)]
+        for _ in range(60):
+            cloud = random_cloud(rng, int(rng.integers(1, 30)))
+            cloud = cloud.translated(rng.uniform(-3, 3, 3))
+            cases.append((cloud, random_spec(rng), rng.standard_normal(3),
+                          int(rng.integers(2, 21))))
+        for cloud, spec, axis, k in cases:
+            base = centroid2d(project_points(cloud, spec)).centroid
+            worst = 0.0  # direct re-evaluation of every group element
+            for m in range(1, k):
+                R = rotation_about(axis, 2 * np.pi * m / k)
+                moved = PointCloud(cloud.positions @ R.T, cloud.weights)
+                d = centroid2d(project_points(moved, spec)).centroid - base
+                worst = max(worst, float(np.linalg.norm(d)))
+            got = invariant_moment_check(cloud, spec, axis, k)
+            assert got == pytest.approx(worst, abs=1e-12)
+        assert invariant_moment_check(shifted, coordinate_spec(2),
+                                      [0, 0, 1], 4) > 0.5
+
+    def test_order_one_is_zero(self):
+        assert invariant_moment_check(hexagon_cloud(), coordinate_spec(0),
+                                      [1, 2, 3], 1) == 0.0
+
+
+class TestMomentMapClosedForm:
+    def test_equals_centroid_of_projection(self, rng):
+        for _ in range(50):
+            cloud = random_cloud(rng, int(rng.integers(1, 40)), scale=3.0)
+            spec = random_spec(rng)
+            mv = moment_map(cloud, spec)
+            ref = centroid2d(project_points(cloud, spec))
+            np.testing.assert_allclose(mv.centroid, ref.centroid, rtol=0,
+                                       atol=1e-12)
+            assert mv.total_mass == ref.total_mass
 
 
 class TestGroupAverage:
@@ -234,6 +267,28 @@ class TestGroupAverage:
     def test_zero_axis(self):
         with pytest.raises(DimMismatch, match="finite and nonzero"):
             group_average([0, 0, 0], 3)
+
+    def test_bitwise_outer_product(self, rng):
+        # each entry of B Bᵀ is one product a_i a_j (plus 0 * 0 in dim 4)
+        for _ in range(50):
+            a = rng.standard_normal(3)
+            u = a / np.linalg.norm(a)
+            np.testing.assert_array_equal(group_average(a, 7), np.outer(u, u))
+            P4 = np.eye(4)
+            P4[:3, :3] = np.outer(u, u)
+            np.testing.assert_array_equal(group_average(a, 7, dim=4), P4)
+
+
+class TestFixedBasis:
+    @pytest.mark.parametrize("dim, f", [(3, 1), (4, 2)])
+    def test_orthonormal_and_fixed(self, dim, f, rng):
+        a = rng.standard_normal(3)
+        B = toric._fixed_basis(a, 5, dim)
+        assert B.shape == (dim, f)
+        np.testing.assert_allclose(B.T @ B, np.eye(f), atol=1e-15)
+        R = np.eye(dim)
+        R[:3, :3] = rotation_about(a, 2 * np.pi / 5)
+        np.testing.assert_allclose(R @ B, B, atol=1e-15)
 
 
 class TestSolveDirectionEquivariant:
@@ -303,3 +358,93 @@ class TestSolveDirectionEquivariant:
     def test_empty_constraints(self):
         with pytest.raises(DimMismatch):
             solve_direction_equivariant([], [0, 0, 1], 4)
+
+    @pytest.mark.parametrize("lengths, dim", [((3, 4), 3), ((4, 3), 4)])
+    def test_omega_length_mismatch(self, lengths, dim):
+        rows = [ConstraintRow(np.eye(n)[i]) for i, n in enumerate(lengths)]
+        with pytest.raises(DimMismatch, match=f"!= dim {dim}"):
+            solve_direction_equivariant(rows, [0, 0, 1], 4, dim=dim)
+
+
+def eigh_reduction(rows, axis, order, dim):
+    """The eigendecomposition-based solver the closed form replaced:
+    (outcome, v or None, nullity, fixed-subspace dim, residual or None).
+    P is the group average a aᵀ (embedded in dim 4), which
+    `TestGroupAverage` checks against the sum over the rotations."""
+    a = np.asarray(axis, dtype=float) / np.linalg.norm(axis)
+    P = np.eye(dim)
+    P[:3, :3] = np.outer(a, a)
+    evals, evecs = np.linalg.eigh(0.5 * (P + P.T))
+    B = evecs[:, evals > 1.0 - 1e-9]
+    f = B.shape[1]
+    reduced = [((r.omega @ P) @ B, r.rhs) for r in rows]
+    kept = [(o, rhs) for o, rhs in reduced if np.linalg.norm(o) > 1e-12]
+    if not kept:
+        if f == 1 and all(r.rhs == 0.0 for r in rows):
+            return "solved", _canonical_sign(B[:, 0]), 1, f, 0.0
+        return "ambiguous", None, f, f, None
+    try:
+        sol = _direction_core(np.array([o for o, _ in kept]),
+                              np.array([rhs for _, rhs in kept]))
+    except AmbiguousDirection as exc:
+        return "ambiguous", None, exc.nullity, f, None
+    except Inconsistent:
+        return "ambiguous", None, 0, f, None
+    v = B @ sol.v
+    return ("solved", _canonical_sign(v / np.linalg.norm(v)), sol.nullity, f,
+            sol.residual)
+
+
+def random_system(rng):
+    """Random constraints with random or coordinate axes, rows that
+    vanish on the fixed subspace, rows whose restrictions are parallel
+    (so homogeneous systems can have a solution) and zero or random rhs."""
+    dim = int(rng.choice([3, 4]))
+    order = int(rng.integers(2, 13))
+    if rng.random() < 0.3:
+        axis = np.eye(3)[rng.integers(3)] * rng.choice([-2.0, 1.0])
+    else:
+        axis = rng.standard_normal(3)
+    a = axis / np.linalg.norm(axis)
+    fixed = np.column_stack([np.append(a, 0.0), np.eye(4)[3]])[:dim, :dim - 2]
+    q = rng.standard_normal(dim - 2)  # one shared restriction direction
+    homogeneous = rng.random() < 0.5
+    rows = []
+    for _ in range(int(rng.integers(1, 6))):
+        kind = rng.integers(3)
+        off = rng.standard_normal(dim)
+        off -= fixed @ (fixed.T @ off)  # vanishes on the fixed subspace
+        if kind == 0:
+            omega = rng.standard_normal(dim)
+        elif kind == 1:
+            omega = off
+        else:
+            omega = rng.uniform(0.5, 2.0) * (fixed @ q) + off
+        rhs = 0.0 if homogeneous else float(rng.standard_normal())
+        rows.append(ConstraintRow(omega, rhs))
+    return rows, axis, order, dim
+
+
+class TestEquivariantAgainstEighReduction:
+    def test_random_systems(self):
+        rng = np.random.default_rng(2024)
+        seen = set()
+        for _ in range(1200):
+            rows, axis, order, dim = random_system(rng)
+            want = eigh_reduction(rows, axis, order, dim)
+            try:
+                sol = solve_direction_equivariant(rows, axis, order, dim)
+                got = ("solved", sol.v, sol.nullity, want[3], sol.residual)
+            except AmbiguousDirection as exc:
+                got = ("ambiguous", None, exc.nullity, exc.fixed_subspace_dim,
+                       None)
+            assert got[0] == want[0] and got[2:4] == want[2:4], (got, want)
+            if got[0] == "solved":
+                np.testing.assert_allclose(got[1], want[1], rtol=0,
+                                           atol=1e-12)
+                assert abs(got[4] - want[4]) <= 1e-12
+            seen.add((dim, got[0], got[2]))
+        # every outcome class the reduction can reach was drawn
+        assert {(3, "solved", 0), (3, "solved", 1), (3, "ambiguous", 0),
+                (3, "ambiguous", 1), (4, "solved", 0), (4, "solved", 1),
+                (4, "ambiguous", 0), (4, "ambiguous", 2)} <= seen
