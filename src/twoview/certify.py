@@ -89,7 +89,7 @@ def check_transversality(spec1: ProjectionSpec, spec2: ProjectionSpec,
     margin is sqrt(1 - |n1 . n2|), not |n1 x n2|: the two vanish together
     but differ elsewhere (0.366 vs 0.5 at 30 degrees).  |n1 x n2| is
     returned alongside it.  The margin depends on the frames alone.
-    Raises DimMismatch when tol is NaN or negative.
+    Raises DimMismatch when tol is NaN, negative or infinite.
     """
     _require_tol(tol)
     D = np.vstack([spec1.u, spec1.w, spec2.u, spec2.w])

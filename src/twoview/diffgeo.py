@@ -363,7 +363,7 @@ def integrability_report(X: VectorFieldGrid, Y: VectorFieldGrid,
                          tol: float | None = None) -> IntegrabilityReport:
     """Aggregate obstruction maxima over interior nodes into a verdict.
 
-    Raises DimMismatch when tol is given and is NaN or negative.
+    Raises DimMismatch when tol is given and is NaN, negative or infinite.
     """
     header = _require_same_header(X, Y, conn)
     if tol is None:

@@ -414,25 +414,30 @@ def projection_operator(grid: VoxelGrid, spec: ProjectionSpec,
     flat = coords.reshape(-1, 2)
     bases = flat[:, 0:1] * spec.u + flat[:, 1:2] * spec.w  # (P, 3)
     data, rows, cols = [], [], []
-    # Blocks of whole t-slices bound the (t, corner, pixel) scratch arrays
-    # and keep the entries in (t, corner, pixel) order, so duplicates are
-    # summed in the same order for every block size.
-    nblocks = -(-ts.size * len(bases) // _MARCH_BLOCK)
-    for tb in np.array_split(ts, nblocks):
-        f = (bases + tb[:, None, None] * spec.n - grid.origin) / h
-        i0 = np.floor(f).astype(int)
-        frac = f - i0
-        base = i0 @ strides
-        wgt = np.moveaxis(_trilinear_weights(frac), -1, 1)  # (t, 8, pixel)
-        col = np.empty(wgt.shape, dtype=base.dtype)
-        for k, corner in enumerate(np.ndindex(2, 2, 2)):
-            idx = i0 + corner
-            wgt[:, k][np.any((idx < 0) | (idx >= dims), axis=-1)] = 0.0
-            col[:, k] = base + strides @ corner
-        sel = wgt > 0
-        data.append(step * wgt[sel])
-        rows.append(np.nonzero(sel)[2])
-        cols.append(col[sel])
+    # Blocks of at most _MARCH_BLOCK samples, a range of t-slices times a
+    # range of pixels, bound the (t, corner, pixel) scratch arrays.  The
+    # pixel ranges run inside each t-range, so every pixel's entries still
+    # arrive in (t, corner) order and duplicates are summed in the same
+    # order for every block size.
+    pstep = min(len(bases), _MARCH_BLOCK)
+    tstep = _MARCH_BLOCK // pstep
+    for t0 in range(0, ts.size, tstep):
+        for p0 in range(0, len(bases), pstep):
+            f = (bases[p0:p0 + pstep] + ts[t0:t0 + tstep, None, None] * spec.n
+                 - grid.origin) / h
+            i0 = np.floor(f).astype(int)
+            frac = f - i0
+            base = i0 @ strides
+            wgt = np.moveaxis(_trilinear_weights(frac), -1, 1)  # (t, 8, pixel)
+            col = np.empty(wgt.shape, dtype=base.dtype)
+            for k, corner in enumerate(np.ndindex(2, 2, 2)):
+                idx = i0 + corner
+                wgt[:, k][np.any((idx < 0) | (idx >= dims), axis=-1)] = 0.0
+                col[:, k] = base + strides @ corner
+            sel = wgt > 0
+            data.append(step * wgt[sel])
+            rows.append(np.nonzero(sel)[2] + p0)
+            cols.append(col[sel])
     return CSR.from_entries(np.concatenate(data), np.concatenate(rows),
                             np.concatenate(cols), shape)
 
@@ -458,10 +463,11 @@ def project_voxels(grid: VoxelGrid, spec: ProjectionSpec,
 
 
 def _require_tol(tol: float) -> None:
-    """Raise DimMismatch unless tol >= 0: a NaN or negative tolerance
-    makes every `<= tol` or `> tol` verdict meaningless."""
-    if not tol >= 0:
-        raise DimMismatch(f"tol must be >= 0, got {tol}")
+    """Raise DimMismatch unless tol is finite and >= 0: a NaN or negative
+    tolerance makes every `<= tol` or `> tol` verdict meaningless, and an
+    infinite one passes everything and is not a JSON number."""
+    if not (tol >= 0 and np.isfinite(tol)):
+        raise DimMismatch(f"tol must be >= 0 and finite, got {tol}")
 
 
 def _cross_norm(spec1: ProjectionSpec, spec2: ProjectionSpec,
@@ -470,7 +476,7 @@ def _cross_norm(spec1: ProjectionSpec, spec2: ProjectionSpec,
 
     Raises NonTransverse when tol is given and |n1 x n2| <= tol, and
     DimMismatch when tol is NaN or negative, which would pass coaxial
-    frames.
+    frames, or infinite.
     """
     if tol is not None:
         _require_tol(tol)

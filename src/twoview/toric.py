@@ -2,10 +2,12 @@
 
 A finite cyclic (or continuous) rotation group about an axis stands in
 for the abstract symmetry group: candidate axes come from the second
-moment of the cloud and invariance is checked by rotate-and-match.  The
-fixed subspace of the action has a closed-form orthonormal basis, whose
-projector is the group average; the equivariant solver restricts the
-constraint rows to it and shares the plain solver's core.
+moment of the cloud and invariance is checked by rotate-and-match, a
+fixed-radius near-neighbour question that a numpy cell grid decides
+exactly; scipy's k-d tree is loaded only to score rotations when none
+matches.  The fixed subspace of the action has a closed-form orthonormal
+basis, whose projector is the group average; the equivariant solver
+restricts the constraint rows to it and shares the plain solver's core.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from .recon import (
 )
 
 CONTINUOUS = "continuous"
-_DIAMETER_BLOCK = 2**18  # pairwise distances per `_diameter` block
+_DIAMETER_BLOCK = 2**18  # pairwise distances per block of a distance scan
 
 
 @dataclass(frozen=True)
@@ -62,25 +64,137 @@ def rotation_about(axis, angle: float) -> np.ndarray:
     return np.eye(3) + np.sin(angle) * K + (1 - np.cos(angle)) * (K @ K)
 
 
+def _distances(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Euclidean distances between the broadcast rows of u and v, summed
+    as (dx*dx + dy*dy) + dz*dz, the order scipy's dense distances and
+    k-d tree use, so each is bitwise theirs."""
+    d = u - v
+    return np.sqrt(d[..., 0] * d[..., 0] + d[..., 1] * d[..., 1]
+                   + d[..., 2] * d[..., 2])
+
+
 def _matching_residual(tree, rotated: np.ndarray) -> float:
     """One-sided nearest-neighbour displacement, max over rotated points.
 
     `tree` is a `scipy.spatial.cKDTree` of the unrotated points; its exact
-    (eps = 0) Euclidean query returns the same distances as
-    `cdist(rotated, points).min(axis=1)`, without the N x N matrix.
+    (eps = 0) Euclidean query returns the dense nearest-neighbour
+    distances bitwise, without the N x N matrix.  Only `detect_axis`'s
+    branch where no candidate matches calls it.
     """
     dist, _ = tree.query(rotated)
     return float(dist.max())
 
 
 def _diameter(pts: np.ndarray) -> float:
-    """Largest pairwise distance, from row blocks of at most
-    _DIAMETER_BLOCK distances each, so memory stays linear in len(pts)."""
-    from scipy.spatial.distance import cdist
+    """Largest pairwise distance, bitwise the dense all-pairs maximum.
 
-    step = max(1, _DIAMETER_BLOCK // len(pts))
-    return max(float(np.max(cdist(pts[i:i + step], pts)))
-               for i in range(0, len(pts), step))
+    Farthest-point sweeps give a lower bound L, itself a distance between
+    two of the points.  With r_i the distance from the centroid and
+    R = max r_i, a longer pair has r + R > L at both ends, so the all-pairs
+    maximum runs only over those points, in row blocks of at most
+    _DIAMETER_BLOCK distances.  The margin covers rounding relative to the
+    lengths and the absolute rounding of subnormal squares.
+    """
+    r = _distances(pts, pts.mean(axis=0))
+    R = float(r.max())
+    i, L = int(np.argmax(r)), 0.0
+    for _ in range(4):
+        d = _distances(pts, pts[i])
+        j = int(np.argmax(d))
+        if not d[j] > L:
+            break
+        i, L = j, float(d[j])
+    if L == np.inf:
+        return L
+    far = pts[r + R >= L - (16 * np.finfo(float).eps * (R + L) + 1e-150)]
+    step = max(1, _DIAMETER_BLOCK // max(1, len(far)))
+    return max([L] + [float(np.max(_distances(far[a:a + step, None], far)))
+                      for a in range(0, len(far), step)])
+
+
+class _CellGrid:
+    """Points bucketed in cubic cells of one side, sorted by cell key, for
+    fixed-radius matching (Bentley, Stanat & Williams, 1977).
+
+    With side >= 2 * radius, a point within `radius` of a query lies in
+    the 3 x 3 x 3 cells around the query's cell: the two cell coordinates
+    differ by at most radius / side <= 1/2 plus rounding far below the
+    other half.  Query cells are clipped to one cell beyond the occupied
+    range, which only adds cells to scan.  A side of at least
+    diameter / 2**20 keeps the int64 keys below 2**61.
+    """
+
+    def __init__(self, pts: np.ndarray, side: float):
+        self.lo, self.side = pts.min(axis=0), side
+        cells = self._cells(pts)
+        self.top = cells.max(axis=0) + 1  # one cell beyond the occupied
+        self.base = int(self.top.max()) + 4  # shifted query neighbours < base
+        keys = self._key(cells + 2)
+        order = np.argsort(keys, kind="stable")
+        self.keys, self.pts = keys[order], pts[order]
+
+    def _cells(self, pts: np.ndarray) -> np.ndarray:
+        return np.floor((pts - self.lo) / self.side)
+
+    def _key(self, cells: np.ndarray) -> np.ndarray:
+        c = cells.astype(np.int64)
+        return (c[..., 0] * self.base + c[..., 1]) * self.base + c[..., 2]
+
+    def _ranges(self, queries: np.ndarray):
+        """The queries sorted by cell key, with (m, 9) start and stop
+        indices into the sorted points: for each of the 3 x 3 neighbour
+        columns, the cells z - 1 .. z + 1 are one run of keys.  Keys are
+        linear in the cell, so each column's needles stay sorted, which
+        `np.searchsorted` walks far faster than scattered ones."""
+        key = self._key(np.clip(self._cells(queries), -1, self.top) + 2)
+        order = np.argsort(key)
+        b = self.base
+        mid = key[order] + np.array([(dx * b + dy) * b for dx in (-1, 0, 1)
+                                     for dy in (-1, 0, 1)])[:, None]
+        return (queries[order],
+                np.searchsorted(self.keys, mid - 1, side="left").T,
+                np.searchsorted(self.keys, mid + 1, side="right").T)
+
+    def residual_within(self, queries: np.ndarray, radius: float):
+        """Max over the queries of the distance to their nearest point when
+        every query has a point within `radius`, else None.
+
+        Queries go in blocks that double from 256 up to _DIAMETER_BLOCK / 9
+        and distances in blocks of at most _DIAMETER_BLOCK pairs; the scan
+        stops at the first block that completes a query without a point
+        within `radius`, so a candidate that fails almost everywhere costs
+        one small block.
+        """
+        qstep = max(1, _DIAMETER_BLOCK // 9)
+        worst, a, size = 0.0, 0, min(256, qstep)
+        while a < len(queries):
+            q, start, stop = self._ranges(queries[a:a + size])
+            a, size = a + size, min(2 * size, qstep)
+            count = stop - start
+            if not count.sum(axis=1).all():
+                return None  # nothing in any cell a partner could lie in
+            start, count = start.ravel(), count.ravel()
+            end = np.cumsum(count)
+            query_end = end[8::9]
+            best = np.full(len(q), np.inf)
+            done = 0
+            for t0 in range(0, int(end[-1]), _DIAMETER_BLOCK):
+                t = np.arange(t0, min(t0 + _DIAMETER_BLOCK, int(end[-1])))
+                run = np.searchsorted(end, t, side="right")
+                qi = run // 9
+                d = _distances(q[qi], self.pts[start[run] + t - end[run]
+                                               + count[run]])
+                first = np.flatnonzero(np.diff(qi, prepend=-1))
+                seg = qi[first]
+                best[seg] = np.minimum(best[seg],
+                                       np.minimum.reduceat(d, first))
+                now = int(np.searchsorted(query_end, t[-1] + 1,
+                                          side="right"))
+                if np.any(best[done:now] > radius):
+                    return None
+                done = now
+            worst = max(worst, float(best.max()))
+        return worst
 
 
 def detect_axis(cloud: PointCloud, orders, tol: float = 1e-8) -> ToricReport:
@@ -92,10 +206,16 @@ def detect_axis(cloud: PointCloud, orders, tol: float = 1e-8) -> ToricReport:
     candidates whose residual passes tol the highest order wins (the
     finest symmetry); otherwise the overall minimum residual is reported.
     A repeated eigenvalue pair flags a continuous symmetry.  Raises
-    DimMismatch when an order is below 2 or tol is NaN or negative.
-    """
-    from scipy.spatial import cKDTree
+    DimMismatch when an order is below 2 or tol is NaN, negative or
+    infinite.
 
+    A candidate passes when every rotated point has a partner within
+    max(tol, tol * diameter), a fixed-radius question a `_CellGrid` at
+    that radius answers exactly with numpy, and the residuals it reports
+    are bitwise the nearest-neighbour ones.  Only when no candidate passes
+    does the report need failing residuals, which `_matching_residual`
+    takes from a `scipy.spatial.cKDTree`.
+    """
     orders = [int(k) for k in orders]
     if any(k < 2 for k in orders):
         raise DimMismatch("symmetry orders must be >= 2")
@@ -122,20 +242,27 @@ def detect_axis(cloud: PointCloud, orders, tol: float = 1e-8) -> ToricReport:
     pair = int(np.argmin(gaps))
     lone = order_s[2] if pair == 0 else order_s[0]
     cont_axis = _canonical_sign(evecs[:, lone])
-    tree = cKDTree(centered)
-    candidates = []
-    for ci in range(3):
-        axis = _canonical_sign(evecs[:, ci])
-        for k in orders:
-            R = rotation_about(axis, 2 * np.pi / k)
-            rotated = centered @ R.T
-            res = _matching_residual(tree, rotated)
-            candidates.append((res, k, tuple(axis)))
-    passing = [c_ for c_ in candidates if c_[0] <= match_tol]
+    trials = [(tuple(_canonical_sign(evecs[:, ci])), k)
+              for ci in range(3) for k in orders]
+
+    def rotated(axis, k):
+        return centered @ rotation_about(axis, 2 * np.pi / k).T
+
+    grid = _CellGrid(centered, max(2 * match_tol, diam * 2.0**-20))
+    passing = []
+    for axis, k in trials:
+        res = grid.residual_within(rotated(axis, k), match_tol)
+        if res is not None:
+            passing.append((res, k, axis))
     if passing:
         # finest symmetry first, then smaller residual, then axis order
         res, k, axis = min(passing, key=lambda c_: (-c_[1], c_[0], c_[2]))
         return ToricReport(np.asarray(axis), k, res, 1, continuous)
+    from scipy.spatial import cKDTree
+
+    tree = cKDTree(centered)
+    candidates = [(_matching_residual(tree, rotated(axis, k)), k, axis)
+                  for axis, k in trials]
     if continuous:
         # no discrete order matched but the moment is rotation-degenerate
         best = min(c_ for c_ in candidates if c_[2] == tuple(cont_axis))

@@ -376,6 +376,45 @@ class TestBoundaryValidation:
         assert "tol must be >= 0" in err["message"]
         assert list(out.iterdir()) == []
 
+    SPECS = ("--spec1", SPEC_XY, "--spec2", SPEC_YZ)
+    INFINITE_TOL = {
+        "project": ("project", "--input", CLOUD, "--check-transversal",
+                    *SPECS, "--tol", "inf"),
+        "reconstruct-points": ("reconstruct", "points",
+                               "--image1", "{proj}/image1.json",
+                               "--image2", "{proj}/image2.json",
+                               *SPECS, "--tol", "inf"),
+        "reconstruct-voxels": ("reconstruct", "voxels",
+                               "--sino1", "{proj}/s.csv",
+                               "--sino2", "{proj}/s.csv",
+                               "--grid-dims", "2,2,2", *SPECS,
+                               "--tol", "inf"),
+        "certify-tol": (*CERTIFY, "--tol", "inf"),
+        "certify-tol-int": (*CERTIFY, "--tol-int", "inf"),
+        "noise-study": ("noise-study", "--input", CLOUD, *SPECS,
+                        "--sigmas", "0.01", "--tol", "inf"),
+        "toric-detect": ("toric", "detect", "--input", CLOUD,
+                         "--orders", "2,3", "--tol", "inf"),
+        "hantjies-tol-int": (*HANTJIES, "--tol-int", "inf"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(INFINITE_TOL))
+    def test_infinite_tol(self, case, tmp_path, capsys):
+        # inf once passed every verdict and wrote Infinity, which is not
+        # JSON, into certificate.json and report.json
+        proj = tmp_path / "proj"
+        assert run("project", "--input", CLOUD, *self.SPECS,
+                   "--out", proj) == 0
+        (proj / "s.csv").write_text("1.0,2.0\n2.0,3.0\n")
+        capsys.readouterr()
+        out = tmp_path / "out"
+        argv = [str(a).format(proj=proj) for a in self.INFINITE_TOL[case]]
+        assert run(*argv, "--out", out) == 2
+        err = self.error(capsys)
+        assert err["error"] == "DimMismatch"
+        assert "tol must be >= 0 and finite, got inf" in err["message"]
+        assert list(out.iterdir()) == []
+
     @pytest.mark.parametrize("dims", ["-2", "0"])
     def test_bad_image_dims(self, dims, tmp_path, capsys):
         # -2 ended in a raw ValueError; 0 was taken as "use the default"
@@ -1008,7 +1047,8 @@ def scipy_modules(*argv, code=_LIST_SCIPY):
 
 class TestImportGraph:
     """Each op imports only the scipy it runs, which is none but for
-    `toric detect`; `src/twoview` has no module-level scipy import."""
+    `toric detect` when no candidate rotation matches; `src/twoview` has
+    no module-level scipy import."""
 
     def test_import_cli_loads_no_scipy(self):
         code = ("import json, sys, twoview.cli; print(json.dumps("
@@ -1056,10 +1096,20 @@ class TestImportGraph:
         assert scipy_modules(*argv) == set()
         assert (tmp_path / "out" / "system.mtx").exists() == matrix_market
 
-    def test_toric_detect_loads_spatial(self, tmp_path):
+    def test_toric_detect_on_a_symmetric_cloud_loads_no_scipy(self,
+                                                             tmp_path):
         ang = 2 * np.pi * np.arange(6) / 6
         pts = np.column_stack([np.cos(ang), np.sin(ang), np.zeros(6)])
         ser.save_cloud(PointCloud(pts, np.ones(6)), tmp_path / "hex.json")
-        assert "scipy.spatial" in scipy_modules(
+        assert scipy_modules(
             "toric", "detect", "--input", tmp_path / "hex.json",
-            "--orders", "2,3,4,6", "--out", tmp_path / "out")
+            "--orders", "2,3,4,6", "--out", tmp_path / "out") == set()
+
+    def test_toric_detect_without_a_matching_order_loads_spatial(self,
+                                                                 tmp_path):
+        # the report then needs the exact residual of failing rotations
+        pts = np.random.default_rng(1).standard_normal((30, 3))
+        ser.save_cloud(PointCloud(pts, np.ones(30)), tmp_path / "cloud.json")
+        assert "scipy.spatial" in scipy_modules(
+            "toric", "detect", "--input", tmp_path / "cloud.json",
+            "--orders", "2,3", "--out", tmp_path / "out")

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -171,6 +173,38 @@ class TestProjectionOperator:
         for attr in ("indptr", "indices", "data"):
             np.testing.assert_array_equal(getattr(blocked, attr),
                                           getattr(whole, attr))
+
+    @pytest.mark.parametrize("block", [3, 37])
+    def test_pixel_ranges_below_one_t_slice_keep_entries(self, block, rng,
+                                                         monkeypatch):
+        # 99 pixels per t-slice: each slice splits into pixel ranges
+        grid = VoxelGrid((4, 5, 3), 0.5, (0.1, -0.3, 0.2),
+                         rng.uniform(0, 1, (4, 5, 3)))
+        specs = [tilted_spec(np.radians(30))] + [random_spec(rng)
+                                                 for _ in range(3)]
+        whole = [projection_operator(grid, spec, (9, 11)) for spec in specs]
+        monkeypatch.setattr(geometry, "_MARCH_BLOCK", block)
+        for spec, ref in zip(specs, whole):
+            split = projection_operator(grid, spec, (9, 11))
+            for attr in ("indptr", "indices", "data"):
+                np.testing.assert_array_equal(getattr(split, attr),
+                                              getattr(ref, attr))
+
+    def test_ray_march_scratch_is_bounded_below_one_t_slice(self,
+                                                            monkeypatch):
+        # a 64 x 64 t-slice once went into one block whatever its size:
+        # about 1.8 MB of scratch at 1024 samples per block
+        monkeypatch.setattr(geometry, "_MARCH_BLOCK", 1024)
+        grid = VoxelGrid((3, 3, 3), 1.0, (-1, -1, -1), np.ones((3, 3, 3)))
+        tracemalloc.start()
+        try:
+            op = projection_operator(grid, tilted_spec(np.radians(30)),
+                                     (64, 64))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert op.shape == (4096, 27)
+        assert peak < 1.0 * 2**20
 
     def test_axis_aligned_rows_are_spacing_per_voxel(self):
         grid = VoxelGrid((3, 4, 5), 0.3, (0, 0, 0), np.zeros((3, 4, 5)))

@@ -177,6 +177,187 @@ class TestNearestNeighbourMatching:
         assert peak < 64 * 2**20
 
 
+def reference_detect_axis(cloud, orders, tol=1e-8):
+    """The `cKDTree`/`cdist` detector the numpy cell grid replaced, with
+    every candidate scored by its exact nearest-neighbour residual:
+    (report, branch), branch one of "pass", "continuous", "no-pass"."""
+    orders = [int(k) for k in orders]
+    if any(k < 2 for k in orders):
+        raise DimMismatch("symmetry orders must be >= 2")
+    if not tol >= 0:
+        raise DimMismatch(f"tol must be >= 0, got {tol}")
+    pts = cloud.positions
+    if len(cloud) < 3:
+        raise DegenerateCloud("need at least 3 points")
+    centered = pts - (cloud.weights @ pts / cloud.total_mass)
+    evals, evecs = second_moment(cloud).eigen()
+    if np.linalg.matrix_rank(centered, tol=1e-10) < 2:
+        raise DegenerateCloud("points are collinear")
+    scale = max(float(evals[-1]), 1e-300)
+    step = max(1, 2**18 // len(pts))
+    diam = max(float(np.max(cdist(pts[i:i + step], pts)))
+               for i in range(0, len(pts), step))
+    match_tol = max(tol, tol * diam)
+    order_s = np.argsort(evals)
+    gaps = np.abs(np.diff(evals[order_s]))
+    continuous = bool(np.min(gaps) <= tol * scale)
+    lone = order_s[2] if int(np.argmin(gaps)) == 0 else order_s[0]
+    cont_axis = _canonical_sign(evecs[:, lone])
+    tree = cKDTree(centered)
+    candidates = []
+    for ci in range(3):
+        axis = _canonical_sign(evecs[:, ci])
+        for k in orders:
+            rotated = centered @ rotation_about(axis, 2 * np.pi / k).T
+            candidates.append((float(tree.query(rotated)[0].max()), k,
+                               tuple(axis)))
+    passing = [c_ for c_ in candidates if c_[0] <= match_tol]
+    if passing:
+        res, k, axis = min(passing, key=lambda c_: (-c_[1], c_[0], c_[2]))
+        return ToricReport(np.asarray(axis), k, res, 1, continuous), "pass"
+    if continuous:
+        best = min(c_ for c_ in candidates if c_[2] == tuple(cont_axis))
+        return (ToricReport(np.asarray(cont_axis), CONTINUOUS, best[0], 1,
+                            True), "continuous")
+    res, k, axis = min(candidates)
+    return ToricReport(np.asarray(axis), k, res, 1, False), "no-pass"
+
+
+def report_key(rep):
+    return (rep.order, tuple(rep.axis.tolist()), rep.invariance_residual,
+            rep.continuous, rep.fixed_subspace_dim)
+
+
+def assert_detect_matches_reference(pts, orders, tol, weights=None):
+    """Both detectors give the same report, the residual bitwise, or raise
+    the same error type; returns the reference's branch or error name."""
+    cloud = PointCloud(pts, np.ones(len(pts)) if weights is None
+                       else weights)
+    try:
+        want, branch = reference_detect_axis(cloud, orders, tol)
+    except (DimMismatch, DegenerateCloud) as exc:
+        with pytest.raises(type(exc)):
+            detect_axis(cloud, orders, tol)
+        return type(exc).__name__
+    assert report_key(detect_axis(cloud, orders, tol)) == report_key(want)
+    return branch
+
+
+def symmetric_points(rng, n, k, noise=0.0):
+    """n // k random points (at least one) and their k - 1 turns about z,
+    jittered by `noise`."""
+    base = rng.standard_normal((max(1, n // k), 3)) * [1.0, 1.0, 0.5]
+    pts = np.vstack([base @ rotation_about([0, 0, 1], 2 * np.pi * m / k).T
+                     for m in range(k)])
+    return pts + noise * rng.standard_normal(pts.shape)
+
+
+def random_detect_case(rng):
+    """(points, orders, tol) over every branch: exact and jittered k-fold
+    clouds (k = 2..6), Gaussian clouds, coplanar rings and polygons,
+    duplicated points, collinear and two-point clouds, moved by a random
+    rotation, scale and offset up to 1e12."""
+    kind = rng.integers(8)
+    k = int(rng.integers(2, 7))
+    n = int(rng.integers(3, 150))
+    if kind == 0:
+        pts = symmetric_points(rng, n, k)
+    elif kind == 1:
+        pts = symmetric_points(rng, n, k, 10.0 ** rng.uniform(-9, -1))
+    elif kind == 2:
+        pts = rng.standard_normal((n, 3))
+    elif kind == 3:  # coplanar rings, some of them regular polygons
+        pts = np.vstack([regular_polygon(int(rng.integers(3, 13)),
+                                         radius=rng.uniform(0.5, 2),
+                                         phase=rng.uniform(0, 6))
+                         for _ in range(int(rng.integers(1, 4)))])
+    elif kind == 4:  # duplicated points
+        pts = symmetric_points(rng, n, k)
+        pts = np.vstack([pts, pts[rng.integers(0, len(pts), 5)]])
+    elif kind == 5:
+        pts = regular_polygon(k * int(rng.integers(1, 8)))
+    elif kind == 6:
+        pts = np.outer(rng.standard_normal(n), rng.standard_normal(3))
+    else:
+        pts = rng.standard_normal((int(rng.integers(1, 3)), 3))
+    pts = (pts @ random_rotation(rng).T * 10.0 ** rng.uniform(-3, 3)
+           + rng.uniform(-1, 1, 3) * 10.0 ** rng.choice([0, 3, 6, 12]))
+    orders = sorted(set(rng.integers(2, 7, size=3).tolist()))
+    return pts, orders, float(10.0 ** rng.uniform(-8, -1))
+
+
+class TestDetectAxisAgainstKDTreeReference:
+    def test_random_clouds(self):
+        rng = np.random.default_rng(14)
+        seen = [assert_detect_matches_reference(*random_detect_case(rng))
+                for _ in range(300)]
+        assert set(seen) == {"pass", "continuous", "no-pass",
+                             "DegenerateCloud"}
+
+    def test_pair_and_query_blocks(self, monkeypatch):
+        # 3 queries per block and 31 pairs per distance block
+        monkeypatch.setattr(toric, "_DIAMETER_BLOCK", 31)
+        rng = np.random.default_rng(5)
+        seen = {assert_detect_matches_reference(*random_detect_case(rng))
+                for _ in range(60)}
+        assert {"pass", "no-pass"} <= seen
+
+    def test_tol_a_few_ulps_either_side_of_the_residual(self):
+        rng = np.random.default_rng(7)
+        seen = set()
+        for scale in (0.1, 1.0, 30.0):
+            pts = symmetric_points(rng, 60, 6, 1e-4) * scale
+            cloud = PointCloud(pts, np.ones(len(pts)))
+            rep, _ = reference_detect_axis(cloud, [6], 1.0)
+            diam = cdist(pts, pts).max()
+            tol0 = rep.invariance_residual / max(diam, 1.0)
+            for steps in range(-3, 4):
+                tol = tol0
+                for _ in range(abs(steps)):
+                    tol = np.nextafter(tol, np.sign(steps) * np.inf)
+                seen.add(assert_detect_matches_reference(pts, [6], tol))
+        # a 6-fold cloud's in-plane moment is isotropic: when 6 fails,
+        # the report is the continuous one
+        assert seen == {"pass", "continuous"}
+
+    @pytest.mark.parametrize("offset", [1e6, 1e12])
+    def test_large_offsets(self, offset, rng):
+        pts = symmetric_points(rng, 120, 4) + offset * rng.uniform(-1, 1, 3)
+        for tol in (1e-8, 1e-5, 1e-3):
+            assert_detect_matches_reference(pts, [2, 3, 4], tol)
+
+    @pytest.mark.parametrize("tol", [1e300, 1e308])
+    def test_tolerance_beyond_the_cloud(self, tol, rng):
+        # every rotation matches; at 1e308 tol * diameter overflows to inf
+        for pts in (symmetric_points(rng, 90, 3) * 5.0,
+                    rng.standard_normal((40, 3))):
+            assert assert_detect_matches_reference(pts, [2, 3, 5],
+                                                   tol) == "pass"
+
+    def test_symmetric_cloud_needs_no_kdtree(self, monkeypatch):
+        def no_tree(*args):
+            raise AssertionError("the k-d tree path ran")
+
+        monkeypatch.setattr(toric, "_matching_residual", no_tree)
+        rep = detect_axis(PointCloud(symmetric_points(
+            np.random.default_rng(3), 600, 6), np.ones(600)), [2, 3, 4, 6])
+        assert rep.order == 6
+
+    def test_diameter_bitwise_on_rings_duplicates_and_offsets(self, rng):
+        ring = regular_polygon(500)
+        clouds = [ring, np.vstack([ring, ring[:50]]),
+                  np.vstack([regular_polygon(12, radius=r)
+                             for r in (1.0, 1.0 - 1e-15, 0.5)]),
+                  hexagon_cloud().positions, np.repeat([[1.0, 2, 3]], 4, 0),
+                  rng.standard_normal((400, 3)) + 1e12,
+                  rng.standard_normal((300, 3)) * 1e-100,
+                  rng.uniform(-1, 1, (300, 3)) * [1e6, 1.0, 1e-6]]
+        for _ in range(40):
+            clouds.append(random_detect_case(rng)[0])
+        for pts in clouds:
+            assert toric._diameter(pts) == cdist(pts, pts).max()
+
+
 class TestInvariantMomentCheck:
     def test_symmetric_cloud_zero(self):
         # viewing along the axis, a centered hexagon moves nowhere
