@@ -2,10 +2,12 @@
 
 A reconstruction is certified unique exactly when (a) the moment-map
 differentials of the two projections are jointly full rank on the
-translation directions, and (b) the sampled distribution is integrable
-(both obstruction diagnostics below tolerance).  The certificate is the
-conjunction of the two checks and never claims uniqueness when either
-fails.
+translation directions, with margin |n1 x n2| above tolerance, and (b)
+the sampled distribution is integrable (both obstruction diagnostics
+below tolerance).  The certificate is the conjunction of the two checks
+and never claims uniqueness when either fails.  The margin is the one
+every other transversality gate reads (`geometry._cross_norm`), so a
+pair that triangulates at a tolerance also passes (a) at it.
 """
 
 from __future__ import annotations
@@ -27,16 +29,13 @@ from .moments import moment_map
 
 @dataclass(frozen=True)
 class TransversalityCheck:
-    """Smallest singular value of the stacked moment differentials, which
-    decides `transversal`, plus |n1 x n2| for reference."""
+    """The margin |n1 x n2| and its verdict, transversal when > tol."""
 
-    sigma_min: float
     cross_norm: float
     transversal: bool
 
     def to_dict(self) -> dict:
-        return {"sigma_min": self.sigma_min, "cross_norm": self.cross_norm,
-                "pass": self.transversal}
+        return {"cross_norm": self.cross_norm, "pass": self.transversal}
 
 
 @dataclass(frozen=True)
@@ -83,20 +82,19 @@ def check_transversality(spec1: ProjectionSpec, spec2: ProjectionSpec,
     """Joint rank of the two moment-map differentials under translations.
 
     Translating the object by t moves the moment pair by
-    (t.u1, t.w1, t.u2, t.w2); the 4x3 matrix of those covectors has full
-    rank iff the viewing directions are non-coaxial, and its smallest
-    singular value is the reported margin, transversal when > tol.  That
-    margin is sqrt(1 - |n1 . n2|), not |n1 x n2|: the two vanish together
-    but differ elsewhere (0.366 vs 0.5 at 30 degrees).  |n1 x n2| is
-    returned alongside it.  The margin depends on the frames alone.
-    Raises DimMismatch when tol is NaN, negative or infinite.
+    (t.u1, t.w1, t.u2, t.w2); the 4x3 matrix D of those covectors has
+    singular values sqrt(2), sqrt(1 + |c|) and sqrt(1 - |c|), c = n1 . n2,
+    so it has full rank iff the viewing directions are non-coaxial.  The
+    margin is |n1 x n2|, the product of the two smaller ones: it vanishes
+    exactly when D loses rank, lies between the smallest and sqrt(2) times
+    it, and is the margin `triangulate` and every CLI gate read, so the
+    verdict (transversal when > tol) agrees with theirs.  It depends on the
+    frames alone.  Raises DimMismatch when tol is NaN, negative or
+    infinite.
     """
     _require_tol(tol)
-    D = np.vstack([spec1.u, spec1.w, spec2.u, spec2.w])
-    svals = np.linalg.svd(D, compute_uv=False)
-    sigma_min = float(svals[-1])
-    return TransversalityCheck(sigma_min, _cross_norm(spec1, spec2),
-                               sigma_min > tol)
+    cn = _cross_norm(spec1, spec2)
+    return TransversalityCheck(cn, cn > tol)
 
 
 def certificate(spec1: ProjectionSpec, spec2: ProjectionSpec,

@@ -474,6 +474,11 @@ def _cross_norm(spec1: ProjectionSpec, spec2: ProjectionSpec,
                tol: float | None = None) -> float:
     """|n1 x n2|, the sine of the angle between two viewing directions.
 
+    This is the one transversality margin: triangulation, the noise
+    amplification, the CLI gates and the uniqueness certificate all read
+    it.  It vanishes exactly when the two frames see along one axis, and
+    the triangulation map M has |M|_F^2 = 1/2 + 2 / |n1 x n2|^2.
+
     Raises NonTransverse when tol is given and |n1 x n2| <= tol, and
     DimMismatch when tol is NaN or negative, which would pass coaxial
     frames, or infinite.

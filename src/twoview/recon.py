@@ -12,7 +12,8 @@ axis-aligned views) make each component the incidence matrix of a
 connected bipartite pixel graph, of rank #pixels - 1; every other
 component is densified alone, under a memory limit, and ranked by its
 singular values.  The noise study measures how planar noise amplifies
-through triangulation against the 1/|n1 x n2| geometric bound.
+through triangulation against the first-order factor 1/|n1 x n2|, where
+|n1 x n2| is the transversality margin every gate reads.
 """
 
 from __future__ import annotations
@@ -522,10 +523,13 @@ def noise_study(cloud: PointCloud, spec1: ProjectionSpec,
     triangulates with the 3x4 map `reconstruct_cloud` applies, and records
     the per-trial RMSE against the ground-truth cloud.  Each trial's RNG
     stream derives solely from (seed, trial), so results do not depend on
-    execution order.  predicted_bound is the geometric amplification
-    kappa * sigma with kappa = 1 / |n1 x n2|.  Raises DimMismatch unless
-    sigma is finite and >= 0, trials >= 1 and seed >= 0, and when the
-    noise overflows to a non-finite error.
+    execution order.  predicted_bound is the first-order geometric
+    amplification kappa * sigma with kappa = 1 / |n1 x n2|, not an upper
+    bound: over many points and trials the root mean squared error is
+    sigma * |M|_F = sigma * sqrt(1/2 + 2 / |n1 x n2|^2) for the
+    triangulation map M, which exceeds kappa * sigma for every pair.
+    Raises DimMismatch unless sigma is finite and >= 0, trials >= 1 and
+    seed >= 0, and when the noise overflows to a non-finite error.
     """
     if not (np.isfinite(sigma) and sigma >= 0):
         raise DimMismatch(f"sigma must be finite and >= 0, got {sigma}")

@@ -21,6 +21,7 @@ from .errors import (
     DegenerateCloud,
     DimMismatch,
     Inconsistent,
+    InputError,
 )
 from .geometry import PointCloud, ProjectionSpec, _require_tol
 from .moments import centroid3d, second_moment
@@ -214,7 +215,8 @@ def detect_axis(cloud: PointCloud, orders, tol: float = 1e-8) -> ToricReport:
     that radius answers exactly with numpy, and the residuals it reports
     are bitwise the nearest-neighbour ones.  Only when no candidate passes
     does the report need failing residuals, which `_matching_residual`
-    takes from a `scipy.spatial.cKDTree`.
+    takes from a `scipy.spatial.cKDTree`; InputError names that missing
+    dependency when scipy.spatial cannot be imported.
     """
     orders = [int(k) for k in orders]
     if any(k < 2 for k in orders):
@@ -258,7 +260,12 @@ def detect_axis(cloud: PointCloud, orders, tol: float = 1e-8) -> ToricReport:
         # finest symmetry first, then smaller residual, then axis order
         res, k, axis = min(passing, key=lambda c_: (-c_[1], c_[0], c_[2]))
         return ToricReport(np.asarray(axis), k, res, 1, continuous)
-    from scipy.spatial import cKDTree
+    try:
+        from scipy.spatial import cKDTree
+    except ImportError as exc:
+        raise InputError(
+            "no candidate rotation matches, and scoring the failing ones "
+            f"needs scipy.spatial, which cannot be imported: {exc}") from exc
 
     tree = cKDTree(centered)
     candidates = [(_matching_residual(tree, rotated(axis, k)), k, axis)

@@ -26,42 +26,47 @@ class TestCheckTransversality:
     def test_orthogonal_planes(self):
         chk = check_transversality(XY, YZ)
         assert chk.transversal
-        assert chk.sigma_min == pytest.approx(1.0, abs=1e-12)
         assert chk.cross_norm == pytest.approx(1.0, abs=1e-12)
 
     def test_coaxial(self):
         chk = check_transversality(XY, XY)
         assert not chk.transversal
-        assert chk.sigma_min == pytest.approx(0.0, abs=1e-12)
         assert chk.cross_norm == pytest.approx(0.0, abs=1e-12)
 
     def test_thirty_degrees(self):
+        # the margin is |n1 x n2| = 0.5, not the smallest singular value
+        # of D, sqrt(1 - cos 30) = 0.366, so tol 0.4 passes and 0.6 fails
         theta = np.pi / 6
-        chk = check_transversality(XY, tilted_spec(theta))
+        chk = check_transversality(XY, tilted_spec(theta), 0.4)
         assert chk.cross_norm == pytest.approx(np.sin(theta), abs=1e-12)
-        assert chk.sigma_min == pytest.approx(
-            np.sqrt(1 - np.cos(theta)), abs=1e-12)
+        assert chk.transversal
+        assert not check_transversality(XY, tilted_spec(theta),
+                                        0.6).transversal
 
     def test_sigma_cross_relation(self, rng):
-        # sigma_min^2 == 1 - |n1 . n2| for any pair of orthonormal frames
+        # D = [u1; w1; u2; w2] has singular values sqrt(2), sqrt(1 + |c|)
+        # and sqrt(1 - |c|) with c = n1 . n2, so it loses rank exactly when
+        # |n1 x n2| vanishes
         for _ in range(20):
             s1, s2 = random_spec(rng), random_spec(rng)
-            chk = check_transversality(s1, s2)
-            assert chk.sigma_min ** 2 == pytest.approx(
-                1 - abs(s1.n @ s2.n), abs=1e-10)
+            c = abs(s1.n @ s2.n)
+            D = np.vstack([s1.u, s1.w, s2.u, s2.w])
+            np.testing.assert_allclose(np.linalg.svd(D, compute_uv=False),
+                                       np.sqrt([2, 1 + c, 1 - c]), atol=1e-12)
 
     def test_sigma_min_closed_form(self, rng):
-        # the margin is sqrt(1 - |n1 . n2|), not |n1 x n2|
+        # the margin lies between D's smallest singular value and sqrt(2)
+        # times it
         for _ in range(20):
             s1, s2 = random_spec(rng), random_spec(rng)
-            chk = check_transversality(s1, s2)
-            assert chk.sigma_min == pytest.approx(
-                np.sqrt(1 - abs(s1.n @ s2.n)), abs=1e-12)
+            sigma_min = np.sqrt(1 - abs(s1.n @ s2.n))
+            cn = check_transversality(s1, s2).cross_norm
+            assert sigma_min - 1e-12 <= cn <= np.sqrt(2) * sigma_min + 1e-12
 
     def test_monotone_in_angle(self):
-        sigmas = [check_transversality(XY, tilted_spec(t)).sigma_min
-                  for t in np.linspace(0.05, np.pi / 2, 12)]
-        assert all(b > a for a, b in zip(sigmas, sigmas[1:]))
+        margins = [check_transversality(XY, tilted_spec(t)).cross_norm
+                   for t in np.linspace(0.05, np.pi / 2, 12)]
+        assert all(b > a for a, b in zip(margins, margins[1:]))
 
     def test_zero_mass(self):
         # the margin needs no cloud; the mass check lives in certificate()

@@ -246,6 +246,62 @@ class TestNearCoaxial:
         assert len(vals) == 10 and np.all(np.isfinite(vals))
 
 
+class TestOneTransversalityMargin:
+    """Every gate and the certificate read |n1 x n2|: 0.5 for XY against a
+    view tilted 30 degrees, whose smallest moment-differential singular
+    value, 0.366, once decided the certificate alone."""
+
+    def inputs(self, tmp_path):
+        ser.save_spec(TILT_30, tmp_path / "tilt.json")
+        proj = tmp_path / "proj"
+        assert run("project", "--input", CLOUD, "--spec1", SPEC_XY,
+                   "--spec2", tmp_path / "tilt.json", "--out", proj) == 0
+        return tmp_path / "tilt.json", proj
+
+    def certify(self, tilt, tol, out):
+        assert run("certify", "--input", CLOUD, "--spec1", SPEC_XY,
+                   "--spec2", tilt,
+                   "--field-x", fixture_path("field_coord_x.json"),
+                   "--field-y", fixture_path("field_coord_y.json"),
+                   "--connection", fixture_path("conn_flat.json"),
+                   "--tol", tol, "--out", out) == 0
+        return json.loads((out / "certificate.json").read_text())
+
+    def test_passes_between_the_two_old_margins(self, tmp_path):
+        tilt, proj = self.inputs(tmp_path)
+        rec = tmp_path / "rec"
+        assert run("reconstruct", "points", "--image1", proj / "image1.json",
+                   "--image2", proj / "image2.json", "--spec1", SPEC_XY,
+                   "--spec2", tilt, "--tol", "0.4", "--out", rec) == 0
+        cert = json.loads((rec / "certificate.json").read_text())
+        assert cert["transversality"]["pass"] is True
+        assert cert["unique"] is True
+        assert set(cert["transversality"]) == {"cross_norm", "pass"}
+        assert cert["transversality"]["cross_norm"] == pytest.approx(0.5)
+        full = self.certify(tilt, "0.4", tmp_path / "cert")
+        assert full["transversality"]["pass"] is True
+        assert full["unique"] is True
+
+    def test_every_gate_fails_above_the_margin(self, tmp_path, capsys):
+        tilt, proj = self.inputs(tmp_path)
+        specs = ("--spec1", SPEC_XY, "--spec2", tilt, "--tol", "0.6")
+        for argv in (("project", "--input", CLOUD, "--check-transversal"),
+                     ("reconstruct", "points",
+                      "--image1", proj / "image1.json",
+                      "--image2", proj / "image2.json"),
+                     ("noise-study", "--input", CLOUD, "--sigmas", "0.01",
+                      "--trials", "2")):
+            capsys.readouterr()
+            assert run(*argv, *specs, "--out", tmp_path / "fail") == 3
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == 1
+            assert json.loads(err[0])["error"] == "NonTransverse"
+        assert not (tmp_path / "fail" / "run.json").exists()
+        cert = self.certify(tilt, "0.6", tmp_path / "cert")
+        assert cert["transversality"]["pass"] is False
+        assert cert["unique"] is False
+
+
 class TestBoundaryValidation:
     """Bad input exits 2 with exactly one JSON error line on stderr."""
 
@@ -700,6 +756,21 @@ class TestToric:
         assert rep["order"] == 6
         np.testing.assert_allclose(np.abs(rep["axis"]), [0, 0, 1], atol=1e-9)
         assert rep["invariance_residual"] <= 1e-10
+
+    def test_detect_without_scipy(self, tmp_path, capsys, monkeypatch):
+        # scoring failing rotations needs scipy.spatial; without it the run
+        # once ended in a raw ImportError traceback and exit 1
+        monkeypatch.setitem(sys.modules, "scipy.spatial", None)
+        out = tmp_path / "out"
+        assert run("toric", "detect", "--input", CLOUD, "--orders", "2,3",
+                   "--out", out) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert json.loads(err[0])["error"] == "InputError"
+        assert "scipy.spatial" in json.loads(err[0])["message"]
+        assert not (out / "run.json").exists()
+        (tmp_path / "hex").mkdir()
+        self.test_detect_hexagon(tmp_path / "hex")  # a match needs no scipy
 
     def test_solve(self, tmp_path):
         cons = {"rows": [{"omega": [1, 0, 0]}, {"omega": [0, 1, 0]}],

@@ -6,6 +6,7 @@ import scipy.sparse as sp
 from scipy.sparse import csgraph
 
 from twoview import recon
+from twoview.certify import check_transversality
 from twoview.errors import (
     AmbiguousDirection,
     DimMismatch,
@@ -24,6 +25,7 @@ from twoview.geometry import (
     pixel_center_coords,
     project_points,
     project_voxels,
+    _cross_norm,
 )
 from twoview.recon import (
     ConstraintRow,
@@ -35,10 +37,12 @@ from twoview.recon import (
     solve_direction,
     solve_radon,
     triangulate,
+    _triangulation_map,
 )
 from conftest import (
     random_cloud,
     random_noncoaxial_pair,
+    random_spec,
     rotated_about_z,
     tilted_spec,
 )
@@ -97,6 +101,46 @@ class TestTriangulate:
                 b2 = o[2] * s2.u + o[3] * s2.w
                 np.testing.assert_allclose(
                     p, closest_point_oracle(b1, s1.n, b2, s2.n), atol=1e-10)
+
+
+class TestOneMargin:
+    """|n1 x n2| is the one transversality margin, and it is tied to the
+    conditioning of the triangulation map and to the rank of the stacked
+    moment differentials D = [u1; w1; u2; w2] in closed form."""
+
+    def frame_pairs(self, rng):
+        pairs = [random_noncoaxial_pair(rng) for _ in range(40)]
+        return pairs + [(XY, tilted_spec(t)) for t in (3e-9, 1e-6, 0.3, 1.5)]
+
+    def test_triangulation_map_frobenius(self, rng):
+        for s1, s2 in self.frame_pairs(rng):
+            cn = _cross_norm(s1, s2)
+            M = _triangulation_map(s1, s2, 0.0)
+            assert np.sum(M * M) == pytest.approx(0.5 + 2 / cn**2, rel=1e-12)
+
+    def test_margin_is_product_of_smaller_singular_values(self, rng):
+        for _ in range(40):
+            s1, s2 = random_noncoaxial_pair(rng)
+            svals = np.linalg.svd(np.vstack([s1.u, s1.w, s2.u, s2.w]),
+                                  compute_uv=False)
+            assert _cross_norm(s1, s2) == pytest.approx(svals[1] * svals[2],
+                                                        rel=1e-12)
+
+    def test_certificate_agrees_with_triangulation(self, rng):
+        pairs = [(random_spec(rng), random_spec(rng)) for _ in range(20)]
+        pairs += [(XY, tilted_spec(t)) for t in (0.0, 3e-9, 1e-4, np.pi / 6)]
+        for s1, s2 in pairs:
+            cn = _cross_norm(s1, s2)
+            tols = [np.nextafter(cn, 0), cn, np.nextafter(cn, np.inf),
+                    *(cn * rng.uniform(0.5, 1.5, 4))]
+            for tol in tols:
+                try:
+                    _triangulation_map(s1, s2, tol)
+                    triangulates = True
+                except NonTransverse:
+                    triangulates = False
+                assert check_transversality(s1, s2, tol).transversal \
+                    == triangulates == (cn > tol)
 
 
 class TestReconstructCloud:
