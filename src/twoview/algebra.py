@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diffgeo import Tensor2FieldGrid, VectorFieldGrid, lie_bracket
+from .diffgeo import VectorFieldGrid, lie_bracket
 from .errors import DimMismatch, GridTooSmall
 
 UNDEFINED = -1
@@ -176,5 +176,5 @@ def jacobiator(X: VectorFieldGrid, Y: VectorFieldGrid, Z: VectorFieldGrid,
     for A, B, C in ((X, Y, Z), (Y, Z, X), (Z, X, Y)):
         inner = twisted_bracket(B, C, H)
         total += twisted_bracket(A, inner, H).samples
-    field = Tensor2FieldGrid(X.header, total)
+    field = VectorFieldGrid(X.header, total)
     return field, field.max_interior_norm(depth=2)

@@ -27,10 +27,11 @@ where their composed derivatives are second-order accurate.
 Exit codes: 0 success, 2 input error (an argparse error, an empty --out,
 an --out that cannot be made a directory and a grid or image whose
 float64 values would exceed 256 MiB included), 3 geometric
-precondition failure, 4 numerical non-convergence.  Every failure writes
-one JSON object on stderr and no run.json.  Every command is deterministic
-given its inputs, and each successful run writes a `run.json` with the
-tool version and the value of every option the subcommand accepts.
+precondition failure, 4 numerical non-convergence or a NaN or infinity
+in an output JSON file.  Every failure writes one JSON object on stderr
+and no run.json.  Every command is deterministic given its inputs, and
+each successful run writes a `run.json` with the tool version and the
+value of every option the subcommand accepts.
 """
 
 from __future__ import annotations
@@ -49,12 +50,7 @@ from . import __version__
 from . import serialization as ser
 from .algebra import TwistMap, check_associative, check_moufang, jacobiator
 from .certify import certificate, check_transversality
-from .diffgeo import (
-    curvature,
-    frobenius_residual,
-    integrability_report,
-    interior_mask,
-)
+from .diffgeo import curvature, frobenius_residual, integrability_report
 from .errors import (
     GeometricError,
     InputError,
@@ -62,7 +58,13 @@ from .errors import (
     SystemTooLarge,
     TwoViewError,
 )
-from .geometry import VoxelGrid, project_points, project_voxels, _cross_norm
+from .geometry import (
+    GridHeader,
+    VoxelGrid,
+    project_points,
+    project_voxels,
+    _cross_norm,
+)
 from .recon import (
     ConstraintRow,
     build_radon_system,
@@ -167,9 +169,9 @@ def cmd_reconstruct_voxels(args, out: Path) -> None:
         raise InputError(f"--grid-dims must be positive, got {dims}")
     _require_dense_size(math.prod(dims), "a {}x{}x{} grid".format(*dims))
     origin = -args.spacing * (np.asarray(dims) - 1) / 2.0
-    ref = VoxelGrid(dims, args.spacing, origin, np.zeros(dims))
-    sinos = [ser.load_sinogram_csv(args.sino1, ref, spec1),
-             ser.load_sinogram_csv(args.sino2, ref, spec2)]
+    lattice = GridHeader(dims, args.spacing, origin)
+    sinos = [ser.load_sinogram_csv(args.sino1, lattice, spec1),
+             ser.load_sinogram_csv(args.sino2, lattice, spec2)]
     system = build_radon_system([spec1, spec2], dims, args.spacing, sinos,
                                 origin=origin)
     values = solve_radon(system, tol=args.solver_tol)
@@ -249,9 +251,7 @@ def cmd_diagnose_curvature(args, out: Path) -> None:
     conn = ser.load_connection(args.connection)
     F = curvature(conn, X, Y, ser.load_vector_field(args.field_z))
     # only nodes at depth 2 carry second-order-accurate values
-    norms = np.linalg.norm(F.samples, axis=-1)
-    _report(args, out, max_curvature_norm=float(
-        norms[interior_mask(F.header.dims, depth=2)].max()))
+    _report(args, out, max_curvature_norm=F.max_interior_norm(depth=2))
 
 
 def cmd_diagnose_jacobiator(args, out: Path) -> None:

@@ -24,41 +24,9 @@ from .errors import (
     HeaderMismatch,
     PathOutsideGrid,
 )
-from .geometry import _require_tol, _trilinear_weights
+from .geometry import GridHeader, _require_tol, _trilinear_weights
 
 _STEPS_PER_SPACING = 4  # RK4 steps per node spacing of path length
-
-
-@dataclass(frozen=True)
-class GridHeader:
-    """Shared grid geometry: dims, node spacing, origin of node (0,0,0)."""
-
-    dims: tuple
-    spacing: float
-    origin: np.ndarray
-
-    def __post_init__(self):
-        dims = tuple(int(d) for d in self.dims)
-        if len(dims) != 3 or any(d < 3 for d in dims):
-            raise GridTooSmall(f"need >= 3 nodes per axis, got {dims}")
-        object.__setattr__(self, "dims", dims)
-        object.__setattr__(self, "spacing", float(self.spacing))
-        object.__setattr__(
-            self, "origin", np.asarray(self.origin, dtype=float).reshape(3))
-
-    def matches(self, other: "GridHeader") -> bool:
-        return (self.dims == other.dims
-                and abs(self.spacing - other.spacing) <= 1e-12
-                and np.max(np.abs(self.origin - other.origin)) <= 1e-12)
-
-    def node_positions(self) -> np.ndarray:
-        axes = [self.origin[a] + self.spacing * np.arange(self.dims[a])
-                for a in range(3)]
-        gx, gy, gz = np.meshgrid(*axes, indexing="ij")
-        return np.stack([gx, gy, gz], axis=-1)
-
-    def axis_coords(self, axis: int) -> np.ndarray:
-        return self.origin[axis] + self.spacing * np.arange(self.dims[axis])
 
 
 def _require_same_header(*objs):
@@ -80,19 +48,30 @@ def interior_mask(dims, depth: int = 1) -> np.ndarray:
     return m
 
 
+def _node_array(header: GridHeader, values, tail: tuple,
+                what: str) -> np.ndarray:
+    """`values` shaped header.dims + tail.  Raises GridTooSmall unless every
+    axis has the >= 3 nodes the derivative stencils need, and
+    HeaderMismatch unless every sample is finite."""
+    if any(d < 3 for d in header.dims):
+        raise GridTooSmall(f"need >= 3 nodes per axis, got {header.dims}")
+    a = np.asarray(values, dtype=float).reshape(header.dims + tail)
+    if not np.all(np.isfinite(a)):
+        raise HeaderMismatch(f"non-finite {what} samples")
+    return a
+
+
 @dataclass(frozen=True)
 class VectorFieldGrid:
-    """Per-node 3-vector samples of a vector field."""
+    """Per-node 3-vector samples of a vector field, or of a vector-valued
+    tensor evaluated node-wise (Hantjies, jacobiator)."""
 
     header: GridHeader
     samples: np.ndarray
 
     def __post_init__(self):
-        s = np.asarray(self.samples, dtype=float).reshape(
-            self.header.dims + (3,))
-        if not np.all(np.isfinite(s)):
-            raise HeaderMismatch("non-finite vector field samples")
-        object.__setattr__(self, "samples", s)
+        object.__setattr__(self, "samples", _node_array(
+            self.header, self.samples, (3,), "vector field"))
 
     @classmethod
     def from_function(cls, header: GridHeader, fn) -> "VectorFieldGrid":
@@ -109,6 +88,11 @@ class VectorFieldGrid:
         vals = np.broadcast_to(np.asarray(v, dtype=float), header.dims + (3,))
         return cls(header, vals.copy())
 
+    def max_interior_norm(self, depth: int = 1) -> float:
+        """Largest |sample| over the nodes at least `depth` from every face."""
+        norms = np.linalg.norm(self.samples, axis=-1)
+        return float(norms[interior_mask(self.header.dims, depth)].max())
+
 
 @dataclass(frozen=True)
 class ConnectionField:
@@ -118,34 +102,12 @@ class ConnectionField:
     gamma: np.ndarray
 
     def __post_init__(self):
-        g = np.asarray(self.gamma, dtype=float).reshape(
-            self.header.dims + (3, 3, 3))
-        if not np.all(np.isfinite(g)):
-            raise HeaderMismatch("non-finite Christoffel samples")
-        object.__setattr__(self, "gamma", g)
+        object.__setattr__(self, "gamma", _node_array(
+            self.header, self.gamma, (3, 3, 3), "Christoffel"))
 
     @classmethod
     def flat(cls, header: GridHeader) -> "ConnectionField":
         return cls(header, np.zeros(header.dims + (3, 3, 3)))
-
-
-@dataclass(frozen=True)
-class Tensor2FieldGrid:
-    """Per-node 3-vector values of an antisymmetric bilinear evaluation."""
-
-    header: GridHeader
-    values: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=float).reshape(
-            self.header.dims + (3,))
-        object.__setattr__(self, "values", v)
-
-    def norms(self) -> np.ndarray:
-        return np.linalg.norm(self.values, axis=-1)
-
-    def max_interior_norm(self, depth: int = 1) -> float:
-        return float(self.norms()[interior_mask(self.header.dims, depth)].max())
 
 
 @dataclass(frozen=True)
@@ -199,7 +161,7 @@ def lie_bracket(X: VectorFieldGrid, Y: VectorFieldGrid) -> VectorFieldGrid:
 
 
 def hantjies_tensor(X: VectorFieldGrid, Y: VectorFieldGrid,
-                    conn: ConnectionField) -> Tensor2FieldGrid:
+                    conn: ConnectionField) -> VectorFieldGrid:
     """Antisymmetrized covariant derivative minus the bracket.
 
     nabla_X Y - nabla_Y X - [X, Y] in closed form: the stencils cancel,
@@ -207,7 +169,7 @@ def hantjies_tensor(X: VectorFieldGrid, Y: VectorFieldGrid,
     for X = Y or a symmetric Gamma.  The tests keep the literal formula.
     """
     header = _require_same_header(X, Y, conn)
-    return Tensor2FieldGrid(
+    return VectorFieldGrid(
         header, _christoffel(conn, X, Y) - _christoffel(conn, Y, X))
 
 
@@ -297,8 +259,7 @@ def duality_residual(conn1: ConnectionField, conn2: ConnectionField,
     f1 = curvature(conn1, X, Y, Z).samples
     f2 = curvature(conn2, *pushed).samples
     pulled = f2[ix, iy, iz] @ m.T  # iota inverse = iota
-    mism = np.linalg.norm(f1 + pulled, axis=-1)
-    return float(mism[interior_mask(h1.dims, depth=2)].max())
+    return VectorFieldGrid(h1, f1 + pulled).max_interior_norm(depth=2)
 
 
 # ---------------------------------------------------------------------------
@@ -363,13 +324,13 @@ def integrability_report(X: VectorFieldGrid, Y: VectorFieldGrid,
                          tol: float | None = None) -> IntegrabilityReport:
     """Aggregate obstruction maxima over interior nodes into a verdict.
 
-    Raises DimMismatch when tol is given and is NaN, negative or infinite.
+    Raises DimMismatch when tol is NaN, negative or infinite, the
+    default 10 h^2 of a spacing h that large included.
     """
     header = _require_same_header(X, Y, conn)
     if tol is None:
         tol = default_tolerance(header.spacing)
-    else:
-        _require_tol(tol)
+    _require_tol(tol)
     hmax = hantjies_tensor(X, Y, conn).max_interior_norm()
     _, fmax = frobenius_residual(X, Y)
     inner = int(interior_mask(header.dims).sum())

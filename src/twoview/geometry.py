@@ -9,6 +9,8 @@ observation, i.e. the ray of all points producing that observation.
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -95,8 +97,55 @@ class Projected2D:
 
 
 @dataclass(frozen=True)
-class VoxelGrid:
-    """Nonnegative density on a regular grid.
+class GridHeader:
+    """Regular lattice: dims, site spacing, position of site (0, 0, 0).
+
+    Voxel centers and vector-field or connection nodes are its sites.
+    Raises DimMismatch unless dims are three integers >= 1, the spacing
+    is finite and > 0 and the origin is a finite 3-vector.
+    """
+
+    dims: tuple
+    spacing: float
+    origin: np.ndarray
+
+    def __post_init__(self):
+        try:
+            dims = tuple(operator.index(d) for d in self.dims)
+        except TypeError:  # not iterable, or a non-integer entry
+            dims = ()
+        if len(dims) != 3 or any(d < 1 for d in dims):
+            raise DimMismatch(f"dims must be three integers >= 1, "
+                              f"got {self.dims!r}")
+        spacing = float(self.spacing)
+        if not (spacing > 0 and np.isfinite(spacing)):
+            raise DimMismatch(
+                f"spacing must be finite and > 0, got {self.spacing}")
+        object.__setattr__(self, "dims", dims)
+        object.__setattr__(self, "spacing", spacing)
+        object.__setattr__(self, "origin", _as_vec3(self.origin))
+
+    def matches(self, other: "GridHeader") -> bool:
+        return (self.dims == other.dims
+                and abs(self.spacing - other.spacing) <= 1e-12
+                and np.max(np.abs(self.origin - other.origin)) <= 1e-12)
+
+    def axis_coords(self, axis: int) -> np.ndarray:
+        return self.origin[axis] + self.spacing * np.arange(self.dims[axis])
+
+    def node_positions(self) -> np.ndarray:
+        """Site positions, shape dims + (3,)."""
+        return np.stack(np.meshgrid(*map(self.axis_coords, range(3)),
+                                    indexing="ij"), axis=-1)
+
+    @property
+    def center(self) -> np.ndarray:
+        return self.origin + self.spacing * (np.asarray(self.dims) - 1) / 2.0
+
+
+@dataclass(frozen=True)
+class VoxelGrid(GridHeader):
+    """Nonnegative density on the sites of a lattice.
 
     dims    : (nx, ny, nz)
     spacing : voxel edge length
@@ -104,35 +153,14 @@ class VoxelGrid:
     values  : (nx, ny, nz) array of densities
     """
 
-    dims: tuple
-    spacing: float
-    origin: np.ndarray
     values: np.ndarray
 
     def __post_init__(self):
-        dims = tuple(int(d) for d in self.dims)
-        if len(dims) != 3 or any(d < 1 for d in dims):
-            raise DimMismatch(f"bad dims {self.dims!r}")
-        if not self.spacing > 0:
-            raise DimMismatch(f"spacing must be > 0, got {self.spacing}")
-        vals = np.asarray(self.values, dtype=float).reshape(dims)
+        super().__post_init__()
+        vals = np.asarray(self.values, dtype=float).reshape(self.dims)
         if not np.all(np.isfinite(vals)) or np.any(vals < 0):
             raise DimMismatch("voxel values must be finite and >= 0")
-        object.__setattr__(self, "dims", dims)
-        object.__setattr__(self, "spacing", float(self.spacing))
-        object.__setattr__(self, "origin", _as_vec3(self.origin))
         object.__setattr__(self, "values", vals)
-
-    def centers(self) -> np.ndarray:
-        """Voxel center positions, shape (nx, ny, nz, 3)."""
-        axes = [self.origin[a] + self.spacing * np.arange(self.dims[a])
-                for a in range(3)]
-        gx, gy, gz = np.meshgrid(*axes, indexing="ij")
-        return np.stack([gx, gy, gz], axis=-1)
-
-    @property
-    def center(self) -> np.ndarray:
-        return self.origin + self.spacing * (np.asarray(self.dims) - 1) / 2.0
 
 
 @dataclass(frozen=True)
@@ -341,7 +369,7 @@ def _axis_alignment(spec: ProjectionSpec):
     return tuple(out)
 
 
-def pixel_center_coords(grid: VoxelGrid, spec: ProjectionSpec,
+def pixel_center_coords(grid: GridHeader, spec: ProjectionSpec,
                         image_dims) -> np.ndarray:
     """Plane coordinates of pixel centers, shape (nu, nw, 2).
 
@@ -357,12 +385,13 @@ def pixel_center_coords(grid: VoxelGrid, spec: ProjectionSpec,
     return np.stack([gu, gw], axis=-1)
 
 
-def projection_operator(grid: VoxelGrid, spec: ProjectionSpec,
+def projection_operator(grid: GridHeader, spec: ProjectionSpec,
                         image_dims) -> CSR:
     """Sparse line-integral operator from voxel values to sinogram pixels.
 
     Row iu * nw + iw is the pixel (iu, iw) of the `pixel_center_coords`
-    lattice; column j is voxel j of `grid.values.ravel()`.  An axis-aligned
+    lattice; column j is voxel j of the grid in row-major order, as in
+    `VoxelGrid.values.ravel()`; only the lattice is read.  An axis-aligned
     frame gets one exact entry per voxel, the spacing (the length of the
     ray through the voxel center), in the pixel containing the voxel
     center.  Pixels are half-open, [c - h/2, c + h/2) about their center c
@@ -382,7 +411,7 @@ def projection_operator(grid: VoxelGrid, spec: ProjectionSpec,
     nu, nw = int(image_dims[0]), int(image_dims[1])
     if nu < 1 or nw < 1:
         raise DimMismatch(f"image dims must be >= 1, got {(nu, nw)}")
-    h, nvox = grid.spacing, grid.values.size
+    h, nvox = grid.spacing, math.prod(grid.dims)
     shape = (nu * nw, nvox)
     align = _axis_alignment(spec)
     if align is not None:

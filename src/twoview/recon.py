@@ -33,11 +33,11 @@ from .errors import (
 )
 from .geometry import (
     CSR,
+    GridHeader,
     PointCloud,
     Projected2D,
     ProjectionSpec,
     Sinogram,
-    VoxelGrid,
     pixel_center_coords,
     project_points,
     projection_operator,
@@ -437,7 +437,7 @@ def build_radon_system(specs, grid_dims, spacing, sinograms,
     nvox = int(np.prod(dims))
     if origin is None:
         origin = -spacing * (np.asarray(dims) - 1) / 2.0
-    grid = VoxelGrid(dims, spacing, origin, np.zeros(dims))
+    grid = GridHeader(dims, spacing, origin)
     blocks = []
     for spec, sino in zip(specs, sinos):
         origin2d = pixel_center_coords(grid, spec, sino.values.shape)[0, 0]

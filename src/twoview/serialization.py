@@ -17,9 +17,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, NumericalError
 from .geometry import (
     CSR,
+    GridHeader,
     PointCloud,
     Projected2D,
     ProjectionSpec,
@@ -27,7 +28,7 @@ from .geometry import (
     VoxelGrid,
     pixel_center_coords,
 )
-from .diffgeo import ConnectionField, GridHeader, VectorFieldGrid
+from .diffgeo import ConnectionField, VectorFieldGrid
 from .algebra import UNDEFINED, FiniteMagma
 
 UNDEFINED_MARK = "·"  # middle dot in table CSVs
@@ -56,9 +57,17 @@ def _load_json(path) -> dict:
 
 
 def dump_json(obj, path) -> None:
+    """Write `obj` as JSON with a 2-space indent and sorted keys.
+
+    Raises NumericalError, before the file is opened, when `obj` holds a
+    NaN or an infinity, which JSON cannot spell.
+    """
+    try:
+        text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as exc:
+        raise NumericalError(f"non-finite number for {path}: {exc}") from exc
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 # -- point clouds and images ------------------------------------------------
@@ -157,14 +166,14 @@ def _save_grid(path, kind: str, header, values: np.ndarray) -> None:
     _write_rows(_csv_path(path), values.reshape(header.dims[0], -1))
 
 
-def _load_grid(path, kind: str, make, tail=()):
-    """`make(dims, spacing, origin, values)` from a grid written by
-    `_save_grid`, the values shaped dims + tail."""
+def _load_grid(path, kind: str, make):
+    """`make(dims, spacing, origin, rows)` from a grid written by
+    `_save_grid`, rows the float rows of its .csv file; `make` validates
+    the header and shapes the rows."""
     head = _load_json(path)
     with _reading(path, kind):
-        dims = tuple(head["dims"])
-        vals = _read_rows(_csv_path(path)).reshape(dims + tail)
-        return make(dims, head["spacing"], head["origin"], vals)
+        return make(head["dims"], head["spacing"], head["origin"],
+                    _read_rows(_csv_path(path)))
 
 
 def save_voxels(grid: VoxelGrid, path) -> None:
@@ -179,7 +188,8 @@ def save_sinogram_csv(sino: Sinogram, path) -> None:
     _write_rows(path, sino.values)
 
 
-def load_sinogram_csv(path, grid: VoxelGrid, spec: ProjectionSpec) -> Sinogram:
+def load_sinogram_csv(path, grid: GridHeader,
+                      spec: ProjectionSpec) -> Sinogram:
     """The sinogram at `path` of `grid` seen in view `spec`: the values on
     the `pixel_center_coords` lattice of the grid, with its spacing.
 
@@ -209,8 +219,7 @@ def save_vector_field(field: VectorFieldGrid, path) -> None:
 
 def load_vector_field(path) -> VectorFieldGrid:
     return _load_grid(path, "vector field", lambda dims, spacing, origin, vals:
-                      VectorFieldGrid(GridHeader(dims, spacing, origin), vals),
-                      (3,))
+                      VectorFieldGrid(GridHeader(dims, spacing, origin), vals))
 
 
 def save_connection(conn: ConnectionField, path) -> None:
@@ -219,8 +228,7 @@ def save_connection(conn: ConnectionField, path) -> None:
 
 def load_connection(path) -> ConnectionField:
     return _load_grid(path, "connection", lambda dims, spacing, origin, vals:
-                      ConnectionField(GridHeader(dims, spacing, origin), vals),
-                      (3, 3, 3))
+                      ConnectionField(GridHeader(dims, spacing, origin), vals))
 
 
 # -- sparse matrices --------------------------------------------------------

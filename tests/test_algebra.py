@@ -313,7 +313,7 @@ class TestJacobiator:
             expected += A @ np.cross(u, A @ np.cross(v, w))
         assert np.linalg.norm(expected) > 0.1
         assert jmax == pytest.approx(np.linalg.norm(expected), abs=1e-12)
-        np.testing.assert_allclose(field.values[3, 3, 3], expected,
+        np.testing.assert_allclose(field.samples[3, 3, 3], expected,
                                    atol=1e-12)
 
     def test_grid_too_small(self):

@@ -552,6 +552,111 @@ class TestBoundaryValidation:
         assert self.error(capsys)["error"] == "DimMismatch"
 
 
+def grid_file(src, dst, **header):
+    """Copy the grid file `src` (.json header and .csv values) to `dst`,
+    replacing the header fields given."""
+    src, dst = Path(src), Path(dst)
+    head = json.loads(src.read_text())
+    head.update(header)
+    dst.write_text(json.dumps(head))
+    dst.with_suffix(".csv").write_bytes(src.with_suffix(".csv").read_bytes())
+    return dst
+
+
+class TestGridHeaders:
+    """Voxel, vector-field and connection files share one header rule:
+    dims of three integers >= 1 (>= 3 for fields), a finite spacing > 0
+    and a finite origin.  A bad header exits 2 with one JSON line and
+    writes nothing."""
+
+    error = TestBoundaryValidation.error
+
+    BAD = {
+        "spacing-0": {"spacing": 0},
+        "spacing-negative": {"spacing": -0.5},
+        "spacing-nan": {"spacing": np.nan},
+        "spacing-inf": {"spacing": np.inf},
+        "origin-nan": {"origin": [np.nan, 0.0, 0.0]},
+    }
+    FIELDS = {"--field-x": "field_contact_x", "--field-y": "field_contact_y",
+              "--connection": "conn_flat"}
+
+    def hantjies(self, tmp_path, bad=(), **header):
+        """`diagnose hantjies` on the packaged fields, the files of the
+        options in `bad` given `header`; its exit code and out dir."""
+        argv = []
+        for opt, name in self.FIELDS.items():
+            argv += [opt, grid_file(fixture_path(name + ".json"),
+                                    tmp_path / (name + ".json"),
+                                    **(header if opt in bad else {}))]
+        out = tmp_path / "out"
+        return run("diagnose", "hantjies", *argv, "--out", out), out
+
+    @pytest.mark.parametrize("opt", ["--field-x", "--connection"])
+    @pytest.mark.parametrize("case", [*BAD, "dims-2"])
+    def test_field_header(self, case, opt, tmp_path, capsys):
+        # spacing 0 once raised ZeroDivisionError, -0.5 passed at tolerance
+        # 2.5, and a NaN made two identical headers differ
+        header = self.BAD.get(case, {"dims": [2, 5, 5]})
+        code, out = self.hantjies(tmp_path, (opt,), **header)
+        assert code == 2
+        assert self.error(capsys)["error"] == (
+            "GridTooSmall" if case == "dims-2" else "DimMismatch")
+        assert list(out.iterdir()) == []
+
+    def test_default_tolerance_must_be_finite(self, tmp_path, capsys):
+        # 10 h^2 overflows; Infinity once went into report.json
+        code, out = self.hantjies(tmp_path, tuple(self.FIELDS),
+                                  spacing=1e200)
+        assert code == 2
+        err = self.error(capsys)
+        assert err["error"] == "DimMismatch"
+        assert "tol must be >= 0 and finite, got inf" in err["message"]
+        assert list(out.iterdir()) == []
+
+    def project_voxels(self, path, out):
+        return run("project", "--mode", "voxels", "--input", path,
+                   "--spec1", SPEC_XY, "--spec2", SPEC_YZ, "--out", out)
+
+    @pytest.mark.parametrize("case", BAD)
+    def test_voxel_header(self, case, tmp_path, capsys):
+        ser.save_voxels(VoxelGrid((3, 3, 3), 1.0, (0, 0, 0), np.ones(27)),
+                        tmp_path / "good.json")
+        grid = grid_file(tmp_path / "good.json", tmp_path / "grid.json",
+                         **self.BAD[case])
+        out = tmp_path / "out"
+        assert self.project_voxels(grid, out) == 2
+        assert self.error(capsys)["error"] == "DimMismatch"
+        assert list(out.iterdir()) == []
+
+    def test_one_voxel_is_a_lattice(self, tmp_path):
+        # fields need 3 nodes per axis, voxel grids one
+        ser.save_voxels(VoxelGrid((1, 1, 1), 1.0, (0, 0, 0), [2.0]),
+                        tmp_path / "grid.json")
+        out = tmp_path / "out"
+        assert self.project_voxels(tmp_path / "grid.json", out) == 0
+        assert (out / "sino1.csv").read_bytes() == b"2.0\r\n"
+
+
+class TestNonFiniteOutput:
+    error = TestBoundaryValidation.error
+
+    def test_exit_4_and_no_file(self, tmp_path, capsys, monkeypatch):
+        # a NaN or infinity is not JSON; nothing is written
+        monkeypatch.setattr(cli, "frobenius_residual",
+                            lambda X, Y: (np.zeros((5, 5, 5)), np.inf))
+        out = tmp_path / "out"
+        code = run("diagnose", "frobenius",
+                   "--field-x", fixture_path("field_contact_x.json"),
+                   "--field-y", fixture_path("field_contact_y.json"),
+                   "--out", out)
+        assert code == 4
+        err = self.error(capsys)
+        assert err["error"] == "NumericalError"
+        assert "report.json" in err["message"]
+        assert list(out.iterdir()) == []
+
+
 class TestCertify:
     def args(self, out, fx, fy):
         return ("certify", "--input", CLOUD, "--spec1", SPEC_XY,

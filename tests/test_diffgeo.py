@@ -11,7 +11,6 @@ from twoview.geometry import Involution
 from twoview.diffgeo import (
     ConnectionField,
     GridHeader,
-    Tensor2FieldGrid,
     VectorFieldGrid,
     covariant_derivative,
     curvature,
@@ -153,7 +152,7 @@ class TestHantjiesTensor:
         H = hantjies_tensor(const(header, (1, 0, 0)), const(header, (0, 1, 0)),
                             conn)
         np.testing.assert_allclose(
-            H.values, np.broadcast_to([0, 0, 2 * c], header.dims + (3,)),
+            H.samples, np.broadcast_to([0, 0, 2 * c], header.dims + (3,)),
             atol=1e-12)
 
     def test_alternating(self):
@@ -162,7 +161,7 @@ class TestHantjiesTensor:
         conn = ConnectionField(header,
                                rng.standard_normal(header.dims + (3, 3, 3)))
         X = VectorFieldGrid(header, rng.standard_normal(header.dims + (3,)))
-        np.testing.assert_array_equal(hantjies_tensor(X, X, conn).values, 0.0)
+        np.testing.assert_array_equal(hantjies_tensor(X, X, conn).samples, 0.0)
 
     def test_bilinear_antisymmetric_in_xy(self):
         rng = np.random.default_rng(3)
@@ -171,8 +170,8 @@ class TestHantjiesTensor:
                                rng.standard_normal(header.dims + (3, 3, 3)))
         X = VectorFieldGrid(header, rng.standard_normal(header.dims + (3,)))
         Y = VectorFieldGrid(header, rng.standard_normal(header.dims + (3,)))
-        np.testing.assert_allclose(hantjies_tensor(X, Y, conn).values,
-                                   -hantjies_tensor(Y, X, conn).values,
+        np.testing.assert_allclose(hantjies_tensor(X, Y, conn).samples,
+                                   -hantjies_tensor(Y, X, conn).samples,
                                    atol=1e-12)
 
 
@@ -188,7 +187,7 @@ class TestHantjiesClosedForm:
 
     def check(self, X, Y, conn):
         lit = literal_hantjies(X, Y, conn)
-        np.testing.assert_allclose(hantjies_tensor(X, Y, conn).values, lit,
+        np.testing.assert_allclose(hantjies_tensor(X, Y, conn).samples, lit,
                                    rtol=0, atol=1e-12 * np.abs(lit).max())
 
     @pytest.mark.parametrize("seed", range(4))

@@ -12,6 +12,7 @@ from twoview.errors import (
 )
 from twoview.geometry import (
     CSR,
+    GridHeader,
     Involution,
     PointCloud,
     Projected2D,
@@ -229,8 +230,8 @@ class TestProjectionOperator:
         # the one pixel of each voxel
         pixel = op.row[np.argsort(op.indices, kind="stable")]
         centers = pixel_center_coords(grid, spec, shape).reshape(-1, 2)
-        proj = grid.centers().reshape(-1, 3) @ np.column_stack([spec.u,
-                                                                spec.w])
+        proj = grid.node_positions().reshape(-1, 3) @ np.column_stack(
+            [spec.u, spec.w])
         offset = (proj - centers[pixel]) / h
         np.testing.assert_allclose(offset + 0.5 * (np.array(excess) % 2),
                                    0.0, atol=1e-12)
@@ -329,6 +330,19 @@ class TestCrossNorm:
         assert _cross_norm(XY, YZ, 0.0) == 1.0
         with pytest.raises(NonTransverse):
             _cross_norm(XY, XY, 0.0)
+
+
+class TestGridHeader:
+    @pytest.mark.parametrize("dims", [(2.5, 2, 2), (2, 2), (0, 1, 1), 3])
+    def test_dims_are_three_integers_at_least_1(self, dims):
+        with pytest.raises(DimMismatch, match="three integers >= 1"):
+            GridHeader(dims, 1.0, (0, 0, 0))
+
+    def test_a_voxel_grid_is_its_lattice_plus_values(self):
+        grid = VoxelGrid((2, 3, 4), 0.5, (1, 2, 3), np.ones((2, 3, 4)))
+        assert grid.matches(GridHeader((2, 3, 4), 0.5, (1, 2, 3)))
+        np.testing.assert_array_equal(grid.node_positions()[-1, -1, -1],
+                                      [1.5, 3.0, 4.5])
 
 
 class TestNonFiniteRejected:

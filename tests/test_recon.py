@@ -17,6 +17,8 @@ from twoview.errors import (
     SystemTooLarge,
 )
 from twoview.geometry import (
+    CSR,
+    GridHeader,
     PointCloud,
     Projected2D,
     Sinogram,
@@ -25,6 +27,7 @@ from twoview.geometry import (
     pixel_center_coords,
     project_points,
     project_voxels,
+    projection_operator,
     _cross_norm,
 )
 from twoview.recon import (
@@ -391,6 +394,32 @@ class TestRadonSystem:
         with pytest.raises(DimMismatch):
             build_radon_system([XY], (4, 4, 4), 1.0, [sino],
                                origin=grid.origin)
+
+
+@pytest.mark.parametrize("spec2", [YZ, tilted_spec(np.radians(30))],
+                         ids=["axis-pair", "tilt-30"])
+def test_the_lattice_alone_gives_the_voxel_grids_system(spec2, rng):
+    # projection_operator and build_radon_system read only the lattice, so
+    # a bare GridHeader gives bitwise what a VoxelGrid on it gives
+    specs, dims, h, origin = [XY, spec2], (4, 5, 3), 0.5, (-0.75, -1.0, -0.5)
+    grid = VoxelGrid(dims, h, origin, rng.uniform(0, 1, dims))
+    lattice = GridHeader(dims, h, origin)
+    blocks = [projection_operator(grid, s, (7, 7)) for s in specs]
+
+    def assert_same(A, B):
+        assert A.shape == B.shape
+        for attr in ("indptr", "indices", "data"):
+            a, b = getattr(A, attr), getattr(B, attr)
+            assert a.dtype == b.dtype
+            np.testing.assert_array_equal(a, b)
+
+    for spec, block in zip(specs, blocks):
+        assert_same(projection_operator(lattice, spec, (7, 7)), block)
+    system = build_radon_system(specs, dims, h,
+                                make_sinos(grid, specs, (7, 7)),
+                                origin=origin)
+    assert_same(system.rows, CSR.vstack(blocks))
+    assert (system.rank, system.rank_method) == recon._radon_rank(blocks)
 
 
 def zero_sino_system(specs, dims, margin=0, h=1.0):

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from twoview import serialization as ser
 from twoview.algebra import UNDEFINED, FiniteMagma
 from twoview.diffgeo import ConnectionField, GridHeader, VectorFieldGrid
-from twoview.errors import InputError
+from twoview.errors import InputError, NumericalError
 from twoview.geometry import (
     CSR,
     PointCloud,
@@ -164,6 +164,15 @@ class TestGoldenBytes:
         np.testing.assert_array_equal(got.view(np.int64), ref.view(np.int64))
         np.testing.assert_array_equal(got.view(np.int64),
                                       array.view(np.int64))
+
+
+class TestDumpJson:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_raises_before_the_file_opens(self, bad, tmp_path):
+        path = tmp_path / "report.json"
+        with pytest.raises(NumericalError, match="report.json"):
+            ser.dump_json({"ok": 1.0, "nested": [0.0, bad]}, path)
+        assert not path.exists()
 
 
 class TestRowReaderEdges:
