@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diffgeo import VectorFieldGrid, lie_bracket
+from .diffgeo import VectorFieldGrid, _finite, lie_bracket
 from .errors import DimMismatch, GridTooSmall
 
 UNDEFINED = -1
@@ -155,13 +155,15 @@ class TwistMap:
         return cls(np.einsum("kl,lij->kij", A, eps))
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def twisted_bracket(X: VectorFieldGrid, Y: VectorFieldGrid,
                     H: TwistMap) -> VectorFieldGrid:
     """[X, Y]_H = [X, Y] + H(X, Y), node-wise."""
-    b = lie_bracket(X, Y)
-    return VectorFieldGrid(b.header, b.samples + H(X.samples, Y.samples))
+    b = lie_bracket(X, Y).samples + H(X.samples, Y.samples)
+    return VectorFieldGrid(X.header, _finite(b, "the twisted bracket"))
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def jacobiator(X: VectorFieldGrid, Y: VectorFieldGrid, Z: VectorFieldGrid,
                H: TwistMap):
     """Cyclic sum of nested twisted brackets plus its max interior norm.
@@ -176,5 +178,5 @@ def jacobiator(X: VectorFieldGrid, Y: VectorFieldGrid, Z: VectorFieldGrid,
     for A, B, C in ((X, Y, Z), (Y, Z, X), (Z, X, Y)):
         inner = twisted_bracket(B, C, H)
         total += twisted_bracket(A, inner, H).samples
-    field = VectorFieldGrid(X.header, total)
+    field = VectorFieldGrid(X.header, _finite(total, "the jacobiator"))
     return field, field.max_interior_norm(depth=2)

@@ -170,10 +170,9 @@ def cmd_reconstruct_voxels(args, out: Path) -> None:
     _require_dense_size(math.prod(dims), "a {}x{}x{} grid".format(*dims))
     origin = -args.spacing * (np.asarray(dims) - 1) / 2.0
     lattice = GridHeader(dims, args.spacing, origin)
-    sinos = [ser.load_sinogram_csv(args.sino1, lattice, spec1),
-             ser.load_sinogram_csv(args.sino2, lattice, spec2)]
-    system = build_radon_system([spec1, spec2], dims, args.spacing, sinos,
-                                origin=origin)
+    sinos = [ser.load_sinogram_csv(args.sino1),
+             ser.load_sinogram_csv(args.sino2)]
+    system = build_radon_system([spec1, spec2], lattice, sinos)
     values = solve_radon(system, tol=args.solver_tol)
     ser.save_voxels(VoxelGrid(dims, args.spacing, origin,
                               np.maximum(values, 0.0)), out / "recovered.json")

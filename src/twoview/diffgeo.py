@@ -5,7 +5,8 @@ use second-order central differences in the interior and one-sided
 second-order stencils at the boundary, so report maxima are taken over
 interior nodes only, and over nodes at depth 2 for quantities that
 compose two derivatives (curvature, the jacobiator, the duality
-residual).  The integrability obstruction is exposed twice: as
+residual).  Overflow in a computed field raises NumericalError, not a
+numpy warning.  The integrability obstruction is exposed twice: as
 the Hantjies tensor, in the closed form Gamma(X, Y) - Gamma(Y, X) of the
 literal formula (which the tests keep as its oracle), and as the
 Frobenius residual, the component of the Lie bracket sticking out of the
@@ -22,6 +23,7 @@ from .errors import (
     DegenerateDistribution,
     GridTooSmall,
     HeaderMismatch,
+    NumericalError,
     PathOutsideGrid,
 )
 from .geometry import GridHeader, _require_tol, _trilinear_weights
@@ -36,6 +38,15 @@ def _require_same_header(*objs):
             raise HeaderMismatch(
                 f"grid headers differ: {h0} vs {o.header}")
     return h0
+
+
+def _finite(values, what: str):
+    """values, computed from finite inputs under `np.errstate`; raises
+    NumericalError where that overflowed (a non-finite input sample is the
+    constructors' HeaderMismatch)."""
+    if not np.all(np.isfinite(values)):
+        raise NumericalError(f"{what} overflows to non-finite values")
+    return values
 
 
 def interior_mask(dims, depth: int = 1) -> np.ndarray:
@@ -88,10 +99,12 @@ class VectorFieldGrid:
         vals = np.broadcast_to(np.asarray(v, dtype=float), header.dims + (3,))
         return cls(header, vals.copy())
 
+    @np.errstate(over="ignore", invalid="ignore")
     def max_interior_norm(self, depth: int = 1) -> float:
         """Largest |sample| over the nodes at least `depth` from every face."""
         norms = np.linalg.norm(self.samples, axis=-1)
-        return float(norms[interior_mask(self.header.dims, depth)].max())
+        norms = norms[interior_mask(self.header.dims, depth)]
+        return float(_finite(norms, "the field's norm").max())
 
 
 @dataclass(frozen=True)
@@ -134,13 +147,14 @@ def partials(field: VectorFieldGrid) -> np.ndarray:
          for i in range(3)], axis=-2)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def covariant_derivative(X: VectorFieldGrid, Y: VectorFieldGrid,
                          conn: ConnectionField) -> VectorFieldGrid:
     """(nabla_X Y)^k = X^i d_i Y^k + Gamma^k_ij X^i Y^j, node-wise."""
     header = _require_same_header(X, Y, conn)
     dY = partials(Y)  # (..., i, k)
-    directional = np.einsum("...i,...ik->...k", X.samples, dY)
-    return VectorFieldGrid(header, directional + _christoffel(conn, X, Y))
+    v = np.einsum("...i,...ik->...k", X.samples, dY) + _christoffel(conn, X, Y)
+    return VectorFieldGrid(header, _finite(v, "the covariant derivative"))
 
 
 def _christoffel(conn: ConnectionField, X: VectorFieldGrid,
@@ -150,6 +164,7 @@ def _christoffel(conn: ConnectionField, X: VectorFieldGrid,
                      conn.gamma, X.samples, Y.samples)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def lie_bracket(X: VectorFieldGrid, Y: VectorFieldGrid) -> VectorFieldGrid:
     """[X, Y]^k = X^i d_i Y^k - Y^i d_i X^k via the shared stencils."""
     header = _require_same_header(X, Y)
@@ -157,9 +172,10 @@ def lie_bracket(X: VectorFieldGrid, Y: VectorFieldGrid) -> VectorFieldGrid:
     dX = partials(X)
     b = (np.einsum("...i,...ik->...k", X.samples, dY)
          - np.einsum("...i,...ik->...k", Y.samples, dX))
-    return VectorFieldGrid(header, b)
+    return VectorFieldGrid(header, _finite(b, "the Lie bracket"))
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def hantjies_tensor(X: VectorFieldGrid, Y: VectorFieldGrid,
                     conn: ConnectionField) -> VectorFieldGrid:
     """Antisymmetrized covariant derivative minus the bracket.
@@ -169,10 +185,11 @@ def hantjies_tensor(X: VectorFieldGrid, Y: VectorFieldGrid,
     for X = Y or a symmetric Gamma.  The tests keep the literal formula.
     """
     header = _require_same_header(X, Y, conn)
-    return VectorFieldGrid(
-        header, _christoffel(conn, X, Y) - _christoffel(conn, Y, X))
+    h = _christoffel(conn, X, Y) - _christoffel(conn, Y, X)
+    return VectorFieldGrid(header, _finite(h, "the Hantjies tensor"))
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def frobenius_residual(X: VectorFieldGrid, Y: VectorFieldGrid,
                        angle_tol: float = 1e-8):
     """Component of [X, Y] orthogonal to span{X, Y}, node by node.
@@ -195,10 +212,12 @@ def frobenius_residual(X: VectorFieldGrid, Y: VectorFieldGrid,
     # in R^3 the complement of span{X, Y} is the line along X x Y
     chat = cross / np.maximum(
         np.linalg.norm(cross, axis=-1, keepdims=True), 1e-300)
-    residual = np.abs(np.einsum("...k,...k->...", b, chat))
+    residual = np.abs(_finite(np.einsum("...k,...k->...", b, chat),
+                              "the Frobenius residual"))
     return residual, float(residual[inner].max())
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def curvature(conn: ConnectionField, X: VectorFieldGrid, Y: VectorFieldGrid,
               Z: VectorFieldGrid) -> VectorFieldGrid:
     """F(X, Y)Z = nabla_X nabla_Y Z - nabla_Y nabla_X Z - nabla_[X,Y] Z.
@@ -215,7 +234,8 @@ def curvature(conn: ConnectionField, X: VectorFieldGrid, Y: VectorFieldGrid,
     term1 = covariant_derivative(X, nyz, conn).samples
     term2 = covariant_derivative(Y, nxz, conn).samples
     term3 = covariant_derivative(lie_bracket(X, Y), Z, conn).samples
-    return VectorFieldGrid(header, term1 - term2 - term3)
+    F = term1 - term2 - term3
+    return VectorFieldGrid(header, _finite(F, "the curvature"))
 
 
 # ---------------------------------------------------------------------------
@@ -239,6 +259,7 @@ def _involution_index_map(header: GridHeader, other: GridHeader,
     return idx[..., 0], idx[..., 1], idx[..., 2]
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def duality_residual(conn1: ConnectionField, conn2: ConnectionField,
                      inv, probes) -> float:
     """Max deviation from the dual-pair curvature relation F1 = -iota* F2.
@@ -254,12 +275,13 @@ def duality_residual(conn1: ConnectionField, conn2: ConnectionField,
     pushed = []
     for fld in (X, Y, Z):
         vals = np.zeros(conn2.header.dims + (3,))
-        vals[ix, iy, iz] = fld.samples @ m.T
+        vals[ix, iy, iz] = _finite(fld.samples @ m.T, "a pushed field")
         pushed.append(VectorFieldGrid(conn2.header, vals))
     f1 = curvature(conn1, X, Y, Z).samples
     f2 = curvature(conn2, *pushed).samples
     pulled = f2[ix, iy, iz] @ m.T  # iota inverse = iota
-    return VectorFieldGrid(h1, f1 + pulled).max_interior_norm(depth=2)
+    residual = _finite(f1 + pulled, "the duality residual")
+    return VectorFieldGrid(h1, residual).max_interior_norm(depth=2)
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -191,12 +191,6 @@ class ProjectionSpec:
         return np.vstack([self.u, self.w, self.n])
 
 
-#: Frames projecting along +z, +x, +y respectively.
-SPEC_XY = None  # set below once ProjectionSpec exists
-SPEC_YZ = None
-SPEC_ZX = None
-
-
 @dataclass(frozen=True)
 class Involution:
     """Orthogonal matrix squaring to the identity."""
@@ -234,15 +228,13 @@ class BackprojectionRay:
 
 @dataclass(frozen=True)
 class Sinogram:
-    """Line-integral image: values on a pixel grid in plane coordinates.
+    """Line-integral image: values[iu, iw] is pixel (iu, iw) of the
+    `pixel_center_coords` lattice of the grid it was projected from.
 
-    origin2d is the plane coordinate of the center of pixel (0, 0);
-    pixels are square with side `spacing`.
+    Raises DimMismatch unless the values are 2-D and finite.
     """
 
     values: np.ndarray
-    spacing: float
-    origin2d: np.ndarray = field(default_factory=lambda: np.zeros(2))
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=float)
@@ -251,9 +243,6 @@ class Sinogram:
         if not np.all(np.isfinite(vals)):
             raise DimMismatch("sinogram values must be finite")
         object.__setattr__(self, "values", vals)
-        object.__setattr__(self, "spacing", float(self.spacing))
-        object.__setattr__(
-            self, "origin2d", np.asarray(self.origin2d, dtype=float).reshape(2))
 
 
 @dataclass(frozen=True, eq=False)
@@ -486,9 +475,7 @@ def project_voxels(grid: VoxelGrid, spec: ProjectionSpec,
     """
     nu, nw = int(image_dims[0]), int(image_dims[1])
     op = projection_operator(grid, spec, (nu, nw))
-    origin2d = pixel_center_coords(grid, spec, (nu, nw))[0, 0]
-    return Sinogram((op @ grid.values.ravel()).reshape(nu, nw), grid.spacing,
-                    origin2d)
+    return Sinogram((op @ grid.values.ravel()).reshape(nu, nw))
 
 
 def _require_tol(tol: float) -> None:
@@ -556,6 +543,7 @@ def coordinate_spec(axis: int) -> ProjectionSpec:
     return ProjectionSpec(e[order[0]], e[order[1]], e[order[2]])
 
 
+#: Frames projecting along +z, +x, +y respectively.
 SPEC_XY = coordinate_spec(2)
 SPEC_YZ = coordinate_spec(0)
 SPEC_ZX = coordinate_spec(1)

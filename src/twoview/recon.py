@@ -4,8 +4,9 @@ Two-view point recovery intersects back-projection rays, which for fixed
 frames is one 3x4 linear map from the stacked observations; the direction
 solvers (plain and `toric`'s symmetry-reduced) share one validator and one
 SVD core; the discrete tomographic path assembles one linear equation per
-observed ray and inverts it with a conjugate-direction least-squares
-iteration and reports its rank exactly, one connected component of its
+observed ray, stacking the views' operators once into one sparse matrix,
+inverts it with a conjugate-direction least-squares iteration and reports
+the rank of that matrix exactly, one connected component of its
 row/column sparsity graph at a time: two views whose operators put each
 voxel on exactly one pixel per view with one common weight (any two
 axis-aligned views) make each component the incidence matrix of a
@@ -37,8 +38,6 @@ from .geometry import (
     PointCloud,
     Projected2D,
     ProjectionSpec,
-    Sinogram,
-    pixel_center_coords,
     project_points,
     projection_operator,
     _cross_norm,
@@ -98,16 +97,19 @@ class RadonSystem:
     row/column sparsity graph, and rank_method names how those were
     found: "graph" (#rows - 1 per pixel-graph component, no dense matrix)
     or "svd" (a dense SVD per component, thresholded against the largest
-    singular value of A).
+    singular value of A).  grid is the voxel lattice of A's columns.
     """
 
     rows: CSR
     rhs: np.ndarray
     rank: int
-    determined: bool
-    grid_dims: tuple
-    spacing: float
+    grid: GridHeader
     rank_method: str
+
+    @property
+    def determined(self) -> bool:
+        """Whether the rank equals the voxel count."""
+        return self.rank == self.rows.shape[1]
 
 
 @dataclass(frozen=True)
@@ -290,20 +292,22 @@ def elimination_rank(A: np.ndarray, tol: float = _RANK_TOL) -> int:
     return rank
 
 
-def _is_pixel_graph(blocks) -> bool:
-    """Whether two CSR blocks form a pixel graph.
+def _is_pixel_graph(A: CSR, split: int | None) -> bool:
+    """Whether the rows of A before and from row `split` form a pixel graph.
 
-    They do when every column holds exactly one stored entry in each block
-    and all entries share one nonzero value; stored zeros or duplicates
-    fail the test and fall back to the SVD.
+    They do when every column holds exactly one stored entry in each of
+    the two row ranges and all entries share one nonzero value; stored
+    zeros or duplicates fail the test and fall back to the SVD.  A split
+    of None (not two views) never does.
     """
-    if len(blocks) != 2:
+    if split is None:
         return False
-    for block in blocks:
-        if np.any(np.bincount(block.indices, minlength=block.shape[1]) != 1):
+    cut = A.indptr[split]
+    for cols in (A.indices[:cut], A.indices[cut:]):
+        if np.any(np.bincount(cols, minlength=A.shape[1]) != 1):
             return False
-    data = np.concatenate([block.data for block in blocks])
-    return bool(data.size and data[0] != 0 and np.all(data == data[0]))
+    return bool(A.data.size and A.data[0] != 0
+                and np.all(A.data == A.data[0]))
 
 
 def _components(n: int, u: np.ndarray,
@@ -348,27 +352,26 @@ def _positions(label: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return pos
 
 
-def _radon_rank(blocks) -> tuple[int, str]:
-    """Rank of the vertically stacked view blocks, and how it was found.
+def _radon_rank(A: CSR, split: int | None) -> tuple[int, str]:
+    """Rank of the stacked Radon matrix A, and how it was found.
 
-    The blocks are CSR matrices with one column count; only their indptr,
-    indices, data and shape are read.  The rank of a sparse matrix is the
-    sum of the ranks of the connected components of its bipartite
-    row/column sparsity graph (the coarse block-triangular form of Pothen
-    & Fan), so one components pass (`_components`) splits the stacked
-    matrix into independent blocks and only components with at least one
-    row and one column are ranked.  "graph": for two blocks that form a
-    pixel graph (`_is_pixel_graph`) each component is a multiple of the
-    unsigned incidence matrix of a connected bipartite graph with one
-    vertex per pixel and one edge per voxel, so it contributes #rows - 1
-    and nothing is densified.  "svd": every other component is densified
-    alone from its own entries, rows and columns in ascending order, and
-    its singular values are counted above _RANK_TOL times the largest
-    singular value over all components, which are the singular values of
-    the whole matrix; raises SystemTooLarge when the largest component's
-    dense matrix would exceed _DENSE_RANK_BYTES.
+    A is the one matrix `build_radon_system` stacks from the views, and
+    split is the first row of the second view when there are two, None
+    otherwise.  The rank of a sparse matrix is the sum of the ranks of the
+    connected components of its bipartite row/column sparsity graph (the
+    coarse block-triangular form of Pothen & Fan), so one components pass
+    (`_components`) splits A into independent blocks and only components
+    with at least one row and one column are ranked.  "graph": for two
+    views that form a pixel graph (`_is_pixel_graph`) each component is a
+    multiple of the unsigned incidence matrix of a connected bipartite
+    graph with one vertex per pixel and one edge per voxel, so it
+    contributes #rows - 1 and nothing is densified.  "svd": every other
+    component is densified alone from its own entries, rows and columns in
+    ascending order, and its singular values are counted above _RANK_TOL
+    times the largest singular value over all components, which are the
+    singular values of the whole matrix; raises SystemTooLarge when the
+    largest component's dense matrix would exceed _DENSE_RANK_BYTES.
     """
-    A = CSR.vstack(blocks)
     rows, cols = A.shape
     # vertex r < rows is row r, vertex rows + j is column j; one edge per
     # stored entry
@@ -377,7 +380,7 @@ def _radon_rank(blocks) -> tuple[int, str]:
     comp_rows = np.bincount(row_label, minlength=ncomp)
     comp_cols = np.bincount(col_label, minlength=ncomp)
     sizes = comp_rows * comp_cols  # 0 unless it has a row and a column
-    if _is_pixel_graph(blocks):
+    if _is_pixel_graph(A, split):
         rank = int(np.sum(comp_rows[sizes > 0] - 1))
         if rows * cols <= _ORACLE_CHECK_ENTRIES:
             check = elimination_rank(A.toarray())
@@ -411,45 +414,33 @@ def _radon_rank(blocks) -> tuple[int, str]:
     return _rank_above(svals, svals.max(initial=0.0)), "svd"
 
 
-def build_radon_system(specs, grid_dims, spacing, sinograms,
-                       origin=None) -> RadonSystem:
+def build_radon_system(specs, grid: GridHeader, sinograms) -> RadonSystem:
     """Assemble the linear system tying voxel densities to sinogram rays.
 
-    One row per sinogram pixel, one column per voxel: each view's block is
-    `projection_operator`, the operator `project_voxels` applies, so
-    A x stacks the views' forward projections of x (exact intersection
+    One row per sinogram pixel, one column per voxel of `grid`: each
+    view's block is `projection_operator`, the operator `project_voxels`
+    applies, on the `pixel_center_coords` lattice of the sinogram's shape,
+    so A x stacks the views' forward projections of x (exact intersection
     lengths for axis-aligned frames, trilinear ray marching otherwise).
-    The rank is found one connected component of A's row/column sparsity
-    graph at a time (`_radon_rank`): for two axis-aligned views each
-    component is a pixel graph of rank #rows - 1 (rank_method "graph", no
-    dense matrix); for any other set of views each component is densified
-    alone and ranked by its singular values (rank_method "svd"), and
-    SystemTooLarge is raised when the largest component's dense matrix
-    would exceed _DENSE_RANK_BYTES.  `determined` records whether the
-    rank equals the voxel count.  The system's rows are the blocks stacked
-    by `CSR.vstack`.
+    The blocks are stacked once, by `CSR.vstack`, and that one matrix is
+    both the system's rows and what `_radon_rank` ranks, one connected
+    component of its row/column sparsity graph at a time: for two
+    axis-aligned views each component is a pixel graph of rank #rows - 1
+    (rank_method "graph", no dense matrix); for any other set of views
+    each component is densified alone and ranked by its singular values
+    (rank_method "svd"), and SystemTooLarge is raised when the largest
+    component's dense matrix would exceed _DENSE_RANK_BYTES.
     """
     specs = list(specs)
     sinos = list(sinograms)
     if len(specs) != len(sinos):
         raise DimMismatch(f"{len(specs)} specs vs {len(sinos)} sinograms")
-    dims = tuple(int(d) for d in grid_dims)
-    nvox = int(np.prod(dims))
-    if origin is None:
-        origin = -spacing * (np.asarray(dims) - 1) / 2.0
-    grid = GridHeader(dims, spacing, origin)
-    blocks = []
-    for spec, sino in zip(specs, sinos):
-        origin2d = pixel_center_coords(grid, spec, sino.values.shape)[0, 0]
-        if np.max(np.abs(origin2d - sino.origin2d)) > 1e-9 * max(1.0, spacing):
-            raise DimMismatch("sinogram pixel lattice does not match the grid")
-        blocks.append(projection_operator(grid, spec, sino.values.shape))
-    # the rank first, so that its stacked copy of the blocks is freed
-    # before the system's own is built (8 MB less peak at 64^3)
-    rank, method = _radon_rank(blocks)
-    A = CSR.vstack(blocks)
+    A = CSR.vstack([projection_operator(grid, spec, sino.values.shape)
+                    for spec, sino in zip(specs, sinos)])
+    split = sinos[0].values.size if len(sinos) == 2 else None
+    rank, method = _radon_rank(A, split)
     b = np.concatenate([sino.values.ravel() for sino in sinos])
-    return RadonSystem(A, b, rank, rank == nvox, dims, float(spacing), method)
+    return RadonSystem(A, b, rank, grid, method)
 
 
 def solve_radon(system: RadonSystem, max_iter: int | None = None,
@@ -472,7 +463,7 @@ def solve_radon(system: RadonSystem, max_iter: int | None = None,
     x = np.zeros(nvox)
     bnorm = float(np.linalg.norm(b))
     if bnorm == 0.0:
-        return x.reshape(system.grid_dims)
+        return x.reshape(system.grid.dims)
     r = b - A @ x
     s = A.rmatvec(r)
     p = s.copy()
@@ -480,7 +471,7 @@ def solve_radon(system: RadonSystem, max_iter: int | None = None,
     snorm0 = np.sqrt(gamma)
     for it in range(max_iter):
         if np.linalg.norm(r) <= tol * bnorm:
-            return x.reshape(system.grid_dims)
+            return x.reshape(system.grid.dims)
         if np.sqrt(gamma) <= tol * snorm0:
             break  # least-squares optimum; residual may stay > tol*|b|
         q = A @ p
@@ -496,10 +487,10 @@ def solve_radon(system: RadonSystem, max_iter: int | None = None,
         gamma = gamma_new
     res = float(np.linalg.norm(A @ x - b))
     if res <= tol * bnorm or np.sqrt(gamma) <= max(tol, 1e-12) * snorm0:
-        return x.reshape(system.grid_dims)
+        return x.reshape(system.grid.dims)
     raise NotConverged(
         f"residual {res} > tol*|b| after {max_iter} iterations",
-        best=x.reshape(system.grid_dims), residual=res, iterations=max_iter)
+        best=x.reshape(system.grid.dims), residual=res, iterations=max_iter)
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,6 @@ from .geometry import (
     ProjectionSpec,
     Sinogram,
     VoxelGrid,
-    pixel_center_coords,
 )
 from .diffgeo import ConnectionField, VectorFieldGrid
 from .algebra import UNDEFINED, FiniteMagma
@@ -188,18 +187,15 @@ def save_sinogram_csv(sino: Sinogram, path) -> None:
     _write_rows(path, sino.values)
 
 
-def load_sinogram_csv(path, grid: GridHeader,
-                      spec: ProjectionSpec) -> Sinogram:
-    """The sinogram at `path` of `grid` seen in view `spec`: the values on
-    the `pixel_center_coords` lattice of the grid, with its spacing.
+def load_sinogram_csv(path) -> Sinogram:
+    """The sinogram at `path`: its values alone, the file holds no lattice.
 
     Raises InputError when the file holds no rows.
     """
     vals = _read_rows(path)
     if vals.size == 0:
         raise InputError(f"empty sinogram in {path}")
-    return Sinogram(vals, grid.spacing,
-                    pixel_center_coords(grid, spec, vals.shape)[0, 0])
+    return Sinogram(vals)
 
 
 def save_sinogram_pgm(sino: Sinogram, path) -> None:

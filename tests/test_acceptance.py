@@ -144,8 +144,7 @@ def test_criterion_04_radon_determinacy():
     vals = rng.uniform(0.1, 1, (2, 2, 2))
     grid = VoxelGrid((2, 2, 2), 1.0, (-0.5, -0.5, -0.5), vals)
     sinos = [project_voxels(grid, s, (2, 2)) for s in (XY, YZ)]
-    system = build_radon_system([XY, YZ], (2, 2, 2), 1.0, sinos,
-                                origin=grid.origin)
+    system = build_radon_system([XY, YZ], grid, sinos)
     ok = system.rank < 8
     ok &= system.rank == np.linalg.matrix_rank(system.rows.toarray())
     ranks = []
@@ -153,7 +152,7 @@ def test_criterion_04_radon_determinacy():
         g = VoxelGrid((n, n, 1), 1.0, (0, 0, 0), rng.uniform(0, 1, (n, n, 1)))
         specs = [coordinate_spec(0), coordinate_spec(1)]
         sinos = [project_voxels(g, s, (n, n)) for s in specs]
-        sysm = build_radon_system(specs, (n, n, 1), 1.0, sinos, origin=g.origin)
+        sysm = build_radon_system(specs, g, sinos)
         ranks.append(sysm.rank)
         ok &= sysm.rank == 2 * n - 1
         ok &= sysm.rank == np.linalg.matrix_rank(sysm.rows.toarray())

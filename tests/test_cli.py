@@ -21,6 +21,7 @@ from twoview import serialization as ser
 from twoview.cli import build_parser, main
 from twoview.data import fixture_path
 from twoview.diffgeo import (
+    ConnectionField,
     GridHeader,
     VectorFieldGrid,
     curvature,
@@ -654,6 +655,50 @@ class TestNonFiniteOutput:
         err = self.error(capsys)
         assert err["error"] == "NumericalError"
         assert "report.json" in err["message"]
+        assert list(out.iterdir()) == []
+
+    @pytest.fixture
+    def overflowing(self, tmp_path):
+        """Finite 5^3 inputs whose products overflow: X = (1e200, 0, 0),
+        Y = (0, 1e200, 0) and Gamma^2_01 = 1e200."""
+        header = GridHeader((5, 5, 5), 1.0, (0, 0, 0))
+        gamma = np.zeros(header.dims + (3, 3, 3))
+        gamma[..., 2, 0, 1] = 1e200
+        x, y, c = (tmp_path / f"{n}.json" for n in "xyc")
+        ser.save_vector_field(VectorFieldGrid.constant(header, (1e200, 0, 0)),
+                              x)
+        ser.save_vector_field(VectorFieldGrid.constant(header, (0, 1e200, 0)),
+                              y)
+        ser.save_connection(ConnectionField(header, gamma), c)
+        return {"frobenius": ("--field-x", x, "--field-y", y),
+                "hantjies": ("--field-x", x, "--field-y", y,
+                             "--connection", c),
+                "curvature": ("--field-x", x, "--field-y", y, "--field-z", y,
+                              "--connection", c)}
+
+    @pytest.mark.parametrize("check", ["frobenius", "hantjies", "curvature"])
+    def test_overflow_in_a_computed_field_exits_4(self, check, overflowing,
+                                                  tmp_path, capsys):
+        # frobenius once printed four RuntimeWarnings before its error line;
+        # hantjies and curvature blamed the finite input (HeaderMismatch)
+        out = tmp_path / "out"
+        assert run("diagnose", check, *overflowing[check], "--out", out) == 4
+        err = self.error(capsys)
+        assert err["error"] == "NumericalError"
+        assert "overflows" in err["message"]
+        assert list(out.iterdir()) == []
+
+    def test_a_non_finite_sample_read_stays_an_input_error(self, tmp_path,
+                                                           capsys):
+        x = grid_file(fixture_path("field_contact_x.json"), tmp_path / "x.json")
+        rows = x.with_suffix(".csv").read_text().splitlines()
+        rows[0] = "nan" + rows[0][rows[0].index(","):]
+        x.with_suffix(".csv").write_text("\n".join(rows) + "\n")
+        out = tmp_path / "out"
+        assert run("diagnose", "frobenius", "--field-x", x,
+                   "--field-y", fixture_path("field_contact_y.json"),
+                   "--out", out) == 2
+        assert self.error(capsys)["error"] == "HeaderMismatch"
         assert list(out.iterdir()) == []
 
 

@@ -5,6 +5,7 @@ from twoview.errors import (
     DegenerateDistribution,
     GridTooSmall,
     HeaderMismatch,
+    NumericalError,
     PathOutsideGrid,
 )
 from twoview.geometry import Involution
@@ -101,6 +102,30 @@ class TestCovariantDerivative:
             errs.append(np.abs((out.samples - exact)[inner]).max())
         ratio = errs[0] / errs[1]
         assert 3.0 <= ratio <= 5.0
+
+
+class TestOverflow:
+    """Finite fields whose computed products overflow raise NumericalError,
+    with numpy's overflow warnings (errors under this suite) kept quiet."""
+
+    @pytest.fixture
+    def fields(self):
+        header = small_header(h=1.0, n=5)
+        gamma = np.zeros(header.dims + (3, 3, 3))
+        gamma[..., 2, 0, 1] = 1e200
+        return (const(header, (1e200, 0, 0)), const(header, (0, 1e200, 0)),
+                ConnectionField(header, gamma))
+
+    @pytest.mark.parametrize("compute", [
+        lambda X, Y, C: covariant_derivative(X, Y, C),
+        lambda X, Y, C: hantjies_tensor(X, Y, C),
+        lambda X, Y, C: frobenius_residual(X, Y),
+        lambda X, Y, C: curvature(C, X, Y, Y),
+        lambda X, Y, C: const(X.header, (1e300, 1e300, 0)).max_interior_norm(),
+    ], ids=["covariant", "hantjies", "frobenius", "curvature", "norm"])
+    def test_numerical_error(self, compute, fields):
+        with pytest.raises(NumericalError, match="overflows"):
+            compute(*fields)
 
 
 class TestLieBracket:

@@ -347,8 +347,8 @@ class TestGridHeader:
 
 class TestNonFiniteRejected:
     @pytest.mark.parametrize("make", [
-        lambda: Sinogram([[1.0, np.nan]], 1.0),
-        lambda: Sinogram([[np.inf, 0.0]], 1.0),
+        lambda: Sinogram([[1.0, np.nan]]),
+        lambda: Sinogram([[np.inf, 0.0]]),
         lambda: Projected2D([[np.nan, 0.0]], [1.0]),
         lambda: Projected2D([[0.0, 0.0]], [np.inf]),
     ])
