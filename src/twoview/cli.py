@@ -38,7 +38,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import logging
 import math
 import os
 import sys
@@ -47,43 +46,29 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
+from . import algebra, certify, diffgeo, geometry, recon, toric
 from . import serialization as ser
-from .algebra import TwistMap, check_associative, check_moufang, jacobiator
-from .certify import certificate, check_transversality
-from .diffgeo import curvature, frobenius_residual, integrability_report
 from .errors import (
     GeometricError,
     InputError,
     NumericalError,
     SystemTooLarge,
     TwoViewError,
-)
-from .geometry import (
-    GridHeader,
-    VoxelGrid,
-    project_points,
-    project_voxels,
-    _cross_norm,
-)
-from .recon import (
-    ConstraintRow,
-    build_radon_system,
-    noise_study,
-    reconstruct_cloud,
-    solve_radon,
     _DENSE_RANK_BYTES,
 )
-from .toric import detect_axis, solve_direction_equivariant
 
 TOOL = f"twoview {__version__}"
 
-log = logging.getLogger("twoview")
-
 
 def _setup_logging():
-    level = os.environ.get("RECON_LOG", "error").lower()
-    logging.basicConfig(level={"error": logging.ERROR, "info": logging.INFO,
-                               "debug": logging.DEBUG}.get(level, logging.ERROR))
+    """Set the root logger's level from RECON_LOG, when it is set."""
+    level = os.environ.get("RECON_LOG")
+    if level is None:
+        return
+    import logging
+    levels = {"error": logging.ERROR, "info": logging.INFO,
+              "debug": logging.DEBUG}
+    logging.basicConfig(level=levels.get(level.lower(), logging.ERROR))
 
 
 def _echo_run(out: Path, args) -> None:
@@ -120,11 +105,12 @@ def cmd_project(args, out: Path) -> None:
     spec1 = ser.load_spec(args.spec1)
     spec2 = ser.load_spec(args.spec2)
     if args.check_transversal:
-        _cross_norm(spec1, spec2, args.tol)
+        geometry._cross_norm(spec1, spec2, args.tol)
     if args.mode == "points":
         cloud = ser.load_cloud(args.input)
-        ser.save_image(project_points(cloud, spec1), out / "image1.json")
-        ser.save_image(project_points(cloud, spec2), out / "image2.json")
+        for i, spec in enumerate((spec1, spec2), start=1):
+            ser.save_image(geometry.project_points(cloud, spec),
+                           out / f"image{i}.json")
     else:
         grid = ser.load_voxels(args.input)
         dims = args.image_dims
@@ -132,7 +118,7 @@ def cmd_project(args, out: Path) -> None:
             dims = max(grid.dims)
         _require_dense_size(dims * dims, f"a {dims}x{dims} image")
         for i, spec in enumerate((spec1, spec2), start=1):
-            sino = project_voxels(grid, spec, (dims, dims))
+            sino = geometry.project_voxels(grid, spec, (dims, dims))
             ser.save_sinogram_csv(sino, out / f"sino{i}.csv")
             if args.format == "pgm":
                 ser.save_sinogram_pgm(sino, out / f"sino{i}.pgm")
@@ -143,14 +129,14 @@ def cmd_reconstruct_points(args, out: Path) -> None:
     spec2 = ser.load_spec(args.spec2)
     img1 = ser.load_image(args.image1)
     img2 = ser.load_image(args.image2)
-    cloud = reconstruct_cloud(img1, img2, spec1, spec2, args.tol)
+    cloud = recon.reconstruct_cloud(img1, img2, spec1, spec2, args.tol)
     ser.save_cloud(cloud, out / "reconstructed.json")
     reproj = 0.0
     if len(cloud):
-        r1 = project_points(cloud, spec1).positions - img1.positions
-        r2 = project_points(cloud, spec2).positions - img2.positions
+        r1 = geometry.project_points(cloud, spec1).positions - img1.positions
+        r2 = geometry.project_points(cloud, spec2).positions - img2.positions
         reproj = float(max(np.abs(r1).max(), np.abs(r2).max()))
-        trans = check_transversality(spec1, spec2, args.tol)
+        trans = certify.check_transversality(spec1, spec2, args.tol)
         cert = {"transversality": trans.to_dict(),
                 "unique": bool(trans.transversal)}
     else:
@@ -163,19 +149,20 @@ def cmd_reconstruct_points(args, out: Path) -> None:
 def cmd_reconstruct_voxels(args, out: Path) -> None:
     spec1 = ser.load_spec(args.spec1)
     spec2 = ser.load_spec(args.spec2)
-    _cross_norm(spec1, spec2, args.tol)
+    geometry._cross_norm(spec1, spec2, args.tol)
     dims = tuple(_parse_list(args.grid_dims, int, 3, option="--grid-dims"))
     if min(dims) < 1:
         raise InputError(f"--grid-dims must be positive, got {dims}")
     _require_dense_size(math.prod(dims), "a {}x{}x{} grid".format(*dims))
     origin = -args.spacing * (np.asarray(dims) - 1) / 2.0
-    lattice = GridHeader(dims, args.spacing, origin)
+    lattice = geometry.GridHeader(dims, args.spacing, origin)
     sinos = [ser.load_sinogram_csv(args.sino1),
              ser.load_sinogram_csv(args.sino2)]
-    system = build_radon_system([spec1, spec2], lattice, sinos)
-    values = solve_radon(system, tol=args.solver_tol)
-    ser.save_voxels(VoxelGrid(dims, args.spacing, origin,
-                              np.maximum(values, 0.0)), out / "recovered.json")
+    system = recon.build_radon_system([spec1, spec2], lattice, sinos)
+    values = recon.solve_radon(system, tol=args.solver_tol)
+    recovered = geometry.VoxelGrid(dims, args.spacing, origin,
+                                   np.maximum(values, 0.0))
+    ser.save_voxels(recovered, out / "recovered.json")
     ser.dump_json({"tool": TOOL, "rank": system.rank,
                    "rank_method": system.rank_method,
                    "voxels": int(np.prod(dims)),
@@ -191,23 +178,23 @@ def cmd_certify(args, out: Path) -> None:
     X = ser.load_vector_field(args.field_x)
     Y = ser.load_vector_field(args.field_y)
     conn = ser.load_connection(args.connection)
-    cert = certificate(spec1, spec2, cloud, X, Y, conn,
-                       tol_transversal=args.tol,
-                       tol_integrability=args.tol_int)
+    cert = certify.certificate(spec1, spec2, cloud, X, Y, conn,
+                               tol_transversal=args.tol,
+                               tol_integrability=args.tol_int)
     ser.dump_json({"tool": TOOL, **cert.to_dict()}, out / "certificate.json")
 
 
-def _load_twist(path) -> TwistMap:
+def _load_twist(path) -> algebra.TwistMap:
     """The --twist coefficients c^k_ij from a JSON file; zero when absent."""
     if path is None:
-        return TwistMap.zero()
+        return algebra.TwistMap.zero()
     try:
         coeffs = np.asarray(ser._load_json(path), dtype=float)
     except (TypeError, ValueError):
         coeffs = np.array(math.nan)
     if coeffs.shape != (3, 3, 3) or not np.all(np.isfinite(coeffs)):
         raise InputError(f"--twist must hold a finite 3x3x3 array: {path}")
-    return TwistMap(coeffs)
+    return algebra.TwistMap(coeffs)
 
 
 def _report(args, out: Path, **fields) -> None:
@@ -217,16 +204,17 @@ def _report(args, out: Path, **fields) -> None:
 
 def cmd_diagnose_algebra(args, out: Path) -> None:
     magma = ser.load_magma(args.table)
-    assoc = check_associative(magma)
-    mouf = check_moufang(magma, strict=args.strict)
+    assoc = algebra.check_associative(magma)
+    mouf = algebra.check_moufang(magma, strict=args.strict)
     _report(args, out, order=magma.order, total=magma.is_total,
             associative=assoc.holds, associative_witness=assoc.witness,
             moufang=mouf.holds, moufang_witness=mouf.witness)
 
 
 def cmd_diagnose_frobenius(args, out: Path) -> None:
-    residual, rmax = frobenius_residual(ser.load_vector_field(args.field_x),
-                                        ser.load_vector_field(args.field_y))
+    residual, rmax = diffgeo.frobenius_residual(
+        ser.load_vector_field(args.field_x),
+        ser.load_vector_field(args.field_y))
     if args.profile:
         ser._write_rows(out / "profile.csv",
                         residual.reshape(residual.shape[0], -1))
@@ -236,8 +224,8 @@ def cmd_diagnose_frobenius(args, out: Path) -> None:
 def cmd_diagnose_hantjies(args, out: Path) -> None:
     X = ser.load_vector_field(args.field_x)
     Y = ser.load_vector_field(args.field_y)
-    rep = integrability_report(X, Y, ser.load_connection(args.connection),
-                               args.tol_int)
+    rep = diffgeo.integrability_report(
+        X, Y, ser.load_connection(args.connection), args.tol_int)
     _report(args, out, max_hantjies_norm=rep.max_hantjies_norm,
             max_frobenius_residual=rep.max_frobenius_residual,
             integrable=rep.integrable, tolerance=rep.tolerance,
@@ -248,7 +236,7 @@ def cmd_diagnose_curvature(args, out: Path) -> None:
     X = ser.load_vector_field(args.field_x)
     Y = ser.load_vector_field(args.field_y)
     conn = ser.load_connection(args.connection)
-    F = curvature(conn, X, Y, ser.load_vector_field(args.field_z))
+    F = diffgeo.curvature(conn, X, Y, ser.load_vector_field(args.field_z))
     # only nodes at depth 2 carry second-order-accurate values
     _report(args, out, max_curvature_norm=F.max_interior_norm(depth=2))
 
@@ -257,14 +245,14 @@ def cmd_diagnose_jacobiator(args, out: Path) -> None:
     X = ser.load_vector_field(args.field_x)
     Y = ser.load_vector_field(args.field_y)
     Z = ser.load_vector_field(args.field_z)
-    _, jmax = jacobiator(X, Y, Z, _load_twist(args.twist))
+    _, jmax = algebra.jacobiator(X, Y, Z, _load_twist(args.twist))
     _report(args, out, max_jacobiator_norm=jmax)
 
 
 def cmd_toric_detect(args, out: Path) -> None:
     cloud = ser.load_cloud(args.input)
     orders = _parse_list(args.orders, int, option="--orders")
-    rep = detect_axis(cloud, orders, tol=args.tol)
+    rep = toric.detect_axis(cloud, orders, tol=args.tol)
     ser.dump_json({"tool": TOOL, "axis": rep.axis.tolist(),
                    "order": rep.order,
                    "invariance_residual": rep.invariance_residual,
@@ -275,13 +263,13 @@ def cmd_toric_detect(args, out: Path) -> None:
 def cmd_toric_solve(args, out: Path) -> None:
     data = ser._load_json(args.constraints)
     with ser._reading(args.constraints, "constraints"):
-        rows = [ConstraintRow(r["omega"], r.get("rhs", 0.0))
+        rows = [recon.ConstraintRow(r["omega"], r.get("rhs", 0.0))
                 for r in data["rows"]]
         dim = int(data.get("dim", 3))
     axis = _parse_list(args.axis, float, 3, option="--axis")
     if not any(axis):
         raise InputError("--axis must not be the zero vector")
-    sol = solve_direction_equivariant(rows, axis, args.order, dim)
+    sol = toric.solve_direction_equivariant(rows, axis, args.order, dim)
     ser.dump_json({"tool": TOOL, "v": sol.v.tolist(), "nullity": sol.nullity,
                    "residual": sol.residual}, out / "direction.json")
 
@@ -294,8 +282,8 @@ def cmd_noise_study(args, out: Path) -> None:
     lines = [f"# {TOOL} seed={args.seed} trials={args.trials}",
              "sigma,rmse_mean,rmse_std,predicted_bound,slope"]
     for sigma in sigmas:
-        rep = noise_study(cloud, spec1, spec2, sigma, args.trials,
-                          seed=args.seed, tol=args.tol)
+        rep = recon.noise_study(cloud, spec1, spec2, sigma, args.trials,
+                                seed=args.seed, tol=args.tol)
         lines.append(",".join(repr(float(x)) for x in
                               (rep.sigma, rep.rmse_mean, rep.rmse_std,
                                rep.predicted_bound, rep.slope)))

@@ -49,6 +49,16 @@ def _finite(values, what: str):
     return values
 
 
+def _node_scaled(v: np.ndarray):
+    """(v / 2**e, e) per node, 2**e the power of two that brings the node's
+    largest |component| into [0.5, 1) (e = 0 for a zero vector).  Products
+    and norms of the scaled vectors cannot overflow, and power-of-two
+    scaling is exact, so they equal the unscaled ones to the last bit
+    wherever those neither overflow nor underflow."""
+    _, e = np.frexp(np.abs(v).max(axis=-1, keepdims=True))
+    return np.ldexp(v, -e), e
+
+
 def interior_mask(dims, depth: int = 1) -> np.ndarray:
     """Boolean mask of nodes at least `depth` nodes away from every face."""
     m = np.zeros(tuple(dims), dtype=bool)
@@ -102,7 +112,8 @@ class VectorFieldGrid:
     @np.errstate(over="ignore", invalid="ignore")
     def max_interior_norm(self, depth: int = 1) -> float:
         """Largest |sample| over the nodes at least `depth` from every face."""
-        norms = np.linalg.norm(self.samples, axis=-1)
+        scaled, e = _node_scaled(self.samples)
+        norms = np.ldexp(np.linalg.norm(scaled, axis=-1), e[..., 0])
         norms = norms[interior_mask(self.header.dims, depth)]
         return float(_finite(norms, "the field's norm").max())
 
@@ -201,9 +212,12 @@ def frobenius_residual(X: VectorFieldGrid, Y: VectorFieldGrid,
     """
     header = _require_same_header(X, Y)
     b = lie_bracket(X, Y).samples
-    nx = np.linalg.norm(X.samples, axis=-1)
-    ny = np.linalg.norm(Y.samples, axis=-1)
-    cross = np.cross(X.samples, Y.samples)
+    # sin_angle and chat do not change when X and Y are scaled node by node
+    xs, _ = _node_scaled(X.samples)
+    ys, _ = _node_scaled(Y.samples)
+    nx = np.linalg.norm(xs, axis=-1)
+    ny = np.linalg.norm(ys, axis=-1)
+    cross = np.cross(xs, ys)
     sin_angle = np.linalg.norm(cross, axis=-1) / np.maximum(nx * ny, 1e-300)
     inner = interior_mask(header.dims)
     if np.any(sin_angle[inner] <= angle_tol):

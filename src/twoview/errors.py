@@ -70,6 +70,11 @@ class SystemTooLarge(InputError):
     """A dense copy of the linear system would exceed the memory limit."""
 
 
+# the memory limit: the most bytes of float64 values a dense grid, image or
+# Radon component (densified for its SVD rank) may take
+_DENSE_RANK_BYTES = 2**28
+
+
 class NotConverged(NumericalError):
     """Iterative solver hit max_iter; carries the best iterate."""
 

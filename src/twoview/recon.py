@@ -31,6 +31,7 @@ from .errors import (
     NotConverged,
     NumericalError,
     SystemTooLarge,
+    _DENSE_RANK_BYTES,
 )
 from .geometry import (
     CSR,
@@ -44,7 +45,6 @@ from .geometry import (
 )
 
 _RANK_TOL = 1e-10  # relative pivot/singular-value threshold
-_DENSE_RANK_BYTES = 2**28  # largest float64 component the SVD rank densifies
 # Graph ranks of systems with at most this many matrix entries are also
 # checked against `elimination_rank`, which costs at most a few ms there.
 # The check also keeps the `elimination_rank` call under

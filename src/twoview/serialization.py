@@ -27,8 +27,9 @@ from .geometry import (
     Sinogram,
     VoxelGrid,
 )
-from .diffgeo import ConnectionField, VectorFieldGrid
-from .algebra import UNDEFINED, FiniteMagma
+# reached through their modules, so that reading points or voxels runs
+# neither layer
+from . import algebra, diffgeo
 
 UNDEFINED_MARK = "·"  # middle dot in table CSVs
 
@@ -209,22 +210,24 @@ def save_sinogram_pgm(sino: Sinogram, path) -> None:
         fh.write(scaled.tobytes())
 
 
-def save_vector_field(field: VectorFieldGrid, path) -> None:
+def save_vector_field(field: diffgeo.VectorFieldGrid, path) -> None:
     _save_grid(path, "vector_field", field.header, field.samples)
 
 
-def load_vector_field(path) -> VectorFieldGrid:
+def load_vector_field(path) -> diffgeo.VectorFieldGrid:
     return _load_grid(path, "vector field", lambda dims, spacing, origin, vals:
-                      VectorFieldGrid(GridHeader(dims, spacing, origin), vals))
+                      diffgeo.VectorFieldGrid(
+                          GridHeader(dims, spacing, origin), vals))
 
 
-def save_connection(conn: ConnectionField, path) -> None:
+def save_connection(conn: diffgeo.ConnectionField, path) -> None:
     _save_grid(path, "connection", conn.header, conn.gamma)
 
 
-def load_connection(path) -> ConnectionField:
+def load_connection(path) -> diffgeo.ConnectionField:
     return _load_grid(path, "connection", lambda dims, spacing, origin, vals:
-                      ConnectionField(GridHeader(dims, spacing, origin), vals))
+                      diffgeo.ConnectionField(
+                          GridHeader(dims, spacing, origin), vals))
 
 
 # -- sparse matrices --------------------------------------------------------
@@ -251,18 +254,18 @@ def save_matrix_market(A: CSR, path) -> None:
 # -- composition tables -----------------------------------------------------
 
 
-def save_magma(m: FiniteMagma, path) -> None:
+def save_magma(m: algebra.FiniteMagma, path) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         for row in m.table:
-            writer.writerow([UNDEFINED_MARK if x == UNDEFINED else int(x)
-                             for x in row])
+            writer.writerow([UNDEFINED_MARK if x == algebra.UNDEFINED
+                             else int(x) for x in row])
 
 
-def load_magma(path) -> FiniteMagma:
+def load_magma(path) -> algebra.FiniteMagma:
     with _reading(path, "table"):
         with open(path, "r", newline="", encoding="utf-8") as fh:
-            rows = [[UNDEFINED if cell.strip() in (UNDEFINED_MARK, ".")
+            rows = [[algebra.UNDEFINED if cell.strip() in (UNDEFINED_MARK, ".")
                      else int(cell) for cell in row]
                     for row in csv.reader(fh) if row]
-        return FiniteMagma(np.asarray(rows, dtype=int))
+        return algebra.FiniteMagma(np.asarray(rows, dtype=int))

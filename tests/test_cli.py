@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import twoview
-from twoview import cli, recon
+from twoview import cli, diffgeo, recon
 from twoview import serialization as ser
 from twoview.cli import build_parser, main
 from twoview.data import fixture_path
@@ -644,7 +644,7 @@ class TestNonFiniteOutput:
 
     def test_exit_4_and_no_file(self, tmp_path, capsys, monkeypatch):
         # a NaN or infinity is not JSON; nothing is written
-        monkeypatch.setattr(cli, "frobenius_residual",
+        monkeypatch.setattr(diffgeo, "frobenius_residual",
                             lambda X, Y: (np.zeros((5, 5, 5)), np.inf))
         out = tmp_path / "out"
         code = run("diagnose", "frobenius",
@@ -660,17 +660,21 @@ class TestNonFiniteOutput:
     @pytest.fixture
     def overflowing(self, tmp_path):
         """Finite 5^3 inputs whose products overflow: X = (1e200, 0, 0),
-        Y = (0, 1e200, 0) and Gamma^2_01 = 1e200."""
+        Y = (0, 1e200, 0), Gamma^2_01 = 1e200 and, for the Lie bracket,
+        Yx = (0, 1e200, 1e200 x)."""
         header = GridHeader((5, 5, 5), 1.0, (0, 0, 0))
         gamma = np.zeros(header.dims + (3, 3, 3))
         gamma[..., 2, 0, 1] = 1e200
-        x, y, c = (tmp_path / f"{n}.json" for n in "xyc")
+        x, y, yx, c = (tmp_path / f"{n}.json" for n in ("x", "y", "yx", "c"))
         ser.save_vector_field(VectorFieldGrid.constant(header, (1e200, 0, 0)),
                               x)
         ser.save_vector_field(VectorFieldGrid.constant(header, (0, 1e200, 0)),
                               y)
+        ser.save_vector_field(VectorFieldGrid.from_function(
+            header, lambda x, y, z: (0 * x, 1e200 + 0 * x, 1e200 * x)), yx)
         ser.save_connection(ConnectionField(header, gamma), c)
-        return {"frobenius": ("--field-x", x, "--field-y", y),
+        return {"frobenius": ("--field-x", x, "--field-y", yx),
+                "huge": ("--field-x", x, "--field-y", y),
                 "hantjies": ("--field-x", x, "--field-y", y,
                              "--connection", c),
                 "curvature": ("--field-x", x, "--field-y", y, "--field-z", y,
@@ -687,6 +691,15 @@ class TestNonFiniteOutput:
         assert err["error"] == "NumericalError"
         assert "overflows" in err["message"]
         assert list(out.iterdir()) == []
+
+    def test_huge_fields_whose_residual_is_finite_exit_0(self, overflowing,
+                                                          tmp_path):
+        # |X| |Y| = 1e400 overflows, but X x Y is only scaled, not squared
+        out = tmp_path / "out"
+        assert run("diagnose", "frobenius", *overflowing["huge"],
+                   "--out", out) == 0
+        report = json.loads((out / "report.json").read_text())
+        assert report["max_frobenius_residual"] == 0.0
 
     def test_a_non_finite_sample_read_stays_an_input_error(self, tmp_path,
                                                            capsys):
@@ -1245,31 +1258,147 @@ class TestBoundaryProperties:
 
 
 # Runs `python -m twoview.cli ARGS` in-process through runpy and, at exit,
-# prints the sorted scipy modules it loaded as the last stdout line.
-_LIST_SCIPY = """
-import atexit, json, runpy, sys
+# prints the sorted names of the sys.modules entries m (module v) that
+# {select} picks as the last stdout line.
+_RUN_CLI = """
+import atexit, json, runpy, sys, types
 atexit.register(lambda: print(json.dumps(sorted(
-    m for m in sys.modules if m.split(".")[0] == "scipy"))))
+    m for m, v in sys.modules.items() if {select}))))
 sys.argv = ["twoview"] + sys.argv[1:]
 runpy.run_module("twoview.cli", run_name="__main__", alter_sys=True)
 """
+_LIST_SCIPY = _RUN_CLI.format(select='m.split(".")[0] == "scipy"')
+# a layer that has not executed is still a lazy module, whose type is a
+# subclass of ModuleType
+_EXECUTED = 'm.startswith("twoview.") and type(v) is types.ModuleType'
+_LIST_LAYERS = _RUN_CLI.format(select=_EXECUTED)
 
 
-def scipy_modules(*argv, code=_LIST_SCIPY):
-    """The scipy modules a fresh interpreter loads to run `code`."""
+def fresh_modules(code, *argv, cwd=None) -> set:
+    """The names a fresh interpreter running `code` prints last."""
     src = str(Path(twoview.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run([sys.executable, "-c", code, *map(str, argv)],
-                          env=env, capture_output=True, text=True, timeout=60)
+                          env=env, cwd=cwd, capture_output=True, text=True,
+                          timeout=60)
     assert proc.returncode == 0, proc.stderr
     return set(json.loads(proc.stdout.splitlines()[-1]))
+
+
+def scipy_modules(*argv, code=_LIST_SCIPY):
+    """The scipy modules a fresh interpreter loads to run `code`."""
+    return fresh_modules(code, *argv)
+
+
+@pytest.fixture(scope="module")
+def layer_inputs(tmp_path_factory):
+    """A directory holding the op inputs the layer table below names."""
+    root = tmp_path_factory.mktemp("layer_inputs")
+    ser.save_voxels(VoxelGrid((3, 3, 3), 1.0, (0, 0, 0), np.ones((3, 3, 3))),
+                    root / "grid.json")
+    specs = ("--spec1", SPEC_XY, "--spec2", SPEC_YZ)
+    assert run("project", "--input", CLOUD, *specs, "--out", root) == 0
+    assert run("project", "--mode", "voxels", "--input", root / "grid.json",
+               *specs, "--out", root) == 0
+    ang = 2 * np.pi * np.arange(6) / 6
+    hexagon = np.column_stack([np.cos(ang), np.sin(ang), np.zeros(6)])
+    ser.save_cloud(PointCloud(hexagon, np.ones(6)), root / "hex.json")
+    (root / "cons.json").write_text(json.dumps(
+        {"rows": [{"omega": [1, 0, 0]}, {"omega": [0, 1, 0]}], "dim": 3}))
+    return root
+
+
+_SPECS = ("--spec1", SPEC_XY, "--spec2", SPEC_YZ)
+_FIELDS = ("--field-x", fixture_path("field_contact_x.json"),
+           "--field-y", fixture_path("field_contact_y.json"))
+_FIELD_Z = ("--field-z", fixture_path("field_coord_x.json"))
+_CONN = ("--connection", fixture_path("conn_flat.json"))
+_IO = {"errors", "geometry", "serialization"}
+_RECON = _IO | {"recon"}
+_DIFFGEO = _IO | {"diffgeo"}
+_TORIC = _RECON | {"moments", "toric"}
+# each op, run in the layer_inputs directory, and the twoview modules it
+# executes; `errors` is the one layer the CLI imports eagerly
+LAYERS_EXECUTED = {
+    "version": (("--version",), {"errors"}),
+    "project points": (("project", "--input", CLOUD, *_SPECS), _IO),
+    "project voxels": (("project", "--mode", "voxels",
+                        "--input", "grid.json", *_SPECS), _IO),
+    "reconstruct points": (("reconstruct", "points", "--image1",
+                            "image1.json", "--image2", "image2.json",
+                            *_SPECS),
+                           _RECON | {"certify", "diffgeo", "moments"}),
+    "reconstruct voxels": (("reconstruct", "voxels", "--sino1", "sino1.csv",
+                            "--sino2", "sino2.csv", "--grid-dims", "3,3,3",
+                            *_SPECS), _RECON),
+    "noise-study": (("noise-study", "--input", CLOUD, *_SPECS,
+                     "--sigmas", "0.01", "--trials", "2"), _RECON),
+    "diagnose frobenius": (("diagnose", "frobenius", *_FIELDS), _DIFFGEO),
+    "diagnose hantjies": (("diagnose", "hantjies", *_FIELDS, *_CONN),
+                          _DIFFGEO),
+    "diagnose curvature": (("diagnose", "curvature", *_FIELDS, *_FIELD_Z,
+                            *_CONN), _DIFFGEO),
+    "diagnose algebra": (("diagnose", "algebra",
+                          "--table", fixture_path("z4_table.csv")),
+                         _DIFFGEO | {"algebra"}),
+    "diagnose jacobiator": (("diagnose", "jacobiator", *_FIELDS, *_FIELD_Z),
+                            _DIFFGEO | {"algebra"}),
+    "certify": (("certify", "--input", CLOUD, *_SPECS, *_FIELDS, *_CONN),
+                _DIFFGEO | {"moments", "certify"}),
+    "toric detect": (("toric", "detect", "--input", "hex.json",
+                      "--orders", "2,3,4,6"), _TORIC),
+    "toric solve": (("toric", "solve", "--constraints", "cons.json",
+                     "--axis", "0,0,1", "--order", "4"), _TORIC),
+}
+# the names `twoview/__init__.py` re-exported from its layers before they
+# loaded lazily
+REEXPORTS = {
+    "geometry": ("BackprojectionRay", "Involution", "PointCloud",
+                 "Projected2D", "ProjectionSpec", "Sinogram", "VoxelGrid",
+                 "apply_involution", "backproject", "coordinate_spec",
+                 "project_points", "project_voxels"),
+    "moments": ("MomentValue", "SecondMoment3D", "centroid2d", "centroid3d",
+                "moment_map", "second_moment"),
+    "recon": ("ConstraintRow", "DirectionSolution", "NoiseReport",
+              "RadonSystem", "build_radon_system", "noise_study",
+              "reconstruct_cloud", "solve_direction", "solve_radon",
+              "triangulate"),
+    "certify": ("Certificate", "TrivializationCoords", "certificate",
+                "check_transversality", "trivialization"),
+}
 
 
 class TestImportGraph:
     """Each op imports only the scipy it runs, which is none but for
     `toric detect` when no candidate rotation matches; `src/twoview` has
-    no module-level scipy import."""
+    no module-level scipy import.  Each op also executes only the twoview
+    layers it calls, while every layer has a sys.modules entry."""
+
+    def test_import_twoview_executes_no_layer(self):
+        code = ("import json, sys, types, twoview; print(json.dumps("
+                "[('executed ' if type(v) is types.ModuleType else '') + m "
+                "for m, v in sys.modules.items() if m.startswith('twoview.')"
+                "]))")
+        assert fresh_modules(code) == {
+            f"twoview.{layer}" for layer in (
+                "geometry", "moments", "recon", "diffgeo", "certify",
+                "algebra", "toric", "serialization")}
+
+    @pytest.mark.parametrize("op", LAYERS_EXECUTED)
+    def test_op_executes_only_its_layers(self, op, layer_inputs):
+        argv, layers = LAYERS_EXECUTED[op]
+        executed = fresh_modules(_LIST_LAYERS, *argv, "--out",
+                                 "out-" + op.replace(" ", "-"),
+                                 cwd=layer_inputs)
+        assert executed == {f"twoview.{layer}" for layer in layers}
+
+    @pytest.mark.parametrize("layer", REEXPORTS)
+    def test_reexports_are_their_home_objects(self, layer):
+        home = getattr(twoview, layer)
+        for name in REEXPORTS[layer]:
+            assert getattr(twoview, name) is getattr(home, name), name
+        assert set(REEXPORTS[layer]) <= set(dir(twoview))
 
     def test_import_cli_loads_no_scipy(self):
         code = ("import json, sys, twoview.cli; print(json.dumps("

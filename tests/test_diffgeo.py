@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from twoview.errors import (
     DegenerateDistribution,
@@ -119,13 +121,61 @@ class TestOverflow:
     @pytest.mark.parametrize("compute", [
         lambda X, Y, C: covariant_derivative(X, Y, C),
         lambda X, Y, C: hantjies_tensor(X, Y, C),
-        lambda X, Y, C: frobenius_residual(X, Y),
+        lambda X, Y, C: frobenius_residual(X, VectorFieldGrid.from_function(
+            X.header, lambda x, y, z: (0 * x, 1e200 + 0 * x, 1e200 * x))),
         lambda X, Y, C: curvature(C, X, Y, Y),
-        lambda X, Y, C: const(X.header, (1e300, 1e300, 0)).max_interior_norm(),
+        lambda X, Y, C: const(X.header,
+                              (1.5e308, 1.5e308, 0)).max_interior_norm(),
     ], ids=["covariant", "hantjies", "frobenius", "curvature", "norm"])
     def test_numerical_error(self, compute, fields):
+        # the frobenius case overflows in its bracket X^0 d_0 Y^2 = 1e400,
+        # the norm case in |(1.5e308, 1.5e308, 0)| = 2.1e308
         with pytest.raises(NumericalError, match="overflows"):
             compute(*fields)
+
+
+def _unscaled_norms_and_residual(X, Y):
+    """|X| per node and the Frobenius residual by the formulas that square
+    the raw samples, which overflow above about 1e154."""
+    nx = np.linalg.norm(X.samples, axis=-1)
+    cross = np.cross(X.samples, Y.samples)
+    chat = cross / np.maximum(
+        np.linalg.norm(cross, axis=-1, keepdims=True), 1e-300)
+    b = lie_bracket(X, Y).samples
+    return nx, np.abs(np.einsum("...k,...k->...", b, chat))
+
+
+class TestNodeScaling:
+    """Norms and the Frobenius residual scale each node by a power of two
+    first: finite answers of fields above 1e154 stay finite, and on fields
+    in the normal range nothing changes, to the last bit."""
+
+    fields = TestOverflow.fields
+
+    def test_norm_of_a_huge_field(self, fields):
+        X, _, _ = fields
+        assert X.max_interior_norm() == 1e200
+
+    def test_frobenius_of_huge_coordinate_fields(self, fields):
+        X, Y, _ = fields
+        residual, rmax = frobenius_residual(X, Y)
+        assert rmax == 0.0
+        assert not residual.any()
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), ex=st.integers(-60, 60),
+           ey=st.integers(-60, 60))
+    def test_bitwise_equal_to_the_unscaled_formulas(self, seed, ex, ey):
+        rng = np.random.default_rng(seed)
+        header = small_header(n=4)
+        X, Y = (VectorFieldGrid(header, 10.0 ** e * rng.standard_normal(
+            header.dims + (3,))) for e in (ex, ey))
+        nx, residual = _unscaled_norms_and_residual(X, Y)
+        inner = interior_mask(header.dims)
+        assert X.max_interior_norm() == nx[inner].max()
+        got, rmax = frobenius_residual(X, Y)
+        assert np.array_equal(got, residual)
+        assert rmax == residual[inner].max()
 
 
 class TestLieBracket:
