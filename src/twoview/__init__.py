@@ -3,8 +3,11 @@
 Every layer is a package attribute and a `sys.modules` entry from the
 start, but executes only when one of its attributes is first read:
 `from twoview import toric` runs nothing, `toric.detect_axis` runs
-`toric` and the layers it imports.  The names the package re-exports,
-`from twoview import PointCloud` say, load their home layer the same way.
+`toric` and the layers its calls reach, since every layer but the base
+ones, `errors` and `geometry`, is reached through its module
+(`from . import recon`, then `recon.name`).  The names the package
+re-exports, `from twoview import PointCloud` say, load their home layer
+the same way.
 """
 
 import importlib.util
@@ -37,8 +40,8 @@ serialization = _lazy("serialization")
 _EXPORTS = {
     geometry: ("BackprojectionRay", "Involution", "PointCloud", "Projected2D",
                "ProjectionSpec", "Sinogram", "VoxelGrid", "apply_involution",
-               "backproject", "coordinate_spec", "project_points",
-               "project_voxels"),
+               "backproject", "check_transversality", "coordinate_spec",
+               "project_points", "project_voxels"),
     moments: ("MomentValue", "SecondMoment3D", "centroid2d", "centroid3d",
               "moment_map", "second_moment"),
     recon: ("ConstraintRow", "DirectionSolution", "NoiseReport",
@@ -46,7 +49,7 @@ _EXPORTS = {
             "reconstruct_cloud", "solve_direction", "solve_radon",
             "triangulate"),
     certify: ("Certificate", "TrivializationCoords", "certificate",
-              "check_transversality", "trivialization"),
+              "trivialization"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 

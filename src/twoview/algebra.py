@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diffgeo import VectorFieldGrid, _finite, lie_bracket
+from . import diffgeo
 from .errors import DimMismatch, GridTooSmall
 
 UNDEFINED = -1
@@ -156,16 +156,17 @@ class TwistMap:
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def twisted_bracket(X: VectorFieldGrid, Y: VectorFieldGrid,
-                    H: TwistMap) -> VectorFieldGrid:
+def twisted_bracket(X: diffgeo.VectorFieldGrid, Y: diffgeo.VectorFieldGrid,
+                    H: TwistMap) -> diffgeo.VectorFieldGrid:
     """[X, Y]_H = [X, Y] + H(X, Y), node-wise."""
-    b = lie_bracket(X, Y).samples + H(X.samples, Y.samples)
-    return VectorFieldGrid(X.header, _finite(b, "the twisted bracket"))
+    b = diffgeo.lie_bracket(X, Y).samples + H(X.samples, Y.samples)
+    return diffgeo.VectorFieldGrid(X.header,
+                                   diffgeo._finite(b, "the twisted bracket"))
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def jacobiator(X: VectorFieldGrid, Y: VectorFieldGrid, Z: VectorFieldGrid,
-               H: TwistMap):
+def jacobiator(X: diffgeo.VectorFieldGrid, Y: diffgeo.VectorFieldGrid,
+               Z: diffgeo.VectorFieldGrid, H: TwistMap):
     """Cyclic sum of nested twisted brackets plus its max interior norm.
 
     Zero (up to discretization) iff the twisted bracket satisfies the
@@ -178,5 +179,6 @@ def jacobiator(X: VectorFieldGrid, Y: VectorFieldGrid, Z: VectorFieldGrid,
     for A, B, C in ((X, Y, Z), (Y, Z, X), (Z, X, Y)):
         inner = twisted_bracket(B, C, H)
         total += twisted_bracket(A, inner, H).samples
-    field = VectorFieldGrid(X.header, _finite(total, "the jacobiator"))
+    field = diffgeo.VectorFieldGrid(X.header,
+                                    diffgeo._finite(total, "the jacobiator"))
     return field, field.max_interior_norm(depth=2)

@@ -5,9 +5,10 @@ differentials of the two projections are jointly full rank on the
 translation directions, with margin |n1 x n2| above tolerance, and (b)
 the sampled distribution is integrable (both obstruction diagnostics
 below tolerance).  The certificate is the conjunction of the two checks
-and never claims uniqueness when either fails.  The margin is the one
-every other transversality gate reads (`geometry._cross_norm`), so a
-pair that triangulates at a tolerance also passes (a) at it.
+and never claims uniqueness when either fails.  Check (a) depends on the
+frames alone, so `geometry` owns its record (`check_transversality`,
+re-exported here) beside the one margin every other transversality gate
+reads, and a pair that triangulates at a tolerance also passes (a) at it.
 """
 
 from __future__ import annotations
@@ -16,32 +17,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diffgeo import (
-    ConnectionField,
-    IntegrabilityReport,
-    VectorFieldGrid,
-    integrability_report,
-)
+from . import diffgeo, moments
 from .errors import ZeroMass
-from .geometry import PointCloud, ProjectionSpec, _cross_norm, _require_tol
-from .moments import moment_map
-
-
-@dataclass(frozen=True)
-class TransversalityCheck:
-    """The margin |n1 x n2| and its verdict, transversal when > tol."""
-
-    cross_norm: float
-    transversal: bool
-
-    def to_dict(self) -> dict:
-        return {"cross_norm": self.cross_norm, "pass": self.transversal}
+from .geometry import (
+    PointCloud,
+    ProjectionSpec,
+    TransversalityCheck,
+    check_transversality,
+)
 
 
 @dataclass(frozen=True)
 class Certificate:
     transversality: TransversalityCheck
-    integrability: IntegrabilityReport
+    integrability: diffgeo.IntegrabilityReport
     unique: bool
     tol_transversal: float
     tol_integrability: float
@@ -77,29 +66,10 @@ class TrivializationCoords:
                            np.asarray(self.mu2, dtype=float).reshape(2))
 
 
-def check_transversality(spec1: ProjectionSpec, spec2: ProjectionSpec,
-                         tol: float = 1e-9) -> TransversalityCheck:
-    """Joint rank of the two moment-map differentials under translations.
-
-    Translating the object by t moves the moment pair by
-    (t.u1, t.w1, t.u2, t.w2); the 4x3 matrix D of those covectors has
-    singular values sqrt(2), sqrt(1 + |c|) and sqrt(1 - |c|), c = n1 . n2,
-    so it has full rank iff the viewing directions are non-coaxial.  The
-    margin is |n1 x n2|, the product of the two smaller ones: it vanishes
-    exactly when D loses rank, lies between the smallest and sqrt(2) times
-    it, and is the margin `triangulate` and every CLI gate read, so the
-    verdict (transversal when > tol) agrees with theirs.  It depends on the
-    frames alone.  Raises DimMismatch when tol is NaN, negative or
-    infinite.
-    """
-    _require_tol(tol)
-    cn = _cross_norm(spec1, spec2)
-    return TransversalityCheck(cn, cn > tol)
-
-
 def certificate(spec1: ProjectionSpec, spec2: ProjectionSpec,
-                cloud: PointCloud, X: VectorFieldGrid, Y: VectorFieldGrid,
-                conn: ConnectionField, tol_transversal: float = 1e-9,
+                cloud: PointCloud, X: diffgeo.VectorFieldGrid,
+                Y: diffgeo.VectorFieldGrid, conn: diffgeo.ConnectionField,
+                tol_transversal: float = 1e-9,
                 tol_integrability: float | None = None) -> Certificate:
     """Conjunction of transversality and integrability into a verdict.
 
@@ -108,7 +78,7 @@ def certificate(spec1: ProjectionSpec, spec2: ProjectionSpec,
     if cloud.total_mass <= 0:
         raise ZeroMass("certificate requires a positive-mass cloud")
     trans = check_transversality(spec1, spec2, tol_transversal)
-    integ = integrability_report(X, Y, conn, tol_integrability)
+    integ = diffgeo.integrability_report(X, Y, conn, tol_integrability)
     return Certificate(
         transversality=trans,
         integrability=integ,
@@ -123,6 +93,6 @@ def trivialization(cloud: PointCloud, spec1: ProjectionSpec,
     """Coordinates (mu1, mu2); translating the cloud by t maps them by the
     two planar projections of t exactly."""
     return TrivializationCoords(
-        moment_map(cloud, spec1).centroid,
-        moment_map(cloud, spec2).centroid,
+        moments.moment_map(cloud, spec1).centroid,
+        moments.moment_map(cloud, spec2).centroid,
     )

@@ -25,13 +25,14 @@ curvature` and `diagnose jacobiator` over nodes at depth 2, the only ones
 where their composed derivatives are second-order accurate.
 
 Exit codes: 0 success, 2 input error (an argparse error, an empty --out,
-an --out that cannot be made a directory and a grid or image whose
-float64 values would exceed 256 MiB included), 3 geometric
-precondition failure, 4 numerical non-convergence or a NaN or infinity
-in an output JSON file.  Every failure writes one JSON object on stderr
-and no run.json.  Every command is deterministic given its inputs, and
-each successful run writes a `run.json` with the tool version and the
-value of every option the subcommand accepts.
+an --out that cannot be made a directory, a grid whose float64 values
+and an image whose projection (nine float64 values per pixel) would
+exceed 256 MiB included), 3 geometric precondition failure, 4 numerical
+non-convergence or a NaN or infinity in an output JSON file.  Every
+failure writes one JSON object on stderr and no run.json.  Every command
+is deterministic given its inputs, and each successful run writes a
+`run.json` with the tool version and the value of every option the
+subcommand accepts.
 """
 
 from __future__ import annotations
@@ -58,6 +59,9 @@ from .errors import (
 )
 
 TOOL = f"twoview {__version__}"
+# float64 values per pixel `project --mode voxels` holds at its peak: one
+# sinogram and a tilted march's rays (tracemalloc, 3^3 grid, 1448^2 image)
+_PROJECT_VALUES_PER_PIXEL = 9
 
 
 def _setup_logging():
@@ -94,8 +98,8 @@ def _require_dense_size(count: int, what: str) -> None:
     memory limit, checked before any of them is allocated."""
     if count * 8 > _DENSE_RANK_BYTES:
         raise SystemTooLarge(
-            f"{what} of {count} values needs {count * 8} bytes, above the "
-            f"{_DENSE_RANK_BYTES}-byte limit")
+            f"{what} needs {count} float64 values, {count * 8} bytes, above "
+            f"the {_DENSE_RANK_BYTES}-byte limit")
 
 
 # -- commands ---------------------------------------------------------------
@@ -116,7 +120,8 @@ def cmd_project(args, out: Path) -> None:
         dims = args.image_dims
         if dims is None:
             dims = max(grid.dims)
-        _require_dense_size(dims * dims, f"a {dims}x{dims} image")
+        _require_dense_size(_PROJECT_VALUES_PER_PIXEL * dims * dims,
+                            f"the projection of a {dims}x{dims} image")
         for i, spec in enumerate((spec1, spec2), start=1):
             sino = geometry.project_voxels(grid, spec, (dims, dims))
             ser.save_sinogram_csv(sino, out / f"sino{i}.csv")
@@ -136,7 +141,7 @@ def cmd_reconstruct_points(args, out: Path) -> None:
         r1 = geometry.project_points(cloud, spec1).positions - img1.positions
         r2 = geometry.project_points(cloud, spec2).positions - img2.positions
         reproj = float(max(np.abs(r1).max(), np.abs(r2).max()))
-        trans = certify.check_transversality(spec1, spec2, args.tol)
+        trans = geometry.check_transversality(spec1, spec2, args.tol)
         cert = {"transversality": trans.to_dict(),
                 "unique": bool(trans.transversal)}
     else:

@@ -507,6 +507,41 @@ def _cross_norm(spec1: ProjectionSpec, spec2: ProjectionSpec,
     return cn
 
 
+@dataclass(frozen=True)
+class TransversalityCheck:
+    """The margin |n1 x n2| and its verdict, transversal when > tol."""
+
+    cross_norm: float
+    transversal: bool
+
+    def to_dict(self) -> dict:
+        return {"cross_norm": self.cross_norm, "pass": self.transversal}
+
+
+def check_transversality(spec1: ProjectionSpec, spec2: ProjectionSpec,
+                         tol: float = 1e-9) -> TransversalityCheck:
+    """Joint rank of the two moment-map differentials under translations.
+
+    Translating the object by t moves the moment pair by
+    (t.u1, t.w1, t.u2, t.w2); the 4x3 matrix D of those covectors has
+    singular values sqrt(2), sqrt(1 + |c|) and sqrt(1 - |c|), c = n1 . n2.
+    The margin |n1 x n2| is the product of the two smaller ones: it
+    vanishes exactly when D loses rank (coaxial views), lies between the
+    smallest and sqrt(2) times it, and is `_cross_norm`, so the verdict
+    (transversal when > tol) agrees with every gate.  Raises DimMismatch
+    when tol is NaN, negative or infinite.
+    """
+    _require_tol(tol)
+    cn = _cross_norm(spec1, spec2)
+    return TransversalityCheck(cn, cn > tol)
+
+
+def _canonical_sign(v: np.ndarray) -> np.ndarray:
+    """v or -v, whichever has its largest-magnitude entry positive."""
+    i = int(np.argmax(np.abs(v)))
+    return -v if v[i] < 0 else v
+
+
 def apply_involution(spec: ProjectionSpec, inv: Involution) -> ProjectionSpec:
     """Transform a frame by an orthogonal involution.
 

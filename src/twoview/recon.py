@@ -41,6 +41,7 @@ from .geometry import (
     ProjectionSpec,
     project_points,
     projection_operator,
+    _canonical_sign,
     _cross_norm,
 )
 
@@ -185,11 +186,6 @@ def reconstruct_cloud(img1: Projected2D, img2: Projected2D,
 # direction solver
 
 
-def _canonical_sign(v: np.ndarray) -> np.ndarray:
-    i = int(np.argmax(np.abs(v)))
-    return -v if v[i] < 0 else v
-
-
 def solve_direction(constraints, dim: int) -> DirectionSolution:
     """Solve a stack of linear constraints for a direction modulo scaling.
 
@@ -221,14 +217,18 @@ def _stack_constraints(constraints, dim: int):
 def _direction_core(A: np.ndarray, b: np.ndarray) -> DirectionSolution:
     """Unit direction solving A v = b modulo scaling, with its nullity.
 
-    The rank is the number of singular values above _RANK_TOL times the
-    largest, and the least-squares solve drops the others too.  Raises
-    AmbiguousDirection when nullity > 1 and Inconsistent when no nonzero
-    solution exists.  The residual is |A v| for a
-    homogeneous system and |A x - b| at the least-squares solution x
-    (before normalization) otherwise.
+    One SVD A = U S V^T gives all three: the rank is the number of
+    singular values above _RANK_TOL times the largest, a homogeneous
+    system's direction is the last right singular vector, and the
+    least-squares solution keeps only the first `rank` singular triplets.
+    Raises AmbiguousDirection when nullity > 1 and Inconsistent when no
+    nonzero solution exists.  The residual is |A v| for a homogeneous
+    system and |A x - b| at the least-squares solution x (before
+    normalization) otherwise.
     """
-    nullity = A.shape[1] - _svd_rank(A)
+    u, svals, vt = np.linalg.svd(A)
+    rank = _rank_above(svals, svals[0])
+    nullity = A.shape[1] - rank
     if nullity > 1:
         raise AmbiguousDirection(
             f"solution space has dimension {nullity}", nullity=nullity)
@@ -236,10 +236,9 @@ def _direction_core(A: np.ndarray, b: np.ndarray) -> DirectionSolution:
         if nullity == 0:
             raise Inconsistent(
                 "homogeneous system is full rank; only trivial solution")
-        _, _, vt = np.linalg.svd(A)
         v = _canonical_sign(vt[-1])
         return DirectionSolution(v, nullity, float(np.linalg.norm(A @ v)))
-    x, *_ = np.linalg.lstsq(A, b, rcond=_RANK_TOL)
+    x = vt[:rank].T @ (u[:, :rank].T @ b / svals[:rank])
     nx = np.linalg.norm(x)
     if nx <= 1e-300:
         raise Inconsistent("least-squares solution is zero; no direction")
@@ -254,12 +253,6 @@ def _direction_core(A: np.ndarray, b: np.ndarray) -> DirectionSolution:
 def _rank_above(svals: np.ndarray, smax: float) -> int:
     """Number of singular values in svals above _RANK_TOL times smax."""
     return int(np.sum(svals > _RANK_TOL * smax)) if smax > 0 else 0
-
-
-def _svd_rank(A: np.ndarray) -> int:
-    """Number of singular values of A above _RANK_TOL times the largest."""
-    svals = np.linalg.svd(A, compute_uv=False)
-    return _rank_above(svals, svals[0])
 
 
 def elimination_rank(A: np.ndarray, tol: float = _RANK_TOL) -> int:

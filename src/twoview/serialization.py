@@ -17,6 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import algebra, diffgeo
 from .errors import InputError, NumericalError
 from .geometry import (
     CSR,
@@ -27,9 +28,6 @@ from .geometry import (
     Sinogram,
     VoxelGrid,
 )
-# reached through their modules, so that reading points or voxels runs
-# neither layer
-from . import algebra, diffgeo
 
 UNDEFINED_MARK = "·"  # middle dot in table CSVs
 

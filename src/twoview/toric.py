@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import moments, recon
 from .errors import (
     AmbiguousDirection,
     DegenerateCloud,
@@ -23,14 +24,7 @@ from .errors import (
     Inconsistent,
     InputError,
 )
-from .geometry import PointCloud, ProjectionSpec, _require_tol
-from .moments import centroid3d, second_moment
-from .recon import (
-    DirectionSolution,
-    _canonical_sign,
-    _direction_core,
-    _stack_constraints,
-)
+from .geometry import PointCloud, ProjectionSpec, _canonical_sign, _require_tol
 
 CONTINUOUS = "continuous"
 _DIAMETER_BLOCK = 2**18  # pairwise distances per block of a distance scan
@@ -225,9 +219,9 @@ def detect_axis(cloud: PointCloud, orders, tol: float = 1e-8) -> ToricReport:
     pts = cloud.positions
     if len(cloud) < 3:
         raise DegenerateCloud("need at least 3 points")
-    c = centroid3d(cloud)
+    c = moments.centroid3d(cloud)
     centered = pts - c
-    sm = second_moment(cloud)
+    sm = moments.second_moment(cloud)
     evals, evecs = sm.eigen()
     span = np.linalg.matrix_rank(centered, tol=1e-10)
     if span < 2:
@@ -289,7 +283,7 @@ def invariant_moment_check(cloud: PointCloud, spec: ProjectionSpec,
     for off-axis mass.
     """
     a = _unit_axis(axis)
-    ac = np.cross(a, centroid3d(cloud))
+    ac = np.cross(a, moments.centroid3d(cloud))
     theta = 2 * np.pi * np.arange(1, int(order)) / order
     moved = (np.outer(np.sin(theta), ac)
              + np.outer(1 - np.cos(theta), np.cross(a, ac)))
@@ -324,7 +318,7 @@ def group_average(matrixlike_axis, order: int, dim: int = 3) -> np.ndarray:
 
 
 def solve_direction_equivariant(constraints, axis, order: int,
-                                dim: int = 3) -> DirectionSolution:
+                                dim: int = 3) -> recon.DirectionSolution:
     """Direction solve reduced to the fixed subspace of the rotation group.
 
     Every row is restricted to the fixed subspace, the axis (f = 1) in
@@ -335,22 +329,22 @@ def solve_direction_equivariant(constraints, axis, order: int,
     Raises AmbiguousDirection, carrying f, when the reduced solution
     space is not one-dimensional, with nullity 0 when it holds only zero.
     """
-    A, b = _stack_constraints(constraints, dim)
+    A, b = recon._stack_constraints(constraints, dim)
     B = _fixed_basis(axis, order, dim)
     f = B.shape[1]
     reduced = A @ B
     keep = np.linalg.norm(reduced, axis=1) > 1e-12
     if not keep.any():
         if f == 1 and not b.any():
-            return DirectionSolution(_canonical_sign(B[:, 0]), 1, 0.0)
+            return recon.DirectionSolution(_canonical_sign(B[:, 0]), 1, 0.0)
         raise AmbiguousDirection(
             f"all constraints vanish on the {f}-dimensional fixed subspace",
             nullity=f, fixed_subspace_dim=f)
     try:
-        sol = _direction_core(reduced[keep], b[keep])
+        sol = recon._direction_core(reduced[keep], b[keep])
     except (AmbiguousDirection, Inconsistent) as exc:
         raise AmbiguousDirection(str(exc), nullity=getattr(exc, "nullity", 0),
                                  fixed_subspace_dim=f) from exc
     v = B @ sol.v
     v = _canonical_sign(v / np.linalg.norm(v))
-    return DirectionSolution(v, sol.nullity, sol.residual)
+    return recon.DirectionSolution(v, sol.nullity, sol.residual)

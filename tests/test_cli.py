@@ -337,6 +337,7 @@ class TestBoundaryValidation:
         ("reconstruct", "voxels", "--grid-dims", "1000000,1000000,1000000"),
         ("reconstruct", "voxels", "--grid-dims", "10000000,10000000,10000000"),
         ("project", "--mode", "voxels", "--image-dims", "1000000"),
+        ("project", "--mode", "voxels", "--image-dims", "5792"),
     ])
     def test_oversized_grid_or_image(self, argv, tmp_path, capsys):
         grid = VoxelGrid((3, 3, 3), 1.0, (-1, -1, -1), np.ones((3, 3, 3)))
@@ -357,7 +358,8 @@ class TestBoundaryValidation:
     @pytest.mark.parametrize("dims, code", [(10, 0), (11, 2)])
     def test_image_size_limit_is_inclusive(self, dims, code, tmp_path,
                                            monkeypatch):
-        monkeypatch.setattr(cli, "_DENSE_RANK_BYTES", 800)  # 100 pixels
+        # 100 pixels of nine float64 values each
+        monkeypatch.setattr(cli, "_DENSE_RANK_BYTES", 7200)
         grid = VoxelGrid((3, 3, 3), 1.0, (-1, -1, -1), np.ones((3, 3, 3)))
         ser.save_voxels(grid, tmp_path / "grid.json")
         assert run("project", "--input", tmp_path / "grid.json",
@@ -1317,7 +1319,6 @@ _CONN = ("--connection", fixture_path("conn_flat.json"))
 _IO = {"errors", "geometry", "serialization"}
 _RECON = _IO | {"recon"}
 _DIFFGEO = _IO | {"diffgeo"}
-_TORIC = _RECON | {"moments", "toric"}
 # each op, run in the layer_inputs directory, and the twoview modules it
 # executes; `errors` is the one layer the CLI imports eagerly
 LAYERS_EXECUTED = {
@@ -1327,8 +1328,7 @@ LAYERS_EXECUTED = {
                         "--input", "grid.json", *_SPECS), _IO),
     "reconstruct points": (("reconstruct", "points", "--image1",
                             "image1.json", "--image2", "image2.json",
-                            *_SPECS),
-                           _RECON | {"certify", "diffgeo", "moments"}),
+                            *_SPECS), _RECON),
     "reconstruct voxels": (("reconstruct", "voxels", "--sino1", "sino1.csv",
                             "--sino2", "sino2.csv", "--grid-dims", "3,3,3",
                             *_SPECS), _RECON),
@@ -1341,15 +1341,15 @@ LAYERS_EXECUTED = {
                             *_CONN), _DIFFGEO),
     "diagnose algebra": (("diagnose", "algebra",
                           "--table", fixture_path("z4_table.csv")),
-                         _DIFFGEO | {"algebra"}),
+                         _IO | {"algebra"}),
     "diagnose jacobiator": (("diagnose", "jacobiator", *_FIELDS, *_FIELD_Z),
                             _DIFFGEO | {"algebra"}),
     "certify": (("certify", "--input", CLOUD, *_SPECS, *_FIELDS, *_CONN),
-                _DIFFGEO | {"moments", "certify"}),
+                _DIFFGEO | {"certify"}),
     "toric detect": (("toric", "detect", "--input", "hex.json",
-                      "--orders", "2,3,4,6"), _TORIC),
+                      "--orders", "2,3,4,6"), _IO | {"moments", "toric"}),
     "toric solve": (("toric", "solve", "--constraints", "cons.json",
-                     "--axis", "0,0,1", "--order", "4"), _TORIC),
+                     "--axis", "0,0,1", "--order", "4"), _RECON | {"toric"}),
 }
 # the names `twoview/__init__.py` re-exported from its layers before they
 # loaded lazily

@@ -286,6 +286,24 @@ class TestSolveDirection:
                                    / np.sqrt(2.125), atol=1e-12)
         assert sol.residual == pytest.approx(np.sqrt(0.5), abs=1e-12)
 
+    @pytest.mark.parametrize("dim", [3, 4])
+    def test_least_squares_matches_lstsq(self, dim, rng):
+        # the solve from one SVD against LAPACK's least squares at the
+        # same cut, on inconsistent systems of rank dim - 1 and dim
+        for _ in range(40):
+            rank = int(rng.integers(dim - 1, dim + 1))
+            A = (rng.standard_normal((int(rng.integers(dim, 8)), rank))
+                 @ rng.standard_normal((rank, dim)))
+            b = rng.standard_normal(A.shape[0])
+            x, *_ = np.linalg.lstsq(A, b, rcond=recon._RANK_TOL)
+            sol = recon._direction_core(A, b)
+            assert sol.nullity == dim - rank
+            v = x / np.linalg.norm(x)
+            np.testing.assert_allclose(sol.v, v if v[np.argmax(np.abs(v))] > 0
+                                       else -v, atol=1e-10)
+            assert sol.residual == pytest.approx(np.linalg.norm(A @ x - b),
+                                                 rel=1e-10)
+
     @pytest.mark.parametrize("dim", [2, 5])
     def test_bad_dim(self, dim):
         with pytest.raises(DimMismatch, match="dim must be 3 or 4"):
@@ -427,6 +445,13 @@ def zero_sino_system(specs, dims, margin=0, h=1.0):
     return build_radon_system(specs, grid, sinos)
 
 
+def svd_rank(A):
+    """Number of singular values of dense A above recon._RANK_TOL times the
+    largest: the Radon-rank oracle for the graph and per-component ranks."""
+    svals = np.linalg.svd(A, compute_uv=False)
+    return recon._rank_above(svals, svals[0])
+
+
 class TestRadonRank:
     @pytest.mark.parametrize("margin", [0, 2])
     @pytest.mark.parametrize("dims", [(8, 8, 8), (6, 7, 5), (4, 6, 3)])
@@ -456,7 +481,7 @@ class TestRadonRank:
         A = system.rows.toarray()
         assert system.rank_method == "svd"
         assert system.rank == 61
-        assert system.rank == recon._svd_rank(A) == np.linalg.matrix_rank(A)
+        assert system.rank == svd_rank(A) == np.linalg.matrix_rank(A)
 
     # an even image excess keeps the pixel lattice on the voxel centers, so
     # each x-slice is its own component; an odd one along u couples them
@@ -469,14 +494,14 @@ class TestRadonRank:
                                   margin)
         A = system.rows.toarray()
         assert system.rank_method == "svd"
-        assert system.rank == recon._svd_rank(A) == np.linalg.matrix_rank(A)
+        assert system.rank == svd_rank(A) == np.linalg.matrix_rank(A)
 
     @pytest.mark.parametrize("dims", [(6, 7, 5), (14, 14, 14)])
     def test_general_rotation_matches_dense_oracles(self, dims):
         system = zero_sino_system([XY, GENERAL], dims, margin=2)
         A = system.rows.toarray()
         assert system.rank_method == "svd"
-        assert system.rank == recon._svd_rank(A) == np.linalg.matrix_rank(A)
+        assert system.rank == svd_rank(A) == np.linalg.matrix_rank(A)
 
     def test_tilted_pair_uses_svd(self):
         specs = [tilted_spec(np.radians(10)), tilted_spec(np.radians(30))]
@@ -494,7 +519,7 @@ class TestRadonRank:
                                  ([weighted, b2], (4, "svd"))):
             A = sp.vstack(blocks).toarray()
             assert recon._radon_rank(CSR.vstack(blocks), 2) == expected
-            assert expected[0] == recon._svd_rank(A)
+            assert expected[0] == svd_rank(A)
             assert expected[0] == np.linalg.matrix_rank(A)
 
     def test_graph_rank_disagreeing_with_elimination_raises(self, monkeypatch):
@@ -534,7 +559,7 @@ class TestRadonRank:
         system = zero_sino_system(specs, (4, 4, 4), margin=2)
         A = system.rows.toarray()
         assert A.nbytes == 39936
-        assert system.rank == recon._svd_rank(A) == np.linalg.matrix_rank(A)
+        assert system.rank == svd_rank(A) == np.linalg.matrix_rank(A)
 
 
 def csgraph_components(n, u, v):
