@@ -25,14 +25,14 @@ curvature` and `diagnose jacobiator` over nodes at depth 2, the only ones
 where their composed derivatives are second-order accurate.
 
 Exit codes: 0 success, 2 input error (an argparse error, an empty --out,
-an --out that cannot be made a directory, a grid whose float64 values
-and an image whose projection (nine float64 values per pixel) would
-exceed 256 MiB included), 3 geometric precondition failure, 4 numerical
-non-convergence or a NaN or infinity in an output JSON file.  Every
-failure writes one JSON object on stderr and no run.json.  Every command
-is deterministic given its inputs, and each successful run writes a
-`run.json` with the tool version and the value of every option the
-subcommand accepts.
+an --out that cannot be made a directory, a grid whose reconstruction
+(sixteen float64 values per voxel) and an image whose projection (four
+per pixel) would exceed 256 MiB included), 3 geometric precondition
+failure, 4 numerical non-convergence or a NaN or infinity in an output
+JSON file.  Every failure writes one JSON object on stderr and no
+run.json.  Every command is deterministic given its inputs, and each
+successful run writes a `run.json` with the tool version and the value
+of every option the subcommand accepts.
 """
 
 from __future__ import annotations
@@ -59,9 +59,10 @@ from .errors import (
 )
 
 TOOL = f"twoview {__version__}"
-# float64 values per pixel `project --mode voxels` holds at its peak: one
-# sinogram and a tilted march's rays (tracemalloc, 3^3 grid, 1448^2 image)
-_PROJECT_VALUES_PER_PIXEL = 9
+# float64 values held at the tracemalloc peak, per pixel by `project --mode
+# voxels` (any frames) and per voxel by `reconstruct voxels` (aligned pairs)
+_PROJECT_VALUES_PER_PIXEL = 4
+_RECONSTRUCT_VALUES_PER_VOXEL = 16
 
 
 def _setup_logging():
@@ -158,7 +159,8 @@ def cmd_reconstruct_voxels(args, out: Path) -> None:
     dims = tuple(_parse_list(args.grid_dims, int, 3, option="--grid-dims"))
     if min(dims) < 1:
         raise InputError(f"--grid-dims must be positive, got {dims}")
-    _require_dense_size(math.prod(dims), "a {}x{}x{} grid".format(*dims))
+    _require_dense_size(_RECONSTRUCT_VALUES_PER_VOXEL * math.prod(dims),
+                        "the reconstruction of a {}x{}x{} grid".format(*dims))
     origin = -args.spacing * (np.asarray(dims) - 1) / 2.0
     lattice = geometry.GridHeader(dims, args.spacing, origin)
     sinos = [ser.load_sinogram_csv(args.sino1),

@@ -359,8 +359,9 @@ def _axis_alignment(spec: ProjectionSpec):
 
 
 def pixel_center_coords(grid: GridHeader, spec: ProjectionSpec,
-                        image_dims) -> np.ndarray:
-    """Plane coordinates of pixel centers, shape (nu, nw, 2).
+                        image_dims) -> tuple[np.ndarray, np.ndarray]:
+    """The pixel lattice's axes (au, aw): pixel (iu, iw) is centred at the
+    plane coordinates (au[iu], aw[iw]).
 
     The pixel lattice has spacing equal to the grid spacing and is centered
     on the projection of the grid center.
@@ -370,8 +371,7 @@ def pixel_center_coords(grid: GridHeader, spec: ProjectionSpec,
     cu, cw = float(c @ spec.u), float(c @ spec.w)
     au = cu + (np.arange(nu) - (nu - 1) / 2.0) * grid.spacing
     aw = cw + (np.arange(nw) - (nw - 1) / 2.0) * grid.spacing
-    gu, gw = np.meshgrid(au, aw, indexing="ij")
-    return np.stack([gu, gw], axis=-1)
+    return au, aw
 
 
 def projection_operator(grid: GridHeader, spec: ProjectionSpec,
@@ -387,12 +387,13 @@ def projection_operator(grid: GridHeader, spec: ProjectionSpec,
     along each image axis: when an image side exceeds the grid's
     cross-section by an odd number of pixels the voxel centers fall on
     pixel edges and each goes to the pixel above it, so every voxel row
-    owns one pixel.  Any other frame is ray marched with step = spacing / 2
-    over a t-range covering the grid's bounding sphere: each sample adds
-    step times its trilinear weights to the (up to) eight surrounding
-    voxels, with zero density outside the grid; the samples of one
-    (pixel, voxel) pair are summed in (t, corner, pixel) order.  The result
-    is a canonical `CSR` matrix.
+    owns one pixel.  Any other frame marches the rays of the footprint's
+    pixels, those within two spacings of the projection of the grid's box
+    (the other rows stay empty), with step = spacing / 2 over a t-range
+    covering the grid's bounding sphere: each sample adds step times its
+    trilinear weights to the (up to) eight surrounding voxels, with zero
+    density outside the grid; the samples of one (pixel, voxel) pair are
+    summed in (t, corner) order.  The result is a canonical `CSR` matrix.
 
     Raises DimMismatch unless both image dims are >= 1, and when an
     axis-aligned image is smaller than the grid cross-section.
@@ -422,40 +423,45 @@ def projection_operator(grid: GridHeader, spec: ProjectionSpec,
                 f"image dims {(nu, nw)} smaller than grid cross-section")
         return CSR.from_entries(np.full(nvox, h), iu * nw + iw,
                                 np.arange(nvox), shape)
-    coords = pixel_center_coords(grid, spec, (nu, nw))
+    # The footprint: the pixel rows and columns whose centres lie within
+    # two spacings of the projection of the grid's box.  Every nonzero
+    # trilinear weight lies within one spacing of it, and the footprint is
+    # never empty, as the pixel lattice is centred on the grid.
+    au, aw = pixel_center_coords(grid, spec, (nu, nw))
+    box = h * np.asarray(grid.dims)
+    iu, iw = (np.flatnonzero(np.abs(a - grid.center @ v)
+                             <= np.abs(v) @ box / 2 + 2 * h)
+              for a, v in ((au, spec.u), (aw, spec.w)))
+    row_of = (iu[:, None] * nw + iw).ravel()
+    bases = (au[iu, None, None] * spec.u
+             + aw[None, iw, None] * spec.w).reshape(-1, 3)
     step = h / 2.0
     half_diag = 0.5 * h * float(np.linalg.norm(grid.dims))
     tc = float(grid.center @ spec.n)
     ts = np.arange(tc - half_diag - h, tc + half_diag + h + step, step)
     dims = np.asarray(grid.dims)
     strides = np.array([dims[1] * dims[2], dims[2], 1])
-    flat = coords.reshape(-1, 2)
-    bases = flat[:, 0:1] * spec.u + flat[:, 1:2] * spec.w  # (P, 3)
     data, rows, cols = [], [], []
-    # Blocks of at most _MARCH_BLOCK samples, a range of t-slices times a
-    # range of pixels, bound the (t, corner, pixel) scratch arrays.  The
-    # pixel ranges run inside each t-range, so every pixel's entries still
-    # arrive in (t, corner) order and duplicates are summed in the same
-    # order for every block size.
-    pstep = min(len(bases), _MARCH_BLOCK)
-    tstep = _MARCH_BLOCK // pstep
+    # Blocks of whole t-slices of the footprint, at most _MARCH_BLOCK
+    # samples unless one slice is larger, bound the (t, corner, pixel)
+    # scratch arrays; every pixel's entries arrive in (t, corner) order, so
+    # duplicates are summed in the same order for every block size.
+    tstep = max(1, _MARCH_BLOCK // len(bases))
     for t0 in range(0, ts.size, tstep):
-        for p0 in range(0, len(bases), pstep):
-            f = (bases[p0:p0 + pstep] + ts[t0:t0 + tstep, None, None] * spec.n
-                 - grid.origin) / h
-            i0 = np.floor(f).astype(int)
-            frac = f - i0
-            base = i0 @ strides
-            wgt = np.moveaxis(_trilinear_weights(frac), -1, 1)  # (t, 8, pixel)
-            col = np.empty(wgt.shape, dtype=base.dtype)
-            for k, corner in enumerate(np.ndindex(2, 2, 2)):
-                idx = i0 + corner
-                wgt[:, k][np.any((idx < 0) | (idx >= dims), axis=-1)] = 0.0
-                col[:, k] = base + strides @ corner
-            sel = wgt > 0
-            data.append(step * wgt[sel])
-            rows.append(np.nonzero(sel)[2] + p0)
-            cols.append(col[sel])
+        f = (bases + ts[t0:t0 + tstep, None, None] * spec.n - grid.origin) / h
+        i0 = np.floor(f).astype(int)
+        frac = f - i0
+        base = i0 @ strides
+        wgt = np.moveaxis(_trilinear_weights(frac), -1, 1)  # (t, 8, pixel)
+        col = np.empty(wgt.shape, dtype=base.dtype)
+        for k, corner in enumerate(np.ndindex(2, 2, 2)):
+            idx = i0 + corner
+            wgt[:, k][np.any((idx < 0) | (idx >= dims), axis=-1)] = 0.0
+            col[:, k] = base + strides @ corner
+        sel = wgt > 0
+        data.append(step * wgt[sel])
+        rows.append(row_of[np.nonzero(sel)[2]])
+        cols.append(col[sel])
     return CSR.from_entries(np.concatenate(data), np.concatenate(rows),
                             np.concatenate(cols), shape)
 

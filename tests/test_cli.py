@@ -336,6 +336,7 @@ class TestBoundaryValidation:
     @pytest.mark.parametrize("argv", [
         ("reconstruct", "voxels", "--grid-dims", "1000000,1000000,1000000"),
         ("reconstruct", "voxels", "--grid-dims", "10000000,10000000,10000000"),
+        ("reconstruct", "voxels", "--grid-dims", "320,320,320"),
         ("project", "--mode", "voxels", "--image-dims", "1000000"),
         ("project", "--mode", "voxels", "--image-dims", "5792"),
     ])
@@ -358,14 +359,27 @@ class TestBoundaryValidation:
     @pytest.mark.parametrize("dims, code", [(10, 0), (11, 2)])
     def test_image_size_limit_is_inclusive(self, dims, code, tmp_path,
                                            monkeypatch):
-        # 100 pixels of nine float64 values each
-        monkeypatch.setattr(cli, "_DENSE_RANK_BYTES", 7200)
+        # 100 pixels of four float64 values each
+        monkeypatch.setattr(cli, "_DENSE_RANK_BYTES", 3200)
         grid = VoxelGrid((3, 3, 3), 1.0, (-1, -1, -1), np.ones((3, 3, 3)))
         ser.save_voxels(grid, tmp_path / "grid.json")
         assert run("project", "--input", tmp_path / "grid.json",
                    "--mode", "voxels", "--image-dims", dims,
                    "--spec1", SPEC_XY, "--spec2", SPEC_YZ,
                    "--out", tmp_path / "out") == code
+
+    @pytest.mark.parametrize("dims, code", [("4,4,4", 0), ("4,4,5", 2)])
+    def test_grid_size_limit_is_inclusive(self, dims, code, tmp_path, capsys,
+                                          monkeypatch):
+        # 64 voxels of sixteen float64 values each
+        monkeypatch.setattr(cli, "_DENSE_RANK_BYTES", 8192)
+        (tmp_path / "s.csv").write_text("1.0,2.0,3.0,4.0\n" * 4)
+        assert run("reconstruct", "voxels", "--sino1", tmp_path / "s.csv",
+                   "--sino2", tmp_path / "s.csv", "--grid-dims", dims,
+                   "--spec1", SPEC_XY, "--spec2", SPEC_YZ,
+                   "--out", tmp_path / "out") == code
+        if code:
+            assert self.error(capsys)["error"] == "SystemTooLarge"
 
     def test_dense_rank_over_limit(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(recon, "_DENSE_RANK_BYTES", 2**9)

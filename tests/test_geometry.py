@@ -162,6 +162,70 @@ class TestProjectVoxels:
         assert abs(lhs - rhs) <= 1e-3 * rhs
 
 
+def reference_projection_operator(grid, spec, image_dims):
+    """The tilted march over every pixel of the image, the oracle for the
+    footprint march: each block of at most 2^16 (t, pixel) samples is a
+    range of t-slices times a range of pixels."""
+    nu, nw = image_dims
+    h, nvox = grid.spacing, int(np.prod(grid.dims))
+    au, aw = pixel_center_coords(grid, spec, image_dims)
+    coords = np.stack(np.meshgrid(au, aw, indexing="ij"), axis=-1)
+    step = h / 2.0
+    half_diag = 0.5 * h * float(np.linalg.norm(grid.dims))
+    tc = float(grid.center @ spec.n)
+    ts = np.arange(tc - half_diag - h, tc + half_diag + h + step, step)
+    dims = np.asarray(grid.dims)
+    strides = np.array([dims[1] * dims[2], dims[2], 1])
+    flat = coords.reshape(-1, 2)
+    bases = flat[:, 0:1] * spec.u + flat[:, 1:2] * spec.w
+    data, rows, cols = [], [], []
+    pstep = min(len(bases), 1 << 16)
+    tstep = (1 << 16) // pstep
+    for t0 in range(0, ts.size, tstep):
+        for p0 in range(0, len(bases), pstep):
+            f = (bases[p0:p0 + pstep] + ts[t0:t0 + tstep, None, None] * spec.n
+                 - grid.origin) / h
+            i0 = np.floor(f).astype(int)
+            frac = f - i0
+            base = i0 @ strides
+            wgt = np.moveaxis(geometry._trilinear_weights(frac), -1, 1)
+            col = np.empty(wgt.shape, dtype=base.dtype)
+            for k, corner in enumerate(np.ndindex(2, 2, 2)):
+                idx = i0 + corner
+                wgt[:, k][np.any((idx < 0) | (idx >= dims), axis=-1)] = 0.0
+                col[:, k] = base + strides @ corner
+            sel = wgt > 0
+            data.append(step * wgt[sel])
+            rows.append(np.nonzero(sel)[2] + p0)
+            cols.append(col[sel])
+    return CSR.from_entries(np.concatenate(data), np.concatenate(rows),
+                            np.concatenate(cols), (nu * nw, nvox))
+
+
+def about_axis(axis, theta):
+    """The coordinate frame turned by theta about axis `axis`: the normal
+    keeps an exact zero component."""
+    c, s = np.cos(theta), np.sin(theta)
+    i, j = [k for k in range(3) if k != axis]
+    R = np.eye(3)
+    R[i, i], R[i, j], R[j, i], R[j, j] = c, -s, s, c
+    return ProjectionSpec(R[:, 0], R[:, 1], R[:, 2])
+
+
+def march_case(seed):
+    """A seeded grid, tilted frame and image for the footprint march."""
+    rng = np.random.default_rng(seed)
+    dims = tuple(int(d) for d in rng.integers(1, 9, 3))
+    grid = GridHeader(dims, float(rng.choice([0.3, 0.5, 1.0, 1.7])),
+                      rng.normal(size=3))
+    spec = (random_spec(rng) if seed % 2 else
+            about_axis(seed // 2 % 3, rng.uniform(0.05, 1.5)))
+    image = [int(n) for n in rng.integers(1, 30, 2)]
+    if seed % 6 == 1:
+        image[seed // 6 % 2] = 1
+    return grid, spec, tuple(image)
+
+
 class TestProjectionOperator:
     def test_ray_march_block_size_does_not_change_entries(self, rng,
                                                           monkeypatch):
@@ -207,6 +271,36 @@ class TestProjectionOperator:
         assert op.shape == (4096, 27)
         assert peak < 1.0 * 2**20
 
+    @pytest.mark.parametrize("block", [3, 37, None])
+    @pytest.mark.parametrize("seed", range(24))
+    def test_footprint_march_is_bitwise_the_full_image_march(self, seed,
+                                                             block,
+                                                             monkeypatch):
+        grid, spec, image = march_case(seed)
+        ref = reference_projection_operator(grid, spec, image)
+        if block is not None:
+            monkeypatch.setattr(geometry, "_MARCH_BLOCK", block)
+        op = projection_operator(grid, spec, image)
+        assert op.shape == ref.shape and ref.nnz > 0
+        for attr in ("indptr", "indices", "data"):
+            got, want = getattr(op, attr), getattr(ref, attr)
+            assert got.dtype == want.dtype
+            np.testing.assert_array_equal(got, want)
+
+    def test_tilted_march_memory_follows_the_grid(self):
+        # the full-image march peaked at about 64 B per pixel; the
+        # operator's own row pointers are 8 B per pixel
+        grid = GridHeader((3, 3, 3), 1.0, (-1, -1, -1))
+        tracemalloc.start()
+        try:
+            op = projection_operator(grid, tilted_spec(np.radians(30)),
+                                     (1024, 1024))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert op.shape == (1024 * 1024, 27) and op.nnz > 0
+        assert peak < 24 * 1024 * 1024
+
     def test_axis_aligned_rows_are_spacing_per_voxel(self):
         grid = VoxelGrid((3, 4, 5), 0.3, (0, 0, 0), np.zeros((3, 4, 5)))
         op = projection_operator(grid, YZ, (6, 7))
@@ -229,7 +323,9 @@ class TestProjectionOperator:
         op = projection_operator(grid, spec, shape)
         # the one pixel of each voxel
         pixel = op.row[np.argsort(op.indices, kind="stable")]
-        centers = pixel_center_coords(grid, spec, shape).reshape(-1, 2)
+        au, aw = pixel_center_coords(grid, spec, shape)
+        centers = np.stack(np.meshgrid(au, aw, indexing="ij"),
+                           axis=-1).reshape(-1, 2)
         proj = grid.node_positions().reshape(-1, 3) @ np.column_stack(
             [spec.u, spec.w])
         offset = (proj - centers[pixel]) / h
