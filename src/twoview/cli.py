@@ -59,8 +59,9 @@ from .errors import (
 )
 
 TOOL = f"twoview {__version__}"
-# float64 values held at the tracemalloc peak, per pixel by `project --mode
-# voxels` (any frames) and per voxel by `reconstruct voxels` (aligned pairs)
+# float64 values that bound the tracemalloc peak, per pixel of `project
+# --mode voxels` (any frames) and per voxel of `reconstruct voxels` (aligned
+# pairs, which peak at about 12.5)
 _PROJECT_VALUES_PER_PIXEL = 4
 _RECONSTRUCT_VALUES_PER_VOXEL = 16
 

@@ -409,20 +409,24 @@ def projection_operator(grid: GridHeader, spec: ProjectionSpec,
         # grid axis with n voxels sits at pixel coordinate
         # x = (m - 1) / 2 + sign * (i - (n - 1) / 2) on an image side of m
         # pixels: 2x is an exact integer, and k = floor(x + 1/2)
-        # = (2x + 1) // 2.
-        voxel = np.indices(grid.dims).reshape(3, -1)
-
+        # = (2x + 1) // 2, shaped to broadcast along its grid axis.
         def pixel(axis, sign, m):
-            return (int(sign) * (2 * voxel[axis] - grid.dims[axis] + 1)
-                    + m) // 2
+            n = grid.dims[axis]
+            k = (int(sign) * (2 * np.arange(n) - n + 1) + m) // 2
+            return k.reshape([n if a == axis else 1 for a in range(3)])
 
         iu, iw = pixel(*align[0:2], nu), pixel(*align[2:4], nw)
         if (np.any(iu < 0) or np.any(iu >= nu)
                 or np.any(iw < 0) or np.any(iw >= nw)):
             raise DimMismatch(
                 f"image dims {(nu, nw)} smaller than grid cross-section")
-        return CSR.from_entries(np.full(nvox, h), iu * nw + iw,
-                                np.arange(nvox), shape)
+        # one entry per voxel, so the stable sort of the voxels by pixel is
+        # the canonical column order, with no duplicates to sum
+        row = np.broadcast_to(iu * nw + iw, grid.dims).ravel()
+        indptr = np.zeros(shape[0] + 1, dtype=np.intp)
+        np.cumsum(np.bincount(row, minlength=shape[0]), out=indptr[1:])
+        return CSR(indptr, np.argsort(row, kind="stable"), np.full(nvox, h),
+                   shape)
     # The footprint: the pixel rows and columns whose centres lie within
     # two spacings of the projection of the grid's box.  Every nonzero
     # trilinear weight lies within one spacing of it, and the footprint is
@@ -441,14 +445,17 @@ def projection_operator(grid: GridHeader, spec: ProjectionSpec,
     ts = np.arange(tc - half_diag - h, tc + half_diag + h + step, step)
     dims = np.asarray(grid.dims)
     strides = np.array([dims[1] * dims[2], dims[2], 1])
-    data, rows, cols = [], [], []
-    # Blocks of whole t-slices of the footprint, at most _MARCH_BLOCK
-    # samples unless one slice is larger, bound the (t, corner, pixel)
-    # scratch arrays; every pixel's entries arrive in (t, corner) order, so
-    # duplicates are summed in the same order for every block size.
-    tstep = max(1, _MARCH_BLOCK // len(bases))
-    for t0 in range(0, ts.size, tstep):
-        f = (bases + ts[t0:t0 + tstep, None, None] * spec.n - grid.origin) / h
+    indptr = np.zeros(shape[0] + 1, dtype=np.intp)
+    indices, data = [], []
+    # Blocks of whole footprint pixels, every t of each, at most
+    # _MARCH_BLOCK samples unless one ray is longer, bound the (t, corner,
+    # pixel) scratch arrays.  Every row's entries come from one block, in
+    # (t, corner) order, so `CSR.from_entries` finishes the block's rows
+    # and sums duplicates in the same order for every block size.
+    pstep = max(1, _MARCH_BLOCK // ts.size)
+    for p0 in range(0, len(bases), pstep):
+        f = (bases[p0:p0 + pstep] + ts[:, None, None] * spec.n
+             - grid.origin) / h
         i0 = np.floor(f).astype(int)
         frac = f - i0
         base = i0 @ strides
@@ -459,11 +466,13 @@ def projection_operator(grid: GridHeader, spec: ProjectionSpec,
             wgt[:, k][np.any((idx < 0) | (idx >= dims), axis=-1)] = 0.0
             col[:, k] = base + strides @ corner
         sel = wgt > 0
-        data.append(step * wgt[sel])
-        rows.append(row_of[np.nonzero(sel)[2]])
-        cols.append(col[sel])
-    return CSR.from_entries(np.concatenate(data), np.concatenate(rows),
-                            np.concatenate(cols), shape)
+        block = CSR.from_entries(step * wgt[sel], np.nonzero(sel)[2],
+                                 col[sel], (wgt.shape[2], nvox))
+        indptr[row_of[p0:p0 + pstep] + 1] = np.diff(block.indptr)
+        indices.append(block.indices)
+        data.append(block.data)
+    np.cumsum(indptr, out=indptr)
+    return CSR(indptr, np.concatenate(indices), np.concatenate(data), shape)
 
 
 def project_voxels(grid: VoxelGrid, spec: ProjectionSpec,

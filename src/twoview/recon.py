@@ -354,11 +354,13 @@ def _radon_rank(A: CSR, split: int | None) -> tuple[int, str]:
     connected components of its bipartite row/column sparsity graph (the
     coarse block-triangular form of Pothen & Fan), so one components pass
     (`_components`) splits A into independent blocks and only components
-    with at least one row and one column are ranked.  "graph": for two
-    views that form a pixel graph (`_is_pixel_graph`) each component is a
-    multiple of the unsigned incidence matrix of a connected bipartite
-    graph with one vertex per pixel and one edge per voxel, so it
-    contributes #rows - 1 and nothing is densified.  "svd": every other
+    with at least one row and one column are ranked.  "graph": two views
+    that form a pixel graph (`_is_pixel_graph`) are a multiple of the
+    unsigned incidence matrix of a bipartite graph with one vertex per
+    pixel and one edge per voxel, whose components each contribute
+    #rows - 1; one components pass over that graph alone (a pixel with no
+    voxel is a component of its own and contributes 0) gives the rank
+    #rows - #components, and nothing is densified.  "svd": every other
     component is densified alone from its own entries, rows and columns in
     ascending order, and its singular values are counted above _RANK_TOL
     times the largest singular value over all components, which are the
@@ -366,6 +368,19 @@ def _radon_rank(A: CSR, split: int | None) -> tuple[int, str]:
     largest component's dense matrix would exceed _DENSE_RANK_BYTES.
     """
     rows, cols = A.shape
+    if _is_pixel_graph(A, split):
+        # voxel j is the edge between its pixels ends[0, j] and ends[1, j]
+        cut = A.indptr[split]
+        ends = np.empty((2, cols), dtype=A.row.dtype)
+        ends[0, A.indices[:cut]] = A.row[:cut]
+        ends[1, A.indices[cut:]] = A.row[cut:]
+        rank = rows - _components(rows, *ends)[0]
+        if rows * cols <= _ORACLE_CHECK_ENTRIES:
+            check = elimination_rank(A.toarray())
+            if check != rank:
+                raise NumericalError(
+                    f"graph rank {rank} != elimination rank {check}")
+        return rank, "graph"
     # vertex r < rows is row r, vertex rows + j is column j; one edge per
     # stored entry
     ncomp, labels = _components(rows + cols, A.row, rows + A.indices)
@@ -373,14 +388,6 @@ def _radon_rank(A: CSR, split: int | None) -> tuple[int, str]:
     comp_rows = np.bincount(row_label, minlength=ncomp)
     comp_cols = np.bincount(col_label, minlength=ncomp)
     sizes = comp_rows * comp_cols  # 0 unless it has a row and a column
-    if _is_pixel_graph(A, split):
-        rank = int(np.sum(comp_rows[sizes > 0] - 1))
-        if rows * cols <= _ORACLE_CHECK_ENTRIES:
-            check = elimination_rank(A.toarray())
-            if check != rank:
-                raise NumericalError(
-                    f"graph rank {rank} != elimination rank {check}")
-        return rank, "graph"
     big = int(np.argmax(sizes))
     nbytes = int(sizes[big]) * 8
     if nbytes > _DENSE_RANK_BYTES:

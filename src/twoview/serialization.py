@@ -5,6 +5,13 @@ JSON header next to a row-major CSV file with the same stem; sparse
 matrices are Matrix Market coordinate text.  All writers are
 deterministic: rerunning a command on the same inputs produces
 byte-identical files.
+
+The bulk writers (point JSON, float CSVs, Matrix Market) each write a
+header, one `_write_formatted` call and a footer.  That helper alone
+formats bulk numbers, one block of about `_WRITE_VALUES` values per `%`,
+so no writer holds more than one block of text or Python numbers, and a
+float is always written as its `%r`, the shortest round-trip form that is
+also JSON's encoding.
 """
 
 from __future__ import annotations
@@ -30,6 +37,7 @@ from .geometry import (
 )
 
 UNDEFINED_MARK = "·"  # middle dot in table CSVs
+_WRITE_VALUES = 1 << 12  # values formatted per `%` by _write_formatted
 
 
 @contextmanager
@@ -68,6 +76,27 @@ def dump_json(obj, path) -> None:
         fh.write(text + "\n")
 
 
+def _write_formatted(fh, template: str, rows, sep: str = "") -> None:
+    """Write sep.join(template % row for row in rows) to the text file `fh`.
+
+    `rows` is a tuple of arrays of one length, and row i is row i of each
+    array in turn: one value of a 1-D array, every value of a 2-D array's
+    row.  Each `%` formats a block of whole rows, about _WRITE_VALUES
+    values (one row when a row is wider), taken as Python ints and floats.
+    """
+    cols = [c if c.ndim == 2 else c[:, None] for c in map(np.asarray, rows)]
+    n, width = len(cols[0]), sum(c.shape[1] for c in cols)
+    step = max(1, _WRITE_VALUES // max(width, 1))
+    block = sep.join([template] * step)
+    for start in range(0, n, step):
+        stop = min(start + step, n)
+        values = np.hstack([c[start:stop].astype(object) for c in cols])
+        if stop - start < step:
+            block = sep.join([template] * (stop - start))
+        fh.write((sep if start else "")
+                 + block % tuple(values.ravel().tolist()))
+
+
 # -- point clouds and images ------------------------------------------------
 
 
@@ -75,17 +104,20 @@ def _save_points(points, path) -> None:
     """Write a PointCloud or Projected2D as {"points": [{"p", "w"}, ...]}.
 
     The bytes are those `dump_json` writes for that dict, from one template
-    per point.  Both classes reject non-finite values, so `repr` is JSON's
+    per point.  Both classes reject non-finite values, so `%r` is JSON's
     float encoding.
     """
-    rows = np.column_stack([points.positions, points.weights]).tolist()
     point = ('    {\n      "p": [\n'
              + ",\n".join(["        %r"] * points.positions.shape[1])
              + '\n      ],\n      "w": %r\n    }')
-    body = ",\n".join([point % tuple(row) for row in rows])
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write('{\n  "points": [\n' + body + '\n  ]\n}\n' if rows
-                 else '{\n  "points": []\n}\n')
+        if len(points):
+            fh.write('{\n  "points": [\n')
+            _write_formatted(fh, point, (points.positions, points.weights),
+                             sep=",\n")
+            fh.write('\n  ]\n}\n')
+        else:
+            fh.write('{\n  "points": []\n}\n')
 
 
 def _load_points(path, dim: int):
@@ -136,10 +168,11 @@ def _csv_path(path) -> Path:
 
 
 def _write_rows(path, array2d) -> None:
-    """One line of `repr` floats per row, comma-separated, ending in \\r\\n."""
+    """One line of `%r` floats per row, comma-separated, ending in \\r\\n."""
+    array2d = np.asarray(array2d, dtype=float)
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        for row in np.asarray(array2d, dtype=float):
-            fh.write(",".join(map(repr, row.tolist())) + "\r\n")
+        _write_formatted(fh, ",".join(["%r"] * array2d.shape[1]) + "\r\n",
+                         (array2d,))
 
 
 def _read_rows(path) -> np.ndarray:
@@ -236,17 +269,14 @@ def save_matrix_market(A: CSR, path) -> None:
 
     The header is `%%MatrixMarket matrix coordinate real general`, a `%`
     line and `rows cols nnz`; then one `i j v` line per stored entry, in
-    CSR order and 1-based, v the shortest round-trip `repr` of the value.
-    The body comes from one template over the flattened triples.
+    CSR order and 1-based, v the shortest round-trip `%r` of the value.
     """
-    triples = [0] * (3 * A.nnz)
-    triples[0::3] = (A.row + 1).tolist()
-    triples[1::3] = (A.indices + 1).tolist()
-    triples[2::3] = np.asarray(A.data, dtype=float).tolist()
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("%%%%MatrixMarket matrix coordinate real general\n%%\n"
                  "%d %d %d\n" % (*A.shape, A.nnz))
-        fh.write("%d %d %r\n" * A.nnz % tuple(triples))
+        _write_formatted(fh, "%d %d %r\n",
+                         (A.row + 1, A.indices + 1,
+                          np.asarray(A.data, dtype=float)))
 
 
 # -- composition tables -----------------------------------------------------

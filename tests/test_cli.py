@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -380,6 +381,34 @@ class TestBoundaryValidation:
                    "--out", tmp_path / "out") == code
         if code:
             assert self.error(capsys)["error"] == "SystemTooLarge"
+
+    @pytest.mark.parametrize("n", [32, 40, 48])
+    def test_grid_guard_bounds_the_aligned_peak(self, n, tmp_path):
+        # the guard's count of float64 values per voxel bounds the peak of
+        # an axis-aligned reconstruction, and system.mtx adds at most one
+        # write block (its whole body once took 42.9 MB against 14.6 MB at
+        # 48^3); one write block is about 70 B per value
+        dims = (n, n, n)
+        vals = np.random.default_rng(n).uniform(0.0, 1.0, dims)
+        ser.save_voxels(VoxelGrid(dims, 1.0, -(np.asarray(dims) - 1) / 2.0,
+                                  vals), tmp_path / "grid.json")
+        specs = ("--spec1", SPEC_XY, "--spec2", SPEC_YZ)
+        proj = tmp_path / "proj"
+        assert run("project", "--mode", "voxels", "--input",
+                   tmp_path / "grid.json", *specs, "--out", proj) == 0
+        peaks = []
+        for extra in ((), ("--matrix-market",)):
+            tracemalloc.start()
+            try:
+                assert run("reconstruct", "voxels", "--sino1",
+                           proj / "sino1.csv", "--sino2", proj / "sino2.csv",
+                           "--grid-dims", f"{n},{n},{n}", *specs, *extra,
+                           "--out", tmp_path / f"rec{len(extra)}") == 0
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert max(peaks) <= cli._RECONSTRUCT_VALUES_PER_VOXEL * 8 * n ** 3
+        assert peaks[1] <= peaks[0] + 128 * ser._WRITE_VALUES
 
     def test_dense_rank_over_limit(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(recon, "_DENSE_RANK_BYTES", 2**9)

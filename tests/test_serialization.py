@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import tempfile
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -94,6 +95,15 @@ def float_rows_reference(text: str) -> np.ndarray:
                      if row], dtype=float)
 
 
+@pytest.fixture(params=[1, 7, None], ids=["block1", "block7", "default"])
+def write_values(request, monkeypatch):
+    """Each bulk writer at 1 and 7 values per formatted block and at the
+    default `_WRITE_VALUES`."""
+    if request.param is not None:
+        monkeypatch.setattr(ser, "_WRITE_VALUES", request.param)
+    return ser._WRITE_VALUES
+
+
 def awkward_points(rng, cls):
     vals = np.array(AWKWARD)
     dim = 3 if cls is PointCloud else 2
@@ -116,6 +126,7 @@ class TestGoldenBytes:
                                rng.integers(0, 5, 9).astype(float)),
     ], ids=["cloud", "image", "empty-cloud", "empty-image", "one-point",
             "one-pixel", "awkward-cloud", "awkward-image", "integral"])
+    @pytest.mark.usefixtures("write_values")
     def test_points_writer_matches_json_dump(self, make, rng, tmp_path):
         points = make(rng)
         path = tmp_path / "p.json"
@@ -137,16 +148,55 @@ class TestGoldenBytes:
         lambda rng: np.zeros((3, 0)),
     ], ids=["random", "huge", "one-column", "awkward", "negated", "no-rows",
             "no-columns"])
+    @pytest.mark.usefixtures("write_values")
     def test_row_writer_matches_csv_writer(self, make, rng, tmp_path):
         array = make(rng)
         path = tmp_path / "rows.csv"
         ser._write_rows(path, array)
         assert path.read_bytes() == csv_rows_oracle(array)
 
+    @pytest.mark.usefixtures("write_values")
     def test_row_writer_ends_lines_in_crlf(self, tmp_path):
         path = tmp_path / "rows.csv"
         ser._write_rows(path, [[1.0, -0.0], [5e-324, 1e16]])
         assert path.read_bytes() == b"1.0,-0.0\r\n5e-324,1e+16\r\n"
+
+    @pytest.mark.parametrize("width", [1, 3, 7, 8, 20])
+    def test_formatted_writes_one_block_per_write(self, width, write_values,
+                                                  rng):
+        # Python ints and floats side by side, as in Matrix Market lines
+        n = 23
+        ints = rng.integers(-10**12, 10**12, n)
+        floats = rng.standard_normal((n, width - 1)) * 10.0 ** rng.integers(
+            -300, 300, (n, width - 1))
+        template = "%d" + "".join([" %r"] * (width - 1)) + ";"
+        writes = []
+
+        class Recorder:
+            def write(self, text):
+                writes.append(text)
+
+        ser._write_formatted(Recorder(), template, (ints, floats), sep="\n")
+        expected = "\n".join(template % (int(i), *map(float, f))
+                             for i, f in zip(ints, floats))
+        assert "".join(writes) == expected
+        per_block = max(1, write_values // width)
+        assert len(writes) == -(-n // per_block)
+        assert all(w.lstrip("\n").count(";") <= per_block for w in writes)
+
+    def test_points_writer_holds_one_block(self, rng, tmp_path):
+        # the whole-file join of per-point strings peaked at 122 MB
+        n = 200_000
+        cloud = PointCloud(rng.standard_normal((n, 3)), rng.uniform(0, 1, n))
+        tracemalloc.start()
+        try:
+            ser.save_cloud(cloud, tmp_path / "cloud.json")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20 * 2**20
+        back = ser.load_cloud(tmp_path / "cloud.json")
+        np.testing.assert_array_equal(back.positions, cloud.positions)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_row_reader_is_bitwise_float(self, seed, tmp_path):
@@ -315,13 +365,20 @@ def csr_matrices(draw):
                np.asarray(data, dtype=float), (rows, cols))
 
 
+@pytest.mark.usefixtures("write_values")
 class TestMatrixMarket:
-    def test_bytes(self, tmp_path):
-        A = CSR(np.array([0, 1, 1, 3]), np.array([1, 0, 2]),
-                np.array([0.1, -0.0, 3.0]), (3, 4))
+    @pytest.mark.parametrize("A, body", [
+        (CSR(np.array([0, 1, 1, 3]), np.array([1, 0, 2]),
+             np.array([0.1, -0.0, 3.0]), (3, 4)),
+         b"3 4 3\n1 2 0.1\n3 1 -0.0\n3 3 3.0\n"),
+        (CSR(np.zeros(3, dtype=np.intp), np.zeros(0, dtype=np.intp),
+             np.zeros(0), (2, 3)), b"2 3 0\n"),
+        (CSR(np.zeros(1, dtype=np.intp), np.zeros(0, dtype=np.intp),
+             np.zeros(0), (0, 0)), b"0 0 0\n"),
+    ], ids=["entries", "no-entries", "empty"])
+    def test_bytes(self, A, body, tmp_path):
         ser.save_matrix_market(A, tmp_path / "a.mtx")
-        assert (tmp_path / "a.mtx").read_bytes() == (
-            MM_HEADER + b"3 4 3\n1 2 0.1\n3 1 -0.0\n3 3 3.0\n")
+        assert (tmp_path / "a.mtx").read_bytes() == MM_HEADER + body
 
     def test_mmread_round_trip(self):
         # @given on an inner function, as in tests/test_cli.py
