@@ -126,6 +126,7 @@ class TwistMap:
 
     coeffs: np.ndarray
 
+    @np.errstate(over="ignore")  # c + c^T of huge entries may be infinite
     def __post_init__(self):
         c = np.asarray(self.coeffs, dtype=float)
         if c.shape != (3, 3, 3) or not np.all(np.isfinite(c)):
@@ -159,7 +160,13 @@ class TwistMap:
 def twisted_bracket(X: diffgeo.VectorFieldGrid, Y: diffgeo.VectorFieldGrid,
                     H: TwistMap) -> diffgeo.VectorFieldGrid:
     """[X, Y]_H = [X, Y] + H(X, Y), node-wise."""
-    b = diffgeo.lie_bracket(X, Y).samples + H(X.samples, Y.samples)
+    diffgeo._require_same_header(X, Y)
+    return _twisted(X, diffgeo.partials(X), Y, diffgeo.partials(Y), H)
+
+
+def _twisted(X, dX, Y, dY, H: TwistMap) -> diffgeo.VectorFieldGrid:
+    """[X, Y]_H from the partials dX of X and dY of Y."""
+    b = diffgeo._derivative(X, Y, dY, dX=dX).samples + H(X.samples, Y.samples)
     return diffgeo.VectorFieldGrid(X.header,
                                    diffgeo._finite(b, "the twisted bracket"))
 
@@ -170,15 +177,21 @@ def jacobiator(X: diffgeo.VectorFieldGrid, Y: diffgeo.VectorFieldGrid,
     """Cyclic sum of nested twisted brackets plus its max interior norm.
 
     Zero (up to discretization) iff the twisted bracket satisfies the
-    Jacobi identity; the plain bracket (H = 0) does.
+    Jacobi identity; the plain bracket (H = 0) does.  Each of the six
+    fields it differentiates (X, Y, Z and the three inner brackets) is
+    differentiated once.
     """
     if any(d < 5 for d in X.header.dims):
         raise GridTooSmall(
             f"jacobiator needs >= 5 nodes per axis, got {X.header.dims}")
+    diffgeo._require_same_header(X, Y, Z)
+    fields = (X, Y, Z)
+    d = [diffgeo.partials(F) for F in fields]
     total = np.zeros(X.header.dims + (3,))
-    for A, B, C in ((X, Y, Z), (Y, Z, X), (Z, X, Y)):
-        inner = twisted_bracket(B, C, H)
-        total += twisted_bracket(A, inner, H).samples
+    for a, b, c in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+        inner = _twisted(fields[b], d[b], fields[c], d[c], H)
+        total += _twisted(fields[a], d[a], inner, diffgeo.partials(inner),
+                          H).samples
     field = diffgeo.VectorFieldGrid(X.header,
                                     diffgeo._finite(total, "the jacobiator"))
     return field, field.max_interior_norm(depth=2)

@@ -28,11 +28,13 @@ Exit codes: 0 success, 2 input error (an argparse error, an empty --out,
 an --out that cannot be made a directory, a grid whose reconstruction
 (sixteen float64 values per voxel) and an image whose projection (four
 per pixel) would exceed 256 MiB included), 3 geometric precondition
-failure, 4 numerical non-convergence or a NaN or infinity in an output
-JSON file.  Every failure writes one JSON object on stderr and no
-run.json.  Every command is deterministic given its inputs, and each
+failure, 4 numerical non-convergence, a floating-point overflow or
+invalid operation, or a NaN or infinity in an output JSON file.  Every
+failure writes one JSON object on stderr and no run.json.  Every
+command is deterministic given its inputs, and each
 successful run writes a `run.json` with the tool version and the value
-of every option the subcommand accepts.
+of every option the subcommand accepts.  A run that only parses its
+arguments (--version, --help, a usage error) imports no numpy.
 """
 
 from __future__ import annotations
@@ -42,9 +44,8 @@ import json
 import math
 import os
 import sys
+import warnings
 from pathlib import Path
-
-import numpy as np
 
 from . import __version__
 from . import algebra, certify, diffgeo, geometry, recon, toric
@@ -132,6 +133,7 @@ def cmd_project(args, out: Path) -> None:
 
 
 def cmd_reconstruct_points(args, out: Path) -> None:
+    import numpy as np
     spec1 = ser.load_spec(args.spec1)
     spec2 = ser.load_spec(args.spec2)
     img1 = ser.load_image(args.image1)
@@ -154,6 +156,7 @@ def cmd_reconstruct_points(args, out: Path) -> None:
 
 
 def cmd_reconstruct_voxels(args, out: Path) -> None:
+    import numpy as np
     spec1 = ser.load_spec(args.spec1)
     spec2 = ser.load_spec(args.spec2)
     geometry._cross_norm(spec1, spec2, args.tol)
@@ -196,9 +199,10 @@ def _load_twist(path) -> algebra.TwistMap:
     """The --twist coefficients c^k_ij from a JSON file; zero when absent."""
     if path is None:
         return algebra.TwistMap.zero()
+    import numpy as np
     try:
         coeffs = np.asarray(ser._load_json(path), dtype=float)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         coeffs = np.array(math.nan)
     if coeffs.shape != (3, 3, 3) or not np.all(np.isfinite(coeffs)):
         raise InputError(f"--twist must hold a finite 3x3x3 array: {path}")
@@ -389,7 +393,15 @@ def main(argv=None) -> int:
             raise InputError("--out must name a directory, got ''")
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        args.func(args, out)
+        with warnings.catch_warnings():
+            # numpy reports an overflow or an invalid operation outside an
+            # np.errstate block as a RuntimeWarning on stderr; it ends the
+            # run as a NumericalError instead, so stderr holds one JSON line
+            warnings.simplefilter("error", RuntimeWarning)
+            try:
+                args.func(args, out)
+            except RuntimeWarning as exc:
+                raise NumericalError(f"floating-point {exc}") from exc
         _echo_run(out, args)
     except (TwoViewError, OSError) as exc:
         sys.stderr.write(json.dumps(

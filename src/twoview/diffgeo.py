@@ -162,10 +162,26 @@ def partials(field: VectorFieldGrid) -> np.ndarray:
 def covariant_derivative(X: VectorFieldGrid, Y: VectorFieldGrid,
                          conn: ConnectionField) -> VectorFieldGrid:
     """(nabla_X Y)^k = X^i d_i Y^k + Gamma^k_ij X^i Y^j, node-wise."""
-    header = _require_same_header(X, Y, conn)
-    dY = partials(Y)  # (..., i, k)
-    v = np.einsum("...i,...ik->...k", X.samples, dY) + _christoffel(conn, X, Y)
-    return VectorFieldGrid(header, _finite(v, "the covariant derivative"))
+    _require_same_header(X, Y, conn)
+    return _derivative(X, Y, partials(Y), conn=conn)
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _derivative(X: VectorFieldGrid, Y: VectorFieldGrid, dY: np.ndarray, *,
+                conn: ConnectionField | None = None,
+                dX: np.ndarray | None = None) -> VectorFieldGrid:
+    """nabla_X Y with `conn`, or [X, Y] with dX, from the partials dY of Y
+    (and dX of X): the one place the stencils are applied, so a caller
+    composing derivatives differentiates each field once.  The headers
+    must already match."""
+    v = np.einsum("...i,...ik->...k", X.samples, dY)  # dY is (..., i, k)
+    if conn is not None:
+        v = v + _christoffel(conn, X, Y)
+        what = "the covariant derivative"
+    else:
+        v = v - np.einsum("...i,...ik->...k", Y.samples, dX)
+        what = "the Lie bracket"
+    return VectorFieldGrid(X.header, _finite(v, what))
 
 
 def _christoffel(conn: ConnectionField, X: VectorFieldGrid,
@@ -178,12 +194,8 @@ def _christoffel(conn: ConnectionField, X: VectorFieldGrid,
 @np.errstate(over="ignore", invalid="ignore")
 def lie_bracket(X: VectorFieldGrid, Y: VectorFieldGrid) -> VectorFieldGrid:
     """[X, Y]^k = X^i d_i Y^k - Y^i d_i X^k via the shared stencils."""
-    header = _require_same_header(X, Y)
-    dY = partials(Y)
-    dX = partials(X)
-    b = (np.einsum("...i,...ik->...k", X.samples, dY)
-         - np.einsum("...i,...ik->...k", Y.samples, dX))
-    return VectorFieldGrid(header, _finite(b, "the Lie bracket"))
+    _require_same_header(X, Y)
+    return _derivative(X, Y, partials(Y), dX=partials(X))
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -237,17 +249,20 @@ def curvature(conn: ConnectionField, X: VectorFieldGrid, Y: VectorFieldGrid,
     """F(X, Y)Z = nabla_X nabla_Y Z - nabla_Y nabla_X Z - nabla_[X,Y] Z.
 
     Composes the discrete covariant derivative, so only nodes at depth 2
-    from the boundary carry second-order-accurate values.
+    from the boundary carry second-order-accurate values.  Each of the
+    five fields it differentiates (Z, nabla_Y Z, nabla_X Z, X and Y) is
+    differentiated once.
     """
     header = _require_same_header(X, Y, Z, conn)
     if any(d < 5 for d in header.dims):
         raise GridTooSmall(
             f"curvature needs >= 5 nodes per axis, got {header.dims}")
-    nyz = covariant_derivative(Y, Z, conn)
-    nxz = covariant_derivative(X, Z, conn)
-    term1 = covariant_derivative(X, nyz, conn).samples
-    term2 = covariant_derivative(Y, nxz, conn).samples
-    term3 = covariant_derivative(lie_bracket(X, Y), Z, conn).samples
+    dZ = partials(Z)
+    nyz = _derivative(Y, Z, dZ, conn=conn)
+    nxz = _derivative(X, Z, dZ, conn=conn)
+    term1 = _derivative(X, nyz, partials(nyz), conn=conn).samples
+    term2 = _derivative(Y, nxz, partials(nxz), conn=conn).samples
+    term3 = _derivative(lie_bracket(X, Y), Z, dZ, conn=conn).samples
     F = term1 - term2 - term3
     return VectorFieldGrid(header, _finite(F, "the curvature"))
 

@@ -171,6 +171,7 @@ class ProjectionSpec:
     w: np.ndarray
     n: np.ndarray
 
+    @np.errstate(over="ignore", invalid="ignore")  # |v|^2 of a huge v is inf
     def __post_init__(self):
         u, w, n = _as_vec3(self.u), _as_vec3(self.w), _as_vec3(self.n)
         for name, v in (("u", u), ("w", w), ("n", n)):

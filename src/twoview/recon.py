@@ -364,8 +364,10 @@ def _radon_rank(A: CSR, split: int | None) -> tuple[int, str]:
     component is densified alone from its own entries, rows and columns in
     ascending order, and its singular values are counted above _RANK_TOL
     times the largest singular value over all components, which are the
-    singular values of the whole matrix; raises SystemTooLarge when the
-    largest component's dense matrix would exceed _DENSE_RANK_BYTES.
+    singular values of the whole matrix.  `np.linalg.svd` copies its
+    input, so a component takes twice its dense bytes at the SVD; raises
+    SystemTooLarge, before any component is densified, when twice the
+    largest component's dense bytes would exceed _DENSE_RANK_BYTES.
     """
     rows, cols = A.shape
     if _is_pixel_graph(A, split):
@@ -390,11 +392,12 @@ def _radon_rank(A: CSR, split: int | None) -> tuple[int, str]:
     sizes = comp_rows * comp_cols  # 0 unless it has a row and a column
     big = int(np.argmax(sizes))
     nbytes = int(sizes[big]) * 8
-    if nbytes > _DENSE_RANK_BYTES:
+    if 2 * nbytes > _DENSE_RANK_BYTES:
         raise SystemTooLarge(
             f"dense {comp_rows[big]}x{comp_cols[big]} component of the "
-            f"{rows}x{cols} Radon matrix needs {nbytes} bytes for its SVD "
-            f"rank, above the {_DENSE_RANK_BYTES}-byte limit")
+            f"{rows}x{cols} Radon matrix needs {2 * nbytes} bytes for its "
+            f"SVD rank ({nbytes} for the matrix and as many for the SVD's "
+            f"copy), above the {_DENSE_RANK_BYTES}-byte limit")
     # entry e of component k sits at (local_row[e], local_col[e]) of its
     # dense block; the entries of component k are by_comp[start[k]:
     # start[k + 1]]
@@ -429,7 +432,8 @@ def build_radon_system(specs, grid: GridHeader, sinograms) -> RadonSystem:
     (rank_method "graph", no dense matrix); for any other set of views
     each component is densified alone and ranked by its singular values
     (rank_method "svd"), and SystemTooLarge is raised when the largest
-    component's dense matrix would exceed _DENSE_RANK_BYTES.
+    component's dense matrix and the SVD's copy of it would together
+    exceed _DENSE_RANK_BYTES.
     """
     specs = list(specs)
     sinos = list(sinograms)

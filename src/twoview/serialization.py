@@ -51,9 +51,11 @@ def _reading(path, what: str):
         raise InputError(f"cannot read {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise InputError(f"{path} is not UTF-8 text: {exc}") from exc
-    except (KeyError, TypeError, ValueError, RecursionError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError,
+            RecursionError) as exc:
         # JSONDecodeError included; KeyError and TypeError are a missing
-        # field or a field of the wrong type
+        # field or a field of the wrong type, OverflowError an integer no
+        # float64 or int64 holds or an infinite one
         raise InputError(f"malformed {what} in {path}: {exc}") from exc
 
 

@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from twoview import diffgeo
 from twoview.errors import DimMismatch, GridTooSmall
 from twoview.algebra import (
     UNDEFINED,
@@ -321,3 +322,26 @@ class TestJacobiator:
         X = VectorFieldGrid.constant(header, (1, 0, 0))
         with pytest.raises(GridTooSmall):
             jacobiator(X, X, X, TwistMap.zero())
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_each_field_differentiated_once(self, seed, monkeypatch):
+        # oracle: the cyclic sum of public twisted brackets, which
+        # differentiate X, Y and Z three times each and each inner bracket once
+        # (12 partials for 6 distinct fields)
+        rng = np.random.default_rng(seed)
+        header = GridHeader((5, 6, 7), 0.2, tuple(rng.standard_normal(3)))
+        X, Y, Z = (VectorFieldGrid(header,
+                                   rng.standard_normal(header.dims + (3,)))
+                   for _ in range(3))
+        H = TwistMap.from_cross_product(rng.standard_normal((3, 3)))
+        expected = np.zeros(header.dims + (3,))
+        for A, B, C in ((X, Y, Z), (Y, Z, X), (Z, X, Y)):
+            expected += twisted_bracket(A, twisted_bracket(B, C, H), H).samples
+        calls = []
+        real = diffgeo.partials
+        monkeypatch.setattr(diffgeo, "partials",
+                            lambda f: calls.append(f) or real(f))
+        field, jmax = jacobiator(X, Y, Z, H)
+        assert field.samples.tobytes() == expected.tobytes()
+        assert jmax == VectorFieldGrid(header, expected).max_interior_norm(2)
+        assert len(calls) == len({id(f) for f in calls}) == 6

@@ -3,7 +3,10 @@ import contextlib
 import inspect
 import io
 import json
+import math
 import os
+import re
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -42,6 +45,10 @@ CLOUD = str(fixture_path("sample_cloud.json"))
 TILT_30 = tilted_spec(np.pi / 6)
 SPEC_XY = str(fixture_path("spec_xy.json"))
 SPEC_YZ = str(fixture_path("spec_yz.json"))
+_SPECS = ("--spec1", SPEC_XY, "--spec2", SPEC_YZ)
+_FIELDS = ("--field-x", fixture_path("field_contact_x.json"),
+           "--field-y", fixture_path("field_contact_y.json"))
+_FIELD_Z = ("--field-z", fixture_path("field_coord_x.json"))
 
 
 def run(*argv):
@@ -422,8 +429,9 @@ class TestBoundaryValidation:
         err = self.error(capsys)
         assert err["error"] == "SystemTooLarge"
         # the largest component, one x-slice: (4 + 4) rows x 16 voxels x 8
+        # bytes, twice over for the SVD's copy
         assert "dense 8x16 component" in err["message"]
-        assert "needs 1024 bytes" in err["message"]
+        assert "needs 2048 bytes" in err["message"]
         assert not (tmp_path / "out" / "system.json").exists()
 
     @pytest.mark.parametrize("tol", ["nan", "inf", "0"])
@@ -1262,6 +1270,27 @@ def cli_argv(draw, good, junk):
     return [*leaf, *(a for pair in pairs for a in pair)]
 
 
+def check_outcome(argv, tmp) -> dict | None:
+    """Run argv in-process and check its one boundary contract: exit 0, 2,
+    3 or 4 with no exception escaping; a failure writes exactly one JSON
+    stderr line, with `error` and `message`, and no run.json under `tmp`;
+    a success no stderr and one run.json.  Returns the failure's JSON."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = run(*argv)
+    assert code in (0, 2, 3, 4), argv
+    written = list(Path(tmp).rglob("run.json"))
+    if code == 0:
+        assert err.getvalue() == "" and len(written) == 1, argv
+        return None
+    lines = err.getvalue().splitlines()
+    assert len(lines) == 1, (argv, err.getvalue())
+    failure = json.loads(lines[0])
+    assert set(failure) == {"error", "message"}
+    assert written == [], argv
+    return failure
+
+
 class TestBoundaryProperties:
     """Any argv built from the real option names and junk values exits 0,
     2, 3 or 4; a failure writes exactly one JSON stderr line and no
@@ -1286,20 +1315,226 @@ class TestBoundaryProperties:
                     ["out", "file", "file/sub", None]))
                 if out is not None:
                     argv += ["--out", str(Path(tmp) / out)]
-                err = io.StringIO()
-                with contextlib.redirect_stderr(err):
-                    code = run(*argv)
-                assert code in (0, 2, 3, 4), argv
-                written = list(Path(tmp).rglob("run.json"))
-                if code == 0:
-                    assert err.getvalue() == "" and len(written) == 1, argv
-                else:
-                    lines = err.getvalue().splitlines()
-                    assert len(lines) == 1, (argv, err.getvalue())
-                    assert set(json.loads(lines[0])) == {"error", "message"}
-                    assert written == [], argv
+                check_outcome(argv, tmp)
 
         check()
+
+
+# byte strings a fuzzed file splices in: numbers no float64 holds, JSON's
+# non-finite spellings, structure, separators and non-UTF-8 bytes
+_FUZZ_TOKENS = [b"nan", b"inf", b"-inf", b"1e999", b"-0", b"9" * 40,
+                b"1e-320", b"Infinity", b"NaN", b"null", b"true", b'""',
+                b"[]", b"{}", b"[[1]]", b",", b"\n", b"\r\n", b'"',
+                b"\xc2\xb7", b"\xff", b"0x1", b"1_0"]
+# numbers at the edges of what a loader converts: past float64 and int64,
+# non-finite, subnormal; listed twice among the JSON leaves to weight them
+_EDGE_NUMBERS = st.sampled_from([10 ** 400, -10 ** 30, 2 ** 63, 1e308,
+                                 math.inf, -math.inf, math.nan, 5e-324, 0, -1])
+_JSON_LEAVES = st.one_of(_EDGE_NUMBERS, _EDGE_NUMBERS, st.none(),
+                         st.booleans(), st.integers(), st.floats(),
+                         st.text(max_size=4))
+
+
+@st.composite
+def spliced(draw, valid: bytes):
+    """`valid` with up to four short spans replaced by junk, or cut short,
+    or junk bytes alone."""
+    how = draw(st.sampled_from(["splice", "splice", "cut", "junk"]))
+    if how == "junk":
+        return draw(st.binary(max_size=64))
+    if how == "cut":
+        return valid[:draw(st.integers(0, len(valid)))]
+    b = bytearray(valid)
+    for _ in range(draw(st.integers(1, 4))):
+        i = draw(st.integers(0, len(b)))
+        j = draw(st.integers(i, min(len(b), i + 12)))
+        b[i:j] = draw(st.one_of(st.sampled_from(_FUZZ_TOKENS),
+                                st.binary(max_size=6)))
+    return bytes(b)
+
+
+@st.composite
+def recelled(draw, valid: bytes):
+    """The CSV file `valid` with up to three cells replaced by junk tokens or
+    by the text of an edge number."""
+    parts = re.split(rb"([,\r\n]+)", valid)  # cells at the even indices
+    for _ in range(draw(st.integers(1, 3))):
+        i = 2 * draw(st.integers(0, len(parts) // 2))
+        parts[i] = draw(st.one_of(
+            st.sampled_from(_FUZZ_TOKENS),
+            _EDGE_NUMBERS.map(lambda x: repr(x).encode())))
+    return b"".join(parts)
+
+
+def _json_paths(doc, path=()):
+    """The path of every value in a parsed JSON document, its root first."""
+    yield path
+    items = (doc.items() if isinstance(doc, dict) else
+             enumerate(doc) if isinstance(doc, list) else ())
+    for key, value in items:
+        yield from _json_paths(value, (*path, key))
+
+
+@st.composite
+def regrafted(draw, valid: bytes):
+    """The JSON document `valid` with one of its values replaced by any JSON
+    value built from its own keys and junk leaves."""
+    doc = json.loads(valid)
+    keys = sorted({p[-1] for p in _json_paths(doc)
+                   if p and isinstance(p[-1], str)}) + ["x"]
+    new = draw(st.one_of(_EDGE_NUMBERS, st.recursive(
+        _JSON_LEAVES, lambda kids: st.lists(kids, max_size=4)
+        | st.dictionaries(st.sampled_from(keys), kids, max_size=4),
+        max_leaves=12)))
+    path = draw(st.sampled_from(list(_json_paths(doc))))
+    if not path:
+        return json.dumps(new).encode()
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = new
+    return json.dumps(doc).encode()
+
+
+def fuzzed(valid: bytes, is_json: bool):
+    return st.one_of(spliced(valid),
+                     regrafted(valid) if is_json else recelled(valid))
+
+
+# each loaded input: the kind of file, the valid file the fuzzer starts from
+# and the op that reads it; FILE stands for the fuzzed copy, and VALID[opt]
+# for the cli_inputs fixture's last valid value of option opt
+FILE = object()
+VALID = {opt: ("cli_inputs", opt) for opt in (
+    "--image1", "--image2", "--input", "--sino1", "--sino2", "--constraints",
+    "--twist")}
+FUZZED_INPUTS = {
+    "points JSON": ("json", CLOUD, ("project", "--input", FILE, *_SPECS)),
+    "image JSON": ("json", VALID["--image1"],
+                   ("reconstruct", "points", "--image1", FILE,
+                    "--image2", VALID["--image2"], *_SPECS)),
+    "spec JSON": ("json", SPEC_XY, ("project", "--input", CLOUD,
+                                    "--spec1", FILE, "--spec2", SPEC_YZ)),
+    "voxel grid": ("grid", VALID["--input"],
+                   ("project", "--mode", "voxels", "--input", FILE, *_SPECS)),
+    "vector field": ("grid", fixture_path("field_contact_x.json"),
+                     ("diagnose", "frobenius", "--field-x", FILE,
+                      "--field-y", fixture_path("field_contact_y.json"))),
+    "connection": ("grid", fixture_path("conn_flat.json"),
+                   ("diagnose", "hantjies", *_FIELDS, "--connection", FILE)),
+    "sinogram CSV": ("csv", VALID["--sino1"],
+                     ("reconstruct", "voxels", "--sino1", FILE,
+                      "--sino2", VALID["--sino2"], "--grid-dims", "3,3,3",
+                      *_SPECS)),
+    "table CSV": ("csv", fixture_path("z4_table.csv"),
+                  ("diagnose", "algebra", "--table", FILE)),
+    "constraints JSON": ("json", VALID["--constraints"],
+                         ("toric", "solve", "--constraints", FILE,
+                          "--axis", "0,0,1", "--order", "4")),
+    "twist JSON": ("json", VALID["--twist"],
+                   ("diagnose", "jacobiator", *_FIELDS, *_FIELD_Z,
+                    "--twist", FILE)),
+}
+
+
+def fuzz_case(name, cli_inputs):
+    """FUZZED_INPUTS[name] with the cli_inputs fixture's files in place of
+    its VALID entries: the kind, the valid file, and the argv that reads
+    the file at `path` and writes under `out`."""
+    kind, valid, template = FUZZED_INPUTS[name]
+    good = cli_inputs[0]
+
+    def resolve(arg):
+        return str(good[arg[1]][-1] if isinstance(arg, tuple) else arg)
+
+    def argv(path, out):
+        return [str(path) if a is FILE else resolve(a)
+                for a in template] + ["--out", str(out)]
+
+    return kind, Path(resolve(valid)), argv
+
+
+class TestFuzzedFiles:
+    """Any bytes in any loaded input file: the op exits 0, 2, 3 or 4 and
+    no exception escapes; a failure writes exactly one JSON stderr line and
+    no run.json.  A grid is fuzzed in its JSON header, its CSV or both."""
+
+    @pytest.mark.parametrize("name", FUZZED_INPUTS)
+    def test_any_bytes(self, name, cli_inputs):
+        kind, valid, argv = fuzz_case(name, cli_inputs)
+        suffixes = {"json": [".json"], "csv": [".csv"],
+                    "grid": [".json", ".csv"]}[kind]
+        parts = {suffix: fuzzed(valid.with_suffix(suffix).read_bytes(),
+                                suffix == ".json")
+                 for suffix in suffixes}
+
+        # @given on an inner function, as in TestBoundaryProperties
+        @given(data=st.data())
+        @settings(max_examples=60, deadline=None, derandomize=True,
+                  database=None)
+        def check(data):
+            with tempfile.TemporaryDirectory() as tmp:
+                path = Path(tmp) / "in" / ("fuzzed" + suffixes[0])
+                path.parent.mkdir()
+                fuzz = data.draw(st.sampled_from(
+                    [suffixes[:1], suffixes[1:], suffixes]
+                    if kind == "grid" else [suffixes]))
+                for suffix in suffixes:
+                    target = path.with_suffix(suffix)
+                    if suffix in fuzz:
+                        target.write_bytes(data.draw(parts[suffix]))
+                    else:
+                        shutil.copy(valid.with_suffix(suffix), target)
+                check_outcome(argv(path, Path(tmp) / "out"), tmp)
+
+        check()
+
+    # files the fuzzer found escaping, each once an uncaught OverflowError or
+    # a numpy RuntimeWarning line on stderr, and the error each exits with
+    BIG = "1" + "0" * 400
+    SPEC = '{"u": [%s, 0, 0], "w": [0, 1, 0], "n": [0, 0, 1]}'
+    ROWS = '"rows": [{"omega": [%s, 0, 0]}, {"omega": [0, 1, 0]}]'
+    TWIST = [[[0.0] * 3] * 3] * 3
+    ESCAPED = {
+        "spec past float64": ("spec JSON", ".json", SPEC % BIG,
+                              "InputError"),
+        "spec of huge norm": ("spec JSON", ".json", SPEC % "1e308",
+                              "InvalidFrame"),
+        "table entry past int64": ("table CSV", ".csv",
+                                   "0,1\n1,99999999999999999999999\n",
+                                   "InputError"),
+        "infinite constraints dim": ("constraints JSON", ".json",
+                                     "{%s, \"dim\": Infinity}" % (ROWS % 1),
+                                     "InputError"),
+        "constraint of huge norm": ("constraints JSON", ".json",
+                                    "{%s}" % (ROWS % "1e308"),
+                                    "NumericalError"),
+        "twist past float64": ("twist JSON", ".json",
+                               json.dumps(TWIST).replace("0.0", BIG, 1),
+                               "InputError"),
+        "huge symmetric twist": ("twist JSON", ".json",
+                                 json.dumps(TWIST).replace("0.0", "1e308", 5),
+                                 "DimMismatch"),
+        "huge sinogram": ("sinogram CSV", ".csv",
+                          "1e308,2.0,3.0\n1.0,2.0,3.0\n1.0,2.0,3.0\n",
+                          "NumericalError"),
+        "huge voxel spacing": ("voxel grid", ".json", json.dumps(
+            {"dims": [3, 3, 3], "kind": "voxel_grid",
+             "origin": [-1.0, -1.0, -1.0], "spacing": 1e308}),
+            "NumericalError"),
+    }
+
+    @pytest.mark.parametrize("case", ESCAPED)
+    def test_escaped_once(self, case, cli_inputs, tmp_path):
+        name, suffix, text, error = self.ESCAPED[case]
+        kind, valid, argv = fuzz_case(name, cli_inputs)
+        path = tmp_path / "in" / ("fuzzed" + valid.suffix)
+        path.parent.mkdir()
+        if kind == "grid":
+            shutil.copy(valid.with_suffix(".csv"), path.with_suffix(".csv"))
+        path.with_suffix(suffix).write_text(text)
+        failure = check_outcome(argv(path, tmp_path / "out"), tmp_path)
+        assert failure["error"] == error, failure
 
 
 # Runs `python -m twoview.cli ARGS` in-process through runpy and, at exit,
@@ -1313,20 +1548,26 @@ sys.argv = ["twoview"] + sys.argv[1:]
 runpy.run_module("twoview.cli", run_name="__main__", alter_sys=True)
 """
 _LIST_SCIPY = _RUN_CLI.format(select='m.split(".")[0] == "scipy"')
+_LIST_NUMPY = _RUN_CLI.format(select='m.split(".")[0] == "numpy"')
 # a layer that has not executed is still a lazy module, whose type is a
 # subclass of ModuleType
 _EXECUTED = 'm.startswith("twoview.") and type(v) is types.ModuleType'
 _LIST_LAYERS = _RUN_CLI.format(select=_EXECUTED)
 
 
-def fresh_modules(code, *argv, cwd=None) -> set:
-    """The names a fresh interpreter running `code` prints last."""
+def fresh_run(code, *argv, cwd=None) -> subprocess.CompletedProcess:
+    """A fresh interpreter running `code` on this checkout's twoview."""
     src = str(Path(twoview.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run([sys.executable, "-c", code, *map(str, argv)],
+    return subprocess.run([sys.executable, "-c", code, *map(str, argv)],
                           env=env, cwd=cwd, capture_output=True, text=True,
                           timeout=60)
+
+
+def fresh_modules(code, *argv, cwd=None) -> set:
+    """The names a fresh interpreter running `code` prints last."""
+    proc = fresh_run(code, *argv, cwd=cwd)
     assert proc.returncode == 0, proc.stderr
     return set(json.loads(proc.stdout.splitlines()[-1]))
 
@@ -1354,10 +1595,6 @@ def layer_inputs(tmp_path_factory):
     return root
 
 
-_SPECS = ("--spec1", SPEC_XY, "--spec2", SPEC_YZ)
-_FIELDS = ("--field-x", fixture_path("field_contact_x.json"),
-           "--field-y", fixture_path("field_contact_y.json"))
-_FIELD_Z = ("--field-z", fixture_path("field_coord_x.json"))
 _CONN = ("--connection", fixture_path("conn_flat.json"))
 _IO = {"errors", "geometry", "serialization"}
 _RECON = _IO | {"recon"}
@@ -1416,7 +1653,39 @@ class TestImportGraph:
     """Each op imports only the scipy it runs, which is none but for
     `toric detect` when no candidate rotation matches; `src/twoview` has
     no module-level scipy import.  Each op also executes only the twoview
-    layers it calls, while every layer has a sys.modules entry."""
+    layers it calls, while every layer has a sys.modules entry.  A run
+    that only parses its argv (`--version`, `--help`, a usage error)
+    loads no numpy."""
+
+    def test_import_cli_loads_no_numpy(self):
+        code = ("import json, sys, twoview.cli; print(json.dumps("
+                "[m for m in sys.modules if m.split('.')[0] == 'numpy']))")
+        assert fresh_modules(code) == set()
+
+    @pytest.mark.parametrize("argv, code, message", [
+        (("--version",), 0, None),
+        (("--help",), 0, None),
+        (("project", "--spec1", SPEC_XY, "--spec2", SPEC_YZ, "--out", "out"),
+         2, "the following arguments are required: --input"),
+        (("nope", "--out", "out"), 2, "invalid choice: 'nope'"),
+    ], ids=["version", "help", "missing-option", "unknown-subcommand"])
+    def test_parse_only_runs_load_no_numpy(self, argv, code, message,
+                                           tmp_path):
+        proc = fresh_run(_LIST_NUMPY, *argv, cwd=tmp_path)
+        *stdout, loaded = proc.stdout.splitlines()
+        assert json.loads(loaded) == []
+        assert proc.returncode == code, proc.stderr
+        if message is None:
+            assert proc.stderr == ""
+            assert stdout[0] == (cli.TOOL if argv == ("--version",)
+                                 else "usage: twoview [-h] [--version]")
+        else:
+            assert stdout == []
+            [line] = proc.stderr.splitlines()
+            err = json.loads(line)
+            assert err["error"] == "InputError"
+            assert message in err["message"]
+        assert list(tmp_path.iterdir()) == []
 
     def test_import_twoview_executes_no_layer(self):
         code = ("import json, sys, types, twoview; print(json.dumps("

@@ -10,6 +10,7 @@ from twoview.errors import (
     NumericalError,
     PathOutsideGrid,
 )
+from twoview import diffgeo
 from twoview.geometry import Involution
 from twoview.diffgeo import (
     ConnectionField,
@@ -375,6 +376,31 @@ class TestCurvature:
         with pytest.raises(GridTooSmall):
             curvature(ConnectionField.flat(header), const(header, (1, 0, 0)),
                       const(header, (0, 1, 0)), const(header, (0, 0, 1)))
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_each_field_differentiated_once(self, seed, monkeypatch):
+        # oracle: F composed of the public derivatives, which differentiate
+        # Z three times (7 partials for 5 distinct fields)
+        rng = np.random.default_rng(seed)
+        header = GridHeader((6, 7, 5), 0.3, tuple(rng.standard_normal(3)))
+        conn = ConnectionField(header,
+                               rng.standard_normal(header.dims + (3, 3, 3)))
+        X, Y, Z = (VectorFieldGrid(header,
+                                   rng.standard_normal(header.dims + (3,)))
+                   for _ in range(3))
+        nyz = covariant_derivative(Y, Z, conn)
+        nxz = covariant_derivative(X, Z, conn)
+        expected = (covariant_derivative(X, nyz, conn).samples
+                    - covariant_derivative(Y, nxz, conn).samples
+                    - covariant_derivative(lie_bracket(X, Y), Z,
+                                           conn).samples)
+        calls = []
+        real = diffgeo.partials
+        monkeypatch.setattr(diffgeo, "partials",
+                            lambda f: calls.append(f) or real(f))
+        F = curvature(conn, X, Y, Z)
+        assert F.samples.tobytes() == expected.tobytes()
+        assert len(calls) == len({id(f) for f in calls}) == 5
 
 
 def smooth_small_gamma(header, eps):

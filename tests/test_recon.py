@@ -544,18 +544,29 @@ class TestRadonRank:
         specs = [XY, tilted_spec(np.radians(30))]
         monkeypatch.setattr(recon, "_DENSE_RANK_BYTES", 2**10)
         # the largest component, one x-slice: (4 + 7) rows x 16 voxels x 8
+        # bytes, twice over for the SVD's copy
         with pytest.raises(SystemTooLarge,
-                           match="dense 11x16 component .* needs 1408 bytes"):
+                           match=r"dense 11x16 component .* needs 2816 bytes "
+                                 r"for its SVD rank \(1408 for the matrix"):
             zero_sino_system(specs, (4, 4, 4), margin=2)
         # the graph path builds no dense matrix, so the limit does not apply
         monkeypatch.setattr(recon, "_DENSE_RANK_BYTES", 0)
         assert zero_sino_system([XY, YZ], (4, 4, 4)).rank == 28
 
 
-    def test_limit_applies_to_the_largest_component(self, monkeypatch):
-        # the whole (36 + 42) x 64 matrix would need 39936 bytes dense
+    def test_limit_counts_the_svd_copy(self, monkeypatch):
+        # the largest component's 1408 dense bytes fit a 2000-byte limit, but
+        # the SVD's copy of it does not
         specs = [XY, tilted_spec(np.radians(30))]
-        monkeypatch.setattr(recon, "_DENSE_RANK_BYTES", 1408)
+        monkeypatch.setattr(recon, "_DENSE_RANK_BYTES", 2000)
+        with pytest.raises(SystemTooLarge, match="needs 2816 bytes"):
+            zero_sino_system(specs, (4, 4, 4), margin=2)
+
+    def test_limit_applies_to_the_largest_component(self, monkeypatch):
+        # the whole (36 + 42) x 64 matrix would need 39936 bytes dense; the
+        # largest component 2816 with the SVD's copy
+        specs = [XY, tilted_spec(np.radians(30))]
+        monkeypatch.setattr(recon, "_DENSE_RANK_BYTES", 2816)
         system = zero_sino_system(specs, (4, 4, 4), margin=2)
         A = system.rows.toarray()
         assert A.nbytes == 39936
