@@ -359,20 +359,19 @@ def _axis_alignment(spec: ProjectionSpec):
     return tuple(out)
 
 
+def _pixel_offsets(n: int) -> np.ndarray:
+    """Offsets in spacings of n pixel centres from the image centre."""
+    return np.arange(n) - (n - 1) / 2.0
+
+
 def pixel_center_coords(grid: GridHeader, spec: ProjectionSpec,
                         image_dims) -> tuple[np.ndarray, np.ndarray]:
     """The pixel lattice's axes (au, aw): pixel (iu, iw) is centred at the
-    plane coordinates (au[iu], aw[iw]).
-
-    The pixel lattice has spacing equal to the grid spacing and is centered
-    on the projection of the grid center.
+    plane coordinates (au[iu], aw[iw]), `_pixel_offsets` grid spacings from
+    the projection of the grid center.
     """
-    nu, nw = int(image_dims[0]), int(image_dims[1])
-    c = grid.center
-    cu, cw = float(c @ spec.u), float(c @ spec.w)
-    au = cu + (np.arange(nu) - (nu - 1) / 2.0) * grid.spacing
-    aw = cw + (np.arange(nw) - (nw - 1) / 2.0) * grid.spacing
-    return au, aw
+    return tuple(float(grid.center @ v) + _pixel_offsets(int(n)) * grid.spacing
+                 for v, n in zip((spec.u, spec.w), image_dims))
 
 
 def projection_operator(grid: GridHeader, spec: ProjectionSpec,
@@ -390,11 +389,14 @@ def projection_operator(grid: GridHeader, spec: ProjectionSpec,
     pixel edges and each goes to the pixel above it, so every voxel row
     owns one pixel.  Any other frame marches the rays of the footprint's
     pixels, those within two spacings of the projection of the grid's box
-    (the other rows stay empty), with step = spacing / 2 over a t-range
-    covering the grid's bounding sphere: each sample adds step times its
-    trilinear weights to the (up to) eight surrounding voxels, with zero
-    density outside the grid; the samples of one (pixel, voxel) pair are
-    summed in (t, corner) order.  The result is a canonical `CSR` matrix.
+    (the other rows stay empty), in spacings from the grid center, with
+    step 1/2 over a t-range covering the grid's bounding sphere: each
+    sample adds its trilinear weights to the (up to) eight surrounding
+    voxels, with zero density outside the grid; the weights of one (pixel,
+    voxel) pair are summed in (t, corner) order, then times the step,
+    spacing / 2.  So the operator is bitwise the spacing times the unit
+    grid's with the same dims, and the origin never matters.  The result
+    is a canonical `CSR` matrix.
 
     Raises DimMismatch unless both image dims are >= 1, and when an
     axis-aligned image is smaller than the grid cross-section.
@@ -428,23 +430,20 @@ def projection_operator(grid: GridHeader, spec: ProjectionSpec,
         np.cumsum(np.bincount(row, minlength=shape[0]), out=indptr[1:])
         return CSR(indptr, np.argsort(row, kind="stable"), np.full(nvox, h),
                    shape)
-    # The footprint: the pixel rows and columns whose centres lie within
-    # two spacings of the projection of the grid's box.  Every nonzero
-    # trilinear weight lies within one spacing of it, and the footprint is
-    # never empty, as the pixel lattice is centred on the grid.
-    au, aw = pixel_center_coords(grid, spec, (nu, nw))
-    box = h * np.asarray(grid.dims)
-    iu, iw = (np.flatnonzero(np.abs(a - grid.center @ v)
-                             <= np.abs(v) @ box / 2 + 2 * h)
-              for a, v in ((au, spec.u), (aw, spec.w)))
-    row_of = (iu[:, None] * nw + iw).ravel()
-    bases = (au[iu, None, None] * spec.u
-             + aw[None, iw, None] * spec.w).reshape(-1, 3)
-    step = h / 2.0
-    half_diag = 0.5 * h * float(np.linalg.norm(grid.dims))
-    tc = float(grid.center @ spec.n)
-    ts = np.arange(tc - half_diag - h, tc + half_diag + h + step, step)
+    # Lattice units, spacings from the grid centre: a sample on a voxel
+    # plane stays exactly on it.  The footprint: the pixel rows and columns
+    # whose centres lie within two spacings of the projection of the grid's
+    # box.  Every nonzero trilinear weight lies within one spacing of it,
+    # and the footprint is never empty, as the pixel lattice is centred.
     dims = np.asarray(grid.dims)
+    pu, pw = _pixel_offsets(nu), _pixel_offsets(nw)
+    iu, iw = (np.flatnonzero(np.abs(p) <= np.abs(v) @ dims / 2 + 2)
+              for p, v in ((pu, spec.u), (pw, spec.w)))
+    row_of = (iu[:, None] * nw + iw).ravel()
+    bases = (pu[iu, None, None] * spec.u
+             + pw[None, iw, None] * spec.w).reshape(-1, 3)
+    half_diag = 0.5 * float(np.linalg.norm(grid.dims))
+    ts = np.arange(-half_diag - 1, half_diag + 1.5, 0.5)
     strides = np.array([dims[1] * dims[2], dims[2], 1])
     indptr = np.zeros(shape[0] + 1, dtype=np.intp)
     indices, data = [], []
@@ -455,8 +454,7 @@ def projection_operator(grid: GridHeader, spec: ProjectionSpec,
     # and sums duplicates in the same order for every block size.
     pstep = max(1, _MARCH_BLOCK // ts.size)
     for p0 in range(0, len(bases), pstep):
-        f = (bases[p0:p0 + pstep] + ts[:, None, None] * spec.n
-             - grid.origin) / h
+        f = bases[p0:p0 + pstep] + ts[:, None, None] * spec.n + (dims - 1) / 2
         i0 = np.floor(f).astype(int)
         frac = f - i0
         base = i0 @ strides
@@ -467,11 +465,11 @@ def projection_operator(grid: GridHeader, spec: ProjectionSpec,
             wgt[:, k][np.any((idx < 0) | (idx >= dims), axis=-1)] = 0.0
             col[:, k] = base + strides @ corner
         sel = wgt > 0
-        block = CSR.from_entries(step * wgt[sel], np.nonzero(sel)[2],
-                                 col[sel], (wgt.shape[2], nvox))
+        block = CSR.from_entries(wgt[sel], np.nonzero(sel)[2], col[sel],
+                                 (wgt.shape[2], nvox))
         indptr[row_of[p0:p0 + pstep] + 1] = np.diff(block.indptr)
         indices.append(block.indices)
-        data.append(block.data)
+        data.append(h / 2 * block.data)  # the step, in world units
     np.cumsum(indptr, out=indptr)
     return CSR(indptr, np.concatenate(indices), np.concatenate(data), shape)
 

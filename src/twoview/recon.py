@@ -453,14 +453,19 @@ def solve_radon(system: RadonSystem, max_iter: int | None = None,
 
     Starting from zero keeps the iterates in the row space of A, so the
     converged solution is the minimum-norm one; for determined systems it
-    is the unique exact solution.  Raises NotConverged (carrying the best
-    iterate) when neither the residual target nor least-squares
-    stationarity is reached within max_iter, and DimMismatch unless tol is
-    finite and > 0.
+    is the unique exact solution.  CGLS is linear in b, so it solves for b
+    scaled by the power of two 2^-e that brings max|b| into [0.5, 1) and
+    scales x back by 2^e, exactly: sinograms near 1e-200 or 1e300 neither
+    underflow to a zero solution nor overflow the sums.  Raises
+    NotConverged (carrying the best iterate and its residual) when neither
+    the residual target nor least-squares stationarity is reached within
+    max_iter, and DimMismatch unless tol is finite and > 0.
     """
     if not (np.isfinite(tol) and tol > 0):
         raise DimMismatch(f"tol must be finite and > 0, got {tol}")
     A, b = system.rows, system.rhs
+    e = int(np.frexp(np.max(np.abs(b), initial=0.0))[1])
+    b = np.ldexp(b, -e)
     nvox = A.shape[1]
     if max_iter is None:
         max_iter = 10 * nvox
@@ -475,7 +480,7 @@ def solve_radon(system: RadonSystem, max_iter: int | None = None,
     snorm0 = np.sqrt(gamma)
     for it in range(max_iter):
         if np.linalg.norm(r) <= tol * bnorm:
-            return x.reshape(system.grid.dims)
+            return np.ldexp(x, e).reshape(system.grid.dims)
         if np.sqrt(gamma) <= tol * snorm0:
             break  # least-squares optimum; residual may stay > tol*|b|
         q = A @ p
@@ -491,10 +496,12 @@ def solve_radon(system: RadonSystem, max_iter: int | None = None,
         gamma = gamma_new
     res = float(np.linalg.norm(A @ x - b))
     if res <= tol * bnorm or np.sqrt(gamma) <= max(tol, 1e-12) * snorm0:
-        return x.reshape(system.grid.dims)
+        return np.ldexp(x, e).reshape(system.grid.dims)
+    res = float(np.ldexp(res, e))
     raise NotConverged(
         f"residual {res} > tol*|b| after {max_iter} iterations",
-        best=x.reshape(system.grid.dims), residual=res, iterations=max_iter)
+        best=np.ldexp(x, e).reshape(system.grid.dims), residual=res,
+        iterations=max_iter)
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,7 @@ from twoview.geometry import (
     project_voxels,
     projection_operator,
 )
-from twoview import geometry
+from twoview import geometry, recon
 from conftest import random_cloud, random_spec, rotated_about_z, tilted_spec
 
 E = np.eye(3)
@@ -202,6 +202,26 @@ def reference_projection_operator(grid, spec, image_dims):
                             np.concatenate(cols), (nu * nw, nvox))
 
 
+def unit_grid(dims):
+    """The unit-spacing grid of these dims, centred on the origin: on it
+    world and lattice coordinates coincide exactly, so the world-coordinate
+    `reference_projection_operator` marches the lattice-unit samples."""
+    return GridHeader(dims, 1.0, -(np.asarray(dims) - 1) / 2.0)
+
+
+def scaled(op, h):
+    """op with every stored value times h."""
+    return CSR(op.indptr, op.indices, h * op.data, op.shape)
+
+
+def assert_bitwise(op, ref):
+    assert op.shape == ref.shape
+    for attr in ("indptr", "indices", "data"):
+        got, want = getattr(op, attr), getattr(ref, attr)
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)
+
+
 def about_axis(axis, theta):
     """The coordinate frame turned by theta about axis `axis`: the normal
     keeps an exact zero component."""
@@ -276,16 +296,45 @@ class TestProjectionOperator:
     def test_footprint_march_is_bitwise_the_full_image_march(self, seed,
                                                              block,
                                                              monkeypatch):
+        # the lattice-unit march on any grid is its spacing times the
+        # world-coordinate march on the unit centred grid
         grid, spec, image = march_case(seed)
-        ref = reference_projection_operator(grid, spec, image)
+        ref = scaled(reference_projection_operator(unit_grid(grid.dims), spec,
+                                                   image), grid.spacing)
         if block is not None:
             monkeypatch.setattr(geometry, "_MARCH_BLOCK", block)
-        op = projection_operator(grid, spec, image)
-        assert op.shape == ref.shape and ref.nnz > 0
-        for attr in ("indptr", "indices", "data"):
-            got, want = getattr(op, attr), getattr(ref, attr)
-            assert got.dtype == want.dtype
-            np.testing.assert_array_equal(got, want)
+        assert ref.nnz > 0
+        assert_bitwise(projection_operator(grid, spec, image), ref)
+
+    @pytest.mark.parametrize("seed", range(24))
+    def test_operator_is_the_spacing_times_the_unit_grids(self, seed):
+        # world-coordinate samples once drifted off the voxel planes at
+        # spacings that are not powers of two, or off-centre origins
+        rng = np.random.default_rng(seed)
+        dims = tuple(int(d) for d in rng.integers(1, 9, 3))
+        spec = (random_spec(rng) if seed % 2 else
+                about_axis(seed // 2 % 3, rng.uniform(0.05, 1.5)))
+        image = tuple(int(n) for n in rng.integers(1, 30, 2))
+        unit = projection_operator(unit_grid(dims), spec, image)
+        for h in (0.1, 0.3, 0.7, 1.7):
+            grid = GridHeader(dims, h, rng.normal(scale=10.0, size=3))
+            assert_bitwise(projection_operator(grid, spec, image),
+                           scaled(unit, h))
+
+    @pytest.mark.parametrize("h", [0.3, 0.7])
+    def test_rotation_about_x_keeps_one_component_per_x_slice(self, h):
+        # rounding-level entries once joined neighbouring x-slices: 12
+        # components at spacing 0.7
+        n, theta = 24, np.radians(30)
+        grid = GridHeader((n, n, n), h, -h * (n - 1) / 2.0 * np.ones(3))
+        A = CSR.vstack([projection_operator(grid, spec, (36, 36))
+                        for spec in (XY, about_axis(0, theta))])
+        rows = A.shape[0]
+        _, labels = recon._components(rows + A.shape[1], A.row,
+                                      rows + A.indices)
+        col_label = labels[rows:].reshape(n, n * n)
+        assert np.all(col_label == col_label[:, :1])
+        assert np.unique(col_label[:, 0]).size == n
 
     @pytest.mark.parametrize("d", [32, 48])
     def test_march_holds_one_block_beside_its_operator(self, d):
@@ -315,14 +364,9 @@ class TestProjectionOperator:
         align = geometry._axis_alignment(spec)
         image = (dims[align[0]] + int(rng.integers(0, 4)),
                  dims[align[2]] + int(rng.integers(0, 4)))
-        op = projection_operator(grid, spec, image)
         ref = CSR.from_entries(*aligned_entries(grid, spec, image),
                                (image[0] * image[1], int(np.prod(dims))))
-        assert op.shape == ref.shape
-        for attr in ("indptr", "indices", "data"):
-            got, want = getattr(op, attr), getattr(ref, attr)
-            assert got.dtype == want.dtype
-            np.testing.assert_array_equal(got, want)
+        assert_bitwise(projection_operator(grid, spec, image), ref)
 
     def test_tilted_march_memory_follows_the_grid(self):
         # the full-image march peaked at about 64 B per pixel; the
@@ -389,8 +433,8 @@ def operator_and_scipy(monkeypatch, grid, spec, image_dims):
     """projection_operator's result and the scipy CSR matrix that
     `coo_matrix(...).tocsr()` builds from the operator's raw entries, with
     the number of entries summed into each stored value: `aligned_entries`
-    for an axis-aligned frame, the entries `reference_projection_operator`
-    marches for any other."""
+    for an axis-aligned frame, for any other the spacing times the entries
+    `reference_projection_operator` marches on its unit grid."""
     shape = (image_dims[0] * image_dims[1], int(np.prod(grid.dims)))
     if geometry._axis_alignment(spec) is not None:
         data, rows, cols = aligned_entries(grid, spec, image_dims)
@@ -404,8 +448,10 @@ def operator_and_scipy(monkeypatch, grid, spec, image_dims):
 
         with monkeypatch.context() as patch:
             patch.setattr(CSR, "from_entries", classmethod(spy))
-            reference_projection_operator(grid, spec, image_dims)
+            reference_projection_operator(unit_grid(grid.dims), spec,
+                                          image_dims)
         (data, rows, cols), = seen
+        data = grid.spacing * data
     op = projection_operator(grid, spec, image_dims)
     ref = sp.coo_matrix((data, (rows, cols)), shape=shape).tocsr()
     _, dup = np.unique(rows * shape[1] + cols, return_counts=True)

@@ -13,6 +13,7 @@ from twoview.errors import (
     Inconsistent,
     LengthMismatch,
     NonTransverse,
+    NotConverged,
     NumericalError,
     SystemTooLarge,
 )
@@ -402,6 +403,40 @@ class TestRadonSystem:
         sino = Sinogram(np.zeros((2, 2)))
         with pytest.raises(DimMismatch):
             build_radon_system([XY], grid, [sino])
+
+
+class TestSolveRadonScale:
+    """CGLS is linear in b: a sinogram scaled by 2^k solves to 2^k times
+    the solution, bitwise, however small or large 2^k makes it."""
+
+    def systems(self, rng, k):
+        """A tilted-pair system and the same with its sinograms times 2^k."""
+        specs, dims = [XY, tilted_spec(np.radians(30))], (6, 6, 6)
+        grid = VoxelGrid(dims, 1.0, -2.5 * np.ones(3), rng.uniform(0, 1, dims))
+        sinos = make_sinos(grid, specs, (9, 9))
+        system = build_radon_system(specs, grid, sinos)
+        return system, build_radon_system(
+            specs, grid, [Sinogram(np.ldexp(s.values, k)) for s in sinos])
+
+    @pytest.mark.parametrize("k", [-664, -1000, 1000])
+    def test_scaled_sinograms_give_the_scaled_solution(self, k, rng):
+        # near 1e-200 the sums of squares once underflowed to an all-zero
+        # solution; near 1e300 they overflowed
+        system, scaled = self.systems(rng, k)
+        want = solve_radon(system)
+        assert np.any(want > 0)
+        np.testing.assert_array_equal(solve_radon(scaled), np.ldexp(want, k))
+
+    @pytest.mark.parametrize("k", [-664, 1000])
+    def test_not_converged_carries_the_scaled_iterate(self, k, rng):
+        system, scaled = self.systems(rng, k)
+        with pytest.raises(NotConverged) as want:
+            solve_radon(system, max_iter=2)
+        with pytest.raises(NotConverged) as got:
+            solve_radon(scaled, max_iter=2)
+        np.testing.assert_array_equal(got.value.best,
+                                      np.ldexp(want.value.best, k))
+        assert got.value.residual == np.ldexp(want.value.residual, k)
 
 
 @pytest.mark.parametrize("spec2", [YZ, tilted_spec(np.radians(30))],
