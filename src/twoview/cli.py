@@ -25,13 +25,13 @@ curvature` and `diagnose jacobiator` over nodes at depth 2, the only ones
 where their composed derivatives are second-order accurate.
 
 Exit codes: 0 success, 2 input error (an argparse error, an empty --out,
-an --out that cannot be made a directory, a grid whose reconstruction
-(sixteen float64 values per voxel) and an image whose projection (four
-per pixel) would exceed 256 MiB included), 3 geometric precondition
-failure, 4 numerical non-convergence, a floating-point overflow or
-invalid operation, or a NaN or infinity in an output JSON file.  Every
-failure writes one JSON object on stderr and no run.json.  Every
-command is deterministic given its inputs, and each
+an --out that cannot be made a directory, and a grid, image or trial
+count whose run would need more than 256 MiB by the size model in rows,
+voxels, stored entries, march samples and dense values, included), 3
+geometric precondition failure, 4 numerical non-convergence, a
+floating-point overflow or invalid operation, or a NaN or infinity in an
+output JSON file.  Every failure writes one JSON object on stderr and no
+run.json.  Every command is deterministic given its inputs, and each
 successful run writes a `run.json` with the tool version and the value
 of every option the subcommand accepts.  A run that only parses its
 arguments (--version, --help, a usage error) imports no numpy.
@@ -54,17 +54,10 @@ from .errors import (
     GeometricError,
     InputError,
     NumericalError,
-    SystemTooLarge,
     TwoViewError,
-    _DENSE_RANK_BYTES,
 )
 
 TOOL = f"twoview {__version__}"
-# float64 values that bound the tracemalloc peak, per pixel of `project
-# --mode voxels` (any frames) and per voxel of `reconstruct voxels` (aligned
-# pairs, which peak at about 12.5)
-_PROJECT_VALUES_PER_PIXEL = 4
-_RECONSTRUCT_VALUES_PER_VOXEL = 16
 
 
 def _setup_logging():
@@ -96,15 +89,6 @@ def _parse_list(text: str, kind, n=None, *, option: str) -> list:
     return vals
 
 
-def _require_dense_size(count: int, what: str) -> None:
-    """SystemTooLarge when `count` float64 values would exceed the dense
-    memory limit, checked before any of them is allocated."""
-    if count * 8 > _DENSE_RANK_BYTES:
-        raise SystemTooLarge(
-            f"{what} needs {count} float64 values, {count * 8} bytes, above "
-            f"the {_DENSE_RANK_BYTES}-byte limit")
-
-
 # -- commands ---------------------------------------------------------------
 
 
@@ -120,13 +104,11 @@ def cmd_project(args, out: Path) -> None:
                            out / f"image{i}.json")
     else:
         grid = ser.load_voxels(args.input)
-        dims = args.image_dims
-        if dims is None:
-            dims = max(grid.dims)
-        _require_dense_size(_PROJECT_VALUES_PER_PIXEL * dims * dims,
-                            f"the projection of a {dims}x{dims} image")
-        for i, spec in enumerate((spec1, spec2), start=1):
-            sino = geometry.project_voxels(grid, spec, (dims, dims))
+        dims = max(grid.dims) if args.image_dims is None else args.image_dims
+        # both views pass every guard before either is written
+        sinos = [geometry.project_voxels(grid, spec, (dims, dims))
+                 for spec in (spec1, spec2)]
+        for i, sino in enumerate(sinos, start=1):
             ser.save_sinogram_csv(sino, out / f"sino{i}.csv")
             if args.format == "pgm":
                 ser.save_sinogram_pgm(sino, out / f"sino{i}.pgm")
@@ -163,15 +145,14 @@ def cmd_reconstruct_voxels(args, out: Path) -> None:
     dims = tuple(_parse_list(args.grid_dims, int, 3, option="--grid-dims"))
     if min(dims) < 1:
         raise InputError(f"--grid-dims must be positive, got {dims}")
-    _require_dense_size(_RECONSTRUCT_VALUES_PER_VOXEL * math.prod(dims),
-                        "the reconstruction of a {}x{}x{} grid".format(*dims))
-    origin = -args.spacing * (np.asarray(dims) - 1) / 2.0
-    lattice = geometry.GridHeader(dims, args.spacing, origin)
+    # the header checks the spacing before the centred origin is computed;
+    # the system does not depend on the origin
+    lattice = geometry.GridHeader(dims, args.spacing, np.zeros(3))
     sinos = [ser.load_sinogram_csv(args.sino1),
              ser.load_sinogram_csv(args.sino2)]
     system = recon.build_radon_system([spec1, spec2], lattice, sinos)
     values = recon.solve_radon(system, tol=args.solver_tol)
-    recovered = geometry.VoxelGrid(dims, args.spacing, origin,
+    recovered = geometry.VoxelGrid(dims, args.spacing, -lattice.center,
                                    np.maximum(values, 0.0))
     ser.save_voxels(recovered, out / "recovered.json")
     ser.dump_json({"tool": TOOL, "rank": system.rank,

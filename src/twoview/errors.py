@@ -67,13 +67,7 @@ class DimMismatch(InputError):
 
 
 class SystemTooLarge(InputError):
-    """A dense copy of the linear system would exceed the memory limit."""
-
-
-# the memory limit: the most bytes of float64 values a dense grid or image,
-# or a Radon component densified for its SVD rank together with the SVD's
-# copy of it, may take
-_DENSE_RANK_BYTES = 2**28
+    """`geometry._require_memory`'s size model exceeds the memory limit."""
 
 
 class NotConverged(NumericalError):

@@ -16,11 +16,29 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DimMismatch, InvalidFrame, InvalidInvolution, NonTransverse
+from .errors import (DimMismatch, InvalidFrame, InvalidInvolution,
+                     NonTransverse, SystemTooLarge)
 
 _ORTHO_TOL = 1e-12
 _DET_TOL = 1e-9
 _MARCH_BLOCK = 1 << 16  # (t, pixel) samples per ray-march block
+# The memory limit, and the one size model of `project --mode voxels`,
+# `reconstruct voxels` and `noise-study` that `_require_memory` applies:
+# bytes per count, each above the largest tracemalloc peak measured per
+# count (in-process runs, one BLAS thread, numpy 2.4 on x86-64):
+# - a row, 96 B: two 1024^2 sinograms of a 3^3 grid beside a tilt, whose
+#   empty pixels are each a component of the SVD rank's graph;
+# - a voxel, 80 B: a 96^3 grid seen by two tilted 1x1 images, each voxel a
+#   component of its own;
+# - a stored entry, 51 B: the components pass of the SVD rank, on XY
+#   beside a diagonal view or a general pair at 64^3 (XY beside a 30 degree
+#   tilt: 44 B), after the rows and voxels above;
+# - a march sample, 589 B: one block's scratch, over 30 degree, general
+#   and diagonal views at 16^3 to 64^3;
+# - a dense float64 value, 8 B: an SVD counts its component twice, as
+#   numpy's copy of it (outside tracemalloc's view) takes as much again.
+_MEMORY_LIMIT = 2**28
+_ROW_BYTES, _VOXEL_BYTES, _ENTRY_BYTES, _SAMPLE_BYTES = 100, 84, 56, 640
 
 
 def _as_vec3(x) -> np.ndarray:
@@ -37,6 +55,17 @@ def _trilinear_weights(frac: np.ndarray) -> np.ndarray:
     w = (f[..., :, None, None, 0] * f[..., None, :, None, 1]
          * f[..., None, None, :, 2])
     return w.reshape(frac.shape[:-1] + (8,))
+
+
+def _require_memory(what: str, rows=0, voxels=0, entries=0, samples=0,
+                    dense=0) -> int:
+    """Bytes `what` needs by the size model; SystemTooLarge above the limit."""
+    need = (_ROW_BYTES * rows + _VOXEL_BYTES * voxels + 8 * dense
+            + _ENTRY_BYTES * entries + _SAMPLE_BYTES * samples)
+    if need > _MEMORY_LIMIT:
+        raise SystemTooLarge(f"{what} needs {need} bytes, above the "
+                             f"{_MEMORY_LIMIT}-byte limit")
+    return need
 
 
 @dataclass(frozen=True)
@@ -399,13 +428,17 @@ def projection_operator(grid: GridHeader, spec: ProjectionSpec,
     is a canonical `CSR` matrix.
 
     Raises DimMismatch unless both image dims are >= 1, and when an
-    axis-aligned image is smaller than the grid cross-section.
+    axis-aligned image is smaller than the grid cross-section;
+    SystemTooLarge by `_require_memory`, counting one entry per voxel
+    before anything is built and the entries so far before each march block.
     """
     nu, nw = int(image_dims[0]), int(image_dims[1])
     if nu < 1 or nw < 1:
         raise DimMismatch(f"image dims must be >= 1, got {(nu, nw)}")
     h, nvox = grid.spacing, math.prod(grid.dims)
     shape = (nu * nw, nvox)
+    what = f"projecting {nvox} voxels on a {nu}x{nw} image"
+    _require_memory(what, shape[0], nvox, nvox)
     align = _axis_alignment(spec)
     if align is not None:
         # Both lattices are centered on the grid center, so voxel i of a
@@ -454,6 +487,9 @@ def projection_operator(grid: GridHeader, spec: ProjectionSpec,
     # and sums duplicates in the same order for every block size.
     pstep = max(1, _MARCH_BLOCK // ts.size)
     for p0 in range(0, len(bases), pstep):
+        # the entries so far and one block's scratch, before it is made
+        _require_memory(what, shape[0], nvox, sum(map(len, data)),
+                        ts.size * min(pstep, len(bases)))
         f = bases[p0:p0 + pstep] + ts[:, None, None] * spec.n + (dims - 1) / 2
         i0 = np.floor(f).astype(int)
         frac = f - i0

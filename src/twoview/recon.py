@@ -19,6 +19,7 @@ through triangulation against the first-order factor 1/|n1 x n2|, where
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,8 +31,6 @@ from .errors import (
     LengthMismatch,
     NotConverged,
     NumericalError,
-    SystemTooLarge,
-    _DENSE_RANK_BYTES,
 )
 from .geometry import (
     CSR,
@@ -43,6 +42,7 @@ from .geometry import (
     projection_operator,
     _canonical_sign,
     _cross_norm,
+    _require_memory,
 )
 
 _RANK_TOL = 1e-10  # relative pivot/singular-value threshold
@@ -364,10 +364,8 @@ def _radon_rank(A: CSR, split: int | None) -> tuple[int, str]:
     component is densified alone from its own entries, rows and columns in
     ascending order, and its singular values are counted above _RANK_TOL
     times the largest singular value over all components, which are the
-    singular values of the whole matrix.  `np.linalg.svd` copies its
-    input, so a component takes twice its dense bytes at the SVD; raises
-    SystemTooLarge, before any component is densified, when twice the
-    largest component's dense bytes would exceed _DENSE_RANK_BYTES.
+    singular values of the whole matrix.  `_require_memory` counts the
+    largest twice, as `np.linalg.svd` copies it, before any is densified.
     """
     rows, cols = A.shape
     if _is_pixel_graph(A, split):
@@ -391,13 +389,9 @@ def _radon_rank(A: CSR, split: int | None) -> tuple[int, str]:
     comp_cols = np.bincount(col_label, minlength=ncomp)
     sizes = comp_rows * comp_cols  # 0 unless it has a row and a column
     big = int(np.argmax(sizes))
-    nbytes = int(sizes[big]) * 8
-    if 2 * nbytes > _DENSE_RANK_BYTES:
-        raise SystemTooLarge(
-            f"dense {comp_rows[big]}x{comp_cols[big]} component of the "
-            f"{rows}x{cols} Radon matrix needs {2 * nbytes} bytes for its "
-            f"SVD rank ({nbytes} for the matrix and as many for the SVD's "
-            f"copy), above the {_DENSE_RANK_BYTES}-byte limit")
+    _require_memory(f"ranking the {rows}x{cols} Radon matrix by the SVD of "
+                    f"its dense {comp_rows[big]}x{comp_cols[big]} component",
+                    rows, cols, A.nnz, dense=2 * int(sizes[big]))
     # entry e of component k sits at (local_row[e], local_col[e]) of its
     # dense block; the entries of component k are by_comp[start[k]:
     # start[k + 1]]
@@ -431,16 +425,20 @@ def build_radon_system(specs, grid: GridHeader, sinograms) -> RadonSystem:
     axis-aligned views each component is a pixel graph of rank #rows - 1
     (rank_method "graph", no dense matrix); for any other set of views
     each component is densified alone and ranked by its singular values
-    (rank_method "svd"), and SystemTooLarge is raised when the largest
-    component's dense matrix and the SVD's copy of it would together
-    exceed _DENSE_RANK_BYTES.
+    (rank_method "svd").  `_require_memory` counts one entry per voxel and
+    view before anything is built, and the built entries before the stack.
     """
-    specs = list(specs)
-    sinos = list(sinograms)
+    specs, sinos = list(specs), list(sinograms)
     if len(specs) != len(sinos):
         raise DimMismatch(f"{len(specs)} specs vs {len(sinos)} sinograms")
-    A = CSR.vstack([projection_operator(grid, spec, sino.values.shape)
-                    for spec, sino in zip(specs, sinos)])
+    rows, nvox = sum(s.values.size for s in sinos), math.prod(grid.dims)
+    what = f"a {rows}x{nvox} Radon system"
+    _require_memory(what, rows, nvox, len(specs) * nvox)
+    ops = [projection_operator(grid, spec, sino.values.shape)
+           for spec, sino in zip(specs, sinos)]
+    _require_memory(what, rows, nvox, sum(op.nnz for op in ops))
+    A = CSR.vstack(ops)
+    del ops  # the rank and the solve hold the stacked copy alone
     split = sinos[0].values.size if len(sinos) == 2 else None
     rank, method = _radon_rank(A, split)
     b = np.concatenate([sino.values.ravel() for sino in sinos])
@@ -531,7 +529,8 @@ def noise_study(cloud: PointCloud, spec1: ProjectionSpec,
     sigma * |M|_F = sigma * sqrt(1/2 + 2 / |n1 x n2|^2) for the
     triangulation map M, which exceeds kappa * sigma for every pair.
     Raises DimMismatch unless sigma is finite and >= 0, trials >= 1 and
-    seed >= 0, and when the noise overflows to a non-finite error.
+    seed >= 0, and when the noise overflows to a non-finite error, and
+    SystemTooLarge when the trials' RMSEs would exceed the memory limit.
     """
     if not (np.isfinite(sigma) and sigma >= 0):
         raise DimMismatch(f"sigma must be finite and >= 0, got {sigma}")
@@ -539,6 +538,7 @@ def noise_study(cloud: PointCloud, spec1: ProjectionSpec,
         raise DimMismatch(f"trials must be >= 1, got {trials}")
     if seed < 0:
         raise DimMismatch(f"seed must be >= 0, got {seed}")
+    _require_memory(f"a noise study of {trials} trials", dense=trials)
     kappa = amplification_factor(spec1, spec2)
     M = _triangulation_map(spec1, spec2, tol)
     p1 = project_points(cloud, spec1).positions

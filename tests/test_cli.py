@@ -20,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import twoview
-from twoview import cli, diffgeo, recon
+from twoview import cli, diffgeo, geometry, recon
 from twoview import serialization as ser
 from twoview.cli import build_parser, main
 from twoview.data import fixture_path
@@ -37,9 +37,10 @@ from twoview.geometry import (
     VoxelGrid,
     coordinate_spec,
     project_points,
+    project_voxels,
     projection_operator,
 )
-from conftest import sphere_connection, tilted_spec
+from conftest import rotated_about_z, sphere_connection, tilted_spec
 
 CLOUD = str(fixture_path("sample_cloud.json"))
 TILT_30 = tilted_spec(np.pi / 6)
@@ -194,10 +195,6 @@ class TestReconstruct:
     @pytest.mark.parametrize("spacing", ["1.0", "0.7", "0.3"])
     def test_voxels_tilt_rank_does_not_depend_on_the_spacing(
             self, spacing, tmp_path, monkeypatch):
-        # rounding-level entries once joined x-slices at spacings 0.7 and
-        # 0.3 into 464x4608 and 174x1728 components, over this limit of one
-        # slice's SVD: 2 x 8 bytes x (24 + 34) rows x 576 voxels
-        monkeypatch.setattr(recon, "_DENSE_RANK_BYTES", 2 * 8 * 58 * 576)
         n, h = 24, float(spacing)
         vals = np.random.default_rng(3).uniform(0.0, 1.0, (n, n, n))
         ser.save_voxels(VoxelGrid((n, n, n), h, -h * (n - 1) / 2 * np.ones(3),
@@ -208,6 +205,14 @@ class TestReconstruct:
         assert run("project", "--mode", "voxels", "--input",
                    tmp_path / "grid.json", *specs, "--image-dims", "36",
                    "--out", proj) == 0
+        # rounding-level entries once joined x-slices at spacings 0.7 and
+        # 0.3 into 464x4608 and 174x1728 components, over this limit: the
+        # system's 2592 rows, 13824 voxels and 48552 entries with one
+        # slice's SVD, (24 + 34) rows x 576 voxels; one-pixel march blocks
+        # keep the march's scratch below it
+        monkeypatch.setattr(geometry, "_MARCH_BLOCK", 1)
+        monkeypatch.setattr(geometry, "_MEMORY_LIMIT", geometry._require_memory(
+            "", 2592, 13824, 48552, dense=2 * 58 * 576))
         assert run("reconstruct", "voxels", "--sino1", proj / "sino1.csv",
                    "--sino2", proj / "sino2.csv", "--grid-dims", "24,24,24",
                    "--spacing", spacing, *specs, "--out", rec) == 0
@@ -396,75 +401,34 @@ class TestBoundaryValidation:
         assert "bytes, above the 268435456-byte limit" in err["message"]
         assert list(out.iterdir()) == []
 
-    @pytest.mark.parametrize("dims, code", [(10, 0), (11, 2)])
-    def test_image_size_limit_is_inclusive(self, dims, code, tmp_path,
-                                           monkeypatch):
-        # 100 pixels of four float64 values each
-        monkeypatch.setattr(cli, "_DENSE_RANK_BYTES", 3200)
-        grid = VoxelGrid((3, 3, 3), 1.0, (-1, -1, -1), np.ones((3, 3, 3)))
-        ser.save_voxels(grid, tmp_path / "grid.json")
-        assert run("project", "--input", tmp_path / "grid.json",
-                   "--mode", "voxels", "--image-dims", dims,
-                   "--spec1", SPEC_XY, "--spec2", SPEC_YZ,
-                   "--out", tmp_path / "out") == code
-
-    @pytest.mark.parametrize("dims, code", [("4,4,4", 0), ("4,4,5", 2)])
-    def test_grid_size_limit_is_inclusive(self, dims, code, tmp_path, capsys,
-                                          monkeypatch):
-        # 64 voxels of sixteen float64 values each
-        monkeypatch.setattr(cli, "_DENSE_RANK_BYTES", 8192)
-        (tmp_path / "s.csv").write_text("1.0,2.0,3.0,4.0\n" * 4)
-        assert run("reconstruct", "voxels", "--sino1", tmp_path / "s.csv",
-                   "--sino2", tmp_path / "s.csv", "--grid-dims", dims,
-                   "--spec1", SPEC_XY, "--spec2", SPEC_YZ,
-                   "--out", tmp_path / "out") == code
-        if code:
-            assert self.error(capsys)["error"] == "SystemTooLarge"
-
-    @pytest.mark.parametrize("n", [32, 40, 48])
-    def test_grid_guard_bounds_the_aligned_peak(self, n, tmp_path):
-        # the guard's count of float64 values per voxel bounds the peak of
-        # an axis-aligned reconstruction, and system.mtx adds at most one
-        # write block (its whole body once took 42.9 MB against 14.6 MB at
-        # 48^3); one write block is about 70 B per value
-        dims = (n, n, n)
-        vals = np.random.default_rng(n).uniform(0.0, 1.0, dims)
-        ser.save_voxels(VoxelGrid(dims, 1.0, -(np.asarray(dims) - 1) / 2.0,
-                                  vals), tmp_path / "grid.json")
-        specs = ("--spec1", SPEC_XY, "--spec2", SPEC_YZ)
-        proj = tmp_path / "proj"
-        assert run("project", "--mode", "voxels", "--input",
-                   tmp_path / "grid.json", *specs, "--out", proj) == 0
-        peaks = []
-        for extra in ((), ("--matrix-market",)):
-            tracemalloc.start()
-            try:
-                assert run("reconstruct", "voxels", "--sino1",
-                           proj / "sino1.csv", "--sino2", proj / "sino2.csv",
-                           "--grid-dims", f"{n},{n},{n}", *specs, *extra,
-                           "--out", tmp_path / f"rec{len(extra)}") == 0
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
-        assert max(peaks) <= cli._RECONSTRUCT_VALUES_PER_VOXEL * 8 * n ** 3
-        assert peaks[1] <= peaks[0] + 128 * ser._WRITE_VALUES
-
-    def test_dense_rank_over_limit(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr(recon, "_DENSE_RANK_BYTES", 2**9)
-        ser.save_spec(TILT_30, tmp_path / "tilt.json")
-        (tmp_path / "s.csv").write_text("1.0,2.0,3.0,4.0\n" * 4)
-        code = run("reconstruct", "voxels", "--sino1", tmp_path / "s.csv",
-                   "--sino2", tmp_path / "s.csv", "--grid-dims", "4,4,4",
-                   "--spec1", SPEC_XY, "--spec2", tmp_path / "tilt.json",
-                   "--out", tmp_path / "out")
-        assert code == 2
+    def test_dense_rank_over_limit(self, tmp_path, capsys, monkeypatch,
+                                   needs):
+        # the SVD guard refuses before the largest component is densified:
+        # a limit just below its count, and above every other guard's
+        argv = voxel_pair(tmp_path, "general", 12)
+        assert run(*argv, "--out", tmp_path / "ok") == 0
+        svd = needs[-1]
+        assert max(needs[:-1]) < svd
+        monkeypatch.setattr(geometry, "_MEMORY_LIMIT", svd - 1)
+        assert run(*argv, "--out", tmp_path / "out") == 2
         err = self.error(capsys)
         assert err["error"] == "SystemTooLarge"
-        # the largest component, one x-slice: (4 + 4) rows x 16 voxels x 8
-        # bytes, twice over for the SVD's copy
-        assert "dense 8x16 component" in err["message"]
-        assert "needs 2048 bytes" in err["message"]
-        assert not (tmp_path / "out" / "system.json").exists()
+        assert re.search(r"by the SVD of its dense \d+x1728 component needs "
+                         rf"{svd} bytes", err["message"])
+        assert list((tmp_path / "out").iterdir()) == []
+
+    @pytest.mark.parametrize("spacing", ["inf", "-inf"])
+    def test_infinite_spacing(self, spacing, tmp_path, capsys):
+        # -inf * 0 in the centred origin once ended the run as a
+        # NumericalError (exit 4) before the header checked the spacing
+        (tmp_path / "s.csv").write_text("1.0,2.0\n2.0,3.0\n")
+        out = tmp_path / "out"
+        code = run("reconstruct", "voxels", "--sino1", tmp_path / "s.csv",
+                   "--sino2", tmp_path / "s.csv", "--grid-dims", "1,2,2",
+                   f"--spacing={spacing}", *_SPECS, "--out", out)
+        assert code == 2
+        assert self.error(capsys)["error"] == "DimMismatch"
+        assert list(out.iterdir()) == []
 
     @pytest.mark.parametrize("tol", ["nan", "inf", "0"])
     def test_bad_solver_tol(self, tol, tmp_path, capsys):
@@ -647,6 +611,163 @@ def grid_file(src, dst, **header):
     dst.write_text(json.dumps(head))
     dst.with_suffix(".csv").write_bytes(src.with_suffix(".csv").read_bytes())
     return dst
+
+
+# the second frame of each pair beside XY, and its image side per grid
+# side; "wide" is a tilted image whose empty pixels outnumber the voxels
+_PAIRS = {"aligned": (coordinate_spec(0), 1.0), "tilt": (TILT_30, 1.5),
+          "general": (rotated_about_z(TILT_30, np.radians(17)), 1.5),
+          "wide": (TILT_30, 100.0)}
+
+
+def voxel_pair(tmp_path, pair, n):
+    """`reconstruct voxels` argv, without --out, for the sinograms of a
+    random n^3 grid through XY and `pair`'s frame; a tilted image side is
+    1.5 n rounded to an even number."""
+    spec, scale = _PAIRS[pair]
+    m = 2 * round(scale * n / 2)
+    grid = VoxelGrid((n, n, n), 1.0, -(n - 1) / 2 * np.ones(3),
+                     np.random.default_rng(n).uniform(0.0, 1.0, (n, n, n)))
+    ser.save_spec(spec, tmp_path / "spec2.json")
+    for i, (s, k) in enumerate(((coordinate_spec(2), n), (spec, m)), 1):
+        ser.save_sinogram_csv(project_voxels(grid, s, (k, k)),
+                              tmp_path / f"sino{i}.csv")
+    return ("reconstruct", "voxels", "--sino1", tmp_path / "sino1.csv",
+            "--sino2", tmp_path / "sino2.csv", "--grid-dims", f"{n},{n},{n}",
+            "--spec1", SPEC_XY, "--spec2", tmp_path / "spec2.json")
+
+
+@pytest.fixture
+def needs(monkeypatch):
+    """The bytes of every `_require_memory` call that passed, in order."""
+    calls = []
+    require = geometry._require_memory
+
+    def spy(*args, **kwargs):
+        calls.append(require(*args, **kwargs))
+        return calls[-1]
+
+    for module in (geometry, recon):
+        monkeypatch.setattr(module, "_require_memory", spy)
+    return calls
+
+
+def traced_run(*argv):
+    """The exit code of `run(*argv)` and its tracemalloc peak."""
+    tracemalloc.start()
+    try:
+        return run(*argv), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestMemoryModel:
+    """`geometry._require_memory`, the one size model every memory guard
+    applies, bounds what the voxel ops hold and refuses before it."""
+
+    @pytest.mark.parametrize("pair, n", [
+        ("aligned", 24), ("aligned", 32), ("aligned", 40),
+        ("tilt", 16), ("tilt", 20), ("tilt", 24),
+        ("general", 8), ("general", 10), ("general", 12), ("wide", 3)])
+    def test_model_bounds_the_peak(self, pair, n, tmp_path, needs,
+                                   monkeypatch):
+        # the guards' largest count bounds the tracemalloc peak, and
+        # system.mtx adds at most one write block (its whole body once took
+        # 42.9 MB against 14.6 MB at 48^3); one write block is about 70 B
+        # per value.  At these sizes one default march block's scratch
+        # sets a tilted pair's count, so 1024-sample blocks leave it to the
+        # rows, voxels and entries.
+        argv = voxel_pair(tmp_path, pair, n)
+        peaks = []
+        for block, extra in ((None, ()), (None, ("--matrix-market",)),
+                             (1024, ("--matrix-market",))):
+            if block:
+                monkeypatch.setattr(geometry, "_MARCH_BLOCK", block)
+            needs.clear()
+            code, peak = traced_run(*argv, *extra,
+                                    "--out", tmp_path / f"rec{len(peaks)}")
+            assert code == 0
+            assert peak <= max(needs), (block, extra, peak, max(needs))
+            peaks.append(peak)
+        assert peaks[1] <= peaks[0] + 128 * ser._WRITE_VALUES
+
+    @pytest.mark.parametrize("pair, n", [
+        ("aligned", 8), ("tilt", 8), ("general", 6), ("project", 3)])
+    def test_limit_is_inclusive(self, pair, n, tmp_path, capsys, needs,
+                                monkeypatch):
+        if pair == "project":
+            grid = VoxelGrid((n, n, n), 1.0, -np.ones(3), np.ones((n, n, n)))
+            ser.save_voxels(grid, tmp_path / "grid.json")
+            ser.save_spec(TILT_30, tmp_path / "tilt.json")
+            argv = ("project", "--mode", "voxels", "--image-dims", "10",
+                    "--input", tmp_path / "grid.json", "--spec1", SPEC_XY,
+                    "--spec2", tmp_path / "tilt.json")
+        else:
+            argv = voxel_pair(tmp_path, pair, n)
+        assert run(*argv, "--out", tmp_path / "first") == 0
+        most = max(needs)
+        monkeypatch.setattr(geometry, "_MEMORY_LIMIT", most)
+        assert run(*argv, "--out", tmp_path / "at") == 0
+        capsys.readouterr()
+        monkeypatch.setattr(geometry, "_MEMORY_LIMIT", most - 1)
+        assert run(*argv, "--out", tmp_path / "below") == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"] == "SystemTooLarge"
+        assert f"needs {most} bytes, above the {most - 1}-byte" in lines[0]
+        assert list((tmp_path / "below").iterdir()) == []
+
+    @pytest.mark.parametrize("fraction", [0.3, 0.8])
+    @pytest.mark.parametrize("pair, n", [
+        ("aligned", 40), ("tilt", 24), ("general", 12)])
+    def test_refused_run_peaks_below_the_limit(self, pair, n, fraction,
+                                               tmp_path, needs, monkeypatch):
+        argv = voxel_pair(tmp_path, pair, n)
+        assert run(*argv, "--out", tmp_path / "first") == 0
+        limit = int(fraction * max(needs))
+        monkeypatch.setattr(geometry, "_MEMORY_LIMIT", limit)
+        code, peak = traced_run(*argv, "--out", tmp_path / "out")
+        assert code == 2
+        assert peak < limit, (peak, limit)
+        assert list((tmp_path / "out").iterdir()) == []
+
+    @pytest.mark.parametrize("pair", ["aligned", "tilt"])
+    def test_grid_over_the_limit_builds_no_operator(self, pair, tmp_path,
+                                                    capsys, monkeypatch):
+        # 128^3 with one entry per voxel and view is over the limit; XY
+        # beside the 30 degree tilt once passed the per-voxel guard exactly
+        # at the limit and needed about twice it
+        def never(*args):
+            raise AssertionError("projection_operator was called")
+
+        monkeypatch.setattr(recon, "projection_operator", never)
+        spec, scale = _PAIRS[pair]
+        ser.save_spec(spec, tmp_path / "spec2.json")
+        for i, m in enumerate((128, int(scale * 128)), 1):
+            (tmp_path / f"s{i}.csv").write_text(("0," * (m - 1) + "0\n") * m)
+        out = tmp_path / "out"
+        assert run("reconstruct", "voxels", "--sino1", tmp_path / "s1.csv",
+                   "--sino2", tmp_path / "s2.csv",
+                   "--grid-dims", "128,128,128", "--spec1", SPEC_XY,
+                   "--spec2", tmp_path / "spec2.json", "--out", out) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"] == "SystemTooLarge"
+        assert list(out.iterdir()) == []
+
+    def test_noise_study_trials_over_the_limit(self, tmp_path, capsys):
+        # np.empty(trials) once raised numpy's _ArrayMemoryError: a
+        # traceback and exit 1
+        out = tmp_path / "out"
+        assert run("noise-study", "--input", CLOUD, *_SPECS, "--sigmas",
+                   "0.01", "--trials", "100000000000000", "--out", out) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])
+        assert err["error"] == "SystemTooLarge"
+        assert "100000000000000 trials needs 800000000000000 bytes" \
+            in err["message"]
+        assert list(out.iterdir()) == []
 
 
 class TestGridHeaders:
@@ -1271,9 +1392,9 @@ def cli_inputs(tmp_path_factory):
         "--order": ["4"], "--sigmas": ["0,0.01"], "--trials": ["3"],
         "--seed": ["5"],
     }
-    junk = ["", "nan", "inf", "-1", "0", "abc", "1,2", root / "bad.json",
-            root / "missing.json", root, *(v for vs in good.values()
-                                          for v in vs)]
+    junk = ["", "nan", "inf", "-1", "0", "abc", "1,2", "100000000000000",
+            root / "bad.json", root / "missing.json", root,
+            *(v for vs in good.values() for v in vs)]
     return good, [str(v) for v in junk]
 
 

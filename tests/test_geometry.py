@@ -349,8 +349,9 @@ class TestProjectionOperator:
         finally:
             tracemalloc.stop()
         held = op.indptr.nbytes + op.indices.nbytes + op.data.nbytes
-        # one block's scratch, measured at about 575 B per (t, pixel) sample
-        assert peak - held < 640 * geometry._MARCH_BLOCK
+        # one block's scratch, measured at about 589 B per (t, pixel)
+        # sample: below what the size model counts for it
+        assert peak - held < geometry._SAMPLE_BYTES * geometry._MARCH_BLOCK
 
     @pytest.mark.parametrize("seed", range(12))
     def test_aligned_operator_is_bitwise_its_entries(self, seed):

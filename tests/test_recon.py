@@ -5,7 +5,7 @@ import pytest
 import scipy.sparse as sp
 from scipy.sparse import csgraph
 
-from twoview import recon
+from twoview import geometry, recon
 from twoview.certify import check_transversality
 from twoview.errors import (
     AmbiguousDirection,
@@ -575,37 +575,50 @@ class TestRadonRank:
         assert system.rank == 2 * n * n - n
         assert peak < 40 * 2**20
 
-    def test_dense_limit_raises_system_too_large(self, monkeypatch):
+    @staticmethod
+    def tilt_matrix():
+        """XY beside the 30 degree tilt on a 4^3 grid, images grown by two
+        pixels: 36 + 42 rows, and its largest component, one x-slice, has
+        (4 + 7) rows and 16 voxels."""
         specs = [XY, tilted_spec(np.radians(30))]
-        monkeypatch.setattr(recon, "_DENSE_RANK_BYTES", 2**10)
-        # the largest component, one x-slice: (4 + 7) rows x 16 voxels x 8
-        # bytes, twice over for the SVD's copy
-        with pytest.raises(SystemTooLarge,
-                           match=r"dense 11x16 component .* needs 2816 bytes "
-                                 r"for its SVD rank \(1408 for the matrix"):
-            zero_sino_system(specs, (4, 4, 4), margin=2)
-        # the graph path builds no dense matrix, so the limit does not apply
-        monkeypatch.setattr(recon, "_DENSE_RANK_BYTES", 0)
-        assert zero_sino_system([XY, YZ], (4, 4, 4)).rank == 28
+        return zero_sino_system(specs, (4, 4, 4), margin=2).rows
 
+    def test_dense_limit_raises_system_too_large(self, monkeypatch):
+        # the SVD guard counts the matrix's rows, voxels and entries and the
+        # largest component twice over, for the SVD's copy
+        A = self.tilt_matrix()
+        need = geometry._require_memory("", *A.shape, A.nnz,
+                                        dense=2 * 11 * 16)
+        monkeypatch.setattr(geometry, "_MEMORY_LIMIT", need - 1)
+        with pytest.raises(SystemTooLarge, match=r"the 78x64 Radon matrix by "
+                           r"the SVD of its dense 11x16 component needs "
+                           rf"{need} bytes"):
+            recon._radon_rank(A, 36)
+        # the graph path builds no dense matrix and calls no guard
+        axis = zero_sino_system([XY, YZ], (4, 4, 4)).rows
+        monkeypatch.setattr(geometry, "_MEMORY_LIMIT", 0)
+        assert recon._radon_rank(axis, 16) == (28, "graph")
 
     def test_limit_counts_the_svd_copy(self, monkeypatch):
-        # the largest component's 1408 dense bytes fit a 2000-byte limit, but
-        # the SVD's copy of it does not
-        specs = [XY, tilted_spec(np.radians(30))]
-        monkeypatch.setattr(recon, "_DENSE_RANK_BYTES", 2000)
-        with pytest.raises(SystemTooLarge, match="needs 2816 bytes"):
-            zero_sino_system(specs, (4, 4, 4), margin=2)
+        # a limit that holds the largest component once, but not the SVD's
+        # copy of it
+        A = self.tilt_matrix()
+        monkeypatch.setattr(geometry, "_MEMORY_LIMIT", geometry._require_memory(
+            "", *A.shape, A.nnz, dense=11 * 16))
+        with pytest.raises(SystemTooLarge, match="dense 11x16 component"):
+            recon._radon_rank(A, 36)
 
     def test_limit_applies_to_the_largest_component(self, monkeypatch):
-        # the whole (36 + 42) x 64 matrix would need 39936 bytes dense; the
-        # largest component 2816 with the SVD's copy
-        specs = [XY, tilted_spec(np.radians(30))]
-        monkeypatch.setattr(recon, "_DENSE_RANK_BYTES", 2816)
-        system = zero_sino_system(specs, (4, 4, 4), margin=2)
-        A = system.rows.toarray()
-        assert A.nbytes == 39936
-        assert system.rank == svd_rank(A) == np.linalg.matrix_rank(A)
+        # the whole 78 x 64 matrix would need 39936 bytes dense; the limit
+        # counts the largest component, 11 x 16, with the SVD's copy
+        A = self.tilt_matrix()
+        monkeypatch.setattr(geometry, "_MEMORY_LIMIT", geometry._require_memory(
+            "", *A.shape, A.nnz, dense=2 * 11 * 16))
+        rank, method = recon._radon_rank(A, 36)
+        dense = A.toarray()
+        assert dense.nbytes == 39936
+        assert method == "svd"
+        assert rank == svd_rank(dense) == np.linalg.matrix_rank(dense)
 
 
 def csgraph_components(n, u, v):
