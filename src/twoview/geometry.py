@@ -26,19 +26,22 @@ _MARCH_BLOCK = 1 << 16  # (t, pixel) samples per ray-march block
 # `reconstruct voxels` and `noise-study` that `_require_memory` applies:
 # bytes per count, each above the largest tracemalloc peak measured per
 # count (in-process runs, one BLAS thread, numpy 2.4 on x86-64):
-# - a row, 96 B: two 1024^2 sinograms of a 3^3 grid beside a tilt, whose
-#   empty pixels are each a component of the SVD rank's graph;
-# - a voxel, 80 B: a 96^3 grid seen by two tilted 1x1 images, each voxel a
-#   component of its own;
-# - a stored entry, 51 B: the components pass of the SVD rank, on XY
-#   beside a diagonal view or a general pair at 64^3 (XY beside a 30 degree
-#   tilt: 44 B), after the rows and voxels above;
+# - a row, 59 B: `reconstruct voxels` on two 512^2 or 1024^2 sinograms of
+#   a 3^3 grid, through XY and a tilt or through two tilts (56.8 B), where
+#   reading the sinograms and the solve's row vectors hold the most;
+# - a voxel, 55 B: `project --mode voxels` reading a 48^3 to 128^3 grid
+#   file of random values (52.7 B at 48^3) after its one entry per voxel,
+#   about 107 B per voxel in all; `reconstruct voxels` holds at most 32.4 B
+#   (a 96^3 grid seen by two tilted 1x1 images, the solve's vectors);
+# - a stored entry, 56 B: the components pass of the SVD rank, on XY
+#   beside a diagonal view or a general pair at 48^3 to 80^3, after the
+#   rows and voxels above (45 B; XY beside a 30 degree tilt: 40 B);
 # - a march sample, 589 B: one block's scratch, over 30 degree, general
 #   and diagonal views at 16^3 to 64^3;
 # - a dense float64 value, 8 B: an SVD counts its component twice, as
 #   numpy's copy of it (outside tracemalloc's view) takes as much again.
 _MEMORY_LIMIT = 2**28
-_ROW_BYTES, _VOXEL_BYTES, _ENTRY_BYTES, _SAMPLE_BYTES = 100, 84, 56, 640
+_ROW_BYTES, _VOXEL_BYTES, _ENTRY_BYTES, _SAMPLE_BYTES = 59, 55, 56, 640
 
 
 def _as_vec3(x) -> np.ndarray:

@@ -336,15 +336,6 @@ def _components(n: int, u: np.ndarray,
     return int(root.sum()), (np.cumsum(root) - 1)[parent]
 
 
-def _positions(label: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """Index of each item among the items with its label, in item order."""
-    order = np.argsort(label, kind="stable")
-    pos = np.empty(label.size, dtype=np.intp)
-    pos[order] = np.arange(label.size) - np.repeat(np.cumsum(counts) - counts,
-                                                   counts)
-    return pos
-
-
 def _radon_rank(A: CSR, split: int | None) -> tuple[int, str]:
     """Rank of the stacked Radon matrix A, and how it was found.
 
@@ -352,20 +343,18 @@ def _radon_rank(A: CSR, split: int | None) -> tuple[int, str]:
     split is the first row of the second view when there are two, None
     otherwise.  The rank of a sparse matrix is the sum of the ranks of the
     connected components of its bipartite row/column sparsity graph (the
-    coarse block-triangular form of Pothen & Fan), so one components pass
-    (`_components`) splits A into independent blocks and only components
-    with at least one row and one column are ranked.  "graph": two views
-    that form a pixel graph (`_is_pixel_graph`) are a multiple of the
-    unsigned incidence matrix of a bipartite graph with one vertex per
-    pixel and one edge per voxel, whose components each contribute
-    #rows - 1; one components pass over that graph alone (a pixel with no
-    voxel is a component of its own and contributes 0) gives the rank
-    #rows - #components, and nothing is densified.  "svd": every other
-    component is densified alone from its own entries, rows and columns in
-    ascending order, and its singular values are counted above _RANK_TOL
-    times the largest singular value over all components, which are the
-    singular values of the whole matrix.  `_require_memory` counts the
-    largest twice, as `np.linalg.svd` copies it, before any is densified.
+    coarse block-triangular form of Pothen & Fan), found by one
+    `_components` pass.  "graph": two views that form a pixel graph
+    (`_is_pixel_graph`) are a multiple of the unsigned incidence matrix of
+    a bipartite graph with one vertex per pixel and one edge per voxel, of
+    rank #rows - #components (a pixel with no voxel is a component of its
+    own), and nothing is densified.  "svd": only the rows and columns that
+    hold an entry are labelled (any other is a component of rank 0), and
+    each component is densified alone from its own entries, rows and
+    columns ascending; its singular values are counted above _RANK_TOL
+    times the largest over all components, which are those of the whole
+    matrix.  `_require_memory` counts the largest twice, as `np.linalg.svd`
+    copies it, before any is densified.
     """
     rows, cols = A.shape
     if _is_pixel_graph(A, split):
@@ -381,31 +370,35 @@ def _radon_rank(A: CSR, split: int | None) -> tuple[int, str]:
                 raise NumericalError(
                     f"graph rank {rank} != elimination rank {check}")
         return rank, "graph"
-    # vertex r < rows is row r, vertex rows + j is column j; one edge per
-    # stored entry
-    ncomp, labels = _components(rows + cols, A.row, rows + A.indices)
-    row_label, col_label = labels[:rows], labels[rows:]
-    comp_rows = np.bincount(row_label, minlength=ncomp)
-    comp_cols = np.bincount(col_label, minlength=ncomp)
-    sizes = comp_rows * comp_cols  # 0 unless it has a row and a column
+    # a row or column without an entry is a component of rank 0 of its own,
+    # so only the others are vertices: row ur[i] is vertex i and column
+    # uc[j] vertex len(ur) + j.  The edges, one per stored entry, are
+    # passed as temporaries, which the components pass frees as it goes.
+    ur = np.flatnonzero(np.diff(A.indptr))
+    uc = np.flatnonzero(np.bincount(A.indices, minlength=cols))
+    row_entries = A.indptr[ur + 1] - A.indptr[ur]
+    labels = _components(ur.size + uc.size,
+                         np.repeat(np.arange(ur.size), row_entries),
+                         ur.size + np.searchsorted(uc, A.indices))[1]
+    comp_rows = np.bincount(labels[:ur.size], minlength=1)
+    comp_cols = np.bincount(labels[ur.size:], minlength=1)
+    sizes = comp_rows * comp_cols
     big = int(np.argmax(sizes))
     _require_memory(f"ranking the {rows}x{cols} Radon matrix by the SVD of "
                     f"its dense {comp_rows[big]}x{comp_cols[big]} component",
                     rows, cols, A.nnz, dense=2 * int(sizes[big]))
-    # entry e of component k sits at (local_row[e], local_col[e]) of its
-    # dense block; the entries of component k are by_comp[start[k]:
-    # start[k + 1]]
-    entry_label = row_label[A.row]
+    # the entries of each component, in their order in A, densified with
+    # its rows and columns ascending
+    entry_label = np.repeat(labels[:ur.size], row_entries)
     by_comp = np.argsort(entry_label, kind="stable")
-    start = np.concatenate(
-        [[0], np.cumsum(np.bincount(entry_label, minlength=ncomp))])
-    local_row = _positions(row_label, comp_rows)[A.row]
-    local_col = _positions(col_label, comp_cols)[A.indices]
-    svals = [np.zeros(0)]
-    for k in np.flatnonzero(sizes):
-        e = by_comp[start[k]:start[k + 1]]
-        block = np.zeros((comp_rows[k], comp_cols[k]))
-        np.add.at(block, (local_row[e], local_col[e]), A.data[e])
+    svals, start = [np.zeros(0)], 0
+    for stop in np.cumsum(np.bincount(entry_label)):
+        e = by_comp[start:stop]
+        start = stop
+        r, i = np.unique(A.row[e], return_inverse=True)
+        c, j = np.unique(A.indices[e], return_inverse=True)
+        block = np.zeros((r.size, c.size))
+        np.add.at(block, (i, j), A.data[e])
         svals.append(np.linalg.svd(block, compute_uv=False))
     svals = np.concatenate(svals)
     return _rank_above(svals, svals.max(initial=0.0)), "svd"
@@ -451,18 +444,19 @@ def solve_radon(system: RadonSystem, max_iter: int | None = None,
 
     Starting from zero keeps the iterates in the row space of A, so the
     converged solution is the minimum-norm one; for determined systems it
-    is the unique exact solution.  CGLS is linear in b, so it solves for b
-    scaled by the power of two 2^-e that brings max|b| into [0.5, 1) and
-    scales x back by 2^e, exactly: sinograms near 1e-200 or 1e300 neither
-    underflow to a zero solution nor overflow the sums.  Raises
-    NotConverged (carrying the best iterate and its residual) when neither
-    the residual target nor least-squares stationarity is reached within
-    max_iter, and DimMismatch unless tol is finite and > 0.
+    is the unique exact solution.  CGLS runs on b and A scaled by the
+    powers of two that bring max|b| and max|A| into [0.5, 1) and scales x
+    back, exactly: sinograms near 1e-200 or 1e300 and spacings near 1e-200
+    or 1e200 neither underflow to a zero solution nor overflow the sums.
+    Raises NotConverged (carrying the best iterate and its residual) when
+    neither the residual target nor least-squares stationarity is reached
+    within max_iter, and DimMismatch unless tol is finite and > 0.
     """
     if not (np.isfinite(tol) and tol > 0):
         raise DimMismatch(f"tol must be finite and > 0, got {tol}")
     A, b = system.rows, system.rhs
     e = int(np.frexp(np.max(np.abs(b), initial=0.0))[1])
+    f = int(np.frexp(np.max(np.abs(A.data), initial=0.0))[1])
     b = np.ldexp(b, -e)
     nvox = A.shape[1]
     if max_iter is None:
@@ -471,11 +465,14 @@ def solve_radon(system: RadonSystem, max_iter: int | None = None,
     bnorm = float(np.linalg.norm(b))
     if bnorm == 0.0:
         return x.reshape(system.grid.dims)
-    r = b - A @ x
-    s = A.rmatvec(r)
-    p = s.copy()
+    # CGLS on 2^-f A, with x and p held times 2^-f: A @ p is 2^-f A times
+    # the iterate's p, A.rmatvec(2^-f r) is its transpose times r, and x is
+    # 2^-e times the solution
+    r = b.copy()
+    s = A.rmatvec(np.ldexp(r, -f))
     gamma = float(s @ s)
     snorm0 = np.sqrt(gamma)
+    p = np.ldexp(s, -f)
     for it in range(max_iter):
         if np.linalg.norm(r) <= tol * bnorm:
             return np.ldexp(x, e).reshape(system.grid.dims)
@@ -488,9 +485,9 @@ def solve_radon(system: RadonSystem, max_iter: int | None = None,
         alpha = gamma / qq
         x += alpha * p
         r -= alpha * q
-        s = A.rmatvec(r)
+        s = A.rmatvec(np.ldexp(r, -f))
         gamma_new = float(s @ s)
-        p = s + (gamma_new / gamma) * p
+        p = np.ldexp(s, -f, out=s) + (gamma_new / gamma) * p
         gamma = gamma_new
     res = float(np.linalg.norm(A @ x - b))
     if res <= tol * bnorm or np.sqrt(gamma) <= max(tol, 1e-12) * snorm0:
@@ -528,8 +525,8 @@ def noise_study(cloud: PointCloud, spec1: ProjectionSpec,
     bound: over many points and trials the root mean squared error is
     sigma * |M|_F = sigma * sqrt(1/2 + 2 / |n1 x n2|^2) for the
     triangulation map M, which exceeds kappa * sigma for every pair.
-    Raises DimMismatch unless sigma is finite and >= 0, trials >= 1 and
-    seed >= 0, and when the noise overflows to a non-finite error, and
+    Raises DimMismatch for a cloud of no points, unless sigma is finite
+    and >= 0, trials >= 1 and seed >= 0, and when the noise overflows, and
     SystemTooLarge when the trials' RMSEs would exceed the memory limit.
     """
     if not (np.isfinite(sigma) and sigma >= 0):
@@ -538,6 +535,8 @@ def noise_study(cloud: PointCloud, spec1: ProjectionSpec,
         raise DimMismatch(f"trials must be >= 1, got {trials}")
     if seed < 0:
         raise DimMismatch(f"seed must be >= 0, got {seed}")
+    if len(cloud) == 0:
+        raise DimMismatch("the cloud has no points")
     _require_memory(f"a noise study of {trials} trials", dense=trials)
     kappa = amplification_factor(spec1, spec2)
     M = _triangulation_map(spec1, spec2, tol)

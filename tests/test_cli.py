@@ -228,6 +228,23 @@ class TestReconstruct:
         vals = np.loadtxt(rec / "recovered.csv", delimiter=",")
         assert 1e-202 < vals.max() < 1e-199
 
+    @pytest.mark.parametrize("spacing", [1e-200, 1e200])
+    def test_voxels_extreme_spacing_scales_the_solution(self, spacing,
+                                                        tmp_path):
+        # CGLS once squared entries near 1e-200 to zero and wrote all
+        # zeros, and overflowed near 1e200 (exit 4); the solution is the
+        # unit-spacing one divided by the spacing
+        (tmp_path / "s.csv").write_text("1,2\n3,4\n")
+        vals = []
+        for h in (1.0, spacing):
+            rec = tmp_path / f"rec{h}"
+            assert run("reconstruct", "voxels", "--sino1", tmp_path / "s.csv",
+                       "--sino2", tmp_path / "s.csv", "--grid-dims", "2,2,2",
+                       "--spacing", str(h), *_SPECS, "--out", rec) == 0
+            vals.append(np.loadtxt(rec / "recovered.csv", delimiter=","))
+        assert vals[0].max() > 0
+        np.testing.assert_allclose(vals[1] * spacing, vals[0], rtol=1e-12)
+
     def test_voxels_coaxial(self, tmp_path, capsys):
         (tmp_path / "s.csv").write_text("1.0\n")
         code = run("reconstruct", "voxels", "--sino1", tmp_path / "s.csv",
@@ -618,23 +635,33 @@ def grid_file(src, dst, **header):
 _PAIRS = {"aligned": (coordinate_spec(0), 1.0), "tilt": (TILT_30, 1.5),
           "general": (rotated_about_z(TILT_30, np.radians(17)), 1.5),
           "wide": (TILT_30, 100.0)}
+# two tilted frames, each with images of one side whatever the grid: one
+# pixel, whose two rays miss almost every voxel, or many more pixels than
+# voxels
+_TILTED_PAIRS = {"one-pixel": 1, "wide-tilts": 512}
 
 
 def voxel_pair(tmp_path, pair, n):
     """`reconstruct voxels` argv, without --out, for the sinograms of a
-    random n^3 grid through XY and `pair`'s frame; a tilted image side is
-    1.5 n rounded to an even number."""
-    spec, scale = _PAIRS[pair]
-    m = 2 * round(scale * n / 2)
+    random n^3 grid through XY and `pair`'s frame, a tilted image side
+    1.5 n rounded to an even number, or through the two tilted frames of
+    `_TILTED_PAIRS`."""
+    if pair in _TILTED_PAIRS:
+        m = _TILTED_PAIRS[pair]
+        views = ((TILT_30, m), (_PAIRS["general"][0], m))
+    else:
+        spec, scale = _PAIRS[pair]
+        views = ((coordinate_spec(2), n), (spec, 2 * round(scale * n / 2)))
     grid = VoxelGrid((n, n, n), 1.0, -(n - 1) / 2 * np.ones(3),
                      np.random.default_rng(n).uniform(0.0, 1.0, (n, n, n)))
-    ser.save_spec(spec, tmp_path / "spec2.json")
-    for i, (s, k) in enumerate(((coordinate_spec(2), n), (spec, m)), 1):
+    for i, (s, k) in enumerate(views, 1):
+        ser.save_spec(s, tmp_path / f"spec{i}.json")
         ser.save_sinogram_csv(project_voxels(grid, s, (k, k)),
                               tmp_path / f"sino{i}.csv")
     return ("reconstruct", "voxels", "--sino1", tmp_path / "sino1.csv",
             "--sino2", tmp_path / "sino2.csv", "--grid-dims", f"{n},{n},{n}",
-            "--spec1", SPEC_XY, "--spec2", tmp_path / "spec2.json")
+            "--spec1", tmp_path / "spec1.json",
+            "--spec2", tmp_path / "spec2.json")
 
 
 @pytest.fixture
@@ -668,7 +695,8 @@ class TestMemoryModel:
     @pytest.mark.parametrize("pair, n", [
         ("aligned", 24), ("aligned", 32), ("aligned", 40),
         ("tilt", 16), ("tilt", 20), ("tilt", 24),
-        ("general", 8), ("general", 10), ("general", 12), ("wide", 3)])
+        ("general", 8), ("general", 10), ("general", 12), ("wide", 3),
+        ("one-pixel", 64), ("wide-tilts", 3)])
     def test_model_bounds_the_peak(self, pair, n, tmp_path, needs,
                                    monkeypatch):
         # the guards' largest count bounds the tracemalloc peak, and
@@ -676,7 +704,8 @@ class TestMemoryModel:
         # 42.9 MB against 14.6 MB at 48^3); one write block is about 70 B
         # per value.  At these sizes one default march block's scratch
         # sets a tilted pair's count, so 1024-sample blocks leave it to the
-        # rows, voxels and entries.
+        # rows, voxels and entries.  "wide-tilts" is where the row
+        # coefficient is tight, "one-pixel" a grid of mostly empty columns.
         argv = voxel_pair(tmp_path, pair, n)
         peaks = []
         for block, extra in ((None, ()), (None, ("--matrix-market",)),
@@ -690,6 +719,19 @@ class TestMemoryModel:
             assert peak <= max(needs), (block, extra, peak, max(needs))
             peaks.append(peak)
         assert peaks[1] <= peaks[0] + 128 * ser._WRITE_VALUES
+
+    def test_model_bounds_the_project_peak(self, tmp_path, needs):
+        # reading the grid file takes about 107 B per voxel before any
+        # guard runs; the model counts 55 B and one 56 B entry per voxel
+        n = 64
+        grid = VoxelGrid((n, n, n), 1.0, -(n - 1) / 2 * np.ones(3),
+                         np.random.default_rng(n).uniform(0.0, 1.0, (n,) * 3))
+        ser.save_voxels(grid, tmp_path / "grid.json")
+        code, peak = traced_run("project", "--mode", "voxels", "--input",
+                                tmp_path / "grid.json", *_SPECS,
+                                "--out", tmp_path / "out")
+        assert code == 0
+        assert peak <= max(needs), (peak, max(needs))
 
     @pytest.mark.parametrize("pair, n", [
         ("aligned", 8), ("tilt", 8), ("general", 6), ("project", 3)])
@@ -1193,6 +1235,18 @@ class TestNoiseStudy:
                    "--tol", "2", "--out", tmp_path / "out")
         assert code == 3
         assert json.loads(capsys.readouterr().err)["error"] == "NonTransverse"
+
+    def test_empty_cloud_exits_2(self, tmp_path, capsys):
+        # the mean over no points once ended in a floating-point error
+        # (exit 4)
+        (tmp_path / "empty.json").write_text('{"points": []}')
+        out = tmp_path / "out"
+        assert run("noise-study", "--input", tmp_path / "empty.json",
+                   *_SPECS, "--sigmas", "0.01", "--out", out) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"] == "DimMismatch"
+        assert list(out.iterdir()) == []
 
 
 class TestTopLevel:

@@ -3,6 +3,8 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.sparse import csgraph
 
 from twoview import geometry, recon
@@ -438,6 +440,25 @@ class TestSolveRadonScale:
                                       np.ldexp(want.value.best, k))
         assert got.value.residual == np.ldexp(want.value.residual, k)
 
+    @pytest.mark.parametrize("k", [-600, -400, 0, 400, 600])
+    @pytest.mark.parametrize("spec2", [YZ, tilted_spec(np.radians(30))],
+                             ids=["axis-pair", "tilt-30"])
+    def test_spacing_2k_gives_the_scaled_solution(self, spec2, k, rng):
+        # A is the spacing times the unit-spacing operator, and CGLS runs
+        # on A scaled into [0.5, 1): at 2^-600 the sums of squares once
+        # underflowed to an all-zero solution, at 2^+-400 CGLS ran out of
+        # iterations, and at 2^600 they overflowed
+        sinos = [Sinogram(rng.uniform(0.0, 1.0, (6, 6))) for _ in range(2)]
+
+        def solve(h):
+            grid = GridHeader((4, 4, 4), h, np.zeros(3))
+            return solve_radon(build_radon_system([XY, spec2], grid, sinos))
+
+        want = solve(1.0)
+        assert np.any(want > 0)
+        np.testing.assert_array_equal(solve(np.ldexp(1.0, k)),
+                                      np.ldexp(want, -k))
+
 
 @pytest.mark.parametrize("spec2", [YZ, tilted_spec(np.radians(30))],
                          ids=["axis-pair", "tilt-30"])
@@ -621,6 +642,80 @@ class TestRadonRank:
         assert rank == svd_rank(dense) == np.linalg.matrix_rank(dense)
 
 
+@st.composite
+def sparse_systems(draw):
+    """A canonical CSR matrix and a split: a few blocks of random entries
+    on disjoint, shuffled rows and columns beside empty ones, or two views
+    that form a pixel graph, and a split that is None or one row index."""
+    if draw(st.booleans()):
+        # one entry per column in each view, all of one value
+        top, bottom, cols = (draw(st.integers(1, 6)) for _ in range(3))
+        value = draw(st.sampled_from([1.0, 0.5, 3.0]))
+        rows = np.array(draw(st.lists(st.integers(0, top - 1), min_size=cols,
+                                      max_size=cols)) + draw(st.lists(
+            st.integers(top, top + bottom - 1), min_size=cols, max_size=cols)))
+        A = CSR.from_entries(np.full(2 * cols, value), rows,
+                             np.tile(np.arange(cols), 2), (top + bottom, cols))
+        return A, draw(st.sampled_from([None, top]))
+    r, c, d, nrows, ncols = [], [], [], 0, 0
+    for _ in range(draw(st.integers(1, 4))):
+        h, w = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+        for i, j, v in draw(st.lists(st.tuples(
+                st.integers(0, h - 1), st.integers(0, w - 1),
+                st.sampled_from([1.0, 0.5, 2.0]) | st.floats(0.1, 10.0)),
+                max_size=2 * h * w)):
+            r.append(nrows + i)
+            c.append(ncols + j)
+            d.append(v)
+        nrows, ncols = nrows + h, ncols + w
+    nrows += draw(st.integers(0, 3))  # empty rows and columns
+    ncols += draw(st.integers(0, 3))
+    row_of = np.array(draw(st.permutations(range(nrows))))
+    col_of = np.array(draw(st.permutations(range(ncols))))
+    A = CSR.from_entries(np.array(d), row_of[np.array(r, dtype=int)],
+                         col_of[np.array(c, dtype=int)], (nrows, ncols))
+    return A, draw(st.none() | st.integers(0, nrows))
+
+
+class TestRadonRankProperty:
+    def test_matches_the_dense_oracle(self):
+        # "graph" exactly when the split views put one entry of one common
+        # value in each column of each view.  @given sits on an inner
+        # function, as in tests/test_cli.py, so a failure is reported as one
+        @given(system=sparse_systems())
+        @settings(max_examples=300, deadline=None, derandomize=True,
+                  database=None)
+        def check(system):
+            A, split = system
+            dense = A.toarray()
+            graph = split is not None and all(
+                np.all(np.count_nonzero(half, axis=0) == 1)
+                for half in (dense[:split], dense[split:]))
+            graph = graph and np.unique(dense[dense != 0]).size == 1
+            assert recon._radon_rank(A, split) == (
+                svd_rank(dense), "graph" if graph else "svd")
+
+        check()
+
+    @pytest.mark.parametrize("n, m, rank, limit_mb", [(96, 1, 2, 20),
+                                                      (3, 1024, 27, 40)])
+    def test_empty_rows_and_voxels_cost_nothing(self, n, m, rank, limit_mb):
+        # the components pass labels only rows and voxels with an entry: a
+        # 96^3 grid seen by two 1x1 tilted images once peaked at 71 MB, a
+        # 3^3 grid through two 1024^2 tilted images at 168 MB
+        grid = GridHeader((n, n, n), 1.0, np.zeros(3))
+        A = CSR.vstack([projection_operator(grid, spec, (m, m))
+                        for spec in (tilted_spec(np.radians(30)), GENERAL)])
+        tracemalloc.start()
+        try:
+            got = recon._radon_rank(A, m * m)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got == (rank, "svd")
+        assert peak < limit_mb * 2**20, peak
+
+
 def csgraph_components(n, u, v):
     graph = sp.coo_matrix((np.ones(len(u)), (u, v)), shape=(n, n))
     return csgraph.connected_components(graph, directed=False)
@@ -748,6 +843,12 @@ class TestNoiseStudy:
     def test_bad_arguments(self, sigma, trials, seed, rng):
         with pytest.raises(DimMismatch):
             noise_study(random_cloud(rng, 5), XY, YZ, sigma, trials, seed=seed)
+
+    def test_empty_cloud_rejected(self):
+        # the mean over no points once warned, and read as "noise overflows"
+        empty = PointCloud(np.zeros((0, 3)), np.zeros(0))
+        with pytest.raises(DimMismatch, match="no points"):
+            noise_study(empty, XY, YZ, 0.1, 2)
 
     @pytest.mark.parametrize("sigma", [1e200, 1e308])
     def test_overflowing_noise_rejected(self, sigma, rng):
