@@ -7,7 +7,7 @@ optional one, and every subcommand also requires --out DIR:
                       [--format] [--check-transversal] [--tol]
   reconstruct points  --image1 --image2 --spec1 --spec2 [--tol]
   reconstruct voxels  --sino1 --sino2 --spec1 --spec2 --grid-dims
-                      [--spacing] [--solver-tol] [--matrix-market] [--tol]
+                      [--spacing] [--matrix-market] [--tol]
   certify             --input --spec1 --spec2 --field-x --field-y
                       --connection [--tol] [--tol-int]
   diagnose algebra    --table [--strict]
@@ -28,9 +28,9 @@ Exit codes: 0 success, 2 input error (an argparse error, an empty --out,
 an --out that cannot be made a directory, and a grid, image or trial
 count whose run would need more than 256 MiB by the size model in rows,
 voxels, stored entries, march samples and dense values, included), 3
-geometric precondition failure, 4 numerical non-convergence, a
-floating-point overflow or invalid operation, or a NaN or infinity in an
-output JSON file.  Every failure writes one JSON object on stderr and no
+geometric precondition failure, 4 a numerical failure: a floating-point
+overflow or invalid operation, or a NaN or infinity in an output JSON
+file.  Every failure writes one JSON object on stderr and no
 run.json.  Every command is deterministic given its inputs, and each
 successful run writes a `run.json` with the tool version and the value
 of every option the subcommand accepts.  A run that only parses its
@@ -151,7 +151,7 @@ def cmd_reconstruct_voxels(args, out: Path) -> None:
     sinos = [ser.load_sinogram_csv(args.sino1),
              ser.load_sinogram_csv(args.sino2)]
     system = recon.build_radon_system([spec1, spec2], lattice, sinos)
-    values = recon.solve_radon(system, tol=args.solver_tol)
+    values = recon.solve_radon(system)
     recovered = geometry.VoxelGrid(dims, args.spacing, -lattice.center,
                                    np.maximum(values, 0.0))
     ser.save_voxels(recovered, out / "recovered.json")
@@ -329,7 +329,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--grid-dims", required=True,
                     help="comma-separated nx,ny,nz")
     sp.add_argument("--spacing", type=float, default=1.0)
-    sp.add_argument("--solver-tol", type=float, default=1e-10)
     sp.add_argument("--matrix-market", action="store_true")
 
     sp = command(sub, "certify", cmd_certify, "--input", *specs, *fields_xy,

@@ -2,7 +2,7 @@
 
 Every error that maps to a CLI exit code derives from TwoViewError;
 the CLI distinguishes input errors (exit 2), geometric precondition
-failures (exit 3) and numerical non-convergence (exit 4).
+failures (exit 3) and numerical failures (exit 4).
 """
 
 
@@ -19,7 +19,7 @@ class GeometricError(TwoViewError):
 
 
 class NumericalError(TwoViewError):
-    """A numerical routine failed to converge (CLI exit 4)."""
+    """A numerical routine overflowed or failed its own check (CLI exit 4)."""
 
 
 # -- geometry ---------------------------------------------------------------
@@ -68,16 +68,6 @@ class DimMismatch(InputError):
 
 class SystemTooLarge(InputError):
     """`geometry._require_memory`'s size model exceeds the memory limit."""
-
-
-class NotConverged(NumericalError):
-    """Iterative solver hit max_iter; carries the best iterate."""
-
-    def __init__(self, msg, best=None, residual=None, iterations=None):
-        super().__init__(msg)
-        self.best = best
-        self.residual = residual
-        self.iterations = iterations
 
 
 # -- diffgeo ----------------------------------------------------------------

@@ -134,7 +134,10 @@ class GridHeader:
 
     Voxel centers and vector-field or connection nodes are its sites.
     Raises DimMismatch unless dims are three integers >= 1, the spacing
-    is finite and > 0 and the origin is a finite 3-vector.
+    is finite and at least the smallest normal float 2^-1022 (a subnormal
+    spacing holds fewer significant bits than the weights, so an operator
+    would no longer be the spacing times the unit-spacing one) and the
+    origin is a finite 3-vector.
     """
 
     dims: tuple
@@ -150,9 +153,9 @@ class GridHeader:
             raise DimMismatch(f"dims must be three integers >= 1, "
                               f"got {self.dims!r}")
         spacing = float(self.spacing)
-        if not (spacing > 0 and np.isfinite(spacing)):
-            raise DimMismatch(
-                f"spacing must be finite and > 0, got {self.spacing}")
+        if not (spacing >= np.finfo(float).tiny and np.isfinite(spacing)):
+            raise DimMismatch(f"spacing must be finite and >= 2^-1022, "
+                              f"got {self.spacing}")
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "spacing", spacing)
         object.__setattr__(self, "origin", _as_vec3(self.origin))

@@ -3,17 +3,11 @@
 Two-view point recovery intersects back-projection rays, which for fixed
 frames is one 3x4 linear map from the stacked observations; the direction
 solvers (plain and `toric`'s symmetry-reduced) share one validator and one
-SVD core; the discrete tomographic path assembles one linear equation per
-observed ray, stacking the views' operators once into one sparse matrix,
-inverts it with a conjugate-direction least-squares iteration and reports
-the rank of that matrix exactly, one connected component of its
-row/column sparsity graph at a time: two views whose operators put each
-voxel on exactly one pixel per view with one common weight (any two
-axis-aligned views) make each component the incidence matrix of a
-connected bipartite pixel graph, of rank #pixels - 1; every other
-component is densified alone, under a memory limit, and ranked by its
-singular values.  The noise study measures how planar noise amplifies
-through triangulation against the first-order factor 1/|n1 x n2|, where
+SVD core; the discrete tomographic path stacks one linear equation per
+observed ray into one sparse matrix and factors it once per connected
+component, for its exact rank and its minimum-norm least-squares
+solution.  The noise study measures how planar noise amplifies through
+triangulation against the first-order factor 1/|n1 x n2|, where
 |n1 x n2| is the transversality margin every gate reads.
 """
 
@@ -29,7 +23,6 @@ from .errors import (
     DimMismatch,
     Inconsistent,
     LengthMismatch,
-    NotConverged,
     NumericalError,
 )
 from .geometry import (
@@ -52,6 +45,11 @@ _RANK_TOL = 1e-10  # relative pivot/singular-value threshold
 # `build_radon_system` that bench/spans.py times as `recon.radon_rank_s`
 # and that bench/test_bench.py asserts on a 4^3 grid.
 _ORACLE_CHECK_ENTRIES = 2**14
+# Voxels per chunk of a component's QR, in multiples of its row count:
+# of 1, 2, 4 and 8, 4 ranked and solved XY beside a 30 degree tilt at 48^3
+# and beside a general rotation at 16^3 and 22^3 fastest (one BLAS thread),
+# and 8 would count a 22^3 general pair over the memory limit.
+_QR_CHUNK = 4
 
 
 @dataclass(frozen=True)
@@ -96,9 +94,11 @@ class RadonSystem:
     `rows.rmatvec(y)` is A^T y); b stacks the observed sinogram values.
     rank is the sum of the ranks of the connected components of A's
     row/column sparsity graph, and rank_method names how those were
-    found: "graph" (#rows - 1 per pixel-graph component, no dense matrix)
-    or "svd" (a dense SVD per component, thresholded against the largest
-    singular value of A).  grid is the voxel lattice of A's columns.
+    found: "graph" (#rows - 1 per complete pixel-graph component, no dense
+    matrix) or "svd" (a factorization per component, its singular values
+    thresholded against the largest of A).  grid is the voxel lattice of
+    A's columns, and solution (grid-shaped) the minimum-norm
+    least-squares A^+ b through the singular values the rank counts.
     """
 
     rows: CSR
@@ -106,6 +106,7 @@ class RadonSystem:
     rank: int
     grid: GridHeader
     rank_method: str
+    solution: np.ndarray
 
     @property
     def determined(self) -> bool:
@@ -262,7 +263,7 @@ def elimination_rank(A: np.ndarray, tol: float = _RANK_TOL) -> int:
     seen so far (the first pivot is the largest entry of the matrix).
     This is the reference oracle for the Radon rank: tests compare
     `build_radon_system`'s graph and SVD ranks against it, and
-    `_radon_rank` cross-checks the graph rank of small systems with it.
+    `_graph_solve` cross-checks the graph rank of small systems with it.
     Its Python loop over columns is too slow for anything larger.
     """
     M = np.array(A, dtype=float)
@@ -283,24 +284,6 @@ def elimination_rank(A: np.ndarray, tol: float = _RANK_TOL) -> int:
         rank += 1
         row += 1
     return rank
-
-
-def _is_pixel_graph(A: CSR, split: int | None) -> bool:
-    """Whether the rows of A before and from row `split` form a pixel graph.
-
-    They do when every column holds exactly one stored entry in each of
-    the two row ranges and all entries share one nonzero value; stored
-    zeros or duplicates fail the test and fall back to the SVD.  A split
-    of None (not two views) never does.
-    """
-    if split is None:
-        return False
-    cut = A.indptr[split]
-    for cols in (A.indices[:cut], A.indices[cut:]):
-        if np.any(np.bincount(cols, minlength=A.shape[1]) != 1):
-            return False
-    return bool(A.data.size and A.data[0] != 0
-                and np.all(A.data == A.data[0]))
 
 
 def _components(n: int, u: np.ndarray,
@@ -336,40 +319,106 @@ def _components(n: int, u: np.ndarray,
     return int(root.sum()), (np.cumsum(root) - 1)[parent]
 
 
-def _radon_rank(A: CSR, split: int | None) -> tuple[int, str]:
-    """Rank of the stacked Radon matrix A, and how it was found.
+def _factor(A: CSR, b: np.ndarray,
+            split: int | None) -> tuple[int, str, np.ndarray]:
+    """Rank of the stacked Radon matrix A, how it was found ("graph" or
+    "svd"), and A^+ b, the minimum-norm least-squares solution through
+    the singular values the rank counts; split is the first row of the
+    second view when there are two views, None otherwise.
+    """
+    # both paths solve 2^-f A x = 2^-e b, the powers of two bringing
+    # max|A| and max|b| into [0.5, 1), and x is scaled back exactly, so
+    # sinograms near 1e-200 or 1e300 and spacings near 1e-200 or 1e200
+    # solve like any others
+    e = int(np.frexp(np.max(np.abs(b), initial=0.0))[1])
+    f = int(np.frexp(np.max(np.abs(A.data), initial=0.0))[1])
+    method, solved = "graph", _graph_solve(A, b, split, e, f)
+    if solved is None:
+        method, solved = "svd", _svd_solve(A, b, e, f)
+    return solved[0], method, np.ldexp(solved[1], e - f)
 
-    A is the one matrix `build_radon_system` stacks from the views, and
-    split is the first row of the second view when there are two, None
-    otherwise.  The rank of a sparse matrix is the sum of the ranks of the
-    connected components of its bipartite row/column sparsity graph (the
-    coarse block-triangular form of Pothen & Fan), found by one
-    `_components` pass.  "graph": two views that form a pixel graph
-    (`_is_pixel_graph`) are a multiple of the unsigned incidence matrix of
-    a bipartite graph with one vertex per pixel and one edge per voxel, of
-    rank #rows - #components (a pixel with no voxel is a component of its
-    own), and nothing is densified.  "svd": only the rows and columns that
-    hold an entry are labelled (any other is a component of rank 0), and
-    each component is densified alone from its own entries, rows and
-    columns ascending; its singular values are counted above _RANK_TOL
-    times the largest over all components, which are those of the whole
-    matrix.  `_require_memory` counts the largest twice, as `np.linalg.svd`
-    copies it, before any is densified.
+
+def _graph_solve(A: CSR, b: np.ndarray, split: int | None, e: int,
+                 f: int) -> tuple[int, np.ndarray] | None:
+    """Rank and solution of 2^-f A x = 2^-e b in closed form when the
+    views before and from row `split` form a complete pixel graph, None
+    when they do not.
+
+    They form a pixel graph when every column holds one stored entry in
+    each view, all of one nonzero value h: A is then h times the
+    incidence matrix of a bipartite graph with a vertex per pixel and an
+    edge per voxel, of rank #rows - #components (a pixel with no voxel is
+    a component of its own).  It is complete when every component has
+    one voxel per pair of its first-view and second-view pixels.
     """
     rows, cols = A.shape
-    if _is_pixel_graph(A, split):
-        # voxel j is the edge between its pixels ends[0, j] and ends[1, j]
-        cut = A.indptr[split]
-        ends = np.empty((2, cols), dtype=A.row.dtype)
-        ends[0, A.indices[:cut]] = A.row[:cut]
-        ends[1, A.indices[cut:]] = A.row[cut:]
-        rank = rows - _components(rows, *ends)[0]
-        if rows * cols <= _ORACLE_CHECK_ENTRIES:
-            check = elimination_rank(A.toarray())
-            if check != rank:
-                raise NumericalError(
-                    f"graph rank {rank} != elimination rank {check}")
-        return rank, "graph"
+    if split is None or not (A.nnz and A.data[0] != 0
+                             and np.all(A.data == A.data[0])):
+        return None
+    # voxel j is the edge between its pixels ends[0, j] and ends[1, j]
+    ends = np.empty((2, cols), dtype=np.intp)
+    cut = A.indptr[split]
+    for end, part in zip(ends, (slice(0, cut), slice(cut, None))):
+        if np.any(np.bincount(A.indices[part], minlength=cols) != 1):
+            return None
+        end[A.indices[part]] = A.row[part]
+    ncomp, label = _components(rows, *ends)
+    m = np.bincount(label[:split], minlength=ncomp)
+    n = np.bincount(label[split:], minlength=ncomp)
+    # complete: with each component's pixels numbered from 0, first view
+    # first, and its pixel pairs after those of the components before
+    # it, every pair holds exactly one voxel
+    pos = np.empty(rows, dtype=np.intp)
+    pos[np.argsort(label, kind="stable")] = np.arange(rows)
+    pos -= (np.cumsum(m + n) - m - n)[label]
+    c = label[ends[0]]
+    slot = pos[ends[0]] * n[c]
+    slot += pos[ends[1]]
+    slot += (np.cumsum(m * n) - m * n - m)[c]
+    if np.sum(m * n) != cols or np.any(
+            np.bincount(slot, minlength=cols) != 1):
+        return None
+    del slot, pos
+    rank = rows - ncomp
+    if rows * cols <= _ORACLE_CHECK_ENTRIES:
+        check = elimination_rank(A.toarray())
+        if check != rank:
+            raise NumericalError(
+                f"graph rank {rank} != elimination rank {check}")
+    # projecting b onto A's range moves a component's sums R and C over its
+    # m and n pixels of each view to T = R - m delta, delta = (R - C) /
+    # (m + n), and the least voxels with those sums are ((b_a - delta) / n
+    # + (b_b + delta) / m - T / (mn)) / h for the voxel of pixels a and b
+    b = np.ldexp(b, -e)
+    sum_r = np.bincount(label[:split], weights=b[:split], minlength=ncomp)
+    delta = (sum_r - np.bincount(label[split:], weights=b[split:],
+                                 minlength=ncomp)) / (m + n)
+    mean = np.divide(sum_r - m * delta, m * n, out=np.zeros(ncomp),
+                     where=m * n > 0)
+    x = b[ends[0]] - delta[c]
+    x /= n[c]
+    second = b[ends[1]] + delta[c]
+    second /= m[c]
+    x += second
+    del second
+    x -= mean[c]
+    x /= np.ldexp(A.data[0], -f)
+    return rank, x
+
+
+def _svd_solve(A: CSR, b: np.ndarray, e: int,
+               f: int) -> tuple[int, np.ndarray]:
+    """Rank of A and the minimum-norm least-squares solution of
+    A' x = 2^-e b, A' = 2^-f A, one factorization per component.
+
+    The rank of a sparse matrix is the sum of the ranks of the connected
+    components of its bipartite row/column sparsity graph (the coarse
+    block-triangular form of Pothen & Fan).  A singular value counts when
+    it is above _RANK_TOL times the largest over all components, which
+    are those of the whole matrix.  `_require_memory` counts the largest
+    component's dense values before any is densified.
+    """
+    rows, cols = A.shape
     # a row or column without an entry is a component of rank 0 of its own,
     # so only the others are vertices: row ur[i] is vertex i and column
     # uc[j] vertex len(ur) + j.  The edges, one per stored entry, are
@@ -380,46 +429,87 @@ def _radon_rank(A: CSR, split: int | None) -> tuple[int, str]:
     labels = _components(ur.size + uc.size,
                          np.repeat(np.arange(ur.size), row_entries),
                          ur.size + np.searchsorted(uc, A.indices))[1]
-    comp_rows = np.bincount(labels[:ur.size], minlength=1)
-    comp_cols = np.bincount(labels[ur.size:], minlength=1)
-    sizes = comp_rows * comp_cols
-    big = int(np.argmax(sizes))
-    _require_memory(f"ranking the {rows}x{cols} Radon matrix by the SVD of "
-                    f"its dense {comp_rows[big]}x{comp_cols[big]} component",
-                    rows, cols, A.nnz, dense=2 * int(sizes[big]))
-    # the entries of each component, in their order in A, densified with
-    # its rows and columns ascending
+    nr = np.bincount(labels[:ur.size], minlength=1)
+    nc = np.bincount(labels[ur.size:], minlength=1)
+    # the dense values a component holds at once: its triangle stacked
+    # over one chunk, three times (np.linalg.qr copies it twice), or the
+    # SVD of its last triangle, whose copy, factors and LAPACK workspace
+    # come to at most 7.7 times the triangle (numpy 2.4, 500 to 2000 rows)
+    dense = nr * np.maximum(3 * np.minimum(nc, (_QR_CHUNK + 1) * nr),
+                            8 * np.minimum(nr, nc))
+    big = int(np.argmax(dense))
+    _require_memory(f"factoring the {rows}x{cols} Radon matrix by its dense "
+                    f"{nr[big]}x{nc[big]} component", rows, cols, A.nnz,
+                    dense=int(dense[big]))
+    # the entries of each component, ordered by voxel, and ||A'||_1 and
+    # ||A'||_inf, whose geometric mean bounds every singular value
     entry_label = np.repeat(labels[:ur.size], row_entries)
-    by_comp = np.argsort(entry_label, kind="stable")
-    svals, start = [np.zeros(0)], 0
-    for stop in np.cumsum(np.bincount(entry_label)):
-        e = by_comp[start:stop]
+    by_comp = np.lexsort((A.indices, entry_label))
+    stops = np.cumsum(np.bincount(entry_label))
+    del entry_label, labels, row_entries
+    data = np.abs(np.ldexp(A.data, -f))
+    bound = np.sqrt(np.max(np.bincount(A.indices, weights=data), initial=0.0)
+                    * np.max(np.bincount(A.row, weights=data), initial=0.0))
+    y, svals, waiting, start = np.zeros(rows), [np.zeros(0)], [], 0
+    # each component B: B^T built dense _QR_CHUNK r voxels at a time (r its
+    # rows) under a running QR triangle R (TSQR, Demmel et al., *SIAM J.
+    # Sci. Comput.* 2012), so B B^T = R^T R and the SVD of R gives B's
+    # singular values s and left vectors U; y = U S^-2 U^T b on its rows,
+    # corrected once by the same map of its residual (the corrected
+    # semi-normal equations, whose error grows with the condition number of
+    # B, not with its square), and x = A'^T y
+    for stop in stops:
+        ent = by_comp[start:stop]
         start = stop
-        r, i = np.unique(A.row[e], return_inverse=True)
-        c, j = np.unique(A.indices[e], return_inverse=True)
-        block = np.zeros((r.size, c.size))
-        np.add.at(block, (i, j), A.data[e])
-        svals.append(np.linalg.svd(block, compute_uv=False))
+        rows_c, i = np.unique(A.row[ent], return_inverse=True)
+        j = np.unique(A.indices[ent], return_inverse=True)[1]
+        r, c, v = rows_c.size, j[-1] + 1, np.ldexp(A.data[ent], -f)
+        R, width = np.zeros((0, r)), _QR_CHUNK * r
+        for lo, a, z in zip(range(0, c, width), *np.searchsorted(
+                j, [range(0, c, width), range(width, c + width, width)])):
+            block = np.zeros((R.shape[0] + min(width, c - lo), r))
+            block[:R.shape[0]] = R
+            block[R.shape[0] + j[a:z] - lo, i[a:z]] = v[a:z]
+            del R
+            R = np.linalg.qr(block, mode="r")
+            del block
+        s, vt = np.linalg.svd(R, full_matrices=False)[1:]
+        svals.append(s)
+        # s is descending: the first k values are surely counted (above
+        # _RANK_TOL times the bound), and the next ones, up to those
+        # _RANK_TOL times this component's largest, wait for the largest of
+        # all; no U outlives its component but these few vectors
+        k, w = int(np.sum(s > _RANK_TOL * bound)), _rank_above(s, s[0])
+        b_c = np.ldexp(b[rows_c], -e)
+        y_c = vt[:k].T @ (vt[:k] @ b_c / s[:k] ** 2)
+        x_c = np.bincount(j, weights=v * y_c[i], minlength=c)
+        res = b_c - np.bincount(i, weights=v * x_c[j], minlength=r)
+        y[rows_c] = y_c + vt[:k].T @ (vt[:k] @ res / s[:k] ** 2)
+        if w > k:
+            waiting.append((rows_c, vt[k:w] @ b_c, s[k:w], vt[k:w].copy()))
     svals = np.concatenate(svals)
-    return _rank_above(svals, svals.max(initial=0.0)), "svd"
+    smax = svals.max(initial=0.0)
+    for rows_c, coef, s, vt in waiting:
+        k = _rank_above(s, smax)
+        y[rows_c] += vt[:k].T @ (coef[:k] / s[:k] ** 2)
+    np.ldexp(A.data, -f, out=data)
+    data *= y[A.row]
+    return _rank_above(svals, smax), np.bincount(A.indices, weights=data,
+                                                 minlength=cols)
 
 
 def build_radon_system(specs, grid: GridHeader, sinograms) -> RadonSystem:
-    """Assemble the linear system tying voxel densities to sinogram rays.
+    """Assemble the linear system tying voxel densities to sinogram rays,
+    with its rank and its minimum-norm least-squares solution (`_factor`).
 
     One row per sinogram pixel, one column per voxel of `grid`: each
     view's block is `projection_operator`, the operator `project_voxels`
     applies, on the `pixel_center_coords` lattice of the sinogram's shape,
     so A x stacks the views' forward projections of x (exact intersection
     lengths for axis-aligned frames, trilinear ray marching otherwise).
-    The blocks are stacked once, by `CSR.vstack`, and that one matrix is
-    both the system's rows and what `_radon_rank` ranks, one connected
-    component of its row/column sparsity graph at a time: for two
-    axis-aligned views each component is a pixel graph of rank #rows - 1
-    (rank_method "graph", no dense matrix); for any other set of views
-    each component is densified alone and ranked by its singular values
-    (rank_method "svd").  `_require_memory` counts one entry per voxel and
-    view before anything is built, and the built entries before the stack.
+    The blocks are stacked once, by `CSR.vstack`.  `_require_memory`
+    counts one entry per voxel and view before anything is built, and the
+    built entries before the stack.
     """
     specs, sinos = list(specs), list(sinograms)
     if len(specs) != len(sinos):
@@ -431,72 +521,17 @@ def build_radon_system(specs, grid: GridHeader, sinograms) -> RadonSystem:
            for spec, sino in zip(specs, sinos)]
     _require_memory(what, rows, nvox, sum(op.nnz for op in ops))
     A = CSR.vstack(ops)
-    del ops  # the rank and the solve hold the stacked copy alone
+    del ops  # the factorization holds the stacked copy alone
     split = sinos[0].values.size if len(sinos) == 2 else None
-    rank, method = _radon_rank(A, split)
     b = np.concatenate([sino.values.ravel() for sino in sinos])
-    return RadonSystem(A, b, rank, grid, method)
+    rank, method, x = _factor(A, b, split)
+    return RadonSystem(A, b, rank, grid, method, x.reshape(grid.dims))
 
 
-def solve_radon(system: RadonSystem, max_iter: int | None = None,
-                tol: float = 1e-10) -> np.ndarray:
-    """Minimum-norm least-squares voxel solve (CGLS on the normal equations).
-
-    Starting from zero keeps the iterates in the row space of A, so the
-    converged solution is the minimum-norm one; for determined systems it
-    is the unique exact solution.  CGLS runs on b and A scaled by the
-    powers of two that bring max|b| and max|A| into [0.5, 1) and scales x
-    back, exactly: sinograms near 1e-200 or 1e300 and spacings near 1e-200
-    or 1e200 neither underflow to a zero solution nor overflow the sums.
-    Raises NotConverged (carrying the best iterate and its residual) when
-    neither the residual target nor least-squares stationarity is reached
-    within max_iter, and DimMismatch unless tol is finite and > 0.
-    """
-    if not (np.isfinite(tol) and tol > 0):
-        raise DimMismatch(f"tol must be finite and > 0, got {tol}")
-    A, b = system.rows, system.rhs
-    e = int(np.frexp(np.max(np.abs(b), initial=0.0))[1])
-    f = int(np.frexp(np.max(np.abs(A.data), initial=0.0))[1])
-    b = np.ldexp(b, -e)
-    nvox = A.shape[1]
-    if max_iter is None:
-        max_iter = 10 * nvox
-    x = np.zeros(nvox)
-    bnorm = float(np.linalg.norm(b))
-    if bnorm == 0.0:
-        return x.reshape(system.grid.dims)
-    # CGLS on 2^-f A, with x and p held times 2^-f: A @ p is 2^-f A times
-    # the iterate's p, A.rmatvec(2^-f r) is its transpose times r, and x is
-    # 2^-e times the solution
-    r = b.copy()
-    s = A.rmatvec(np.ldexp(r, -f))
-    gamma = float(s @ s)
-    snorm0 = np.sqrt(gamma)
-    p = np.ldexp(s, -f)
-    for it in range(max_iter):
-        if np.linalg.norm(r) <= tol * bnorm:
-            return np.ldexp(x, e).reshape(system.grid.dims)
-        if np.sqrt(gamma) <= tol * snorm0:
-            break  # least-squares optimum; residual may stay > tol*|b|
-        q = A @ p
-        qq = float(q @ q)
-        if qq == 0.0:
-            break
-        alpha = gamma / qq
-        x += alpha * p
-        r -= alpha * q
-        s = A.rmatvec(np.ldexp(r, -f))
-        gamma_new = float(s @ s)
-        p = np.ldexp(s, -f, out=s) + (gamma_new / gamma) * p
-        gamma = gamma_new
-    res = float(np.linalg.norm(A @ x - b))
-    if res <= tol * bnorm or np.sqrt(gamma) <= max(tol, 1e-12) * snorm0:
-        return np.ldexp(x, e).reshape(system.grid.dims)
-    res = float(np.ldexp(res, e))
-    raise NotConverged(
-        f"residual {res} > tol*|b| after {max_iter} iterations",
-        best=np.ldexp(x, e).reshape(system.grid.dims), residual=res,
-        iterations=max_iter)
+def solve_radon(system: RadonSystem) -> np.ndarray:
+    """The minimum-norm least-squares voxel values A^+ b, grid-shaped,
+    that `build_radon_system` found with the rank."""
+    return system.solution
 
 
 # ---------------------------------------------------------------------------

@@ -208,11 +208,12 @@ class TestReconstruct:
         # rounding-level entries once joined x-slices at spacings 0.7 and
         # 0.3 into 464x4608 and 174x1728 components, over this limit: the
         # system's 2592 rows, 13824 voxels and 48552 entries with one
-        # slice's SVD, (24 + 34) rows x 576 voxels; one-pixel march blocks
-        # keep the march's scratch below it
+        # slice's factorization, (24 + 34) rows x 576 voxels, whose QR
+        # stacks 58 + 4 * 58 of them at a time, three times over;
+        # one-pixel march blocks keep the march's scratch below it
         monkeypatch.setattr(geometry, "_MARCH_BLOCK", 1)
         monkeypatch.setattr(geometry, "_MEMORY_LIMIT", geometry._require_memory(
-            "", 2592, 13824, 48552, dense=2 * 58 * 576))
+            "", 2592, 13824, 48552, dense=3 * 5 * 58 * 58))
         assert run("reconstruct", "voxels", "--sino1", proj / "sino1.csv",
                    "--sino2", proj / "sino2.csv", "--grid-dims", "24,24,24",
                    "--spacing", spacing, *specs, "--out", rec) == 0
@@ -244,6 +245,24 @@ class TestReconstruct:
             vals.append(np.loadtxt(rec / "recovered.csv", delimiter=","))
         assert vals[0].max() > 0
         np.testing.assert_allclose(vals[1] * spacing, vals[0], rtol=1e-12)
+
+    def test_voxels_general_pair_writes_the_pseudo_inverse(self, tmp_path):
+        # XY beside the 30 degree tilt turned 17 degrees about z, 10^3 with
+        # a 16^2 image: the conjugate-gradient solve this replaced wrote
+        # values 4.4e-2 (relative to the largest) away from max(A^+ b, 0)
+        argv = voxel_pair(tmp_path, "general", 10)
+        rec = tmp_path / "rec"
+        assert run(*argv, "--out", rec) == 0
+        specs = [ser.load_spec(tmp_path / f"spec{i}.json") for i in (1, 2)]
+        sinos = [ser.load_sinogram_csv(tmp_path / f"sino{i}.csv")
+                 for i in (1, 2)]
+        system = recon.build_radon_system(
+            specs, geometry.GridHeader((10, 10, 10), 1.0, np.zeros(3)), sinos)
+        want = np.maximum(np.linalg.pinv(system.rows.toarray(),
+                                         rcond=recon._RANK_TOL)
+                          @ system.rhs, 0.0).reshape(10, 10, 10)
+        got = ser.load_voxels(rec / "recovered.json").values
+        assert np.max(np.abs(got - want)) <= 1e-10 * np.max(want)
 
     def test_voxels_coaxial(self, tmp_path, capsys):
         (tmp_path / "s.csv").write_text("1.0\n")
@@ -420,8 +439,9 @@ class TestBoundaryValidation:
 
     def test_dense_rank_over_limit(self, tmp_path, capsys, monkeypatch,
                                    needs):
-        # the SVD guard refuses before the largest component is densified:
-        # a limit just below its count, and above every other guard's
+        # the factor guard refuses before the largest component is
+        # densified: a limit just below its count, and above every other
+        # guard's
         argv = voxel_pair(tmp_path, "general", 12)
         assert run(*argv, "--out", tmp_path / "ok") == 0
         svd = needs[-1]
@@ -430,8 +450,9 @@ class TestBoundaryValidation:
         assert run(*argv, "--out", tmp_path / "out") == 2
         err = self.error(capsys)
         assert err["error"] == "SystemTooLarge"
-        assert re.search(r"by the SVD of its dense \d+x1728 component needs "
-                         rf"{svd} bytes", err["message"])
+        assert re.search(r"factoring the 468x1728 Radon matrix by its dense "
+                         rf"\d+x1728 component needs {svd} bytes",
+                         err["message"])
         assert list((tmp_path / "out").iterdir()) == []
 
     @pytest.mark.parametrize("spacing", ["inf", "-inf"])
@@ -447,17 +468,31 @@ class TestBoundaryValidation:
         assert self.error(capsys)["error"] == "DimMismatch"
         assert list(out.iterdir()) == []
 
-    @pytest.mark.parametrize("tol", ["nan", "inf", "0"])
-    def test_bad_solver_tol(self, tol, tmp_path, capsys):
-        # nan once ran 10 * nvox CGLS iterations; inf returned all zeros
+    def test_subnormal_spacing(self, tmp_path, capsys):
+        # at 1e-310 the operator lost bits against the spacing times the
+        # unit-spacing one, and the solve overflowed
+        (tmp_path / "s.csv").write_text("1.0,2.0\n2.0,3.0\n")
+        out = tmp_path / "out"
+        code = run("reconstruct", "voxels", "--sino1", tmp_path / "s.csv",
+                   "--sino2", tmp_path / "s.csv", "--grid-dims", "2,2,2",
+                   "--spacing", "1e-310", *_SPECS, "--out", out)
+        assert code == 2
+        err = self.error(capsys)
+        assert err["error"] == "DimMismatch"
+        assert ">= 2^-1022, got 1e-310" in err["message"]
+        assert list(out.iterdir()) == []
+
+    def test_solver_tol_is_unknown(self, tmp_path, capsys):
+        # the voxel solve is direct: it has no iteration to stop
         (tmp_path / "s.csv").write_text("1.0,2.0\n2.0,3.0\n")
         code = run("reconstruct", "voxels", "--sino1", tmp_path / "s.csv",
                    "--sino2", tmp_path / "s.csv", "--grid-dims", "2,2,2",
-                   "--spec1", SPEC_XY, "--spec2", SPEC_YZ,
-                   "--solver-tol", tol, "--out", tmp_path / "out")
+                   *_SPECS, "--solver-tol", "1e-10", "--out", tmp_path / "out")
         assert code == 2
-        assert self.error(capsys)["error"] == "DimMismatch"
-        assert not (tmp_path / "out" / "system.json").exists()
+        err = self.error(capsys)
+        assert err["error"] == "InputError"
+        assert "unrecognized arguments: --solver-tol" in err["message"]
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("tol", ["nan", "-1"])
     def test_bad_transversality_tol_on_coaxial_frames(self, tol, tmp_path,
@@ -814,8 +849,8 @@ class TestMemoryModel:
 
 class TestGridHeaders:
     """Voxel, vector-field and connection files share one header rule:
-    dims of three integers >= 1 (>= 3 for fields), a finite spacing > 0
-    and a finite origin.  A bad header exits 2 with one JSON line and
+    dims of three integers >= 1 (>= 3 for fields), a finite spacing of at
+    least 2^-1022 and a finite origin.  A bad header exits 2 with one JSON line and
     writes nothing."""
 
     error = TestBoundaryValidation.error
@@ -825,6 +860,7 @@ class TestGridHeaders:
         "spacing-negative": {"spacing": -0.5},
         "spacing-nan": {"spacing": np.nan},
         "spacing-inf": {"spacing": np.inf},
+        "spacing-subnormal": {"spacing": 1e-310},
         "origin-nan": {"origin": [np.nan, 0.0, 0.0]},
     }
     FIELDS = {"--field-x": "field_contact_x", "--field-y": "field_contact_y",
@@ -1309,7 +1345,7 @@ class TestParser:
     def test_every_option_is_read_by_its_command(self):
         leaves = leaf_parsers()
         assert len(leaves) == 12
-        assert sum(len(options(sp)) for sp in leaves.values()) == 72
+        assert sum(len(options(sp)) for sp in leaves.values()) == 71
         for leaf, sp in leaves.items():
             func = sp.get_default("func")
             source = inspect.getsource(func)
@@ -1435,7 +1471,7 @@ def cli_inputs(tmp_path_factory):
         "--tol": ["1e-9", "2"], "--image1": [root / "image1.json"],
         "--image2": [root / "image2.json"], "--sino1": [root / "sino.csv"],
         "--sino2": [root / "sino.csv"], "--grid-dims": ["3,3,3"],
-        "--spacing": ["1.0"], "--solver-tol": ["1e-10"],
+        "--spacing": ["1.0"],
         "--field-x": [fixture_path("field_coord_x.json")],
         "--field-y": [fixture_path("field_contact_y.json")],
         "--field-z": [fixture_path("field_contact_x.json")],

@@ -539,6 +539,14 @@ class TestGridHeader:
         with pytest.raises(DimMismatch, match="three integers >= 1"):
             GridHeader(dims, 1.0, (0, 0, 0))
 
+    @pytest.mark.parametrize("spacing", [1e-310, 2.0**-1023, 5e-324])
+    def test_spacing_is_at_least_the_smallest_normal_float(self, spacing):
+        # at 1e-310 the 30 degree operator was no longer bitwise the
+        # spacing times the unit-spacing one, and its solve overflowed
+        with pytest.raises(DimMismatch, match=r">= 2\^-1022, got"):
+            GridHeader((2, 2, 2), spacing, (0, 0, 0))
+        assert GridHeader((2, 2, 2), 2.0**-1022, (0, 0, 0)).spacing > 0
+
     def test_a_voxel_grid_is_its_lattice_plus_values(self):
         grid = VoxelGrid((2, 3, 4), 0.5, (1, 2, 3), np.ones((2, 3, 4)))
         assert grid.matches(GridHeader((2, 3, 4), 0.5, (1, 2, 3)))

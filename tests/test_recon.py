@@ -15,7 +15,6 @@ from twoview.errors import (
     Inconsistent,
     LengthMismatch,
     NonTransverse,
-    NotConverged,
     NumericalError,
     SystemTooLarge,
 )
@@ -392,14 +391,6 @@ class TestRadonSystem:
         np.testing.assert_allclose(system.rows @ probe.values.ravel(),
                                    expected, rtol=0, atol=1e-12)
 
-    @pytest.mark.parametrize("tol", [np.nan, np.inf, 0.0, -1.0])
-    def test_solver_tol_must_be_finite_and_positive(self, tol):
-        grid = VoxelGrid((2, 2, 2), 1.0, (0, 0, 0), np.ones((2, 2, 2)))
-        system = build_radon_system([XY, YZ], grid,
-                                    make_sinos(grid, [XY, YZ], (2, 2)))
-        with pytest.raises(DimMismatch):
-            solve_radon(system, tol=tol)
-
     def test_sinogram_smaller_than_grid(self):
         grid = VoxelGrid((4, 4, 4), 1.0, (0, 0, 0), np.ones((4, 4, 4)))
         sino = Sinogram(np.zeros((2, 2)))
@@ -408,7 +399,7 @@ class TestRadonSystem:
 
 
 class TestSolveRadonScale:
-    """CGLS is linear in b: a sinogram scaled by 2^k solves to 2^k times
+    """A^+ b is linear in b: a sinogram scaled by 2^k solves to 2^k times
     the solution, bitwise, however small or large 2^k makes it."""
 
     def systems(self, rng, k):
@@ -429,25 +420,15 @@ class TestSolveRadonScale:
         assert np.any(want > 0)
         np.testing.assert_array_equal(solve_radon(scaled), np.ldexp(want, k))
 
-    @pytest.mark.parametrize("k", [-664, 1000])
-    def test_not_converged_carries_the_scaled_iterate(self, k, rng):
-        system, scaled = self.systems(rng, k)
-        with pytest.raises(NotConverged) as want:
-            solve_radon(system, max_iter=2)
-        with pytest.raises(NotConverged) as got:
-            solve_radon(scaled, max_iter=2)
-        np.testing.assert_array_equal(got.value.best,
-                                      np.ldexp(want.value.best, k))
-        assert got.value.residual == np.ldexp(want.value.residual, k)
-
     @pytest.mark.parametrize("k", [-600, -400, 0, 400, 600])
     @pytest.mark.parametrize("spec2", [YZ, tilted_spec(np.radians(30))],
                              ids=["axis-pair", "tilt-30"])
     def test_spacing_2k_gives_the_scaled_solution(self, spec2, k, rng):
-        # A is the spacing times the unit-spacing operator, and CGLS runs
-        # on A scaled into [0.5, 1): at 2^-600 the sums of squares once
-        # underflowed to an all-zero solution, at 2^+-400 CGLS ran out of
-        # iterations, and at 2^600 they overflowed
+        # A is the spacing times the unit-spacing operator, and the
+        # factorization works on A scaled into [0.5, 1): at 2^-600 the
+        # iterative solve's sums of squares once underflowed to an all-zero
+        # solution, at 2^+-400 it ran out of iterations, and at 2^600 they
+        # overflowed
         sinos = [Sinogram(rng.uniform(0.0, 1.0, (6, 6))) for _ in range(2)]
 
         def solve(h):
@@ -458,6 +439,71 @@ class TestSolveRadonScale:
         assert np.any(want > 0)
         np.testing.assert_array_equal(solve(np.ldexp(1.0, k)),
                                       np.ldexp(want, -k))
+
+
+class TestSolveRadonIsThePseudoInverse:
+    """solve_radon returns A^+ b, the minimum-norm least-squares solution
+    through the singular values the rank counts, to 1e-12 relative."""
+
+    # the conjugate-gradient solve this replaced stopped 5e-3 to 3e-2 away
+    # from A^+ b on these ill-conditioned pairs, and exited 0.  Their
+    # condition numbers reach 1e6, where double precision fixes A^+ b to
+    # about 1e6 times the rounding unit: np.linalg.pinv and
+    # np.linalg.lstsq differ by up to 4.7e-12 relative on them, so the
+    # bound here is 1e-11
+    @pytest.mark.parametrize("spec2, n, m", [
+        (GENERAL, 10, 16), (GENERAL, 14, 20), (GENERAL, 16, 24),
+        (tilted_spec(np.radians(30)), 16, 24)],
+        ids=["general-10", "general-14", "general-16", "tilt-16"])
+    def test_ill_conditioned_pairs(self, spec2, n, m):
+        rng = np.random.default_rng(n)
+        grid = VoxelGrid((n, n, n), 1.0, -(n - 1) / 2 * np.ones(3),
+                         rng.uniform(0, 1, (n, n, n)))
+        sinos = [project_voxels(grid, XY, (n, n)),
+                 project_voxels(grid, spec2, (m, m))]
+        system = build_radon_system([XY, spec2], grid, sinos)
+        assert system.rank_method == "svd"
+        assert_pinv(solve_radon(system).ravel(), system.rows.toarray(),
+                    system.rhs, rel=1e-11)
+        # the residual of the consistent sinograms is at rounding level
+        residual = system.rows @ solve_radon(system).ravel() - system.rhs
+        assert np.linalg.norm(residual) <= 1e-14 * np.linalg.norm(system.rhs)
+
+    def test_values_between_the_cuts_wait_for_the_largest(self):
+        # components of scale 1 beside components of scale 1e3: the largest
+        # singular value is 2e3 and the bound sqrt(|A|_1 |A|_inf) is 4e3,
+        # so the scale-1 values sqrt(2) 2^-22 (above 1e-10 * 2e3, counted)
+        # and sqrt(2) 2^-24 (below it, dropped) are neither counted nor
+        # dropped before every component is factored.  Rows (1, 1) and
+        # (beta, -beta) are orthogonal, so both factorizations find the
+        # small values to rounding.
+        entries = []
+        for r0, beta in ((0, 2.0**-22), (2, 2.0**-24)):
+            entries += [(1.0, r0, r0), (1.0, r0, r0 + 1),
+                        (beta, r0 + 1, r0), (-beta, r0 + 1, r0 + 1)]
+        entries += [(1e3, 4, c) for c in range(4, 8)]
+        entries += [(1e3, r, 8) for r in range(5, 9)]
+        d, r, c = map(np.array, zip(*entries))
+        A = CSR.from_entries(d, r, c, (9, 9))
+        b = np.random.default_rng(0).standard_normal(9)
+        rank, method, x = recon._factor(A, b, None)
+        assert (rank, method) == (5, "svd")
+        assert rank == svd_rank(A.toarray())
+        assert_pinv(x, A.toarray(), b)
+
+    @pytest.mark.parametrize("margin", [0, 1, 2, 3])
+    @pytest.mark.parametrize("pair", [(XY, YZ), (XY, ZX), (YZ, ZX)],
+                             ids=["XY-YZ", "XY-ZX", "YZ-ZX"])
+    def test_aligned_pairs_in_closed_form(self, pair, margin, rng):
+        # every component is a complete bipartite pixel graph, so its
+        # voxels take the closed form; b is not a projection of any grid
+        A = zero_sino_system(pair, (4, 5, 3), margin).rows
+        b = rng.uniform(0, 1, A.shape[0])
+        split = int(np.abs(pair[0].u) @ (4, 5, 3) + margin) * int(
+            np.abs(pair[0].w) @ (4, 5, 3) + margin)
+        rank, method, x = recon._factor(A, b, split)
+        assert (rank, method) == (svd_rank(A.toarray()), "graph")
+        assert_pinv(x, A.toarray(), b)
 
 
 @pytest.mark.parametrize("spec2", [YZ, tilted_spec(np.radians(30))],
@@ -482,8 +528,8 @@ def test_the_lattice_alone_gives_the_voxel_grids_system(spec2, rng):
     system = build_radon_system(specs, lattice,
                                 make_sinos(grid, specs, (7, 7)))
     assert_same(system.rows, CSR.vstack(blocks))
-    assert (system.rank, system.rank_method) == recon._radon_rank(
-        CSR.vstack(blocks), 49)
+    assert (system.rank, system.rank_method) == rank_of(CSR.vstack(blocks),
+                                                        49)
 
 
 def zero_sino_system(specs, dims, margin=0, h=1.0):
@@ -499,6 +545,11 @@ def zero_sino_system(specs, dims, margin=0, h=1.0):
                       for a, m in zip((spec.u, spec.w), margins))
         sinos.append(Sinogram(np.zeros(shape)))
     return build_radon_system(specs, grid, sinos)
+
+
+def rank_of(A, split):
+    """(rank, rank_method) of the stacked matrix A by `recon._factor`."""
+    return recon._factor(A, np.zeros(A.shape[0]), split)[:2]
 
 
 def svd_rank(A):
@@ -571,10 +622,15 @@ class TestRadonRank:
         b2 = sp.csr_matrix([[1.0, 0, 1, 0], [0, 1, 0, 1]])
         equal = sp.csr_matrix([[1.0, 1, 0, 0], [0, 0, 1, 1]])
         weighted = sp.csr_matrix([[1.0, 1, 0, 0], [0, 0, 1, 2]])
+        # a path of three voxels is a pixel graph, but not a complete one:
+        # it takes the factor path, with the graph's rank #rows - 1
+        path = [sp.csr_matrix([[1.0, 1, 0], [0, 0, 1]]),
+                sp.csr_matrix([[1.0, 0, 0], [0, 1, 1]])]
         for blocks, expected in (([equal, b2], (3, "graph")),
-                                 ([weighted, b2], (4, "svd"))):
+                                 ([weighted, b2], (4, "svd")),
+                                 (path, (3, "svd"))):
             A = sp.vstack(blocks).toarray()
-            assert recon._radon_rank(CSR.vstack(blocks), 2) == expected
+            assert rank_of(CSR.vstack(blocks), 2) == expected
             assert expected[0] == svd_rank(A)
             assert expected[0] == np.linalg.matrix_rank(A)
 
@@ -605,37 +661,38 @@ class TestRadonRank:
         return zero_sino_system(specs, (4, 4, 4), margin=2).rows
 
     def test_dense_limit_raises_system_too_large(self, monkeypatch):
-        # the SVD guard counts the matrix's rows, voxels and entries and the
-        # largest component twice over, for the SVD's copy
+        # the factor guard counts the matrix's rows, voxels and entries and
+        # the largest component's dense values: 16 voxels are one QR chunk,
+        # so the SVD of its 11 x 11 triangle, eight times over, sets them
         A = self.tilt_matrix()
         need = geometry._require_memory("", *A.shape, A.nnz,
-                                        dense=2 * 11 * 16)
+                                        dense=8 * 11 * 11)
         monkeypatch.setattr(geometry, "_MEMORY_LIMIT", need - 1)
-        with pytest.raises(SystemTooLarge, match=r"the 78x64 Radon matrix by "
-                           r"the SVD of its dense 11x16 component needs "
+        with pytest.raises(SystemTooLarge, match=r"factoring the 78x64 Radon "
+                           r"matrix by its dense 11x16 component needs "
                            rf"{need} bytes"):
-            recon._radon_rank(A, 36)
+            rank_of(A, 36)
         # the graph path builds no dense matrix and calls no guard
         axis = zero_sino_system([XY, YZ], (4, 4, 4)).rows
         monkeypatch.setattr(geometry, "_MEMORY_LIMIT", 0)
-        assert recon._radon_rank(axis, 16) == (28, "graph")
+        assert rank_of(axis, 16) == (28, "graph")
 
     def test_limit_counts_the_svd_copy(self, monkeypatch):
-        # a limit that holds the largest component once, but not the SVD's
-        # copy of it
+        # a limit that holds the largest component once, but not the
+        # copies, factors and workspace of its triangle's SVD
         A = self.tilt_matrix()
         monkeypatch.setattr(geometry, "_MEMORY_LIMIT", geometry._require_memory(
             "", *A.shape, A.nnz, dense=11 * 16))
         with pytest.raises(SystemTooLarge, match="dense 11x16 component"):
-            recon._radon_rank(A, 36)
+            rank_of(A, 36)
 
     def test_limit_applies_to_the_largest_component(self, monkeypatch):
         # the whole 78 x 64 matrix would need 39936 bytes dense; the limit
-        # counts the largest component, 11 x 16, with the SVD's copy
+        # counts the largest component, 11 x 16, by its triangle's SVD
         A = self.tilt_matrix()
         monkeypatch.setattr(geometry, "_MEMORY_LIMIT", geometry._require_memory(
-            "", *A.shape, A.nnz, dense=2 * 11 * 16))
-        rank, method = recon._radon_rank(A, 36)
+            "", *A.shape, A.nnz, dense=8 * 11 * 11))
+        rank, method = rank_of(A, 36)
         dense = A.toarray()
         assert dense.nbytes == 39936
         assert method == "svd"
@@ -677,23 +734,63 @@ def sparse_systems(draw):
     return A, draw(st.none() | st.integers(0, nrows))
 
 
+def complete_pixel_graph(dense, split):
+    """Whether the rows before and from `split` put one entry of one common
+    value in each column of each view, and every connected component of
+    the pixel graph they make (one vertex per row, one edge per column)
+    has exactly one column for each pair of its pixels in the two views."""
+    if split is None or np.unique(dense[dense != 0]).size != 1:
+        return False
+    top, bottom = dense[:split] != 0, dense[split:] != 0
+    if not (np.all(top.sum(axis=0) == 1) and np.all(bottom.sum(axis=0) == 1)):
+        return False
+    ends = np.argmax(top, axis=0), split + np.argmax(bottom, axis=0)
+    rows = dense.shape[0]
+    ncomp, label = csgraph.connected_components(sp.coo_matrix(
+        (np.ones(dense.shape[1]), ends), shape=(rows, rows)), directed=False)
+    for comp in range(ncomp):
+        pixels = np.flatnonzero(label == comp)
+        m = int(np.sum(pixels < split))
+        pairs = [(a, b) for a, b in zip(*ends) if label[a] == comp]
+        if not len(set(pairs)) == len(pairs) == m * (pixels.size - m):
+            return False
+    return True
+
+
+def assert_pinv(x, A, b, rel=1e-12):
+    """x is within `rel` relative of np.linalg.pinv(A) @ b, cut at the
+    rank's relative threshold."""
+    want = np.linalg.pinv(A, rcond=recon._RANK_TOL) @ b
+    assert np.linalg.norm(x - want) <= rel * np.linalg.norm(want), (
+        np.linalg.norm(x - want) / np.linalg.norm(want))
+
+
 class TestRadonRankProperty:
     def test_matches_the_dense_oracle(self):
-        # "graph" exactly when the split views put one entry of one common
-        # value in each column of each view.  @given sits on an inner
-        # function, as in tests/test_cli.py, so a failure is reported as one
+        # "graph" exactly when the split views form a pixel graph whose
+        # every component is complete.  @given sits on an inner function,
+        # as in tests/test_cli.py, so a failure is reported as one
         @given(system=sparse_systems())
         @settings(max_examples=300, deadline=None, derandomize=True,
                   database=None)
         def check(system):
             A, split = system
             dense = A.toarray()
-            graph = split is not None and all(
-                np.all(np.count_nonzero(half, axis=0) == 1)
-                for half in (dense[:split], dense[split:]))
-            graph = graph and np.unique(dense[dense != 0]).size == 1
-            assert recon._radon_rank(A, split) == (
+            graph = complete_pixel_graph(dense, split)
+            assert rank_of(A, split) == (
                 svd_rank(dense), "graph" if graph else "svd")
+
+        check()
+
+    def test_solution_is_the_pseudo_inverses(self):
+        # both paths, on both kinds of matrix, against a random b
+        @given(system=sparse_systems(), seed=st.integers(0, 2**32 - 1))
+        @settings(max_examples=300, deadline=None, derandomize=True,
+                  database=None)
+        def check(system, seed):
+            A, split = system
+            b = np.random.default_rng(seed).standard_normal(A.shape[0])
+            assert_pinv(recon._factor(A, b, split)[2], A.toarray(), b)
 
         check()
 
@@ -706,9 +803,10 @@ class TestRadonRankProperty:
         grid = GridHeader((n, n, n), 1.0, np.zeros(3))
         A = CSR.vstack([projection_operator(grid, spec, (m, m))
                         for spec in (tilted_spec(np.radians(30)), GENERAL)])
+        b = np.ones(A.shape[0])
         tracemalloc.start()
         try:
-            got = recon._radon_rank(A, m * m)
+            got = recon._factor(A, b, m * m)[:2]
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -755,7 +853,7 @@ class TestComponents:
         dense = rng.uniform(0.5, 2, (30, 40)) * (rng.random((30, 40)) < 0.04)
         dense[:, :3] = dense[:2] = 0.0
         blocks = [sp.csr_matrix(dense[:12]), sp.csr_matrix(dense[12:])]
-        assert recon._radon_rank(CSR.vstack(blocks), 12) == (
+        assert rank_of(CSR.vstack(blocks), 12) == (
             np.linalg.matrix_rank(dense), "svd")
 
 
