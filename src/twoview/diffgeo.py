@@ -29,6 +29,9 @@ from .errors import (
 from .geometry import GridHeader, _require_tol, _trilinear_weights
 
 _STEPS_PER_SPACING = 4  # RK4 steps per node spacing of path length
+# X and Y count as nearly parallel where the sine of their angle is at most
+# this
+_ANGLE_TOL = 1e-8
 
 
 def _require_same_header(*objs):
@@ -213,8 +216,7 @@ def hantjies_tensor(X: VectorFieldGrid, Y: VectorFieldGrid,
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def frobenius_residual(X: VectorFieldGrid, Y: VectorFieldGrid,
-                       angle_tol: float = 1e-8):
+def frobenius_residual(X: VectorFieldGrid, Y: VectorFieldGrid):
     """Component of [X, Y] orthogonal to span{X, Y}, node by node.
 
     Returns (residual_field, max_over_interior).  The residual vanishes
@@ -232,7 +234,7 @@ def frobenius_residual(X: VectorFieldGrid, Y: VectorFieldGrid,
     cross = np.cross(xs, ys)
     sin_angle = np.linalg.norm(cross, axis=-1) / np.maximum(nx * ny, 1e-300)
     inner = interior_mask(header.dims)
-    if np.any(sin_angle[inner] <= angle_tol):
+    if np.any(sin_angle[inner] <= _ANGLE_TOL):
         raise DegenerateDistribution(
             "X and Y nearly parallel at an interior node")
     # in R^3 the complement of span{X, Y} is the line along X x Y

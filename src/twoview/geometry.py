@@ -31,8 +31,10 @@ _MARCH_BLOCK = 1 << 16  # (t, pixel) samples per ray-march block
 #   reading the sinograms and the solve's row vectors hold the most;
 # - a voxel, 55 B: `project --mode voxels` reading a 48^3 to 128^3 grid
 #   file of random values (52.7 B at 48^3) after its one entry per voxel,
-#   about 107 B per voxel in all; `reconstruct voxels` holds at most 32.4 B
-#   (a 96^3 grid seen by two tilted 1x1 images, the solve's vectors);
+#   about 107 B per voxel in all, when the CSV reader held a copy of the
+#   file's text (it now parses the open file: about 41 B per voxel in
+#   all); `reconstruct voxels` holds at most 32.4 B (a 96^3 grid seen by
+#   two tilted 1x1 images, the solve's vectors);
 # - a stored entry, 56 B: the components pass of the SVD rank, on XY
 #   beside a diagonal view or a general pair at 48^3 to 80^3, after the
 #   rows and voxels above (45 B; XY beside a 30 degree tilt: 40 B);
@@ -161,9 +163,15 @@ class GridHeader:
         object.__setattr__(self, "origin", _as_vec3(self.origin))
 
     def matches(self, other: "GridHeader") -> bool:
+        """Same dims, spacings within 1e-12 of the larger spacing h, and
+        origins within 1e-12 (h + the largest origin coordinate): relative
+        tolerances, so lattices of spacings 1e-13 and 9e-13 differ."""
+        h = max(self.spacing, other.spacing)
+        far = max(np.max(np.abs(self.origin)), np.max(np.abs(other.origin)))
         return (self.dims == other.dims
-                and abs(self.spacing - other.spacing) <= 1e-12
-                and np.max(np.abs(self.origin - other.origin)) <= 1e-12)
+                and abs(self.spacing - other.spacing) <= 1e-12 * h
+                and np.max(np.abs(self.origin - other.origin))
+                <= 1e-12 * h + 1e-12 * far)
 
     def axis_coords(self, axis: int) -> np.ndarray:
         return self.origin[axis] + self.spacing * np.arange(self.dims[axis])

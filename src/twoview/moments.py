@@ -15,8 +15,6 @@ import numpy as np
 from .errors import ZeroMass
 from .geometry import PointCloud, Projected2D, ProjectionSpec
 
-_MASS_EPS = 0.0  # total mass must be strictly positive
-
 
 @dataclass(frozen=True)
 class MomentValue:
@@ -50,7 +48,7 @@ class SecondMoment3D:
 def centroid2d(img: Projected2D) -> MomentValue:
     """Mass-weighted mean position of a planar image."""
     total = float(img.weights.sum())
-    if total <= _MASS_EPS:
+    if total <= 0:
         raise ZeroMass(f"total weight {total} is not positive")
     c = img.weights @ img.positions / total
     return MomentValue(c, total)
@@ -58,7 +56,7 @@ def centroid2d(img: Projected2D) -> MomentValue:
 
 def centroid3d(cloud: PointCloud) -> np.ndarray:
     total = cloud.total_mass
-    if total <= _MASS_EPS:
+    if total <= 0:
         raise ZeroMass(f"total weight {total} is not positive")
     return cloud.weights @ cloud.positions / total
 

@@ -4,11 +4,13 @@ Two-view point recovery intersects back-projection rays, which for fixed
 frames is one 3x4 linear map from the stacked observations; the direction
 solvers (plain and `toric`'s symmetry-reduced) share one validator and one
 SVD core; the discrete tomographic path stacks one linear equation per
-observed ray into one sparse matrix and factors it once per connected
-component, for its exact rank and its minimum-norm least-squares
-solution.  The noise study measures how planar noise amplifies through
-triangulation against the first-order factor 1/|n1 x n2|, where
-|n1 x n2| is the transversality margin every gate reads.
+observed ray into one sparse matrix and finds its exact rank and its
+minimum-norm least-squares solution: in closed form, one slice across the
+shared axis at a time, for two axis-aligned views along different axes,
+and by one factorization per connected component for any other views.
+The noise study measures how planar noise amplifies through triangulation
+against the first-order factor 1/|n1 x n2|, where |n1 x n2| is the
+transversality margin every gate reads.
 """
 
 from __future__ import annotations
@@ -33,14 +35,16 @@ from .geometry import (
     ProjectionSpec,
     project_points,
     projection_operator,
+    _axis_alignment,
     _canonical_sign,
     _cross_norm,
     _require_memory,
 )
 
 _RANK_TOL = 1e-10  # relative pivot/singular-value threshold
-# Graph ranks of systems with at most this many matrix entries are also
-# checked against `elimination_rank`, which costs at most a few ms there.
+# Closed-form slice ranks of systems with at most this many matrix entries
+# are also checked against `elimination_rank`, which costs at most a few
+# ms there.
 # The check also keeps the `elimination_rank` call under
 # `build_radon_system` that bench/spans.py times as `recon.radon_rank_s`
 # and that bench/test_bench.py asserts on a 4^3 grid.
@@ -92,13 +96,15 @@ class RadonSystem:
     rows is A, a canonical `CSR` matrix: rows[r, voxel] is the
     intersection length of ray r with that voxel (`rows @ x` is A x and
     `rows.rmatvec(y)` is A^T y); b stacks the observed sinogram values.
-    rank is the sum of the ranks of the connected components of A's
-    row/column sparsity graph, and rank_method names how those were
-    found: "graph" (#rows - 1 per complete pixel-graph component, no dense
-    matrix) or "svd" (a factorization per component, its singular values
-    thresholded against the largest of A).  grid is the voxel lattice of
-    A's columns, and solution (grid-shaped) the minimum-norm
-    least-squares A^+ b through the singular values the rank counts.
+    rank_method names how rank was found: "graph" for two axis-aligned
+    views along different axes (m + n - 1 per m x n slice across the axis
+    both views see, each slice a complete bipartite pixel graph K_{m,n},
+    no dense matrix), "svd" for any other views (the sum of the ranks of
+    the connected components of A's row/column sparsity graph, one
+    factorization each, its singular values thresholded against the
+    largest of A).  grid is the voxel lattice of A's columns, and
+    solution (grid-shaped) the minimum-norm least-squares A^+ b through
+    the singular values the rank counts.
     """
 
     rows: CSR
@@ -263,7 +269,7 @@ def elimination_rank(A: np.ndarray, tol: float = _RANK_TOL) -> int:
     seen so far (the first pivot is the largest entry of the matrix).
     This is the reference oracle for the Radon rank: tests compare
     `build_radon_system`'s graph and SVD ranks against it, and
-    `_graph_solve` cross-checks the graph rank of small systems with it.
+    `_slice_solve` cross-checks the slice rank of small systems with it.
     Its Python loop over columns is too slow for anything larger.
     """
     M = np.array(A, dtype=float)
@@ -319,105 +325,71 @@ def _components(n: int, u: np.ndarray,
     return int(root.sum()), (np.cumsum(root) - 1)[parent]
 
 
-def _factor(A: CSR, b: np.ndarray,
-            split: int | None) -> tuple[int, str, np.ndarray]:
-    """Rank of the stacked Radon matrix A, how it was found ("graph" or
-    "svd"), and A^+ b, the minimum-norm least-squares solution through
-    the singular values the rank counts; split is the first row of the
-    second view when there are two views, None otherwise.
+def _exponent(values) -> int:
+    """The e with max|values| in [2^(e-1), 2^e), 0 when every value is 0:
+    both solves work on 2^-f A x = 2^-e b, with entries in [0.5, 1), so
+    sinograms near 1e-200 or 1e300 and spacings near 1e-200 or 1e200
+    solve like any others."""
+    return int(np.frexp(np.max(np.abs(values), initial=0.0))[1])
+
+
+def _slice_solve(A: CSR, b: np.ndarray, grid: GridHeader, q: int,
+                 p: int) -> tuple[int, np.ndarray]:
+    """Rank of A and A^+ b in closed form for two axis-aligned views, the
+    first along axis q and the second along p.
+
+    Each view puts each voxel on one pixel with weight h, the spacing, so
+    a slice across the axis s = 3 - p - q both views see, m x n voxels
+    (m = dims[p], n = dims[q]), is seen through h times its m row sums and
+    n column sums alone, of rank m + n - 1.  Projecting b onto A's range
+    moves the slice's sums R and C of its two views' pixels to R - m delta,
+    delta = (R - C) / (m + n), and the least voxels with those sums are
+    ((b_1 - delta) / n + (b_2 + delta) / m - (R - m delta) / (mn)) / h,
+    b_1 and b_2 the voxel's pixel values (Herman & Kuba, *Discrete
+    Tomography*, 1999).
     """
-    # both paths solve 2^-f A x = 2^-e b, the powers of two bringing
-    # max|A| and max|b| into [0.5, 1), and x is scaled back exactly, so
-    # sinograms near 1e-200 or 1e300 and spacings near 1e-200 or 1e200
-    # solve like any others
-    e = int(np.frexp(np.max(np.abs(b), initial=0.0))[1])
-    f = int(np.frexp(np.max(np.abs(A.data), initial=0.0))[1])
-    method, solved = "graph", _graph_solve(A, b, split, e, f)
-    if solved is None:
-        method, solved = "svd", _svd_solve(A, b, e, f)
-    return solved[0], method, np.ldexp(solved[1], e - f)
-
-
-def _graph_solve(A: CSR, b: np.ndarray, split: int | None, e: int,
-                 f: int) -> tuple[int, np.ndarray] | None:
-    """Rank and solution of 2^-f A x = 2^-e b in closed form when the
-    views before and from row `split` form a complete pixel graph, None
-    when they do not.
-
-    They form a pixel graph when every column holds one stored entry in
-    each view, all of one nonzero value h: A is then h times the
-    incidence matrix of a bipartite graph with a vertex per pixel and an
-    edge per voxel, of rank #rows - #components (a pixel with no voxel is
-    a component of its own).  It is complete when every component has
-    one voxel per pair of its first-view and second-view pixels.
-    """
-    rows, cols = A.shape
-    if split is None or not (A.nnz and A.data[0] != 0
-                             and np.all(A.data == A.data[0])):
-        return None
-    # voxel j is the edge between its pixels ends[0, j] and ends[1, j]
-    ends = np.empty((2, cols), dtype=np.intp)
-    cut = A.indptr[split]
-    for end, part in zip(ends, (slice(0, cut), slice(cut, None))):
-        if np.any(np.bincount(A.indices[part], minlength=cols) != 1):
-            return None
-        end[A.indices[part]] = A.row[part]
-    ncomp, label = _components(rows, *ends)
-    m = np.bincount(label[:split], minlength=ncomp)
-    n = np.bincount(label[split:], minlength=ncomp)
-    # complete: with each component's pixels numbered from 0, first view
-    # first, and its pixel pairs after those of the components before
-    # it, every pair holds exactly one voxel
-    pos = np.empty(rows, dtype=np.intp)
-    pos[np.argsort(label, kind="stable")] = np.arange(rows)
-    pos -= (np.cumsum(m + n) - m - n)[label]
-    c = label[ends[0]]
-    slot = pos[ends[0]] * n[c]
-    slot += pos[ends[1]]
-    slot += (np.cumsum(m * n) - m * n - m)[c]
-    if np.sum(m * n) != cols or np.any(
-            np.bincount(slot, minlength=cols) != 1):
-        return None
-    del slot, pos
-    rank = rows - ncomp
-    if rows * cols <= _ORACLE_CHECK_ENTRIES:
+    dims = grid.dims
+    m, n = dims[p], dims[q]
+    e, f = _exponent(b), _exponent(grid.spacing)
+    # each view holds one entry per voxel, so row k of A's entries reshaped
+    # to (2, voxels) is view k's: seen[k, j] is the value of the pixel of
+    # view k that voxel j lies on
+    seen = np.empty((2, A.shape[1]))
+    np.put_along_axis(seen, A.indices.reshape(2, -1), np.repeat(
+        np.ldexp(b, -e), np.diff(A.indptr)).reshape(2, -1), axis=1)
+    # view 1's values are constant along q and view 2's along p, so one
+    # plane of each holds them; R, C and delta are one value per slice
+    b_1 = np.take(seen[0].reshape(dims), [0], axis=q)
+    b_2 = np.take(seen[1].reshape(dims), [0], axis=p)
+    del seen
+    sum_r = b_1.sum(axis=p, keepdims=True)
+    delta = (sum_r - b_2.sum(axis=q, keepdims=True)) / (m + n)
+    x = (b_1 - delta) / n + (b_2 + delta) / m
+    x -= (sum_r - m * delta) / (m * n)
+    x /= np.ldexp(grid.spacing, -f)
+    rank = dims[3 - p - q] * (m + n - 1)
+    if A.shape[0] * A.shape[1] <= _ORACLE_CHECK_ENTRIES:
         check = elimination_rank(A.toarray())
         if check != rank:
             raise NumericalError(
-                f"graph rank {rank} != elimination rank {check}")
-    # projecting b onto A's range moves a component's sums R and C over its
-    # m and n pixels of each view to T = R - m delta, delta = (R - C) /
-    # (m + n), and the least voxels with those sums are ((b_a - delta) / n
-    # + (b_b + delta) / m - T / (mn)) / h for the voxel of pixels a and b
-    b = np.ldexp(b, -e)
-    sum_r = np.bincount(label[:split], weights=b[:split], minlength=ncomp)
-    delta = (sum_r - np.bincount(label[split:], weights=b[split:],
-                                 minlength=ncomp)) / (m + n)
-    mean = np.divide(sum_r - m * delta, m * n, out=np.zeros(ncomp),
-                     where=m * n > 0)
-    x = b[ends[0]] - delta[c]
-    x /= n[c]
-    second = b[ends[1]] + delta[c]
-    second /= m[c]
-    x += second
-    del second
-    x -= mean[c]
-    x /= np.ldexp(A.data[0], -f)
-    return rank, x
+                f"slice rank {rank} != elimination rank {check}")
+    return rank, np.ldexp(x, e - f).ravel()
 
 
-def _svd_solve(A: CSR, b: np.ndarray, e: int,
-               f: int) -> tuple[int, np.ndarray]:
-    """Rank of A and the minimum-norm least-squares solution of
-    A' x = 2^-e b, A' = 2^-f A, one factorization per component.
+def _factor(A: CSR, b: np.ndarray) -> tuple[int, np.ndarray]:
+    """Rank of A and A^+ b, the minimum-norm least-squares solution
+    through the singular values the rank counts, one factorization per
+    component.
 
     The rank of a sparse matrix is the sum of the ranks of the connected
     components of its bipartite row/column sparsity graph (the coarse
     block-triangular form of Pothen & Fan).  A singular value counts when
     it is above _RANK_TOL times the largest over all components, which
     are those of the whole matrix.  `_require_memory` counts the largest
-    component's dense values before any is densified.
+    component's dense values before any is densified.  The components
+    factor A' = 2^-f A against 2^-e b (`_exponent`).
     """
+    e, f = _exponent(b), _exponent(A.data)
     rows, cols = A.shape
     # a row or column without an entry is a component of rank 0 of its own,
     # so only the others are vertices: row ur[i] is vertex i and column
@@ -494,13 +466,15 @@ def _svd_solve(A: CSR, b: np.ndarray, e: int,
         y[rows_c] += vt[:k].T @ (coef[:k] / s[:k] ** 2)
     np.ldexp(A.data, -f, out=data)
     data *= y[A.row]
-    return _rank_above(svals, smax), np.bincount(A.indices, weights=data,
-                                                 minlength=cols)
+    x = np.bincount(A.indices, weights=data, minlength=cols)
+    return _rank_above(svals, smax), np.ldexp(x, e - f)
 
 
 def build_radon_system(specs, grid: GridHeader, sinograms) -> RadonSystem:
     """Assemble the linear system tying voxel densities to sinogram rays,
-    with its rank and its minimum-norm least-squares solution (`_factor`).
+    with its rank and its minimum-norm least-squares solution: the frames
+    choose how, `_slice_solve` for two axis-aligned views along different
+    axes and `_factor` for any other views.
 
     One row per sinogram pixel, one column per voxel of `grid`: each
     view's block is `projection_operator`, the operator `project_voxels`
@@ -522,9 +496,13 @@ def build_radon_system(specs, grid: GridHeader, sinograms) -> RadonSystem:
     _require_memory(what, rows, nvox, sum(op.nnz for op in ops))
     A = CSR.vstack(ops)
     del ops  # the factorization holds the stacked copy alone
-    split = sinos[0].values.size if len(sinos) == 2 else None
     b = np.concatenate([sino.values.ravel() for sino in sinos])
-    rank, method, x = _factor(A, b, split)
+    align = [_axis_alignment(spec) for spec in specs]
+    if len(specs) == 2 and None not in align and align[0][4] != align[1][4]:
+        method, (rank, x) = "graph", _slice_solve(A, b, grid, align[0][4],
+                                                  align[1][4])
+    else:
+        method, (rank, x) = "svd", _factor(A, b)
     return RadonSystem(A, b, rank, grid, method, x.reshape(grid.dims))
 
 

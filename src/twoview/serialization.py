@@ -17,7 +17,6 @@ also JSON's encoding.
 from __future__ import annotations
 
 import csv
-import io
 import json
 from contextlib import contextmanager
 from pathlib import Path
@@ -180,14 +179,15 @@ def _write_rows(path, array2d) -> None:
 def _read_rows(path) -> np.ndarray:
     """The float rows of a CSV file; blank lines are skipped and a file with
     no rows gives an empty 1-D array."""
-    with _reading(path, "CSV"):
-        with open(path, "r", newline="", encoding="utf-8") as fh:
-            text = fh.read()
-        if not text.strip("\r\n"):  # np.loadtxt warns when it finds no rows
+    with _reading(path, "CSV"), open(path, "r", newline="",
+                                     encoding="utf-8") as fh:
+        # np.loadtxt warns when it finds no rows; it parses the open file,
+        # holding no copy of its text
+        if not any(line.strip("\r\n") for line in fh):
             return np.array([], dtype=float)
-        return np.loadtxt(io.StringIO(text, newline=""), dtype=float,
-                          delimiter=",", ndmin=2, comments=None,
-                          quotechar='"')
+        fh.seek(0)
+        return np.loadtxt(fh, dtype=float, delimiter=",", ndmin=2,
+                          comments=None, quotechar='"')
 
 
 def _save_grid(path, kind: str, header, values: np.ndarray) -> None:
@@ -272,13 +272,18 @@ def save_matrix_market(A: CSR, path) -> None:
     The header is `%%MatrixMarket matrix coordinate real general`, a `%`
     line and `rows cols nnz`; then one `i j v` line per stored entry, in
     CSR order and 1-based, v the shortest round-trip `%r` of the value.
+    The 1-based indices are made for _WRITE_VALUES entries at a time, so
+    the writer holds no array as long as A's.
     """
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("%%%%MatrixMarket matrix coordinate real general\n%%\n"
                  "%d %d %d\n" % (*A.shape, A.nnz))
-        _write_formatted(fh, "%d %d %r\n",
-                         (A.row + 1, A.indices + 1,
-                          np.asarray(A.data, dtype=float)))
+        for lo in range(0, A.nnz, _WRITE_VALUES):
+            k = np.arange(lo, min(lo + _WRITE_VALUES, A.nnz))
+            # the rows that start at or before entry k count its 1-based row
+            _write_formatted(fh, "%d %d %r\n", (
+                np.searchsorted(A.indptr, k, side="right"),
+                A.indices[k] + 1, np.asarray(A.data[k], dtype=float)))
 
 
 # -- composition tables -----------------------------------------------------

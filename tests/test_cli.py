@@ -392,6 +392,21 @@ class TestBoundaryValidation:
         assert len(lines) == 1
         return json.loads(lines[0])
 
+    def test_lattices_nine_times_apart_exit_2(self, tmp_path, capsys):
+        # spacings 1e-13 and 9e-13 once matched, and hantjies combined
+        # fields on both lattices into a wrong answer
+        x = grid_file(fixture_path("field_contact_x.json"),
+                      tmp_path / "x.json", spacing=1e-13)
+        y = grid_file(fixture_path("field_contact_y.json"),
+                      tmp_path / "y.json", spacing=9e-13)
+        c = grid_file(fixture_path("conn_flat.json"), tmp_path / "c.json",
+                      spacing=1e-13)
+        out = tmp_path / "out"
+        assert run("diagnose", "hantjies", "--field-x", x, "--field-y", y,
+                   "--connection", c, "--out", out) == 2
+        assert self.error(capsys)["error"] == "HeaderMismatch"
+        assert not (out / "run.json").exists()
+
     def test_nan_sinogram(self, tmp_path, capsys):
         (tmp_path / "s1.csv").write_text("1.0,nan\n2.0,3.0\n")
         (tmp_path / "s2.csv").write_text("1.0,2.0\n2.0,3.0\n")
@@ -756,8 +771,9 @@ class TestMemoryModel:
         assert peaks[1] <= peaks[0] + 128 * ser._WRITE_VALUES
 
     def test_model_bounds_the_project_peak(self, tmp_path, needs):
-        # reading the grid file takes about 107 B per voxel before any
-        # guard runs; the model counts 55 B and one 56 B entry per voxel
+        # reading the grid file once took about 107 B per voxel before any
+        # guard ran (41 B in all now that the reader parses the open file);
+        # the model counts 55 B and one 56 B entry per voxel
         n = 64
         grid = VoxelGrid((n, n, n), 1.0, -(n - 1) / 2 * np.ones(3),
                          np.random.default_rng(n).uniform(0.0, 1.0, (n,) * 3))

@@ -547,6 +547,24 @@ class TestGridHeader:
             GridHeader((2, 2, 2), spacing, (0, 0, 0))
         assert GridHeader((2, 2, 2), 2.0**-1022, (0, 0, 0)).spacing > 0
 
+    def test_lattices_nine_times_apart_differ(self):
+        # absolute tolerances of 1e-12 matched spacings 1e-13 and 9e-13,
+        # and origins nine spacings apart on them
+        grid = GridHeader((2, 2, 2), 1e-13, (0, 0, 0))
+        assert not grid.matches(GridHeader((2, 2, 2), 9e-13, (0, 0, 0)))
+        assert not grid.matches(GridHeader((2, 2, 2), 1e-13, (9e-13, 0, 0)))
+
+    @pytest.mark.parametrize("h", [1e-13, 0.05, 1e6])
+    def test_one_ulp_apart_still_match(self, h):
+        origin = np.array([-2.5 * h, 0.3, 0.0])
+        grid = GridHeader((2, 3, 4), h, origin)
+        for spacing, shifted in ((np.nextafter(h, 2 * h), origin),
+                                 (h, np.nextafter(origin, np.inf)),
+                                 (np.nextafter(h, 0), np.nextafter(origin,
+                                                                   -np.inf))):
+            other = GridHeader((2, 3, 4), spacing, shifted)
+            assert grid.matches(other) and other.matches(grid)
+
     def test_a_voxel_grid_is_its_lattice_plus_values(self):
         grid = VoxelGrid((2, 3, 4), 0.5, (1, 2, 3), np.ones((2, 3, 4)))
         assert grid.matches(GridHeader((2, 3, 4), 0.5, (1, 2, 3)))

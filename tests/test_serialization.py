@@ -455,3 +455,12 @@ class TestBundledFixtures:
         assert np.all(conn.gamma == 0)
         magma = ser.load_magma(fixture_path("z4_table.csv"))
         assert magma.order == 4
+
+    def test_grid_headers_match_each_other(self):
+        from twoview.data import fixture_path
+        heads = [ser.load_vector_field(fixture_path(name + ".json")).header
+                 for name in ("field_contact_x", "field_contact_y",
+                              "field_coord_x", "field_coord_y")]
+        heads.append(ser.load_connection(fixture_path("conn_flat.json"))
+                     .header)
+        assert all(a.matches(b) for a in heads for b in heads)
