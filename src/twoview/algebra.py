@@ -18,6 +18,7 @@ import numpy as np
 
 from . import diffgeo
 from .errors import DimMismatch, GridTooSmall
+from .geometry import _as_array
 
 UNDEFINED = -1
 
@@ -128,11 +129,10 @@ class TwistMap:
 
     @np.errstate(over="ignore")  # c + c^T of huge entries may be infinite
     def __post_init__(self):
-        c = np.asarray(self.coeffs, dtype=float)
-        if c.shape != (3, 3, 3) or not np.all(np.isfinite(c)):
-            raise DimMismatch(
-                f"twist coefficients must be a finite 3x3x3 array, "
-                f"got shape {c.shape}")
+        c = _as_array(self.coeffs, None, "twist coefficients")
+        if c.shape != (3, 3, 3):
+            raise DimMismatch(f"twist coefficients must be a 3x3x3 array, "
+                              f"got shape {c.shape}")
         if np.max(np.abs(c + np.swapaxes(c, 1, 2))) > 0.0:
             raise DimMismatch("twist coefficients must be antisymmetric in (i, j)")
         object.__setattr__(self, "coeffs", c)

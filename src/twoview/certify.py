@@ -23,6 +23,7 @@ from .geometry import (
     PointCloud,
     ProjectionSpec,
     TransversalityCheck,
+    _as_array,
     check_transversality,
 )
 
@@ -54,16 +55,17 @@ class Certificate:
 
 @dataclass(frozen=True)
 class TrivializationCoords:
-    """The coordinate pair (mu1, mu2) of an object."""
+    """The coordinate pair (mu1, mu2) of an object.
+
+    Raises DimMismatch unless each is a finite 2-vector.
+    """
 
     mu1: np.ndarray
     mu2: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "mu1",
-                           np.asarray(self.mu1, dtype=float).reshape(2))
-        object.__setattr__(self, "mu2",
-                           np.asarray(self.mu2, dtype=float).reshape(2))
+        object.__setattr__(self, "mu1", _as_array(self.mu1, 2, "mu1"))
+        object.__setattr__(self, "mu2", _as_array(self.mu2, 2, "mu2"))
 
 
 def certificate(spec1: ProjectionSpec, spec2: ProjectionSpec,

@@ -26,7 +26,7 @@ from .errors import (
     NumericalError,
     PathOutsideGrid,
 )
-from .geometry import GridHeader, _require_tol, _trilinear_weights
+from .geometry import GridHeader, _as_array, _require_tol, _trilinear_weights
 
 _STEPS_PER_SPACING = 4  # RK4 steps per node spacing of path length
 # X and Y count as nearly parallel where the sine of their angle is at most
@@ -75,14 +75,13 @@ def interior_mask(dims, depth: int = 1) -> np.ndarray:
 def _node_array(header: GridHeader, values, tail: tuple,
                 what: str) -> np.ndarray:
     """`values` shaped header.dims + tail.  Raises GridTooSmall unless every
-    axis has the >= 3 nodes the derivative stencils need, and
-    HeaderMismatch unless every sample is finite."""
+    axis has the >= 3 nodes the derivative stencils need, DimMismatch
+    unless the values fill that shape, and HeaderMismatch unless every
+    sample is finite."""
     if any(d < 3 for d in header.dims):
         raise GridTooSmall(f"need >= 3 nodes per axis, got {header.dims}")
-    a = np.asarray(values, dtype=float).reshape(header.dims + tail)
-    if not np.all(np.isfinite(a)):
-        raise HeaderMismatch(f"non-finite {what} samples")
-    return a
+    return _as_array(values, header.dims + tail, f"{what} samples",
+                     HeaderMismatch)
 
 
 @dataclass(frozen=True)
@@ -326,11 +325,14 @@ def parallel_transport(conn: ConnectionField, path, v0) -> np.ndarray:
     interpolated.  A segment of length L takes n = max(1, ceil(L / (spacing
     / 4))) steps; Gamma(gamma', .) is gathered at its 2n + 1 stage points,
     the first one more than 1e-9 spacings off the grid raising PathOutsideGrid.
+    A repeated vertex adds no step.  Raises DimMismatch unless the path's
+    vertices and v0 are finite 3-vectors, and GridTooSmall for a path of
+    fewer than 2 vertices.
     """
-    pts = np.asarray(path, dtype=float).reshape(-1, 3)
+    pts = _as_array(path, (-1, 3), "path")
     if pts.shape[0] < 2:
         raise GridTooSmall("path needs at least 2 points")
-    v = np.asarray(v0, dtype=float).reshape(3).copy()
+    v = _as_array(v0, 3, "vector").copy()
     h, dims = conn.header, np.asarray(conn.header.dims)
     hmax = h.spacing / _STEPS_PER_SPACING
     for a, b in zip(pts[:-1], pts[1:]):

@@ -46,11 +46,24 @@ _MEMORY_LIMIT = 2**28
 _ROW_BYTES, _VOXEL_BYTES, _ENTRY_BYTES, _SAMPLE_BYTES = 59, 55, 56, 640
 
 
-def _as_vec3(x) -> np.ndarray:
-    v = np.asarray(x, dtype=float).reshape(3)
-    if not np.all(np.isfinite(v)):
-        raise DimMismatch(f"non-finite 3-vector: {x!r}")
-    return v
+def _as_array(x, shape, what: str, error=DimMismatch) -> np.ndarray:
+    """`x` as a float array reshaped to `shape` (None keeps its shape): the
+    one coercion of every record and array entry point.
+
+    Raises DimMismatch when x is not a rectangular array of numbers, holds
+    an integer past float64 or does not fit `shape`, and `error` when an
+    entry is not finite: DimMismatch, but for `diffgeo`'s node samples,
+    whose non-finite entries are the CLI's HeaderMismatch.
+    """
+    try:
+        a = np.asarray(x, dtype=float)
+        if shape is not None:
+            a = a.reshape(shape)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise DimMismatch(f"malformed {what}: {exc}") from exc
+    if not np.all(np.isfinite(a)):
+        raise error(f"non-finite {what}")
+    return a
 
 
 def _trilinear_weights(frac: np.ndarray) -> np.ndarray:
@@ -79,21 +92,22 @@ class PointCloud:
 
     positions : (N, 3) float array
     weights   : (N,) nonnegative float array
+
+    Raises DimMismatch unless both are finite, of one length, and the
+    weights are >= 0.
     """
 
     positions: np.ndarray
     weights: np.ndarray
 
     def __post_init__(self):
-        pos = np.asarray(self.positions, dtype=float).reshape(-1, 3)
-        w = np.asarray(self.weights, dtype=float).reshape(-1)
+        pos = _as_array(self.positions, (-1, 3), "positions")
+        w = _as_array(self.weights, -1, "weights")
         if pos.shape[0] != w.shape[0]:
             raise DimMismatch(
                 f"{pos.shape[0]} positions vs {w.shape[0]} weights")
-        if not np.all(np.isfinite(pos)):
-            raise DimMismatch("non-finite positions")
-        if np.any(w < 0) or not np.all(np.isfinite(w)):
-            raise DimMismatch("weights must be finite and >= 0")
+        if np.any(w < 0):
+            raise DimMismatch("weights must be >= 0")
         object.__setattr__(self, "positions", pos)
         object.__setattr__(self, "weights", w)
 
@@ -105,24 +119,26 @@ class PointCloud:
         return float(self.weights.sum())
 
     def translated(self, t) -> "PointCloud":
-        return PointCloud(self.positions + _as_vec3(t), self.weights)
+        return PointCloud(self.positions + _as_array(t, 3, "translation"),
+                          self.weights)
 
 
 @dataclass(frozen=True)
 class Projected2D:
-    """Planar image of a cloud: 2-D positions with carried-through weights."""
+    """Planar image of a cloud: 2-D positions with carried-through weights.
+
+    Raises DimMismatch unless both are finite and of one length.
+    """
 
     positions: np.ndarray
     weights: np.ndarray
 
     def __post_init__(self):
-        pos = np.asarray(self.positions, dtype=float).reshape(-1, 2)
-        w = np.asarray(self.weights, dtype=float).reshape(-1)
+        pos = _as_array(self.positions, (-1, 2), "image positions")
+        w = _as_array(self.weights, -1, "image weights")
         if pos.shape[0] != w.shape[0]:
             raise DimMismatch(
                 f"{pos.shape[0]} positions vs {w.shape[0]} weights")
-        if not (np.all(np.isfinite(pos)) and np.all(np.isfinite(w))):
-            raise DimMismatch("image positions and weights must be finite")
         object.__setattr__(self, "positions", pos)
         object.__setattr__(self, "weights", w)
 
@@ -154,13 +170,13 @@ class GridHeader:
         if len(dims) != 3 or any(d < 1 for d in dims):
             raise DimMismatch(f"dims must be three integers >= 1, "
                               f"got {self.dims!r}")
-        spacing = float(self.spacing)
-        if not (spacing >= np.finfo(float).tiny and np.isfinite(spacing)):
+        spacing = float(_as_array(self.spacing, (), "spacing"))
+        if not spacing >= np.finfo(float).tiny:
             raise DimMismatch(f"spacing must be finite and >= 2^-1022, "
                               f"got {self.spacing}")
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "spacing", spacing)
-        object.__setattr__(self, "origin", _as_vec3(self.origin))
+        object.__setattr__(self, "origin", _as_array(self.origin, 3, "origin"))
 
     def matches(self, other: "GridHeader") -> bool:
         """Same dims, spacings within 1e-12 of the larger spacing h, and
@@ -194,21 +210,28 @@ class VoxelGrid(GridHeader):
     spacing : voxel edge length
     origin  : position of the center of voxel (0, 0, 0)
     values  : (nx, ny, nz) array of densities
+
+    Raises DimMismatch, beside the lattice's own rule, unless the values
+    are dims-shaped, finite and >= 0.
     """
 
     values: np.ndarray
 
     def __post_init__(self):
         super().__post_init__()
-        vals = np.asarray(self.values, dtype=float).reshape(self.dims)
-        if not np.all(np.isfinite(vals)) or np.any(vals < 0):
-            raise DimMismatch("voxel values must be finite and >= 0")
+        vals = _as_array(self.values, self.dims, "voxel values")
+        if np.any(vals < 0):
+            raise DimMismatch("voxel values must be >= 0")
         object.__setattr__(self, "values", vals)
 
 
 @dataclass(frozen=True)
 class ProjectionSpec:
-    """Right-handed orthonormal frame: u, w span the image plane, n views."""
+    """Right-handed orthonormal frame: u, w span the image plane, n views.
+
+    Raises DimMismatch unless u, w and n are finite 3-vectors, and
+    InvalidFrame unless they are orthonormal with det [u w n] = +1.
+    """
 
     u: np.ndarray
     w: np.ndarray
@@ -216,7 +239,8 @@ class ProjectionSpec:
 
     @np.errstate(over="ignore", invalid="ignore")  # |v|^2 of a huge v is inf
     def __post_init__(self):
-        u, w, n = _as_vec3(self.u), _as_vec3(self.w), _as_vec3(self.n)
+        u, w, n = (_as_array(getattr(self, k), 3, f"frame vector {k}")
+                   for k in "uwn")
         for name, v in (("u", u), ("w", w), ("n", n)):
             if abs(np.dot(v, v) - 1.0) > 2 * _ORTHO_TOL:
                 raise InvalidFrame(f"|{name}| != 1 (got {np.linalg.norm(v)})")
@@ -230,19 +254,19 @@ class ProjectionSpec:
         object.__setattr__(self, "w", w)
         object.__setattr__(self, "n", n)
 
-    def matrix(self) -> np.ndarray:
-        """Rows (u, w, n): maps world coords to (plane-x, plane-y, depth)."""
-        return np.vstack([self.u, self.w, self.n])
-
 
 @dataclass(frozen=True)
 class Involution:
-    """Orthogonal matrix squaring to the identity."""
+    """Orthogonal matrix squaring to the identity.
+
+    Raises DimMismatch unless the matrix is a finite 3x3 array, and
+    InvalidInvolution unless it is an orthogonal involution.
+    """
 
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=float).reshape(3, 3)
+        m = _as_array(self.matrix, (3, 3), "involution matrix")
         if np.max(np.abs(m @ m.T - np.eye(3))) > 1e-12:
             raise InvalidInvolution("matrix is not orthogonal")
         if np.max(np.abs(m @ m - np.eye(3))) > 1e-12:
@@ -252,14 +276,18 @@ class Involution:
 
 @dataclass(frozen=True)
 class BackprojectionRay:
-    """All points base + t * direction project to one observation."""
+    """All points base + t * direction project to one observation.
+
+    Raises DimMismatch unless both are finite 3-vectors, and InvalidFrame
+    unless the direction is unit.
+    """
 
     base: np.ndarray
     direction: np.ndarray
 
     def __post_init__(self):
-        b = _as_vec3(self.base)
-        d = _as_vec3(self.direction)
+        b = _as_array(self.base, 3, "ray base")
+        d = _as_array(self.direction, 3, "ray direction")
         nrm = np.linalg.norm(d)
         if abs(nrm - 1.0) > 1e-9:
             raise InvalidFrame(f"ray direction not unit (|d| = {nrm})")
@@ -275,17 +303,15 @@ class Sinogram:
     """Line-integral image: values[iu, iw] is pixel (iu, iw) of the
     `pixel_center_coords` lattice of the grid it was projected from.
 
-    Raises DimMismatch unless the values are 2-D and finite.
+    Raises DimMismatch unless the values are a finite 2-D array.
     """
 
     values: np.ndarray
 
     def __post_init__(self):
-        vals = np.asarray(self.values, dtype=float)
+        vals = _as_array(self.values, None, "sinogram values")
         if vals.ndim != 2:
             raise DimMismatch("sinogram values must be 2-D")
-        if not np.all(np.isfinite(vals)):
-            raise DimMismatch("sinogram values must be finite")
         object.__setattr__(self, "values", vals)
 
 
@@ -357,14 +383,6 @@ class CSR:
             raise DimMismatch(f"vector shape {x.shape} != ({self.shape[1]},)")
         return np.bincount(self.row, weights=self.data * x[self.indices],
                            minlength=self.shape[0])
-
-    def rmatvec(self, y) -> np.ndarray:
-        """A^T @ y, each column summed over its entries in row order."""
-        y = np.asarray(y, dtype=float)
-        if y.shape != (self.shape[0],):
-            raise DimMismatch(f"vector shape {y.shape} != ({self.shape[0]},)")
-        return np.bincount(self.indices, weights=self.data * y[self.row],
-                           minlength=self.shape[1])
 
     def toarray(self) -> np.ndarray:
         """The dense matrix, duplicate entries summed."""
@@ -629,8 +647,11 @@ def apply_involution(spec: ProjectionSpec, inv: Involution) -> ProjectionSpec:
 
 
 def backproject(obs, spec: ProjectionSpec) -> BackprojectionRay:
-    """Fiber of a planar observation: the ray along the viewing direction."""
-    o = np.asarray(obs, dtype=float).reshape(2)
+    """Fiber of a planar observation: the ray along the viewing direction.
+
+    Raises DimMismatch unless obs is a finite 2-vector.
+    """
+    o = _as_array(obs, 2, "observation")
     base = o[0] * spec.u + o[1] * spec.w
     return BackprojectionRay(base, spec.n)
 

@@ -13,31 +13,37 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ZeroMass
-from .geometry import PointCloud, Projected2D, ProjectionSpec
+from .geometry import PointCloud, Projected2D, ProjectionSpec, _as_array
 
 
 @dataclass(frozen=True)
 class MomentValue:
-    """Centroid (plane coordinates) plus the total mass it was taken over."""
+    """Centroid (plane coordinates) plus the total mass it was taken over.
+
+    Raises DimMismatch unless the centroid is a finite 2-vector.
+    """
 
     centroid: np.ndarray
     total_mass: float
 
     def __post_init__(self):
-        c = np.asarray(self.centroid, dtype=float).reshape(2)
-        object.__setattr__(self, "centroid", c)
+        object.__setattr__(self, "centroid",
+                           _as_array(self.centroid, 2, "centroid"))
         object.__setattr__(self, "total_mass", float(self.total_mass))
 
 
 @dataclass(frozen=True)
 class SecondMoment3D:
-    """Central second-moment tensor of a cloud (symmetric PSD 3x3)."""
+    """Central second-moment tensor of a cloud (symmetric PSD 3x3).
+
+    Raises DimMismatch unless the matrix is a finite 3x3 array.
+    """
 
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=float).reshape(3, 3)
-        object.__setattr__(self, "matrix", m)
+        object.__setattr__(self, "matrix", _as_array(
+            self.matrix, (3, 3), "second-moment matrix"))
 
     def eigen(self):
         """Eigenvalues ascending and the matching unit eigenvectors."""

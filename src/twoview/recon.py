@@ -35,6 +35,7 @@ from .geometry import (
     ProjectionSpec,
     project_points,
     projection_operator,
+    _as_array,
     _axis_alignment,
     _canonical_sign,
     _cross_norm,
@@ -68,12 +69,10 @@ class ConstraintRow:
     rhs: float = 0.0
 
     def __post_init__(self):
-        o = np.asarray(self.omega, dtype=float).reshape(-1)
+        o = _as_array(self.omega, -1, "omega")
         if o.shape[0] not in (3, 4):
             raise DimMismatch(f"omega must have 3 or 4 components, got {o.shape[0]}")
-        rhs = float(self.rhs)
-        if not (np.all(np.isfinite(o)) and np.isfinite(rhs)):
-            raise DimMismatch("omega and rhs must be finite")
+        rhs = float(_as_array(self.rhs, (), "rhs"))
         if np.linalg.norm(o) <= 1e-12:
             raise DimMismatch("omega is identically zero")
         object.__setattr__(self, "omega", o)
@@ -94,8 +93,8 @@ class RadonSystem:
     """Sparse ray/voxel incidence system A x = b.
 
     rows is A, a canonical `CSR` matrix: rows[r, voxel] is the
-    intersection length of ray r with that voxel (`rows @ x` is A x and
-    `rows.rmatvec(y)` is A^T y); b stacks the observed sinogram values.
+    intersection length of ray r with that voxel (`rows @ x` is A x); b
+    stacks the observed sinogram values.
     rank_method names how rank was found: "graph" for two axis-aligned
     views along different axes (m + n - 1 per m x n slice across the axis
     both views see, each slice a complete bipartite pixel graph K_{m,n},
@@ -165,10 +164,11 @@ def triangulate(obs1, obs2, spec1: ProjectionSpec, spec2: ProjectionSpec,
     the same map to every point at once.
 
     Raises NonTransverse when the viewing directions are coaxial within
-    tol (|n1 x n2| <= tol).
+    tol (|n1 x n2| <= tol), and DimMismatch unless each observation is a
+    finite 2-vector.
     """
-    o1 = np.asarray(obs1, dtype=float).reshape(2)
-    o2 = np.asarray(obs2, dtype=float).reshape(2)
+    o1 = _as_array(obs1, 2, "observation 1")
+    o2 = _as_array(obs2, 2, "observation 2")
     return _triangulation_map(spec1, spec2, tol) @ np.concatenate([o1, o2])
 
 
@@ -262,11 +262,11 @@ def _rank_above(svals: np.ndarray, smax: float) -> int:
     return int(np.sum(svals > _RANK_TOL * smax)) if smax > 0 else 0
 
 
-def elimination_rank(A: np.ndarray, tol: float = _RANK_TOL) -> int:
+def elimination_rank(A: np.ndarray) -> int:
     """Rank by Gaussian elimination with partial pivoting.
 
-    A pivot counts when its magnitude exceeds tol times the largest pivot
-    seen so far (the first pivot is the largest entry of the matrix).
+    A pivot counts when its magnitude exceeds _RANK_TOL times the largest
+    entry of the matrix.
     This is the reference oracle for the Radon rank: tests compare
     `build_radon_system`'s graph and SVD ranks against it, and
     `_slice_solve` cross-checks the slice rank of small systems with it.
@@ -283,7 +283,7 @@ def elimination_rank(A: np.ndarray, tol: float = _RANK_TOL) -> int:
         if row >= nrows:
             break
         p = row + int(np.argmax(np.abs(M[row:, col])))
-        if abs(M[p, col]) <= tol * scale:
+        if abs(M[p, col]) <= _RANK_TOL * scale:
             continue
         M[[row, p]] = M[[p, row]]
         M[row + 1:] -= np.outer(M[row + 1:, col] / M[row, col], M[row])

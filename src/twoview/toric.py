@@ -24,7 +24,8 @@ from .errors import (
     Inconsistent,
     InputError,
 )
-from .geometry import PointCloud, ProjectionSpec, _canonical_sign, _require_tol
+from .geometry import (PointCloud, ProjectionSpec, _as_array, _canonical_sign,
+                       _require_tol)
 
 CONTINUOUS = "continuous"
 _DIAMETER_BLOCK = 2**18  # pairwise distances per block of a distance scan
@@ -40,8 +41,9 @@ class ToricReport:
 
 
 def _unit_axis(axis) -> np.ndarray:
-    """`axis` scaled to unit length; DimMismatch when zero or not finite."""
-    a = np.asarray(axis, dtype=float).reshape(3)
+    """`axis` scaled to unit length; DimMismatch unless it is three finite
+    numbers, not all zero."""
+    a = _as_array(axis, 3, "rotation axis, which must be finite and nonzero")
     norm = np.linalg.norm(a)
     if not (np.isfinite(norm) and norm > 0):
         raise DimMismatch(
@@ -52,7 +54,8 @@ def _unit_axis(axis) -> np.ndarray:
 def rotation_about(axis, angle: float) -> np.ndarray:
     """Rodrigues rotation matrix about the direction of `axis`.
 
-    Raises DimMismatch when the axis is zero or not finite.
+    Raises DimMismatch unless the axis is three finite numbers, not all
+    zero.
     """
     a = _unit_axis(axis)
     K = np.array([[0, -a[2], a[1]], [a[2], 0, -a[0]], [-a[1], a[0], 0]])
@@ -66,18 +69,6 @@ def _distances(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     d = u - v
     return np.sqrt(d[..., 0] * d[..., 0] + d[..., 1] * d[..., 1]
                    + d[..., 2] * d[..., 2])
-
-
-def _matching_residual(tree, rotated: np.ndarray) -> float:
-    """One-sided nearest-neighbour displacement, max over rotated points.
-
-    `tree` is a `scipy.spatial.cKDTree` of the unrotated points; its exact
-    (eps = 0) Euclidean query returns the dense nearest-neighbour
-    distances bitwise, without the N x N matrix.  Only `detect_axis`'s
-    branch where no candidate matches calls it.
-    """
-    dist, _ = tree.query(rotated)
-    return float(dist.max())
 
 
 def _diameter(pts: np.ndarray) -> float:
@@ -202,19 +193,22 @@ def detect_axis(cloud: PointCloud, orders, tol: float = 1e-8) -> ToricReport:
     finest symmetry); otherwise the overall minimum residual is reported.
     A repeated eigenvalue pair flags a continuous symmetry.  Raises
     DimMismatch when an order is below 2 or tol is NaN, negative or
-    infinite.
+    infinite, or when no order is given.
 
     A candidate passes when every rotated point has a partner within
     max(tol, tol * diameter), a fixed-radius question a `_CellGrid` at
     that radius answers exactly with numpy, and the residuals it reports
     are bitwise the nearest-neighbour ones.  Only when no candidate passes
-    does the report need failing residuals, which `_matching_residual`
-    takes from a `scipy.spatial.cKDTree`; InputError names that missing
-    dependency when scipy.spatial cannot be imported.
+    does the report need failing residuals: the one-sided nearest-neighbour
+    displacement, max over the rotated points, from an exact (eps = 0)
+    `scipy.spatial.cKDTree` query of the unrotated points, which returns
+    the dense nearest-neighbour distances bitwise without the N x N
+    matrix; InputError names that missing dependency when scipy.spatial
+    cannot be imported.
     """
     orders = [int(k) for k in orders]
-    if any(k < 2 for k in orders):
-        raise DimMismatch("symmetry orders must be >= 2")
+    if not orders or any(k < 2 for k in orders):
+        raise DimMismatch("symmetry orders must be one or more integers >= 2")
     _require_tol(tol)
     pts = cloud.positions
     if len(cloud) < 3:
@@ -232,11 +226,10 @@ def detect_axis(cloud: PointCloud, orders, tol: float = 1e-8) -> ToricReport:
     # a repeated eigenvalue pair means the second moment cannot distinguish
     # rotations about the lone eigenvector: flag a (potential) continuous
     # symmetry; regular polygons carry the flag alongside a discrete order
-    order_s = np.argsort(evals)
-    gaps = np.abs(np.diff(evals[order_s]))
+    gaps = np.diff(evals)  # eigh's eigenvalues ascend
     continuous = bool(np.min(gaps) <= tol * scale)
     pair = int(np.argmin(gaps))
-    lone = order_s[2] if pair == 0 else order_s[0]
+    lone = 2 if pair == 0 else 0
     cont_axis = _canonical_sign(evecs[:, lone])
     trials = [(tuple(_canonical_sign(evecs[:, ci])), k)
               for ci in range(3) for k in orders]
@@ -262,7 +255,7 @@ def detect_axis(cloud: PointCloud, orders, tol: float = 1e-8) -> ToricReport:
             f"needs scipy.spatial, which cannot be imported: {exc}") from exc
 
     tree = cKDTree(centered)
-    candidates = [(_matching_residual(tree, rotated(axis, k)), k, axis)
+    candidates = [(float(tree.query(rotated(axis, k))[0].max()), k, axis)
                   for axis, k in trials]
     if continuous:
         # no discrete order matched but the moment is rotation-degenerate

@@ -1757,7 +1757,7 @@ class TestFuzzedFiles:
     TWIST = [[[0.0] * 3] * 3] * 3
     ESCAPED = {
         "spec past float64": ("spec JSON", ".json", SPEC % BIG,
-                              "InputError"),
+                              "DimMismatch"),
         "spec of huge norm": ("spec JSON", ".json", SPEC % "1e308",
                               "InvalidFrame"),
         "table entry past int64": ("table CSV", ".csv",

@@ -532,6 +532,20 @@ class TestParallelTransport:
         with pytest.raises(PathOutsideGrid):
             parallel_transport(conn, [(0, 0, 0), (5, 0, 0)], (1, 0, 0))
 
+    def test_repeated_vertex_adds_no_step(self):
+        # a zero-length segment is skipped: a repeated vertex, first, inner
+        # or last, gives bitwise the vector of the path without it
+        header = GridHeader((5, 5, 3), 0.1, (0.8, 0.0, -0.1))
+        conn = sphere_connection(header)
+        path = [(0.9, 0.1, 0.0), (1.0, 0.25, 0.0), (1.1, 0.3, 0.05)]
+        v0 = (0.7, 0.4, 0.0)
+        v = parallel_transport(conn, path, v0)
+        assert not np.array_equal(v, v0)
+        for i in range(3):
+            repeated = path[:i + 1] + path[i:]
+            np.testing.assert_array_equal(
+                parallel_transport(conn, repeated, v0), v)
+
     def test_octant_holonomy(self):
         h = 0.01
         margin = 0.06

@@ -3,15 +3,23 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from twoview.algebra import TwistMap
+from twoview.certify import TrivializationCoords
+from twoview.diffgeo import ConnectionField, VectorFieldGrid, parallel_transport
 from twoview.errors import (
     DimMismatch,
+    HeaderMismatch,
     InvalidFrame,
     InvalidInvolution,
     NonTransverse,
+    TwoViewError,
 )
 from twoview.geometry import (
     CSR,
+    BackprojectionRay,
     GridHeader,
     Involution,
     PointCloud,
@@ -28,6 +36,9 @@ from twoview.geometry import (
     project_voxels,
     projection_operator,
 )
+from twoview.moments import MomentValue, SecondMoment3D
+from twoview.recon import ConstraintRow, triangulate
+from twoview.toric import rotation_about
 from twoview import geometry, recon
 from conftest import random_cloud, random_spec, rotated_about_z, tilted_spec
 
@@ -489,9 +500,7 @@ class TestCSR:
         op, _, _ = case
         same = sp.csr_matrix((op.data, op.indices, op.indptr), shape=op.shape)
         x = rng.standard_normal(op.shape[1])
-        y = rng.standard_normal(op.shape[0])
         np.testing.assert_array_equal(op @ x, same @ x)
-        np.testing.assert_array_equal(op.rmatvec(y), same.T @ y)
         np.testing.assert_array_equal(op.toarray(), same.toarray())
 
     def test_vstack_matches_scipy(self, rng):
@@ -516,8 +525,6 @@ class TestCSR:
                               (2, 3))
         with pytest.raises(DimMismatch):
             op @ np.ones(2)
-        with pytest.raises(DimMismatch):
-            op.rmatvec(np.ones(3))
 
 
 class TestCrossNorm:
@@ -632,3 +639,125 @@ class TestBackproject:
                 p = PointCloud([ray.point_at(t)], [1.0])
                 img = project_points(p, spec)
                 np.testing.assert_allclose(img.positions[0], obs, atol=1e-12)
+
+
+NODES = GridHeader((3, 3, 3), 1.0, (0, 0, 0))
+FLAT = ConnectionField.flat(NODES)
+# every record constructor and array entry point, with the one argument
+# each entry feeds it in place of an array
+BOUNDARY = {
+    "PointCloud positions": lambda x: PointCloud(x, [1.0]),
+    "PointCloud weights": lambda x: PointCloud([[0.0, 0.0, 0.0]], x),
+    "PointCloud.translated": lambda x: PointCloud([[0, 0, 0]], [1]).translated(x),
+    "Projected2D positions": lambda x: Projected2D(x, [1.0]),
+    "Projected2D weights": lambda x: Projected2D([[0.0, 0.0]], x),
+    "GridHeader origin": lambda x: GridHeader((2, 2, 2), 1.0, x),
+    "VoxelGrid values": lambda x: VoxelGrid((2, 1, 1), 1.0, (0, 0, 0), x),
+    "ProjectionSpec u": lambda x: ProjectionSpec(x, E[1], E[2]),
+    "ProjectionSpec n": lambda x: ProjectionSpec(E[0], E[1], x),
+    "Involution": Involution,
+    "BackprojectionRay base": lambda x: BackprojectionRay(x, E[2]),
+    "BackprojectionRay direction": lambda x: BackprojectionRay(E[0], x),
+    "Sinogram": Sinogram,
+    "backproject": lambda x: backproject(x, XY),
+    "ConstraintRow omega": ConstraintRow,
+    "ConstraintRow rhs": lambda x: ConstraintRow(E[0], x),
+    "triangulate": lambda x: triangulate([0.0, 0.0], x, XY, YZ),
+    "MomentValue": lambda x: MomentValue(x, 1.0),
+    "SecondMoment3D": SecondMoment3D,
+    "TrivializationCoords": lambda x: TrivializationCoords([0.0, 0.0], x),
+    "TwistMap": TwistMap,
+    "rotation_about": lambda x: rotation_about(x, 1.0),
+    "parallel_transport path": lambda x: parallel_transport(FLAT, x, E[0]),
+    "parallel_transport v0": lambda x: parallel_transport(
+        FLAT, [[0, 0, 0], [1, 1, 1]], x),
+    "VectorFieldGrid": lambda x: VectorFieldGrid(NODES, x),
+    "ConnectionField": lambda x: ConnectionField(NODES, x),
+}
+# a non-finite sample of a node array is the CLI's HeaderMismatch
+NODE_ARRAYS = ("VectorFieldGrid", "ConnectionField")
+# leaves no float64 array holds finitely: each makes any input it is in
+# malformed or non-finite
+JUNK = [np.nan, np.inf, -np.inf, 10 ** 400, None, "ab", ""]
+
+
+class TestArrayBoundary:
+    """`geometry._as_array` is the one coercion of every record and array
+    entry point: a malformed or non-finite array raises DimMismatch."""
+
+    @pytest.mark.parametrize("call", [
+        lambda: GridHeader((2, 2, 2), 1.0, [0, 0]),
+        lambda: ConstraintRow("ab"),
+        lambda: TwistMap([[1, 2], [3]]),
+        lambda: Sinogram([[1.0, 2.0], [3.0]]),
+        lambda: VoxelGrid((2, 2, 2), 1.0, (0, 0, 0), np.zeros(7)),
+        lambda: PointCloud(np.zeros(7), [1.0]),
+        lambda: ProjectionSpec([1, 0], E[1], E[2]),
+        lambda: VectorFieldGrid(NODES, np.zeros(80)),
+        lambda: Involution(np.full((3, 3), np.nan)),
+        lambda: triangulate([np.nan, 0.0], [0.0, 0.0], XY, YZ),
+        lambda: parallel_transport(FLAT, [[0, 0, 0], [np.nan, 1, 1]], E[0]),
+        lambda: parallel_transport(FLAT, [[0, 0, 0], [1, 1, 1]],
+                                   [np.nan, 0, 0]),
+    ], ids=["short origin", "string omega", "ragged twist", "ragged sinogram",
+            "voxel count", "position count", "short frame vector",
+            "field sample count", "nan involution", "nan observation",
+            "nan path vertex", "nan transported vector"])
+    def test_once_escaped_or_accepted(self, call):
+        # each raised numpy's ValueError, returned NaN or was accepted
+        with pytest.raises(DimMismatch):
+            call()
+
+    def test_twist_needs_its_own_shape(self):
+        # 27 values fill a 3x3x3 array, but a twist must be given as one
+        with pytest.raises(DimMismatch, match="3x3x3"):
+            TwistMap(np.zeros(27))
+
+    def test_non_finite_node_sample_is_a_header_mismatch(self):
+        with pytest.raises(HeaderMismatch):
+            VectorFieldGrid(NODES, np.full((3, 3, 3, 3), np.inf))
+
+    def test_each_site_keeps_its_own_checks(self):
+        with pytest.raises(DimMismatch, match="2 positions vs 1 weights"):
+            PointCloud(np.zeros((2, 3)), [1.0])
+        with pytest.raises(DimMismatch, match="non-finite positions"):
+            PointCloud([[0.0, np.nan, 0.0]], [1.0])
+        with pytest.raises(DimMismatch, match=">= 0"):
+            PointCloud([[0.0, 0.0, 0.0]], [-1.0])
+        with pytest.raises(DimMismatch, match="1 positions vs 2 weights"):
+            Projected2D([[0.0, 0.0]], [1.0, 1.0])
+        with pytest.raises(InvalidInvolution, match="not orthogonal"):
+            Involution(2 * np.eye(3))
+        with pytest.raises(InvalidFrame, match="not unit"):
+            BackprojectionRay(E[0], 2 * E[2])
+        with pytest.raises(DimMismatch, match="2-D"):
+            Sinogram([1.0, 2.0])
+
+    def test_only_input_errors_escape(self):
+        # @given on an inner function, as in tests/test_cli.py
+        leaves = st.one_of(st.sampled_from(JUNK),
+                           st.floats(-2, 2), st.integers(-2, 2))
+        arrays = st.recursive(leaves, lambda kids: st.lists(kids, max_size=5),
+                              max_leaves=40)
+
+        def junk_in(x):
+            if isinstance(x, list):
+                return any(map(junk_in, x))
+            return not (isinstance(x, (int, float)) and abs(x) <= 2)
+
+        @given(name=st.sampled_from(sorted(BOUNDARY)), x=arrays)
+        @settings(max_examples=400, deadline=None, derandomize=True,
+                  database=None)
+        def check(name, x):
+            try:
+                BOUNDARY[name](x)
+            except TwoViewError as exc:
+                error = exc
+            else:
+                error = None
+            if junk_in(x):
+                expected = ((DimMismatch, HeaderMismatch)
+                            if name in NODE_ARRAYS else DimMismatch)
+                assert isinstance(error, expected), (name, x, error)
+
+        check()

@@ -2,6 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.spatial
 from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist
 
@@ -140,10 +141,20 @@ class TestDetectAxis:
         with pytest.raises(DimMismatch):
             detect_axis(hexagon_cloud(), orders=[1])
 
+    def test_no_order(self, monkeypatch):
+        # once scored no candidate with the k-d tree and raised ValueError
+        def no_tree(*args):
+            raise AssertionError("the k-d tree path ran")
+
+        monkeypatch.setattr(scipy.spatial, "cKDTree", no_tree)
+        with pytest.raises(DimMismatch, match="one or more"):
+            detect_axis(hexagon_cloud(), orders=[])
+
 
 class TestNearestNeighbourMatching:
     @pytest.mark.parametrize("which", ["hexagon", "random"])
     def test_residual_equals_dense_cdist(self, which, rng):
+        # detect_axis scores a failing candidate by this exact k-d tree query
         if which == "hexagon":
             pts = hexagon_cloud().positions
         else:
@@ -153,7 +164,7 @@ class TestNearestNeighbourMatching:
         for axis in (np.array([0.0, 0.0, 1.0]), rng.standard_normal(3)):
             for k in (2, 3, 4, 6):
                 rotated = pts @ rotation_about(axis, 2 * np.pi / k).T
-                assert toric._matching_residual(tree, rotated) == \
+                assert tree.query(rotated)[0].max() == \
                     cdist(rotated, pts).min(axis=1).max()
 
     @pytest.mark.parametrize("block", [1, 7, 2**18])
@@ -338,7 +349,7 @@ class TestDetectAxisAgainstKDTreeReference:
         def no_tree(*args):
             raise AssertionError("the k-d tree path ran")
 
-        monkeypatch.setattr(toric, "_matching_residual", no_tree)
+        monkeypatch.setattr(scipy.spatial, "cKDTree", no_tree)
         rep = detect_axis(PointCloud(symmetric_points(
             np.random.default_rng(3), 600, 6), np.ones(600)), [2, 3, 4, 6])
         assert rep.order == 6
