@@ -435,6 +435,52 @@ def pixel_center_coords(grid: GridHeader, spec: ProjectionSpec,
                  for v, n in zip((spec.u, spec.w), image_dims))
 
 
+def _footprint(grid: GridHeader, spec: ProjectionSpec, image_dims):
+    """(iu, iw, ts) of a marched frame: the pixel rows and columns whose
+    centres lie within two spacings of the projection of the grid's box,
+    and the t lattice of their rays, in spacings from the grid centre,
+    step 1/2 over a range covering the grid's bounding sphere.
+
+    Every nonzero trilinear weight lies within one spacing of the box, and
+    the footprint is never empty, as the pixel lattice is centred.
+    """
+    dims = np.asarray(grid.dims)
+    iu, iw = (np.flatnonzero(np.abs(_pixel_offsets(int(m)))
+                             <= np.abs(v) @ dims / 2 + 2)
+              for m, v in zip(image_dims, (spec.u, spec.w)))
+    half_diag = 0.5 * float(np.linalg.norm(dims))
+    return iu, iw, np.arange(-half_diag - 1, half_diag + 1.5, 0.5)
+
+
+def _entry_bound(grid: GridHeader, spec: ProjectionSpec, image_dims) -> int:
+    """The entries `projection_operator` is counted for before it builds
+    anything: one per voxel, or for a marched frame, when fewer, eight per
+    sample of its footprint's rays, as a sample's trilinear weights reach
+    at most eight voxels."""
+    nvox = math.prod(grid.dims)
+    if _axis_alignment(spec) is not None:
+        return nvox
+    iu, iw, ts = _footprint(grid, spec, image_dims)
+    return min(nvox, 8 * ts.size * iu.size * iw.size)
+
+
+def _slice_axis(grid: GridHeader, spec: ProjectionSpec, image_dims):
+    """(side, a, sign) when the image axis `side` (0 for u, 1 for w) is
+    exactly sign * e_a, the frame's other two vectors are exactly 0 on grid
+    axis a and that image side exceeds dims[a] by an even number of pixels,
+    else None.  Then every ray lies on a voxel plane across axis a, so one
+    pixel line sees one slice, bitwise as any other line sees its own."""
+    vectors = (spec.u, spec.w, spec.n)
+    for side in (0, 1):
+        v = vectors[side]
+        a = int(np.argmax(np.abs(v)))
+        if (abs(v[a]) == 1.0 and np.count_nonzero(v) == 1
+                and all(vectors[k][a] == 0 for k in range(3) if k != side)
+                and (int(image_dims[side]) - grid.dims[a]) % 2 == 0):
+            return side, a, int(v[a])
+    return None
+
+
 def projection_operator(grid: GridHeader, spec: ProjectionSpec,
                         image_dims) -> CSR:
     """Sparse line-integral operator from voxel values to sinogram pixels.
@@ -448,21 +494,26 @@ def projection_operator(grid: GridHeader, spec: ProjectionSpec,
     along each image axis: when an image side exceeds the grid's
     cross-section by an odd number of pixels the voxel centers fall on
     pixel edges and each goes to the pixel above it, so every voxel row
-    owns one pixel.  Any other frame marches the rays of the footprint's
-    pixels, those within two spacings of the projection of the grid's box
-    (the other rows stay empty), in spacings from the grid center, with
-    step 1/2 over a t-range covering the grid's bounding sphere: each
-    sample adds its trilinear weights to the (up to) eight surrounding
-    voxels, with zero density outside the grid; the weights of one (pixel,
-    voxel) pair are summed in (t, corner) order, then times the step,
-    spacing / 2.  So the operator is bitwise the spacing times the unit
-    grid's with the same dims, and the origin never matters.  The result
-    is a canonical `CSR` matrix.
+    owns one pixel.  Any other frame marches the rays of the `_footprint`'s
+    pixels (the other rows stay empty), in spacings from the grid center,
+    with step 1/2: each sample adds its trilinear weights to the (up to)
+    eight surrounding voxels, with zero density outside the grid; the
+    weights of one (pixel, voxel) pair are summed in (t, corner) order,
+    then times the step, spacing / 2.  So the operator is bitwise the
+    spacing times the unit grid's with the same dims, and the origin never
+    matters.  When every ray lies on a voxel plane across one grid axis
+    (`_slice_axis`, the single-axis parallel-beam split of Kak & Slaney,
+    *Principles of Computerized Tomographic Imaging*, 1988, ch. 3), only
+    the pixel line of one slice is marched, on the whole grid's t lattice,
+    and its entries, columns shifted by the slice offsets, fill every other
+    slice's line: the same bits as marching each.  The result is a
+    canonical `CSR` matrix.
 
     Raises DimMismatch unless both image dims are >= 1, and when an
     axis-aligned image is smaller than the grid cross-section;
-    SystemTooLarge by `_require_memory`, counting one entry per voxel
-    before anything is built and the entries so far before each march block.
+    SystemTooLarge by `_require_memory`, counting the `_entry_bound`
+    before anything is built, the entries so far before each march block
+    and the tiled entries before they are made.
     """
     nu, nw = int(image_dims[0]), int(image_dims[1])
     if nu < 1 or nw < 1:
@@ -470,7 +521,7 @@ def projection_operator(grid: GridHeader, spec: ProjectionSpec,
     h, nvox = grid.spacing, math.prod(grid.dims)
     shape = (nu * nw, nvox)
     what = f"projecting {nvox} voxels on a {nu}x{nw} image"
-    _require_memory(what, shape[0], nvox, nvox)
+    _require_memory(what, shape[0], nvox, _entry_bound(grid, spec, (nu, nw)))
     align = _axis_alignment(spec)
     if align is not None:
         # Both lattices are centered on the grid center, so voxel i of a
@@ -496,22 +547,22 @@ def projection_operator(grid: GridHeader, spec: ProjectionSpec,
         return CSR(indptr, np.argsort(row, kind="stable"), np.full(nvox, h),
                    shape)
     # Lattice units, spacings from the grid centre: a sample on a voxel
-    # plane stays exactly on it.  The footprint: the pixel rows and columns
-    # whose centres lie within two spacings of the projection of the grid's
-    # box.  Every nonzero trilinear weight lies within one spacing of it,
-    # and the footprint is never empty, as the pixel lattice is centred.
+    # plane stays exactly on it.
     dims = np.asarray(grid.dims)
-    pu, pw = _pixel_offsets(nu), _pixel_offsets(nw)
-    iu, iw = (np.flatnonzero(np.abs(p) <= np.abs(v) @ dims / 2 + 2)
-              for p, v in ((pu, spec.u), (pw, spec.w)))
-    row_of = (iu[:, None] * nw + iw).ravel()
-    bases = (pu[iu, None, None] * spec.u
-             + pw[None, iw, None] * spec.w).reshape(-1, 3)
-    half_diag = 0.5 * float(np.linalg.norm(grid.dims))
-    ts = np.arange(-half_diag - 1, half_diag + 1.5, 0.5)
     strides = np.array([dims[1] * dims[2], dims[2], 1])
-    indptr = np.zeros(shape[0] + 1, dtype=np.intp)
-    indices, data = [], []
+    iu, iw, ts = _footprint(grid, spec, (nu, nw))
+    sliced = _slice_axis(grid, spec, (nu, nw))
+    if sliced is not None:
+        # the slice each pixel line along that image side lies on, as in
+        # the aligned case: (n - 1) / 2 + sign * (line - (m - 1) / 2)
+        side, a, sign = sliced
+        m, n = (nu, nw)[side], grid.dims[a]
+        slice_of = (sign * (2 * np.arange(m) - m + 1) + n - 1) // 2
+        lines = np.flatnonzero((slice_of >= 0) & (slice_of < n))
+        iu, iw = (lines[:1], iw) if side == 0 else (iu, lines[:1])
+    bases = (_pixel_offsets(nu)[iu, None, None] * spec.u
+             + _pixel_offsets(nw)[None, iw, None] * spec.w).reshape(-1, 3)
+    counts, indices, data = [], [], []
     # Blocks of whole footprint pixels, every t of each, at most
     # _MARCH_BLOCK samples unless one ray is longer, bound the (t, corner,
     # pixel) scratch arrays.  Every row's entries come from one block, in
@@ -535,11 +586,34 @@ def projection_operator(grid: GridHeader, spec: ProjectionSpec,
         sel = wgt > 0
         block = CSR.from_entries(wgt[sel], np.nonzero(sel)[2], col[sel],
                                  (wgt.shape[2], nvox))
-        indptr[row_of[p0:p0 + pstep] + 1] = np.diff(block.indptr)
+        counts.append(np.diff(block.indptr))
         indices.append(block.indices)
         data.append(h / 2 * block.data)  # the step, in world units
+    counts, indices, data = map(np.concatenate, (counts, indices, data))
+    indptr = np.zeros(shape[0] + 1, dtype=np.intp)
+    if sliced is None:
+        indptr[(iu[:, None] * nw + iw).ravel() + 1] = counts
+        np.cumsum(indptr, out=indptr)
+        return CSR(indptr, indices, data, shape)
+    # every line's rows in ascending order: line-major for lines of u,
+    # pixel-major for lines of w; each takes the marched pixel p's entries,
+    # its columns shifted by its slice's offset from the marched one
+    line, p = np.meshgrid(lines, np.arange(counts.size),
+                          indexing="ij" if side == 0 else "xy")
+    line, p = line.ravel(), p.ravel()
+    other = (iw, iu)[side][p]
+    row = line * nw + other if side == 0 else other * nw + line
+    size = counts[p]
+    _require_memory(what, shape[0], nvox, int(size.sum()))
+    # entry e of a row is entry e of its marched pixel's run
+    first = np.cumsum(counts) - counts
+    src = np.repeat(first[p] - np.cumsum(size) + size, size)
+    src += np.arange(src.size)
+    indptr[row + 1] = size
     np.cumsum(indptr, out=indptr)
-    return CSR(indptr, np.concatenate(indices), np.concatenate(data), shape)
+    shift = (slice_of[line] - slice_of[lines[0]]) * strides[a]
+    return CSR(indptr, indices[src] + np.repeat(shift, size), data[src],
+               shape)
 
 
 def project_voxels(grid: VoxelGrid, spec: ProjectionSpec,

@@ -7,7 +7,8 @@ SVD core; the discrete tomographic path stacks one linear equation per
 observed ray into one sparse matrix and finds its exact rank and its
 minimum-norm least-squares solution: in closed form, one slice across the
 shared axis at a time, for two axis-aligned views along different axes,
-and by one factorization per connected component for any other views.
+and by one factorization per run of equal connected components for any
+other views.
 The noise study measures how planar noise amplifies through triangulation
 against the first-order factor 1/|n1 x n2|, where |n1 x n2| is the
 transversality margin every gate reads.
@@ -39,6 +40,7 @@ from .geometry import (
     _axis_alignment,
     _canonical_sign,
     _cross_norm,
+    _entry_bound,
     _require_memory,
 )
 
@@ -376,10 +378,28 @@ def _slice_solve(A: CSR, b: np.ndarray, grid: GridHeader, q: int,
     return rank, np.ldexp(x, e - f).ravel()
 
 
+def _component_svd(r: int, c: int, i: np.ndarray, j: np.ndarray,
+                   v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(s, vt): the singular values of the r x c component B with entries
+    v at (i, j), j ascending, and its left singular vectors as the rows
+    of vt, by the SVD of the QR triangle of B^T, built dense _QR_CHUNK r
+    columns at a time."""
+    R, width = np.zeros((0, r)), _QR_CHUNK * r
+    for lo, a, z in zip(range(0, c, width), *np.searchsorted(
+            j, [range(0, c, width), range(width, c + width, width)])):
+        block = np.zeros((R.shape[0] + min(width, c - lo), r))
+        block[:R.shape[0]] = R
+        block[R.shape[0] + j[a:z] - lo, i[a:z]] = v[a:z]
+        del R
+        R = np.linalg.qr(block, mode="r")
+        del block
+    return tuple(np.linalg.svd(R, full_matrices=False)[1:])
+
+
 def _factor(A: CSR, b: np.ndarray) -> tuple[int, np.ndarray]:
     """Rank of A and A^+ b, the minimum-norm least-squares solution
     through the singular values the rank counts, one factorization per
-    component.
+    run of equal components.
 
     The rank of a sparse matrix is the sum of the ranks of the connected
     components of its bipartite row/column sparsity graph (the coarse
@@ -429,28 +449,26 @@ def _factor(A: CSR, b: np.ndarray) -> tuple[int, np.ndarray]:
     # singular values s and left vectors U; y = U S^-2 U^T b on its rows,
     # corrected once by the same map of its residual (the corrected
     # semi-normal equations, whose error grows with the condition number of
-    # B, not with its square), and x = A'^T y
+    # B, not with its square), and x = A'^T y.  A component whose local
+    # pattern and value bits equal the one before it (the slices of a tilt
+    # about a grid axis come in a run) reuses its s and U: one entry of
+    # memo, so no U outlives its run.
+    memo = None
     for stop in stops:
         ent = by_comp[start:stop]
         start = stop
         rows_c, i = np.unique(A.row[ent], return_inverse=True)
         j = np.unique(A.indices[ent], return_inverse=True)[1]
         r, c, v = rows_c.size, j[-1] + 1, np.ldexp(A.data[ent], -f)
-        R, width = np.zeros((0, r)), _QR_CHUNK * r
-        for lo, a, z in zip(range(0, c, width), *np.searchsorted(
-                j, [range(0, c, width), range(width, c + width, width)])):
-            block = np.zeros((R.shape[0] + min(width, c - lo), r))
-            block[:R.shape[0]] = R
-            block[R.shape[0] + j[a:z] - lo, i[a:z]] = v[a:z]
-            del R
-            R = np.linalg.qr(block, mode="r")
-            del block
-        s, vt = np.linalg.svd(R, full_matrices=False)[1:]
+        key = (i, j, v.view(np.int64))  # the values compared by their bits
+        if memo is None or not all(map(np.array_equal, memo[0], key)):
+            memo = key, _component_svd(r, c, i, j, v)
+        s, vt = memo[1]
         svals.append(s)
         # s is descending: the first k values are surely counted (above
         # _RANK_TOL times the bound), and the next ones, up to those
         # _RANK_TOL times this component's largest, wait for the largest of
-        # all; no U outlives its component but these few vectors
+        # all; no U outlives its run but these few vectors
         k, w = int(np.sum(s > _RANK_TOL * bound)), _rank_above(s, s[0])
         b_c = np.ldexp(b[rows_c], -e)
         y_c = vt[:k].T @ (vt[:k] @ b_c / s[:k] ** 2)
@@ -482,7 +500,7 @@ def build_radon_system(specs, grid: GridHeader, sinograms) -> RadonSystem:
     so A x stacks the views' forward projections of x (exact intersection
     lengths for axis-aligned frames, trilinear ray marching otherwise).
     The blocks are stacked once, by `CSR.vstack`.  `_require_memory`
-    counts one entry per voxel and view before anything is built, and the
+    counts each view's `_entry_bound` before anything is built, and the
     built entries before the stack.
     """
     specs, sinos = list(specs), list(sinograms)
@@ -490,7 +508,9 @@ def build_radon_system(specs, grid: GridHeader, sinograms) -> RadonSystem:
         raise DimMismatch(f"{len(specs)} specs vs {len(sinos)} sinograms")
     rows, nvox = sum(s.values.size for s in sinos), math.prod(grid.dims)
     what = f"a {rows}x{nvox} Radon system"
-    _require_memory(what, rows, nvox, len(specs) * nvox)
+    _require_memory(what, rows, nvox, sum(
+        _entry_bound(grid, spec, sino.values.shape)
+        for spec, sino in zip(specs, sinos)))
     ops = [projection_operator(grid, spec, sino.values.shape)
            for spec, sino in zip(specs, sinos)]
     _require_memory(what, rows, nvox, sum(op.nnz for op in ops))

@@ -42,13 +42,16 @@ class ToricReport:
 
 def _unit_axis(axis) -> np.ndarray:
     """`axis` scaled to unit length; DimMismatch unless it is three finite
-    numbers, not all zero."""
+    numbers, not all zero.  The norm is taken after an exact power-of-two
+    scaling that brings the largest |component| into [0.5, 1), as
+    `diffgeo._node_scaled` does, so axes near 1e200 or 1e-320 neither
+    overflow nor vanish."""
     a = _as_array(axis, 3, "rotation axis, which must be finite and nonzero")
-    norm = np.linalg.norm(a)
-    if not (np.isfinite(norm) and norm > 0):
+    if not np.any(a):
         raise DimMismatch(
             f"rotation axis must be finite and nonzero, got {a.tolist()}")
-    return a / norm
+    a = np.ldexp(a, -np.frexp(np.max(np.abs(a)))[1])
+    return a / np.linalg.norm(a)
 
 
 def rotation_about(axis, angle: float) -> np.ndarray:

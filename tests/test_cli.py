@@ -689,6 +689,7 @@ _PAIRS = {"aligned": (coordinate_spec(0), 1.0), "tilt": (TILT_30, 1.5),
 # pixel, whose two rays miss almost every voxel, or many more pixels than
 # voxels
 _TILTED_PAIRS = {"one-pixel": 1, "wide-tilts": 512}
+_TILTED_PAIRS_SPECS = (TILT_30, _PAIRS["general"][0])
 
 
 def voxel_pair(tmp_path, pair, n):
@@ -698,7 +699,7 @@ def voxel_pair(tmp_path, pair, n):
     `_TILTED_PAIRS`."""
     if pair in _TILTED_PAIRS:
         m = _TILTED_PAIRS[pair]
-        views = ((TILT_30, m), (_PAIRS["general"][0], m))
+        views = tuple((spec, m) for spec in _TILTED_PAIRS_SPECS)
     else:
         spec, scale = _PAIRS[pair]
         views = ((coordinate_spec(2), n), (spec, 2 * round(scale * n / 2)))
@@ -847,6 +848,23 @@ class TestMemoryModel:
         assert len(lines) == 1
         assert json.loads(lines[0])["error"] == "SystemTooLarge"
         assert list(out.iterdir()) == []
+
+    def test_tilted_one_pixel_images_of_a_128_grid_are_accepted(
+            self, tmp_path, needs):
+        # one entry per voxel and view once counted this pair over the
+        # limit before the march; the footprint's samples count 3592
+        # entries per view
+        for i, spec in enumerate(_TILTED_PAIRS_SPECS, 1):
+            ser.save_spec(spec, tmp_path / f"spec{i}.json")
+        (tmp_path / "s.csv").write_text("1.0\n")
+        assert run("reconstruct", "voxels", "--sino1", tmp_path / "s.csv",
+                   "--sino2", tmp_path / "s.csv",
+                   "--grid-dims", "128,128,128",
+                   "--spec1", tmp_path / "spec1.json",
+                   "--spec2", tmp_path / "spec2.json",
+                   "--out", tmp_path / "out") == 0
+        assert needs[0] == geometry._require_memory(
+            "", 2, 128 ** 3, 2 * 8 * 449)
 
     def test_noise_study_trials_over_the_limit(self, tmp_path, capsys):
         # np.empty(trials) once raised numpy's _ArrayMemoryError: a
@@ -1244,6 +1262,26 @@ class TestToric:
                    "--axis", "0,0,1", "--order", "4", "--out", out) == 0
         rep = json.loads((out / "direction.json").read_text())
         np.testing.assert_allclose(np.abs(rep["v"]), [0, 0, 1], atol=1e-12)
+
+    @pytest.mark.parametrize("axis, unit", [
+        ("1e200,1e200,0", "1,1,0"), ("1e-200,1e-200,0", "1,1,0"),
+        ("0,0,1e-320", "0,0,1")], ids=["huge", "tiny", "subnormal"])
+    def test_solve_axis_scale_does_not_matter(self, axis, unit, tmp_path):
+        # 1e200 once overflowed in the axis norm (exit 4); 1e-200 and
+        # 1e-320 were refused as zero axes (exit 2)
+        (tmp_path / "cons.json").write_text(json.dumps(
+            {"rows": [{"omega": [1, 0, 0], "rhs": 1.0},
+                      {"omega": [0, 0, 1], "rhs": 1.0}]}))
+        reps = []
+        for name, a in (("scaled", axis), ("unit", unit)):
+            assert run("toric", "solve", "--constraints",
+                       tmp_path / "cons.json", "--axis", a, "--order", "4",
+                       "--out", tmp_path / name) == 0
+            reps.append(json.loads(
+                (tmp_path / name / "direction.json").read_text()))
+        assert reps[0]["nullity"] == reps[1]["nullity"] == 0
+        np.testing.assert_allclose(reps[0]["v"], reps[1]["v"], rtol=0,
+                                   atol=4e-16)
 
     def test_solve_huge_order(self, tmp_path):
         # a group average summed over the rotations would not finish

@@ -243,6 +243,15 @@ def about_axis(axis, theta):
     return ProjectionSpec(R[:, 0], R[:, 1], R[:, 2])
 
 
+def sliced_spec(side, a, sign, theta):
+    """A frame whose image axis `side` (0 for u, 1 for w) is sign * e_a,
+    the other two vectors turned by theta in the plane across axis a."""
+    b, c = (a + 1) % 3, (a + 2) % 3
+    axis, other = sign * E[a], np.cos(theta) * E[b] + np.sin(theta) * E[c]
+    u, w = (axis, other) if side == 0 else (other, axis)
+    return ProjectionSpec(u, w, np.cross(u, w))
+
+
 def march_case(seed):
     """A seeded grid, tilted frame and image for the footprint march."""
     rng = np.random.default_rng(seed)
@@ -393,6 +402,56 @@ class TestProjectionOperator:
             tracemalloc.stop()
         assert op.shape == (1024 * 1024, 27) and op.nnz > 0
         assert peak < 24 * 1024 * 1024
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    @pytest.mark.parametrize("a", [0, 1, 2])
+    @pytest.mark.parametrize("side", [0, 1], ids=["u", "w"])
+    def test_sliced_march_is_bitwise_the_full_image_march(self, side, a,
+                                                          sign):
+        # one pixel line marched, its entries shifted to every other slice:
+        # odd and even slice counts, images wider and narrower than the
+        # grid along the pixel axis, spacings that are and are not powers
+        # of two
+        rng = np.random.default_rng(10 * side + 3 * a + (sign > 0))
+        for dims_a, extra in ((5, 0), (4, 2), (7, -2), (6, -4), (1, 4)):
+            dims = [int(d) for d in rng.integers(2, 7, 3)]
+            dims[a] = dims_a
+            spec = sliced_spec(side, a, sign, rng.uniform(0.1, 1.4))
+            image = [int(rng.integers(1, 14)), int(rng.integers(1, 14))]
+            image[side] = dims_a + extra
+            ref = reference_projection_operator(unit_grid(dims), spec, image)
+            for h in (0.7, 2.0 ** -3):
+                grid = GridHeader(dims, h, rng.normal(size=3))
+                assert geometry._slice_axis(grid, spec, image) == (side, a,
+                                                                    sign)
+                assert_bitwise(projection_operator(grid, spec, image),
+                               scaled(ref, h))
+
+    def test_near_sliced_frame_takes_the_full_march(self):
+        # u = e_x exactly, but w_x = 1e-17 puts the rays off the x-planes
+        c, s = np.cos(np.radians(30)), np.sin(np.radians(30))
+        spec = ProjectionSpec([1.0, 0.0, 0.0], [1e-17, c, s], [0.0, -s, c])
+        grid = GridHeader((5, 4, 6), 0.7, (0.2, -1.0, 0.5))
+        assert geometry._slice_axis(grid, spec, (7, 9)) is None
+        ref = reference_projection_operator(unit_grid(grid.dims), spec,
+                                            (7, 9))
+        assert_bitwise(projection_operator(grid, spec, (7, 9)),
+                       scaled(ref, grid.spacing))
+
+    def test_sliced_march_counts_its_tiled_entries(self, monkeypatch):
+        # one line's march counts one line's entries; the tiled entries are
+        # counted before they are made
+        grid = GridHeader((12, 12, 12), 1.0, np.zeros(3))
+        spec, image = tilted_spec(np.radians(30)), (12, 18)
+        counts = []
+        require = geometry._require_memory
+        monkeypatch.setattr(geometry, "_require_memory",
+                            lambda *args: counts.append(args[3])
+                            or require(*args))
+        op = projection_operator(grid, spec, image)
+        assert counts[0] == 12 ** 3  # one per voxel, before anything
+        assert counts[1:-1] == [0]  # one march block, a single line's
+        assert counts[-1] == op.nnz > 12 ** 3
 
     def test_axis_aligned_rows_are_spacing_per_voxel(self):
         grid = VoxelGrid((3, 4, 5), 0.3, (0, 0, 0), np.zeros((3, 4, 5)))

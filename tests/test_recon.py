@@ -677,6 +677,52 @@ class TestRadonRank:
         with pytest.raises(NumericalError):
             sino_system([XY, YZ], (2, 2, 2))
 
+    def test_equal_slices_are_factored_once(self, monkeypatch):
+        # XY beside the 30 degree tilt at 14^3 with 20^2 images, as in the
+        # benchmark: 14 x-slices of one pattern and values, one SVD (once
+        # 14), with the rank and the solution of each slice solved alone
+        n = 14
+        rng = np.random.default_rng(3)
+        grid = VoxelGrid((n, n, n), 1.0, -(n - 1) / 2 * np.ones(3),
+                         rng.uniform(0.0, 1.0, (n, n, n)))
+        specs = [XY, tilted_spec(np.radians(30))]
+        sinos = [project_voxels(grid, spec, (k, k))
+                 for spec, k in zip(specs, (n, 20))]
+        calls = []
+        svd = np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd", lambda *args, **kwargs:
+                            calls.append(args[0].shape) or svd(*args,
+                                                               **kwargs))
+        system = build_radon_system(specs, grid, sinos)
+        assert len(calls) == 1
+        A, b, rank, parts = system.rows, system.rhs, 0, []
+        for k in range(n):
+            keep = A.indices // (n * n) == k
+            part = CSR.from_entries(A.data[keep], A.row[keep],
+                                    A.indices[keep] - k * n * n,
+                                    (A.shape[0], n * n))
+            r, x = recon._factor(part, b)
+            rank, parts = rank + r, parts + [x]
+        assert len(calls) == 1 + n
+        assert system.rank == rank
+        np.testing.assert_array_equal(
+            system.solution.ravel().view(np.int64),
+            np.concatenate(parts).view(np.int64))
+
+    def test_unequal_neighbours_are_each_factored(self, monkeypatch):
+        # the memo keeps one component: a run broken by another pattern
+        # factors again, and a matrix of distinct blocks once per block
+        blocks = [[[1.0, 2.0]], [[1.0, 2.0]], [[2.0, 1.0]], [[1.0, 2.0]]]
+        A = CSR.vstack([sp.csr_matrix(sp.block_diag(blocks))])
+        calls = []
+        svd = np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd", lambda *args, **kwargs:
+                            calls.append(1) or svd(*args, **kwargs))
+        b = np.array([1.0, 2.0, 3.0, 4.0])
+        rank, x = recon._factor(A, b)
+        assert (rank, len(calls)) == (4, 3)
+        assert_pinv(x, A.toarray(), b)
+
     def test_64_cube_axis_pair_stays_sparse(self):
         # the dense matrix alone would take 8192 * 262144 * 8 B = 17 GB
         n = 64

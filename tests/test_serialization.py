@@ -389,7 +389,14 @@ class TestMatrixMarket:
             with tempfile.TemporaryDirectory() as tmp:
                 path = Path(tmp) / "a.mtx"
                 ser.save_matrix_market(A, path)
+                got = path.read_bytes()
                 back = scipy.io.mmread(str(path))
+            # each entry's own %r, so -0.0 apart from 0.0
+            body = "".join("%d %d %r\n" % (i + 1, j + 1, v) for i, j, v in
+                           zip(A.row.tolist(), A.indices.tolist(),
+                               A.data.tolist()))
+            assert got == MM_HEADER + (
+                "%d %d %d\n" % (*A.shape, A.nnz) + body).encode()
             assert back.shape == A.shape
             np.testing.assert_array_equal(back.row, A.row)
             np.testing.assert_array_equal(back.col, A.indices)

@@ -73,6 +73,27 @@ class TestRotationAbout:
         a /= np.linalg.norm(a)
         np.testing.assert_allclose(rotation_about(a, 2.1) @ a, a, atol=1e-12)
 
+    @pytest.mark.parametrize("scale", [2.0 ** 700, 2.0 ** -700,
+                                       2.0 ** -1070, 1e200, 1e-200, 1e-320],
+                             ids=["2^700", "2^-700", "2^-1070", "1e200",
+                                  "1e-200", "1e-320"])
+    @pytest.mark.parametrize("unit", [[1.0, 1.0, 0.0], [0.0, 0.0, 1.0],
+                                      [-3.0, 4.0, 0.0]])
+    def test_axis_scale_does_not_matter(self, unit, scale):
+        # the norm of 1e200 axes once overflowed (exit 4 from the CLI), and
+        # of 1e-200 or subnormal ones underflowed to a "zero" axis; a
+        # power-of-two scale gives the same bits, any other the same
+        # direction to rounding
+        axis = scale * np.array(unit)
+        assert np.all(axis[np.nonzero(unit)] != 0)
+        want = toric._unit_axis(unit)
+        check = (np.testing.assert_array_equal
+                 if np.frexp(scale)[0] == 0.5 else
+                 lambda a, b: np.testing.assert_allclose(a, b, rtol=0,
+                                                         atol=4e-16))
+        check(toric._unit_axis(axis), want)
+        check(rotation_about(axis, 1.3), rotation_about(unit, 1.3))
+
     @pytest.mark.parametrize("axis", [[0, 0, 0], [np.nan, 0, 1],
                                       [np.inf, 0, 0]],
                              ids=["zero", "nan", "inf"])
