@@ -41,7 +41,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 import warnings
@@ -78,15 +77,16 @@ def _echo_run(out: Path, args) -> None:
 
 
 def _parse_list(text: str, kind, n=None, *, option: str) -> list:
-    """Comma-separated finite values of type `kind`, n of them if n given."""
+    """Comma-separated values of type `kind`, n of them if n given; the
+    command's records refuse values out of their range."""
     try:
         vals = [kind(x) for x in text.split(",")]
+        if n in (None, len(vals)):
+            return vals
     except ValueError:
-        vals = [math.nan]
-    if not all(map(math.isfinite, vals)) or n not in (None, len(vals)):
-        raise InputError(f"{option} must be {n or 'comma-separated'} finite "
-                         f"{kind.__name__}s, got {text!r}")
-    return vals
+        pass
+    raise InputError(f"{option} must be {n or 'comma-separated'} "
+                     f"{kind.__name__}s, got {text!r}")
 
 
 # -- commands ---------------------------------------------------------------
@@ -143,8 +143,6 @@ def cmd_reconstruct_voxels(args, out: Path) -> None:
     spec2 = ser.load_spec(args.spec2)
     geometry._cross_norm(spec1, spec2, args.tol)
     dims = tuple(_parse_list(args.grid_dims, int, 3, option="--grid-dims"))
-    if min(dims) < 1:
-        raise InputError(f"--grid-dims must be positive, got {dims}")
     # the header checks the spacing before the centred origin is computed;
     # the system does not depend on the origin
     lattice = geometry.GridHeader(dims, args.spacing, np.zeros(3))
@@ -174,20 +172,6 @@ def cmd_certify(args, out: Path) -> None:
                                tol_transversal=args.tol,
                                tol_integrability=args.tol_int)
     ser.dump_json({"tool": TOOL, **cert.to_dict()}, out / "certificate.json")
-
-
-def _load_twist(path) -> algebra.TwistMap:
-    """The --twist coefficients c^k_ij from a JSON file; zero when absent."""
-    if path is None:
-        return algebra.TwistMap.zero()
-    import numpy as np
-    try:
-        coeffs = np.asarray(ser._load_json(path), dtype=float)
-    except (TypeError, ValueError, OverflowError):
-        coeffs = np.array(math.nan)
-    if coeffs.shape != (3, 3, 3) or not np.all(np.isfinite(coeffs)):
-        raise InputError(f"--twist must hold a finite 3x3x3 array: {path}")
-    return algebra.TwistMap(coeffs)
 
 
 def _report(args, out: Path, **fields) -> None:
@@ -238,7 +222,9 @@ def cmd_diagnose_jacobiator(args, out: Path) -> None:
     X = ser.load_vector_field(args.field_x)
     Y = ser.load_vector_field(args.field_y)
     Z = ser.load_vector_field(args.field_z)
-    _, jmax = algebra.jacobiator(X, Y, Z, _load_twist(args.twist))
+    H = (algebra.TwistMap.zero() if args.twist is None
+         else ser.load_twist(args.twist))
+    _, jmax = algebra.jacobiator(X, Y, Z, H)
     _report(args, out, max_jacobiator_norm=jmax)
 
 
@@ -254,14 +240,8 @@ def cmd_toric_detect(args, out: Path) -> None:
 
 
 def cmd_toric_solve(args, out: Path) -> None:
-    data = ser._load_json(args.constraints)
-    with ser._reading(args.constraints, "constraints"):
-        rows = [recon.ConstraintRow(r["omega"], r.get("rhs", 0.0))
-                for r in data["rows"]]
-        dim = int(data.get("dim", 3))
+    rows, dim = ser.load_constraints(args.constraints)
     axis = _parse_list(args.axis, float, 3, option="--axis")
-    if not any(axis):
-        raise InputError("--axis must not be the zero vector")
     sol = toric.solve_direction_equivariant(rows, axis, args.order, dim)
     ser.dump_json({"tool": TOOL, "v": sol.v.tolist(), "nullity": sol.nullity,
                    "residual": sol.residual}, out / "direction.json")

@@ -103,15 +103,14 @@ class RadonSystem:
     no dense matrix), "svd" for any other views (the sum of the ranks of
     the connected components of A's row/column sparsity graph, one
     factorization each, its singular values thresholded against the
-    largest of A).  grid is the voxel lattice of A's columns, and
-    solution (grid-shaped) the minimum-norm least-squares A^+ b through
-    the singular values the rank counts.
+    largest of A).  solution, shaped as the voxel grid of A's columns, is
+    the minimum-norm least-squares A^+ b through the singular values the
+    rank counts.
     """
 
     rows: CSR
     rhs: np.ndarray
     rank: int
-    grid: GridHeader
     rank_method: str
     solution: np.ndarray
 
@@ -523,7 +522,7 @@ def build_radon_system(specs, grid: GridHeader, sinograms) -> RadonSystem:
                                                   align[1][4])
     else:
         method, (rank, x) = "svd", _factor(A, b)
-    return RadonSystem(A, b, rank, grid, method, x.reshape(grid.dims))
+    return RadonSystem(A, b, rank, method, x.reshape(grid.dims))
 
 
 def solve_radon(system: RadonSystem) -> np.ndarray:

@@ -1,5 +1,9 @@
 """File formats: JSON for structured records, CSV for bulk arrays.
 
+Every input file is read here.  A loader parses its file and hands the
+values to the record it builds unchecked; the record alone refuses them,
+and `_reading` re-raises its refusal with the file named.
+
 Grid-shaped payloads (voxels, vector fields, Christoffel symbols) are a
 JSON header next to a row-major CSV file with the same stem; sparse
 matrices are Matrix Market coordinate text.  All writers are
@@ -23,8 +27,8 @@ from pathlib import Path
 
 import numpy as np
 
-from . import algebra, diffgeo
-from .errors import InputError, NumericalError
+from . import algebra, diffgeo, recon
+from .errors import InputError, NumericalError, TwoViewError
 from .geometry import (
     CSR,
     GridHeader,
@@ -41,7 +45,9 @@ _WRITE_VALUES = 1 << 12  # values formatted per `%` by _write_formatted
 
 @contextmanager
 def _reading(path, what: str):
-    """Raise every failure to read or parse `path` as an InputError."""
+    """Raise every failure to read or parse `path` as an InputError, and a
+    record's refusal of the `what` it holds as the same class, `path`
+    named."""
     try:
         yield
     except FileNotFoundError as exc:
@@ -56,6 +62,8 @@ def _reading(path, what: str):
         # field or a field of the wrong type, OverflowError an integer no
         # float64 or int64 holds or an infinite one
         raise InputError(f"malformed {what} in {path}: {exc}") from exc
+    except TwoViewError as exc:
+        raise type(exc)(f"{what} in {path}: {exc}") from exc
 
 
 def _load_json(path) -> dict:
@@ -128,10 +136,7 @@ def _load_points(path, dim: int):
     data = _load_json(path)
     with _reading(path, kind):
         pts = data["points"]
-        pos = [pt["p"] for pt in pts]
-        w = [pt["w"] for pt in pts]
-        return cls(np.asarray(pos, dtype=float).reshape(-1, dim),
-                   np.asarray(w, dtype=float))
+        return cls([pt["p"] for pt in pts], [pt["w"] for pt in pts])
 
 
 def save_cloud(cloud: PointCloud, path) -> None:
@@ -204,9 +209,9 @@ def _load_grid(path, kind: str, make):
     `_save_grid`, rows the float rows of its .csv file; `make` validates
     the header and shapes the rows."""
     head = _load_json(path)
+    rows = _read_rows(_csv_path(path))
     with _reading(path, kind):
-        return make(head["dims"], head["spacing"], head["origin"],
-                    _read_rows(_csv_path(path)))
+        return make(head["dims"], head["spacing"], head["origin"], rows)
 
 
 def save_voxels(grid: VoxelGrid, path) -> None:
@@ -229,7 +234,8 @@ def load_sinogram_csv(path) -> Sinogram:
     vals = _read_rows(path)
     if vals.size == 0:
         raise InputError(f"empty sinogram in {path}")
-    return Sinogram(vals)
+    with _reading(path, "sinogram"):
+        return Sinogram(vals)
 
 
 def save_sinogram_pgm(sino: Sinogram, path) -> None:
@@ -303,4 +309,25 @@ def load_magma(path) -> algebra.FiniteMagma:
             rows = [[algebra.UNDEFINED if cell.strip() in (UNDEFINED_MARK, ".")
                      else int(cell) for cell in row]
                     for row in csv.reader(fh) if row]
-        return algebra.FiniteMagma(np.asarray(rows, dtype=int))
+        return algebra.FiniteMagma(rows)
+
+
+def load_twist(path) -> algebra.TwistMap:
+    """The `diagnose jacobiator --twist` coefficients c^k_ij: a JSON 3x3x3
+    array indexed [k][i][j], antisymmetric in (i, j)."""
+    data = _load_json(path)
+    with _reading(path, "--twist coefficients"):
+        return algebra.TwistMap(data)
+
+
+# -- direction constraints --------------------------------------------------
+
+
+def load_constraints(path) -> tuple:
+    """(rows, dim) of a `toric solve --constraints` file
+    {"rows": [{"omega": [...], "rhs": r}, ...], "dim": d}: rhs 0 and dim 3
+    when absent, dim as written, for the solver to refuse."""
+    data = _load_json(path)
+    with _reading(path, "constraints"):
+        return ([recon.ConstraintRow(r["omega"], r.get("rhs", 0.0))
+                 for r in data["rows"]], data.get("dim", 3))

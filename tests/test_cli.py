@@ -610,7 +610,9 @@ class TestBoundaryValidation:
                    "--spec1", SPEC_XY, "--spec2", SPEC_YZ,
                    "--out", tmp_path / "out")
         assert code == 2
-        assert self.error(capsys)["error"] == "InputError"
+        # GridHeader, not the CLI, refuses a zero dimension
+        assert self.error(capsys)["error"] == (
+            "DimMismatch" if dims == "2,0,2" else "InputError")
 
     @pytest.mark.parametrize("argv", [
         ("toric", "detect", "--input", CLOUD, "--orders", "a"),
@@ -627,7 +629,9 @@ class TestBoundaryValidation:
             argv += ("--constraints", tmp_path / "cons.json")
         out = tmp_path / "out"
         assert run(*argv, "--out", out) == 2
-        assert self.error(capsys)["error"] == "InputError"
+        # the solver, not the CLI, refuses a zero axis
+        assert self.error(capsys)["error"] == (
+            "DimMismatch" if "0,0,0" in argv else "InputError")
         assert not (out / "run.json").exists()
 
     def test_input_is_a_directory(self, tmp_path, capsys):
@@ -1197,7 +1201,7 @@ class TestDiagnoseErrors:
                    "--out", tmp_path / "out")
         assert code == 2
         err = self.error(capsys)
-        assert err["error"] == "InputError"
+        assert err["error"] == "DimMismatch"
         assert "--twist" in err["message"]
 
     def test_twist_file_is_read(self, tmp_path):
@@ -1299,6 +1303,36 @@ class TestToric:
                    "--axis", "0,0,1", "--order", "4",
                    "--out", tmp_path / "out")
         assert code == 2
+
+    @pytest.mark.parametrize("dim", ["3.7", '"4"', "true", "null"])
+    def test_solve_dim_must_be_3_or_4(self, dim, tmp_path, capsys):
+        # the loader once took int(dim): 3.7 solved as dim 3 (exit 0), "4"
+        # as dim 4, and true was refused as "got 1"
+        (tmp_path / "cons.json").write_text(
+            '{"rows": [{"omega": [1, 0, 0]}, {"omega": [0, 1, 0]}], '
+            '"dim": %s}' % dim)
+        out = tmp_path / "out"
+        assert run("toric", "solve", "--constraints", tmp_path / "cons.json",
+                   "--axis", "0,0,1", "--order", "4", "--out", out) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "DimMismatch"
+        assert f"got {json.loads(dim)}" in err["message"]
+        assert list(out.iterdir()) == []
+
+    def test_solve_dim_4_0_is_dim_4(self, tmp_path):
+        outs = []
+        for dim in ("4", "4.0"):
+            (tmp_path / "cons.json").write_text(
+                '{"rows": [{"omega": [0, 0, 1, -1]}], "dim": %s}' % dim)
+            outs.append(tmp_path / f"out{dim}")
+            assert run("toric", "solve", "--constraints",
+                       tmp_path / "cons.json", "--axis", "0,0,1",
+                       "--order", "4", "--out", outs[-1]) == 0
+        a, b = [(out / "direction.json").read_bytes() for out in outs]
+        assert a == b
+        np.testing.assert_allclose(json.loads(a)["v"],
+                                   np.array([0, 0, 1, 1]) / np.sqrt(2),
+                                   atol=1e-15)
 
 
 class TestNoiseStudy:
@@ -1803,13 +1837,13 @@ class TestFuzzedFiles:
                                    "InputError"),
         "infinite constraints dim": ("constraints JSON", ".json",
                                      "{%s, \"dim\": Infinity}" % (ROWS % 1),
-                                     "InputError"),
+                                     "DimMismatch"),
         "constraint of huge norm": ("constraints JSON", ".json",
                                     "{%s}" % (ROWS % "1e308"),
                                     "NumericalError"),
         "twist past float64": ("twist JSON", ".json",
                                json.dumps(TWIST).replace("0.0", BIG, 1),
-                               "InputError"),
+                               "DimMismatch"),
         "huge symmetric twist": ("twist JSON", ".json",
                                  json.dumps(TWIST).replace("0.0", "1e308", 5),
                                  "DimMismatch"),
@@ -1824,14 +1858,62 @@ class TestFuzzedFiles:
             "NumericalError"),
     }
 
-    @pytest.mark.parametrize("case", ESCAPED)
-    def test_escaped_once(self, case, cli_inputs, tmp_path):
-        name, suffix, text, error = self.ESCAPED[case]
-        kind, valid, argv = fuzz_case(name, cli_inputs)
+    # where each JSON input file holds a number
+    NUMBER_AT = {
+        "points JSON": ("points", 0, "p", 0),
+        "image JSON": ("points", 0, "p", 0),
+        "spec JSON": ("u", 0),
+        "voxel grid": ("origin", 0),
+        "vector field": ("origin", 0),
+        "connection": ("origin", 0),
+        "twist JSON": (0, 0, 1),
+        "constraints JSON": ("rows", 0, "omega", 0),
+    }
+
+    @staticmethod
+    def fuzzed_path(kind, valid, tmp_path) -> Path:
+        """The path of a copy of `valid` to fuzz, a grid's CSV copied."""
         path = tmp_path / "in" / ("fuzzed" + valid.suffix)
         path.parent.mkdir()
         if kind == "grid":
             shutil.copy(valid.with_suffix(".csv"), path.with_suffix(".csv"))
+        return path
+
+    @pytest.mark.parametrize("name", NUMBER_AT)
+    def test_past_float64_is_refused_by_the_record(self, name, cli_inputs,
+                                                    tmp_path):
+        # the record alone refuses an integer no float64 holds, as its
+        # DimMismatch, and the loader names the file
+        kind, valid, argv = fuzz_case(name, cli_inputs)
+        path = self.fuzzed_path(kind, valid, tmp_path)
+        doc = parent = json.loads(valid.read_text())
+        *keys, last = self.NUMBER_AT[name]
+        for key in keys:
+            parent = parent[key]
+        parent[last] = 10 ** 400
+        path.write_text(json.dumps(doc))
+        failure = check_outcome(argv(path, tmp_path / "out"), tmp_path)
+        assert failure["error"] == "DimMismatch"
+        assert str(path) in failure["message"]
+        if name == "twist JSON":
+            assert "--twist" in failure["message"]
+
+    def test_nan_field_sample_names_its_file(self, cli_inputs, tmp_path):
+        kind, valid, argv = fuzz_case("vector field", cli_inputs)
+        path = self.fuzzed_path(kind, valid, tmp_path)
+        shutil.copy(valid, path)
+        csv = path.with_suffix(".csv")
+        text = csv.read_text()
+        csv.write_text("nan" + text[text.index(","):])  # the first sample
+        failure = check_outcome(argv(path, tmp_path / "out"), tmp_path)
+        assert failure["error"] == "HeaderMismatch"
+        assert str(path) in failure["message"]
+
+    @pytest.mark.parametrize("case", ESCAPED)
+    def test_escaped_once(self, case, cli_inputs, tmp_path):
+        name, suffix, text, error = self.ESCAPED[case]
+        kind, valid, argv = fuzz_case(name, cli_inputs)
+        path = self.fuzzed_path(kind, valid, tmp_path)
         path.with_suffix(suffix).write_text(text)
         failure = check_outcome(argv(path, tmp_path / "out"), tmp_path)
         assert (failure or {}).get("error") == error, failure
