@@ -76,19 +76,6 @@ def _echo_run(out: Path, args) -> None:
                   out / "run.json")
 
 
-def _parse_list(text: str, kind, n=None, *, option: str) -> list:
-    """Comma-separated values of type `kind`, n of them if n given; the
-    command's records refuse values out of their range."""
-    try:
-        vals = [kind(x) for x in text.split(",")]
-        if n in (None, len(vals)):
-            return vals
-    except ValueError:
-        pass
-    raise InputError(f"{option} must be {n or 'comma-separated'} "
-                     f"{kind.__name__}s, got {text!r}")
-
-
 # -- commands ---------------------------------------------------------------
 
 
@@ -142,9 +129,11 @@ def cmd_reconstruct_voxels(args, out: Path) -> None:
     spec1 = ser.load_spec(args.spec1)
     spec2 = ser.load_spec(args.spec2)
     geometry._cross_norm(spec1, spec2, args.tol)
-    dims = tuple(_parse_list(args.grid_dims, int, 3, option="--grid-dims"))
-    # the header checks the spacing before the centred origin is computed;
-    # the system does not depend on the origin
+    # a unit-spacing header checks the dims, so that only their refusal
+    # names --grid-dims; the header checks the spacing before the centred
+    # origin is computed, and the system does not depend on the origin
+    dims = ser.read_list(args.grid_dims, int, "--grid-dims", lambda d:
+                         geometry.GridHeader(d, 1.0, np.zeros(3)))
     lattice = geometry.GridHeader(dims, args.spacing, np.zeros(3))
     sinos = [ser.load_sinogram_csv(args.sino1),
              ser.load_sinogram_csv(args.sino2)]
@@ -230,7 +219,7 @@ def cmd_diagnose_jacobiator(args, out: Path) -> None:
 
 def cmd_toric_detect(args, out: Path) -> None:
     cloud = ser.load_cloud(args.input)
-    orders = _parse_list(args.orders, int, option="--orders")
+    orders = ser.read_list(args.orders, int, "--orders")
     rep = toric.detect_axis(cloud, orders, tol=args.tol)
     ser.dump_json({"tool": TOOL, "axis": rep.axis.tolist(),
                    "order": rep.order,
@@ -241,7 +230,8 @@ def cmd_toric_detect(args, out: Path) -> None:
 
 def cmd_toric_solve(args, out: Path) -> None:
     rows, dim = ser.load_constraints(args.constraints)
-    axis = _parse_list(args.axis, float, 3, option="--axis")
+    # the raw values go on: normalizing twice can move an axis's last bit
+    axis = ser.read_list(args.axis, float, "--axis", toric._unit_axis)
     sol = toric.solve_direction_equivariant(rows, axis, args.order, dim)
     ser.dump_json({"tool": TOOL, "v": sol.v.tolist(), "nullity": sol.nullity,
                    "residual": sol.residual}, out / "direction.json")
@@ -251,7 +241,8 @@ def cmd_noise_study(args, out: Path) -> None:
     cloud = ser.load_cloud(args.input)
     spec1 = ser.load_spec(args.spec1)
     spec2 = ser.load_spec(args.spec2)
-    sigmas = _parse_list(args.sigmas, float, option="--sigmas")
+    sigmas = ser.read_list(args.sigmas, float, "--sigmas", lambda s:
+                           [recon._require_sigma(x) for x in s])
     lines = [f"# {TOOL} seed={args.seed} trials={args.trials}",
              "sigma,rmse_mean,rmse_std,predicted_bound,slope"]
     for sigma in sigmas:

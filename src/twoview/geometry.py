@@ -21,6 +21,7 @@ from .errors import (DimMismatch, InvalidFrame, InvalidInvolution,
 
 _ORTHO_TOL = 1e-12
 _DET_TOL = 1e-9
+_RANK_TOL = 1e-10  # relative pivot/singular-value threshold
 _MARCH_BLOCK = 1 << 16  # (t, pixel) samples per ray-march block
 # The memory limit, and the one size model of `project --mode voxels`,
 # `reconstruct voxels` and `noise-study` that `_require_memory` applies:
@@ -64,6 +65,15 @@ def _as_array(x, shape, what: str, error=DimMismatch) -> np.ndarray:
     if not np.all(np.isfinite(a)):
         raise error(f"non-finite {what}")
     return a
+
+
+def _brief(value, width: int = 40) -> str:
+    """str(value) for a refusal to echo, its middle elided past `width`
+    characters."""
+    text = str(value)
+    if len(text) <= width:
+        return text
+    return f"{text[:width // 2]}...{text[-(width // 2):]}"
 
 
 def _trilinear_weights(frac: np.ndarray) -> np.ndarray:
@@ -690,6 +700,11 @@ def check_transversality(spec1: ProjectionSpec, spec2: ProjectionSpec,
     _require_tol(tol)
     cn = _cross_norm(spec1, spec2)
     return TransversalityCheck(cn, cn > tol)
+
+
+def _rank_above(svals: np.ndarray, smax: float) -> int:
+    """Number of singular values in svals above _RANK_TOL times smax."""
+    return int(np.sum(svals > _RANK_TOL * smax)) if smax > 0 else 0
 
 
 def _canonical_sign(v: np.ndarray) -> np.ndarray:

@@ -36,15 +36,17 @@ from .geometry import (
     ProjectionSpec,
     project_points,
     projection_operator,
+    _RANK_TOL,
     _as_array,
     _axis_alignment,
+    _brief,
     _canonical_sign,
     _cross_norm,
     _entry_bound,
+    _rank_above,
     _require_memory,
 )
 
-_RANK_TOL = 1e-10  # relative pivot/singular-value threshold
 # Closed-form slice ranks of systems with at most this many matrix entries
 # are also checked against `elimination_rank`, which costs at most a few
 # ms there.
@@ -64,7 +66,8 @@ class ConstraintRow:
     """One linear constraint omega . v = rhs on the direction v.
 
     Raises DimMismatch unless omega has 3 or 4 finite components, not all
-    zero, and rhs is finite.
+    zero, and rhs is finite.  Only an exactly zero omega is refused: the
+    solvers judge a row against the others, so any scale is a constraint.
     """
 
     omega: np.ndarray
@@ -75,7 +78,7 @@ class ConstraintRow:
         if o.shape[0] not in (3, 4):
             raise DimMismatch(f"omega must have 3 or 4 components, got {o.shape[0]}")
         rhs = float(_as_array(self.rhs, (), "rhs"))
-        if np.linalg.norm(o) <= 1e-12:
+        if not np.any(o):
             raise DimMismatch("omega is identically zero")
         object.__setattr__(self, "omega", o)
         object.__setattr__(self, "rhs", rhs)
@@ -202,8 +205,11 @@ def solve_direction(constraints, dim: int) -> DirectionSolution:
     minimum-norm least-squares solution with its residual.  The nullity
     dim - rank is always reported rather than assumed.
 
-    Raises AmbiguousDirection when nullity > 1 and Inconsistent when a
-    homogeneous system admits only the trivial solution.
+    Raises AmbiguousDirection when nullity > 1, and Inconsistent when a
+    homogeneous system admits only the trivial solution or b is
+    orthogonal to the range of A.  Every test is relative to the data, so
+    scaling all omegas and rhs values by one factor scales the residual
+    alone.
     """
     return _direction_core(*_stack_constraints(constraints, dim))
 
@@ -212,7 +218,7 @@ def _stack_constraints(constraints, dim: int):
     """(A, b) from the omegas and rhs values; DimMismatch unless dim is
     3 or 4, there is at least one row and every omega has dim entries."""
     if dim not in (3, 4):
-        raise DimMismatch(f"dim must be 3 or 4, got {dim}")
+        raise DimMismatch(f"dim must be 3 or 4, got {_brief(dim)}")
     rows = list(constraints)
     if not rows:
         raise DimMismatch("need at least one constraint")
@@ -230,9 +236,10 @@ def _direction_core(A: np.ndarray, b: np.ndarray) -> DirectionSolution:
     system's direction is the last right singular vector, and the
     least-squares solution keeps only the first `rank` singular triplets.
     Raises AmbiguousDirection when nullity > 1 and Inconsistent when no
-    nonzero solution exists.  The residual is |A v| for a homogeneous
-    system and |A x - b| at the least-squares solution x (before
-    normalization) otherwise.
+    nonzero solution exists: a full-rank homogeneous system, or a b whose
+    part in the range of A, |U_r^T b|, is at most _RANK_TOL |b|.  The
+    residual is |A v| for a homogeneous system and |A x - b| at the
+    least-squares solution x (before normalization) otherwise.
     """
     u, svals, vt = np.linalg.svd(A)
     rank = _rank_above(svals, svals[0])
@@ -246,21 +253,17 @@ def _direction_core(A: np.ndarray, b: np.ndarray) -> DirectionSolution:
                 "homogeneous system is full rank; only trivial solution")
         v = _canonical_sign(vt[-1])
         return DirectionSolution(v, nullity, float(np.linalg.norm(A @ v)))
-    x = vt[:rank].T @ (u[:, :rank].T @ b / svals[:rank])
-    nx = np.linalg.norm(x)
-    if nx <= 1e-300:
-        raise Inconsistent("least-squares solution is zero; no direction")
-    v = _canonical_sign(x / nx)
+    c = u[:, :rank].T @ b
+    if np.linalg.norm(c) <= _RANK_TOL * np.linalg.norm(b):
+        raise Inconsistent("b is orthogonal to the range of A; the "
+                           "least-squares solution is zero")
+    x = vt[:rank].T @ (c / svals[:rank])
+    v = _canonical_sign(x / np.linalg.norm(x))
     return DirectionSolution(v, nullity, float(np.linalg.norm(A @ x - b)))
 
 
 # ---------------------------------------------------------------------------
 # discrete tomographic system
-
-
-def _rank_above(svals: np.ndarray, smax: float) -> int:
-    """Number of singular values in svals above _RANK_TOL times smax."""
-    return int(np.sum(svals > _RANK_TOL * smax)) if smax > 0 else 0
 
 
 def elimination_rank(A: np.ndarray) -> int:
@@ -543,6 +546,12 @@ def amplification_factor(spec1: ProjectionSpec, spec2: ProjectionSpec) -> float:
     return 1.0 / _cross_norm(spec1, spec2, 0.0)
 
 
+def _require_sigma(sigma: float) -> None:
+    """Raise DimMismatch unless the noise std sigma is finite and >= 0."""
+    if not (np.isfinite(sigma) and sigma >= 0):
+        raise DimMismatch(f"sigma must be finite and >= 0, got {sigma}")
+
+
 def noise_study(cloud: PointCloud, spec1: ProjectionSpec,
                 spec2: ProjectionSpec, sigma: float, trials: int,
                 seed: int = 0, tol: float = 1e-9) -> NoiseReport:
@@ -558,11 +567,11 @@ def noise_study(cloud: PointCloud, spec1: ProjectionSpec,
     sigma * |M|_F = sigma * sqrt(1/2 + 2 / |n1 x n2|^2) for the
     triangulation map M, which exceeds kappa * sigma for every pair.
     Raises DimMismatch for a cloud of no points, unless sigma is finite
-    and >= 0, trials >= 1 and seed >= 0, and when the noise overflows, and
-    SystemTooLarge when the trials' RMSEs would exceed the memory limit.
+    and >= 0 (`_require_sigma`), trials >= 1 and seed >= 0, and when the
+    noise overflows, and SystemTooLarge when the trials' RMSEs would
+    exceed the memory limit.
     """
-    if not (np.isfinite(sigma) and sigma >= 0):
-        raise DimMismatch(f"sigma must be finite and >= 0, got {sigma}")
+    _require_sigma(sigma)
     if trials < 1:
         raise DimMismatch(f"trials must be >= 1, got {trials}")
     if seed < 0:

@@ -1,8 +1,9 @@
 """File formats: JSON for structured records, CSV for bulk arrays.
 
-Every input file is read here.  A loader parses its file and hands the
-values to the record it builds unchecked; the record alone refuses them,
-and `_reading` re-raises its refusal with the file named.
+Every input file and every comma-separated option value is read here.
+A loader parses its file, or `read_list` its option, and hands the values
+to the record it builds unchecked; the record alone refuses them, and
+`_reading` re-raises its refusal with the file or the option named.
 
 Grid-shaped payloads (voxels, vector fields, Christoffel symbols) are a
 JSON header next to a row-major CSV file with the same stem; sparse
@@ -45,9 +46,9 @@ _WRITE_VALUES = 1 << 12  # values formatted per `%` by _write_formatted
 
 @contextmanager
 def _reading(path, what: str):
-    """Raise every failure to read or parse `path` as an InputError, and a
-    record's refusal of the `what` it holds as the same class, `path`
-    named."""
+    """Raise every failure to read or parse `path`, a file or an option, as
+    an InputError, and a record's refusal of the `what` it holds as the
+    same class, `path` named."""
     try:
         yield
     except FileNotFoundError as exc:
@@ -104,6 +105,17 @@ def _write_formatted(fh, template: str, rows, sep: str = "") -> None:
             block = sep.join([template] * (stop - start))
         fh.write((sep if start else "")
                  + block % tuple(values.ravel().tolist()))
+
+
+def read_list(text: str, kind, option: str, check=None) -> list:
+    """The comma-separated `kind` values of command-line option `option`,
+    given to `check` when one is given; a value `kind` cannot parse, or
+    `check`'s refusal of them, is raised with the option named."""
+    with _reading(option, "value"):
+        values = [kind(x) for x in text.split(",")]
+        if check is not None:
+            check(values)
+        return values
 
 
 # -- point clouds and images ------------------------------------------------
@@ -325,9 +337,12 @@ def load_twist(path) -> algebra.TwistMap:
 
 def load_constraints(path) -> tuple:
     """(rows, dim) of a `toric solve --constraints` file
-    {"rows": [{"omega": [...], "rhs": r}, ...], "dim": d}: rhs 0 and dim 3
-    when absent, dim as written, for the solver to refuse."""
+    {"rows": [{"omega": [...], "rhs": r}, ...], "dim": d}, rhs 0 and dim 3
+    when absent; the solvers' own validator checks the stack."""
     data = _load_json(path)
     with _reading(path, "constraints"):
-        return ([recon.ConstraintRow(r["omega"], r.get("rhs", 0.0))
-                 for r in data["rows"]], data.get("dim", 3))
+        rows = [recon.ConstraintRow(r["omega"], r.get("rhs", 0.0))
+                for r in data["rows"]]
+        dim = data.get("dim", 3)
+        recon._stack_constraints(rows, dim)
+        return rows, dim

@@ -24,8 +24,8 @@ from .errors import (
     Inconsistent,
     InputError,
 )
-from .geometry import (PointCloud, ProjectionSpec, _as_array, _canonical_sign,
-                       _require_tol)
+from .geometry import (PointCloud, ProjectionSpec, _RANK_TOL, _as_array,
+                       _brief, _canonical_sign, _rank_above, _require_tol)
 
 CONTINUOUS = "continuous"
 _DIAMETER_BLOCK = 2**18  # pairwise distances per block of a distance scan
@@ -196,7 +196,10 @@ def detect_axis(cloud: PointCloud, orders, tol: float = 1e-8) -> ToricReport:
     finest symmetry); otherwise the overall minimum residual is reported.
     A repeated eigenvalue pair flags a continuous symmetry.  Raises
     DimMismatch when an order is below 2 or tol is NaN, negative or
-    infinite, or when no order is given.
+    infinite, or when no order is given, and DegenerateCloud for fewer
+    than 3 points or points collinear up to rounding: fewer than two
+    singular values of the centred positions above _RANK_TOL times the
+    largest, so a line's rounding is judged against its length.
 
     A candidate passes when every rotated point has a partner within
     max(tol, tol * diameter), a fixed-radius question a `_CellGrid` at
@@ -220,8 +223,8 @@ def detect_axis(cloud: PointCloud, orders, tol: float = 1e-8) -> ToricReport:
     centered = pts - c
     sm = moments.second_moment(cloud)
     evals, evecs = sm.eigen()
-    span = np.linalg.matrix_rank(centered, tol=1e-10)
-    if span < 2:
+    svals = np.linalg.svd(centered, compute_uv=False)
+    if _rank_above(svals, svals[0]) < 2:
         raise DegenerateCloud("points are collinear")
     scale = max(float(evals[-1]), 1e-300)
     diam = _diameter(pts)
@@ -299,7 +302,7 @@ def _fixed_basis(axis, order: int, dim: int) -> np.ndarray:
         return a[:, None]
     if dim == 4:
         return np.column_stack([np.append(a, 0.0), np.eye(4)[3]])
-    raise DimMismatch(f"dim must be 3 or 4, got {dim}")
+    raise DimMismatch(f"dim must be 3 or 4, got {_brief(dim)}")
 
 
 def group_average(matrixlike_axis, order: int, dim: int = 3) -> np.ndarray:
@@ -329,7 +332,8 @@ def solve_direction_equivariant(constraints, axis, order: int,
     B = _fixed_basis(axis, order, dim)
     f = B.shape[1]
     reduced = A @ B
-    keep = np.linalg.norm(reduced, axis=1) > 1e-12
+    keep = (np.linalg.norm(reduced, axis=1)
+            > _RANK_TOL * np.linalg.norm(A, axis=1))
     if not keep.any():
         if f == 1 and not b.any():
             return recon.DirectionSolution(_canonical_sign(B[:, 0]), 1, 0.0)

@@ -20,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import twoview
-from twoview import cli, diffgeo, geometry, recon
+from twoview import cli, diffgeo, geometry, recon, toric
 from twoview import serialization as ser
 from twoview.cli import build_parser, main
 from twoview.data import fixture_path
@@ -122,6 +122,20 @@ class TestReconstruct:
         cert = json.loads((rec / "certificate.json").read_text())
         assert cert["unique"] is True
         assert cert["transversality"]["pass"] is True
+
+    def test_points_of_empty_images(self, tmp_path):
+        for name in ("image1.json", "image2.json"):
+            (tmp_path / name).write_text('{"points": []}')
+        rec = tmp_path / "rec"
+        assert run("reconstruct", "points",
+                   "--image1", tmp_path / "image1.json",
+                   "--image2", tmp_path / "image2.json", *_SPECS,
+                   "--out", rec) == 0
+        assert len(ser.load_cloud(rec / "reconstructed.json")) == 0
+        cert = json.loads((rec / "certificate.json").read_text())
+        assert (cert["transversality"], cert["unique"]) == (None, False)
+        summary = json.loads((rec / "summary.json").read_text())
+        assert (summary["points"], summary["max_reprojection_error"]) == (0, 0)
 
     def test_voxels_determined_column(self, tmp_path, rng):
         vals = rng.uniform(0.1, 1.0, (1, 1, 4))
@@ -610,9 +624,12 @@ class TestBoundaryValidation:
                    "--spec1", SPEC_XY, "--spec2", SPEC_YZ,
                    "--out", tmp_path / "out")
         assert code == 2
-        # GridHeader, not the CLI, refuses a zero dimension
-        assert self.error(capsys)["error"] == (
-            "DimMismatch" if dims == "2,0,2" else "InputError")
+        # GridHeader, not the CLI, refuses a count or a dimension; either
+        # refusal names the option
+        err = self.error(capsys)
+        assert err["error"] == (
+            "InputError" if dims in ("a,b", "") else "DimMismatch")
+        assert "--grid-dims" in err["message"]
 
     @pytest.mark.parametrize("argv", [
         ("toric", "detect", "--input", CLOUD, "--orders", "a"),
@@ -625,13 +642,17 @@ class TestBoundaryValidation:
     def test_bad_comma_list(self, argv, tmp_path, capsys):
         (tmp_path / "cons.json").write_text(
             '{"rows": [{"omega": [1, 0, 0]}], "dim": 3}')
+        option, value = argv[-2:]
         if argv[1] == "solve":
             argv += ("--constraints", tmp_path / "cons.json")
         out = tmp_path / "out"
         assert run(*argv, "--out", out) == 2
-        # the solver, not the CLI, refuses a zero axis
-        assert self.error(capsys)["error"] == (
-            "DimMismatch" if "0,0,0" in argv else "InputError")
+        # the solver's axis check, not the CLI, refuses a count or a zero
+        # axis; every refusal names the option
+        err = self.error(capsys)
+        assert err["error"] == (
+            "DimMismatch" if value in ("0,0", "0,0,0") else "InputError")
+        assert option in err["message"]
         assert not (out / "run.json").exists()
 
     def test_input_is_a_directory(self, tmp_path, capsys):
@@ -1304,20 +1325,43 @@ class TestToric:
                    "--out", tmp_path / "out")
         assert code == 2
 
-    @pytest.mark.parametrize("dim", ["3.7", '"4"', "true", "null"])
+    @pytest.mark.parametrize("dim", ["5", "3.7", '"4"', "true", "null",
+                                     "1" + "0" * 400],
+                             ids=["5", "3.7", '"4"', "true", "null", "1e400"])
     def test_solve_dim_must_be_3_or_4(self, dim, tmp_path, capsys):
         # the loader once took int(dim): 3.7 solved as dim 3 (exit 0), "4"
-        # as dim 4, and true was refused as "got 1"
-        (tmp_path / "cons.json").write_text(
-            '{"rows": [{"omega": [1, 0, 0]}, {"omega": [0, 1, 0]}], '
-            '"dim": %s}' % dim)
+        # as dim 4, and true was refused as "got 1"; the solver then
+        # refused dim outside the loader, naming no file, and echoed it
+        # whole: 1 and 400 zeros gave a 465-byte line
+        cons = tmp_path / "cons.json"
+        cons.write_text('{"rows": [{"omega": [1, 0, 0]}, '
+                        '{"omega": [0, 1, 0]}], "dim": %s}' % dim)
         out = tmp_path / "out"
-        assert run("toric", "solve", "--constraints", tmp_path / "cons.json",
+        assert run("toric", "solve", "--constraints", cons,
                    "--axis", "0,0,1", "--order", "4", "--out", out) == 2
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "DimMismatch"
-        assert f"got {json.loads(dim)}" in err["message"]
+        assert err["message"].startswith(
+            f"constraints in {cons}: dim must be 3 or 4, got ")
+        assert len(err["message"].encode()) < 200
+        if len(dim) < 40:
+            assert err["message"].endswith(f"got {json.loads(dim)}")
         assert list(out.iterdir()) == []
+
+    def test_solve_gets_the_axis_as_written(self, tmp_path, monkeypatch):
+        # the --axis check normalizes a copy: normalizing twice moves the
+        # last bit of some axes, which would change direction.json
+        seen = []
+        solve = toric.solve_direction_equivariant
+        monkeypatch.setattr(toric, "solve_direction_equivariant",
+                            lambda rows, axis, *a: seen.append(axis)
+                            or solve(rows, axis, *a))
+        (tmp_path / "cons.json").write_text(
+            '{"rows": [{"omega": [1, 2, 3], "rhs": 1}]}')
+        assert run("toric", "solve", "--constraints", tmp_path / "cons.json",
+                   "--axis", "0.1,0.2,3", "--order", "4",
+                   "--out", tmp_path / "out") == 0
+        assert seen == [[0.1, 0.2, 3.0]]
 
     def test_solve_dim_4_0_is_dim_4(self, tmp_path):
         outs = []
@@ -1360,6 +1404,23 @@ class TestNoiseStudy:
         assert code == 3
         assert json.loads(capsys.readouterr().err)["error"] == "NonTransverse"
 
+    @pytest.mark.parametrize("sigmas", ["0.01,nan", "0.01,-1", "inf"])
+    def test_bad_sigma_refused_before_any_trial(self, sigmas, tmp_path,
+                                                capsys, monkeypatch):
+        # nan was once refused by the study itself, after the 0.01 trials
+        trials = []
+        monkeypatch.setattr(recon, "noise_study",
+                            lambda *args, **kwargs: trials.append(args))
+        out = tmp_path / "out"
+        assert run("noise-study", "--input", CLOUD, *_SPECS, "--sigmas", sigmas,
+                   "--out", out) == 2
+        [line] = capsys.readouterr().err.splitlines()
+        err = json.loads(line)
+        assert err["error"] == "DimMismatch"
+        assert err["message"].startswith("value in --sigmas: sigma must be")
+        assert trials == []
+        assert list(out.iterdir()) == []
+
     def test_empty_cloud_exits_2(self, tmp_path, capsys):
         # the mean over no points once ended in a floating-point error
         # (exit 4)
@@ -1383,6 +1444,25 @@ class TestTopLevel:
                    "--out", bad) == 3
         assert (ok / "run.json").exists()
         assert bad.is_dir() and not (bad / "run.json").exists()
+
+    def test_debug_logging_changes_no_output(self, tmp_path, monkeypatch):
+        # RECON_LOG sets the root logger's level; the outputs stay the same
+        levels = []
+        monkeypatch.setattr("logging.basicConfig",
+                            lambda level: levels.append(level))
+        outs = [tmp_path / "plain", tmp_path / "debug"]
+        for out in outs:
+            if out.name == "debug":
+                monkeypatch.setenv("RECON_LOG", "debug")
+            assert run("project", "--input", CLOUD, *_SPECS, "--out", out) == 0
+        assert levels == [10]  # logging.DEBUG
+        plain, debug = ({f.name: f.read_bytes() for f in out.iterdir()}
+                        for out in outs)
+        runs = [json.loads(files.pop("run.json")) for files in (plain, debug)]
+        assert plain == debug and plain.keys() == {"image1.json", "image2.json"}
+        for cfg, out in zip(runs, outs):
+            assert cfg["config"].pop("out") == str(out)
+        assert runs[0] == runs[1]
 
     def test_version(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -179,6 +179,14 @@ class TestNodeScaling:
         assert rmax == residual[inner].max()
 
 
+def test_interior_past_the_centre_is_too_small():
+    # a 3^3 grid has one node at depth 1 and none at depth 2
+    X = const(small_header(n=3), (1.0, 0, 0))
+    assert X.max_interior_norm(depth=1) == 1.0
+    with pytest.raises(GridTooSmall, match="too small for depth 2"):
+        X.max_interior_norm(depth=2)
+
+
 class TestLieBracket:
     def test_coordinate_fields_commute(self):
         header = small_header()
@@ -442,6 +450,25 @@ class TestDualityResidual:
         res = duality_residual(conn1, conn2, Involution(m),
                                self.probes(header))
         assert res <= 5e-3
+
+    def test_reflection_of_an_off_centre_grid_leaves_it(self):
+        # x -> -x carries a grid with its corner at the origin onto the
+        # negative octant
+        header = small_header(origin=0.0)
+        flat = ConnectionField.flat(header)
+        with pytest.raises(HeaderMismatch, match="outside the other grid"):
+            duality_residual(flat, flat, Involution(-np.eye(3)),
+                             self.probes(header))
+
+    def test_rotation_off_the_lattice(self):
+        # the half turn about (cos 30, sin 30, 0) moves nodes between nodes
+        a = np.array([np.cos(np.pi / 6), np.sin(np.pi / 6), 0.0])
+        header = small_header()
+        flat = ConnectionField.flat(header)
+        with pytest.raises(HeaderMismatch, match="onto nodes"):
+            duality_residual(flat, flat, Involution(2 * np.outer(a, a)
+                                                    - np.eye(3)),
+                             self.probes(header))
 
     def test_unrelated_pair(self):
         rng = np.random.default_rng(6)

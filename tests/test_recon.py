@@ -308,10 +308,51 @@ class TestSolveDirection:
             assert sol.residual == pytest.approx(np.linalg.norm(A @ x - b),
                                                  rel=1e-10)
 
-    @pytest.mark.parametrize("dim", [2, 5])
+    @pytest.mark.parametrize("dim", [2, 5, 10**400], ids=["2", "5", "1e400"])
     def test_bad_dim(self, dim):
-        with pytest.raises(DimMismatch, match="dim must be 3 or 4"):
+        # 1 and 400 zeros was once echoed whole
+        with pytest.raises(DimMismatch, match="dim must be 3 or 4") as exc:
             solve_direction([ConstraintRow([1, 0, 0])], dim=dim)
+        assert len(str(exc.value)) < 80
+
+    @pytest.mark.parametrize("scale", [1.0, 1e-13])
+    def test_b_orthogonal_to_the_range_is_inconsistent(self, scale):
+        # rows e1 = 1, e1 = -1 and e2 = 0: the least-squares x is rounding
+        # noise (|x| 1.6e-16), which once passed an absolute zero test and
+        # came back as the direction (1, 0, 0); at scale 1e-13 the rows
+        # were refused as zero
+        e1, e2, _ = scale * np.eye(3)
+        rows = [ConstraintRow(e1, scale), ConstraintRow(e1, -scale),
+                ConstraintRow(e2, 0.0)]
+        with pytest.raises(Inconsistent, match="orthogonal to the range"):
+            solve_direction(rows, dim=3)
+
+    def test_only_an_exactly_zero_omega_is_refused(self):
+        assert ConstraintRow([0, 1e-300, 0]).omega[1] == 1e-300
+        with pytest.raises(DimMismatch, match="identically zero"):
+            ConstraintRow([0.0, -0.0, 0.0])
+
+    @pytest.mark.parametrize("k", [-40, 40])
+    def test_scale_free(self, k, rng):
+        # every omega and rhs times 2^k: the same v and nullity, and the
+        # residual times 2^k
+        A3 = rng.standard_normal((2, 3)) @ rng.standard_normal((3, 3))
+        A4 = rng.standard_normal((5, 3)) @ rng.standard_normal((3, 4))
+        systems = [(rng.standard_normal((3, 4)), np.zeros(3)),
+                   (A3, np.zeros(2)),
+                   (rng.standard_normal((5, 3)), rng.standard_normal(5)),
+                   (A4, rng.standard_normal(5))]
+        for A, b in systems:
+            dim = A.shape[1]
+            sol = solve_direction([ConstraintRow(a, r) for a, r in zip(A, b)],
+                                  dim=dim)
+            scaled = solve_direction(
+                [ConstraintRow(np.ldexp(a, k), np.ldexp(r, k))
+                 for a, r in zip(A, b)], dim=dim)
+            assert scaled.nullity == sol.nullity
+            np.testing.assert_allclose(scaled.v, sol.v, rtol=0, atol=1e-13)
+            assert scaled.residual == pytest.approx(
+                np.ldexp(sol.residual, k), rel=1e-12, abs=np.ldexp(1e-15, k))
 
     def test_empty(self):
         with pytest.raises(DimMismatch, match="at least one"):
@@ -392,6 +433,11 @@ class TestRadonSystem:
                                    .ravel() for s in specs])
         np.testing.assert_allclose(system.rows @ probe.values.ravel(),
                                    expected, rtol=0, atol=1e-12)
+
+    def test_one_sinogram_per_spec(self):
+        grid = GridHeader((2, 2, 2), 1.0, (0, 0, 0))
+        with pytest.raises(DimMismatch, match="0 specs vs 1 sinograms"):
+            build_radon_system([], grid, [Sinogram(np.ones((2, 2)))])
 
     def test_sinogram_smaller_than_grid(self):
         grid = VoxelGrid((4, 4, 4), 1.0, (0, 0, 0), np.ones((4, 4, 4)))
@@ -920,6 +966,9 @@ class TestEliminationRank:
             r = int(min(m, n, rng.integers(1, 5)))
             A = rng.standard_normal((m, r)) @ rng.standard_normal((r, n))
             assert elimination_rank(A) == np.linalg.matrix_rank(A)
+
+    def test_zero_matrix(self):
+        assert elimination_rank(np.zeros((3, 4))) == 0
 
 
 def linear_propagation_oracle(spec1, spec2, sigma):

@@ -153,6 +153,17 @@ class TestDetectAxis:
         with pytest.raises(DegenerateCloud):
             detect_axis(PointCloud(pts, np.ones(5)), orders=[2])
 
+    @pytest.mark.parametrize("offset", [1e5, 1e6])
+    def test_collinear_up_to_rounding_raises(self, offset, rng):
+        # a line moved far off the origin keeps transverse singular values
+        # of 1e-10 to 1e-9 from rounding, which an absolute 1e-10 rank
+        # threshold once took for a plane, reporting a symmetry
+        pts = (np.outer(10 * rng.standard_normal(40), [1.0, 2.0, 0.5])
+               + offset * np.array([1.0, -1.0, 1.0]))
+        assert np.linalg.matrix_rank(pts - pts.mean(axis=0), tol=1e-10) >= 2
+        with pytest.raises(DegenerateCloud, match="collinear"):
+            detect_axis(PointCloud(pts, np.ones(40)), orders=[2, 3])
+
     def test_too_few_points(self):
         with pytest.raises(DegenerateCloud):
             detect_axis(PointCloud([[0, 0, 0], [1, 0, 0]], [1, 1]),
@@ -187,6 +198,12 @@ class TestNearestNeighbourMatching:
                 rotated = pts @ rotation_about(axis, 2 * np.pi / k).T
                 assert tree.query(rotated)[0].max() == \
                     cdist(rotated, pts).min(axis=1).max()
+
+    def test_overflowing_diameter_is_infinite(self):
+        pts = np.array([[1e308, 0.0, 0.0], [-1e308, 0.0, 0.0],
+                        [0.0, 1.0, 0.0]])
+        with np.errstate(over="ignore"):
+            assert toric._diameter(pts) == np.inf
 
     @pytest.mark.parametrize("block", [1, 7, 2**18])
     def test_blocked_diameter_equals_dense(self, block, rng, monkeypatch):
@@ -223,7 +240,8 @@ def reference_detect_axis(cloud, orders, tol=1e-8):
         raise DegenerateCloud("need at least 3 points")
     centered = pts - (cloud.weights @ pts / cloud.total_mass)
     evals, evecs = second_moment(cloud).eigen()
-    if np.linalg.matrix_rank(centered, tol=1e-10) < 2:
+    svals = np.linalg.svd(centered, compute_uv=False)
+    if np.sum(svals > 1e-10 * svals[0]) < 2:
         raise DegenerateCloud("points are collinear")
     scale = max(float(evals[-1]), 1e-300)
     step = max(1, 2**18 // len(pts))
@@ -474,8 +492,11 @@ class TestGroupAverage:
             group_average([0, 0, 1], order)
 
     def test_bad_dim(self):
-        with pytest.raises(DimMismatch):
-            group_average([0, 0, 1], 2, dim=5)
+        # 1 and 400 zeros was once echoed whole
+        for dim in (5, 10**400):
+            with pytest.raises(DimMismatch, match="dim must be 3 or 4") as exc:
+                group_average([0, 0, 1], 2, dim=dim)
+            assert len(str(exc.value)) < 80
 
     def test_zero_axis(self):
         with pytest.raises(DimMismatch, match="finite and nonzero"):
@@ -571,6 +592,27 @@ class TestSolveDirectionEquivariant:
     def test_empty_constraints(self):
         with pytest.raises(DimMismatch):
             solve_direction_equivariant([], [0, 0, 1], 4)
+
+    @pytest.mark.parametrize("scale", [1.0, 2.0**-40, 1e-11, 2.0**40])
+    def test_rows_vanish_relative_to_their_size(self, scale):
+        # rows (e3, 2) and (e1 + 1e-3 e3, 1) about e3: the second row keeps
+        # its 1e-3 on the axis at every scale; at 1e-11 an absolute 1e-12
+        # cut once dropped it, and the residual went from 0.998 to 0
+        rows = [ConstraintRow(scale * np.array([0, 0, 1.0]), 2 * scale),
+                ConstraintRow(scale * np.array([1, 0, 1e-3]), scale)]
+        sol = solve_direction_equivariant(rows, [0, 0, 1], 4)
+        assert sol.nullity == 0
+        np.testing.assert_array_equal(sol.v, [0, 0, 1.0])
+        assert sol.residual == pytest.approx(0.998 * scale, rel=1e-6)
+
+    def test_b_orthogonal_to_the_reduced_range_is_ambiguous(self):
+        # both rows reduce to e3 with rhs 1 and -1: the least-squares
+        # solution on the axis is zero
+        rows = [ConstraintRow([1.0, 0, 1.0], 1.0),
+                ConstraintRow([0, 1.0, 1.0], -1.0)]
+        with pytest.raises(AmbiguousDirection, match="orthogonal") as exc:
+            solve_direction_equivariant(rows, [0, 0, 1], 4)
+        assert (exc.value.nullity, exc.value.fixed_subspace_dim) == (0, 1)
 
     @pytest.mark.parametrize("lengths, dim", [((3, 4), 3), ((4, 3), 4)])
     def test_omega_length_mismatch(self, lengths, dim):
