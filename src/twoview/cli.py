@@ -31,15 +31,23 @@ voxels, stored entries, march samples and dense values, included), 3
 geometric precondition failure, 4 a numerical failure: a floating-point
 overflow or invalid operation, or a NaN or infinity in an output JSON
 file.  Every failure writes one JSON object on stderr and no
-run.json.  Every command is deterministic given its inputs, and each
-successful run writes a `run.json` with the tool version and the value
-of every option the subcommand accepts.  A run that only parses its
-arguments (--version, --help, a usage error) imports no numpy.
+run.json.  An option value its validator refuses is an input error
+naming the option, raised before any input file is read.  Every command
+is deterministic given its inputs, and each successful run writes a
+`run.json` with the tool version and the value of every option the
+subcommand accepts.  A run that only parses its arguments (--version,
+--help, a usage error) imports no numpy.
+
+`run` is the process entry, of `python -m twoview.cli` and the
+`twoview` script: it exits with `main`'s code after freezing the garbage
+collector, so the interpreter's exit does not walk the run's objects.
+`main(argv)` is the in-process API and never freezes.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
@@ -126,14 +134,13 @@ def cmd_reconstruct_points(args, out: Path) -> None:
 
 def cmd_reconstruct_voxels(args, out: Path) -> None:
     import numpy as np
+    # a unit-spacing header checks the dims, so that only their refusal
+    # names --grid-dims; the system does not depend on the origin
+    dims = ser.read_list(args.grid_dims, int, "--grid-dims", lambda d:
+                         geometry.GridHeader(d, 1.0, np.zeros(3)))
     spec1 = ser.load_spec(args.spec1)
     spec2 = ser.load_spec(args.spec2)
     geometry._cross_norm(spec1, spec2, args.tol)
-    # a unit-spacing header checks the dims, so that only their refusal
-    # names --grid-dims; the header checks the spacing before the centred
-    # origin is computed, and the system does not depend on the origin
-    dims = ser.read_list(args.grid_dims, int, "--grid-dims", lambda d:
-                         geometry.GridHeader(d, 1.0, np.zeros(3)))
     lattice = geometry.GridHeader(dims, args.spacing, np.zeros(3))
     sinos = [ser.load_sinogram_csv(args.sino1),
              ser.load_sinogram_csv(args.sino2)]
@@ -218,8 +225,8 @@ def cmd_diagnose_jacobiator(args, out: Path) -> None:
 
 
 def cmd_toric_detect(args, out: Path) -> None:
+    orders = ser.read_list(args.orders, int, "--orders", toric._require_orders)
     cloud = ser.load_cloud(args.input)
-    orders = ser.read_list(args.orders, int, "--orders")
     rep = toric.detect_axis(cloud, orders, tol=args.tol)
     ser.dump_json({"tool": TOOL, "axis": rep.axis.tolist(),
                    "order": rep.order,
@@ -229,20 +236,20 @@ def cmd_toric_detect(args, out: Path) -> None:
 
 
 def cmd_toric_solve(args, out: Path) -> None:
-    rows, dim = ser.load_constraints(args.constraints)
     # the raw values go on: normalizing twice can move an axis's last bit
     axis = ser.read_list(args.axis, float, "--axis", toric._unit_axis)
+    rows, dim = ser.load_constraints(args.constraints)
     sol = toric.solve_direction_equivariant(rows, axis, args.order, dim)
     ser.dump_json({"tool": TOOL, "v": sol.v.tolist(), "nullity": sol.nullity,
                    "residual": sol.residual}, out / "direction.json")
 
 
 def cmd_noise_study(args, out: Path) -> None:
+    sigmas = ser.read_list(args.sigmas, float, "--sigmas", lambda s:
+                           [recon._require_sigma(x) for x in s])
     cloud = ser.load_cloud(args.input)
     spec1 = ser.load_spec(args.spec1)
     spec2 = ser.load_spec(args.spec2)
-    sigmas = ser.read_list(args.sigmas, float, "--sigmas", lambda s:
-                           [recon._require_sigma(x) for x in s])
     lines = [f"# {TOOL} seed={args.seed} trials={args.trials}",
              "sigma,rmse_mean,rmse_std,predicted_bound,slope"]
     for sigma in sigmas:
@@ -255,6 +262,28 @@ def cmd_noise_study(args, out: Path) -> None:
 
 
 # -- argument parsing -------------------------------------------------------
+
+
+# the validator that owns each single-valued number option, run on the
+# option's value, when its subcommand takes it and it is given, before any
+# input is read; the comma lists go through `ser.read_list` in the commands,
+# first.  The lambdas read each layer only when they run
+_OPTION_CHECKS = {
+    "--tol": lambda tol: geometry._require_tol(tol),
+    "--tol-int": lambda tol: geometry._require_tol(tol),
+    "--spacing": lambda h: geometry.GridHeader((1, 1, 1), h, (0, 0, 0)),
+    "--image-dims": lambda n: geometry._image_dims((n, n)),
+    "--order": lambda k: toric._require_order(k),
+    "--trials": lambda n: recon._require_trials(n),
+    "--seed": lambda s: recon._require_seed(s),
+}
+
+
+def _check_options(args) -> None:
+    for option, check in _OPTION_CHECKS.items():
+        value = getattr(args, option[2:].replace("-", "_"), None)
+        if value is not None:
+            ser.check_option(value, option, check)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -344,6 +373,7 @@ def main(argv=None) -> int:
             raise InputError("--out must name a directory, got ''")
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
+        _check_options(args)
         with warnings.catch_warnings():
             # numpy reports an overflow or an invalid operation outside an
             # np.errstate block as a RuntimeWarning on stderr; it ends the
@@ -362,5 +392,19 @@ def main(argv=None) -> int:
     return 0
 
 
+def run() -> None:
+    """The process entry, `python -m twoview.cli` and the `twoview` script:
+    exit with `main`'s code, after moving every object the run made into
+    the collector's permanent generation (`gc.freeze`).  Every output is
+    closed by then, so the full collections of the interpreter's exit need
+    not walk them; its atexit handlers, stream flushes and module teardown
+    still run.  `main` never freezes: a process that calls it many times,
+    a test session say, would keep all of its cyclic garbage."""
+    try:
+        sys.exit(main())
+    finally:
+        gc.freeze()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

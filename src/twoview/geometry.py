@@ -525,9 +525,7 @@ def projection_operator(grid: GridHeader, spec: ProjectionSpec,
     before anything is built, the entries so far before each march block
     and the tiled entries before they are made.
     """
-    nu, nw = int(image_dims[0]), int(image_dims[1])
-    if nu < 1 or nw < 1:
-        raise DimMismatch(f"image dims must be >= 1, got {(nu, nw)}")
+    nu, nw = _image_dims(image_dims)
     h, nvox = grid.spacing, math.prod(grid.dims)
     shape = (nu * nw, nvox)
     what = f"projecting {nvox} voxels on a {nu}x{nw} image"
@@ -639,9 +637,18 @@ def project_voxels(grid: VoxelGrid, spec: ProjectionSpec,
     Raises DimMismatch unless both image dims are >= 1, and when an
     axis-aligned image is smaller than the grid cross-section.
     """
-    nu, nw = int(image_dims[0]), int(image_dims[1])
+    nu, nw = _image_dims(image_dims)
     op = projection_operator(grid, spec, (nu, nw))
     return Sinogram((op @ grid.values.ravel()).reshape(nu, nw))
+
+
+def _image_dims(image_dims) -> tuple[int, int]:
+    """(nu, nw), an image's pixel counts; raises DimMismatch unless both
+    are >= 1."""
+    nu, nw = int(image_dims[0]), int(image_dims[1])
+    if nu < 1 or nw < 1:
+        raise DimMismatch(f"image dims must be >= 1, got {(nu, nw)}")
+    return nu, nw
 
 
 def _require_tol(tol: float) -> None:

@@ -398,6 +398,29 @@ def _component_svd(r: int, c: int, i: np.ndarray, j: np.ndarray,
     return tuple(np.linalg.svd(R, full_matrices=False)[1:])
 
 
+def _graph_labels(A: CSR) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(ur, row_entries, labels): the rows of A with an entry, their entry
+    counts, and the `_components` label of each vertex of A's bipartite
+    row/column sparsity graph.
+
+    A row or column without an entry is a component of rank 0 of its own,
+    so only the others are vertices: row ur[i] is vertex i, and the j-th
+    column with an entry is vertex len(ur) + j, its rank read from a table
+    of the running count of such columns.  The edges, one per stored
+    entry, are passed as temporaries, which the components pass frees as
+    it goes.
+    """
+    ur = np.flatnonzero(np.diff(A.indptr))
+    present = np.bincount(A.indices, minlength=A.shape[1]) > 0
+    column_vertex = np.cumsum(present)
+    column_vertex += ur.size - 1
+    row_entries = A.indptr[ur + 1] - A.indptr[ur]
+    labels = _components(ur.size + int(np.count_nonzero(present)),
+                         np.repeat(np.arange(ur.size), row_entries),
+                         column_vertex[A.indices])[1]
+    return ur, row_entries, labels
+
+
 def _factor(A: CSR, b: np.ndarray) -> tuple[int, np.ndarray]:
     """Rank of A and A^+ b, the minimum-norm least-squares solution
     through the singular values the rank counts, one factorization per
@@ -413,16 +436,7 @@ def _factor(A: CSR, b: np.ndarray) -> tuple[int, np.ndarray]:
     """
     e, f = _exponent(b), _exponent(A.data)
     rows, cols = A.shape
-    # a row or column without an entry is a component of rank 0 of its own,
-    # so only the others are vertices: row ur[i] is vertex i and column
-    # uc[j] vertex len(ur) + j.  The edges, one per stored entry, are
-    # passed as temporaries, which the components pass frees as it goes.
-    ur = np.flatnonzero(np.diff(A.indptr))
-    uc = np.flatnonzero(np.bincount(A.indices, minlength=cols))
-    row_entries = A.indptr[ur + 1] - A.indptr[ur]
-    labels = _components(ur.size + uc.size,
-                         np.repeat(np.arange(ur.size), row_entries),
-                         ur.size + np.searchsorted(uc, A.indices))[1]
+    ur, row_entries, labels = _graph_labels(A)
     nr = np.bincount(labels[:ur.size], minlength=1)
     nc = np.bincount(labels[ur.size:], minlength=1)
     # the dense values a component holds at once: its triangle stacked
@@ -552,6 +566,19 @@ def _require_sigma(sigma: float) -> None:
         raise DimMismatch(f"sigma must be finite and >= 0, got {sigma}")
 
 
+def _require_trials(trials: int) -> None:
+    """Raise DimMismatch unless a noise study's trial count is >= 1."""
+    if trials < 1:
+        raise DimMismatch(f"trials must be >= 1, got {trials}")
+
+
+def _require_seed(seed: int) -> None:
+    """Raise DimMismatch unless a noise study's seed is >= 0, which numpy's
+    seed sequence needs."""
+    if seed < 0:
+        raise DimMismatch(f"seed must be >= 0, got {seed}")
+
+
 def noise_study(cloud: PointCloud, spec1: ProjectionSpec,
                 spec2: ProjectionSpec, sigma: float, trials: int,
                 seed: int = 0, tol: float = 1e-9) -> NoiseReport:
@@ -567,15 +594,13 @@ def noise_study(cloud: PointCloud, spec1: ProjectionSpec,
     sigma * |M|_F = sigma * sqrt(1/2 + 2 / |n1 x n2|^2) for the
     triangulation map M, which exceeds kappa * sigma for every pair.
     Raises DimMismatch for a cloud of no points, unless sigma is finite
-    and >= 0 (`_require_sigma`), trials >= 1 and seed >= 0, and when the
-    noise overflows, and SystemTooLarge when the trials' RMSEs would
-    exceed the memory limit.
+    and >= 0 (`_require_sigma`), trials >= 1 (`_require_trials`) and
+    seed >= 0 (`_require_seed`), and when the noise overflows, and
+    SystemTooLarge when the trials' RMSEs would exceed the memory limit.
     """
     _require_sigma(sigma)
-    if trials < 1:
-        raise DimMismatch(f"trials must be >= 1, got {trials}")
-    if seed < 0:
-        raise DimMismatch(f"seed must be >= 0, got {seed}")
+    _require_trials(trials)
+    _require_seed(seed)
     if len(cloud) == 0:
         raise DimMismatch("the cloud has no points")
     _require_memory(f"a noise study of {trials} trials", dense=trials)

@@ -4,6 +4,8 @@ Every input file and every comma-separated option value is read here.
 A loader parses its file, or `read_list` its option, and hands the values
 to the record it builds unchecked; the record alone refuses them, and
 `_reading` re-raises its refusal with the file or the option named.
+`check_option` gives any other option value to its validator the same
+way.
 
 Grid-shaped payloads (voxels, vector fields, Christoffel symbols) are a
 JSON header next to a row-major CSV file with the same stem; sparse
@@ -113,9 +115,16 @@ def read_list(text: str, kind, option: str, check=None) -> list:
     `check`'s refusal of them, is raised with the option named."""
     with _reading(option, "value"):
         values = [kind(x) for x in text.split(",")]
-        if check is not None:
-            check(values)
-        return values
+    if check is not None:
+        check_option(values, option, check)
+    return values
+
+
+def check_option(value, option: str, check) -> None:
+    """Give the value of command-line option `option` to `check`, the
+    validator that owns it; its refusal is raised with the option named."""
+    with _reading(option, "value"):
+        check(value)
 
 
 # -- point clouds and images ------------------------------------------------

@@ -186,6 +186,15 @@ class _CellGrid:
         return worst
 
 
+def _require_orders(orders) -> list:
+    """The candidate symmetry orders as ints; raises DimMismatch unless
+    there is one or more and each is >= 2."""
+    orders = [int(k) for k in orders]
+    if not orders or any(k < 2 for k in orders):
+        raise DimMismatch("symmetry orders must be one or more integers >= 2")
+    return orders
+
+
 def detect_axis(cloud: PointCloud, orders, tol: float = 1e-8) -> ToricReport:
     """Find the best rotational symmetry (axis, order) of a cloud.
 
@@ -212,9 +221,7 @@ def detect_axis(cloud: PointCloud, orders, tol: float = 1e-8) -> ToricReport:
     matrix; InputError names that missing dependency when scipy.spatial
     cannot be imported.
     """
-    orders = [int(k) for k in orders]
-    if not orders or any(k < 2 for k in orders):
-        raise DimMismatch("symmetry orders must be one or more integers >= 2")
+    orders = _require_orders(orders)
     _require_tol(tol)
     pts = cloud.positions
     if len(cloud) < 3:
@@ -290,13 +297,18 @@ def invariant_moment_check(cloud: PointCloud, spec: ProjectionSpec,
     return float(np.linalg.norm(shift, axis=1).max(initial=0.0))
 
 
+def _require_order(order: int) -> None:
+    """Raise DimMismatch unless a rotation group's order is >= 2."""
+    if int(order) < 2:
+        raise DimMismatch(f"order must be >= 2, got {_brief(order)}")
+
+
 def _fixed_basis(axis, order: int, dim: int) -> np.ndarray:
     """Orthonormal basis (dim x f) of the fixed subspace of k >= 2
     rotations: the unit axis a in dim 3, a ⊕ 0 and e4 in dim 4.  Raises
     DimMismatch for an order below 2, a zero or non-finite axis, or a dim
     other than 3 or 4."""
-    if int(order) < 2:
-        raise DimMismatch("order must be >= 2")
+    _require_order(order)
     a = _unit_axis(axis)
     if dim == 3:
         return a[:, None]

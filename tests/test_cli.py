@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import gc
 import inspect
 import io
 import json
@@ -654,6 +655,67 @@ class TestBoundaryValidation:
             "DimMismatch" if value in ("0,0", "0,0,0") else "InputError")
         assert option in err["message"]
         assert not (out / "run.json").exists()
+
+    # every input named is missing, so a refusal that came after reading
+    # one would be that file's InputError
+    MISSING_SPECS = ("--spec1", "no_spec1.json", "--spec2", "no_spec2.json")
+    MISSING_FIELDS = ("--field-x", "no_x.json", "--field-y", "no_y.json",
+                      "--connection", "no_conn.json")
+    OPTION_REFUSALS = {
+        "orders": (("toric", "detect", "--input", "no.json",
+                    "--orders", "1,3"),
+                   "--orders: symmetry orders must be one or more"),
+        "spacing-0": (("reconstruct", "voxels", "--sino1", "no.csv",
+                       "--sino2", "no.csv", "--grid-dims", "2,2,2",
+                       *MISSING_SPECS, "--spacing", "0"),
+                      "--spacing: spacing must be finite and >= 2^-1022"),
+        "spacing-nan": (("reconstruct", "voxels", "--sino1", "no.csv",
+                         "--sino2", "no.csv", "--grid-dims", "2,2,2",
+                         *MISSING_SPECS, "--spacing", "nan"),
+                        "--spacing: non-finite spacing"),
+        "order": (("toric", "solve", "--constraints", "no.json",
+                   "--axis", "0,0,1", "--order", "1"),
+                  "--order: order must be >= 2, got 1"),
+        "trials": (("noise-study", "--input", "no.json", *MISSING_SPECS,
+                    "--sigmas", "0.01", "--trials", "0"),
+                   "--trials: trials must be >= 1, got 0"),
+        "seed": (("noise-study", "--input", "no.json", *MISSING_SPECS,
+                  "--sigmas", "0.01", "--seed", "-1"),
+                 "--seed: seed must be >= 0, got -1"),
+        "tol-negative": (("project", "--input", "no.json", *MISSING_SPECS,
+                          "--tol", "-1"),
+                         "--tol: tol must be >= 0 and finite, got -1.0"),
+        "tol-nan": (("toric", "detect", "--input", "no.json",
+                     "--tol", "nan"),
+                    "--tol: tol must be >= 0 and finite, got nan"),
+        "tol-int": (("diagnose", "hantjies", *MISSING_FIELDS,
+                     "--tol-int", "-1"),
+                    "--tol-int: tol must be >= 0 and finite, got -1.0"),
+        "image-dims": (("project", "--mode", "voxels", "--input", "no.json",
+                        *MISSING_SPECS, "--image-dims", "0"),
+                       "--image-dims: image dims must be >= 1, got (0, 0)"),
+        "grid-dims": (("reconstruct", "voxels", "--sino1", "no.csv",
+                       "--sino2", "no.csv", "--grid-dims", "2,0,2",
+                       *MISSING_SPECS),
+                      "--grid-dims: dims must be three integers >= 1"),
+        "axis": (("toric", "solve", "--constraints", "no.json",
+                  "--axis", "0,0,0", "--order", "4"), "--axis: "),
+        "sigmas": (("noise-study", "--input", "no.json", *MISSING_SPECS,
+                    "--sigmas", "nan"), "--sigmas: sigma must be"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(OPTION_REFUSALS))
+    def test_option_refused_by_name_before_any_input(self, case, tmp_path,
+                                                     monkeypatch, capsys):
+        # none of these messages named its option; --orders was checked
+        # only after the cloud loaded
+        monkeypatch.chdir(tmp_path)
+        argv, message = self.OPTION_REFUSALS[case]
+        assert run(*argv, "--out", "out") == 2
+        err = self.error(capsys)
+        assert err["error"] == "DimMismatch"
+        assert err["message"].startswith("value in " + message), err
+        assert list((tmp_path / "out").iterdir()) == []
 
     def test_input_is_a_directory(self, tmp_path, capsys):
         code = run("project", "--input", tmp_path, "--spec1", SPEC_XY,
@@ -2237,3 +2299,59 @@ class TestImportGraph:
         assert "scipy.spatial" in scipy_modules(
             "toric", "detect", "--input", tmp_path / "cloud.json",
             "--orders", "2,3", "--out", tmp_path / "out")
+
+
+# Runs `python -m twoview.cli ARGS[1:]` like _RUN_CLI and, at exit, writes
+# the collector's freeze count to the file ARGS[0]
+_FREEZE_PROBE = """
+import atexit, gc, runpy, sys
+probe = sys.argv[1]
+atexit.register(lambda: open(probe, "w").write(str(gc.get_freeze_count())))
+sys.argv = ["twoview"] + sys.argv[2:]
+runpy.run_module("twoview.cli", run_name="__main__", alter_sys=True)
+"""
+
+
+class TestProcessEntry:
+    """`cli.run`, the process entry, freezes the collector before the
+    interpreter's exit; `main`, the in-process API, never does."""
+
+    def test_main_does_not_freeze(self, tmp_path):
+        before = gc.get_freeze_count()
+        assert run("project", "--input", CLOUD, *_SPECS,
+                   "--out", tmp_path / "out") == 0
+        assert gc.get_freeze_count() == before
+
+    @pytest.mark.parametrize("argv, code", [
+        (("project", "--input", CLOUD, *_SPECS, "--out", "out"), 0),
+        (("project", "--input", "no.json", *_SPECS, "--out", "out"), 2),
+        (("--version",), 0),
+    ], ids=["op", "refused-input", "version"])
+    def test_fresh_run_exits_frozen_with_mains_outcome(self, argv, code,
+                                                       tmp_path, capsys):
+        (tmp_path / "fresh").mkdir()
+        (tmp_path / "inproc").mkdir()
+        proc = fresh_run(_FREEZE_PROBE, tmp_path / "count", *argv,
+                         cwd=tmp_path / "fresh")
+        assert int((tmp_path / "count").read_text()) > 0
+        assert proc.returncode == code, proc.stderr
+        cwd = os.getcwd()
+        os.chdir(tmp_path / "inproc")
+        try:
+            try:
+                got = run(*argv)
+            except SystemExit as exc:  # --version
+                got = exc.code
+        finally:
+            os.chdir(cwd)
+        assert got == code
+        assert (proc.stdout, proc.stderr) == capsys.readouterr()
+        if code == 2:
+            [line] = proc.stderr.splitlines()
+            assert json.loads(line)["error"] == "InputError"
+        assert (sorted(p.name for p in (tmp_path / "fresh").rglob("*"))
+                == sorted(p.name for p in (tmp_path / "inproc").rglob("*")))
+
+    def test_installed_script_is_run(self):
+        text = (Path(__file__).parents[1] / "pyproject.toml").read_text()
+        assert re.search(r'^twoview = "twoview\.cli:run"$', text, re.M)

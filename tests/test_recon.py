@@ -916,6 +916,39 @@ class TestRadonRankProperty:
         assert peak < limit_mb * 2**20, peak
 
 
+def searchsorted_labels(A):
+    """The component labels of A's sparsity graph with each column's vertex
+    found by binary search among the columns with an entry: the reference
+    for the rank table of `recon._graph_labels`."""
+    ur = np.flatnonzero(np.diff(A.indptr))
+    uc = np.flatnonzero(np.bincount(A.indices, minlength=A.shape[1]))
+    return recon._components(
+        ur.size + uc.size, np.repeat(np.arange(ur.size), np.diff(A.indptr)[ur]),
+        ur.size + np.searchsorted(uc, A.indices))[1]
+
+
+class TestGraphLabels:
+    """The column rank table gives bitwise the binary search's labels."""
+
+    @pytest.mark.parametrize("spec2", [tilted_spec(np.radians(30)), GENERAL],
+                             ids=["tilt", "general"])
+    def test_view_pairs(self, spec2):
+        A = sino_system([XY, spec2], (7, 6, 5), margin=3).rows
+        got = recon._graph_labels(A)[2]
+        assert got.dtype == searchsorted_labels(A).dtype
+        np.testing.assert_array_equal(got, searchsorted_labels(A))
+
+    def test_hypothesis_matrices(self):
+        @given(A=sparse_systems())
+        @settings(max_examples=300, deadline=None, derandomize=True,
+                  database=None)
+        def check(A):
+            np.testing.assert_array_equal(recon._graph_labels(A)[2],
+                                          searchsorted_labels(A))
+
+        check()
+
+
 def csgraph_components(n, u, v):
     graph = sp.coo_matrix((np.ones(len(u)), (u, v)), shape=(n, n))
     return csgraph.connected_components(graph, directed=False)
