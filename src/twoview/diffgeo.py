@@ -323,8 +323,10 @@ def parallel_transport(conn: ConnectionField, path, v0) -> np.ndarray:
 
     Integrates v' = -Gamma(gamma(t))(gamma'(t), v) with Gamma trilinearly
     interpolated.  A segment of length L takes n = max(1, ceil(L / (spacing
-    / 4))) steps; Gamma(gamma', .) is gathered at its 2n + 1 stage points,
-    the first one more than 1e-9 spacings off the grid raising PathOutsideGrid.
+    / 4))) steps; Gamma(gamma', .) is gathered at its 2n + 1 stage points.
+    The grid box is convex, so the vertices are tested before any segment
+    is stepped, the first one more than 1e-9 spacings off the grid raising
+    PathOutsideGrid; stage points are clipped to the box against rounding.
     A repeated vertex adds no step.  Raises DimMismatch unless the path's
     vertices and v0 are finite 3-vectors, and GridTooSmall for a path of
     fewer than 2 vertices.
@@ -334,6 +336,12 @@ def parallel_transport(conn: ConnectionField, path, v0) -> np.ndarray:
         raise GridTooSmall("path needs at least 2 points")
     v = _as_array(v0, 3, "vector").copy()
     h, dims = conn.header, np.asarray(conn.header.dims)
+    with np.errstate(over="ignore"):  # a vertex past float64 is outside
+        f = (pts - h.origin) / h.spacing
+    outside = np.any((f < -1e-9) | (f > dims - 1 + 1e-9), axis=-1)
+    if np.any(outside):
+        raise PathOutsideGrid(
+            f"path vertex {pts[np.argmax(outside)]} outside grid")
     hmax = h.spacing / _STEPS_PER_SPACING
     for a, b in zip(pts[:-1], pts[1:]):
         seg = b - a  # gamma'(t) for t in [0, 1]
@@ -343,12 +351,7 @@ def parallel_transport(conn: ConnectionField, path, v0) -> np.ndarray:
         nsteps = max(1, int(np.ceil(seg_len / hmax)))
         dt = 1.0 / nsteps
         p = a + np.arange(2 * nsteps + 1)[:, None] * (0.5 * dt) * seg
-        f = (p - h.origin) / h.spacing
-        outside = np.any((f < -1e-9) | (f > dims - 1 + 1e-9), axis=-1)
-        if np.any(outside):
-            raise PathOutsideGrid(
-                f"point {p[np.argmax(outside)]} outside grid")
-        f = np.clip(f, 0.0, dims - 1)
+        f = np.clip((p - h.origin) / h.spacing, 0.0, dims - 1)
         i0 = np.minimum(np.floor(f).astype(int), dims - 2)
         wgt = _trilinear_weights(f - i0)
         idx = i0[:, None, :] + np.array(list(np.ndindex(2, 2, 2)))

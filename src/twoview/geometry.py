@@ -96,6 +96,20 @@ def _require_memory(what: str, rows=0, voxels=0, entries=0, samples=0,
     return need
 
 
+def _set_weighted_points(points, dim: int, kind: str) -> None:
+    """Coerce a PointCloud's or Projected2D's positions to (N, dim) and
+    weights to (N,) in place; DimMismatch unless both are finite, of one
+    length, and the weights are >= 0."""
+    pos = _as_array(points.positions, (-1, dim), f"{kind}positions")
+    w = _as_array(points.weights, -1, f"{kind}weights")
+    if pos.shape[0] != w.shape[0]:
+        raise DimMismatch(f"{pos.shape[0]} positions vs {w.shape[0]} weights")
+    if np.any(w < 0):
+        raise DimMismatch("weights must be >= 0")
+    object.__setattr__(points, "positions", pos)
+    object.__setattr__(points, "weights", w)
+
+
 @dataclass(frozen=True)
 class PointCloud:
     """Weighted 3-D samples of an object.
@@ -111,15 +125,7 @@ class PointCloud:
     weights: np.ndarray
 
     def __post_init__(self):
-        pos = _as_array(self.positions, (-1, 3), "positions")
-        w = _as_array(self.weights, -1, "weights")
-        if pos.shape[0] != w.shape[0]:
-            raise DimMismatch(
-                f"{pos.shape[0]} positions vs {w.shape[0]} weights")
-        if np.any(w < 0):
-            raise DimMismatch("weights must be >= 0")
-        object.__setattr__(self, "positions", pos)
-        object.__setattr__(self, "weights", w)
+        _set_weighted_points(self, 3, "")
 
     def __len__(self):
         return self.positions.shape[0]
@@ -137,20 +143,15 @@ class PointCloud:
 class Projected2D:
     """Planar image of a cloud: 2-D positions with carried-through weights.
 
-    Raises DimMismatch unless both are finite and of one length.
+    Raises DimMismatch unless both are finite, of one length, and the
+    weights are >= 0, as PointCloud does.
     """
 
     positions: np.ndarray
     weights: np.ndarray
 
     def __post_init__(self):
-        pos = _as_array(self.positions, (-1, 2), "image positions")
-        w = _as_array(self.weights, -1, "image weights")
-        if pos.shape[0] != w.shape[0]:
-            raise DimMismatch(
-                f"{pos.shape[0]} positions vs {w.shape[0]} weights")
-        object.__setattr__(self, "positions", pos)
-        object.__setattr__(self, "weights", w)
+        _set_weighted_points(self, 2, "image ")
 
     def __len__(self):
         return self.positions.shape[0]

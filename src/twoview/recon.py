@@ -567,9 +567,11 @@ def _require_sigma(sigma: float) -> None:
 
 
 def _require_trials(trials: int) -> None:
-    """Raise DimMismatch unless a noise study's trial count is >= 1."""
+    """Raise DimMismatch unless a noise study's trial count is >= 1, and
+    SystemTooLarge when its per-trial RMSEs exceed the memory limit."""
     if trials < 1:
         raise DimMismatch(f"trials must be >= 1, got {trials}")
+    _require_memory(f"a noise study of {trials} trials", dense=trials)
 
 
 def _require_seed(seed: int) -> None:
@@ -596,14 +598,14 @@ def noise_study(cloud: PointCloud, spec1: ProjectionSpec,
     Raises DimMismatch for a cloud of no points, unless sigma is finite
     and >= 0 (`_require_sigma`), trials >= 1 (`_require_trials`) and
     seed >= 0 (`_require_seed`), and when the noise overflows, and
-    SystemTooLarge when the trials' RMSEs would exceed the memory limit.
+    SystemTooLarge when the trials' RMSEs would exceed the memory limit
+    (`_require_trials`).
     """
     _require_sigma(sigma)
     _require_trials(trials)
     _require_seed(seed)
     if len(cloud) == 0:
         raise DimMismatch("the cloud has no points")
-    _require_memory(f"a noise study of {trials} trials", dense=trials)
     kappa = amplification_factor(spec1, spec2)
     M = _triangulation_map(spec1, spec2, tol)
     p1 = project_points(cloud, spec1).positions

@@ -28,7 +28,7 @@ from .geometry import (PointCloud, ProjectionSpec, _RANK_TOL, _as_array,
                        _brief, _canonical_sign, _rank_above, _require_tol)
 
 CONTINUOUS = "continuous"
-_DIAMETER_BLOCK = 2**18  # pairwise distances per block of a distance scan
+_DIAMETER_BLOCK = 2**18  # pairwise distances per block of the cell grid
 
 
 @dataclass(frozen=True)
@@ -72,33 +72,6 @@ def _distances(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     d = u - v
     return np.sqrt(d[..., 0] * d[..., 0] + d[..., 1] * d[..., 1]
                    + d[..., 2] * d[..., 2])
-
-
-def _diameter(pts: np.ndarray) -> float:
-    """Largest pairwise distance, bitwise the dense all-pairs maximum.
-
-    Farthest-point sweeps give a lower bound L, itself a distance between
-    two of the points.  With r_i the distance from the centroid and
-    R = max r_i, a longer pair has r + R > L at both ends, so the all-pairs
-    maximum runs only over those points, in row blocks of at most
-    _DIAMETER_BLOCK distances.  The margin covers rounding relative to the
-    lengths and the absolute rounding of subnormal squares.
-    """
-    r = _distances(pts, pts.mean(axis=0))
-    R = float(r.max())
-    i, L = int(np.argmax(r)), 0.0
-    for _ in range(4):
-        d = _distances(pts, pts[i])
-        j = int(np.argmax(d))
-        if not d[j] > L:
-            break
-        i, L = j, float(d[j])
-    if L == np.inf:
-        return L
-    far = pts[r + R >= L - (16 * np.finfo(float).eps * (R + L) + 1e-150)]
-    step = max(1, _DIAMETER_BLOCK // max(1, len(far)))
-    return max([L] + [float(np.max(_distances(far[a:a + step, None], far)))
-                      for a in range(0, len(far), step)])
 
 
 class _CellGrid:
@@ -211,15 +184,17 @@ def detect_axis(cloud: PointCloud, orders, tol: float = 1e-8) -> ToricReport:
     largest, so a line's rounding is judged against its length.
 
     A candidate passes when every rotated point has a partner within
-    max(tol, tol * diameter), a fixed-radius question a `_CellGrid` at
-    that radius answers exactly with numpy, and the residuals it reports
-    are bitwise the nearest-neighbour ones.  Only when no candidate passes
-    does the report need failing residuals: the one-sided nearest-neighbour
-    displacement, max over the rotated points, from an exact (eps = 0)
-    `scipy.spatial.cKDTree` query of the unrotated points, which returns
-    the dense nearest-neighbour distances bitwise without the N x N
-    matrix; InputError names that missing dependency when scipy.spatial
-    cannot be imported.
+    max(tol, tol * 2R), R the largest distance of a point from the
+    weighted centroid: 2R lies between the cloud's diameter D and 2D, and
+    costs one pass over the points.  A `_CellGrid` at that radius answers
+    this fixed-radius question exactly with numpy, and the residuals it
+    reports are bitwise the nearest-neighbour ones.  Only when no
+    candidate passes does the report need failing residuals: the
+    one-sided nearest-neighbour displacement, max over the rotated points,
+    from an exact (eps = 0) `scipy.spatial.cKDTree` query of the unrotated
+    points, which returns the dense nearest-neighbour distances bitwise
+    without the N x N matrix; InputError names that missing dependency
+    when scipy.spatial cannot be imported.
     """
     orders = _require_orders(orders)
     _require_tol(tol)
@@ -234,8 +209,8 @@ def detect_axis(cloud: PointCloud, orders, tol: float = 1e-8) -> ToricReport:
     if _rank_above(svals, svals[0]) < 2:
         raise DegenerateCloud("points are collinear")
     scale = max(float(evals[-1]), 1e-300)
-    diam = _diameter(pts)
-    match_tol = max(tol, tol * diam)
+    span = 2 * float(np.max(_distances(centered, 0.0)))  # D <= span <= 2 D
+    match_tol = max(tol, tol * span)
     # a repeated eigenvalue pair means the second moment cannot distinguish
     # rotations about the lone eigenvector: flag a (potential) continuous
     # symmetry; regular polygons carry the flag alongside a discrete order
@@ -250,7 +225,7 @@ def detect_axis(cloud: PointCloud, orders, tol: float = 1e-8) -> ToricReport:
     def rotated(axis, k):
         return centered @ rotation_about(axis, 2 * np.pi / k).T
 
-    grid = _CellGrid(centered, max(2 * match_tol, diam * 2.0**-20))
+    grid = _CellGrid(centered, max(2 * match_tol, span * 2.0**-20))
     passing = []
     for axis, k in trials:
         res = grid.residual_within(rotated(axis, k), match_tol)

@@ -682,6 +682,11 @@ class TestBoundaryValidation:
         "seed": (("noise-study", "--input", "no.json", *MISSING_SPECS,
                   "--sigmas", "0.01", "--seed", "-1"),
                  "--seed: seed must be >= 0, got -1"),
+        "trials-too-many": (("noise-study", "--input", "no.json",
+                             *MISSING_SPECS, "--sigmas", "0.01",
+                             "--trials", "100000000000000"),
+                            "--trials: a noise study of 100000000000000 "
+                            "trials needs 800000000000000 bytes"),
         "tol-negative": (("project", "--input", "no.json", *MISSING_SPECS,
                           "--tol", "-1"),
                          "--tol: tol must be >= 0 and finite, got -1.0"),
@@ -704,16 +709,20 @@ class TestBoundaryValidation:
                     "--sigmas", "nan"), "--sigmas: sigma must be"),
     }
 
+    # the refusals that are not a DimMismatch
+    OPTION_ERRORS = {"trials-too-many": "SystemTooLarge"}
+
     @pytest.mark.parametrize("case", sorted(OPTION_REFUSALS))
     def test_option_refused_by_name_before_any_input(self, case, tmp_path,
                                                      monkeypatch, capsys):
         # none of these messages named its option; --orders was checked
-        # only after the cloud loaded
+        # only after the cloud loaded, and a trial count too large to hold
+        # only after the cloud and both specs
         monkeypatch.chdir(tmp_path)
         argv, message = self.OPTION_REFUSALS[case]
         assert run(*argv, "--out", "out") == 2
         err = self.error(capsys)
-        assert err["error"] == "DimMismatch"
+        assert err["error"] == self.OPTION_ERRORS.get(case, "DimMismatch")
         assert err["message"].startswith("value in " + message), err
         assert list((tmp_path / "out").iterdir()) == []
 
@@ -2039,6 +2048,21 @@ class TestFuzzedFiles:
         assert str(path) in failure["message"]
         if name == "twist JSON":
             assert "--twist" in failure["message"]
+
+    @pytest.mark.parametrize("name", ["points JSON", "image JSON"])
+    def test_negative_weight_names_its_file(self, name, cli_inputs,
+                                            tmp_path):
+        # an image once kept a negative weight, which `reconstruct points`
+        # refused only in the cloud it built, naming no file
+        kind, valid, argv = fuzz_case(name, cli_inputs)
+        path = self.fuzzed_path(kind, valid, tmp_path)
+        doc = json.loads(valid.read_text())
+        doc["points"][0]["w"] = -1.0
+        path.write_text(json.dumps(doc))
+        failure = check_outcome(argv(path, tmp_path / "out"), tmp_path)
+        assert failure["error"] == "DimMismatch"
+        assert failure["message"].endswith("weights must be >= 0")
+        assert str(path) in failure["message"]
 
     def test_nan_field_sample_names_its_file(self, cli_inputs, tmp_path):
         kind, valid, argv = fuzz_case("vector field", cli_inputs)

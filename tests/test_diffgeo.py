@@ -1,3 +1,6 @@
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -687,11 +690,38 @@ class TestTransportPropagator:
         np.testing.assert_allclose(parallel_transport(conn, path, v0),
                                    expected, rtol=0, atol=1e-12)
 
-    def test_outside_grid_names_first_point(self):
+    def test_outside_grid_names_first_vertex(self):
+        # the vertices are tested before any step: the refusal once named
+        # the first stage point off the grid, (0.2, 0.3125, 0)
         conn = ConnectionField.flat(small_header())  # x, y, z in [-0.3, 0.3]
-        with pytest.raises(PathOutsideGrid, match=r"0\.3125"):
-            parallel_transport(conn, [(0, 0, 0), (0.2, 0, 0), (0.2, 0.5, 0)],
-                               (1, 0, 0))
+        with pytest.raises(PathOutsideGrid,
+                           match=r"vertex \[0\.2 +0\.5 +0\. *\] outside"):
+            parallel_transport(conn, [(0, 0, 0), (0.2, 0, 0), (0.2, 0.5, 0),
+                                      (0.2, 0.9, 0)], (1, 0, 0))
+
+    def test_long_segment_off_the_grid_allocates_nothing(self):
+        # its 2n + 1 stage points once took 41 MiB before the first was
+        # tested, n growing with the segment's length
+        conn = ConnectionField.flat(GridHeader((5, 5, 5), 1.0, (0, 0, 0)))
+        tracemalloc.start()
+        try:
+            with pytest.raises(PathOutsideGrid) as exc:
+                parallel_transport(conn, [(1, 1, 1), (1e5, 1, 1)], (1, 0, 0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**16
+        assert "vertex [1.e+05 " in str(exc.value)
+
+    def test_vertex_past_float64_is_outside(self):
+        # its segment's length once overflowed: a RuntimeWarning, then an
+        # OverflowError from the step count
+        conn = ConnectionField.flat(GridHeader((5, 5, 5), 1.0, (0, 0, 0)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(PathOutsideGrid, match="vertex"):
+                parallel_transport(conn, [(1, 1, 1), (1e308, 1e308, 1)],
+                                   (1, 0, 0))
 
 
 class TestIntegrabilityReport:

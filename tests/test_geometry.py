@@ -785,6 +785,8 @@ class TestArrayBoundary:
             PointCloud([[0.0, 0.0, 0.0]], [-1.0])
         with pytest.raises(DimMismatch, match="1 positions vs 2 weights"):
             Projected2D([[0.0, 0.0]], [1.0, 1.0])
+        with pytest.raises(DimMismatch, match=">= 0"):
+            Projected2D([[0.0, 0.0]], [-1.0])
         with pytest.raises(InvalidInvolution, match="not orthogonal"):
             Involution(2 * np.eye(3))
         with pytest.raises(InvalidFrame, match="not unit"):

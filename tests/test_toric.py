@@ -199,20 +199,6 @@ class TestNearestNeighbourMatching:
                 assert tree.query(rotated)[0].max() == \
                     cdist(rotated, pts).min(axis=1).max()
 
-    def test_overflowing_diameter_is_infinite(self):
-        pts = np.array([[1e308, 0.0, 0.0], [-1e308, 0.0, 0.0],
-                        [0.0, 1.0, 0.0]])
-        with np.errstate(over="ignore"):
-            assert toric._diameter(pts) == np.inf
-
-    @pytest.mark.parametrize("block", [1, 7, 2**18])
-    def test_blocked_diameter_equals_dense(self, block, rng, monkeypatch):
-        monkeypatch.setattr(toric, "_DIAMETER_BLOCK", block)
-        pts = random_cloud(rng, 300).positions
-        assert toric._diameter(pts) == cdist(pts, pts).max()
-        hexagon = hexagon_cloud().positions
-        assert toric._diameter(hexagon) == cdist(hexagon, hexagon).max()
-
     def test_20k_points_stay_linear_in_memory(self, rng):
         # the N x N distance matrix alone would take 20000^2 * 8 B = 3.2 GB
         cloud = random_cloud(rng, 20000)
@@ -224,6 +210,13 @@ class TestNearestNeighbourMatching:
             tracemalloc.stop()
         assert rep.invariance_residual > 0.0
         assert peak < 64 * 2**20
+
+
+def centroid_span(centered):
+    """2R, R the largest distance of a centred point from the origin,
+    each summed (dx*dx + dy*dy) + dz*dz as `detect_axis` does."""
+    sq = centered * centered
+    return 2 * float(np.max(np.sqrt(sq[:, 0] + sq[:, 1] + sq[:, 2])))
 
 
 def reference_detect_axis(cloud, orders, tol=1e-8):
@@ -244,10 +237,7 @@ def reference_detect_axis(cloud, orders, tol=1e-8):
     if np.sum(svals > 1e-10 * svals[0]) < 2:
         raise DegenerateCloud("points are collinear")
     scale = max(float(evals[-1]), 1e-300)
-    step = max(1, 2**18 // len(pts))
-    diam = max(float(np.max(cdist(pts[i:i + step], pts)))
-               for i in range(0, len(pts), step))
-    match_tol = max(tol, tol * diam)
+    match_tol = max(tol, tol * centroid_span(centered))
     order_s = np.argsort(evals)
     gaps = np.abs(np.diff(evals[order_s]))
     continuous = bool(np.min(gaps) <= tol * scale)
@@ -359,8 +349,8 @@ class TestDetectAxisAgainstKDTreeReference:
             pts = symmetric_points(rng, 60, 6, 1e-4) * scale
             cloud = PointCloud(pts, np.ones(len(pts)))
             rep, _ = reference_detect_axis(cloud, [6], 1.0)
-            diam = cdist(pts, pts).max()
-            tol0 = rep.invariance_residual / max(diam, 1.0)
+            span = centroid_span(pts - cloud.weights @ pts / cloud.total_mass)
+            tol0 = rep.invariance_residual / max(span, 1.0)
             for steps in range(-3, 4):
                 tol = tol0
                 for _ in range(abs(steps)):
@@ -393,19 +383,39 @@ class TestDetectAxisAgainstKDTreeReference:
             np.random.default_rng(3), 600, 6), np.ones(600)), [2, 3, 4, 6])
         assert rep.order == 6
 
-    def test_diameter_bitwise_on_rings_duplicates_and_offsets(self, rng):
-        ring = regular_polygon(500)
-        clouds = [ring, np.vstack([ring, ring[:50]]),
-                  np.vstack([regular_polygon(12, radius=r)
-                             for r in (1.0, 1.0 - 1e-15, 0.5)]),
-                  hexagon_cloud().positions, np.repeat([[1.0, 2, 3]], 4, 0),
-                  rng.standard_normal((400, 3)) + 1e12,
-                  rng.standard_normal((300, 3)) * 1e-100,
-                  rng.uniform(-1, 1, (300, 3)) * [1e6, 1.0, 1e-6]]
-        for _ in range(40):
-            clouds.append(random_detect_case(rng)[0])
-        for pts in clouds:
-            assert toric._diameter(pts) == cdist(pts, pts).max()
+
+class TestMatchScale:
+    def test_ring_scale_costs_linear_distances(self, monkeypatch):
+        # an exact diameter scan prunes no point of a ring: 4.0e8 distances
+        # for these 20 000 points, where 2R needs one per point
+        calls, distances = [], toric._distances
+
+        def counting(u, v):
+            d = distances(u, v)
+            calls.append(d.size)
+            return d
+
+        monkeypatch.setattr(toric, "_distances", counting)
+        n = 20000
+        rep = detect_axis(PointCloud(regular_polygon(n), np.ones(n)),
+                          [2, 3, 4])
+        assert rep.order == 4
+        assert sum(calls) < 100 * n
+
+    def test_tolerance_scale_is_twice_the_centroid_radius(self):
+        # a jittered 6-fold cloud whose residual lies between tol * D and
+        # tol * 2R: it passes at the 2R scale, and would fail at D
+        pts = symmetric_points(np.random.default_rng(11), 240, 6, 1e-4) * 3
+        cloud = PointCloud(pts, np.ones(len(pts)))
+        want, _ = reference_detect_axis(cloud, [6], 1.0)
+        res = want.invariance_residual
+        diam = cdist(pts, pts).max()
+        span = centroid_span(pts - cloud.weights @ pts / cloud.total_mass)
+        tol = res / np.sqrt(diam * span)
+        assert 1.0 < diam and tol * diam < res < tol * span
+        rep = detect_axis(cloud, [6], tol)
+        assert rep.order == 6
+        assert rep.invariance_residual == res
 
 
 class TestInvariantMomentCheck:
