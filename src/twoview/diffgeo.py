@@ -322,14 +322,17 @@ def parallel_transport(conn: ConnectionField, path, v0) -> np.ndarray:
     """Transport v0 along a polyline with the classical 4th-order stepper.
 
     Integrates v' = -Gamma(gamma(t))(gamma'(t), v) with Gamma trilinearly
-    interpolated.  A segment of length L takes n = max(1, ceil(L / (spacing
-    / 4))) steps; Gamma(gamma', .) is gathered at its 2n + 1 stage points.
-    The grid box is convex, so the vertices are tested before any segment
-    is stepped, the first one more than 1e-9 spacings off the grid raising
-    PathOutsideGrid; stage points are clipped to the box against rounding.
-    A repeated vertex adds no step.  Raises DimMismatch unless the path's
-    vertices and v0 are finite 3-vectors, and GridTooSmall for a path of
-    fewer than 2 vertices.
+    interpolated.  The path is walked in lattice coordinates, as the march
+    is: a segment of D spacings takes n = ceil(4 |D|) steps, |D| a hypot
+    that neither under- nor overflows, and Gamma(spacing D, .) is gathered
+    at its 2n + 1 stage points.  So scaling the grid and the path by a
+    power of two and Gamma by its inverse gives the same vector bitwise,
+    and a repeated vertex adds no step.  The grid box is convex, so the
+    vertices are tested before any segment is stepped, the first one more
+    than 1e-9 spacings off the grid raising PathOutsideGrid; stage points
+    are clipped to the box against rounding.  Raises DimMismatch unless
+    the path's vertices and v0 are finite 3-vectors, and GridTooSmall for
+    a path of fewer than 2 vertices.
     """
     pts = _as_array(path, (-1, 3), "path")
     if pts.shape[0] < 2:
@@ -337,28 +340,25 @@ def parallel_transport(conn: ConnectionField, path, v0) -> np.ndarray:
     v = _as_array(v0, 3, "vector").copy()
     h, dims = conn.header, np.asarray(conn.header.dims)
     with np.errstate(over="ignore"):  # a vertex past float64 is outside
-        f = (pts - h.origin) / h.spacing
-    outside = np.any((f < -1e-9) | (f > dims - 1 + 1e-9), axis=-1)
+        lat = (pts - h.origin) / h.spacing
+    outside = np.any((lat < -1e-9) | (lat > dims - 1 + 1e-9), axis=-1)
     if np.any(outside):
         raise PathOutsideGrid(
             f"path vertex {pts[np.argmax(outside)]} outside grid")
-    hmax = h.spacing / _STEPS_PER_SPACING
-    for a, b in zip(pts[:-1], pts[1:]):
-        seg = b - a  # gamma'(t) for t in [0, 1]
-        seg_len = float(np.linalg.norm(seg))
-        if seg_len == 0.0:
+    for a, d in zip(lat[:-1], np.diff(lat, axis=0)):  # d: gamma' in spacings
+        nsteps = int(np.ceil(_STEPS_PER_SPACING * np.hypot.reduce(d)))
+        if nsteps == 0:
             continue
-        nsteps = max(1, int(np.ceil(seg_len / hmax)))
         dt = 1.0 / nsteps
-        p = a + np.arange(2 * nsteps + 1)[:, None] * (0.5 * dt) * seg
-        f = np.clip((p - h.origin) / h.spacing, 0.0, dims - 1)
+        f = np.clip(a + np.arange(2 * nsteps + 1)[:, None] * (0.5 * dt) * d,
+                    0.0, dims - 1)
         i0 = np.minimum(np.floor(f).astype(int), dims - 2)
         wgt = _trilinear_weights(f - i0)
         idx = i0[:, None, :] + np.array(list(np.ndindex(2, 2, 2)))
         g = conn.gamma[idx[..., 0], idx[..., 1], idx[..., 2]]  # (m, 8, ...)
         # corner by corner, so Gamma sums in the same order at every point
         gamma = sum(wgt[:, k, None, None, None] * g[:, k] for k in range(8))
-        A = -np.einsum("mkij,i->mkj", gamma, seg)  # v' = A[m] v at p[m]
+        A = -np.einsum("mkij,i->mkj", gamma, h.spacing * d)  # v' = A[m] v
         for s in range(0, 2 * nsteps, 2):
             k1 = A[s] @ v
             k2 = A[s + 1] @ (v + 0.5 * dt * k1)

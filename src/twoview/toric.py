@@ -28,7 +28,7 @@ from .geometry import (PointCloud, ProjectionSpec, _RANK_TOL, _as_array,
                        _brief, _canonical_sign, _rank_above, _require_tol)
 
 CONTINUOUS = "continuous"
-_DIAMETER_BLOCK = 2**18  # pairwise distances per block of the cell grid
+_CELL_BLOCK = 2**18  # pairwise distances per block of the cell grid
 
 
 @dataclass(frozen=True)
@@ -121,13 +121,13 @@ class _CellGrid:
         """Max over the queries of the distance to their nearest point when
         every query has a point within `radius`, else None.
 
-        Queries go in blocks that double from 256 up to _DIAMETER_BLOCK / 9
-        and distances in blocks of at most _DIAMETER_BLOCK pairs; the scan
-        stops at the first block that completes a query without a point
-        within `radius`, so a candidate that fails almost everywhere costs
-        one small block.
+        Queries go in blocks that double from 256 up to _CELL_BLOCK / 9
+        and distances in blocks of at most _CELL_BLOCK pairs; the scan
+        stops at the first distance block that completes a query without
+        a point within `radius`, so a candidate that fails almost
+        everywhere costs one small block.
         """
-        qstep = max(1, _DIAMETER_BLOCK // 9)
+        qstep = max(1, _CELL_BLOCK // 9)
         worst, a, size = 0.0, 0, min(256, qstep)
         while a < len(queries):
             q, start, stop = self._ranges(queries[a:a + size])
@@ -140,8 +140,8 @@ class _CellGrid:
             query_end = end[8::9]
             best = np.full(len(q), np.inf)
             done = 0
-            for t0 in range(0, int(end[-1]), _DIAMETER_BLOCK):
-                t = np.arange(t0, min(t0 + _DIAMETER_BLOCK, int(end[-1])))
+            for t0 in range(0, int(end[-1]), _CELL_BLOCK):
+                t = np.arange(t0, min(t0 + _CELL_BLOCK, int(end[-1])))
                 run = np.searchsorted(end, t, side="right")
                 qi = run // 9
                 d = _distances(q[qi], self.pts[start[run] + t - end[run]

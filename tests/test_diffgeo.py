@@ -723,6 +723,32 @@ class TestTransportPropagator:
                 parallel_transport(conn, [(1, 1, 1), (1e308, 1e308, 1)],
                                    (1, 0, 0))
 
+    @pytest.mark.parametrize("k", [-700, -600, 520, 600])
+    def test_power_of_two_rescaling_is_exact(self, k):
+        # the path is walked in spacings, so scaling the grid and the path
+        # by s = 2^k and Gamma by 1 / s gives the vector bitwise.  Measured
+        # in world units, every segment's length once underflowed to 0 at
+        # k <= -600 (v0 came back) and overflowed at k >= 520
+        # (OverflowError from the step count)
+        G = np.random.default_rng(5).standard_normal((5, 5, 5, 3, 3, 3))
+        path = np.array([(0, 0, 0), (4, 3, 1), (1, 4, 4)], dtype=float)
+
+        def transport(s):
+            conn = ConnectionField(GridHeader((5, 5, 5), s, (0, 0, 0)), G / s)
+            return parallel_transport(conn, path * s, (1.0, 0.0, 0.0))
+
+        v = transport(1.0)
+        assert not np.array_equal(v, [1, 0, 0])
+        np.testing.assert_array_equal(transport(2.0**k), v)
+
+    def test_segment_whose_square_overflows_transports(self):
+        # a diagonal of the 3^3 grid of spacing 1e300: its world length once
+        # overflowed, a RuntimeWarning and then an OverflowError
+        conn = ConnectionField.flat(GridHeader((3, 3, 3), 1e300, (0, 0, 0)))
+        v = parallel_transport(conn, [(0, 0, 0), (2e300, 2e300, 0)],
+                               (1, 0, 0))
+        np.testing.assert_array_equal(v, [1, 0, 0])
+
 
 class TestIntegrabilityReport:
     def test_coordinate_foliation_integrable(self):

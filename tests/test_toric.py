@@ -336,7 +336,7 @@ class TestDetectAxisAgainstKDTreeReference:
 
     def test_pair_and_query_blocks(self, monkeypatch):
         # 3 queries per block and 31 pairs per distance block
-        monkeypatch.setattr(toric, "_DIAMETER_BLOCK", 31)
+        monkeypatch.setattr(toric, "_CELL_BLOCK", 31)
         rng = np.random.default_rng(5)
         seen = {assert_detect_matches_reference(*random_detect_case(rng))
                 for _ in range(60)}
