@@ -26,7 +26,8 @@ from .errors import (
     NumericalError,
     PathOutsideGrid,
 )
-from .geometry import GridHeader, _as_array, _require_tol, _trilinear_weights
+from .geometry import (GridHeader, _as_array, _exponent, _require_tol,
+                       _trilinear_weights)
 
 _STEPS_PER_SPACING = 4  # RK4 steps per node spacing of path length
 # X and Y count as nearly parallel where the sine of their angle is at most
@@ -50,16 +51,6 @@ def _finite(values, what: str):
     if not np.all(np.isfinite(values)):
         raise NumericalError(f"{what} overflows to non-finite values")
     return values
-
-
-def _node_scaled(v: np.ndarray):
-    """(v / 2**e, e) per node, 2**e the power of two that brings the node's
-    largest |component| into [0.5, 1) (e = 0 for a zero vector).  Products
-    and norms of the scaled vectors cannot overflow, and power-of-two
-    scaling is exact, so they equal the unscaled ones to the last bit
-    wherever those neither overflow nor underflow."""
-    _, e = np.frexp(np.abs(v).max(axis=-1, keepdims=True))
-    return np.ldexp(v, -e), e
 
 
 def interior_mask(dims, depth: int = 1) -> np.ndarray:
@@ -114,8 +105,10 @@ class VectorFieldGrid:
     @np.errstate(over="ignore", invalid="ignore")
     def max_interior_norm(self, depth: int = 1) -> float:
         """Largest |sample| over the nodes at least `depth` from every face."""
-        scaled, e = _node_scaled(self.samples)
-        norms = np.ldexp(np.linalg.norm(scaled, axis=-1), e[..., 0])
+        # each node scaled by its own power of two, so no norm overflows
+        e = _exponent(self.samples, -1)
+        norms = np.ldexp(np.linalg.norm(np.ldexp(self.samples, -e), axis=-1),
+                         e[..., 0])
         norms = norms[interior_mask(self.header.dims, depth)]
         return float(_finite(norms, "the field's norm").max())
 
@@ -225,9 +218,10 @@ def frobenius_residual(X: VectorFieldGrid, Y: VectorFieldGrid):
     """
     header = _require_same_header(X, Y)
     b = lie_bracket(X, Y).samples
-    # sin_angle and chat do not change when X and Y are scaled node by node
-    xs, _ = _node_scaled(X.samples)
-    ys, _ = _node_scaled(Y.samples)
+    # sin_angle and chat do not change when X and Y are scaled node by node,
+    # each by its own power of two (`_exponent`), so no product overflows
+    xs = np.ldexp(X.samples, -_exponent(X.samples, -1))
+    ys = np.ldexp(Y.samples, -_exponent(Y.samples, -1))
     nx = np.linalg.norm(xs, axis=-1)
     ny = np.linalg.norm(ys, axis=-1)
     cross = np.cross(xs, ys)

@@ -85,6 +85,17 @@ def _trilinear_weights(frac: np.ndarray) -> np.ndarray:
     return w.reshape(frac.shape[:-1] + (8,))
 
 
+def _exponent(values, axis=None):
+    """The e with max|values| in [2^(e-1), 2^e), per `axis` (kept) or over
+    all values, and 0 where every value is 0: the one power-of-two scale
+    rule.  Scaling by 2^-e is exact and brings the largest |value| into
+    [0.5, 1), so products, norms and factorizations of the scaled values
+    cannot overflow, and they equal the unscaled ones times a power of two
+    to the last bit wherever those neither overflow nor underflow."""
+    return np.frexp(np.max(np.abs(values), axis=axis,
+                           keepdims=axis is not None, initial=0.0))[1]
+
+
 def _require_memory(what: str, rows=0, voxels=0, entries=0, samples=0,
                     dense=0) -> int:
     """Bytes `what` needs by the size model; SystemTooLarge above the limit."""
@@ -436,6 +447,31 @@ def _pixel_offsets(n: int) -> np.ndarray:
     return np.arange(n) - (n - 1) / 2.0
 
 
+def _aligned_pixels(grid: GridHeader, align, image_dims):
+    """(iu, iw): the pixel of an axis-aligned frame, `_axis_alignment`'s
+    `align`, that each voxel center lies in, each index shaped to broadcast
+    along its grid axis, so values[iu, iw] reads the image at every voxel
+    and keeps the viewing axis as 1.  This is the one voxel-to-pixel map of
+    aligned frames.
+
+    Both lattices are centered on the grid center, so voxel i of a grid
+    axis with n voxels sits at pixel coordinate
+    x = (m - 1) / 2 + sign * (i - (n - 1) / 2) on an image side of m
+    pixels: 2x is an exact integer, and its pixel is k = floor(x + 1/2)
+    = (2x + 1) // 2, the one above a pixel edge.  Raises DimMismatch when
+    the image is smaller than the grid cross-section.
+    """
+    pixels = []
+    for axis, sign, m in zip(align[0:4:2], align[1:4:2], image_dims):
+        n = grid.dims[axis]
+        k = (int(sign) * (2 * np.arange(n) - n + 1) + m) // 2
+        if k.min() < 0 or k.max() >= m:
+            raise DimMismatch(f"image dims {image_dims} smaller than "
+                              "grid cross-section")
+        pixels.append(k.reshape([n if a == axis else 1 for a in range(3)]))
+    return tuple(pixels)
+
+
 def pixel_center_coords(grid: GridHeader, spec: ProjectionSpec,
                         image_dims) -> tuple[np.ndarray, np.ndarray]:
     """The pixel lattice's axes (au, aw): pixel (iu, iw) is centred at the
@@ -533,21 +569,7 @@ def projection_operator(grid: GridHeader, spec: ProjectionSpec,
     _require_memory(what, shape[0], nvox, _entry_bound(grid, spec, (nu, nw)))
     align = _axis_alignment(spec)
     if align is not None:
-        # Both lattices are centered on the grid center, so voxel i of a
-        # grid axis with n voxels sits at pixel coordinate
-        # x = (m - 1) / 2 + sign * (i - (n - 1) / 2) on an image side of m
-        # pixels: 2x is an exact integer, and k = floor(x + 1/2)
-        # = (2x + 1) // 2, shaped to broadcast along its grid axis.
-        def pixel(axis, sign, m):
-            n = grid.dims[axis]
-            k = (int(sign) * (2 * np.arange(n) - n + 1) + m) // 2
-            return k.reshape([n if a == axis else 1 for a in range(3)])
-
-        iu, iw = pixel(*align[0:2], nu), pixel(*align[2:4], nw)
-        if (np.any(iu < 0) or np.any(iu >= nu)
-                or np.any(iw < 0) or np.any(iw >= nw)):
-            raise DimMismatch(
-                f"image dims {(nu, nw)} smaller than grid cross-section")
+        iu, iw = _aligned_pixels(grid, align, (nu, nw))
         # one entry per voxel, so the stable sort of the voxels by pixel is
         # the canonical column order, with no duplicates to sum
         row = np.broadcast_to(iu * nw + iw, grid.dims).ravel()
@@ -562,12 +584,12 @@ def projection_operator(grid: GridHeader, spec: ProjectionSpec,
     iu, iw, ts = _footprint(grid, spec, (nu, nw))
     sliced = _slice_axis(grid, spec, (nu, nw))
     if sliced is not None:
-        # the slice each pixel line along that image side lies on, as in
-        # the aligned case: (n - 1) / 2 + sign * (line - (m - 1) / 2)
+        # pixel line l along that image side lies on the slice
+        # (n - 1) / 2 + sign * (l - (m - 1) / 2), as in the aligned case; m - n
+        # is even, so the lines that see the grid are a centred run
         side, a, sign = sliced
         m, n = (nu, nw)[side], grid.dims[a]
-        slice_of = (sign * (2 * np.arange(m) - m + 1) + n - 1) // 2
-        lines = np.flatnonzero((slice_of >= 0) & (slice_of < n))
+        lines = np.arange(max(0, (m - n) // 2), min(m, (m + n) // 2))
         iu, iw = (lines[:1], iw) if side == 0 else (iu, lines[:1])
     bases = (_pixel_offsets(nu)[iu, None, None] * spec.u
              + _pixel_offsets(nw)[None, iw, None] * spec.w).reshape(-1, 3)
@@ -620,7 +642,7 @@ def projection_operator(grid: GridHeader, spec: ProjectionSpec,
     src += np.arange(src.size)
     indptr[row + 1] = size
     np.cumsum(indptr, out=indptr)
-    shift = (slice_of[line] - slice_of[lines[0]]) * strides[a]
+    shift = sign * (line - lines[0]) * strides[a]
     return CSR(indptr, indices[src] + np.repeat(shift, size), data[src],
                shape)
 

@@ -37,12 +37,14 @@ from .geometry import (
     project_points,
     projection_operator,
     _RANK_TOL,
+    _aligned_pixels,
     _as_array,
     _axis_alignment,
     _brief,
     _canonical_sign,
     _cross_norm,
     _entry_bound,
+    _exponent,
     _rank_above,
     _require_memory,
 )
@@ -209,7 +211,8 @@ def solve_direction(constraints, dim: int) -> DirectionSolution:
     homogeneous system admits only the trivial solution or b is
     orthogonal to the range of A.  Every test is relative to the data, so
     scaling all omegas and rhs values by one factor scales the residual
-    alone.
+    alone, and by a power of two leaves v bitwise as it was
+    (`_direction_core`).
     """
     return _direction_core(*_stack_constraints(constraints, dim))
 
@@ -239,8 +242,13 @@ def _direction_core(A: np.ndarray, b: np.ndarray) -> DirectionSolution:
     nonzero solution exists: a full-rank homogeneous system, or a b whose
     part in the range of A, |U_r^T b|, is at most _RANK_TOL |b|.  The
     residual is |A v| for a homogeneous system and |A x - b| at the
-    least-squares solution x (before normalization) otherwise.
+    least-squares solution x (before normalization) otherwise.  The core
+    solves 2^-f A against 2^-e b (`_exponent`), as `_factor` does, and
+    scales the residual back, so scaling A and b by a power of two
+    scales the residual alone, to the last bit.
     """
+    e, f = _exponent(b), _exponent(A)
+    A, b = np.ldexp(A, -f), np.ldexp(b, -e)
     u, svals, vt = np.linalg.svd(A)
     rank = _rank_above(svals, svals[0])
     nullity = A.shape[1] - rank
@@ -252,14 +260,16 @@ def _direction_core(A: np.ndarray, b: np.ndarray) -> DirectionSolution:
             raise Inconsistent(
                 "homogeneous system is full rank; only trivial solution")
         v = _canonical_sign(vt[-1])
-        return DirectionSolution(v, nullity, float(np.linalg.norm(A @ v)))
+        return DirectionSolution(
+            v, nullity, float(np.ldexp(np.linalg.norm(A @ v), f)))
     c = u[:, :rank].T @ b
     if np.linalg.norm(c) <= _RANK_TOL * np.linalg.norm(b):
         raise Inconsistent("b is orthogonal to the range of A; the "
                            "least-squares solution is zero")
     x = vt[:rank].T @ (c / svals[:rank])
     v = _canonical_sign(x / np.linalg.norm(x))
-    return DirectionSolution(v, nullity, float(np.linalg.norm(A @ x - b)))
+    return DirectionSolution(
+        v, nullity, float(np.ldexp(np.linalg.norm(A @ x - b), e)))
 
 
 # ---------------------------------------------------------------------------
@@ -329,18 +339,10 @@ def _components(n: int, u: np.ndarray,
     return int(root.sum()), (np.cumsum(root) - 1)[parent]
 
 
-def _exponent(values) -> int:
-    """The e with max|values| in [2^(e-1), 2^e), 0 when every value is 0:
-    both solves work on 2^-f A x = 2^-e b, with entries in [0.5, 1), so
-    sinograms near 1e-200 or 1e300 and spacings near 1e-200 or 1e200
-    solve like any others."""
-    return int(np.frexp(np.max(np.abs(values), initial=0.0))[1])
-
-
-def _slice_solve(A: CSR, b: np.ndarray, grid: GridHeader, q: int,
-                 p: int) -> tuple[int, np.ndarray]:
-    """Rank of A and A^+ b in closed form for two axis-aligned views, the
-    first along axis q and the second along p.
+def _slice_solve(A: CSR, grid: GridHeader, views) -> tuple[int, np.ndarray]:
+    """Rank of A and A^+ b in closed form for two axis-aligned views, each
+    an (`_axis_alignment`, sinogram values) pair, the first along grid
+    axis q and the second along p.
 
     Each view puts each voxel on one pixel with weight h, the spacing, so
     a slice across the axis s = 3 - p - q both views see, m x n voxels
@@ -350,28 +352,24 @@ def _slice_solve(A: CSR, b: np.ndarray, grid: GridHeader, q: int,
     delta = (R - C) / (m + n), and the least voxels with those sums are
     ((b_1 - delta) / n + (b_2 + delta) / m - (R - m delta) / (mn)) / h,
     b_1 and b_2 the voxel's pixel values (Herman & Kuba, *Discrete
-    Tomography*, 1999).
+    Tomography*, 1999).  Each view's sinogram is read through
+    `_aligned_pixels`, the map its block of A was built with, and the
+    solve works on 2^-f h against 2^-e b (`_exponent`).  A itself is read
+    only to cross-check the rank of small systems by `elimination_rank`.
     """
-    dims = grid.dims
-    m, n = dims[p], dims[q]
-    e, f = _exponent(b), _exponent(grid.spacing)
-    # each view holds one entry per voxel, so row k of A's entries reshaped
-    # to (2, voxels) is view k's: seen[k, j] is the value of the pixel of
-    # view k that voxel j lies on
-    seen = np.empty((2, A.shape[1]))
-    np.put_along_axis(seen, A.indices.reshape(2, -1), np.repeat(
-        np.ldexp(b, -e), np.diff(A.indptr)).reshape(2, -1), axis=1)
-    # view 1's values are constant along q and view 2's along p, so one
-    # plane of each holds them; R, C and delta are one value per slice
-    b_1 = np.take(seen[0].reshape(dims), [0], axis=q)
-    b_2 = np.take(seen[1].reshape(dims), [0], axis=p)
-    del seen
+    q, p = (align[4] for align, _ in views)
+    m, n = grid.dims[p], grid.dims[q]
+    e, f = max(_exponent(v) for _, v in views), _exponent(grid.spacing)
+    # view 1's values are constant along q and view 2's along p, so each
+    # keeps its viewing axis as 1; R, C and delta are one value per slice
+    b_1, b_2 = (np.ldexp(values[_aligned_pixels(grid, align, values.shape)],
+                         -e) for align, values in views)
     sum_r = b_1.sum(axis=p, keepdims=True)
     delta = (sum_r - b_2.sum(axis=q, keepdims=True)) / (m + n)
     x = (b_1 - delta) / n + (b_2 + delta) / m
     x -= (sum_r - m * delta) / (m * n)
     x /= np.ldexp(grid.spacing, -f)
-    rank = dims[3 - p - q] * (m + n - 1)
+    rank = grid.dims[3 - p - q] * (m + n - 1)
     if A.shape[0] * A.shape[1] <= _ORACLE_CHECK_ENTRIES:
         check = elimination_rank(A.toarray())
         if check != rank:
@@ -535,8 +533,8 @@ def build_radon_system(specs, grid: GridHeader, sinograms) -> RadonSystem:
     b = np.concatenate([sino.values.ravel() for sino in sinos])
     align = [_axis_alignment(spec) for spec in specs]
     if len(specs) == 2 and None not in align and align[0][4] != align[1][4]:
-        method, (rank, x) = "graph", _slice_solve(A, b, grid, align[0][4],
-                                                  align[1][4])
+        method, (rank, x) = "graph", _slice_solve(
+            A, grid, [(a, sino.values) for a, sino in zip(align, sinos)])
     else:
         method, (rank, x) = "svd", _factor(A, b)
     return RadonSystem(A, b, rank, method, x.reshape(grid.dims))

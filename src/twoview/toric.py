@@ -25,7 +25,8 @@ from .errors import (
     InputError,
 )
 from .geometry import (PointCloud, ProjectionSpec, _RANK_TOL, _as_array,
-                       _brief, _canonical_sign, _rank_above, _require_tol)
+                       _brief, _canonical_sign, _exponent, _rank_above,
+                       _require_tol)
 
 CONTINUOUS = "continuous"
 _CELL_BLOCK = 2**18  # pairwise distances per block of the cell grid
@@ -42,15 +43,15 @@ class ToricReport:
 
 def _unit_axis(axis) -> np.ndarray:
     """`axis` scaled to unit length; DimMismatch unless it is three finite
-    numbers, not all zero.  The norm is taken after an exact power-of-two
-    scaling that brings the largest |component| into [0.5, 1), as
-    `diffgeo._node_scaled` does, so axes near 1e200 or 1e-320 neither
-    overflow nor vanish."""
+    numbers, not all zero.  The norm is taken after the exact power-of-two
+    scaling of `geometry._exponent`, which brings the largest |component|
+    into [0.5, 1), so axes near 1e200 or 1e-320 neither overflow nor
+    vanish."""
     a = _as_array(axis, 3, "rotation axis, which must be finite and nonzero")
     if not np.any(a):
         raise DimMismatch(
             f"rotation axis must be finite and nonzero, got {a.tolist()}")
-    a = np.ldexp(a, -np.frexp(np.max(np.abs(a)))[1])
+    a = np.ldexp(a, -_exponent(a))
     return a / np.linalg.norm(a)
 
 
@@ -195,14 +196,23 @@ def detect_axis(cloud: PointCloud, orders, tol: float = 1e-8) -> ToricReport:
     points, which returns the dense nearest-neighbour distances bitwise
     without the N x N matrix; InputError names that missing dependency
     when scipy.spatial cannot be imported.
+
+    All of this runs once on the positions scaled by 2^-e, e their
+    `_exponent`, which is exact: the radius is max(2^-e tol, tol 2R'), R'
+    in scaled units, and each reported residual is scaled back.  So a
+    cloud times a power of two keeps its order, axis bits and continuous
+    flag, and its residual scales alone, to the last bit, wherever 2R is
+    at least 1; below that the absolute floor tol decides, and a smaller
+    copy of a cloud may match more orders.
     """
     orders = _require_orders(orders)
     _require_tol(tol)
-    pts = cloud.positions
     if len(cloud) < 3:
         raise DegenerateCloud("need at least 3 points")
+    e = _exponent(cloud.positions)
+    cloud = PointCloud(np.ldexp(cloud.positions, -e), cloud.weights)
     c = moments.centroid3d(cloud)
-    centered = pts - c
+    centered = cloud.positions - c
     sm = moments.second_moment(cloud)
     evals, evecs = sm.eigen()
     svals = np.linalg.svd(centered, compute_uv=False)
@@ -210,7 +220,7 @@ def detect_axis(cloud: PointCloud, orders, tol: float = 1e-8) -> ToricReport:
         raise DegenerateCloud("points are collinear")
     scale = max(float(evals[-1]), 1e-300)
     span = 2 * float(np.max(_distances(centered, 0.0)))  # D <= span <= 2 D
-    match_tol = max(tol, tol * span)
+    match_tol = max(np.ldexp(tol, -e), tol * span)
     # a repeated eigenvalue pair means the second moment cannot distinguish
     # rotations about the lone eigenvector: flag a (potential) continuous
     # symmetry; regular polygons carry the flag alongside a discrete order
@@ -234,7 +244,8 @@ def detect_axis(cloud: PointCloud, orders, tol: float = 1e-8) -> ToricReport:
     if passing:
         # finest symmetry first, then smaller residual, then axis order
         res, k, axis = min(passing, key=lambda c_: (-c_[1], c_[0], c_[2]))
-        return ToricReport(np.asarray(axis), k, res, 1, continuous)
+        return ToricReport(np.asarray(axis), k, float(np.ldexp(res, e)), 1,
+                           continuous)
     try:
         from scipy.spatial import cKDTree
     except ImportError as exc:
@@ -248,10 +259,10 @@ def detect_axis(cloud: PointCloud, orders, tol: float = 1e-8) -> ToricReport:
     if continuous:
         # no discrete order matched but the moment is rotation-degenerate
         best = min(c_ for c_ in candidates if c_[2] == tuple(cont_axis))
-        return ToricReport(np.asarray(cont_axis), CONTINUOUS, best[0], 1,
-                           True)
+        return ToricReport(np.asarray(cont_axis), CONTINUOUS,
+                           float(np.ldexp(best[0], e)), 1, True)
     res, k, axis = min(candidates)
-    return ToricReport(np.asarray(axis), k, res, 1, False)
+    return ToricReport(np.asarray(axis), k, float(np.ldexp(res, e)), 1, False)
 
 
 def invariant_moment_check(cloud: PointCloud, spec: ProjectionSpec,
@@ -311,7 +322,11 @@ def solve_direction_equivariant(constraints, axis, order: int,
     dim 3 and the axis plus the fourth coordinate (f = 2) in dim 4, which
     is what averaging it over the group does; rows vanishing there are
     dropped and the rest go through `solve_direction`'s validator and SVD
-    core, so the residual is |A x - b| at the least-squares solution.
+    core, so the residual is |A x - b| at the least-squares solution.  A
+    row vanishes when its restriction is at most _RANK_TOL times its norm,
+    both taken after scaling the row by its own power of two
+    (`_exponent`), so scaling A and b by a power of two leaves v bitwise
+    as it was and scales the residual alone.
     Raises AmbiguousDirection, carrying f, when the reduced solution
     space is not one-dimensional, with nullity 0 when it holds only zero.
     """
@@ -319,8 +334,9 @@ def solve_direction_equivariant(constraints, axis, order: int,
     B = _fixed_basis(axis, order, dim)
     f = B.shape[1]
     reduced = A @ B
-    keep = (np.linalg.norm(reduced, axis=1)
-            > _RANK_TOL * np.linalg.norm(A, axis=1))
+    unit = np.ldexp(A, -_exponent(A, 1))
+    keep = (np.linalg.norm(unit @ B, axis=1)
+            > _RANK_TOL * np.linalg.norm(unit, axis=1))
     if not keep.any():
         if f == 1 and not b.any():
             return recon.DirectionSolution(_canonical_sign(B[:, 0]), 1, 0.0)

@@ -631,6 +631,82 @@ class TestSolveDirectionEquivariant:
             solve_direction_equivariant(rows, [0, 0, 1], 4, dim=dim)
 
 
+# (axis, omegas, rhs): both solvers, the plain one for axis None, on
+# homogeneous and inhomogeneous systems in dim 3 and 4; the equivariant ones
+# about (1, 2, 0) hold rows that vanish on its fixed subspace, and its
+# homogeneous dim 3 system is refused (its one kept row is full rank)
+_A3 = [[1.0, 2.0, 0.0], [0.0, 1.0, 1.0], [1.0, 0.0, 1.0]]
+_A4 = [[1.0, 2.0, 0.0, 1.0], [0.0, 1.0, 1.0, 2.0], [1.0, 0.0, 1.0, 0.0],
+       [2.0, 1.0, 3.0, 1.0]]
+_SCALED_SYSTEMS = {
+    "plain dim 3 homogeneous": (None, _A3[:2], [0.0, 0.0]),
+    "plain dim 3": (None, _A3, [3.0, 1.0, 0.0]),
+    "plain dim 4 homogeneous": (None, _A4[:3], [0.0, 0.0, 0.0]),
+    "plain dim 4": (None, _A4, [3.0, 1.0, 0.0, 2.0]),
+    "equivariant dim 3 homogeneous": ((1, 2, 0), [[1.0, 2.0, 0.0],
+                                                  [2.0, -1.0, 0.0]],
+                                      [0.0, 0.0]),
+    "equivariant dim 3": ((1, 2, 0), _A3, [3.0, 1.0, 0.0]),
+    "equivariant dim 4 homogeneous": ((1, 2, 0), [[1.0, 2.0, 0.0, 1.0],
+                                                  [2.0, -1.0, 5.0, 0.0],
+                                                  [3.0, 6.0, 1.0, 3.0]],
+                                      [0.0, 0.0, 0.0]),
+    "equivariant dim 4": ((1, 2, 0), _A4, [3.0, 1.0, 0.0, 2.0]),
+}
+
+
+class TestPowerOfTwoScaling:
+    @staticmethod
+    def outcome(axis, omegas, rhs, k):
+        """(v's bytes, nullity, residual) of the system with every omega and
+        rhs times 2^k, or its refusal's (type, message, nullity)."""
+        rows = [ConstraintRow(np.ldexp(o, k), np.ldexp(r, k))
+                for o, r in zip(omegas, rhs)]
+        dim = len(omegas[0])
+        try:
+            sol = (solve_direction(rows, dim) if axis is None else
+                   solve_direction_equivariant(rows, axis, 2, dim))
+        except (AmbiguousDirection, Inconsistent) as exc:
+            return type(exc), str(exc), getattr(exc, "nullity", None)
+        return sol.v.tobytes(), sol.nullity, sol.residual
+
+    @pytest.mark.parametrize("case", _SCALED_SYSTEMS)
+    def test_direction_solvers_are_exact(self, case):
+        # times 2^k: v bitwise, and the residual exactly 2^k times k = 0's,
+        # or the same refusal; at 2^-600 the row norms once underflowed
+        # (Inconsistent, or every row dropped) and at 2^600 they overflowed
+        want = self.outcome(*_SCALED_SYSTEMS[case], 0)
+        for k in (-1000, -600, 600, 1000):
+            got = self.outcome(*_SCALED_SYSTEMS[case], k)
+            if isinstance(want[0], bytes):
+                assert got == (*want[:2], np.ldexp(want[2], k)), k
+            else:
+                assert got == want, k
+
+    @pytest.mark.parametrize("matched", [True, False],
+                             ids=["matched", "no match"])
+    def test_detect_is_exact(self, matched):
+        # a jittered 6-fold cloud, whose order 6 matches, and one whose
+        # residuals come from the k-d tree, times 2^k with 2R 2^k >= 1:
+        # the order, the axis bits and the continuous flag hold, and the
+        # residual is exactly 2^k times k = 0's; from 2^520 the second
+        # moment once overflowed, and at 2^300 the axis bits moved
+        rng = np.random.default_rng(5)
+        pts = (symmetric_points(rng, 240, 6, 1e-3) if matched
+               else rng.standard_normal((60, 3)))
+        weights = rng.uniform(0.5, 2.0, len(pts))
+        assert centroid_span(pts - weights @ pts / weights.sum()) >= 1
+        want = detect_axis(PointCloud(pts, weights), [2, 3, 4, 6], 1e-2)
+        assert (want.order == 6) == matched
+        for k in (300, 520, 600, 1000):
+            got = detect_axis(PointCloud(np.ldexp(pts, k), weights),
+                              [2, 3, 4, 6], 1e-2)
+            assert ((got.order, got.continuous, got.axis.tobytes(),
+                     got.invariance_residual)
+                    == (want.order, want.continuous, want.axis.tobytes(),
+                        np.ldexp(want.invariance_residual, k))), k
+
+
 def eigh_reduction(rows, axis, order, dim):
     """The eigendecomposition-based solver the closed form replaced:
     (outcome, v or None, nullity, fixed-subspace dim, residual or None).
