@@ -12,19 +12,17 @@ deterministic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import diffgeo
 from .errors import DimMismatch, GridTooSmall
-from .geometry import _as_array
+from .geometry import Record, _as_array
 
 UNDEFINED = -1
 
 
-@dataclass(frozen=True)
-class FiniteMagma:
+class FiniteMagma(Record):
     """n x n composition table; UNDEFINED (-1) marks missing products."""
 
     table: np.ndarray
@@ -57,8 +55,7 @@ class FiniteMagma:
         return cls((idx[:, None] + idx[None, :]) % n)
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(Record):
     """Outcome of an exhaustive identity scan."""
 
     holds: bool
@@ -117,8 +114,7 @@ def check_moufang(m: FiniteMagma, strict: bool = False) -> Verdict:
 # twisted bracket
 
 
-@dataclass(frozen=True)
-class TwistMap:
+class TwistMap(Record):
     """Bilinear antisymmetric map H^k(a, b) = c^k_ij a^i b^j on R^3.
 
     Raises DimMismatch unless coeffs is a finite 3x3x3 array, indexed

@@ -13,7 +13,6 @@ reads, and a pair that triangulates at a tolerance also passes (a) at it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,14 +21,14 @@ from .errors import ZeroMass
 from .geometry import (
     PointCloud,
     ProjectionSpec,
+    Record,
     TransversalityCheck,
     _as_array,
     check_transversality,
 )
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(Record):
     transversality: TransversalityCheck
     integrability: diffgeo.IntegrabilityReport
     unique: bool
@@ -53,8 +52,7 @@ class Certificate:
         }
 
 
-@dataclass(frozen=True)
-class TrivializationCoords:
+class TrivializationCoords(Record):
     """The coordinate pair (mu1, mu2) of an object.
 
     Raises DimMismatch unless each is a finite 2-vector.

@@ -36,7 +36,9 @@ naming the option, raised before any input file is read.  Every command
 is deterministic given its inputs, and each successful run writes a
 `run.json` with the tool version and the value of every option the
 subcommand accepts.  A run that only parses its arguments (--version,
---help, a usage error) imports no numpy.
+--help, a usage error) imports no numpy.  A run builds the parser of the
+command its arguments name and no other: all of them only when they name
+none (or ask for the top-level help), none for --version.
 
 `run` is the process entry, of `python -m twoview.cli` and the
 `twoview` script: it exits with `main`'s code after freezing the garbage
@@ -48,7 +50,6 @@ from __future__ import annotations
 
 import argparse
 import gc
-import json
 import os
 import sys
 import warnings
@@ -295,80 +296,98 @@ class _Parser(argparse.ArgumentParser):
         raise InputError(f"{self.prog}: {message}")
 
 
-def build_parser() -> argparse.ArgumentParser:
+_SPECS = ("--spec1", "--spec2")
+_FIELDS = ("--field-x", "--field-y")
+_TOL = {"--tol": {"type": float, "default": 1e-9}}
+_TOL_INT = {"--tol-int": {"type": float, "default": None}}
+_FLAG = {"action": "store_true"}
+# each leaf command by its words, in help order: its function, the options
+# it requires beside --out, and its other options with their keywords; a
+# group's first leaf adds the group, whose subcommand is `_GROUPS`' dest
+_GROUPS = {"reconstruct": "mode", "diagnose": "check", "toric": "mode"}
+_LEAVES = {
+    ("project",): (cmd_project, ("--input", *_SPECS), {
+        **_TOL,
+        "--mode": {"choices": ["points", "voxels"], "default": "points"},
+        "--image-dims": {"type": int, "default": None},
+        "--format": {"choices": ["csv", "pgm"], "default": "csv"},
+        "--check-transversal": _FLAG}),
+    ("reconstruct", "points"): (cmd_reconstruct_points,
+                                ("--image1", "--image2", *_SPECS), _TOL),
+    ("reconstruct", "voxels"): (cmd_reconstruct_voxels,
+                                ("--sino1", "--sino2", *_SPECS), {
+        **_TOL, "--grid-dims": {"required": True,
+                                "help": "comma-separated nx,ny,nz"},
+        "--spacing": {"type": float, "default": 1.0},
+        "--matrix-market": _FLAG}),
+    ("certify",): (cmd_certify, ("--input", *_SPECS, *_FIELDS,
+                                 "--connection"), {**_TOL, **_TOL_INT}),
+    ("diagnose", "algebra"): (cmd_diagnose_algebra, ("--table",),
+                              {"--strict": _FLAG}),
+    ("diagnose", "frobenius"): (cmd_diagnose_frobenius, _FIELDS,
+                                {"--profile": _FLAG}),
+    ("diagnose", "hantjies"): (cmd_diagnose_hantjies,
+                               (*_FIELDS, "--connection"), _TOL_INT),
+    ("diagnose", "curvature"): (cmd_diagnose_curvature,
+                                (*_FIELDS, "--field-z", "--connection"), {}),
+    ("diagnose", "jacobiator"): (cmd_diagnose_jacobiator,
+                                 (*_FIELDS, "--field-z"), {"--twist": {}}),
+    ("toric", "detect"): (cmd_toric_detect, ("--input",), {
+        **_TOL, "--orders": {"default": "2,3,4,5,6"}}),
+    ("toric", "solve"): (cmd_toric_solve, ("--constraints",), {
+        "--axis": {"required": True, "help": "comma-separated 3-vector"},
+        "--order": {"type": int, "required": True}}),
+    ("noise-study",): (cmd_noise_study, ("--input", *_SPECS), {
+        **_TOL, "--sigmas": {"required": True, "help": "comma-separated stds"},
+        "--trials": {"type": int, "default": 100},
+        "--seed": {"type": int, "default": 0}}),
+}
+
+
+def _named_leaves(argv) -> list:
+    """The leaves a parse of `argv` needs: none when it starts with
+    --version, where argparse exits; else every leaf under the command, and
+    then the group's subcommand, that its first words name, and all of them
+    when its first word names none, so that help and invalid-choice errors
+    list every choice."""
+    if argv[:1] == ["--version"]:
+        return []
+    leaves = list(_LEAVES)
+    for depth, word in enumerate(argv[:2]):
+        named = [leaf for leaf in leaves if leaf[depth:depth + 1] == (word,)]
+        if not named:
+            break
+        leaves = named
+    return leaves
+
+
+def build_parser(argv=()) -> argparse.ArgumentParser:
+    """The parser of `argv`: the top level and only the command branch argv
+    names, or every branch when it names none (the default)."""
     p = _Parser(prog="twoview", description=__doc__,
                 formatter_class=argparse.RawDescriptionHelpFormatter)
     p.add_argument("--version", action="version", version=TOOL)
-    sub = p.add_subparsers(dest="command", required=True)
-
-    def command(parent, name, func, *required, tol=False):
-        """A leaf subcommand running `func`, with --out and `required`."""
-        sp = parent.add_parser(name)
+    subs = {(): p.add_subparsers(dest="command", required=True)}
+    for words in _named_leaves(list(argv)):
+        group = words[:-1]
+        if group not in subs:
+            subs[group] = subs[()].add_parser(group[0]).add_subparsers(
+                dest=_GROUPS[group[0]], required=True)
+        func, required, options = _LEAVES[words]
+        sp = subs[group].add_parser(words[-1])
         for opt in ("--out", *required):
             sp.add_argument(opt, required=True)
-        if tol:
-            sp.add_argument("--tol", type=float, default=1e-9)
+        for opt, kwargs in options.items():
+            sp.add_argument(opt, **kwargs)
         sp.set_defaults(func=func)
-        return sp
-
-    specs = ("--spec1", "--spec2")
-    fields_xy = ("--field-x", "--field-y")
-
-    sp = command(sub, "project", cmd_project, "--input", *specs, tol=True)
-    sp.add_argument("--mode", choices=["points", "voxels"], default="points")
-    sp.add_argument("--image-dims", type=int, default=None)
-    sp.add_argument("--format", choices=["csv", "pgm"], default="csv")
-    sp.add_argument("--check-transversal", action="store_true")
-
-    rec = sub.add_parser("reconstruct").add_subparsers(dest="mode",
-                                                       required=True)
-    command(rec, "points", cmd_reconstruct_points, "--image1", "--image2",
-            *specs, tol=True)
-    sp = command(rec, "voxels", cmd_reconstruct_voxels, "--sino1", "--sino2",
-                 *specs, tol=True)
-    sp.add_argument("--grid-dims", required=True,
-                    help="comma-separated nx,ny,nz")
-    sp.add_argument("--spacing", type=float, default=1.0)
-    sp.add_argument("--matrix-market", action="store_true")
-
-    sp = command(sub, "certify", cmd_certify, "--input", *specs, *fields_xy,
-                 "--connection", tol=True)
-    sp.add_argument("--tol-int", type=float, default=None)
-
-    diag = sub.add_parser("diagnose").add_subparsers(dest="check",
-                                                     required=True)
-    sp = command(diag, "algebra", cmd_diagnose_algebra, "--table")
-    sp.add_argument("--strict", action="store_true")
-    sp = command(diag, "frobenius", cmd_diagnose_frobenius, *fields_xy)
-    sp.add_argument("--profile", action="store_true")
-    sp = command(diag, "hantjies", cmd_diagnose_hantjies, *fields_xy,
-                 "--connection")
-    sp.add_argument("--tol-int", type=float, default=None)
-    command(diag, "curvature", cmd_diagnose_curvature, *fields_xy,
-            "--field-z", "--connection")
-    sp = command(diag, "jacobiator", cmd_diagnose_jacobiator, *fields_xy,
-                 "--field-z")
-    sp.add_argument("--twist")
-
-    tor = sub.add_parser("toric").add_subparsers(dest="mode", required=True)
-    sp = command(tor, "detect", cmd_toric_detect, "--input", tol=True)
-    sp.add_argument("--orders", default="2,3,4,5,6")
-    sp = command(tor, "solve", cmd_toric_solve, "--constraints")
-    sp.add_argument("--axis", required=True, help="comma-separated 3-vector")
-    sp.add_argument("--order", type=int, required=True)
-
-    sp = command(sub, "noise-study", cmd_noise_study, "--input", *specs,
-                 tol=True)
-    sp.add_argument("--sigmas", required=True, help="comma-separated stds")
-    sp.add_argument("--trials", type=int, default=100)
-    sp.add_argument("--seed", type=int, default=0)
     return p
 
 
 def main(argv=None) -> int:
     _setup_logging()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = build_parser().parse_args(argv)
+        args = build_parser(argv).parse_args(argv)
         if not args.out:
             raise InputError("--out must name a directory, got ''")
         out = Path(args.out)
@@ -385,6 +404,7 @@ def main(argv=None) -> int:
                 raise NumericalError(f"floating-point {exc}") from exc
         _echo_run(out, args)
     except (TwoViewError, OSError) as exc:
+        import json
         sys.stderr.write(json.dumps(
             {"error": type(exc).__name__, "message": str(exc)}) + "\n")
         return (3 if isinstance(exc, GeometricError) else

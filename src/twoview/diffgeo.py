@@ -15,7 +15,6 @@ spanned distribution.  The uniqueness certificate consumes both.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,8 +25,8 @@ from .errors import (
     NumericalError,
     PathOutsideGrid,
 )
-from .geometry import (GridHeader, _as_array, _exponent, _require_tol,
-                       _trilinear_weights)
+from .geometry import (GridHeader, Record, _as_array, _exponent,
+                       _require_tol, _trilinear_weights)
 
 _STEPS_PER_SPACING = 4  # RK4 steps per node spacing of path length
 # X and Y count as nearly parallel where the sine of their angle is at most
@@ -75,8 +74,7 @@ def _node_array(header: GridHeader, values, tail: tuple,
                      HeaderMismatch)
 
 
-@dataclass(frozen=True)
-class VectorFieldGrid:
+class VectorFieldGrid(Record):
     """Per-node 3-vector samples of a vector field, or of a vector-valued
     tensor evaluated node-wise (Hantjies, jacobiator)."""
 
@@ -113,8 +111,7 @@ class VectorFieldGrid:
         return float(_finite(norms, "the field's norm").max())
 
 
-@dataclass(frozen=True)
-class ConnectionField:
+class ConnectionField(Record):
     """Per-node Christoffel symbols gamma[..., k, i, j] for Gamma^k_ij."""
 
     header: GridHeader
@@ -129,8 +126,7 @@ class ConnectionField:
         return cls(header, np.zeros(header.dims + (3, 3, 3)))
 
 
-@dataclass(frozen=True)
-class IntegrabilityReport:
+class IntegrabilityReport(Record):
     max_hantjies_norm: float
     max_frobenius_residual: float
     integrable: bool

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -76,6 +75,71 @@ def _brief(value, width: int = 40) -> str:
     return f"{text[:width // 2]}...{text[-(width // 2):]}"
 
 
+class Record:
+    """Base of every record: a frozen value whose fields are its annotated
+    names, its bases' first.
+
+    Arguments bind to the fields by position or keyword, a class attribute
+    is a field's default, and `__post_init__` runs once after binding (it
+    may replace a field with `object.__setattr__`).  Fields are read-only;
+    `==`, `hash` and `repr` work on the tuple of fields.  This is what
+    `dataclass(frozen=True)` gave, without compiling generated methods in
+    every process.
+    """
+
+    _fields = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._fields += tuple(cls.__annotations__)
+
+    def __init__(self, *args, **kwargs):
+        name, fields = type(self).__qualname__, self._fields
+        if len(args) > len(fields):
+            raise TypeError(f"{name}() takes {len(fields)} arguments "
+                            f"but {len(args)} were given")
+        values = dict(zip(fields, args))
+        for key in kwargs:
+            if key not in fields or key in values:
+                raise TypeError(f"{name}() got an unexpected or repeated "
+                                f"argument {key!r}")
+        values.update(kwargs)
+        for key in fields:
+            if key not in values:
+                try:
+                    values[key] = getattr(type(self), key)
+                except AttributeError:
+                    raise TypeError(f"{name}() missing argument "
+                                    f"{key!r}") from None
+        self.__dict__.update(values)
+        self.__post_init__()
+
+    def __post_init__(self):
+        pass
+
+    def __setattr__(self, key, value):
+        raise AttributeError(f"cannot assign to field {key!r}")
+
+    def __delattr__(self, key):
+        raise AttributeError(f"cannot delete field {key!r}")
+
+    def _values(self) -> tuple:
+        return tuple(self.__dict__[key] for key in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{key}={value!r}" for key, value
+                           in zip(self._fields, self._values()))
+        return f"{type(self).__qualname__}({fields})"
+
+
 def _trilinear_weights(frac: np.ndarray) -> np.ndarray:
     """Weights (..., 8) of the corners `np.ndindex(2, 2, 2)` of a cell at
     offset `frac` (..., 3) in it: wa * wb * wc, w = 1 - frac or frac."""
@@ -121,8 +185,7 @@ def _set_weighted_points(points, dim: int, kind: str) -> None:
     object.__setattr__(points, "weights", w)
 
 
-@dataclass(frozen=True)
-class PointCloud:
+class PointCloud(Record):
     """Weighted 3-D samples of an object.
 
     positions : (N, 3) float array
@@ -150,8 +213,7 @@ class PointCloud:
                           self.weights)
 
 
-@dataclass(frozen=True)
-class Projected2D:
+class Projected2D(Record):
     """Planar image of a cloud: 2-D positions with carried-through weights.
 
     Raises DimMismatch unless both are finite, of one length, and the
@@ -168,8 +230,7 @@ class Projected2D:
         return self.positions.shape[0]
 
 
-@dataclass(frozen=True)
-class GridHeader:
+class GridHeader(Record):
     """Regular lattice: dims, site spacing, position of site (0, 0, 0).
 
     Voxel centers and vector-field or connection nodes are its sites.
@@ -224,7 +285,6 @@ class GridHeader:
         return self.origin + self.spacing * (np.asarray(self.dims) - 1) / 2.0
 
 
-@dataclass(frozen=True)
 class VoxelGrid(GridHeader):
     """Nonnegative density on the sites of a lattice.
 
@@ -247,8 +307,7 @@ class VoxelGrid(GridHeader):
         object.__setattr__(self, "values", vals)
 
 
-@dataclass(frozen=True)
-class ProjectionSpec:
+class ProjectionSpec(Record):
     """Right-handed orthonormal frame: u, w span the image plane, n views.
 
     Raises DimMismatch unless u, w and n are finite 3-vectors, and
@@ -277,8 +336,7 @@ class ProjectionSpec:
         object.__setattr__(self, "n", n)
 
 
-@dataclass(frozen=True)
-class Involution:
+class Involution(Record):
     """Orthogonal matrix squaring to the identity.
 
     Raises DimMismatch unless the matrix is a finite 3x3 array, and
@@ -296,8 +354,7 @@ class Involution:
         object.__setattr__(self, "matrix", m)
 
 
-@dataclass(frozen=True)
-class BackprojectionRay:
+class BackprojectionRay(Record):
     """All points base + t * direction project to one observation.
 
     Raises DimMismatch unless both are finite 3-vectors, and InvalidFrame
@@ -320,8 +377,7 @@ class BackprojectionRay:
         return self.base + t * self.direction
 
 
-@dataclass(frozen=True)
-class Sinogram:
+class Sinogram(Record):
     """Line-integral image: values[iu, iw] is pixel (iu, iw) of the
     `pixel_center_coords` lattice of the grid it was projected from.
 
@@ -337,8 +393,7 @@ class Sinogram:
         object.__setattr__(self, "values", vals)
 
 
-@dataclass(frozen=True, eq=False)
-class CSR:
+class CSR(Record):
     """Sparse matrix in compressed sparse row form.
 
     Row i holds the entries data[k] in columns indices[k] for k in
@@ -346,12 +401,15 @@ class CSR:
     `scipy.sparse.csr_matrix((A.data, A.indices, A.indptr), shape=A.shape)`
     wraps the same arrays.  `from_entries` and `vstack` of its results give
     the canonical form: column indices strictly increasing within each row.
+    Two matrices are equal only when they are one object.
     """
 
     indptr: np.ndarray
     indices: np.ndarray
     data: np.ndarray
     shape: tuple
+
+    __eq__, __hash__ = object.__eq__, object.__hash__
 
     @classmethod
     def from_entries(cls, data, rows, cols, shape) -> "CSR":
@@ -703,8 +761,7 @@ def _cross_norm(spec1: ProjectionSpec, spec2: ProjectionSpec,
     return cn
 
 
-@dataclass(frozen=True)
-class TransversalityCheck:
+class TransversalityCheck(Record):
     """The margin |n1 x n2| and its verdict, transversal when > tol."""
 
     cross_norm: float

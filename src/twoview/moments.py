@@ -8,16 +8,15 @@ computed and the linear constraint the direction solver consumes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ZeroMass
-from .geometry import PointCloud, Projected2D, ProjectionSpec, _as_array
+from .geometry import (PointCloud, Projected2D, ProjectionSpec, Record,
+                       _as_array)
 
 
-@dataclass(frozen=True)
-class MomentValue:
+class MomentValue(Record):
     """Centroid (plane coordinates) plus the total mass it was taken over.
 
     Raises DimMismatch unless the centroid is a finite 2-vector.
@@ -32,8 +31,7 @@ class MomentValue:
         object.__setattr__(self, "total_mass", float(self.total_mass))
 
 
-@dataclass(frozen=True)
-class SecondMoment3D:
+class SecondMoment3D(Record):
     """Central second-moment tensor of a cloud (symmetric PSD 3x3).
 
     Raises DimMismatch unless the matrix is a finite 3x3 array.

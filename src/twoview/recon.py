@@ -17,7 +17,6 @@ transversality margin every gate reads.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,6 +33,7 @@ from .geometry import (
     PointCloud,
     Projected2D,
     ProjectionSpec,
+    Record,
     project_points,
     projection_operator,
     _RANK_TOL,
@@ -63,8 +63,7 @@ _ORACLE_CHECK_ENTRIES = 2**14
 _QR_CHUNK = 4
 
 
-@dataclass(frozen=True)
-class ConstraintRow:
+class ConstraintRow(Record):
     """One linear constraint omega . v = rhs on the direction v.
 
     Raises DimMismatch unless omega has 3 or 4 finite components, not all
@@ -86,8 +85,7 @@ class ConstraintRow:
         object.__setattr__(self, "rhs", rhs)
 
 
-@dataclass(frozen=True)
-class DirectionSolution:
+class DirectionSolution(Record):
     """Unit representative of a direction modulo scaling."""
 
     v: np.ndarray
@@ -95,8 +93,7 @@ class DirectionSolution:
     residual: float
 
 
-@dataclass(frozen=True)
-class RadonSystem:
+class RadonSystem(Record):
     """Sparse ray/voxel incidence system A x = b.
 
     rows is A, a canonical `CSR` matrix: rows[r, voxel] is the
@@ -125,8 +122,7 @@ class RadonSystem:
         return self.rank == self.rows.shape[1]
 
 
-@dataclass(frozen=True)
-class NoiseReport:
+class NoiseReport(Record):
     sigma: float
     trials: int
     rmse_mean: float

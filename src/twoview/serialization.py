@@ -23,7 +23,6 @@ also JSON's encoding.
 
 from __future__ import annotations
 
-import csv
 import json
 from contextlib import contextmanager
 from pathlib import Path
@@ -317,6 +316,7 @@ def save_matrix_market(A: CSR, path) -> None:
 
 
 def save_magma(m: algebra.FiniteMagma, path) -> None:
+    import csv
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         for row in m.table:
@@ -325,6 +325,7 @@ def save_magma(m: algebra.FiniteMagma, path) -> None:
 
 
 def load_magma(path) -> algebra.FiniteMagma:
+    import csv
     with _reading(path, "table"):
         with open(path, "r", newline="", encoding="utf-8") as fh:
             rows = [[algebra.UNDEFINED if cell.strip() in (UNDEFINED_MARK, ".")

@@ -12,7 +12,6 @@ restricts the constraint rows to it and shares the plain solver's core.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,16 +23,15 @@ from .errors import (
     Inconsistent,
     InputError,
 )
-from .geometry import (PointCloud, ProjectionSpec, _RANK_TOL, _as_array,
-                       _brief, _canonical_sign, _exponent, _rank_above,
-                       _require_tol)
+from .geometry import (PointCloud, ProjectionSpec, Record, _RANK_TOL,
+                       _as_array, _brief, _canonical_sign, _exponent,
+                       _rank_above, _require_tol)
 
 CONTINUOUS = "continuous"
 _CELL_BLOCK = 2**18  # pairwise distances per block of the cell grid
 
 
-@dataclass(frozen=True)
-class ToricReport:
+class ToricReport(Record):
     axis: np.ndarray
     order: object  # int >= 2 or CONTINUOUS
     invariance_residual: float

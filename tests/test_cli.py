@@ -25,6 +25,7 @@ from twoview import cli, diffgeo, geometry, recon, toric
 from twoview import serialization as ser
 from twoview.cli import build_parser, main
 from twoview.data import fixture_path
+from twoview.errors import InputError
 from twoview.diffgeo import (
     ConnectionField,
     GridHeader,
@@ -1604,6 +1605,103 @@ class TestParser:
                           "strict": "False"}
 
 
+# a sample argv of every leaf command, each option it accepts given
+_LEAF_ARGV = {
+    ("project",): ("--input", "c.json", "--spec1", "a", "--spec2", "b",
+                   "--mode", "voxels", "--image-dims", "4", "--format",
+                   "pgm", "--check-transversal", "--tol", "1e-3"),
+    ("reconstruct", "points"): ("--image1", "i", "--image2", "j",
+                                "--spec1", "a", "--spec2", "b"),
+    ("reconstruct", "voxels"): ("--sino1", "s", "--sino2", "t", "--spec1",
+                                "a", "--spec2", "b", "--grid-dims", "1,2,3",
+                                "--spacing", "0.5", "--matrix-market"),
+    ("certify",): ("--input", "c", "--spec1", "a", "--spec2", "b",
+                   "--field-x", "x", "--field-y", "y", "--connection", "g",
+                   "--tol-int", "1e-4"),
+    ("diagnose", "algebra"): ("--table", "t", "--strict"),
+    ("diagnose", "frobenius"): ("--field-x", "x", "--field-y", "y",
+                                "--profile"),
+    ("diagnose", "hantjies"): ("--field-x", "x", "--field-y", "y",
+                               "--connection", "g"),
+    ("diagnose", "curvature"): ("--field-x", "x", "--field-y", "y",
+                                "--field-z", "z", "--connection", "g"),
+    ("diagnose", "jacobiator"): ("--field-x", "x", "--field-y", "y",
+                                 "--field-z", "z", "--twist", "h"),
+    ("toric", "detect"): ("--input", "c", "--orders", "2,3"),
+    ("toric", "solve"): ("--constraints", "k", "--axis", "0,0,1",
+                         "--order", "4"),
+    ("noise-study",): ("--input", "c", "--spec1", "a", "--spec2", "b",
+                       "--sigmas", "0.1", "--trials", "3"),
+}
+
+
+def help_text(parser, argv) -> str:
+    """What `parser` prints for argv ending in --help."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), pytest.raises(SystemExit):
+        parser.parse_args(argv)
+    return out.getvalue()
+
+
+class TestNamedParser:
+    """`build_parser(argv)` adds only the command branch argv names, and
+    parses, helps and refuses as the full parser does."""
+
+    def test_every_leaf_has_a_sample(self):
+        assert set(_LEAF_ARGV) == set(leaf_parsers())
+
+    @pytest.mark.parametrize("leaf", _LEAF_ARGV, ids=" ".join)
+    def test_parses_as_the_full_parser(self, leaf):
+        argv = [*leaf, *_LEAF_ARGV[leaf], "--out", "o"]
+        named = build_parser(argv)
+        assert list(leaf_parsers(named)) == [leaf]
+        # the items in order: run.json lists them so
+        assert (list(vars(named.parse_args(argv)).items())
+                == list(vars(build_parser().parse_args(argv)).items()))
+
+    @pytest.mark.parametrize("words", [
+        (), ("reconstruct",), ("diagnose",), ("toric",), *_LEAF_ARGV],
+        ids=lambda words: " ".join(words) or "top")
+    def test_help_is_the_full_parsers(self, words):
+        argv = [*words, "--help"]
+        text = help_text(build_parser(argv), argv)
+        assert text.startswith(f"usage: {' '.join(('twoview', *words))} ")
+        assert text == help_text(build_parser(), argv)
+
+    def test_version_builds_no_branch(self, capsys):
+        parser = build_parser(["--version"])
+        assert leaf_parsers(parser) == {}
+        with pytest.raises(SystemExit) as exc:
+            parser.parse_args(["--version"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out == cli.TOOL + "\n"
+
+    @pytest.mark.parametrize("argv, message", [
+        (("nope", "--out", "o"), "twoview: argument command: invalid "
+         "choice: 'nope' (choose from 'project', 'reconstruct', 'certify', "
+         "'diagnose', 'toric', 'noise-study')"),
+        (("diagnose", "nope", "--out", "o"), "twoview diagnose: argument "
+         "check: invalid choice: 'nope' (choose from 'algebra', "
+         "'frobenius', 'hantjies', 'curvature', 'jacobiator')"),
+        ((), "twoview: the following arguments are required: command"),
+        (("--bogus",), "twoview: the following arguments are required: "
+         "command"),
+        (("project", "--out", "o"), "twoview project: the following "
+         "arguments are required: --input, --spec1, --spec2"),
+    ], ids=["unknown-command", "unknown-check", "empty", "unknown-option",
+            "missing-option"])
+    def test_errors_are_the_full_parsers(self, argv, message, capsys,
+                                         tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert main(list(argv)) == 2
+        assert capsys.readouterr().err == json.dumps(
+            {"error": "InputError", "message": message}) + "\n"
+        with pytest.raises(InputError) as exc:
+            build_parser().parse_args(argv)
+        assert str(exc.value) == message
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestOneErrorBoundary:
     """Parse errors and an unusable --out exit 2 with one JSON line, no
     usage text and no run.json."""
@@ -2103,6 +2201,7 @@ _LIST_NUMPY = _RUN_CLI.format(select='m.split(".")[0] == "numpy"')
 # subclass of ModuleType
 _EXECUTED = 'm.startswith("twoview.") and type(v) is types.ModuleType'
 _LIST_LAYERS = _RUN_CLI.format(select=_EXECUTED)
+_LIST_STDLIB = _RUN_CLI.format(select='m in ("csv", "dataclasses")')
 
 
 def fresh_run(code, *argv, cwd=None) -> subprocess.CompletedProcess:
@@ -2205,7 +2304,8 @@ class TestImportGraph:
     no module-level scipy import.  Each op also executes only the twoview
     layers it calls, while every layer has a sys.modules entry.  A run
     that only parses its argv (`--version`, `--help`, a usage error)
-    loads no numpy."""
+    loads no numpy.  No op loads `dataclasses`, and only `diagnose
+    algebra`, which reads a table, loads `csv`."""
 
     def test_import_cli_loads_no_numpy(self):
         code = ("import json, sys, twoview.cli; print(json.dumps("
@@ -2254,6 +2354,26 @@ class TestImportGraph:
                                  "out-" + op.replace(" ", "-"),
                                  cwd=layer_inputs)
         assert executed == {f"twoview.{layer}" for layer in layers}
+
+    @pytest.mark.parametrize("op", LAYERS_EXECUTED)
+    def test_op_loads_no_dataclasses_and_csv_only_for_a_table(
+            self, op, layer_inputs):
+        argv, _ = LAYERS_EXECUTED[op]
+        loaded = fresh_modules(_LIST_STDLIB, *argv, "--out",
+                               "std-" + op.replace(" ", "-"),
+                               cwd=layer_inputs)
+        assert loaded == ({"csv"} if op == "diagnose algebra" else set())
+
+    def test_version_loads_no_json(self):
+        # the listing script imports json itself, so this one prints a repr
+        code = ("import atexit, runpy, sys; atexit.register(lambda: print("
+                "[m for m in ('csv', 'dataclasses', 'json') "
+                "if m in sys.modules])); sys.argv = ['twoview', '--version']; "
+                "runpy.run_module('twoview.cli', run_name='__main__', "
+                "alter_sys=True)")
+        proc = fresh_run(code)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == [cli.TOOL, "[]"]
 
     @pytest.mark.parametrize("layer", REEXPORTS)
     def test_reexports_are_their_home_objects(self, layer):

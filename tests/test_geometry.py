@@ -6,7 +6,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twoview.algebra import TwistMap
+from twoview.algebra import TwistMap, Verdict
 from twoview.certify import TrivializationCoords
 from twoview.diffgeo import ConnectionField, VectorFieldGrid, parallel_transport
 from twoview.errors import (
@@ -26,6 +26,7 @@ from twoview.geometry import (
     Projected2D,
     ProjectionSpec,
     Sinogram,
+    TransversalityCheck,
     VoxelGrid,
     _cross_norm,
     apply_involution,
@@ -822,3 +823,82 @@ class TestArrayBoundary:
                 assert isinstance(error, expected), (name, x, error)
 
         check()
+
+
+class TestRecord:
+    """`geometry.Record`, the one base of every record: what
+    `dataclass(frozen=True)` gave them."""
+
+    def test_positional_keyword_and_default_binding(self):
+        assert Verdict(True, (0, 1)) == Verdict(witness=(0, 1), holds=True)
+        assert Verdict(False).witness is None
+        assert ConstraintRow([1, 0, 0]).rhs == 0.0
+        assert ConstraintRow([1, 0, 0], rhs=2).rhs == 2.0
+
+    @pytest.mark.parametrize("args, kwargs", [
+        ((), {}), ((), {"witness": None}), ((True, None, 1), {}),
+        ((True,), {"holds": False}), ((True,), {"nope": 1}),
+    ], ids=["none", "missing", "extra", "repeated", "unknown"])
+    def test_missing_or_extra_argument(self, args, kwargs):
+        with pytest.raises(TypeError, match="Verdict"):
+            Verdict(*args, **kwargs)
+
+    def test_voxel_grid_fields_follow_its_lattices(self):
+        assert VoxelGrid._fields == ("dims", "spacing", "origin", "values")
+        grid = VoxelGrid((1, 1, 2), 0.5, [0, 0, 1], [[[1, 2]]])
+        assert grid.dims == (1, 1, 2) and grid.spacing == 0.5
+        assert grid.origin[2] == 1.0 and grid.values.shape == (1, 1, 2)
+
+    def test_post_init_runs_once(self, monkeypatch):
+        calls = []
+        for cls in (GridHeader, VoxelGrid):
+            def counted(self, post=cls.__post_init__, name=cls.__name__):
+                calls.append(name)
+                post(self)
+            monkeypatch.setattr(cls, "__post_init__", counted)
+        VoxelGrid((1, 1, 1), 1.0, (0, 0, 0), [[[1.0]]])
+        assert calls == ["VoxelGrid", "GridHeader"]
+
+    @pytest.mark.parametrize("field", ["dims", "values", "other"])
+    def test_fields_are_read_only(self, field):
+        grid = VoxelGrid((1, 1, 1), 1.0, (0, 0, 0), [[[1.0]]])
+        with pytest.raises(AttributeError):
+            setattr(grid, field, 1)
+        with pytest.raises(AttributeError):
+            delattr(grid, field)
+        assert grid.dims == (1, 1, 1) and not hasattr(grid, "other")
+
+    def test_equality_and_hash_by_fields(self):
+        for make in (lambda: Verdict(False, (0, 1, 2)),
+                     lambda: TransversalityCheck(0.5, True)):
+            a, b = make(), make()
+            assert a is not b and a == b and hash(a) == hash(b)
+            assert len({a, b}) == 1
+        assert Verdict(True) != Verdict(False)
+        assert (TransversalityCheck(0.5, True)
+                != TransversalityCheck(0.5, False))
+        # one class's records equal only each other
+        assert Verdict(True, None) != (True, None)
+        assert GridHeader((1, 1, 1), 1.0, 0.0 * E[0]) != VoxelGrid(
+            (1, 1, 1), 1.0, 0.0 * E[0], [[[1.0]]])
+
+    def test_array_records_are_unhashable(self):
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(Sinogram([[1.0, 2.0]]))
+
+    def test_csr_compares_by_identity(self):
+        def make():
+            return CSR(np.array([0, 1]), np.array([0]), np.array([2.0]),
+                       (1, 1))
+        a, b = make(), make()
+        assert a == a and a != b and len({a, b, a}) == 2
+        assert hash(a) == object.__hash__(a)
+
+    def test_repr_lists_the_fields(self):
+        assert repr(Verdict(False, (0, 1))) == \
+            "Verdict(holds=False, witness=(0, 1))"
+        assert repr(TransversalityCheck(0.5, True)) == \
+            "TransversalityCheck(cross_norm=0.5, transversal=True)"
+        assert repr(GridHeader((1, 2, 3), 0.5, E[0])) == (
+            "GridHeader(dims=(1, 2, 3), spacing=0.5, "
+            "origin=array([1., 0., 0.]))")
