@@ -9,8 +9,9 @@ minimum-norm least-squares solution: in closed form, one slice across the
 shared axis at a time, for two axis-aligned views along different axes,
 and by one factorization per run of equal connected components for any
 other views.
-The noise study measures how planar noise amplifies through triangulation
-against the first-order factor 1/|n1 x n2|, where |n1 x n2| is the
+The noise study pushes unit planar noise through the triangulation map,
+scales the error by the noise std, and measures the amplification against
+the first-order factor 1/|n1 x n2|, where |n1 x n2| is the
 transversality margin every gate reads.
 """
 
@@ -34,7 +35,6 @@ from .geometry import (
     Projected2D,
     ProjectionSpec,
     Record,
-    project_points,
     projection_operator,
     _RANK_TOL,
     _aligned_pixels,
@@ -580,20 +580,25 @@ def noise_study(cloud: PointCloud, spec1: ProjectionSpec,
                 seed: int = 0, tol: float = 1e-9) -> NoiseReport:
     """Monte-Carlo noise propagation through two-view reconstruction.
 
-    Adds i.i.d. Gaussian noise of std sigma to both projected images,
-    triangulates with the 3x4 map `reconstruct_cloud` applies, and records
-    the per-trial RMSE against the ground-truth cloud.  Each trial's RNG
-    stream derives solely from (seed, trial), so results do not depend on
-    execution order.  predicted_bound is the first-order geometric
-    amplification kappa * sigma with kappa = 1 / |n1 x n2|, not an upper
-    bound: over many points and trials the root mean squared error is
-    sigma * |M|_F = sigma * sqrt(1/2 + 2 / |n1 x n2|^2) for the
-    triangulation map M, which exceeds kappa * sigma for every pair.
+    Triangulation is the 3x4 linear map M that `reconstruct_cloud`
+    applies, so the error of triangulating images with added noise sigma z
+    is exactly sigma M z, whatever the cloud's positions.  Each trial draws
+    unit Gaussian noise z for both images from a stream derived solely
+    from (seed, trial), pushes it through M and records the RMSE per
+    point; slope is the mean of those unit RMSEs, and rmse_mean, rmse_std
+    and predicted_bound are sigma times their mean, their std and kappa.
+    So slope is one number for every sigma > 0, sigma = 0 gives exact
+    zeros, and the study is exact wherever the reported numbers are normal
+    floats.  predicted_bound is the first-order geometric amplification
+    kappa * sigma with kappa = 1 / |n1 x n2|, not an upper bound: over
+    many points and trials the root mean squared error is
+    sigma * |M|_F = sigma * sqrt(1/2 + 2 / |n1 x n2|^2), which exceeds
+    kappa * sigma for every pair.
     Raises DimMismatch for a cloud of no points, unless sigma is finite
     and >= 0 (`_require_sigma`), trials >= 1 (`_require_trials`) and
-    seed >= 0 (`_require_seed`), and when the noise overflows, and
-    SystemTooLarge when the trials' RMSEs would exceed the memory limit
-    (`_require_trials`).
+    seed >= 0 (`_require_seed`), and when rmse_mean, rmse_std or
+    predicted_bound overflows, and SystemTooLarge when the trials' RMSEs
+    would exceed the memory limit (`_require_trials`).
     """
     _require_sigma(sigma)
     _require_trials(trials)
@@ -602,20 +607,15 @@ def noise_study(cloud: PointCloud, spec1: ProjectionSpec,
         raise DimMismatch("the cloud has no points")
     kappa = amplification_factor(spec1, spec2)
     M = _triangulation_map(spec1, spec2, tol)
-    p1 = project_points(cloud, spec1).positions
-    p2 = project_points(cloud, spec2).positions
     rmses = np.empty(trials)
-    with np.errstate(over="ignore", invalid="ignore"):  # checked below
-        for t in range(trials):
-            rng = np.random.default_rng([seed, t])
-            n1 = sigma * rng.standard_normal(p1.shape)
-            n2 = sigma * rng.standard_normal(p2.shape)
-            err = np.hstack([p1 + n1, p2 + n2]) @ M.T - cloud.positions
-            rmses[t] = np.sqrt(np.mean(np.sum(err * err, axis=1)))
-    if not np.all(np.isfinite(rmses)):
+    for t in range(trials):
+        rng = np.random.default_rng([seed, t])
+        err = np.hstack(rng.standard_normal((2, len(cloud), 2))) @ M.T
+        rmses[t] = np.sqrt(np.mean(np.sum(err * err, axis=1)))
+    unit = np.array([np.mean(rmses), np.std(rmses), kappa])
+    with np.errstate(over="ignore"):  # checked below
+        scaled = sigma * unit
+    if not np.all(np.isfinite(scaled)):
         raise DimMismatch(f"noise of std {sigma} overflows the reconstruction")
-    rmse_mean = float(np.mean(rmses))
-    rmse_std = float(np.std(rmses))
-    slope = rmse_mean / sigma if sigma > 0 else 0.0
-    return NoiseReport(float(sigma), int(trials), rmse_mean, rmse_std,
-                       float(kappa * sigma), float(slope), int(seed))
+    return NoiseReport(float(sigma), int(trials), *map(float, scaled),
+                       float(unit[0]) if sigma > 0 else 0.0, int(seed))

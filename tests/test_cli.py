@@ -1466,6 +1466,8 @@ class TestNoiseStudy:
         rows = [list(map(float, ln.split(","))) for ln in lines[2:]]
         assert rows[0][1] == 0.0  # zero noise, zero error
         assert rows[2][1] > rows[1][1] > 0.0
+        # sigma only scales the study: one slope for every sigma > 0
+        assert len({ln.split(",")[4] for ln in lines[3:]}) == 1
         assert (a / "noise.csv").read_bytes() == (b / "noise.csv").read_bytes()
 
     def test_tol_is_the_transversality_margin(self, tmp_path, capsys):
@@ -1772,11 +1774,23 @@ class TestOneErrorBoundary:
         assert self.failure(*argv)["error"] == "InputError"
 
     def test_overflowing_sigma(self, tmp_path):
-        # once RuntimeWarning lines on stderr before the JSON line
-        err = self.failure("noise-study", "--input", CLOUD, "--spec1", SPEC_XY,
-                           "--spec2", SPEC_YZ, "--sigmas", "1e308",
-                           "--trials", "2", "--out", tmp_path / "out")
+        # once RuntimeWarning lines on stderr before the JSON line.  The
+        # slope of XY/YZ is near 1.58, so 1e308 is a finite study and
+        # 1.7e308 overflows
+        out = tmp_path / "out"
+        code, err = self.run_captured("noise-study", "--input", CLOUD,
+                                      *_SPECS, "--sigmas", "1e308",
+                                      "--trials", "2", "--out", out)
+        assert (code, err) == (0, "")
+        lines = (out / "noise.csv").read_text().splitlines()
+        [row] = [list(map(float, ln.split(","))) for ln in lines[2:]]
+        assert all(map(math.isfinite, row))
+        assert 1.5e308 < row[1] < 1.7e308
+        err = self.failure("noise-study", "--input", CLOUD, *_SPECS,
+                           "--sigmas", "1.7e308", "--trials", "2",
+                           "--out", tmp_path / "over")
         assert err["error"] == "DimMismatch"
+        assert "overflows" in err["message"]
 
     def test_negative_seed(self, tmp_path):
         # once a raw ValueError from numpy's seed sequence

@@ -1051,25 +1051,64 @@ class TestNoiseStudy:
     def test_amplification(self):
         assert amplification_factor(XY, YZ) == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("degrees", [90, 30, 10])
+    def test_slope_is_frobenius_norm(self, degrees, rng):
+        # over many points and trials the RMSE per unit noise is |M|_F; the
+        # largest deviation over 20 seeds was 0.7%
+        spec2 = tilted_spec(np.radians(degrees))
+        rep = noise_study(random_cloud(rng, 2000), XY, spec2, 0.01, 50, seed=2)
+        frobenius = np.linalg.norm(_triangulation_map(XY, spec2, 1e-9))
+        assert rep.slope == pytest.approx(frobenius, rel=0.02)
+
     def test_matches_reconstruct_cloud_loop(self, rng):
+        # triangulation is linear, so the error of the noisy images is the
+        # triangulated unit noise times sigma, whatever the cloud
         spec1, spec2 = random_noncoaxial_pair(rng)
         cloud = random_cloud(rng, 30)
         img1, img2 = project_points(cloud, spec1), project_points(cloud, spec2)
+
+        def rmse(err):
+            return np.sqrt(np.mean(np.sum(err * err, axis=1)))
+
         for sigma, trials, seed in ((0.0, 3, 0), (0.02, 25, 4), (1.5, 7, 11)):
-            rmses = []
+            unit, noisy = [], []
             for t in range(trials):
                 gen = np.random.default_rng([seed, t])
-                n1 = sigma * gen.standard_normal(img1.positions.shape)
-                n2 = sigma * gen.standard_normal(img2.positions.shape)
+                z1 = gen.standard_normal(img1.positions.shape)
+                z2 = gen.standard_normal(img2.positions.shape)
+                unit.append(rmse(reconstruct_cloud(
+                    Projected2D(z1, img1.weights),
+                    Projected2D(z2, img2.weights), spec1, spec2).positions))
                 rec = reconstruct_cloud(
-                    Projected2D(img1.positions + n1, img1.weights),
-                    Projected2D(img2.positions + n2, img2.weights),
+                    Projected2D(img1.positions + sigma * z1, img1.weights),
+                    Projected2D(img2.positions + sigma * z2, img2.weights),
                     spec1, spec2)
-                err = rec.positions - cloud.positions
-                rmses.append(np.sqrt(np.mean(np.sum(err * err, axis=1))))
+                noisy.append(rmse(rec.positions - cloud.positions))
             rep = noise_study(cloud, spec1, spec2, sigma, trials, seed=seed)
-            assert rep.rmse_mean == float(np.mean(rmses))
-            assert rep.rmse_std == float(np.std(rmses))
+            assert rep.rmse_mean == sigma * float(np.mean(unit))
+            assert rep.rmse_std == sigma * float(np.std(unit))
+            if sigma > 0:
+                assert rep.rmse_mean == pytest.approx(np.mean(noisy),
+                                                      rel=1e-12)
+                assert rep.rmse_std == pytest.approx(np.std(noisy), rel=1e-12)
+
+    def test_sigma_only_scales_the_study(self, rng):
+        # the noisy positions once leaked their rounding into the error:
+        # sigma = 1e-20 read a slope of 1.4e4, sigma = 0 a nonzero RMSE,
+        # and 1e200 was refused.  |n1 x n2| > 0.95 keeps sigma * slope at
+        # 1e308 a float
+        spec1, spec2 = random_noncoaxial_pair(rng, min_cross=0.95)
+        cloud = random_cloud(rng, 60)
+        unit = noise_study(cloud, spec1, spec2, 1.0, 80, seed=3)
+        zero = noise_study(cloud, spec1, spec2, 0.0, 80, seed=3)
+        assert (zero.rmse_mean, zero.rmse_std, zero.predicted_bound,
+                zero.slope) == (0.0, 0.0, 0.0, 0.0)
+        for sigma in (1e-300, 1e-20, 1e-8, 0.01, 1e200, 1e308):
+            rep = noise_study(cloud, spec1, spec2, sigma, 80, seed=3)
+            assert rep.slope == unit.slope
+            assert rep.rmse_mean == sigma * unit.rmse_mean
+            assert rep.rmse_std == sigma * unit.rmse_std
+            assert rep.predicted_bound == sigma * unit.predicted_bound
 
     @pytest.mark.parametrize("sigma, trials, seed", [
         (np.inf, 2, 0), (np.nan, 2, 0), (-0.1, 2, 0), (0.1, 0, 0),
@@ -1085,9 +1124,10 @@ class TestNoiseStudy:
         with pytest.raises(DimMismatch, match="no points"):
             noise_study(empty, XY, YZ, 0.1, 2)
 
-    @pytest.mark.parametrize("sigma", [1e200, 1e308])
+    @pytest.mark.parametrize("sigma", [1.7e308, 1.7976931348623157e308])
     def test_overflowing_noise_rejected(self, sigma, rng):
-        # 1e200 once wrote inf and nan into noise.csv; both printed
-        # RuntimeWarnings, which this suite turns into errors
+        # the slope of XY/YZ is near |M|_F = 1.58, so sigma * slope
+        # overflows; inf once reached noise.csv, and a RuntimeWarning,
+        # which this suite turns into an error, reached stderr
         with pytest.raises(DimMismatch, match="overflows"):
-            noise_study(random_cloud(rng, 5), XY, YZ, sigma, 2)
+            noise_study(random_cloud(rng, 50), XY, YZ, sigma, 2)
