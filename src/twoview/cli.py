@@ -31,8 +31,10 @@ voxels, stored entries, march samples and dense values, included), 3
 geometric precondition failure, 4 a numerical failure: a floating-point
 overflow or invalid operation, or a NaN or infinity in an output JSON
 file.  Every failure writes one JSON object on stderr and no
-run.json.  An option value its validator refuses is an input error
-naming the option, raised before any input file is read.  Every command
+run.json.  An option value its validator refuses, a comma list's
+included, is an input error naming the option, raised before --out is
+made: a run makes --out only once every option value is accepted, so a
+refused one leaves no directory behind.  Every command
 is deterministic given its inputs, and each successful run writes a
 `run.json` with the tool version and the value of every option the
 subcommand accepts.  A run that only parses its arguments (--version,
@@ -77,12 +79,6 @@ def _setup_logging():
     levels = {"error": logging.ERROR, "info": logging.INFO,
               "debug": logging.DEBUG}
     logging.basicConfig(level=levels.get(level.lower(), logging.ERROR))
-
-
-def _echo_run(out: Path, args) -> None:
-    cfg = {k: v for k, v in vars(args).items() if not callable(v)}
-    ser.dump_json({"tool": TOOL, "config": {k: str(v) for k, v in cfg.items()}},
-                  out / "run.json")
 
 
 # -- commands ---------------------------------------------------------------
@@ -135,24 +131,20 @@ def cmd_reconstruct_points(args, out: Path) -> None:
 
 def cmd_reconstruct_voxels(args, out: Path) -> None:
     import numpy as np
-    # a unit-spacing header checks the dims, so that only their refusal
-    # names --grid-dims; the system does not depend on the origin
-    dims = ser.read_list(args.grid_dims, int, "--grid-dims", lambda d:
-                         geometry.GridHeader(d, 1.0, np.zeros(3)))
     spec1 = ser.load_spec(args.spec1)
     spec2 = ser.load_spec(args.spec2)
     geometry._cross_norm(spec1, spec2, args.tol)
-    lattice = geometry.GridHeader(dims, args.spacing, np.zeros(3))
+    lattice = geometry.GridHeader(args.grid_dims, args.spacing, np.zeros(3))
     sinos = [ser.load_sinogram_csv(args.sino1),
              ser.load_sinogram_csv(args.sino2)]
     system = recon.build_radon_system([spec1, spec2], lattice, sinos)
     values = recon.solve_radon(system)
-    recovered = geometry.VoxelGrid(dims, args.spacing, -lattice.center,
-                                   np.maximum(values, 0.0))
+    recovered = geometry.VoxelGrid(lattice.dims, lattice.spacing,
+                                   -lattice.center, np.maximum(values, 0.0))
     ser.save_voxels(recovered, out / "recovered.json")
     ser.dump_json({"tool": TOOL, "rank": system.rank,
                    "rank_method": system.rank_method,
-                   "voxels": int(np.prod(dims)),
+                   "voxels": int(np.prod(lattice.dims)),
                    "determined": system.determined}, out / "system.json")
     if args.matrix_market:
         ser.save_matrix_market(system.rows, out / "system.mtx")
@@ -226,9 +218,8 @@ def cmd_diagnose_jacobiator(args, out: Path) -> None:
 
 
 def cmd_toric_detect(args, out: Path) -> None:
-    orders = ser.read_list(args.orders, int, "--orders", toric._require_orders)
     cloud = ser.load_cloud(args.input)
-    rep = toric.detect_axis(cloud, orders, tol=args.tol)
+    rep = toric.detect_axis(cloud, args.orders, tol=args.tol)
     ser.dump_json({"tool": TOOL, "axis": rep.axis.tolist(),
                    "order": rep.order,
                    "invariance_residual": rep.invariance_residual,
@@ -237,23 +228,19 @@ def cmd_toric_detect(args, out: Path) -> None:
 
 
 def cmd_toric_solve(args, out: Path) -> None:
-    # the raw values go on: normalizing twice can move an axis's last bit
-    axis = ser.read_list(args.axis, float, "--axis", toric._unit_axis)
     rows, dim = ser.load_constraints(args.constraints)
-    sol = toric.solve_direction_equivariant(rows, axis, args.order, dim)
+    sol = toric.solve_direction_equivariant(rows, args.axis, args.order, dim)
     ser.dump_json({"tool": TOOL, "v": sol.v.tolist(), "nullity": sol.nullity,
                    "residual": sol.residual}, out / "direction.json")
 
 
 def cmd_noise_study(args, out: Path) -> None:
-    sigmas = ser.read_list(args.sigmas, float, "--sigmas", lambda s:
-                           [recon._require_sigma(x) for x in s])
     cloud = ser.load_cloud(args.input)
     spec1 = ser.load_spec(args.spec1)
     spec2 = ser.load_spec(args.spec2)
     lines = [f"# {TOOL} seed={args.seed} trials={args.trials}",
              "sigma,rmse_mean,rmse_std,predicted_bound,slope"]
-    for sigma in sigmas:
+    for sigma in args.sigmas:
         rep = recon.noise_study(cloud, spec1, spec2, sigma, args.trials,
                                 seed=args.seed, tol=args.tol)
         lines.append(",".join(repr(float(x)) for x in
@@ -265,10 +252,11 @@ def cmd_noise_study(args, out: Path) -> None:
 # -- argument parsing -------------------------------------------------------
 
 
-# the validator that owns each single-valued number option, run on the
-# option's value, when its subcommand takes it and it is given, before any
-# input is read; the comma lists go through `ser.read_list` in the commands,
-# first.  The lambdas read each layer only when they run
+# the validator that owns each option, run on its value when its subcommand
+# takes it and it is given, before --out is made: a single value's own, and
+# for a comma list, after the single values, its element type and the
+# validator of the parsed list, which the command then receives.  The
+# lambdas read each layer only when they run
 _OPTION_CHECKS = {
     "--tol": lambda tol: geometry._require_tol(tol),
     "--tol-int": lambda tol: geometry._require_tol(tol),
@@ -277,13 +265,23 @@ _OPTION_CHECKS = {
     "--order": lambda k: toric._require_order(k),
     "--trials": lambda n: recon._require_trials(n),
     "--seed": lambda s: recon._require_seed(s),
+    # a unit-spacing header checks the dims, so that only their refusal
+    # names --grid-dims; the system does not depend on the origin
+    "--grid-dims": (int, lambda d: geometry.GridHeader(d, 1.0, (0, 0, 0))),
+    "--orders": (int, lambda k: toric._require_orders(k)),
+    # the raw values go on: normalizing twice can move an axis's last bit
+    "--axis": (float, lambda v: toric._unit_axis(v)),
+    "--sigmas": (float, lambda s: [recon._require_sigma(x) for x in s]),
 }
 
 
 def _check_options(args) -> None:
     for option, check in _OPTION_CHECKS.items():
-        value = getattr(args, option[2:].replace("-", "_"), None)
-        if value is not None:
+        dest = option[2:].replace("-", "_")
+        value = getattr(args, dest, None)
+        if isinstance(check, tuple) and value is not None:
+            setattr(args, dest, ser.read_list(value, option, *check))
+        elif value is not None:
             ser.check_option(value, option, check)
 
 
@@ -390,9 +388,11 @@ def main(argv=None) -> int:
         args = build_parser(argv).parse_args(argv)
         if not args.out:
             raise InputError("--out must name a directory, got ''")
+        # run.json echoes the options as given, before the lists are parsed
+        config = {k: str(v) for k, v in vars(args).items() if not callable(v)}
+        _check_options(args)
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        _check_options(args)
         with warnings.catch_warnings():
             # numpy reports an overflow or an invalid operation outside an
             # np.errstate block as a RuntimeWarning on stderr; it ends the
@@ -402,7 +402,7 @@ def main(argv=None) -> int:
                 args.func(args, out)
             except RuntimeWarning as exc:
                 raise NumericalError(f"floating-point {exc}") from exc
-        _echo_run(out, args)
+        ser.dump_json({"tool": TOOL, "config": config}, out / "run.json")
     except (TwoViewError, OSError) as exc:
         import json
         sys.stderr.write(json.dumps(

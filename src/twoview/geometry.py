@@ -171,21 +171,31 @@ def _require_memory(what: str, rows=0, voxels=0, entries=0, samples=0,
     return need
 
 
-def _set_weighted_points(points, dim: int, kind: str) -> None:
-    """Coerce a PointCloud's or Projected2D's positions to (N, dim) and
-    weights to (N,) in place; DimMismatch unless both are finite, of one
-    length, and the weights are >= 0."""
-    pos = _as_array(points.positions, (-1, dim), f"{kind}positions")
-    w = _as_array(points.weights, -1, f"{kind}weights")
-    if pos.shape[0] != w.shape[0]:
-        raise DimMismatch(f"{pos.shape[0]} positions vs {w.shape[0]} weights")
-    if np.any(w < 0):
-        raise DimMismatch("weights must be >= 0")
-    object.__setattr__(points, "positions", pos)
-    object.__setattr__(points, "weights", w)
+class _WeightedPoints(Record):
+    """Positions (N, _dim) and weights (N,), coerced to arrays; DimMismatch
+    unless both are finite, of one length, and the weights are >= 0.  The
+    body of PointCloud and Projected2D, whose messages name their arrays
+    with `_kind`."""
+
+    positions: np.ndarray
+    weights: np.ndarray
+
+    def __post_init__(self):
+        pos = _as_array(self.positions, (-1, self._dim),
+                        f"{self._kind}positions")
+        w = _as_array(self.weights, -1, f"{self._kind}weights")
+        if len(pos) != len(w):
+            raise DimMismatch(f"{len(pos)} positions vs {len(w)} weights")
+        if np.any(w < 0):
+            raise DimMismatch("weights must be >= 0")
+        object.__setattr__(self, "positions", pos)
+        object.__setattr__(self, "weights", w)
+
+    def __len__(self):
+        return self.positions.shape[0]
 
 
-class PointCloud(Record):
+class PointCloud(_WeightedPoints):
     """Weighted 3-D samples of an object.
 
     positions : (N, 3) float array
@@ -195,14 +205,7 @@ class PointCloud(Record):
     weights are >= 0.
     """
 
-    positions: np.ndarray
-    weights: np.ndarray
-
-    def __post_init__(self):
-        _set_weighted_points(self, 3, "")
-
-    def __len__(self):
-        return self.positions.shape[0]
+    _dim, _kind = 3, ""
 
     @property
     def total_mass(self) -> float:
@@ -213,21 +216,14 @@ class PointCloud(Record):
                           self.weights)
 
 
-class Projected2D(Record):
+class Projected2D(_WeightedPoints):
     """Planar image of a cloud: 2-D positions with carried-through weights.
 
     Raises DimMismatch unless both are finite, of one length, and the
     weights are >= 0, as PointCloud does.
     """
 
-    positions: np.ndarray
-    weights: np.ndarray
-
-    def __post_init__(self):
-        _set_weighted_points(self, 2, "image ")
-
-    def __len__(self):
-        return self.positions.shape[0]
+    _dim, _kind = 2, "image "
 
 
 class GridHeader(Record):

@@ -108,14 +108,13 @@ def _write_formatted(fh, template: str, rows, sep: str = "") -> None:
                  + block % tuple(values.ravel().tolist()))
 
 
-def read_list(text: str, kind, option: str, check=None) -> list:
+def read_list(text: str, option: str, kind, check) -> list:
     """The comma-separated `kind` values of command-line option `option`,
-    given to `check` when one is given; a value `kind` cannot parse, or
-    `check`'s refusal of them, is raised with the option named."""
+    given to `check`; a value `kind` cannot parse, or `check`'s refusal of
+    them, is raised with the option named."""
     with _reading(option, "value"):
         values = [kind(x) for x in text.split(",")]
-    if check is not None:
-        check_option(values, option, check)
+    check_option(values, option, check)
     return values
 
 

@@ -167,7 +167,7 @@ def _require_orders(orders) -> list:
     return orders
 
 
-def detect_axis(cloud: PointCloud, orders, tol: float = 1e-8) -> ToricReport:
+def detect_axis(cloud: PointCloud, orders, tol: float = 1e-9) -> ToricReport:
     """Find the best rotational symmetry (axis, order) of a cloud.
 
     Candidate axes are the eigenvectors of the second-moment tensor; each

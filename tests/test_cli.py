@@ -497,7 +497,7 @@ class TestBoundaryValidation:
                    f"--spacing={spacing}", *_SPECS, "--out", out)
         assert code == 2
         assert self.error(capsys)["error"] == "DimMismatch"
-        assert list(out.iterdir()) == []
+        assert not out.exists()
 
     def test_subnormal_spacing(self, tmp_path, capsys):
         # at 1e-310 the operator lost bits against the spacing times the
@@ -511,7 +511,7 @@ class TestBoundaryValidation:
         err = self.error(capsys)
         assert err["error"] == "DimMismatch"
         assert ">= 2^-1022, got 1e-310" in err["message"]
-        assert list(out.iterdir()) == []
+        assert not out.exists()
 
     def test_solver_tol_is_unknown(self, tmp_path, capsys):
         # the voxel solve is direct: it has no iteration to stop
@@ -563,7 +563,7 @@ class TestBoundaryValidation:
         err = self.error(capsys)
         assert err["error"] == "DimMismatch"
         assert "tol must be >= 0" in err["message"]
-        assert list(out.iterdir()) == []
+        assert not out.exists()
 
     SPECS = ("--spec1", SPEC_XY, "--spec2", SPEC_YZ)
     INFINITE_TOL = {
@@ -602,7 +602,7 @@ class TestBoundaryValidation:
         err = self.error(capsys)
         assert err["error"] == "DimMismatch"
         assert "tol must be >= 0 and finite, got inf" in err["message"]
-        assert list(out.iterdir()) == []
+        assert not out.exists()
 
     @pytest.mark.parametrize("dims", ["-2", "0"])
     def test_bad_image_dims(self, dims, tmp_path, capsys):
@@ -616,7 +616,7 @@ class TestBoundaryValidation:
                    "--spec2", SPEC_YZ, "--image-dims", dims, "--out", out)
         assert code == 2
         assert self.error(capsys)["error"] == "DimMismatch"
-        assert list(out.iterdir()) == []
+        assert not out.exists()
 
     @pytest.mark.parametrize("dims", ["a,b", "1,2", "2,0,2", "2,2,2,2", ""])
     def test_bad_grid_dims(self, dims, tmp_path, capsys):
@@ -632,6 +632,7 @@ class TestBoundaryValidation:
         assert err["error"] == (
             "InputError" if dims in ("a,b", "") else "DimMismatch")
         assert "--grid-dims" in err["message"]
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("argv", [
         ("toric", "detect", "--input", CLOUD, "--orders", "a"),
@@ -655,7 +656,7 @@ class TestBoundaryValidation:
         assert err["error"] == (
             "DimMismatch" if value in ("0,0", "0,0,0") else "InputError")
         assert option in err["message"]
-        assert not (out / "run.json").exists()
+        assert not out.exists()
 
     # every input named is missing, so a refusal that came after reading
     # one would be that file's InputError
@@ -725,7 +726,19 @@ class TestBoundaryValidation:
         err = self.error(capsys)
         assert err["error"] == self.OPTION_ERRORS.get(case, "DimMismatch")
         assert err["message"].startswith("value in " + message), err
-        assert list((tmp_path / "out").iterdir()) == []
+        assert not (tmp_path / "out").exists()
+
+    def test_single_value_refused_before_a_list(self, tmp_path,
+                                                monkeypatch, capsys):
+        # the table checks the single values before the lists, so that when
+        # two values are bad the same refusal wins as when the commands
+        # read the lists themselves
+        monkeypatch.chdir(tmp_path)
+        assert run("noise-study", "--input", "no.json", *self.MISSING_SPECS,
+                   "--sigmas", "nan", "--trials", "0", "--out", "out") == 2
+        err = self.error(capsys)
+        assert err["message"].startswith("value in --trials: "), err
+        assert not (tmp_path / "out").exists()
 
     def test_input_is_a_directory(self, tmp_path, capsys):
         code = run("project", "--input", tmp_path, "--spec1", SPEC_XY,
@@ -975,7 +988,7 @@ class TestMemoryModel:
         assert err["error"] == "SystemTooLarge"
         assert "100000000000000 trials needs 800000000000000 bytes" \
             in err["message"]
-        assert list(out.iterdir()) == []
+        assert not out.exists()
 
 
 class TestGridHeaders:
@@ -1335,6 +1348,11 @@ class TestToric:
         np.testing.assert_allclose(np.abs(rep["axis"]), [0, 0, 1], atol=1e-9)
         assert rep["invariance_residual"] <= 1e-10
 
+    def test_detect_tol_default_is_the_cli_default(self):
+        # the library once defaulted to 1e-8 beside the CLI's 1e-9
+        tol = inspect.signature(toric.detect_axis).parameters["tol"]
+        assert tol.default == cli._TOL["--tol"]["default"] == 1e-9
+
     def test_detect_without_scipy(self, tmp_path, capsys, monkeypatch):
         # scoring failing rotations needs scipy.spatial; without it the run
         # once ended in a raw ImportError traceback and exit 1
@@ -1493,7 +1511,7 @@ class TestNoiseStudy:
         assert err["error"] == "DimMismatch"
         assert err["message"].startswith("value in --sigmas: sigma must be")
         assert trials == []
-        assert list(out.iterdir()) == []
+        assert not out.exists()
 
     def test_empty_cloud_exits_2(self, tmp_path, capsys):
         # the mean over no points once ended in a floating-point error
@@ -1605,6 +1623,28 @@ class TestParser:
                           "out": str(out),
                           "table": str(fixture_path("z4_table.csv")),
                           "strict": "False"}
+
+    def test_run_json_echoes_the_lists_as_given(self, tmp_path):
+        # the commands receive the parsed lists; run.json keeps the text
+        out = tmp_path / "voxels"
+        assert run(*voxel_pair(tmp_path, "tilt", 2), "--out", out) == 0
+        config = json.loads((out / "run.json").read_text())["config"]
+        assert config["grid_dims"] == "2,2,2"
+        ang = 2 * np.pi * np.arange(6) / 6
+        pts = np.column_stack([np.cos(ang), np.sin(ang), np.zeros(6)])
+        ser.save_cloud(PointCloud(pts, np.ones(6)), tmp_path / "hex.json")
+        out = tmp_path / "toric"
+        assert run("toric", "detect", "--input", tmp_path / "hex.json",
+                   "--out", out) == 0
+        config = json.loads((out / "run.json").read_text())["config"]
+        assert config["orders"] == "2,3,4,5,6"
+        assert json.loads((out / "toric.json").read_text())["order"] == 6
+
+    def test_only_the_table_reads_an_option_value(self):
+        # no command parses or checks an option; `_check_options` does
+        for func, _, _ in cli._LEAVES.values():
+            source = inspect.getsource(func)
+            assert "read_list" not in source and "check_option" not in source
 
 
 # a sample argv of every leaf command, each option it accepts given

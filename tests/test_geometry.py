@@ -849,6 +849,23 @@ class TestRecord:
         assert grid.dims == (1, 1, 2) and grid.spacing == 0.5
         assert grid.origin[2] == 1.0 and grid.values.shape == (1, 1, 2)
 
+    def test_subclass_without_fields_has_its_bases(self):
+        # PointCloud and Projected2D declare no field of their own; a class
+        # without annotations must not read its base's as its own, which
+        # would list each field twice
+        class Base(geometry.Record):
+            a: int
+            b: int = 2
+
+        class Child(Base):
+            c = 3
+
+        assert Child._fields == Base._fields == ("a", "b")
+        assert Child(1) == Child(a=1, b=2) and Child(1).c == 3
+        assert repr(Child(1)) == f"{Child.__qualname__}(a=1, b=2)"
+        assert (PointCloud._fields == Projected2D._fields
+                == ("positions", "weights"))
+
     def test_post_init_runs_once(self, monkeypatch):
         calls = []
         for cls in (GridHeader, VoxelGrid):
