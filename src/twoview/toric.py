@@ -28,7 +28,7 @@ from .geometry import (PointCloud, ProjectionSpec, Record, _RANK_TOL,
                        _rank_above, _require_tol)
 
 CONTINUOUS = "continuous"
-_CELL_BLOCK = 2**18  # pairwise distances per block of the cell grid
+_CELL_BLOCK = 2**18  # pairs per block of whole queries in the cell grid
 
 
 class ToricReport(Record):
@@ -101,60 +101,51 @@ class _CellGrid:
         c = cells.astype(np.int64)
         return (c[..., 0] * self.base + c[..., 1]) * self.base + c[..., 2]
 
-    def _ranges(self, queries: np.ndarray):
-        """The queries sorted by cell key, with (m, 9) start and stop
-        indices into the sorted points: for each of the 3 x 3 neighbour
-        columns, the cells z - 1 .. z + 1 are one run of keys.  Keys are
-        linear in the cell, so each column's needles stay sorted, which
-        `np.searchsorted` walks far faster than scattered ones."""
-        key = self._key(np.clip(self._cells(queries), -1, self.top) + 2)
-        order = np.argsort(key)
-        b = self.base
-        mid = key[order] + np.array([(dx * b + dy) * b for dx in (-1, 0, 1)
-                                     for dy in (-1, 0, 1)])[:, None]
-        return (queries[order],
-                np.searchsorted(self.keys, mid - 1, side="left").T,
-                np.searchsorted(self.keys, mid + 1, side="right").T)
-
     def residual_within(self, queries: np.ndarray, radius: float):
         """Max over the queries of the distance to their nearest point when
         every query has a point within `radius`, else None.
 
-        Queries go in blocks that double from 256 up to _CELL_BLOCK / 9
-        and distances in blocks of at most _CELL_BLOCK pairs; the scan
-        stops at the first distance block that completes a query without
-        a point within `radius`, so a candidate that fails almost
-        everywhere costs one small block.
+        The queries are sorted by cell key once.  Each pass takes the next
+        `size` of them and counts every one's pairs before any distance:
+        for each of the 3 x 3 neighbour columns the cells z - 1 .. z + 1
+        are one run of keys, found by `np.searchsorted` on needles that
+        stay sorted (keys are linear in the cell).  A query with no pair
+        fails the scan.  The leading queries whose pairs fit in
+        _CELL_BLOCK, at least one, are gathered flat and reduced to their
+        nearest distances, and the scan stops at the first block with one
+        beyond `radius`.  `size` starts at 256 and is then twice the
+        queries last kept, up to _CELL_BLOCK / 9, so a candidate that
+        fails almost everywhere costs one small block, no query is
+        counted more than about twice, and memory stays linear in the
+        points.
         """
+        key = self._key(np.clip(self._cells(queries), -1, self.top) + 2)
+        order = np.argsort(key)
+        queries, key = queries[order], key[order]
+        b = self.base
+        cols = np.array([(dx * b + dy) * b for dx in (-1, 0, 1)
+                         for dy in (-1, 0, 1)])[:, None]
         qstep = max(1, _CELL_BLOCK // 9)
         worst, a, size = 0.0, 0, min(256, qstep)
         while a < len(queries):
-            q, start, stop = self._ranges(queries[a:a + size])
-            a, size = a + size, min(2 * size, qstep)
-            count = stop - start
-            if not count.sum(axis=1).all():
+            mid = key[a:a + size] + cols
+            start = np.searchsorted(self.keys, mid - 1, side="left").T
+            count = np.searchsorted(self.keys, mid + 1, side="right").T - start
+            pairs = count.sum(axis=1)
+            if not pairs.all():
                 return None  # nothing in any cell a partner could lie in
-            start, count = start.ravel(), count.ravel()
-            end = np.cumsum(count)
-            query_end = end[8::9]
-            best = np.full(len(q), np.inf)
-            done = 0
-            for t0 in range(0, int(end[-1]), _CELL_BLOCK):
-                t = np.arange(t0, min(t0 + _CELL_BLOCK, int(end[-1])))
-                run = np.searchsorted(end, t, side="right")
-                qi = run // 9
-                d = _distances(q[qi], self.pts[start[run] + t - end[run]
-                                               + count[run]])
-                first = np.flatnonzero(np.diff(qi, prepend=-1))
-                seg = qi[first]
-                best[seg] = np.minimum(best[seg],
-                                       np.minimum.reduceat(d, first))
-                now = int(np.searchsorted(query_end, t[-1] + 1,
-                                          side="right"))
-                if np.any(best[done:now] > radius):
-                    return None
-                done = now
-            worst = max(worst, float(best.max()))
+            end = np.cumsum(pairs)
+            take = max(1, int(np.searchsorted(end, _CELL_BLOCK, "right")))
+            start, count = start[:take].ravel(), count[:take].ravel()
+            near = self.pts[np.arange(end[take - 1]) + np.repeat(
+                start - np.cumsum(count) + count, count)]
+            q = np.repeat(queries[a:a + take], pairs[:take], axis=0)
+            best = np.minimum.reduceat(_distances(q, near),
+                                       end[:take] - pairs[:take]).max()
+            if best > radius:
+                return None
+            worst = max(worst, float(best))
+            a, size = a + take, min(2 * take, qstep)
         return worst
 
 

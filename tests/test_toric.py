@@ -335,12 +335,36 @@ class TestDetectAxisAgainstKDTreeReference:
                              "DegenerateCloud"}
 
     def test_pair_and_query_blocks(self, monkeypatch):
-        # 3 queries per block and 31 pairs per distance block
+        # blocks of at most 3 whole queries and at most 31 pairs, unless
+        # one query has more
         monkeypatch.setattr(toric, "_CELL_BLOCK", 31)
         rng = np.random.default_rng(5)
         seen = {assert_detect_matches_reference(*random_detect_case(rng))
                 for _ in range(60)}
         assert {"pass", "no-pass"} <= seen
+
+    @pytest.mark.parametrize("block", [1, 31, 2**18])
+    def test_dense_cells(self, block, monkeypatch):
+        # at tol 0.05 the 27 cells around a query hold much of the cloud,
+        # so at the small blocks one query's pairs fill a block alone
+        sizes, distances = [], toric._distances
+
+        def counting(u, v):
+            d = distances(u, v)
+            if np.ndim(v):  # a block of pairs, not the centroid radii
+                sizes.append(d.size)
+            return d
+
+        monkeypatch.setattr(toric, "_CELL_BLOCK", block)
+        monkeypatch.setattr(toric, "_distances", counting)
+        rng = np.random.default_rng(40)
+        gauss = rng.standard_normal((1500, 3)) * [1.0, 0.7, 0.4]
+        seen = [assert_detect_matches_reference(pts, [2, 3, 4, 6], 0.05)
+                for pts in (gauss, gauss**3,
+                            symmetric_points(rng, 1200, 6, 1e-3))]
+        assert seen == ["no-pass", "no-pass", "pass"]
+        if block < 2**18:
+            assert max(sizes) > block
 
     def test_tol_a_few_ulps_either_side_of_the_residual(self):
         rng = np.random.default_rng(7)
