@@ -20,9 +20,8 @@ optional one, and every subcommand also requires --out DIR:
   noise-study         --input --spec1 --spec2 --sigmas [--trials] [--seed]
                       [--tol]
 
-Diagnostic maxima are taken over interior nodes: those of `diagnose
-curvature` and `diagnose jacobiator` over nodes at depth 2, the only ones
-where their composed derivatives are second-order accurate.
+Diagnostic maxima are taken over interior nodes, those at least one node
+from every face.
 
 Exit codes: 0 success, 2 input error (an argparse error, an empty --out,
 an --out that cannot be made a directory, and a grid, image or trial
@@ -203,8 +202,7 @@ def cmd_diagnose_curvature(args, out: Path) -> None:
     Y = ser.load_vector_field(args.field_y)
     conn = ser.load_connection(args.connection)
     F = diffgeo.curvature(conn, X, Y, ser.load_vector_field(args.field_z))
-    # only nodes at depth 2 carry second-order-accurate values
-    _report(args, out, max_curvature_norm=F.max_interior_norm(depth=2))
+    _report(args, out, max_curvature_norm=F.max_interior_norm())
 
 
 def cmd_diagnose_jacobiator(args, out: Path) -> None:

@@ -3,14 +3,15 @@
 Vector fields and Christoffel symbols are sampled per node; derivatives
 use second-order central differences in the interior and one-sided
 second-order stencils at the boundary, so report maxima are taken over
-interior nodes only, and over nodes at depth 2 for quantities that
-compose two derivatives (curvature, the jacobiator, the duality
-residual).  Overflow in a computed field raises NumericalError, not a
-numpy warning.  The integrability obstruction is exposed twice: as
-the Hantjies tensor, in the closed form Gamma(X, Y) - Gamma(Y, X) of the
-literal formula (which the tests keep as its oracle), and as the
-Frobenius residual, the component of the Lie bracket sticking out of the
-spanned distribution.  The uniqueness certificate consumes both.
+interior nodes only.  No diagnostic composes two derivatives: curvature
+differentiates Gamma alone and the jacobiator its three fields, so every
+value is second-order accurate at every interior node.  Overflow in a
+computed field raises NumericalError, not a numpy warning.  The
+integrability obstruction is exposed twice: as the Hantjies tensor, in
+the closed form Gamma(X, Y) - Gamma(Y, X) of the literal formula (which
+the tests keep as its oracle), and as the Frobenius residual, the
+component of the Lie bracket sticking out of the spanned distribution.
+The uniqueness certificate consumes both.
 """
 
 from __future__ import annotations
@@ -52,13 +53,10 @@ def _finite(values, what: str):
     return values
 
 
-def interior_mask(dims, depth: int = 1) -> np.ndarray:
-    """Boolean mask of nodes at least `depth` nodes away from every face."""
+def interior_mask(dims) -> np.ndarray:
+    """Boolean mask of the nodes at least one node away from every face."""
     m = np.zeros(tuple(dims), dtype=bool)
-    sl = tuple(slice(depth, d - depth) for d in dims)
-    if any(s.start >= s.stop for s in sl):
-        raise GridTooSmall(f"dims {tuple(dims)} too small for depth {depth}")
-    m[sl] = True
+    m[1:-1, 1:-1, 1:-1] = True
     return m
 
 
@@ -101,13 +99,13 @@ class VectorFieldGrid(Record):
         return cls(header, vals.copy())
 
     @np.errstate(over="ignore", invalid="ignore")
-    def max_interior_norm(self, depth: int = 1) -> float:
-        """Largest |sample| over the nodes at least `depth` from every face."""
+    def max_interior_norm(self) -> float:
+        """Largest |sample| over the interior nodes."""
         # each node scaled by its own power of two, so no norm overflows
         e = _exponent(self.samples, -1)
         norms = np.ldexp(np.linalg.norm(np.ldexp(self.samples, -e), axis=-1),
                          e[..., 0])
-        norms = norms[interior_mask(self.header.dims, depth)]
+        norms = norms[interior_mask(self.header.dims)]
         return float(_finite(norms, "the field's norm").max())
 
 
@@ -149,30 +147,24 @@ def partials(field: VectorFieldGrid) -> np.ndarray:
          for i in range(3)], axis=-2)
 
 
+def _along(v: np.ndarray, dY: np.ndarray) -> np.ndarray:
+    """(v . d) Y^k = v^i d_i Y^k, node-wise, from the partials dY of Y."""
+    return np.einsum("...i,...ik->...k", v, dY)  # dY is (..., i, k)
+
+
+def _outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a^i b^j, node-wise, flattened to (..., 9): a bilinear map of (a, b)
+    is a linear map of it."""
+    return (a[..., :, None] * b[..., None, :]).reshape(a.shape[:-1] + (9,))
+
+
 @np.errstate(over="ignore", invalid="ignore")
 def covariant_derivative(X: VectorFieldGrid, Y: VectorFieldGrid,
                          conn: ConnectionField) -> VectorFieldGrid:
     """(nabla_X Y)^k = X^i d_i Y^k + Gamma^k_ij X^i Y^j, node-wise."""
     _require_same_header(X, Y, conn)
-    return _derivative(X, Y, partials(Y), conn=conn)
-
-
-@np.errstate(over="ignore", invalid="ignore")
-def _derivative(X: VectorFieldGrid, Y: VectorFieldGrid, dY: np.ndarray, *,
-                conn: ConnectionField | None = None,
-                dX: np.ndarray | None = None) -> VectorFieldGrid:
-    """nabla_X Y with `conn`, or [X, Y] with dX, from the partials dY of Y
-    (and dX of X): the one place the stencils are applied, so a caller
-    composing derivatives differentiates each field once.  The headers
-    must already match."""
-    v = np.einsum("...i,...ik->...k", X.samples, dY)  # dY is (..., i, k)
-    if conn is not None:
-        v = v + _christoffel(conn, X, Y)
-        what = "the covariant derivative"
-    else:
-        v = v - np.einsum("...i,...ik->...k", Y.samples, dX)
-        what = "the Lie bracket"
-    return VectorFieldGrid(X.header, _finite(v, what))
+    v = _along(X.samples, partials(Y)) + _christoffel(conn, X, Y)
+    return VectorFieldGrid(X.header, _finite(v, "the covariant derivative"))
 
 
 def _christoffel(conn: ConnectionField, X: VectorFieldGrid,
@@ -186,7 +178,8 @@ def _christoffel(conn: ConnectionField, X: VectorFieldGrid,
 def lie_bracket(X: VectorFieldGrid, Y: VectorFieldGrid) -> VectorFieldGrid:
     """[X, Y]^k = X^i d_i Y^k - Y^i d_i X^k via the shared stencils."""
     _require_same_header(X, Y)
-    return _derivative(X, Y, partials(Y), dX=partials(X))
+    b = _along(X.samples, partials(Y)) - _along(Y.samples, partials(X))
+    return VectorFieldGrid(X.header, _finite(b, "the Lie bracket"))
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -239,22 +232,30 @@ def curvature(conn: ConnectionField, X: VectorFieldGrid, Y: VectorFieldGrid,
               Z: VectorFieldGrid) -> VectorFieldGrid:
     """F(X, Y)Z = nabla_X nabla_Y Z - nabla_Y nabla_X Z - nabla_[X,Y] Z.
 
-    Composes the discrete covariant derivative, so only nodes at depth 2
-    from the boundary carry second-order-accurate values.  Each of the
-    five fields it differentiates (Z, nabla_Y Z, nabla_X Z, X and Y) is
-    differentiated once.
+    Every derivative of X, Y and Z cancels from it, leaving the closed
+    form u(X, Y) - u(Y, X), u(X, Y) = (d_X Gamma)(Y, Z) + Gamma(X, Gamma(Y,
+    Z)) (Kobayashi & Nomizu, Foundations of Differential Geometry I, ch.
+    III).  Only Gamma is differentiated, by the stencils of `partials`, one
+    axis at a time.  Gamma(a, b) is linear in the outer product of a and b,
+    so each difference is taken before it is contracted: Gamma with
+    X (x) Gamma(Y, Z) - Y (x) Gamma(X, Z), and d_a Gamma with
+    (X^a Y - Y^a X) (x) Z.  Swapping X and Y negates both exactly, so F is
+    bitwise antisymmetric in X and Y.  Second-order accurate at every
+    interior node, and exact wherever Gamma is quadratic in position.
     """
     header = _require_same_header(X, Y, Z, conn)
-    if any(d < 5 for d in header.dims):
-        raise GridTooSmall(
-            f"curvature needs >= 5 nodes per axis, got {header.dims}")
-    dZ = partials(Z)
-    nyz = _derivative(Y, Z, dZ, conn=conn)
-    nxz = _derivative(X, Z, dZ, conn=conn)
-    term1 = _derivative(X, nyz, partials(nyz), conn=conn).samples
-    term2 = _derivative(Y, nxz, partials(nxz), conn=conn).samples
-    term3 = _derivative(lie_bracket(X, Y), Z, dZ, conn=conn).samples
-    F = term1 - term2 - term3
+    g, x, y, z = conn.gamma, X.samples, Y.samples, Z.samples
+    h = header.spacing
+
+    def contract(t, o):  # t^k_ij o_ij, with t (..., 3, 3, 3), o (..., 9)
+        return np.einsum("...kw,...w->...k", t.reshape(o.shape[:-1] + (3, 9)),
+                         o)
+
+    gz = np.einsum("...kij,...j->...ik", g, z)  # _along(v, gz) = Gamma(v, Z)
+    F = contract(g, _outer(x, _along(y, gz)) - _outer(y, _along(x, gz)))
+    for a in range(3):
+        w = x[..., a, None] * y - y[..., a, None] * x
+        F += contract(np.gradient(g, h, axis=a, edge_order=2), _outer(w, z))
     return VectorFieldGrid(header, _finite(F, "the curvature"))
 
 
@@ -301,7 +302,7 @@ def duality_residual(conn1: ConnectionField, conn2: ConnectionField,
     f2 = curvature(conn2, *pushed).samples
     pulled = f2[ix, iy, iz] @ m.T  # iota inverse = iota
     residual = _finite(f1 + pulled, "the duality residual")
-    return VectorFieldGrid(h1, residual).max_interior_norm(depth=2)
+    return VectorFieldGrid(h1, residual).max_interior_norm()
 
 
 # ---------------------------------------------------------------------------

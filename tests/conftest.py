@@ -57,6 +57,16 @@ def sphere_connection(header: GridHeader) -> ConnectionField:
     return ConnectionField(header, gamma)
 
 
+def smooth_waves(header: GridHeader, rng, tail: tuple) -> np.ndarray:
+    """Per-node samples shaped header.dims + tail, each entry a wave
+    a sin(w . p + phi) of position p with its own random a, w and phi."""
+    pos = header.node_positions()
+    pos = pos[(...,) + (None,) * len(tail) + (slice(None),)]
+    w = rng.uniform(-2.0, 2.0, tail + (3,))
+    phase = rng.uniform(0.0, 2 * np.pi, tail)
+    return rng.uniform(-1.0, 1.0, tail) * np.sin((pos * w).sum(-1) + phase)
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)

@@ -1199,7 +1199,7 @@ class TestDiagnose:
         rep = json.loads((out / "report.json").read_text())
         assert rep["max_curvature_norm"] == 0.0
 
-    def test_curvature_max_over_depth_2(self, tmp_path):
+    def test_curvature_max_over_interior(self, tmp_path):
         # round sphere in (theta, phi): nonzero curvature everywhere, and
         # the one-sided boundary stencils give other values at the faces
         header = GridHeader((7, 7, 5), 0.15, (0.6, 0.0, 0.0))
@@ -1218,10 +1218,10 @@ class TestDiagnose:
                    "--connection", tmp_path / "conn.json", "--out", out) == 0
         got = json.loads((out / "report.json").read_text())
         norms = np.linalg.norm(curvature(conn, X, Y, Z).samples, axis=-1)
-        depth2 = float(norms[interior_mask(header.dims, depth=2)].max())
-        assert got["max_curvature_norm"] == depth2
-        assert depth2 > 0.1
-        assert abs(float(norms.max()) - depth2) > 1e-3
+        interior = float(norms[interior_mask(header.dims)].max())
+        assert got["max_curvature_norm"] == interior
+        assert interior > 0.1
+        assert abs(float(norms.max()) - interior) > 1e-3
 
     def test_jacobiator(self, tmp_path):
         out = tmp_path / "out"
