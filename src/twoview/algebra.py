@@ -17,23 +17,33 @@ import numpy as np
 
 from . import diffgeo
 from .errors import DimMismatch
-from .geometry import Record, _as_array
+from .geometry import Record, _as_array, _require_int
 
 UNDEFINED = -1
 
 
 class FiniteMagma(Record):
-    """n x n composition table; UNDEFINED (-1) marks missing products."""
+    """n x n composition table; UNDEFINED (-1) marks missing products.
+
+    Raises DimMismatch unless the table is square and each entry is an
+    integer, in 0..n-1 or UNDEFINED.
+    """
 
     table: np.ndarray
 
     def __post_init__(self):
-        t = np.asarray(self.table, dtype=int)
+        t = np.asarray(self.table)
+        # numpy's integer and bool dtypes hold exactly the entries that
+        # operator.index takes; any other array's entries go through it one
+        # by one, so a float, NaN, None or string entry is refused, not
+        # truncated
+        if t.dtype.kind not in "biu":
+            t = np.array([_require_int(v, "table entry") for v in t.flat])
+        t = t.astype(int).reshape(np.shape(self.table))
         if t.ndim != 2 or t.shape[0] != t.shape[1]:
             raise DimMismatch(f"table must be square, got shape {t.shape}")
-        n = t.shape[0]
-        bad = (t != UNDEFINED) & ((t < 0) | (t >= n))
-        if np.any(bad):
+        # UNDEFINED is -1, so the entries lie in -1..n-1
+        if np.any((t < UNDEFINED) | (t >= t.shape[0])):
             raise DimMismatch("table entries must be in 0..n-1 or undefined")
         object.__setattr__(self, "table", t)
 
@@ -146,13 +156,12 @@ class TwistMap(Record):
 
     @classmethod
     def from_cross_product(cls, matrix=None) -> "TwistMap":
-        """H(a, b) = A (a x b); identity A gives the plain cross product."""
-        A = np.eye(3) if matrix is None else np.asarray(matrix, dtype=float)
-        eps = np.zeros((3, 3, 3))
-        for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
-            eps[i, j, k] = 1.0
-            eps[i, k, j] = -1.0
-        return cls(np.einsum("kl,lij->kij", A, eps))
+        """H(a, b) = A (a x b); identity A gives the plain cross product.
+        Raises DimMismatch unless A is a finite 3x3 array."""
+        A = np.eye(3) if matrix is None else _as_array(matrix, (3, 3),
+                                                          "twist matrix")
+        eps = np.cross(np.eye(3)[:, None], np.eye(3))  # [i, j] = e_i x e_j
+        return cls(np.einsum("kl,ijl->kij", A, eps))
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -184,7 +193,7 @@ def jacobiator(X: diffgeo.VectorFieldGrid, Y: diffgeo.VectorFieldGrid,
     total = np.zeros(header.dims + (3,))
     for a, b, c in ((X, Y, Z), (Y, Z, X), (Z, X, Y)):
         hbc = H(b.samples, c.samples)
-        total += H(a.samples, hbc) - diffgeo._along(hbc, diffgeo.partials(a))
+        total += H(a.samples, hbc) - diffgeo._along(hbc, a)
     field = diffgeo.VectorFieldGrid(header,
                                     diffgeo._finite(total, "the jacobiator"))
     return field, field.max_interior_norm()

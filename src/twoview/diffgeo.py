@@ -3,15 +3,19 @@
 Vector fields and Christoffel symbols are sampled per node; derivatives
 use second-order central differences in the interior and one-sided
 second-order stencils at the boundary, so report maxima are taken over
-interior nodes only.  No diagnostic composes two derivatives: curvature
-differentiates Gamma alone and the jacobiator its three fields, so every
-value is second-order accurate at every interior node.  Overflow in a
-computed field raises NumericalError, not a numpy warning.  The
-integrability obstruction is exposed twice: as the Hantjies tensor, in
-the closed form Gamma(X, Y) - Gamma(Y, X) of the literal formula (which
-the tests keep as its oracle), and as the Frobenius residual, the
-component of the Lie bracket sticking out of the spanned distribution.
-The uniqueness certificate consumes both.
+the interior nodes only, `INTERIOR`.  Each node-wise rule has one owner:
+`_along` differentiates a field along a vector, one axis at a time, and
+`_contract` contracts Gamma, or a partial of it, with a pair of vectors.
+No diagnostic composes two derivatives: curvature differentiates Gamma
+alone and the jacobiator its three fields, so every value is
+second-order accurate at every interior node.  Overflow in a computed
+field raises NumericalError, not a numpy warning.  The integrability
+obstruction is exposed twice: as the Hantjies tensor, the torsion of
+Gamma acting on X x Y, which is the closed form Gamma(X, Y) - Gamma(Y, X)
+of the literal formula (the tests keep that as its oracle) and exactly
+zero on a torsion-free connection at any scale, and as the Frobenius
+residual, the component of the Lie bracket sticking out of the spanned
+distribution.  The uniqueness certificate consumes both.
 """
 
 from __future__ import annotations
@@ -33,14 +37,16 @@ _STEPS_PER_SPACING = 4  # RK4 steps per node spacing of path length
 # X and Y count as nearly parallel where the sine of their angle is at most
 # this
 _ANGLE_TOL = 1e-8
+# the interior: every node at least one node away from every face, where the
+# stencils are central; report maxima are taken over it
+INTERIOR = (slice(1, -1),) * 3
 
 
 def _require_same_header(*objs):
     h0 = objs[0].header
     for o in objs[1:]:
         if not h0.matches(o.header):
-            raise HeaderMismatch(
-                f"grid headers differ: {h0} vs {o.header}")
+            raise HeaderMismatch(f"grid headers differ: {h0} vs {o.header}")
     return h0
 
 
@@ -51,13 +57,6 @@ def _finite(values, what: str):
     if not np.all(np.isfinite(values)):
         raise NumericalError(f"{what} overflows to non-finite values")
     return values
-
-
-def interior_mask(dims) -> np.ndarray:
-    """Boolean mask of the nodes at least one node away from every face."""
-    m = np.zeros(tuple(dims), dtype=bool)
-    m[1:-1, 1:-1, 1:-1] = True
-    return m
 
 
 def _node_array(header: GridHeader, values, tail: tuple,
@@ -87,8 +86,7 @@ class VectorFieldGrid(Record):
     def from_function(cls, header: GridHeader, fn) -> "VectorFieldGrid":
         """Sample fn(x, y, z) -> 3-vector on every node (vectorized over
         coordinate arrays)."""
-        pos = header.node_positions()
-        vals = fn(pos[..., 0], pos[..., 1], pos[..., 2])
+        vals = fn(*np.moveaxis(header.node_positions(), -1, 0))
         vals = np.stack([np.broadcast_to(np.asarray(v, dtype=float),
                                          header.dims) for v in vals], axis=-1)
         return cls(header, vals)
@@ -102,10 +100,9 @@ class VectorFieldGrid(Record):
     def max_interior_norm(self) -> float:
         """Largest |sample| over the interior nodes."""
         # each node scaled by its own power of two, so no norm overflows
-        e = _exponent(self.samples, -1)
-        norms = np.ldexp(np.linalg.norm(np.ldexp(self.samples, -e), axis=-1),
-                         e[..., 0])
-        norms = norms[interior_mask(self.header.dims)]
+        s = self.samples[INTERIOR]
+        e = _exponent(s, -1)
+        norms = np.ldexp(np.linalg.norm(np.ldexp(s, -e), axis=-1), e[..., 0])
         return float(_finite(norms, "the field's norm").max())
 
 
@@ -136,20 +133,15 @@ class IntegrabilityReport(Record):
 # derivatives
 
 
-def partials(field: VectorFieldGrid) -> np.ndarray:
-    """All first partials d_i Y^k, shape dims + (3 axes, 3 components).
+def _along(v: np.ndarray, Y: VectorFieldGrid) -> np.ndarray:
+    """(v . d) Y^k = v^i d_i Y^k, node-wise: the one directional derivative.
 
-    Central differences in the interior, one-sided order-2 at boundaries.
+    Y is differentiated one axis at a time, by central differences in the
+    interior and one-sided order-2 stencils at the boundary.
     """
-    h = field.header.spacing
-    return np.stack(
-        [np.gradient(field.samples, h, axis=i, edge_order=2)
-         for i in range(3)], axis=-2)
-
-
-def _along(v: np.ndarray, dY: np.ndarray) -> np.ndarray:
-    """(v . d) Y^k = v^i d_i Y^k, node-wise, from the partials dY of Y."""
-    return np.einsum("...i,...ik->...k", v, dY)  # dY is (..., i, k)
+    return sum(v[..., i, None] * np.gradient(Y.samples, Y.header.spacing,
+                                             axis=i, edge_order=2)
+               for i in range(3))
 
 
 def _outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -158,27 +150,27 @@ def _outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[..., :, None] * b[..., None, :]).reshape(a.shape[:-1] + (9,))
 
 
+def _contract(c: np.ndarray, o: np.ndarray) -> np.ndarray:
+    """c^k_ij o_ij, node-wise, for c (..., 3, 3, 3) and o = _outer(a, b):
+    the one contraction of Gamma, or of a partial of it, with a pair."""
+    return np.einsum("...kw,...w->...k", c.reshape(o.shape[:-1] + (3, 9)), o)
+
+
 @np.errstate(over="ignore", invalid="ignore")
 def covariant_derivative(X: VectorFieldGrid, Y: VectorFieldGrid,
                          conn: ConnectionField) -> VectorFieldGrid:
     """(nabla_X Y)^k = X^i d_i Y^k + Gamma^k_ij X^i Y^j, node-wise."""
     _require_same_header(X, Y, conn)
-    v = _along(X.samples, partials(Y)) + _christoffel(conn, X, Y)
+    v = _along(X.samples, Y) + _contract(conn.gamma,
+                                         _outer(X.samples, Y.samples))
     return VectorFieldGrid(X.header, _finite(v, "the covariant derivative"))
-
-
-def _christoffel(conn: ConnectionField, X: VectorFieldGrid,
-                 Y: VectorFieldGrid) -> np.ndarray:
-    """Gamma(X, Y)^k = Gamma^k_ij X^i Y^j, node-wise."""
-    return np.einsum("...kij,...i,...j->...k",
-                     conn.gamma, X.samples, Y.samples)
 
 
 @np.errstate(over="ignore", invalid="ignore")
 def lie_bracket(X: VectorFieldGrid, Y: VectorFieldGrid) -> VectorFieldGrid:
     """[X, Y]^k = X^i d_i Y^k - Y^i d_i X^k via the shared stencils."""
     _require_same_header(X, Y)
-    b = _along(X.samples, partials(Y)) - _along(Y.samples, partials(X))
+    b = _along(X.samples, Y) - _along(Y.samples, X)
     return VectorFieldGrid(X.header, _finite(b, "the Lie bracket"))
 
 
@@ -188,11 +180,27 @@ def hantjies_tensor(X: VectorFieldGrid, Y: VectorFieldGrid,
     """Antisymmetrized covariant derivative minus the bracket.
 
     nabla_X Y - nabla_Y X - [X, Y] in closed form: the stencils cancel,
-    leaving the torsion contraction Gamma(X, Y) - Gamma(Y, X), exactly zero
-    for X = Y or a symmetric Gamma.  The tests keep the literal formula.
+    leaving Gamma(X, Y) - Gamma(Y, X) = T(X, Y), the torsion
+    T^k_ij = Gamma^k_ij - Gamma^k_ji.  In 3-D T(X, Y) depends on X and Y
+    only through c = X x Y, as T^k_12 c_0 + T^k_20 c_1 + T^k_01 c_2, which
+    is evaluated here, with X and Y scaled node by node so that c neither
+    overflows nor underflows: exactly zero for a symmetric Gamma at any
+    scale and for X = Y, and bitwise antisymmetric in X and Y.  The tests
+    keep the literal formula.
     """
     header = _require_same_header(X, Y, conn)
-    h = _christoffel(conn, X, Y) - _christoffel(conn, Y, X)
+    g, x, y = conn.gamma, X.samples, Y.samples
+    h = np.zeros(x.shape)
+    # one slab along the first axis at a time, so every temporary is one
+    # slab; each node's X and Y scaled by their own powers of two
+    # (`_exponent`), and h scaled back by their product, all exact
+    for gs, xs, ys, hs in zip(g, x, y, h):
+        ex, ey = _exponent(xs, -1), _exponent(ys, -1)
+        xs, ys = np.ldexp(xs, -ex), np.ldexp(ys, -ey)
+        for i, j in ((1, 2), (2, 0), (0, 1)):
+            c = xs[..., i] * ys[..., j] - xs[..., j] * ys[..., i]
+            hs += (gs[..., :, i, j] - gs[..., :, j, i]) * c[..., None]
+        np.ldexp(hs, ex + ey, out=hs)
     return VectorFieldGrid(header, _finite(h, "the Hantjies tensor"))
 
 
@@ -205,8 +213,7 @@ def frobenius_residual(X: VectorFieldGrid, Y: VectorFieldGrid):
     bracket.  Raises DegenerateDistribution when X and Y are nearly
     parallel at an interior node.
     """
-    header = _require_same_header(X, Y)
-    b = lie_bracket(X, Y).samples
+    b = lie_bracket(X, Y).samples  # which checks the headers
     # sin_angle and chat do not change when X and Y are scaled node by node,
     # each by its own power of two (`_exponent`), so no product overflows
     xs = np.ldexp(X.samples, -_exponent(X.samples, -1))
@@ -215,8 +222,7 @@ def frobenius_residual(X: VectorFieldGrid, Y: VectorFieldGrid):
     ny = np.linalg.norm(ys, axis=-1)
     cross = np.cross(xs, ys)
     sin_angle = np.linalg.norm(cross, axis=-1) / np.maximum(nx * ny, 1e-300)
-    inner = interior_mask(header.dims)
-    if np.any(sin_angle[inner] <= _ANGLE_TOL):
+    if np.any(sin_angle[INTERIOR] <= _ANGLE_TOL):
         raise DegenerateDistribution(
             "X and Y nearly parallel at an interior node")
     # in R^3 the complement of span{X, Y} is the line along X x Y
@@ -224,7 +230,7 @@ def frobenius_residual(X: VectorFieldGrid, Y: VectorFieldGrid):
         np.linalg.norm(cross, axis=-1, keepdims=True), 1e-300)
     residual = np.abs(_finite(np.einsum("...k,...k->...", b, chat),
                               "the Frobenius residual"))
-    return residual, float(residual[inner].max())
+    return residual, float(residual[INTERIOR].max())
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -235,27 +241,25 @@ def curvature(conn: ConnectionField, X: VectorFieldGrid, Y: VectorFieldGrid,
     Every derivative of X, Y and Z cancels from it, leaving the closed
     form u(X, Y) - u(Y, X), u(X, Y) = (d_X Gamma)(Y, Z) + Gamma(X, Gamma(Y,
     Z)) (Kobayashi & Nomizu, Foundations of Differential Geometry I, ch.
-    III).  Only Gamma is differentiated, by the stencils of `partials`, one
-    axis at a time.  Gamma(a, b) is linear in the outer product of a and b,
-    so each difference is taken before it is contracted: Gamma with
-    X (x) Gamma(Y, Z) - Y (x) Gamma(X, Z), and d_a Gamma with
-    (X^a Y - Y^a X) (x) Z.  Swapping X and Y negates both exactly, so F is
-    bitwise antisymmetric in X and Y.  Second-order accurate at every
-    interior node, and exact wherever Gamma is quadratic in position.
+    III).  Only Gamma is differentiated, by the stencils `_along` uses,
+    one axis at a time.  Gamma(a, b) is linear in the outer product of a
+    and b, so each difference is taken before it is contracted
+    (`_contract`): Gamma with X (x) Gamma(Y, Z) - Y (x) Gamma(X, Z), and
+    d_a Gamma with (X^a Y - Y^a X) (x) Z.  Swapping X and Y negates both
+    exactly, so F is bitwise antisymmetric in X and Y.  Second-order
+    accurate at every interior node, and exact wherever Gamma is quadratic
+    in position.
     """
     header = _require_same_header(X, Y, Z, conn)
     g, x, y, z = conn.gamma, X.samples, Y.samples, Z.samples
     h = header.spacing
-
-    def contract(t, o):  # t^k_ij o_ij, with t (..., 3, 3, 3), o (..., 9)
-        return np.einsum("...kw,...w->...k", t.reshape(o.shape[:-1] + (3, 9)),
-                         o)
-
-    gz = np.einsum("...kij,...j->...ik", g, z)  # _along(v, gz) = Gamma(v, Z)
-    F = contract(g, _outer(x, _along(y, gz)) - _outer(y, _along(x, gz)))
+    gz = np.einsum("...kij,...j->...ik", g, z)  # Gamma(v, Z)^k = v^i gz_ik
+    gyz = np.einsum("...i,...ik->...k", np.stack([y, x]), gz)  # v = Y, X
+    F = _contract(g, _outer(x, gyz[0]) - _outer(y, gyz[1]))
+    del gyz  # not kept through the loop over d_a Gamma
     for a in range(3):
         w = x[..., a, None] * y - y[..., a, None] * x
-        F += contract(np.gradient(g, h, axis=a, edge_order=2), _outer(w, z))
+        F += _contract(np.gradient(g, h, axis=a, edge_order=2), _outer(w, z))
     return VectorFieldGrid(header, _finite(F, "the curvature"))
 
 
@@ -293,11 +297,10 @@ def duality_residual(conn1: ConnectionField, conn2: ConnectionField,
     h1 = _require_same_header(X, Y, Z, conn1)
     m = inv.matrix
     ix, iy, iz = _involution_index_map(h1, conn2.header, m)
-    pushed = []
-    for fld in (X, Y, Z):
-        vals = np.zeros(conn2.header.dims + (3,))
-        vals[ix, iy, iz] = _finite(fld.samples @ m.T, "a pushed field")
-        pushed.append(VectorFieldGrid(conn2.header, vals))
+    vals = np.zeros((3,) + conn2.header.dims + (3,))
+    vals[:, ix, iy, iz] = _finite(np.stack([X.samples, Y.samples, Z.samples])
+                                  @ m.T, "a pushed field")
+    pushed = [VectorFieldGrid(conn2.header, v) for v in vals]
     f1 = curvature(conn1, X, Y, Z).samples
     f2 = curvature(conn2, *pushed).samples
     pulled = f2[ix, iy, iz] @ m.T  # iota inverse = iota
@@ -377,15 +380,13 @@ def integrability_report(X: VectorFieldGrid, Y: VectorFieldGrid,
     default 10 h^2 of a spacing h that large included.
     """
     header = _require_same_header(X, Y, conn)
-    if tol is None:
-        tol = default_tolerance(header.spacing)
+    tol = default_tolerance(header.spacing) if tol is None else tol
     _require_tol(tol)
     hmax = hantjies_tensor(X, Y, conn).max_interior_norm()
     _, fmax = frobenius_residual(X, Y)
-    inner = int(interior_mask(header.dims).sum())
     return IntegrabilityReport(
         max_hantjies_norm=hmax,
         max_frobenius_residual=fmax,
         integrable=bool(hmax <= tol and fmax <= tol),
         tolerance=float(tol),
-        interior_node_count=inner)
+        interior_node_count=int(np.prod(np.subtract(header.dims, 2))))

@@ -73,11 +73,13 @@ class SystemTooLarge(InputError):
 # -- diffgeo ----------------------------------------------------------------
 
 class HeaderMismatch(InputError):
-    """Grids do not share dims/spacing/origin."""
+    """Grids do not share dims/spacing/origin, or a node sample of a field
+    or connection is not finite."""
 
 
 class GridTooSmall(InputError):
-    """Grid has too few nodes for the requested stencil."""
+    """Grid has too few nodes for the requested stencil, or a transport
+    path has fewer than 2 vertices."""
 
 
 class PathOutsideGrid(GeometricError):

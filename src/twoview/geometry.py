@@ -728,6 +728,17 @@ def _image_dims(image_dims) -> tuple[int, int]:
     return nu, nw
 
 
+def _require_int(value, what: str) -> int:
+    """`value` through `operator.index`, as GridHeader takes its dims: the
+    one rule of the integer counts, orders and seeds.  Raises DimMismatch
+    naming `what` for a float, NaN, string or other non-integer, which
+    `int()` would truncate or refuse with another error."""
+    try:
+        return operator.index(value)
+    except TypeError as exc:
+        raise DimMismatch(f"{what} must be an integer: {exc}") from exc
+
+
 def _require_tol(tol: float) -> None:
     """Raise DimMismatch unless tol is finite and >= 0: a NaN or negative
     tolerance makes every `<= tol` or `> tol` verdict meaningless, and an

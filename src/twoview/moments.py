@@ -19,7 +19,8 @@ from .geometry import (PointCloud, Projected2D, ProjectionSpec, Record,
 class MomentValue(Record):
     """Centroid (plane coordinates) plus the total mass it was taken over.
 
-    Raises DimMismatch unless the centroid is a finite 2-vector.
+    Raises DimMismatch unless the centroid is a finite 2-vector and the
+    total mass a finite number.
     """
 
     centroid: np.ndarray
@@ -28,7 +29,8 @@ class MomentValue(Record):
     def __post_init__(self):
         object.__setattr__(self, "centroid",
                            _as_array(self.centroid, 2, "centroid"))
-        object.__setattr__(self, "total_mass", float(self.total_mass))
+        object.__setattr__(self, "total_mass", float(
+            _as_array(self.total_mass, (), "total mass")))
 
 
 class SecondMoment3D(Record):

@@ -46,6 +46,7 @@ from .geometry import (
     _entry_bound,
     _exponent,
     _rank_above,
+    _require_int,
     _require_memory,
 )
 
@@ -561,17 +562,18 @@ def _require_sigma(sigma: float) -> None:
 
 
 def _require_trials(trials: int) -> None:
-    """Raise DimMismatch unless a noise study's trial count is >= 1, and
-    SystemTooLarge when its per-trial RMSEs exceed the memory limit."""
-    if trials < 1:
+    """Raise DimMismatch unless a noise study's trial count is an integer
+    >= 1, and SystemTooLarge when its per-trial RMSEs exceed the memory
+    limit."""
+    if _require_int(trials, "trials") < 1:
         raise DimMismatch(f"trials must be >= 1, got {trials}")
     _require_memory(f"a noise study of {trials} trials", dense=trials)
 
 
 def _require_seed(seed: int) -> None:
-    """Raise DimMismatch unless a noise study's seed is >= 0, which numpy's
-    seed sequence needs."""
-    if seed < 0:
+    """Raise DimMismatch unless a noise study's seed is an integer >= 0,
+    which numpy's seed sequence needs."""
+    if _require_int(seed, "seed") < 0:
         raise DimMismatch(f"seed must be >= 0, got {seed}")
 
 
@@ -595,10 +597,11 @@ def noise_study(cloud: PointCloud, spec1: ProjectionSpec,
     sigma * |M|_F = sigma * sqrt(1/2 + 2 / |n1 x n2|^2), which exceeds
     kappa * sigma for every pair.
     Raises DimMismatch for a cloud of no points, unless sigma is finite
-    and >= 0 (`_require_sigma`), trials >= 1 (`_require_trials`) and
-    seed >= 0 (`_require_seed`), and when rmse_mean, rmse_std or
-    predicted_bound overflows, and SystemTooLarge when the trials' RMSEs
-    would exceed the memory limit (`_require_trials`).
+    and >= 0 (`_require_sigma`), trials an integer >= 1
+    (`_require_trials`) and seed an integer >= 0 (`_require_seed`), and
+    when rmse_mean, rmse_std or predicted_bound overflows, and
+    SystemTooLarge when the trials' RMSEs would exceed the memory limit
+    (`_require_trials`).
     """
     _require_sigma(sigma)
     _require_trials(trials)

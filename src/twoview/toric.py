@@ -25,7 +25,7 @@ from .errors import (
 )
 from .geometry import (PointCloud, ProjectionSpec, Record, _RANK_TOL,
                        _as_array, _brief, _canonical_sign, _exponent,
-                       _rank_above, _require_tol)
+                       _rank_above, _require_int, _require_tol)
 
 CONTINUOUS = "continuous"
 _CELL_BLOCK = 2**18  # pairs per block of whole queries in the cell grid
@@ -151,8 +151,8 @@ class _CellGrid:
 
 def _require_orders(orders) -> list:
     """The candidate symmetry orders as ints; raises DimMismatch unless
-    there is one or more and each is >= 2."""
-    orders = [int(k) for k in orders]
+    there is one or more and each is an integer >= 2."""
+    orders = [_require_int(k, "symmetry order") for k in orders]
     if not orders or any(k < 2 for k in orders):
         raise DimMismatch("symmetry orders must be one or more integers >= 2")
     return orders
@@ -167,10 +167,10 @@ def detect_axis(cloud: PointCloud, orders, tol: float = 1e-9) -> ToricReport:
     candidates whose residual passes tol the highest order wins (the
     finest symmetry); otherwise the overall minimum residual is reported.
     A repeated eigenvalue pair flags a continuous symmetry.  Raises
-    DimMismatch when an order is below 2 or tol is NaN, negative or
-    infinite, or when no order is given, and DegenerateCloud for fewer
-    than 3 points or points collinear up to rounding: fewer than two
-    singular values of the centred positions above _RANK_TOL times the
+    DimMismatch when an order is not an integer >= 2 or tol is NaN,
+    negative or infinite, or when no order is given, and DegenerateCloud
+    for fewer than 3 points or points collinear up to rounding: fewer than
+    two singular values of the centred positions above _RANK_TOL times the
     largest, so a line's rounding is judged against its length.
 
     A candidate passes when every rotated point has a partner within
@@ -261,11 +261,12 @@ def invariant_moment_check(cloud: PointCloud, spec: ProjectionSpec,
     The moment map is linear in the centroid c, so rotation m moves it by
     the projection of (R_m - I) c = sin θ a × c + (1 - cos θ) a × (a × c):
     zero for a cloud centered on the axis (through the origin), nonzero
-    for off-axis mass.
+    for off-axis mass.  Raises DimMismatch unless order is an integer >= 2.
     """
+    _require_order(order)
     a = _unit_axis(axis)
     ac = np.cross(a, moments.centroid3d(cloud))
-    theta = 2 * np.pi * np.arange(1, int(order)) / order
+    theta = 2 * np.pi * np.arange(1, order) / order
     moved = (np.outer(np.sin(theta), ac)
              + np.outer(1 - np.cos(theta), np.cross(a, ac)))
     shift = moved @ np.column_stack([spec.u, spec.w])
@@ -273,16 +274,17 @@ def invariant_moment_check(cloud: PointCloud, spec: ProjectionSpec,
 
 
 def _require_order(order: int) -> None:
-    """Raise DimMismatch unless a rotation group's order is >= 2."""
-    if int(order) < 2:
+    """Raise DimMismatch unless a rotation group's order is an integer
+    >= 2."""
+    if _require_int(order, "order") < 2:
         raise DimMismatch(f"order must be >= 2, got {_brief(order)}")
 
 
 def _fixed_basis(axis, order: int, dim: int) -> np.ndarray:
     """Orthonormal basis (dim x f) of the fixed subspace of k >= 2
     rotations: the unit axis a in dim 3, a ⊕ 0 and e4 in dim 4.  Raises
-    DimMismatch for an order below 2, a zero or non-finite axis, or a dim
-    other than 3 or 4."""
+    DimMismatch for an order that is not an integer >= 2, a zero or
+    non-finite axis, or a dim other than 3 or 4."""
     _require_order(order)
     a = _unit_axis(axis)
     if dim == 3:

@@ -3,7 +3,6 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from twoview import diffgeo
 from twoview.errors import DimMismatch
 from twoview.algebra import (
     UNDEFINED,
@@ -125,6 +124,26 @@ class TestFiniteMagma:
     def test_rejects_out_of_range(self):
         with pytest.raises(DimMismatch):
             FiniteMagma([[0, 5], [1, 0]])
+        with pytest.raises(DimMismatch):
+            FiniteMagma([[0, -2], [1, 0]])
+
+    @pytest.mark.parametrize("table", [
+        [[1.5, 0], [0, 1]], [[np.nan, 0], [0, 1]], [[1.0, 0], [0, 1]],
+        [["0", "1"], ["1", "0"]], [[0, None], [1, 0]],
+        np.array([[1.5, 0], [0, 1]], dtype=object),
+    ], ids=["1.5", "nan", "1.0", "str", "None", "object-1.5"])
+    def test_rejects_non_integer_entries(self, table):
+        # 1.5 was once truncated to 1 (in an object array too), a NaN
+        # raised numpy's ValueError and a None a TypeError
+        with pytest.raises(DimMismatch,
+                           match="table entry must be an integer"):
+            FiniteMagma(table)
+
+    def test_integer_and_bool_arrays(self):
+        for dtype in (np.int8, np.uint16, np.int64, bool):
+            m = FiniteMagma(np.eye(2, dtype=dtype))
+            assert m.table.dtype == int
+            assert m.op(0, 0) == 1 and m.op(0, 1) == 0
 
 
 class TestAssociativity:
@@ -348,11 +367,13 @@ class TestJacobiator:
                                             H).samples
             with monkeypatch.context() as m:
                 calls = []
-                real = diffgeo.partials
-                m.setattr(diffgeo, "partials",
-                          lambda f: calls.append(f) or real(f))
+                real = np.gradient
+                m.setattr(np, "gradient", lambda f, *a, **k:
+                          calls.append((id(f), k["axis"])) or real(f, *a, **k))
                 field, jmax = jacobiator(X, Y, Z, H)
-            assert sorted(map(id, calls)) == sorted(map(id, (X, Y, Z)))
+            # each of X, Y and Z is differentiated once per axis
+            assert sorted(calls) == sorted(
+                (id(F.samples), axis) for F in (X, Y, Z) for axis in range(3))
             assert jmax == field.max_interior_norm()
             depth2 = (slice(2, -2),) * 3
             errs.append(np.abs(field.samples - expected)[depth2].max())

@@ -27,11 +27,11 @@ from twoview.cli import build_parser, main
 from twoview.data import fixture_path
 from twoview.errors import InputError
 from twoview.diffgeo import (
+    INTERIOR,
     ConnectionField,
     GridHeader,
     VectorFieldGrid,
     curvature,
-    interior_mask,
 )
 from twoview.geometry import (
     PointCloud,
@@ -1188,6 +1188,33 @@ class TestDiagnose:
         assert rep["integrable"] is True
         assert rep["max_hantjies_norm"] == 0.0
 
+    def test_hantjies_without_torsion_at_scale_1e15(self, tmp_path):
+        # an integrable plane field turned off the axes, X = f R e_x and
+        # Y = g R e_y, under a random symmetric Gamma times 1e15: the
+        # torsion is exactly zero, so no rounding of Gamma(X, Y) - Gamma(Y,
+        # X) reaches the verdict (it once reported 1.1, not integrable)
+        header = GridHeader((8, 8, 8), 0.1, (-0.35, -0.35, -0.35))
+        rng = np.random.default_rng(0)
+        R = np.linalg.qr(rng.standard_normal((3, 3)))[0]
+        pos = header.node_positions()
+        f = 1 + 0.5 * np.sin(pos @ (1.0, 2.0, -1.0))
+        g = np.exp(0.3 * pos[..., 2])
+        ser.save_vector_field(VectorFieldGrid(header, f[..., None] * R[:, 0]),
+                              tmp_path / "x.json")
+        ser.save_vector_field(VectorFieldGrid(header, g[..., None] * R[:, 1]),
+                              tmp_path / "y.json")
+        gamma = rng.standard_normal(header.dims + (3, 3, 3))
+        ser.save_connection(ConnectionField(
+            header, 1e15 * (gamma + np.swapaxes(gamma, -1, -2))),
+            tmp_path / "conn.json")
+        out = tmp_path / "out"
+        assert run("diagnose", "hantjies", "--field-x", tmp_path / "x.json",
+                   "--field-y", tmp_path / "y.json",
+                   "--connection", tmp_path / "conn.json", "--out", out) == 0
+        rep = json.loads((out / "report.json").read_text())
+        assert rep["max_hantjies_norm"] == 0.0
+        assert rep["integrable"] is True
+
     def test_curvature(self, tmp_path):
         out = tmp_path / "out"
         assert run("diagnose", "curvature",
@@ -1218,7 +1245,7 @@ class TestDiagnose:
                    "--connection", tmp_path / "conn.json", "--out", out) == 0
         got = json.loads((out / "report.json").read_text())
         norms = np.linalg.norm(curvature(conn, X, Y, Z).samples, axis=-1)
-        interior = float(norms[interior_mask(header.dims)].max())
+        interior = float(norms[INTERIOR].max())
         assert got["max_curvature_norm"] == interior
         assert interior > 0.1
         assert abs(float(norms.max()) - interior) > 1e-3

@@ -16,6 +16,7 @@ from twoview.errors import (
 from twoview import diffgeo
 from twoview.geometry import Involution
 from twoview.diffgeo import (
+    INTERIOR,
     ConnectionField,
     GridHeader,
     VectorFieldGrid,
@@ -26,7 +27,6 @@ from twoview.diffgeo import (
     frobenius_residual,
     hantjies_tensor,
     integrability_report,
-    interior_mask,
     lie_bracket,
     parallel_transport,
 )
@@ -104,8 +104,7 @@ class TestCovariantDerivative:
             exact = np.stack([3 * np.cos(3 * pos[..., 0]),
                               -3 * np.sin(3 * pos[..., 0]),
                               np.zeros(header.dims)], axis=-1)
-            inner = interior_mask(header.dims)
-            errs.append(np.abs((out.samples - exact)[inner]).max())
+            errs.append(np.abs((out.samples - exact)[INTERIOR]).max())
         ratio = errs[0] / errs[1]
         assert 3.0 <= ratio <= 5.0
 
@@ -150,9 +149,10 @@ def _unscaled_norms_and_residual(X, Y):
 
 
 class TestNodeScaling:
-    """Norms and the Frobenius residual scale each node by a power of two
-    first: finite answers of fields above 1e154 stay finite, and on fields
-    in the normal range nothing changes, to the last bit."""
+    """Norms, the Hantjies tensor and the Frobenius residual scale each node
+    by a power of two first: finite answers of fields above 1e154 stay
+    finite, and on fields in the normal range nothing changes, to the last
+    bit."""
 
     fields = TestOverflow.fields
 
@@ -166,6 +166,29 @@ class TestNodeScaling:
         assert rmax == 0.0
         assert not residual.any()
 
+    def test_hantjies_of_huge_coordinate_fields(self, fields):
+        # X x Y = 1e400 is past float64, while the torsion acting on it is
+        # 0 under a symmetric Gamma and 1e200 under T^2_01 = 1e-200
+        X, Y, _ = fields
+        flat = ConnectionField.flat(X.header)
+        assert not hantjies_tensor(X, Y, flat).samples.any()
+        assert integrability_report(X, Y, flat).max_hantjies_norm == 0.0
+        gamma = np.zeros(X.header.dims + (3, 3, 3))
+        gamma[..., 2, 0, 1] = 1e-200
+        h = hantjies_tensor(X, Y, ConnectionField(X.header, gamma)).samples
+        assert np.all(h[..., 2] == pytest.approx(1e200, rel=1e-15))
+        assert not h[..., :2].any()
+
+    def test_hantjies_of_tiny_fields_under_a_huge_gamma(self):
+        # |X||Y| = 1e-400 is below float64, Gamma 1e300: h is 1e-100, not 0
+        header = small_header(h=1.0, n=3)
+        gamma = np.zeros(header.dims + (3, 3, 3))
+        gamma[..., 2, 0, 1] = 1e300
+        h = hantjies_tensor(const(header, (1e-200, 0, 0)),
+                            const(header, (0, 1e-200, 0)),
+                            ConnectionField(header, gamma)).samples
+        assert np.all(h[..., 2] == pytest.approx(1e-100, rel=1e-15))
+
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), ex=st.integers(-60, 60),
            ey=st.integers(-60, 60))
@@ -175,17 +198,16 @@ class TestNodeScaling:
         X, Y = (VectorFieldGrid(header, 10.0 ** e * rng.standard_normal(
             header.dims + (3,))) for e in (ex, ey))
         nx, residual = _unscaled_norms_and_residual(X, Y)
-        inner = interior_mask(header.dims)
-        assert X.max_interior_norm() == nx[inner].max()
+        assert X.max_interior_norm() == nx[INTERIOR].max()
         got, rmax = frobenius_residual(X, Y)
         assert np.array_equal(got, residual)
-        assert rmax == residual[inner].max()
+        assert rmax == residual[INTERIOR].max()
 
 
 def test_a_3_node_cube_has_one_interior_node():
     # the smallest grid the stencils take
     X = const(small_header(n=3), (1.0, 0, 0))
-    assert interior_mask(X.header.dims).sum() == 1
+    assert X.samples[INTERIOR].shape == (1, 1, 1, 3)
     assert X.max_interior_norm() == 1.0
 
 
@@ -256,9 +278,22 @@ class TestHantjiesTensor:
                                rng.standard_normal(header.dims + (3, 3, 3)))
         X = VectorFieldGrid(header, rng.standard_normal(header.dims + (3,)))
         Y = VectorFieldGrid(header, rng.standard_normal(header.dims + (3,)))
-        np.testing.assert_allclose(hantjies_tensor(X, Y, conn).samples,
-                                   -hantjies_tensor(Y, X, conn).samples,
-                                   atol=1e-12)
+        np.testing.assert_array_equal(hantjies_tensor(X, Y, conn).samples,
+                                      -hantjies_tensor(Y, X, conn).samples)
+
+    @pytest.mark.parametrize("k", [-300, -5, 0, 6, 15, 300])
+    def test_exactly_zero_without_torsion_at_any_scale(self, k):
+        # the torsion of a symmetric Gamma is exactly zero, and so is
+        # X x X, whatever the scale of Gamma
+        rng = np.random.default_rng(k + 300)
+        header = small_header()
+        g = 10.0 ** k * rng.standard_normal(header.dims + (3, 3, 3))
+        X, Y = (VectorFieldGrid(header, rng.standard_normal(
+            header.dims + (3,))) for _ in range(2))
+        sym = ConnectionField(header, g + np.swapaxes(g, -1, -2))
+        assert not hantjies_tensor(X, Y, sym).samples.any()
+        assert not hantjies_tensor(X, X, ConnectionField(header, g)
+                                   ).samples.any()
 
 
 def literal_hantjies(X, Y, conn):
@@ -271,10 +306,10 @@ def literal_hantjies(X, Y, conn):
 class TestHantjiesClosedForm:
     """`hantjies_tensor` against the literal formula it closes."""
 
-    def check(self, X, Y, conn):
+    def check(self, X, Y, conn, rel=1e-12):
         lit = literal_hantjies(X, Y, conn)
         np.testing.assert_allclose(hantjies_tensor(X, Y, conn).samples, lit,
-                                   rtol=0, atol=1e-12 * np.abs(lit).max())
+                                   rtol=0, atol=rel * np.abs(lit).max())
 
     @pytest.mark.parametrize("seed", range(4))
     def test_random(self, seed):
@@ -285,6 +320,18 @@ class TestHantjiesClosedForm:
         X = VectorFieldGrid(header, rng.standard_normal(header.dims + (3,)))
         Y = VectorFieldGrid(header, rng.standard_normal(header.dims + (3,)))
         self.check(X, Y, conn)
+
+    def test_scaled_connections(self):
+        # Gamma from 1e-5 to 1e5: the literal formula's stencils cancel
+        # only up to rounding of |X| |dY|, measured at most 3.7e-11 of it
+        rng = np.random.default_rng(10)
+        header = small_header(n=7)
+        for k in rng.uniform(-5.0, 5.0, 30):
+            conn = ConnectionField(header, 10.0 ** k * rng.standard_normal(
+                header.dims + (3, 3, 3)))
+            X, Y = (VectorFieldGrid(header, rng.standard_normal(
+                header.dims + (3,))) for _ in range(2))
+            self.check(X, Y, conn, rel=1e-10)
 
     @pytest.mark.parametrize("fx, fy", [("coord_x", "coord_y"),
                                         ("contact_x", "contact_y"),
@@ -337,9 +384,8 @@ class TestFrobeniusResidual:
         residual, _ = frobenius_residual(X, Y)
         b = lie_bracket(X, Y).samples
         det = np.linalg.det(np.stack([X.samples, Y.samples, b], axis=-1))
-        inner = interior_mask(header.dims)
-        agree = np.isclose(residual[inner], 0.0, atol=1e-10) == \
-            np.isclose(det[inner], 0.0, atol=1e-10)
+        agree = np.isclose(residual[INTERIOR], 0.0, atol=1e-10) == \
+            np.isclose(det[INTERIOR], 0.0, atol=1e-10)
         assert np.all(agree)
 
     def test_degenerate(self):
@@ -480,7 +526,7 @@ class TestCurvature:
         want[..., :2] = ((g * y * z).sum(-1)[..., None] * x
                          - (g * x * z).sum(-1)[..., None] * y)
         return (sphere_connection(header), probes, want,
-                interior_mask(header.dims), bound)
+                INTERIOR, bound)
 
     @pytest.mark.parametrize("case", [
         lambda: TestCurvature.flat_case(),

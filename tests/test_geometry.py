@@ -724,6 +724,7 @@ BOUNDARY = {
     "ConstraintRow rhs": lambda x: ConstraintRow(E[0], x),
     "triangulate": lambda x: triangulate([0.0, 0.0], x, XY, YZ),
     "MomentValue": lambda x: MomentValue(x, 1.0),
+    "MomentValue total_mass": lambda x: MomentValue([0.0, 0.0], x),
     "SecondMoment3D": SecondMoment3D,
     "TrivializationCoords": lambda x: TrivializationCoords([0.0, 0.0], x),
     "TwistMap": TwistMap,
@@ -759,10 +760,16 @@ class TestArrayBoundary:
         lambda: parallel_transport(FLAT, [[0, 0, 0], [np.nan, 1, 1]], E[0]),
         lambda: parallel_transport(FLAT, [[0, 0, 0], [1, 1, 1]],
                                    [np.nan, 0, 0]),
+        lambda: MomentValue([0.0, 0.0], np.nan),
+        lambda: MomentValue([0.0, 0.0], np.inf),
+        lambda: TwistMap.from_cross_product(np.eye(2)),
+        lambda: TwistMap.from_cross_product(np.full((3, 3), np.inf)),
     ], ids=["short origin", "string omega", "ragged twist", "ragged sinogram",
             "voxel count", "position count", "short frame vector",
             "field sample count", "nan involution", "nan observation",
-            "nan path vertex", "nan transported vector"])
+            "nan path vertex", "nan transported vector", "nan total mass",
+            "infinite total mass", "2x2 cross-product matrix",
+            "infinite cross-product matrix"])
     def test_once_escaped_or_accepted(self, call):
         # each raised numpy's ValueError, returned NaN or was accepted
         with pytest.raises(DimMismatch):

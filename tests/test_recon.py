@@ -1118,6 +1118,18 @@ class TestNoiseStudy:
         with pytest.raises(DimMismatch):
             noise_study(random_cloud(rng, 5), XY, YZ, sigma, trials, seed=seed)
 
+    @pytest.mark.parametrize("trials", [2.5, np.nan, 2.0, "2", None])
+    def test_trials_must_be_an_integer(self, trials, rng):
+        # 2.5 once escaped as numpy's TypeError
+        with pytest.raises(DimMismatch, match="trials must be an integer"):
+            noise_study(random_cloud(rng, 5), XY, YZ, 0.1, trials)
+
+    @pytest.mark.parametrize("seed", [1.5, np.nan, 0.0, "0", None])
+    def test_seed_must_be_an_integer(self, seed, rng):
+        # 1.5 once escaped as numpy's "TypeError: seed must be integer"
+        with pytest.raises(DimMismatch, match="seed must be an integer"):
+            noise_study(random_cloud(rng, 5), XY, YZ, 0.1, 2, seed=seed)
+
     def test_empty_cloud_rejected(self):
         # the mean over no points once warned, and read as "noise overflows"
         empty = PointCloud(np.zeros((0, 3)), np.zeros(0))

@@ -173,6 +173,13 @@ class TestDetectAxis:
         with pytest.raises(DimMismatch):
             detect_axis(hexagon_cloud(), orders=[1])
 
+    @pytest.mark.parametrize("orders", [[2.5, 6.9], [6.0], [np.nan], ["6"]])
+    def test_orders_must_be_integers(self, orders):
+        # [2.5, 6.9] was once truncated to [2, 6] and reported order 6
+        with pytest.raises(DimMismatch,
+                           match="symmetry order must be an integer"):
+            detect_axis(hexagon_cloud(), orders)
+
     def test_no_order(self, monkeypatch):
         # once scored no candidate with the k-d tree and raised ValueError
         def no_tree(*args):
@@ -471,9 +478,27 @@ class TestInvariantMomentCheck:
         assert invariant_moment_check(shifted, coordinate_spec(2),
                                       [0, 0, 1], 4) > 0.5
 
-    def test_order_one_is_zero(self):
-        assert invariant_moment_check(hexagon_cloud(), coordinate_spec(0),
-                                      [1, 2, 3], 1) == 0.0
+    def test_order_one_is_refused(self):
+        # it once checked no order and returned 0.0 for the trivial group,
+        # which no other rotation-group function takes
+        with pytest.raises(DimMismatch, match="order must be >= 2, got 1"):
+            invariant_moment_check(hexagon_cloud(), coordinate_spec(0),
+                                   [1, 2, 3], 1)
+
+
+@pytest.mark.parametrize("order", [2.5, np.nan, 4.0, "4", None])
+@pytest.mark.parametrize("call", [
+    lambda k: solve_direction_equivariant([ConstraintRow([0, 0, 1])],
+                                          [0, 0, 1], k),
+    lambda k: invariant_moment_check(hexagon_cloud(), coordinate_spec(2),
+                                     [0, 0, 1], k),
+    lambda k: group_average([0, 0, 1], k),
+], ids=["solve", "moment-check", "group-average"])
+def test_order_must_be_an_integer(call, order):
+    # 2.5 was once truncated to 2 by the solve and taken as it was by the
+    # moment check
+    with pytest.raises(DimMismatch, match="order must be an integer"):
+        call(order)
 
 
 class TestMomentMapClosedForm:
