@@ -39,13 +39,15 @@ class FiniteMagma(Record):
         # truncated
         if t.dtype.kind not in "biu":
             t = np.array([_require_int(v, "table entry") for v in t.flat])
-        t = t.astype(int).reshape(np.shape(self.table))
+        t = t.reshape(np.shape(self.table))
         if t.ndim != 2 or t.shape[0] != t.shape[1]:
             raise DimMismatch(f"table must be square, got shape {t.shape}")
-        # UNDEFINED is -1, so the entries lie in -1..n-1
+        # UNDEFINED is -1, so the entries lie in -1..n-1; checked before the
+        # int64 conversion, which an entry past int64 would overflow and a
+        # uint64 one past int64 would wrap
         if np.any((t < UNDEFINED) | (t >= t.shape[0])):
             raise DimMismatch("table entries must be in 0..n-1 or undefined")
-        object.__setattr__(self, "table", t)
+        object.__setattr__(self, "table", t.astype(int))
 
     @property
     def order(self) -> int:

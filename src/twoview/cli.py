@@ -30,10 +30,14 @@ voxels, stored entries, march samples and dense values, included), 3
 geometric precondition failure, 4 a numerical failure: a floating-point
 overflow or invalid operation, or a NaN or infinity in an output JSON
 file.  Every failure writes one JSON object on stderr and no
-run.json.  An option value its validator refuses, a comma list's
-included, is an input error naming the option, raised before --out is
-made: a run makes --out only once every option value is accepted, so a
-refused one leaves no directory behind.  Every command
+run.json.  Every option value, and then every input file, is read
+before --out is made: a value its validator refuses, a comma list's
+included, is an input error naming the option, and a file its loader
+cannot read or its record refuses is one naming the file.  A run makes
+--out only once all of them are accepted, so a refused one leaves no
+directory behind.  A failure after that comes from the inputs taken
+together, such as a geometric or numerical failure, two lattices that
+differ or a run over the memory limit.  Every command
 is deterministic given its inputs, and each successful run writes a
 `run.json` with the tool version and the value of every option the
 subcommand accepts.  A run that only parses its arguments (--version,
@@ -84,21 +88,19 @@ def _setup_logging():
 
 
 def cmd_project(args, out: Path) -> None:
-    spec1 = ser.load_spec(args.spec1)
-    spec2 = ser.load_spec(args.spec2)
+    specs = (args.spec1, args.spec2)
     if args.check_transversal:
-        geometry._cross_norm(spec1, spec2, args.tol)
+        geometry._cross_norm(*specs, args.tol)
     if args.mode == "points":
-        cloud = ser.load_cloud(args.input)
-        for i, spec in enumerate((spec1, spec2), start=1):
-            ser.save_image(geometry.project_points(cloud, spec),
+        for i, spec in enumerate(specs, start=1):
+            ser.save_image(geometry.project_points(args.input, spec),
                            out / f"image{i}.json")
     else:
-        grid = ser.load_voxels(args.input)
+        grid = args.input
         dims = max(grid.dims) if args.image_dims is None else args.image_dims
         # both views pass every guard before either is written
         sinos = [geometry.project_voxels(grid, spec, (dims, dims))
-                 for spec in (spec1, spec2)]
+                 for spec in specs]
         for i, sino in enumerate(sinos, start=1):
             ser.save_sinogram_csv(sino, out / f"sino{i}.csv")
             if args.format == "pgm":
@@ -107,10 +109,7 @@ def cmd_project(args, out: Path) -> None:
 
 def cmd_reconstruct_points(args, out: Path) -> None:
     import numpy as np
-    spec1 = ser.load_spec(args.spec1)
-    spec2 = ser.load_spec(args.spec2)
-    img1 = ser.load_image(args.image1)
-    img2 = ser.load_image(args.image2)
+    spec1, spec2, img1, img2 = args.spec1, args.spec2, args.image1, args.image2
     cloud = recon.reconstruct_cloud(img1, img2, spec1, spec2, args.tol)
     ser.save_cloud(cloud, out / "reconstructed.json")
     reproj = 0.0
@@ -130,13 +129,10 @@ def cmd_reconstruct_points(args, out: Path) -> None:
 
 def cmd_reconstruct_voxels(args, out: Path) -> None:
     import numpy as np
-    spec1 = ser.load_spec(args.spec1)
-    spec2 = ser.load_spec(args.spec2)
-    geometry._cross_norm(spec1, spec2, args.tol)
+    geometry._cross_norm(args.spec1, args.spec2, args.tol)
     lattice = geometry.GridHeader(args.grid_dims, args.spacing, np.zeros(3))
-    sinos = [ser.load_sinogram_csv(args.sino1),
-             ser.load_sinogram_csv(args.sino2)]
-    system = recon.build_radon_system([spec1, spec2], lattice, sinos)
+    system = recon.build_radon_system([args.spec1, args.spec2], lattice,
+                                      [args.sino1, args.sino2])
     values = recon.solve_radon(system)
     recovered = geometry.VoxelGrid(lattice.dims, lattice.spacing,
                                    -lattice.center, np.maximum(values, 0.0))
@@ -150,13 +146,8 @@ def cmd_reconstruct_voxels(args, out: Path) -> None:
 
 
 def cmd_certify(args, out: Path) -> None:
-    spec1 = ser.load_spec(args.spec1)
-    spec2 = ser.load_spec(args.spec2)
-    cloud = ser.load_cloud(args.input)
-    X = ser.load_vector_field(args.field_x)
-    Y = ser.load_vector_field(args.field_y)
-    conn = ser.load_connection(args.connection)
-    cert = certify.certificate(spec1, spec2, cloud, X, Y, conn,
+    cert = certify.certificate(args.spec1, args.spec2, args.input,
+                               args.field_x, args.field_y, args.connection,
                                tol_transversal=args.tol,
                                tol_integrability=args.tol_int)
     ser.dump_json({"tool": TOOL, **cert.to_dict()}, out / "certificate.json")
@@ -168,18 +159,15 @@ def _report(args, out: Path, **fields) -> None:
 
 
 def cmd_diagnose_algebra(args, out: Path) -> None:
-    magma = ser.load_magma(args.table)
-    assoc = algebra.check_associative(magma)
-    mouf = algebra.check_moufang(magma, strict=args.strict)
-    _report(args, out, order=magma.order, total=magma.is_total,
+    assoc = algebra.check_associative(args.table)
+    mouf = algebra.check_moufang(args.table, strict=args.strict)
+    _report(args, out, order=args.table.order, total=args.table.is_total,
             associative=assoc.holds, associative_witness=assoc.witness,
             moufang=mouf.holds, moufang_witness=mouf.witness)
 
 
 def cmd_diagnose_frobenius(args, out: Path) -> None:
-    residual, rmax = diffgeo.frobenius_residual(
-        ser.load_vector_field(args.field_x),
-        ser.load_vector_field(args.field_y))
+    residual, rmax = diffgeo.frobenius_residual(args.field_x, args.field_y)
     if args.profile:
         ser._write_rows(out / "profile.csv",
                         residual.reshape(residual.shape[0], -1))
@@ -187,10 +175,8 @@ def cmd_diagnose_frobenius(args, out: Path) -> None:
 
 
 def cmd_diagnose_hantjies(args, out: Path) -> None:
-    X = ser.load_vector_field(args.field_x)
-    Y = ser.load_vector_field(args.field_y)
-    rep = diffgeo.integrability_report(
-        X, Y, ser.load_connection(args.connection), args.tol_int)
+    rep = diffgeo.integrability_report(args.field_x, args.field_y,
+                                       args.connection, args.tol_int)
     _report(args, out, max_hantjies_norm=rep.max_hantjies_norm,
             max_frobenius_residual=rep.max_frobenius_residual,
             integrable=rep.integrable, tolerance=rep.tolerance,
@@ -198,26 +184,19 @@ def cmd_diagnose_hantjies(args, out: Path) -> None:
 
 
 def cmd_diagnose_curvature(args, out: Path) -> None:
-    X = ser.load_vector_field(args.field_x)
-    Y = ser.load_vector_field(args.field_y)
-    conn = ser.load_connection(args.connection)
-    F = diffgeo.curvature(conn, X, Y, ser.load_vector_field(args.field_z))
+    F = diffgeo.curvature(args.connection, args.field_x, args.field_y,
+                          args.field_z)
     _report(args, out, max_curvature_norm=F.max_interior_norm())
 
 
 def cmd_diagnose_jacobiator(args, out: Path) -> None:
-    X = ser.load_vector_field(args.field_x)
-    Y = ser.load_vector_field(args.field_y)
-    Z = ser.load_vector_field(args.field_z)
-    H = (algebra.TwistMap.zero() if args.twist is None
-         else ser.load_twist(args.twist))
-    _, jmax = algebra.jacobiator(X, Y, Z, H)
+    H = algebra.TwistMap.zero() if args.twist is None else args.twist
+    _, jmax = algebra.jacobiator(args.field_x, args.field_y, args.field_z, H)
     _report(args, out, max_jacobiator_norm=jmax)
 
 
 def cmd_toric_detect(args, out: Path) -> None:
-    cloud = ser.load_cloud(args.input)
-    rep = toric.detect_axis(cloud, args.orders, tol=args.tol)
+    rep = toric.detect_axis(args.input, args.orders, tol=args.tol)
     ser.dump_json({"tool": TOOL, "axis": rep.axis.tolist(),
                    "order": rep.order,
                    "invariance_residual": rep.invariance_residual,
@@ -226,21 +205,18 @@ def cmd_toric_detect(args, out: Path) -> None:
 
 
 def cmd_toric_solve(args, out: Path) -> None:
-    rows, dim = ser.load_constraints(args.constraints)
+    rows, dim = args.constraints
     sol = toric.solve_direction_equivariant(rows, args.axis, args.order, dim)
     ser.dump_json({"tool": TOOL, "v": sol.v.tolist(), "nullity": sol.nullity,
                    "residual": sol.residual}, out / "direction.json")
 
 
 def cmd_noise_study(args, out: Path) -> None:
-    cloud = ser.load_cloud(args.input)
-    spec1 = ser.load_spec(args.spec1)
-    spec2 = ser.load_spec(args.spec2)
     lines = [f"# {TOOL} seed={args.seed} trials={args.trials}",
              "sigma,rmse_mean,rmse_std,predicted_bound,slope"]
     for sigma in args.sigmas:
-        rep = recon.noise_study(cloud, spec1, spec2, sigma, args.trials,
-                                seed=args.seed, tol=args.tol)
+        rep = recon.noise_study(args.input, args.spec1, args.spec2, sigma,
+                                args.trials, seed=args.seed, tol=args.tol)
         lines.append(",".join(repr(float(x)) for x in
                               (rep.sigma, rep.rmse_mean, rep.rmse_std,
                                rep.predicted_bound, rep.slope)))
@@ -250,11 +226,13 @@ def cmd_noise_study(args, out: Path) -> None:
 # -- argument parsing -------------------------------------------------------
 
 
-# the validator that owns each option, run on its value when its subcommand
-# takes it and it is given, before --out is made: a single value's own, and
-# for a comma list, after the single values, its element type and the
-# validator of the parsed list, which the command then receives.  The
-# lambdas read each layer only when they run
+# the check that owns each option, run on its value when its subcommand
+# takes it and it is given, before --out is made, in this order: a single
+# value's validator; for a comma list, its element type and the validator
+# of the parsed list, which the command then receives; for an input file,
+# the name of its `serialization` loader, whose record the command then
+# receives and whose errors name the file.  The lambdas and the names read
+# each layer only when they run
 _OPTION_CHECKS = {
     "--tol": lambda tol: geometry._require_tol(tol),
     "--tol-int": lambda tol: geometry._require_tol(tol),
@@ -270,6 +248,14 @@ _OPTION_CHECKS = {
     # the raw values go on: normalizing twice can move an axis's last bit
     "--axis": (float, lambda v: toric._unit_axis(v)),
     "--sigmas": (float, lambda s: [recon._require_sigma(x) for x in s]),
+    # the input files, read once every value above has passed
+    "--input": "load_cloud", "--spec1": "load_spec", "--spec2": "load_spec",
+    "--image1": "load_image", "--image2": "load_image",
+    "--sino1": "load_sinogram_csv", "--sino2": "load_sinogram_csv",
+    "--field-x": "load_vector_field", "--field-y": "load_vector_field",
+    "--field-z": "load_vector_field", "--connection": "load_connection",
+    "--table": "load_magma", "--twist": "load_twist",
+    "--constraints": "load_constraints",
 }
 
 
@@ -277,9 +263,16 @@ def _check_options(args) -> None:
     for option, check in _OPTION_CHECKS.items():
         dest = option[2:].replace("-", "_")
         value = getattr(args, dest, None)
-        if isinstance(check, tuple) and value is not None:
+        if value is None:
+            continue
+        if isinstance(check, str):
+            # project reads its --input as a voxel grid under --mode voxels
+            if (option, getattr(args, "mode", None)) == ("--input", "voxels"):
+                check = "load_voxels"
+            setattr(args, dest, getattr(ser, check)(value))
+        elif isinstance(check, tuple):
             setattr(args, dest, ser.read_list(value, option, *check))
-        elif value is not None:
+        else:
             ser.check_option(value, option, check)
 
 
@@ -387,6 +380,7 @@ def main(argv=None) -> int:
         if not args.out:
             raise InputError("--out must name a directory, got ''")
         # run.json echoes the options as given, before the lists are parsed
+        # and the files read
         config = {k: str(v) for k, v in vars(args).items() if not callable(v)}
         _check_options(args)
         out = Path(args.out)

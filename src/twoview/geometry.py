@@ -721,8 +721,8 @@ def project_voxels(grid: VoxelGrid, spec: ProjectionSpec,
 
 def _image_dims(image_dims) -> tuple[int, int]:
     """(nu, nw), an image's pixel counts; raises DimMismatch unless both
-    are >= 1."""
-    nu, nw = int(image_dims[0]), int(image_dims[1])
+    are integers, through `_require_int`, and >= 1."""
+    nu, nw = (_require_int(n, "image dim") for n in image_dims[:2])
     if nu < 1 or nw < 1:
         raise DimMismatch(f"image dims must be >= 1, got {(nu, nw)}")
     return nu, nw
@@ -737,6 +737,18 @@ def _require_int(value, what: str) -> int:
         return operator.index(value)
     except TypeError as exc:
         raise DimMismatch(f"{what} must be an integer: {exc}") from exc
+
+
+def _require_dim(dim) -> None:
+    """Raise DimMismatch unless `dim`, the number of components of a
+    direction constraint, is 3 or 4 through `operator.index`, as GridHeader
+    takes its dims: 3.0 is refused."""
+    try:
+        if operator.index(dim) in (3, 4):
+            return
+    except TypeError:
+        pass
+    raise DimMismatch(f"dim must be 3 or 4, got {_brief(dim)}")
 
 
 def _require_tol(tol: float) -> None:

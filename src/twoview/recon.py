@@ -40,12 +40,12 @@ from .geometry import (
     _aligned_pixels,
     _as_array,
     _axis_alignment,
-    _brief,
     _canonical_sign,
     _cross_norm,
     _entry_bound,
     _exponent,
     _rank_above,
+    _require_dim,
     _require_int,
     _require_memory,
 )
@@ -217,8 +217,7 @@ def solve_direction(constraints, dim: int) -> DirectionSolution:
 def _stack_constraints(constraints, dim: int):
     """(A, b) from the omegas and rhs values; DimMismatch unless dim is
     3 or 4, there is at least one row and every omega has dim entries."""
-    if dim not in (3, 4):
-        raise DimMismatch(f"dim must be 3 or 4, got {_brief(dim)}")
+    _require_dim(dim)
     rows = list(constraints)
     if not rows:
         raise DimMismatch("need at least one constraint")

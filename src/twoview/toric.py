@@ -25,7 +25,8 @@ from .errors import (
 )
 from .geometry import (PointCloud, ProjectionSpec, Record, _RANK_TOL,
                        _as_array, _brief, _canonical_sign, _exponent,
-                       _rank_above, _require_int, _require_tol)
+                       _rank_above, _require_dim, _require_int,
+                       _require_tol)
 
 CONTINUOUS = "continuous"
 _CELL_BLOCK = 2**18  # pairs per block of whole queries in the cell grid
@@ -287,11 +288,10 @@ def _fixed_basis(axis, order: int, dim: int) -> np.ndarray:
     non-finite axis, or a dim other than 3 or 4."""
     _require_order(order)
     a = _unit_axis(axis)
+    _require_dim(dim)
     if dim == 3:
         return a[:, None]
-    if dim == 4:
-        return np.column_stack([np.append(a, 0.0), np.eye(4)[3]])
-    raise DimMismatch(f"dim must be 3 or 4, got {_brief(dim)}")
+    return np.column_stack([np.append(a, 0.0), np.eye(4)[3]])
 
 
 def group_average(matrixlike_axis, order: int, dim: int = 3) -> np.ndarray:

@@ -121,11 +121,16 @@ class TestFiniteMagma:
         with pytest.raises(DimMismatch):
             FiniteMagma([[0, 1, 0], [1, 0, 1]])
 
-    def test_rejects_out_of_range(self):
-        with pytest.raises(DimMismatch):
-            FiniteMagma([[0, 5], [1, 0]])
-        with pytest.raises(DimMismatch):
-            FiniteMagma([[0, -2], [1, 0]])
+    @pytest.mark.parametrize("table", [
+        [[0, 5], [1, 0]], [[0, -2], [1, 0]], [[2**70, 0], [0, 1]],
+        np.array([[2**70, 0], [0, 1]], dtype=object),
+        np.array([[2**64 - 1, 0], [0, 1]], dtype=np.uint64),
+    ], ids=["5", "-2", "2^70", "object-2^70", "uint64-max"])
+    def test_rejects_out_of_range(self, table):
+        # 2^70 once escaped as a bare OverflowError from the int64
+        # conversion, and the largest uint64 wrapped to -1, undefined
+        with pytest.raises(DimMismatch, match="table entries must be in"):
+            FiniteMagma(table)
 
     @pytest.mark.parametrize("table", [
         [[1.5, 0], [0, 1]], [[np.nan, 0], [0, 1]], [[1.0, 0], [0, 1]],

@@ -1031,7 +1031,7 @@ class TestGridHeaders:
         assert code == 2
         assert self.error(capsys)["error"] == (
             "GridTooSmall" if case == "dims-2" else "DimMismatch")
-        assert list(out.iterdir()) == []
+        assert not out.exists()
 
     def test_default_tolerance_must_be_finite(self, tmp_path, capsys):
         # 10 h^2 overflows; Infinity once went into report.json
@@ -1056,7 +1056,7 @@ class TestGridHeaders:
         out = tmp_path / "out"
         assert self.project_voxels(grid, out) == 2
         assert self.error(capsys)["error"] == "DimMismatch"
-        assert list(out.iterdir()) == []
+        assert not out.exists()
 
     def test_one_voxel_is_a_lattice(self, tmp_path):
         # fields need 3 nodes per axis, voxel grids one
@@ -1140,7 +1140,7 @@ class TestNonFiniteOutput:
                    "--field-y", fixture_path("field_contact_y.json"),
                    "--out", out) == 2
         assert self.error(capsys)["error"] == "HeaderMismatch"
-        assert list(out.iterdir()) == []
+        assert not out.exists()
 
 
 class TestCertify:
@@ -1443,13 +1443,15 @@ class TestToric:
         assert code == 2
 
     @pytest.mark.parametrize("dim", ["5", "3.7", '"4"', "true", "null",
-                                     "1" + "0" * 400],
-                             ids=["5", "3.7", '"4"', "true", "null", "1e400"])
+                                     "1" + "0" * 400, "3.0", "4.0"],
+                             ids=["5", "3.7", '"4"', "true", "null", "1e400",
+                                  "3.0", "4.0"])
     def test_solve_dim_must_be_3_or_4(self, dim, tmp_path, capsys):
         # the loader once took int(dim): 3.7 solved as dim 3 (exit 0), "4"
         # as dim 4, and true was refused as "got 1"; the solver then
         # refused dim outside the loader, naming no file, and echoed it
-        # whole: 1 and 400 zeros gave a 465-byte line
+        # whole: 1 and 400 zeros gave a 465-byte line.  3.0 and 4.0 then
+        # still solved as dims 3 and 4
         cons = tmp_path / "cons.json"
         cons.write_text('{"rows": [{"omega": [1, 0, 0]}, '
                         '{"omega": [0, 1, 0]}], "dim": %s}' % dim)
@@ -1463,7 +1465,7 @@ class TestToric:
         assert len(err["message"].encode()) < 200
         if len(dim) < 40:
             assert err["message"].endswith(f"got {json.loads(dim)}")
-        assert list(out.iterdir()) == []
+        assert not out.exists()
 
     def test_solve_gets_the_axis_as_written(self, tmp_path, monkeypatch):
         # the --axis check normalizes a copy: normalizing twice moves the
@@ -1480,20 +1482,17 @@ class TestToric:
                    "--out", tmp_path / "out") == 0
         assert seen == [[0.1, 0.2, 3.0]]
 
-    def test_solve_dim_4_0_is_dim_4(self, tmp_path):
-        outs = []
-        for dim in ("4", "4.0"):
-            (tmp_path / "cons.json").write_text(
-                '{"rows": [{"omega": [0, 0, 1, -1]}], "dim": %s}' % dim)
-            outs.append(tmp_path / f"out{dim}")
-            assert run("toric", "solve", "--constraints",
-                       tmp_path / "cons.json", "--axis", "0,0,1",
-                       "--order", "4", "--out", outs[-1]) == 0
-        a, b = [(out / "direction.json").read_bytes() for out in outs]
-        assert a == b
-        np.testing.assert_allclose(json.loads(a)["v"],
-                                   np.array([0, 0, 1, 1]) / np.sqrt(2),
-                                   atol=1e-15)
+    def test_solve_dim_4(self, tmp_path):
+        # a "dim" of 4.0 once solved as 4; test_solve_dim_must_be_3_or_4
+        # now refuses it
+        (tmp_path / "cons.json").write_text(
+            '{"rows": [{"omega": [0, 0, 1, -1]}], "dim": 4}')
+        out = tmp_path / "out"
+        assert run("toric", "solve", "--constraints", tmp_path / "cons.json",
+                   "--axis", "0,0,1", "--order", "4", "--out", out) == 0
+        np.testing.assert_allclose(
+            json.loads((out / "direction.json").read_text())["v"],
+            np.array([0, 0, 1, 1]) / np.sqrt(2), atol=1e-15)
 
 
 class TestNoiseStudy:
@@ -1606,7 +1605,7 @@ class TestToricSolveNonFinite:
                    "--axis", "0,0,1", "--order", "4", "--out", out) == 2
         err = self.error(capsys)
         assert err["error"] == "DimMismatch"
-        assert list(out.iterdir()) == []
+        assert not out.exists()
 
 
 def leaf_parsers(parser=None, path=()):
@@ -1865,6 +1864,66 @@ class TestOneErrorBoundary:
                            "--spec2", SPEC_YZ, "--sigmas", "0.1",
                            "--seed", "-1", "--out", tmp_path / "out")
         assert err["error"] == "DimMismatch"
+
+
+# every option that names an input file, and each leaf command with each
+# of them it accepts
+_FILES = ("--input", "--spec1", "--spec2", "--image1", "--image2", "--sino1",
+          "--sino2", "--field-x", "--field-y", "--field-z", "--connection",
+          "--table", "--twist", "--constraints")
+_FILE_OPTIONS = [(leaf, action.option_strings[0])
+                 for leaf, sp in leaf_parsers().items()
+                 for action in options(sp) if action.option_strings[0] in _FILES]
+
+
+class TestFilesBeforeOut:
+    """Every input file is read before --out is made: one that cannot be
+    read exits 2 with one JSON line naming it and leaves no --out."""
+
+    def test_the_table_names_a_loader_for_each_file(self):
+        loaders = {opt: check for opt, check in cli._OPTION_CHECKS.items()
+                   if isinstance(check, str)}
+        assert set(loaders) == set(_FILES)
+        assert all(callable(getattr(ser, name)) for name in loaders.values())
+        assert {leaf for leaf, _ in _FILE_OPTIONS} == set(leaf_parsers())
+        assert len(_FILE_OPTIONS) == 36
+
+    @pytest.mark.parametrize("leaf, option", _FILE_OPTIONS, ids=lambda v:
+                             v if isinstance(v, str) else " ".join(v))
+    def test_missing_file(self, leaf, option, cli_inputs, tmp_path, capsys):
+        # the commands once read their files after --out was made, so a
+        # missing one left an empty directory behind
+        good, missing = cli_inputs[0], tmp_path / "missing.json"
+        argv = list(leaf)
+        for action in options(leaf_parsers()[leaf]):
+            opt = action.option_strings[0]
+            if opt == option:
+                argv += [opt, missing]
+            elif action.required and opt != "--out":
+                argv += [opt, good[opt][0]]
+        out = tmp_path / "out"
+        assert run(*argv, "--out", out) == 2
+        [line] = capsys.readouterr().err.splitlines()
+        assert json.loads(line) == {"error": "InputError",
+                                    "message": f"no such file: {missing}"}
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ("project", "--check-transversal", "--input", "MISSING"),
+        ("reconstruct", "voxels", "--grid-dims", "3,3,3",
+         "--sino1", "MISSING", "--sino2", "MISSING")],
+        ids=["project", "voxels"])
+    def test_files_are_read_before_the_geometric_checks(self, argv, tmp_path,
+                                                        capsys):
+        # on coaxial specs both once exited 3 (NonTransverse) before the
+        # missing file was read
+        missing, out = tmp_path / "missing", tmp_path / "out"
+        argv = [missing if a == "MISSING" else a for a in argv]
+        assert run(*argv, "--spec1", SPEC_XY, "--spec2", SPEC_XY,
+                   "--out", out) == 2
+        assert json.loads(capsys.readouterr().err)["message"] == (
+            f"no such file: {missing}")
+        assert not out.exists()
 
 
 @pytest.fixture(scope="module")
@@ -2164,7 +2223,7 @@ class TestFuzzedFiles:
                               "InvalidFrame"),
         "table entry past int64": ("table CSV", ".csv",
                                    "0,1\n1,99999999999999999999999\n",
-                                   "InputError"),
+                                   "DimMismatch"),
         "infinite constraints dim": ("constraints JSON", ".json",
                                      "{%s, \"dim\": Infinity}" % (ROWS % 1),
                                      "DimMismatch"),

@@ -144,6 +144,16 @@ class TestProjectVoxels:
         with pytest.raises(DimMismatch, match="image dims must be >= 1"):
             projection_operator(grid, spec, dims)
 
+    @pytest.mark.parametrize("dims", [(2.5, 3.9), (3.7, 3.2), (2.0, 2),
+                                      (2, "2"), (2, None)])
+    @pytest.mark.parametrize("spec", [XY, tilted_spec(np.radians(30))],
+                             ids=["axis", "tilt30"])
+    def test_image_dims_must_be_integers(self, spec, dims):
+        # int() once truncated them: (3.7, 3.2) projected a 3x3 sinogram
+        grid = VoxelGrid((2, 2, 2), 1.0, (0, 0, 0), np.ones((2, 2, 2)))
+        with pytest.raises(DimMismatch, match="image dim must be an integer"):
+            project_voxels(grid, spec, dims)
+
     def test_ray_march_matches_exact_for_axis_aligned(self, rng):
         # tilt by a tiny angle would change values; instead compare the
         # marched estimate on a smooth blob against the exact column sums

@@ -308,9 +308,10 @@ class TestSolveDirection:
             assert sol.residual == pytest.approx(np.linalg.norm(A @ x - b),
                                                  rel=1e-10)
 
-    @pytest.mark.parametrize("dim", [2, 5, 10**400], ids=["2", "5", "1e400"])
+    @pytest.mark.parametrize("dim", [2, 5, 10**400, 3.0, np.float64(4), "3"],
+                             ids=["2", "5", "1e400", "3.0", "float64-4", "str"])
     def test_bad_dim(self, dim):
-        # 1 and 400 zeros was once echoed whole
+        # 1 and 400 zeros was once echoed whole, and 3.0 solved as dim 3
         with pytest.raises(DimMismatch, match="dim must be 3 or 4") as exc:
             solve_direction([ConstraintRow([1, 0, 0])], dim=dim)
         assert len(str(exc.value)) < 80

@@ -551,11 +551,14 @@ class TestGroupAverage:
             group_average([0, 0, 1], order)
 
     def test_bad_dim(self):
-        # 1 and 400 zeros was once echoed whole
-        for dim in (5, 10**400):
+        # 1 and 400 zeros was once echoed whole, and 3.0 and 4.0 passed
+        for dim in (5, 10**400, 3.0, np.float64(4)):
             with pytest.raises(DimMismatch, match="dim must be 3 or 4") as exc:
                 group_average([0, 0, 1], 2, dim=dim)
             assert len(str(exc.value)) < 80
+            with pytest.raises(DimMismatch, match="dim must be 3 or 4"):
+                solve_direction_equivariant([ConstraintRow([1, 0, 0])],
+                                            [0, 0, 1], 4, dim=dim)
 
     def test_zero_axis(self):
         with pytest.raises(DimMismatch, match="finite and nonzero"):
