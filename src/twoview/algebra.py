@@ -58,7 +58,11 @@ class FiniteMagma(Record):
         return bool(np.all(self.table != UNDEFINED))
 
     def op(self, a: int, b: int) -> int:
-        """Product a * b, or UNDEFINED."""
+        """Product a * b, or UNDEFINED.  Raises DimMismatch unless a and b
+        are integers in 0..n-1."""
+        a, b = (_require_int(x, "element", 0) for x in (a, b))
+        if max(a, b) >= self.order:
+            raise DimMismatch(f"elements must be < {self.order}: {a}, {b}")
         return int(self.table[a, b])
 
     @classmethod

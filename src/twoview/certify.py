@@ -24,6 +24,7 @@ from .geometry import (
     Record,
     TransversalityCheck,
     _as_array,
+    _require_tol,
     check_transversality,
 )
 
@@ -83,7 +84,7 @@ def certificate(spec1: ProjectionSpec, spec2: ProjectionSpec,
         transversality=trans,
         integrability=integ,
         unique=bool(trans.transversal and integ.integrable),
-        tol_transversal=float(tol_transversal),
+        tol_transversal=_require_tol(tol_transversal),
         tol_integrability=float(integ.tolerance),
     )
 

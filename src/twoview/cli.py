@@ -240,14 +240,14 @@ _OPTION_CHECKS = {
     "--image-dims": lambda n: geometry._image_dims((n, n)),
     "--order": lambda k: toric._require_order(k),
     "--trials": lambda n: recon._require_trials(n),
-    "--seed": lambda s: recon._require_seed(s),
+    "--seed": lambda s: geometry._require_int(s, "seed", 0),
     # a unit-spacing header checks the dims, so that only their refusal
     # names --grid-dims; the system does not depend on the origin
     "--grid-dims": (int, lambda d: geometry.GridHeader(d, 1.0, (0, 0, 0))),
     "--orders": (int, lambda k: toric._require_orders(k)),
     # the raw values go on: normalizing twice can move an axis's last bit
     "--axis": (float, lambda v: toric._unit_axis(v)),
-    "--sigmas": (float, lambda s: [recon._require_sigma(x) for x in s]),
+    "--sigmas": (float, lambda s: geometry._as_array(s, -1, "sigma", lo=0)),
     # the input files, read once every value above has passed
     "--input": "load_cloud", "--spec1": "load_spec", "--spec2": "load_spec",
     "--image1": "load_image", "--image2": "load_image",

@@ -376,17 +376,17 @@ def integrability_report(X: VectorFieldGrid, Y: VectorFieldGrid,
                          tol: float | None = None) -> IntegrabilityReport:
     """Aggregate obstruction maxima over interior nodes into a verdict.
 
-    Raises DimMismatch when tol is NaN, negative or infinite, the
-    default 10 h^2 of a spacing h that large included.
+    Raises DimMismatch unless tol is a real number, finite and >= 0, the
+    default 10 h^2 of a spacing h included.
     """
     header = _require_same_header(X, Y, conn)
-    tol = default_tolerance(header.spacing) if tol is None else tol
-    _require_tol(tol)
+    tol = _require_tol(default_tolerance(header.spacing) if tol is None
+                       else tol)
     hmax = hantjies_tensor(X, Y, conn).max_interior_norm()
     _, fmax = frobenius_residual(X, Y)
     return IntegrabilityReport(
         max_hantjies_norm=hmax,
         max_frobenius_residual=fmax,
         integrable=bool(hmax <= tol and fmax <= tol),
-        tolerance=float(tol),
+        tolerance=tol,
         interior_node_count=int(np.prod(np.subtract(header.dims, 2))))

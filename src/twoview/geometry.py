@@ -46,14 +46,17 @@ _MEMORY_LIMIT = 2**28
 _ROW_BYTES, _VOXEL_BYTES, _ENTRY_BYTES, _SAMPLE_BYTES = 59, 55, 56, 640
 
 
-def _as_array(x, shape, what: str, error=DimMismatch) -> np.ndarray:
-    """`x` as a float array reshaped to `shape` (None keeps its shape): the
-    one coercion of every record and array entry point.
+def _as_array(x, shape, what: str, error=DimMismatch,
+              lo=None) -> np.ndarray:
+    """`x` as a float array reshaped to `shape` (None keeps its shape, ()
+    takes a real scalar): the one coercion of every record and array entry
+    point and of every real scalar parameter.
 
     Raises DimMismatch when x is not a rectangular array of numbers, holds
-    an integer past float64 or does not fit `shape`, and `error` when an
-    entry is not finite: DimMismatch, but for `diffgeo`'s node samples,
-    whose non-finite entries are the CLI's HeaderMismatch.
+    an integer past float64 or does not fit `shape`, `error` when an entry
+    is not finite (DimMismatch, but for `diffgeo`'s node samples, whose
+    non-finite entries are the CLI's HeaderMismatch) and DimMismatch when
+    `lo` is given and an entry is below it.
     """
     try:
         a = np.asarray(x, dtype=float)
@@ -63,6 +66,8 @@ def _as_array(x, shape, what: str, error=DimMismatch) -> np.ndarray:
         raise DimMismatch(f"malformed {what}: {exc}") from exc
     if not np.all(np.isfinite(a)):
         raise error(f"non-finite {what}")
+    if lo is not None and np.any(a < lo):
+        raise DimMismatch(f"{what} must be >= {lo}, got {a.min()}")
     return a
 
 
@@ -183,11 +188,9 @@ class _WeightedPoints(Record):
     def __post_init__(self):
         pos = _as_array(self.positions, (-1, self._dim),
                         f"{self._kind}positions")
-        w = _as_array(self.weights, -1, f"{self._kind}weights")
+        w = _as_array(self.weights, -1, f"{self._kind}weights", lo=0)
         if len(pos) != len(w):
             raise DimMismatch(f"{len(pos)} positions vs {len(w)} weights")
-        if np.any(w < 0):
-            raise DimMismatch("weights must be >= 0")
         object.__setattr__(self, "positions", pos)
         object.__setattr__(self, "weights", w)
 
@@ -297,10 +300,8 @@ class VoxelGrid(GridHeader):
 
     def __post_init__(self):
         super().__post_init__()
-        vals = _as_array(self.values, self.dims, "voxel values")
-        if np.any(vals < 0):
-            raise DimMismatch("voxel values must be >= 0")
-        object.__setattr__(self, "values", vals)
+        object.__setattr__(self, "values", _as_array(
+            self.values, self.dims, "voxel values", lo=0))
 
 
 class ProjectionSpec(Record):
@@ -721,22 +722,23 @@ def project_voxels(grid: VoxelGrid, spec: ProjectionSpec,
 
 def _image_dims(image_dims) -> tuple[int, int]:
     """(nu, nw), an image's pixel counts; raises DimMismatch unless both
-    are integers, through `_require_int`, and >= 1."""
-    nu, nw = (_require_int(n, "image dim") for n in image_dims[:2])
-    if nu < 1 or nw < 1:
-        raise DimMismatch(f"image dims must be >= 1, got {(nu, nw)}")
-    return nu, nw
+    are integers >= 1, through `_require_int`."""
+    return tuple(_require_int(n, "image dim", 1) for n in image_dims[:2])
 
 
-def _require_int(value, what: str) -> int:
+def _require_int(value, what: str, lo=None) -> int:
     """`value` through `operator.index`, as GridHeader takes its dims: the
-    one rule of the integer counts, orders and seeds.  Raises DimMismatch
-    naming `what` for a float, NaN, string or other non-integer, which
-    `int()` would truncate or refuse with another error."""
+    one rule of the integer counts, orders, seeds and indices, which
+    returns the int.  Raises DimMismatch naming `what` for a float, NaN,
+    string or other non-integer, which `int()` would truncate or refuse
+    with another error, and for a value below `lo` when it is given."""
     try:
-        return operator.index(value)
+        value = operator.index(value)
     except TypeError as exc:
         raise DimMismatch(f"{what} must be an integer: {exc}") from exc
+    if lo is not None and value < lo:
+        raise DimMismatch(f"{what} must be >= {lo}, got {_brief(value)}")
+    return value
 
 
 def _require_dim(dim) -> None:
@@ -751,12 +753,13 @@ def _require_dim(dim) -> None:
     raise DimMismatch(f"dim must be 3 or 4, got {_brief(dim)}")
 
 
-def _require_tol(tol: float) -> None:
-    """Raise DimMismatch unless tol is finite and >= 0: a NaN or negative
-    tolerance makes every `<= tol` or `> tol` verdict meaningless, and an
-    infinite one passes everything and is not a JSON number."""
-    if not (tol >= 0 and np.isfinite(tol)):
-        raise DimMismatch(f"tol must be >= 0 and finite, got {tol}")
+def _require_tol(value, what: str = "tol") -> float:
+    """`value`, a tolerance or noise level, as a float through `_as_array`;
+    DimMismatch naming `what` unless it is a real number, finite and >= 0: a
+    NaN or negative tolerance makes every `<= tol` or `> tol` verdict
+    meaningless, and an infinite one passes everything and is not a JSON
+    number."""
+    return float(_as_array(value, (), what, lo=0))
 
 
 def _cross_norm(spec1: ProjectionSpec, spec2: ProjectionSpec,
@@ -773,7 +776,7 @@ def _cross_norm(spec1: ProjectionSpec, spec2: ProjectionSpec,
     frames, or infinite.
     """
     if tol is not None:
-        _require_tol(tol)
+        tol = _require_tol(tol)
     cn = float(np.linalg.norm(np.cross(spec1.n, spec2.n)))
     if tol is not None and cn <= tol:
         raise NonTransverse(f"|n1 x n2| = {cn} <= tol = {tol}")
@@ -801,11 +804,10 @@ def check_transversality(spec1: ProjectionSpec, spec2: ProjectionSpec,
     vanishes exactly when D loses rank (coaxial views), lies between the
     smallest and sqrt(2) times it, and is `_cross_norm`, so the verdict
     (transversal when > tol) agrees with every gate.  Raises DimMismatch
-    when tol is NaN, negative or infinite.
+    unless tol is a real number, finite and >= 0.
     """
-    _require_tol(tol)
     cn = _cross_norm(spec1, spec2)
-    return TransversalityCheck(cn, cn > tol)
+    return TransversalityCheck(cn, cn > _require_tol(tol))
 
 
 def _rank_above(svals: np.ndarray, smax: float) -> int:
@@ -852,10 +854,13 @@ def backproject(obs, spec: ProjectionSpec) -> BackprojectionRay:
 
 
 def coordinate_spec(axis: int) -> ProjectionSpec:
-    """Right-handed frame viewing along coordinate axis `axis` (0, 1, 2)."""
-    e = np.eye(3)
-    order = {2: (0, 1, 2), 0: (1, 2, 0), 1: (2, 0, 1)}[axis % 3]
-    return ProjectionSpec(e[order[0]], e[order[1]], e[order[2]])
+    """Right-handed frame viewing along coordinate axis `axis` (0, 1, 2):
+    u, w, n = e[axis + 1], e[axis + 2], e[axis], indices mod 3.  Raises
+    DimMismatch for any other axis."""
+    axis = _require_int(axis, "axis", 0)
+    if axis > 2:
+        raise DimMismatch(f"axis must be 0, 1 or 2, got {axis}")
+    return ProjectionSpec(*np.eye(3)[[(axis + k) % 3 for k in (1, 2, 3)]])
 
 
 #: Frames projecting along +z, +x, +y respectively.

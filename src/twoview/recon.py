@@ -48,6 +48,7 @@ from .geometry import (
     _require_dim,
     _require_int,
     _require_memory,
+    _require_tol,
 )
 
 # Closed-form slice ranks of systems with at most this many matrix entries
@@ -554,26 +555,13 @@ def amplification_factor(spec1: ProjectionSpec, spec2: ProjectionSpec) -> float:
     return 1.0 / _cross_norm(spec1, spec2, 0.0)
 
 
-def _require_sigma(sigma: float) -> None:
-    """Raise DimMismatch unless the noise std sigma is finite and >= 0."""
-    if not (np.isfinite(sigma) and sigma >= 0):
-        raise DimMismatch(f"sigma must be finite and >= 0, got {sigma}")
-
-
-def _require_trials(trials: int) -> None:
-    """Raise DimMismatch unless a noise study's trial count is an integer
-    >= 1, and SystemTooLarge when its per-trial RMSEs exceed the memory
-    limit."""
-    if _require_int(trials, "trials") < 1:
-        raise DimMismatch(f"trials must be >= 1, got {trials}")
+def _require_trials(trials: int) -> int:
+    """A noise study's trial count as an int; DimMismatch unless it is an
+    integer >= 1 (`_require_int`), and SystemTooLarge when its per-trial
+    RMSEs exceed the memory limit."""
+    trials = _require_int(trials, "trials", 1)
     _require_memory(f"a noise study of {trials} trials", dense=trials)
-
-
-def _require_seed(seed: int) -> None:
-    """Raise DimMismatch unless a noise study's seed is an integer >= 0,
-    which numpy's seed sequence needs."""
-    if _require_int(seed, "seed") < 0:
-        raise DimMismatch(f"seed must be >= 0, got {seed}")
+    return trials
 
 
 def noise_study(cloud: PointCloud, spec1: ProjectionSpec,
@@ -595,16 +583,16 @@ def noise_study(cloud: PointCloud, spec1: ProjectionSpec,
     many points and trials the root mean squared error is
     sigma * |M|_F = sigma * sqrt(1/2 + 2 / |n1 x n2|^2), which exceeds
     kappa * sigma for every pair.
-    Raises DimMismatch for a cloud of no points, unless sigma is finite
-    and >= 0 (`_require_sigma`), trials an integer >= 1
-    (`_require_trials`) and seed an integer >= 0 (`_require_seed`), and
-    when rmse_mean, rmse_std or predicted_bound overflows, and
-    SystemTooLarge when the trials' RMSEs would exceed the memory limit
-    (`_require_trials`).
+    Raises DimMismatch for a cloud of no points, unless sigma is a real
+    number, finite and >= 0 (`geometry._require_tol`), trials an integer
+    >= 1 (`_require_trials`) and seed an integer >= 0, which numpy's seed
+    sequence needs (`geometry._require_int`), and when rmse_mean, rmse_std
+    or predicted_bound overflows, and SystemTooLarge when the trials' RMSEs
+    would exceed the memory limit (`_require_trials`).
     """
-    _require_sigma(sigma)
-    _require_trials(trials)
-    _require_seed(seed)
+    sigma = _require_tol(sigma, "sigma")
+    trials = _require_trials(trials)
+    seed = _require_int(seed, "seed", 0)
     if len(cloud) == 0:
         raise DimMismatch("the cloud has no points")
     kappa = amplification_factor(spec1, spec2)
@@ -619,5 +607,5 @@ def noise_study(cloud: PointCloud, spec1: ProjectionSpec,
         scaled = sigma * unit
     if not np.all(np.isfinite(scaled)):
         raise DimMismatch(f"noise of std {sigma} overflows the reconstruction")
-    return NoiseReport(float(sigma), int(trials), *map(float, scaled),
-                       float(unit[0]) if sigma > 0 else 0.0, int(seed))
+    return NoiseReport(sigma, trials, *map(float, scaled),
+                       float(unit[0]) if sigma > 0 else 0.0, seed)

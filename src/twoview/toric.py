@@ -24,7 +24,7 @@ from .errors import (
     InputError,
 )
 from .geometry import (PointCloud, ProjectionSpec, Record, _RANK_TOL,
-                       _as_array, _brief, _canonical_sign, _exponent,
+                       _as_array, _canonical_sign, _exponent,
                        _rank_above, _require_dim, _require_int,
                        _require_tol)
 
@@ -58,9 +58,10 @@ def rotation_about(axis, angle: float) -> np.ndarray:
     """Rodrigues rotation matrix about the direction of `axis`.
 
     Raises DimMismatch unless the axis is three finite numbers, not all
-    zero.
+    zero, and the angle a finite real number.
     """
     a = _unit_axis(axis)
+    angle = _as_array(angle, (), "angle")
     K = np.array([[0, -a[2], a[1]], [a[2], 0, -a[0]], [-a[1], a[0], 0]])
     return np.eye(3) + np.sin(angle) * K + (1 - np.cos(angle)) * (K @ K)
 
@@ -152,8 +153,10 @@ class _CellGrid:
 
 def _require_orders(orders) -> list:
     """The candidate symmetry orders as ints; raises DimMismatch unless
-    there is one or more and each is an integer >= 2."""
-    orders = [_require_int(k, "symmetry order") for k in orders]
+    they are an iterable of one or more, each an integer >= 2."""
+    # a lone order, not iterable, is refused as no orders
+    orders = [_require_int(k, "symmetry order") for k in
+              (orders if np.iterable(orders) else ())]
     if not orders or any(k < 2 for k in orders):
         raise DimMismatch("symmetry orders must be one or more integers >= 2")
     return orders
@@ -168,11 +171,12 @@ def detect_axis(cloud: PointCloud, orders, tol: float = 1e-9) -> ToricReport:
     candidates whose residual passes tol the highest order wins (the
     finest symmetry); otherwise the overall minimum residual is reported.
     A repeated eigenvalue pair flags a continuous symmetry.  Raises
-    DimMismatch when an order is not an integer >= 2 or tol is NaN,
-    negative or infinite, or when no order is given, and DegenerateCloud
-    for fewer than 3 points or points collinear up to rounding: fewer than
-    two singular values of the centred positions above _RANK_TOL times the
-    largest, so a line's rounding is judged against its length.
+    DimMismatch when an order is not an integer >= 2 or tol is not a
+    finite real number >= 0, or when orders is not an iterable of one or
+    more, and DegenerateCloud for fewer than 3 points or points collinear
+    up to rounding: fewer than two singular values of the centred
+    positions above _RANK_TOL times the largest, so a line's rounding is
+    judged against its length.
 
     A candidate passes when every rotated point has a partner within
     max(tol, tol * 2R), R the largest distance of a point from the
@@ -196,7 +200,7 @@ def detect_axis(cloud: PointCloud, orders, tol: float = 1e-9) -> ToricReport:
     copy of a cloud may match more orders.
     """
     orders = _require_orders(orders)
-    _require_tol(tol)
+    tol = _require_tol(tol)
     if len(cloud) < 3:
         raise DegenerateCloud("need at least 3 points")
     e = _exponent(cloud.positions)
@@ -264,7 +268,7 @@ def invariant_moment_check(cloud: PointCloud, spec: ProjectionSpec,
     zero for a cloud centered on the axis (through the origin), nonzero
     for off-axis mass.  Raises DimMismatch unless order is an integer >= 2.
     """
-    _require_order(order)
+    order = _require_order(order)
     a = _unit_axis(axis)
     ac = np.cross(a, moments.centroid3d(cloud))
     theta = 2 * np.pi * np.arange(1, order) / order
@@ -274,11 +278,10 @@ def invariant_moment_check(cloud: PointCloud, spec: ProjectionSpec,
     return float(np.linalg.norm(shift, axis=1).max(initial=0.0))
 
 
-def _require_order(order: int) -> None:
-    """Raise DimMismatch unless a rotation group's order is an integer
-    >= 2."""
-    if _require_int(order, "order") < 2:
-        raise DimMismatch(f"order must be >= 2, got {_brief(order)}")
+def _require_order(order: int) -> int:
+    """A rotation group's order as an int; DimMismatch unless it is an
+    integer >= 2."""
+    return _require_int(order, "order", 2)
 
 
 def _fixed_basis(axis, order: int, dim: int) -> np.ndarray:

@@ -6,9 +6,10 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twoview.algebra import TwistMap, Verdict
-from twoview.certify import TrivializationCoords
-from twoview.diffgeo import ConnectionField, VectorFieldGrid, parallel_transport
+from twoview.algebra import FiniteMagma, TwistMap, Verdict
+from twoview.certify import TrivializationCoords, certificate
+from twoview.diffgeo import (ConnectionField, VectorFieldGrid,
+                             integrability_report, parallel_transport)
 from twoview.errors import (
     DimMismatch,
     HeaderMismatch,
@@ -31,6 +32,7 @@ from twoview.geometry import (
     _cross_norm,
     apply_involution,
     backproject,
+    check_transversality,
     coordinate_spec,
     pixel_center_coords,
     project_points,
@@ -38,8 +40,8 @@ from twoview.geometry import (
     projection_operator,
 )
 from twoview.moments import MomentValue, SecondMoment3D
-from twoview.recon import ConstraintRow, triangulate
-from twoview.toric import rotation_about
+from twoview.recon import ConstraintRow, noise_study, triangulate
+from twoview.toric import detect_axis, group_average, rotation_about
 from twoview import geometry, recon
 from conftest import random_cloud, random_spec, rotated_about_z, tilted_spec
 
@@ -141,7 +143,9 @@ class TestProjectVoxels:
                              ids=["axis", "tilt30"])
     def test_image_dims_below_one(self, spec, dims):
         grid = VoxelGrid((4, 4, 4), 1.0, (0, 0, 0), np.ones((4, 4, 4)))
-        with pytest.raises(DimMismatch, match="image dims must be >= 1"):
+        first = next(n for n in dims if n < 1)
+        with pytest.raises(DimMismatch,
+                           match=f"^image dim must be >= 1, got {first}$"):
             projection_operator(grid, spec, dims)
 
     @pytest.mark.parametrize("dims", [(2.5, 3.9), (3.7, 3.2), (2.0, 2),
@@ -713,8 +717,12 @@ class TestBackproject:
 
 NODES = GridHeader((3, 3, 3), 1.0, (0, 0, 0))
 FLAT = ConnectionField.flat(NODES)
-# every record constructor and array entry point, with the one argument
-# each entry feeds it in place of an array
+FIELD = VectorFieldGrid(NODES, np.zeros((3, 3, 3, 3)))
+HEXAGON = PointCloud(np.column_stack([
+    np.cos(np.arange(6) * np.pi / 3), np.sin(np.arange(6) * np.pi / 3),
+    np.zeros(6)]), np.ones(6))
+# every record constructor, array entry point and real scalar parameter,
+# with the one argument each entry feeds it in place of an array
 BOUNDARY = {
     "PointCloud positions": lambda x: PointCloud(x, [1.0]),
     "PointCloud weights": lambda x: PointCloud([[0.0, 0.0, 0.0]], x),
@@ -744,6 +752,17 @@ BOUNDARY = {
         FLAT, [[0, 0, 0], [1, 1, 1]], x),
     "VectorFieldGrid": lambda x: VectorFieldGrid(NODES, x),
     "ConnectionField": lambda x: ConnectionField(NODES, x),
+    "rotation_about angle": lambda x: rotation_about(E[2], x),
+    "check_transversality tol": lambda x: check_transversality(XY, YZ, x),
+    "triangulate tol": lambda x: triangulate([0, 0], [0, 0], XY, YZ, x),
+    "detect_axis tol": lambda x: detect_axis(HEXAGON, [2], x),
+    "integrability_report tol": lambda x: integrability_report(
+        FIELD, FIELD, FLAT, x),
+    "certificate tol_transversal": lambda x: certificate(
+        XY, YZ, HEXAGON, FIELD, FIELD, FLAT, tol_transversal=x),
+    "certificate tol_integrability": lambda x: certificate(
+        XY, YZ, HEXAGON, FIELD, FIELD, FLAT, tol_integrability=x),
+    "noise_study sigma": lambda x: noise_study(HEXAGON, XY, YZ, x, 1),
 }
 # a non-finite sample of a node array is the CLI's HeaderMismatch
 NODE_ARRAYS = ("VectorFieldGrid", "ConnectionField")
@@ -754,7 +773,8 @@ JUNK = [np.nan, np.inf, -np.inf, 10 ** 400, None, "ab", ""]
 
 class TestArrayBoundary:
     """`geometry._as_array` is the one coercion of every record and array
-    entry point: a malformed or non-finite array raises DimMismatch."""
+    entry point and of every real scalar parameter: a malformed or
+    non-finite array raises DimMismatch."""
 
     @pytest.mark.parametrize("call", [
         lambda: GridHeader((2, 2, 2), 1.0, [0, 0]),
@@ -840,6 +860,53 @@ class TestArrayBoundary:
                 assert isinstance(error, expected), (name, x, error)
 
         check()
+
+
+GRID = VoxelGrid((2, 2, 2), 1.0, (0, 0, 0), np.ones((2, 2, 2)))
+# every integer parameter, and a value below its bound
+INTEGERS = {
+    "noise_study trials": (lambda k: noise_study(HEXAGON, XY, YZ, 0.1, k),
+                           0),
+    "noise_study seed": (lambda k: noise_study(HEXAGON, XY, YZ, 0.1, 1, k),
+                         -1),
+    "group_average order": (lambda k: group_average(E[2], k), 1),
+    "detect_axis orders": (lambda k: detect_axis(HEXAGON, [2, k]), 1),
+    "project_voxels image dims": (
+        lambda k: project_voxels(GRID, XY, (4, k)), 0),
+    "coordinate_spec": (coordinate_spec, -1),
+    "FiniteMagma.op": (lambda k: FiniteMagma.cyclic_group(3).op(0, k), -1),
+}
+
+
+class TestIntegerBoundary:
+    """`geometry._require_int` is the one rule of every integer parameter:
+    a non-integer, or a value below the parameter's bound, raises
+    DimMismatch."""
+
+    @pytest.mark.parametrize("value", [2.5, "3", None, "below"])
+    @pytest.mark.parametrize("name", sorted(INTEGERS))
+    def test_refused(self, name, value):
+        # coordinate_spec(2.5) raised KeyError and coordinate_spec(-1)
+        # viewed along +z; op(0, -1) read the last column
+        call, below = INTEGERS[name]
+        with pytest.raises(DimMismatch):
+            call(below if value == "below" else value)
+
+    def test_above_the_range(self):
+        # op(0, 3) raised IndexError, coordinate_spec(5) viewed along +z,
+        # and a lone order raised TypeError
+        with pytest.raises(DimMismatch, match="^elements must be < 3: 0, 3$"):
+            FiniteMagma.cyclic_group(3).op(0, 3)
+        with pytest.raises(DimMismatch, match="^axis must be 0, 1 or 2"):
+            coordinate_spec(5)
+        with pytest.raises(DimMismatch, match="^symmetry orders must be one"):
+            detect_axis(HEXAGON, 3)
+
+    def test_bound_message(self):
+        with pytest.raises(DimMismatch, match="^element must be >= 0, got -1$"):
+            FiniteMagma.cyclic_group(3).op(-1, 0)
+        with pytest.raises(DimMismatch, match="^seed must be >= 0, got -1$"):
+            noise_study(HEXAGON, XY, YZ, 0.1, 1, -1)
 
 
 class TestRecord:
